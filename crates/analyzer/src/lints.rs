@@ -138,6 +138,7 @@ impl Default for Config {
     fn default() -> Config {
         Config {
             service_files: vec![
+                "store/src/bgp.rs".to_string(),
                 "store/src/service.rs".to_string(),
                 "store/src/shard.rs".to_string(),
                 "store/src/cache.rs".to_string(),
@@ -149,11 +150,13 @@ impl Default for Config {
             lock_fragment: "store/src/".to_string(),
             recycle_files: vec!["store/src/wcoj.rs".to_string()],
             budget_files: vec![
+                "store/src/bgp.rs".to_string(),
                 "store/src/wcoj.rs".to_string(),
                 "store/src/join.rs".to_string(),
                 "store/src/shard.rs".to_string(),
             ],
             lock_order_files: vec![
+                "store/src/bgp.rs".to_string(),
                 "store/src/service.rs".to_string(),
                 "store/src/shard.rs".to_string(),
                 "store/src/cache.rs".to_string(),

@@ -162,6 +162,41 @@ fn io_ordering_scope_covers_the_real_persist_module() {
         .any(|frag| "store/src/persist.rs".contains(frag.as_str())));
 }
 
+/// The shared BGP request path (`store/src/bgp.rs`: every query entry
+/// point of both services runs through it) must sit inside the
+/// service-layer scopes, or `no-unwrap-in-service`, `budget-checkpoint`
+/// and the lock-order graph go blind on exactly the code they were
+/// written for: a seeded `unwrap()` and an unjustified loop at that
+/// path must both be flagged.
+#[test]
+fn service_scopes_cover_the_shared_bgp_request_path() {
+    let rel = "crates/store/src/bgp.rs";
+    assert!(
+        workspace_root().join(rel).is_file(),
+        "the shared request path moved: re-point the scopes and this test"
+    );
+    let cfg = Config::default();
+    assert!(cfg
+        .lock_order_files
+        .iter()
+        .any(|f| rel.ends_with(f.as_str())));
+    let seeded = "pub(crate) fn serve(rows: Option<u64>) -> u64 {\n\
+                  \x20   loop {\n\
+                  \x20       if done() { break; }\n\
+                  \x20   }\n\
+                  \x20   rows.unwrap()\n\
+                  }\n";
+    let lints: Vec<(&str, u32)> = lints::scan_source(rel, seeded, &cfg)
+        .iter()
+        .map(|f| (f.lint, f.line))
+        .collect();
+    assert_eq!(
+        lints,
+        [(lints::BUDGET_CHECKPOINT, 2), (lints::NO_UNWRAP, 5)],
+        "both seeded violations flagged, nothing else"
+    );
+}
+
 #[test]
 fn json_report_is_written_and_shaped() {
     let dir = std::env::temp_dir().join("wdsparql-analyzer-test-report");

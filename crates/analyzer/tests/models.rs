@@ -131,7 +131,7 @@ fn cache_miss_stampede_is_caught() {
 fn cache_miss_pending_slot_dedups_cleanly() {
     let report = Explorer::new(2)
         .check(|| {
-            // `ResultCache::get_or_compute` in miniature: the pending
+            // `ResultCache::get_or_try_compute` in miniature: the pending
             // map collapses to a single shared slot because the model
             // has one key.
             let pending: Arc<Mutex<Option<Arc<OnceLock<u64>>>>> = Arc::new(Mutex::new(None));
@@ -176,7 +176,7 @@ fn cache_miss_pending_slot_dedups_cleanly() {
 // epoch and purges the cache; a reader that computed on the old graph
 // must not publish AFTER the purge, or the stale entry survives
 // forever. The fix re-checks the epoch under the cache lock before
-// publishing (`still_valid` in `ResultCache::get_or_compute`).
+// publishing (`still_valid` in `ResultCache::get_or_try_compute`).
 // ---------------------------------------------------------------------
 
 struct FacadeModel {

@@ -42,10 +42,14 @@
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use wdsparql_contain::{decide_containment, SearchBudget, Verdict};
 use wdsparql_core::{count_by_domain, enumerate_with_stats, Engine, Query, Strategy};
 use wdsparql_project::{enumerate_projected, ProjectedQuery};
-use wdsparql_rdf::{parse_ntriples, Mapping};
+use wdsparql_rdf::{parse_ntriples, ExecError, Mapping, QueryBudget, Triple, TriplePattern};
+use wdsparql_store::{
+    CacheStats, JoinStrategy, PlannedQuery, ShardedStore, StoreError, TripleStore,
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -203,7 +207,7 @@ fn run(args: &[String]) -> Result<(), String> {
 fn run_store(args: &[String]) -> Result<(), String> {
     let mut shards = 1usize;
     let mut max_triples: Option<usize> = None;
-    let mut strategy = wdsparql_store::JoinStrategy::default();
+    let mut strategy = JoinStrategy::default();
     let mut profile = false;
     let mut limit: Option<usize> = None;
     let mut deadline_ms: Option<u64> = None;
@@ -224,7 +228,7 @@ fn run_store(args: &[String]) -> Result<(), String> {
             "--max-triples" => max_triples = Some(flag("--max-triples")?),
             "--join-strategy" => {
                 let value = it.next().ok_or("--join-strategy needs a value")?;
-                strategy = wdsparql_store::JoinStrategy::parse(value).ok_or_else(|| {
+                strategy = JoinStrategy::parse(value).ok_or_else(|| {
                     format!("--join-strategy: {value:?} is not pairwise, wco or auto")
                 })?;
             }
@@ -264,11 +268,36 @@ fn run_store(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+type Rows = Arc<Vec<Mapping>>;
+type Budgeted<T> = Result<T, ExecError>;
+
+/// [`store_command`]'s view of the service it drives. [`TripleStore`] and
+/// [`ShardedStore`] answer these steps with identically named methods
+/// but share no trait, so each layout binds them once, by closure; only
+/// `compact_and_report`, `engine` and `provenance` legitimately differ.
+#[allow(clippy::type_complexity)] // plain signatures of the methods bound
+struct Service<'a> {
+    try_bulk_load: &'a dyn Fn(Vec<Triple>) -> Result<usize, StoreError>,
+    /// Folds whatever the adaptive policy left pending, then prints the
+    /// stats, the durable epoch(s) and the ingest lifecycle.
+    compact_and_report: &'a dyn Fn(),
+    engine: &'a dyn Fn() -> Engine,
+    /// `epoch N` for the single store, the `(shard, epoch)` read vector
+    /// for the sharded facade.
+    provenance: &'a dyn Fn(&[(usize, u64)]) -> String,
+    query: &'a dyn Fn(&[TriplePattern]) -> Rows,
+    query_with_plan: &'a dyn Fn(&[TriplePattern]) -> PlannedQuery,
+    query_with_profile: &'a dyn Fn(&[TriplePattern]) -> PlannedQuery,
+    query_budgeted: &'a dyn Fn(&[TriplePattern], &QueryBudget) -> Budgeted<Rows>,
+    query_limited: &'a dyn Fn(&[TriplePattern], usize, &QueryBudget) -> Budgeted<Vec<Mapping>>,
+    cache_stats: &'a dyn Fn() -> CacheStats,
+}
+
 #[allow(clippy::too_many_arguments)]
 fn store_command(
     shards: usize,
     max_triples: Option<usize>,
-    strategy: wdsparql_store::JoinStrategy,
+    strategy: JoinStrategy,
     profile: bool,
     limit: Option<usize>,
     deadline_ms: Option<u64>,
@@ -290,52 +319,25 @@ fn store_command(
     if streaming && query_text.is_none() {
         return Err("--limit/--deadline-ms need a query to run".into());
     }
-    // On reopen the layout on disk decides single vs sharded: a
-    // `shard-0/` subdirectory marks a sharded store regardless of what
-    // `--shards` says today.
-    let sharded = if open {
-        let d = dir.expect("--open was checked to carry --dir");
-        std::path::Path::new(d).join("shard-0").is_dir()
-    } else {
-        shards > 1
-    };
-    // Load in batches, as an ingest pipeline would: each batch appends
-    // sorted delta segments (scattered across the shards when sharded);
-    // the explicit compact folds whatever the adaptive policy left
-    // pending. Capacity exhaustion is a clean error, not a panic.
-    let mut stream = graph.iter().copied();
-    let mut batches = std::iter::from_fn(|| {
-        let batch: Vec<_> = stream.by_ref().take(4096).collect();
-        (!batch.is_empty()).then_some(batch)
-    });
-    if sharded {
-        let store = if open {
-            let d = dir.expect("--open was checked to carry --dir");
-            std::sync::Arc::new(wdsparql_store::ShardedStore::open(d).map_err(|e| e.to_string())?)
-        } else {
-            let store = std::sync::Arc::new(wdsparql_store::ShardedStore::new(shards));
-            if let Some(d) = dir {
-                store.persist_to(d).map_err(|e| e.to_string())?;
-            }
-            store
-        };
-        store.set_capacity_limit(max_triples);
-        store.set_join_strategy(strategy);
-        for batch in batches {
-            store.try_bulk_load(batch).map_err(|e| e.to_string())?;
-        }
-        let staged = store.stats();
-        store.compact();
-        let stats = store.stats();
-        print!("{stats}");
-        if let Some(d) = dir {
-            println!("(durable store at {d}: shard epochs {:?})", store.epochs());
-        }
-        report_ingest_lifecycle(
-            staged.shards.iter().map(|s| s.delta_rows).sum(),
-            staged.shards.iter().map(|s| s.segments).sum(),
-            stats.shards.iter().map(|s| s.compactions).sum(),
-        );
+    // The one ingest → stats → compact → report → query sequence, over
+    // whichever service the layout below binds.
+    let run = |store: &Service<'_>| -> Result<(), String> {
+        // Load in batches, as an ingest pipeline would: each batch
+        // appends sorted delta segments (scattered across the shards
+        // when sharded); the explicit compact folds whatever the
+        // adaptive policy left pending. Capacity exhaustion is a clean
+        // error, not a panic.
+        let mut stream = graph.iter().copied();
+        let mut batches = std::iter::from_fn(|| {
+            let batch: Vec<_> = stream.by_ref().take(4096).collect();
+            (!batch.is_empty()).then_some(batch)
+        });
+        batches.try_for_each(|batch| {
+            (store.try_bulk_load)(batch)
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        })?;
+        (store.compact_and_report)();
         let Some(text) = query_text else {
             return Ok(());
         };
@@ -346,117 +348,122 @@ fn store_command(
             let budget = budget_from(deadline_ms);
             match limit {
                 Some(k) => {
-                    let rows = store
-                        .query_limited(&pats, k, &budget)
-                        .map_err(|e| e.to_string())?;
+                    let rows =
+                        (store.query_limited)(&pats, k, &budget).map_err(|e| e.to_string())?;
                     print_streamed(&rows, Some(k));
                 }
                 None => {
-                    let rows = store
-                        .query_budgeted(&pats, &budget)
-                        .map_err(|e| e.to_string())?;
+                    let rows = (store.query_budgeted)(&pats, &budget).map_err(|e| e.to_string())?;
                     print_streamed(&rows, None);
                 }
             }
             return Ok(());
         }
-        let engine =
-            Engine::from_sharded_store(std::sync::Arc::clone(&store)).with_join_strategy(strategy);
+        let engine = (store.engine)().with_join_strategy(strategy);
         print_solutions(&query, &engine.evaluate(&query));
+        // AND-only queries additionally go through the service's planned,
+        // cached BGP path — plan and solutions from one snapshot; a second
+        // run shows the cache.
         if let Some(pats) = bgp_patterns(query.pattern()) {
             let planned = if profile {
-                store.query_with_profile(&pats)
+                (store.query_with_profile)(&pats)
             } else {
-                store.query_with_plan(&pats)
+                (store.query_with_plan)(&pats)
             };
-            let again = store.query(&pats);
+            let again = (store.query)(&pats);
             assert_eq!(planned.solutions.len(), again.len());
             report_bgp_service(
                 &pats,
                 &planned.plan,
                 planned.strategy,
                 planned.solutions.len(),
-                &format!("epochs {:?}", planned.read),
-                store.cache_stats(),
+                &(store.provenance)(&planned.read),
+                (store.cache_stats)(),
             );
             print_profile(planned.profile.as_ref());
         }
-        return Ok(());
-    }
-    let store = if open {
-        let d = dir.expect("--open was checked to carry --dir");
-        std::sync::Arc::new(wdsparql_store::TripleStore::open(d).map_err(|e| e.to_string())?)
+        Ok(())
+    };
+    // On reopen the layout on disk decides single vs sharded: a
+    // `shard-0/` subdirectory marks a sharded store regardless of what
+    // `--shards` says today.
+    let sharded = match dir {
+        Some(d) if open => std::path::Path::new(d).join("shard-0").is_dir(),
+        _ => shards > 1,
+    };
+    if sharded {
+        let store = Arc::new(match dir {
+            Some(d) if open => ShardedStore::open(d).map_err(|e| e.to_string())?,
+            _ => {
+                let store = ShardedStore::new(shards);
+                if let Some(d) = dir {
+                    store.persist_to(d).map_err(|e| e.to_string())?;
+                }
+                store
+            }
+        });
+        store.set_capacity_limit(max_triples);
+        store.set_join_strategy(strategy);
+        run(&Service {
+            try_bulk_load: &|batch| store.try_bulk_load(batch),
+            compact_and_report: &|| {
+                let staged = store.stats();
+                store.compact();
+                let stats = store.stats();
+                print!("{stats}");
+                if let Some(d) = dir {
+                    println!("(durable store at {d}: shard epochs {:?})", store.epochs());
+                }
+                report_ingest_lifecycle(
+                    staged.shards.iter().map(|s| s.delta_rows).sum(),
+                    staged.shards.iter().map(|s| s.segments).sum(),
+                    stats.shards.iter().map(|s| s.compactions).sum(),
+                );
+            },
+            engine: &|| Engine::from_sharded_store(Arc::clone(&store)),
+            provenance: &|read| format!("epochs {read:?}"),
+            query: &|pats| store.query(pats),
+            query_with_plan: &|pats| store.query_with_plan(pats),
+            query_with_profile: &|pats| store.query_with_profile(pats),
+            query_budgeted: &|pats, budget| store.query_budgeted(pats, budget),
+            query_limited: &|pats, k, budget| store.query_limited(pats, k, budget),
+            cache_stats: &|| store.cache_stats(),
+        })
     } else {
-        let store = std::sync::Arc::new(wdsparql_store::TripleStore::new());
-        if let Some(d) = dir {
-            store.persist_to(d).map_err(|e| e.to_string())?;
-        }
-        store
-    };
-    store.set_capacity_limit(max_triples);
-    store.set_join_strategy(strategy);
-    batches.try_for_each(|batch| {
-        store
-            .try_bulk_load(batch)
-            .map(|_| ())
-            .map_err(|e| e.to_string())
-    })?;
-    let staged = store.stats();
-    store.compact();
-    let stats = store.stats();
-    println!("{stats}");
-    if let Some(d) = dir {
-        println!("(durable store at {d}: epoch {})", store.epoch());
-    }
-    report_ingest_lifecycle(staged.delta_rows, staged.segments, stats.compactions);
-    let Some(text) = query_text else {
-        return Ok(());
-    };
-    let query = Query::parse(text).map_err(|e| e.to_string())?;
-    if streaming {
-        let pats = bgp_patterns(query.pattern())
-            .ok_or("--limit/--deadline-ms need an AND-only (BGP) query")?;
-        let budget = budget_from(deadline_ms);
-        match limit {
-            Some(k) => {
-                let rows = store
-                    .query_limited(&pats, k, &budget)
-                    .map_err(|e| e.to_string())?;
-                print_streamed(&rows, Some(k));
+        let store = Arc::new(match dir {
+            Some(d) if open => TripleStore::open(d).map_err(|e| e.to_string())?,
+            _ => {
+                let store = TripleStore::new();
+                if let Some(d) = dir {
+                    store.persist_to(d).map_err(|e| e.to_string())?;
+                }
+                store
             }
-            None => {
-                let rows = store
-                    .query_budgeted(&pats, &budget)
-                    .map_err(|e| e.to_string())?;
-                print_streamed(&rows, None);
-            }
-        }
-        return Ok(());
+        });
+        store.set_capacity_limit(max_triples);
+        store.set_join_strategy(strategy);
+        run(&Service {
+            try_bulk_load: &|batch| store.try_bulk_load(batch),
+            compact_and_report: &|| {
+                let staged = store.stats();
+                store.compact();
+                let stats = store.stats();
+                println!("{stats}");
+                if let Some(d) = dir {
+                    println!("(durable store at {d}: epoch {})", store.epoch());
+                }
+                report_ingest_lifecycle(staged.delta_rows, staged.segments, stats.compactions);
+            },
+            engine: &|| Engine::from_store(Arc::clone(&store)),
+            provenance: &|read| format!("epoch {}", read[0].1),
+            query: &|pats| store.query(pats),
+            query_with_plan: &|pats| store.query_with_plan(pats),
+            query_with_profile: &|pats| store.query_with_profile(pats),
+            query_budgeted: &|pats, budget| store.query_budgeted(pats, budget),
+            query_limited: &|pats, k, budget| store.query_limited(pats, k, budget),
+            cache_stats: &|| store.cache_stats(),
+        })
     }
-    let engine = Engine::from_store(std::sync::Arc::clone(&store)).with_join_strategy(strategy);
-    print_solutions(&query, &engine.evaluate(&query));
-    // AND-only queries additionally go through the service's planned,
-    // cached BGP path — plan and solutions from one snapshot; a second
-    // run shows the cache.
-    if let Some(pats) = bgp_patterns(query.pattern()) {
-        let planned = if profile {
-            store.query_with_profile(&pats)
-        } else {
-            store.query_with_plan(&pats)
-        };
-        let again = store.query(&pats);
-        assert_eq!(planned.solutions.len(), again.len());
-        report_bgp_service(
-            &pats,
-            &planned.plan,
-            planned.strategy,
-            planned.solutions.len(),
-            &format!("epoch {}", planned.epoch),
-            store.cache_stats(),
-        );
-        print_profile(planned.profile.as_ref());
-    }
-    Ok(())
 }
 
 /// The query budget implied by `--deadline-ms` (unlimited without it).

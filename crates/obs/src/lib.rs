@@ -17,7 +17,7 @@
 //!   against `crates/obs/metrics-schema.json`);
 //! * [`profile`] — the per-query execution profile: a [`Span`] tree
 //!   ([`QueryProfile`]) that the store threads through
-//!   `PlannedQuery`/`ShardedPlannedQuery` and the CLI renders as an
+//!   `PlannedQuery` and the CLI renders as an
 //!   EXPLAIN-ANALYZE-style tree under `store --profile`.
 //!
 //! [`json`] is the minimal JSON value parser backing the CI schema

@@ -141,8 +141,13 @@ impl Histogram {
         self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         // relaxed-ok: as above.
         self.sum.fetch_add(v, Ordering::Relaxed);
-        // relaxed-ok: monotone max; fetch_max commutes with itself.
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // relaxed-ok: monotone max; fetch_max commutes with itself. The
+        // load only skips the RMW (a CAS loop) when `v` cannot raise the
+        // max — nearly always, and one is recorded per query.
+        if v > self.max.load(Ordering::Relaxed) {
+            // relaxed-ok: as above.
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Records a [`Duration`] in nanoseconds (saturating at u64::MAX —

@@ -4,7 +4,7 @@
 //!
 //! A span is a named, optionally timed node with ordered `key=value`
 //! fields and children. The store attaches one [`QueryProfile`] to a
-//! `PlannedQuery`/`ShardedPlannedQuery` when profiling was requested;
+//! `PlannedQuery` when profiling was requested;
 //! nothing here is collected on the unprofiled path.
 
 use std::fmt;

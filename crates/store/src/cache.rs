@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use wdsparql_rdf::{ExecError, Mapping};
+use wdsparql_rdf::{ExecError, Mapping, QueryBudget};
 
 /// Cache hit/miss counters (monotonic over the cache's lifetime).
 /// `hits` counts results served without a computation — from the LRU or
@@ -38,11 +38,11 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// In-flight computation slot: filled exactly once, everyone else
-/// waits. The slot holds the computation's *outcome* — a budget failure
-/// ([`ExecError`]) lands here too, so every waiter of a doomed
-/// computation gets the same typed error instead of a partial result.
-type PendingSlot = Arc<OnceLock<Result<Arc<Vec<Mapping>>, ExecError>>>;
+/// In-flight computation slot: filled exactly once, by the leader that
+/// registered it; everyone else waits. `Some(rows)` is a completed
+/// computation, `None` a failed one — the leader's budget error is its
+/// own and is never handed to a waiter, whose budget may be fine.
+type PendingSlot = Arc<OnceLock<Option<Arc<Vec<Mapping>>>>>;
 
 /// A small LRU over solution sets. Recency is a logical clock; the
 /// tick-ordered index makes eviction `O(log n)` (pop the smallest
@@ -182,115 +182,119 @@ impl<K: Eq + Hash + Clone> ResultCache<K> {
     }
 
     /// Serves `key` from the cache, or computes it — at most once across
-    /// concurrent callers: the first miss installs an in-flight slot,
-    /// later misses of the same key block on that slot instead of
-    /// re-running `compute`. The leader publishes to the LRU only when
-    /// `still_valid` holds (the owner re-checks its epochs there), so a
-    /// result computed on a snapshot that has since been superseded is
-    /// returned to callers but never cached.
-    pub(crate) fn get_or_compute(
-        &self,
-        key: K,
-        still_valid: impl FnOnce() -> bool,
-        compute: impl FnOnce() -> Vec<Mapping>,
-    ) -> Arc<Vec<Mapping>> {
-        // analyzer-allow: no-unwrap-in-service an infallible computation
-        // wrapped in Ok can never surface a budget error.
-        self.get_or_try_compute(key, still_valid, || Ok(compute()))
-            .expect("an infallible computation cannot fail")
-    }
-
-    /// The fallible twin of [`ResultCache::get_or_compute`] — the entry
-    /// point for budgeted queries. A `compute` that fails its
-    /// [`wdsparql_rdf::QueryBudget`] stores the [`ExecError`] in the
-    /// in-flight slot, so every concurrent waiter of the doomed
-    /// computation receives the same typed error; **errors are never
-    /// inserted into the LRU** (cached entries only ever hold complete
-    /// result sets), so the next caller of the key recomputes under its
-    /// own budget.
+    /// concurrent callers: the first miss registers an in-flight slot
+    /// and becomes its leader, later misses of the same key block on
+    /// that slot instead of re-running `compute`. The leader publishes
+    /// to the LRU only when `still_valid` holds (the owner re-checks its
+    /// epochs there), so a result computed on a snapshot that has since
+    /// been superseded is returned to callers but never cached.
+    ///
+    /// `compute` runs under the caller's `budget` and may fail it. The
+    /// failure is the leader's alone: **errors are never inserted into
+    /// the LRU** (cached entries only ever hold complete result sets),
+    /// and a waiter that finds its slot failed re-checks *its own*
+    /// budget and goes around again — joining the next in-flight
+    /// computation or leading one itself. Under
+    /// [`QueryBudget::unlimited`] the result is therefore always `Ok`.
     pub(crate) fn get_or_try_compute(
         &self,
         key: K,
+        budget: &QueryBudget,
         still_valid: impl FnOnce() -> bool,
         compute: impl FnOnce() -> Result<Vec<Mapping>, ExecError>,
     ) -> Result<Arc<Vec<Mapping>>, ExecError> {
-        if let Some(hit) = self.cache.lock().get(&key) {
-            // relaxed-ok: statistics counter; the hit itself synchronizes
-            // through the cache mutex.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            crate::obs::on_cache_hit();
-            return Ok(hit);
-        }
-        let (slot, leader) = {
-            let mut pending = self.pending.lock();
-            match pending.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => (Arc::clone(e.get()), false),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    // Double-check the cache while holding the pending
-                    // lock: a leader that published and unregistered
-                    // between our cache miss and this point must not
-                    // trigger a second computation. (Lock order is
-                    // pending → cache here; no path nests them the other
-                    // way round.)
-                    if let Some(hit) = self.cache.lock().get(&key) {
-                        // relaxed-ok: statistics counter, ordered by the
-                        // pending+cache mutexes held here.
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        crate::obs::on_cache_hit();
-                        return Ok(hit);
+        let lead = loop {
+            if let Some(hit) = self.cache.lock().get(&key) {
+                self.count_hit();
+                return Ok(hit);
+            }
+            let joined = {
+                let mut pending = self.pending.lock();
+                match pending.entry(key.clone()) {
+                    std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        // Double-check the cache while holding the pending
+                        // lock: a leader that published and unregistered
+                        // between our cache miss and this point must not
+                        // trigger a second computation. (Lock order is
+                        // pending → cache here; no path nests them the other
+                        // way round.)
+                        if let Some(hit) = self.cache.lock().get(&key) {
+                            self.count_hit();
+                            return Ok(hit);
+                        }
+                        let slot: PendingSlot = Arc::new(OnceLock::new());
+                        e.insert(Arc::clone(&slot));
+                        break Lead {
+                            owner: self,
+                            key,
+                            slot,
+                        };
                     }
-                    let slot: PendingSlot = Arc::new(OnceLock::new());
-                    e.insert(Arc::clone(&slot));
-                    (slot, true)
                 }
+            };
+            if let Some(rows) = joined.wait() {
+                self.count_hit();
+                // relaxed-ok: the stampede-wait subset of the hits
+                // statistic; joiners synchronized via the slot's OnceLock.
+                self.stampede_waits.fetch_add(1, Ordering::Relaxed);
+                crate::obs::on_cache_stampede_wait();
+                return Ok(Arc::clone(rows));
             }
+            budget.check()?;
         };
-        // Exactly one closure runs per slot; every other caller blocks
-        // inside `get_or_init` until the outcome lands. The miss counter
-        // therefore counts computations, not callers.
-        let mut computed_here = false;
-        let value = slot
-            .get_or_init(|| {
-                computed_here = true;
-                // relaxed-ok: one computation = one miss, counted for
-                // stats; publication order is carried by the OnceLock,
-                // not this add.
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                crate::obs::on_cache_miss();
-                compute().map(Arc::new)
-            })
-            .clone();
-        if !computed_here {
-            // relaxed-ok: statistics counter; joiners synchronized via the
-            // slot's OnceLock already.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            // relaxed-ok: as above — the stampede-wait subset of hits.
-            self.stampede_waits.fetch_add(1, Ordering::Relaxed);
-            crate::obs::on_cache_hit();
-            crate::obs::on_cache_stampede_wait();
+        // Exactly one leader per slot, so the miss counter counts
+        // computations, not callers.
+        // relaxed-ok: statistics counter; publication order is carried
+        // by the slot's OnceLock, not this add.
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        crate::obs::on_cache_miss();
+        let rows = Arc::new(compute()?);
+        // Publish before waking the waiters and unregistering (`lead`'s
+        // drop), so a racer either sees the cache entry or the pending
+        // slot. Skip the insert when the owner's epochs moved meanwhile:
+        // the entry would be keyed to a stale epoch — correct but
+        // unreachable, so only dead weight.
+        if still_valid() && self.cache.lock().put(lead.key.clone(), Arc::clone(&rows)) {
+            // relaxed-ok: statistics counter; eviction itself is ordered
+            // by the cache mutex.
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            crate::obs::on_cache_eviction();
         }
-        if leader {
-            // Publish before unregistering, so a racer either sees the
-            // cache entry or the pending slot. Skip the insert when the
-            // owner's epochs moved meanwhile: the entry would be keyed
-            // to a stale epoch — correct but unreachable, so only dead
-            // weight. Errors never land in the LRU at all.
-            if let Ok(complete) = &value {
-                if still_valid() && self.cache.lock().put(key.clone(), Arc::clone(complete)) {
-                    // relaxed-ok: statistics counter; eviction itself is
-                    // ordered by the cache mutex.
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    crate::obs::on_cache_eviction();
-                }
-            }
-            self.pending.lock().remove(&key);
-        }
-        value
+        let _ = lead.slot.set(Some(Arc::clone(&rows)));
+        Ok(rows)
+    }
+
+    /// A result served without a computation: from the LRU, or by
+    /// joining an in-flight one.
+    fn count_hit(&self) {
+        // relaxed-ok: statistics counter; the hit itself synchronizes
+        // through the cache mutex or the slot's OnceLock.
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        crate::obs::on_cache_hit();
     }
 
     #[cfg(test)]
     pub(crate) fn pending_is_empty(&self) -> bool {
         self.pending.lock().is_empty()
+    }
+}
+
+/// The leader's registration of an in-flight slot. Dropping it — on
+/// return, on a failed budget or while unwinding from a panicking
+/// computation — unregisters the slot and marks it failed unless the
+/// leader filled it first, so waiters are always released and never
+/// join a dead slot twice.
+struct Lead<'a, K: Eq + Hash + Clone> {
+    owner: &'a ResultCache<K>,
+    key: K,
+    slot: PendingSlot,
+}
+
+impl<K: Eq + Hash + Clone> Drop for Lead<'_, K> {
+    fn drop(&mut self) {
+        self.owner.pending.lock().remove(&self.key);
+        let _ = self.slot.set(None);
     }
 }
 
@@ -350,14 +354,31 @@ mod tests {
         assert_eq!(lru.len(), 8);
     }
 
+    /// One row, computed under an unlimited budget — the infallible
+    /// callers' shape.
+    fn one_row<K: Eq + Hash + Clone>(
+        cache: &ResultCache<K>,
+        key: K,
+        still_valid: bool,
+    ) -> Arc<Vec<Mapping>> {
+        cache
+            .get_or_try_compute(
+                key,
+                &QueryBudget::unlimited(),
+                || still_valid,
+                || Ok(vec![Mapping::new()]),
+            )
+            .expect("an unlimited budget never fails")
+    }
+
     #[test]
     fn invalid_results_are_returned_but_not_cached() {
         let cache: ResultCache<&str> = ResultCache::new(8);
-        let out = cache.get_or_compute("k", || false, || vec![Mapping::new()]);
+        let out = one_row(&cache, "k", false);
         assert_eq!(out.len(), 1);
         assert_eq!(cache.stats().entries, 0, "stale result must not land");
         assert_eq!(cache.stats().misses, 1);
-        let again = cache.get_or_compute("k", || true, || vec![Mapping::new()]);
+        let again = one_row(&cache, "k", true);
         assert_eq!(again.len(), 1);
         assert_eq!(cache.stats().misses, 2, "recomputed, not served stale");
         assert_eq!(cache.stats().entries, 1);
@@ -377,8 +398,9 @@ mod tests {
             let barrier = Arc::clone(&barrier);
             handles.push(std::thread::spawn(move || {
                 barrier.wait();
-                let value = cache.get_or_compute(
+                let value = cache.get_or_try_compute(
                     "dedup-key".to_string(),
+                    &QueryBudget::unlimited(),
                     || true,
                     || {
                         calls.fetch_add(1, Ordering::SeqCst);
@@ -386,10 +408,10 @@ mod tests {
                         // passes its cache-miss check while the
                         // computation is still in flight.
                         std::thread::sleep(std::time::Duration::from_millis(200));
-                        vec![Mapping::new()]
+                        Ok(vec![Mapping::new()])
                     },
                 );
-                value.len()
+                value.expect("an unlimited budget never fails").len()
             }));
         }
         for h in handles {
@@ -403,52 +425,82 @@ mod tests {
         assert!(cache.pending_is_empty(), "slot unregistered");
     }
 
+    /// Leads a computation of `"k"` that holds its in-flight slot long
+    /// enough for the caller to join it, runs `before_failing`, and then
+    /// fails its budget. Returns once that computation is in flight.
+    fn doomed_leader(
+        cache: &Arc<ResultCache<String>>,
+        before_failing: impl FnOnce() + Send + 'static,
+    ) -> std::thread::JoinHandle<Result<Arc<Vec<Mapping>>, ExecError>> {
+        let (in_flight, started) = std::sync::mpsc::channel();
+        let cache = Arc::clone(cache);
+        let leader = std::thread::spawn(move || {
+            cache.get_or_try_compute(
+                "k".to_string(),
+                &QueryBudget::unlimited(),
+                || true,
+                || {
+                    in_flight.send(()).expect("the spawner is listening");
+                    std::thread::sleep(std::time::Duration::from_millis(200));
+                    before_failing();
+                    Err(ExecError::DeadlineExceeded)
+                },
+            )
+        });
+        started.recv().expect("the leader's computation started");
+        leader
+    }
+
+    /// The leader's budget is the leader's: a caller that joined the
+    /// in-flight slot of a doomed computation does not receive that
+    /// error (it used to, and the infallible facade then panicked) — it
+    /// re-checks its own budget and computes the rows itself.
     #[test]
-    fn budget_errors_propagate_to_waiters_and_are_never_cached() {
-        use std::sync::Barrier;
+    fn waiter_joining_a_doomed_leader_retries_under_its_own_budget() {
         let cache: Arc<ResultCache<String>> = Arc::new(ResultCache::new(8));
-        let barrier = Arc::new(Barrier::new(4));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let cache = Arc::clone(&cache);
-            let barrier = Arc::clone(&barrier);
-            handles.push(std::thread::spawn(move || {
-                barrier.wait();
-                cache.get_or_try_compute(
-                    "doomed".to_string(),
-                    || true,
-                    || {
-                        // Hold the slot so every thread joins in flight.
-                        std::thread::sleep(std::time::Duration::from_millis(100));
-                        Err(ExecError::DeadlineExceeded)
-                    },
-                )
-            }));
-        }
-        for h in handles {
-            assert_eq!(
-                h.join().unwrap(),
-                Err(ExecError::DeadlineExceeded),
-                "every caller of the doomed key sees the typed error"
-            );
-        }
+        let leader = doomed_leader(&cache, || ());
+        let rows = one_row(&cache, "k".to_string(), true);
+        assert_eq!(rows.len(), 1, "the waiter gets the rows");
+        assert_eq!(
+            leader.join().expect("the leader returns, typed"),
+            Err(ExecError::DeadlineExceeded),
+            "only the leader sees its own error"
+        );
         let cs = cache.stats();
-        assert_eq!(cs.misses, 1, "the doomed computation ran once");
-        assert_eq!(cs.entries, 0, "an error must never land in the LRU");
-        assert!(cache.pending_is_empty(), "slot unregistered after error");
-        // The key is recomputable afterwards, under a fresh budget.
-        let ok = cache
-            .get_or_try_compute("doomed".to_string(), || true, || Ok(vec![Mapping::new()]))
-            .expect("fresh computation succeeds");
-        assert_eq!(ok.len(), 1);
-        assert_eq!(cache.stats().entries, 1, "complete results cache normally");
+        assert_eq!(cs.misses, 2, "the doomed computation, then the waiter's");
+        assert_eq!(cs.entries, 1, "only the complete result landed in the LRU");
+        assert!(cache.pending_is_empty(), "both slots unregistered");
+
+        // A waiter whose own budget died while it waited fails that
+        // re-check, typed, instead of retrying.
+        let cache: Arc<ResultCache<String>> = Arc::new(ResultCache::new(8));
+        let token = wdsparql_rdf::CancelToken::new();
+        let trip = token.clone();
+        let leader = doomed_leader(&cache, move || trip.cancel());
+        let out = cache.get_or_try_compute(
+            "k".to_string(),
+            &QueryBudget::with_cancel(token),
+            || true,
+            || Ok(vec![Mapping::new()]),
+        );
+        assert_eq!(leader.join().unwrap(), Err(ExecError::DeadlineExceeded));
+        match out {
+            Err(e) => {
+                assert_eq!(e, ExecError::Cancelled);
+                assert_eq!(cache.stats().entries, 0, "no error ever lands in the LRU");
+                assert!(cache.pending_is_empty(), "slot unregistered after errors");
+            }
+            // (Scheduled too late to join the slot, the caller led a
+            // computation of its own instead — the second miss.)
+            Ok(_) => assert_eq!(cache.stats().misses, 2),
+        }
     }
 
     #[test]
     fn capacity_evictions_are_counted() {
         let cache: ResultCache<u32> = ResultCache::new(2);
         for k in 0..4 {
-            cache.get_or_compute(k, || true, || vec![Mapping::new()]);
+            one_row(&cache, k, true);
         }
         let cs = cache.stats();
         assert_eq!(cs.misses, 4);
@@ -459,36 +511,5 @@ mod tests {
         cache.clear();
         assert_eq!(cache.stats().evictions, 2);
         assert_eq!(cache.stats().entries, 0);
-    }
-}
-
-#[cfg(test)]
-mod review_repro {
-    use super::*;
-    #[test]
-    fn infallible_waiter_joining_doomed_budgeted_leader_panics() {
-        let cache: Arc<ResultCache<String>> = Arc::new(ResultCache::new(8));
-        let c2 = Arc::clone(&cache);
-        let leader = std::thread::spawn(move || {
-            let _ = c2.get_or_try_compute(
-                "k".to_string(),
-                || true,
-                || {
-                    std::thread::sleep(std::time::Duration::from_millis(200));
-                    Err(ExecError::DeadlineExceeded)
-                },
-            );
-        });
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        // The infallible path joins the in-flight slot and receives the
-        // leader's Err -> expect() panics.
-        let waiter = std::thread::spawn(move || {
-            cache.get_or_compute("k".to_string(), || true, || vec![Mapping::new()])
-        });
-        leader.join().unwrap();
-        assert!(
-            waiter.join().is_err(),
-            "waiter should have panicked (bug repro)"
-        );
     }
 }

@@ -1,5 +1,5 @@
 //! The pairwise join pipeline as a pull-based stream: the
-//! most-selective-first plan of [`crate::service::plan_order`] executed
+//! most-selective-first plan of [`crate::bgp::plan_order`] executed
 //! as a semi-join-pruned seed scan plus index-nested-loop (bind) joins,
 //! producing solutions one pull at a time ([`PairwiseStream`]) instead
 //! of materialising every intermediate.
@@ -24,11 +24,24 @@
 //! cancellation interrupts the pipeline within one bound
 //! `match_pattern` scan.
 
-use crate::service::{plan_order, PairwiseStepStats};
-use crate::wcoj::{resolve_with_order, JoinStrategy, WcoStream};
 use wdsparql_rdf::{
     binding_of, ExecError, Mapping, QueryBudget, SolutionStream, Triple, TripleIndex, TriplePattern,
 };
+
+/// Per-step counters of one pairwise run, reported by a profiled
+/// [`PairwiseStream`]: one entry per plan position, in execution order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PairwiseStepStats {
+    /// Index of the pattern joined at this step (into the caller's
+    /// pattern list, i.e. a plan entry).
+    pub pattern: usize,
+    /// Index probes issued: 1 for the seed enumeration, one bound
+    /// `match_pattern` per left-hand row for a bind join.
+    pub scans: u64,
+    /// Intermediate result cardinality *after* this step (for the seed:
+    /// after the semi-join prune).
+    pub rows: u64,
+}
 
 /// One suspended bind-join level of a depth-first pairwise walk: the
 /// parent row, the pattern bound under it, and the cursor into its
@@ -66,7 +79,7 @@ pub struct PairwiseStream<'a> {
 impl<'a> PairwiseStream<'a> {
     /// Opens the pipeline over `ix` with the evaluation `order` already
     /// planned (callers that must not re-plan pass the plan in; see
-    /// [`crate::service::plan_order`]). With `profiled`, per-step
+    /// [`crate::bgp::plan_order`]). With `profiled`, per-step
     /// counters accumulate for [`PairwiseStream::step_stats`].
     pub fn new(
         ix: &'a dyn TripleIndex,
@@ -226,6 +239,9 @@ impl<'a> PairwiseStream<'a> {
 }
 
 impl SolutionStream for PairwiseStream<'_> {
+    // Inlined into the collecting loop of whichever module drains the
+    // stream (the shared request path lives in `bgp.rs`).
+    #[inline]
     fn next(&mut self) -> Result<Option<Mapping>, ExecError> {
         if self.done {
             return Ok(None);
@@ -242,73 +258,11 @@ impl SolutionStream for PairwiseStream<'_> {
     }
 }
 
-/// Evaluates the conjunction of `patterns` in the given `order` with a
-/// sorted semi-join on the first shared variable and index-nested-loop
-/// (bind) joins for the rest. Does **not** re-plan: `order` is the
-/// plan. A thin collect() over [`PairwiseStream`] — the streamed and
-/// materialised row orders coincide (see the module docs).
-pub(crate) fn eval_bgp_planned(
-    ix: &dyn TripleIndex,
-    patterns: &[TriplePattern],
-    order: &[usize],
-) -> Vec<Mapping> {
-    let budget = QueryBudget::unlimited();
-    // analyzer-allow: no-unwrap-in-service an unlimited budget never
-    // fails a checkpoint, so the materialised collect always arrives.
-    PairwiseStream::new(ix, patterns, order.to_vec(), &budget, false)
-        .collect_limit(None)
-        .expect("an unlimited budget never fails a checkpoint")
-}
-
-/// As [`eval_bgp_planned`], additionally reporting per-step counters —
-/// scan probes and intermediate cardinalities, one entry per plan
-/// position.
-pub(crate) fn eval_bgp_planned_profiled(
-    ix: &dyn TripleIndex,
-    patterns: &[TriplePattern],
-    order: &[usize],
-) -> (Vec<Mapping>, Vec<PairwiseStepStats>) {
-    let budget = QueryBudget::unlimited();
-    let mut stream = PairwiseStream::new(ix, patterns, order.to_vec(), &budget, true);
-    // analyzer-allow: no-unwrap-in-service an unlimited budget never
-    // fails a checkpoint, so the materialised collect always arrives.
-    let sols = stream
-        .collect_limit(None)
-        .expect("an unlimited budget never fails a checkpoint");
-    (sols, stream.step_stats())
-}
-
-/// Opens the streaming evaluation of a BGP under `strategy` and
-/// `budget`: resolves [`JoinStrategy::Auto`] on this snapshot exactly
-/// as [`crate::wcoj::eval_bgp_with_strategy`] does, then returns the
-/// matching stream — [`WcoStream`] or [`PairwiseStream`]. The single
-/// entry point behind `query_budgeted` / `solutions_limit` on both
-/// stores and the CLI's `--limit`/`--deadline-ms`.
-pub fn open_bgp_stream<'a>(
-    ix: &'a dyn TripleIndex,
-    patterns: &'a [TriplePattern],
-    strategy: JoinStrategy,
-    budget: &'a QueryBudget,
-) -> Box<dyn SolutionStream + 'a> {
-    match strategy {
-        JoinStrategy::Wco => Box::new(WcoStream::new(ix, patterns, budget, false)),
-        JoinStrategy::Pairwise => {
-            let order = plan_order(ix, patterns);
-            Box::new(PairwiseStream::new(ix, patterns, order, budget, false))
-        }
-        JoinStrategy::Auto => {
-            let order = plan_order(ix, patterns);
-            match resolve_with_order(ix, patterns, strategy, &order) {
-                JoinStrategy::Wco => Box::new(WcoStream::new(ix, patterns, budget, false)),
-                _ => Box::new(PairwiseStream::new(ix, patterns, order, budget, false)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bgp::{eval_bgp_with_strategy, open_bgp_stream, plan_order};
+    use crate::JoinStrategy;
     use std::time::Duration;
     use wdsparql_rdf::term::{iri, var};
     use wdsparql_rdf::{tp, Triple};
@@ -340,7 +294,7 @@ mod tests {
         let g = graph();
         let pats = chain();
         let order = plan_order(&g, &pats);
-        let want = eval_bgp_planned(&g, &pats, &order);
+        let want = eval_bgp_with_strategy(&g, &pats, JoinStrategy::Pairwise);
         assert!(!want.is_empty());
         let budget = QueryBudget::unlimited();
         let mut stream = PairwiseStream::new(&g, &pats, order.clone(), &budget, false);
@@ -405,7 +359,7 @@ mod tests {
             v.sort();
             v
         };
-        let want = sorted(crate::wcoj::eval_bgp_with_strategy(
+        let want = sorted(eval_bgp_with_strategy(
             &g,
             &triangle,
             JoinStrategy::Pairwise,

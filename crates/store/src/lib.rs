@@ -33,11 +33,23 @@
 //!   snapshots of the graph, batched
 //!   [`bulk_load`](TripleStore::bulk_load) appends delta segments
 //!   copy-on-write under the write lock with epoch bumping, an LRU
-//!   result cache keyed by `(query, epoch)` deduplicates concurrent
-//!   misses in flight, and [`StoreStats`] selectivity statistics drive
+//!   result cache keyed by the query plus the `(shard, epoch)` pairs it
+//!   read (`[(0, epoch)]` here) deduplicates concurrent misses in
+//!   flight, and [`StoreStats`] selectivity statistics drive
 //!   most-selective-first, connectivity-aware BGP planning —
 //!   [`TripleStore::query_with_plan`] returns the executed plan from the
 //!   same snapshot as the answers, planned exactly once;
+//! * the BGP request path (private `bgp` module) — **how one BGP request
+//!   is served, written once**: every query entry point of both
+//!   services (`query`, `solutions`, `query_with_plan`,
+//!   `query_with_profile`, `query_budgeted`, `query_limited`,
+//!   `solutions_limit`) pins one snapshot and delegates to it. It runs
+//!   on `&dyn TripleIndex` plus the pin's read provenance: entry budget
+//!   checkpoint → cache key → cache → plan once → resolve `Auto` → open
+//!   the pairwise or leapfrog stream → collect → account. The free
+//!   functions ([`eval_bgp_pairwise`], [`eval_bgp_wco`],
+//!   [`eval_bgp_with_strategy`], [`open_bgp_stream`]) are the same
+//!   planner and stream constructor without the cache;
 //! * [`ShardedStore`] — write scaling: N hash-partitioned-by-subject
 //!   [`TripleStore`] shards behind one facade. Bulk loads scatter to
 //!   per-shard write locks (parallel on multi-core hosts, and a reader's
@@ -45,8 +57,8 @@
 //!   route to exactly one shard, unbound ones scatter (on scoped threads
 //!   when the host and the run sizes warrant it) and concatenate the
 //!   disjoint per-shard runs lazily, and the facade's result cache is
-//!   keyed by the epoch vector of the shards each query read — so routed
-//!   results survive writes to other shards. [`ShardedSnapshot`]
+//!   keyed — by the same scheme — with the epochs of the shards each
+//!   query read, so routed results survive writes to other shards. [`ShardedSnapshot`]
 //!   implements [`wdsparql_rdf::TripleIndex`], so every evaluator runs
 //!   unchanged on the sharded layout;
 //! * [`wcoj`] — worst-case-optimal multiway joins: a leapfrog triejoin
@@ -68,6 +80,7 @@
 
 #![forbid(unsafe_code)]
 
+mod bgp;
 mod cache;
 pub mod dict;
 pub mod encoded;
@@ -79,19 +92,17 @@ pub mod service;
 pub mod shard;
 pub mod wcoj;
 
+pub use bgp::{open_bgp_stream, PlannedQuery};
 pub use cache::CacheStats;
 pub use dict::{Dictionary, TermId};
 pub use encoded::{CompactionPolicy, EncodedGraph};
-pub use join::{open_bgp_stream, PairwiseStream};
+pub use join::{PairwiseStepStats, PairwiseStream};
 pub use obs::metrics_json;
 pub use persist::vfs::{Fault, FaultFs, FaultKind, RealFs, Vfs, VfsError};
 pub use persist::{PersistError, PersistOpts, Recovered, StoreDir};
 pub use segment::{CapacityError, MAX_TRIPLES};
-pub use service::{
-    eval_bgp_pairwise, PairwiseStepStats, PlannedQuery, StoreError, StoreSnapshot, StoreStats,
-    TripleStore,
-};
-pub use shard::{ShardedPlannedQuery, ShardedSnapshot, ShardedStats, ShardedStore};
+pub use service::{eval_bgp_pairwise, StoreError, StoreSnapshot, StoreStats, TripleStore};
+pub use shard::{ShardedSnapshot, ShardedStats, ShardedStore};
 pub use wcoj::{
     bgp_is_cyclic, eval_bgp_wco, eval_bgp_wco_profiled, eval_bgp_with_strategy, resolve_strategy,
     wco_variable_order, JoinStrategy, WcoLevelStats, WcoStream,

@@ -6,40 +6,33 @@
 //! lock-free against that snapshot, while bulk loads mutate via
 //! copy-on-write under the write lock — so a slow query never blocks a
 //! load, and a load never blocks queries. An LRU result cache is keyed
-//! by `(query, graph epoch)` — a bulk load bumps the epoch, so stale
-//! entries can never be served — with per-key in-flight deduplication so
-//! concurrent misses of the same query compute it once. A [`StoreStats`]
-//! snapshot's per-predicate cardinalities drive most-selective-first,
-//! connectivity-aware ordering of multi-pattern (BGP) queries, and
-//! [`TripleStore::query_with_plan`] threads one snapshot *and one plan*
-//! through planning and execution: the displayed plan is always the
-//! executed one, computed exactly once.
+//! by the query plus the `(shard, epoch)` pairs it read — `[(0, epoch)]`
+//! here; a bulk load bumps the epoch, so stale entries can never be
+//! served — with per-key in-flight deduplication so concurrent misses of
+//! the same query compute it once.
 //!
-//! The BGP machinery ([`plan_order`], [`eval_bgp_planned`]) is generic
-//! over [`TripleIndex`], which is what lets the sharded facade
-//! ([`crate::ShardedStore`]) run the identical planner and join pipeline
-//! over its scatter-gather snapshot.
+//! How a BGP request is served — cache, planning, join strategy,
+//! streaming, accounting — is not decided here: every query entry point
+//! pins one snapshot and delegates to [`crate::bgp::serve`], the same
+//! code the sharded facade ([`crate::ShardedStore`]) runs over its
+//! scatter-gather snapshot. One snapshot *and one plan* thread through
+//! planning and execution, so the plan [`TripleStore::query_with_plan`]
+//! displays is always the executed one, computed exactly once.
 
+use crate::bgp::{self, plan_order, CacheKey, Pinned, PlannedQuery, Want};
 use crate::cache::ResultCache;
 use crate::encoded::{CapacityError, EncodedGraph};
-use crate::join::open_bgp_stream;
-pub(crate) use crate::join::{eval_bgp_planned, eval_bgp_planned_profiled};
 use crate::persist::vfs::Vfs;
 use crate::persist::{PersistError, PersistOpts, StoreDir};
-use crate::wcoj::{
-    eval_bgp_wco, eval_bgp_wco_profiled, eval_bgp_with_strategy, resolve_with_order, JoinStrategy,
-    WcoLevelStats,
-};
+use crate::wcoj::JoinStrategy;
 use parking_lot::RwLock;
 use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
-use wdsparql_obs::{QueryProfile, Span};
+use std::time::Instant;
 use wdsparql_rdf::{
-    ExecError, Iri, Mapping, QueryBudget, RdfGraph, SolutionStream, Term, Triple, TripleIndex,
-    TriplePattern, Variable,
+    ExecError, Iri, Mapping, QueryBudget, RdfGraph, Triple, TripleIndex, TriplePattern,
 };
 
 pub use crate::cache::CacheStats;
@@ -160,30 +153,6 @@ pub(crate) fn stats_of(graph: &EncodedGraph, epoch: u64) -> StoreStats {
     }
 }
 
-/// A BGP answered together with the plan that produced it — both derived
-/// from one graph snapshot, so they can never diverge.
-#[derive(Clone, Debug)]
-#[must_use = "a dropped PlannedQuery is a query that was planned and evaluated for nothing"]
-pub struct PlannedQuery {
-    /// Pattern indexes in selectivity order (the pairwise evaluation
-    /// order; the WCOJ consumes it only as a selectivity signal).
-    pub plan: Vec<usize>,
-    /// The solution mappings.
-    pub solutions: Arc<Vec<Mapping>>,
-    /// The epoch of the snapshot both were computed on.
-    pub epoch: u64,
-    /// The join strategy that actually ran (`Auto` already resolved to
-    /// [`JoinStrategy::Pairwise`] or [`JoinStrategy::Wco`]).
-    pub strategy: JoinStrategy,
-    /// The execution profile, on the
-    /// [`TripleStore::query_with_profile`] path only (`None` elsewhere —
-    /// nothing is collected unless profiling was requested).
-    pub profile: Option<QueryProfile>,
-}
-
-/// Cache key: query text plus the epoch it was computed under.
-type CacheKey = (String, u64);
-
 /// An owned, lock-free view of the store's graph at one epoch: the
 /// `Arc`'d snapshot a query evaluates against, handed out by
 /// [`TripleStore::read_snapshot`]. Holding one pins the graph version —
@@ -229,107 +198,11 @@ impl std::ops::Deref for StoreSnapshot {
     }
 }
 
-/// The one source of truth for BGP evaluation order, shared by
-/// [`TripleStore::plan`], [`TripleStore::query_with_plan`], the sharded
-/// facade and [`eval_bgp`] (what actually runs) so displayed and
-/// executed plans only ever come from one computation on one graph.
-///
-/// Greedy: seed with the most selective pattern, then repeatedly take
-/// the most selective pattern sharing a variable with what is already
-/// bound. A disconnected pattern (Cartesian product) is chosen only
-/// when nothing connected remains — deferring it keeps the bind-join
-/// loop's intermediate result linear in the joined component instead
-/// of multiplying unrelated match sets.
-pub(crate) fn plan_order(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Vec<usize> {
-    let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-    // `sort_by_cached_key`: exactly one candidate_count per pattern —
-    // the planning cost callers pay once per planned query.
-    remaining.sort_by_cached_key(|&i| ix.candidate_count(&patterns[i]));
-    let mut order = Vec::with_capacity(patterns.len());
-    let mut bound: HashSet<Variable> = HashSet::new();
-    while !remaining.is_empty() {
-        let pick = remaining
-            .iter()
-            .position(|&i| patterns[i].vars().iter().any(|v| bound.contains(v)))
-            .unwrap_or(0);
-        let i = remaining.remove(pick);
-        bound.extend(patterns[i].vars());
-        order.push(i);
-    }
-    order
-}
-
-/// Plans and evaluates a BGP in one call — the unplanned entry point
-/// ([`TripleStore::query`] on a cache miss). Callers that already hold
-/// the order (the `query_with_plan` path, which must return it anyway)
-/// use [`eval_bgp_planned`] directly so each planned query plans once.
-pub(crate) fn eval_bgp(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Vec<Mapping> {
-    let order = plan_order(ix, patterns);
-    eval_bgp_planned(ix, patterns, &order)
-}
-
 /// The pairwise pipeline as a public entry point (plan + semi-join +
 /// bind joins on one snapshot) — the baseline the WCOJ benches and
 /// equivalence tests compare [`crate::wcoj::eval_bgp_wco`] against.
 pub fn eval_bgp_pairwise(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Vec<Mapping> {
-    eval_bgp(ix, patterns)
-}
-
-/// Per-step counters of one pairwise run, reported by the profiled
-/// variant of the pipeline: one entry per plan position, in execution
-/// order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PairwiseStepStats {
-    /// Index of the pattern joined at this step (into the caller's
-    /// pattern list, i.e. a plan entry).
-    pub pattern: usize,
-    /// Index probes issued: 1 for the seed enumeration, one bound
-    /// `match_pattern` per left-hand row for a bind join.
-    pub scans: u64,
-    /// Intermediate result cardinality *after* this step (for the seed:
-    /// after the semi-join prune).
-    pub rows: u64,
-}
-
-/// Collision-free cache key: every term is rendered as its kind tag
-/// plus interned id (stable for the process lifetime of the cache).
-/// The `Display` form would not do — an IRI's spelling is arbitrary
-/// text, so two distinct pattern lists could print identically.
-pub(crate) fn bgp_cache_key(patterns: &[TriplePattern]) -> String {
-    strategy_cache_key(patterns, None)
-}
-
-/// [`bgp_cache_key`] prefixed with the *configured* [`JoinStrategy`]
-/// (when one shapes the computation): entries produced under different
-/// knob settings can never serve each other — even mid-flight across a
-/// concurrent [`TripleStore::set_join_strategy`], whose cache clear
-/// alone could not stop an in-flight compute from landing its result
-/// under a key the new strategy would then hit. Single-pattern lookups
-/// pass `None` — their results are strategy-independent.
-pub(crate) fn strategy_cache_key(
-    patterns: &[TriplePattern],
-    strategy: Option<JoinStrategy>,
-) -> String {
-    use std::fmt::Write;
-    let mut key = String::new();
-    if let Some(strategy) = strategy {
-        let tag = match strategy {
-            JoinStrategy::Pairwise => 'p',
-            JoinStrategy::Wco => 'w',
-            JoinStrategy::Auto => 'a',
-        };
-        let _ = write!(key, "{tag}|"); // infallible: fmt::Write on String
-    }
-    for pat in patterns {
-        for term in pat.positions() {
-            let (kind, id) = match term {
-                Term::Var(v) => ('v', v.id()),
-                Term::Iri(i) => ('i', i.id()),
-            };
-            let _ = write!(key, "{kind}{id},"); // infallible: fmt::Write on String
-        }
-    }
-    key
+    bgp::eval_bgp_with_strategy(ix, patterns, JoinStrategy::Pairwise)
 }
 
 struct Inner {
@@ -403,9 +276,9 @@ impl TripleStore {
     }
 
     /// Sets how BGPs are joined. Correctness does not depend on this
-    /// call's cache clear — BGP entries are keyed by the strategy that
-    /// computed them (see [`strategy_cache_key`]), so strategies can
-    /// never serve each other's runs, in-flight computations included —
+    /// call's cache clear — entries are keyed by the configured strategy
+    /// that computed them, so strategies can never serve each other's
+    /// runs, in-flight computations included —
     /// the clear just frees result sets the old setting will no longer
     /// reach.
     pub fn set_join_strategy(&self, strategy: JoinStrategy) {
@@ -788,10 +661,7 @@ impl TripleStore {
 
     /// Cached single-pattern solutions.
     pub fn solutions(&self, pat: &TriplePattern) -> Arc<Vec<Mapping>> {
-        let (graph, epoch) = self.snapshot();
-        self.cached(epoch, bgp_cache_key(std::slice::from_ref(pat)), || {
-            graph.solutions(pat)
-        })
+        self.query(std::slice::from_ref(pat))
     }
 
     /// Evaluates the conjunction of `patterns` (a BGP: the AND-only
@@ -802,11 +672,7 @@ impl TripleStore {
     /// — under `Auto` — whichever the core's shape calls for. Results
     /// are cached per epoch.
     pub fn query(&self, patterns: &[TriplePattern]) -> Arc<Vec<Mapping>> {
-        let (graph, epoch) = self.snapshot();
-        let strategy = self.join_strategy();
-        self.cached(epoch, strategy_cache_key(patterns, Some(strategy)), || {
-            eval_bgp_with_strategy(&*graph, patterns, strategy)
-        })
+        self.answer(patterns, Want::Rows).solutions
     }
 
     /// As [`TripleStore::query`], but also returns the evaluation order —
@@ -814,41 +680,9 @@ impl TripleStore {
     /// and the plan computed exactly once (execution receives the order
     /// instead of re-deriving it). A bulk load landing between planning
     /// and execution cannot make the displayed plan diverge from the
-    /// executed one (the epoch field names the snapshot both came from).
+    /// executed one (the `read` field names the snapshot both came from).
     pub fn query_with_plan(&self, patterns: &[TriplePattern]) -> PlannedQuery {
-        self.query_with_plan_interleaved(patterns, || ())
-    }
-
-    /// [`TripleStore::query_with_plan`] with an injection point between
-    /// planning and execution — the regression hook for the epoch race
-    /// (tests interleave a `bulk_load` there and assert plan/solution
-    /// consistency).
-    fn query_with_plan_interleaved(
-        &self,
-        patterns: &[TriplePattern],
-        between: impl FnOnce(),
-    ) -> PlannedQuery {
-        let start = Instant::now();
-        let (graph, epoch) = self.snapshot();
-        let configured = self.join_strategy();
-        let plan_start = Instant::now();
-        let plan = plan_order(&*graph, patterns);
-        let strategy = resolve_with_order(&*graph, patterns, configured, &plan);
-        let plan_elapsed = plan_start.elapsed();
-        between();
-        let key = strategy_cache_key(patterns, Some(configured));
-        let solutions = self.cached(epoch, key, || match strategy {
-            JoinStrategy::Wco => eval_bgp_wco(&*graph, patterns),
-            _ => eval_bgp_planned(&*graph, patterns, &plan),
-        });
-        crate::obs::on_query(strategy == JoinStrategy::Wco, start.elapsed(), plan_elapsed);
-        PlannedQuery {
-            plan,
-            solutions,
-            epoch,
-            strategy,
-            profile: None,
-        }
+        self.answer(patterns, Want::Plan)
     }
 
     /// As [`TripleStore::query_with_plan`], additionally building an
@@ -858,55 +692,7 @@ impl TripleStore {
     /// intermediate cardinalities. A cache hit reports `cache=hit` and
     /// no `execute` span: nothing was executed.
     pub fn query_with_profile(&self, patterns: &[TriplePattern]) -> PlannedQuery {
-        let start = Instant::now();
-        let (graph, epoch) = self.snapshot();
-        let configured = self.join_strategy();
-        let plan_start = Instant::now();
-        let plan = plan_order(&*graph, patterns);
-        let strategy = resolve_with_order(&*graph, patterns, configured, &plan);
-        let plan_elapsed = plan_start.elapsed();
-        let key = strategy_cache_key(patterns, Some(configured));
-        let mut execute: Option<Span> = None;
-        let solutions = self.cached(epoch, key, || {
-            let exec_start = Instant::now();
-            let (sols, detail) = match strategy {
-                JoinStrategy::Wco => {
-                    let (sols, levels) = eval_bgp_wco_profiled(&*graph, patterns);
-                    (sols, wco_level_spans(&levels))
-                }
-                _ => {
-                    let (sols, steps) = eval_bgp_planned_profiled(&*graph, patterns, &plan);
-                    (sols, pairwise_step_spans(patterns, &steps))
-                }
-            };
-            let mut span = Span::new("execute").timed(exec_start.elapsed());
-            for child in detail {
-                span.push(child);
-            }
-            execute = Some(span);
-            sols
-        });
-        let total = start.elapsed();
-        crate::obs::on_query(strategy == JoinStrategy::Wco, total, plan_elapsed);
-        let computed_here = execute.is_some();
-        let mut root = Span::new("query")
-            .timed(total)
-            .field("strategy", strategy)
-            .field("epoch", epoch)
-            .field("patterns", patterns.len())
-            .field("rows", solutions.len())
-            .field("cache", if computed_here { "miss" } else { "hit" });
-        root.push(plan_span(&plan, plan_elapsed));
-        if let Some(span) = execute {
-            root.push(span);
-        }
-        PlannedQuery {
-            plan,
-            solutions,
-            epoch,
-            strategy,
-            profile: Some(QueryProfile::new(root)),
-        }
+        self.answer(patterns, Want::Profile)
     }
 
     /// As [`TripleStore::query`], evaluated under `budget`: the
@@ -915,31 +701,15 @@ impl TripleStore {
     /// surfaces as a typed [`ExecError`] within one seek/merge step
     /// instead of running to completion. Complete results are cached
     /// exactly like [`TripleStore::query`]'s (same key, so the two
-    /// paths serve each other); a budget failure is never cached — the
-    /// next caller recomputes under its own budget.
+    /// paths serve each other); a budget failure is never cached and
+    /// never handed to another caller — everyone computes or waits
+    /// under their own budget.
     pub fn query_budgeted(
         &self,
         patterns: &[TriplePattern],
         budget: &QueryBudget,
     ) -> Result<Arc<Vec<Mapping>>, ExecError> {
-        // Checkpoint before even consulting the cache: an already-dead
-        // budget (zero deadline, tripped token) fails here, so the
-        // outcome does not depend on what happens to be cached.
-        budget.check()?;
-        let (graph, epoch) = self.snapshot();
-        let strategy = self.join_strategy();
-        let key = strategy_cache_key(patterns, Some(strategy));
-        let out = self.cache.get_or_try_compute(
-            (key, epoch),
-            || self.inner.read().epoch == epoch,
-            || open_bgp_stream(&*graph, patterns, strategy, budget).collect_limit(None),
-        );
-        match &out {
-            Ok(rows) => crate::obs::on_rows_streamed(rows.len() as u64),
-            Err(ExecError::DeadlineExceeded) => crate::obs::on_deadline_exceeded(),
-            Err(ExecError::Cancelled) => {}
-        }
-        out
+        Ok(self.serve(patterns, budget, Want::Rows, || ())?.solutions)
     }
 
     /// Streams the first `limit` solutions of a BGP under `budget` —
@@ -955,96 +725,58 @@ impl TripleStore {
         limit: usize,
         budget: &QueryBudget,
     ) -> Result<Vec<Mapping>, ExecError> {
-        budget.check()?;
-        let (graph, _epoch) = self.snapshot();
-        let strategy = self.join_strategy();
-        let out = open_bgp_stream(&*graph, patterns, strategy, budget).collect_limit(Some(limit));
-        match &out {
-            Ok(rows) => crate::obs::on_rows_streamed(rows.len() as u64),
-            Err(ExecError::DeadlineExceeded) => crate::obs::on_deadline_exceeded(),
-            Err(ExecError::Cancelled) => {}
-        }
-        out
+        let prefix = self.serve(patterns, budget, Want::Prefix(limit), || ())?;
+        Ok(Arc::unwrap_or_clone(prefix.solutions))
     }
 
     /// The infallible facade over [`TripleStore::query_limited`]: the
     /// first `limit` solutions under an unlimited budget.
     pub fn solutions_limit(&self, patterns: &[TriplePattern], limit: usize) -> Vec<Mapping> {
+        Arc::unwrap_or_clone(self.answer(patterns, Want::Prefix(limit)).solutions)
+    }
+
+    /// Serves one request under an unlimited budget — the infallible
+    /// entry points.
+    fn answer(&self, patterns: &[TriplePattern], want: Want) -> PlannedQuery {
         // analyzer-allow: no-unwrap-in-service an unlimited budget never
-        // fails a checkpoint, so the streamed prefix always arrives.
-        self.query_limited(patterns, limit, &QueryBudget::unlimited())
+        // fails a checkpoint, and no request inherits another's failure.
+        self.serve(patterns, &QueryBudget::unlimited(), want, || ())
             .expect("an unlimited budget never fails a checkpoint")
     }
 
-    /// Shared variables helper for callers composing their own joins.
-    pub fn shared_vars(a: &TriplePattern, b: &TriplePattern) -> Vec<Variable> {
-        a.vars().intersection(&b.vars()).copied().collect()
-    }
-
-    /// Serves `(key, epoch)` from the cache, or computes it — at most
-    /// once across concurrent callers (see
-    /// [`ResultCache::get_or_compute`]). A result whose epoch has been
-    /// superseded by the time it lands is returned but not cached.
-    fn cached(
+    /// Pins the current snapshot — the one acquisition of the request —
+    /// and serves `want` on it through the shared BGP path. `between`
+    /// runs right after the pin: the regression hook for the epoch race
+    /// (tests land a `bulk_load` there and assert that plan, solutions
+    /// and provenance all still come from the pinned snapshot).
+    fn serve(
         &self,
-        epoch: u64,
-        key: String,
-        compute: impl FnOnce() -> Vec<Mapping>,
-    ) -> Arc<Vec<Mapping>> {
-        self.cache
-            .get_or_compute((key, epoch), || self.inner.read().epoch == epoch, compute)
+        patterns: &[TriplePattern],
+        budget: &QueryBudget,
+        want: Want,
+        between: impl FnOnce(),
+    ) -> Result<PlannedQuery, ExecError> {
+        let (graph, epoch) = self.snapshot();
+        between();
+        let pin = Pinned {
+            ix: &*graph,
+            read: &[(0, epoch)],
+            cache: &self.cache,
+            still_current: &|| self.inner.read().epoch == epoch,
+            configured: self.join_strategy(),
+            provenance: &|root| root.field("epoch", epoch),
+        };
+        bgp::serve(&pin, patterns, budget, want)
     }
-}
-
-/// The `plan` child span of a query profile: the chosen pattern order
-/// and the time planning (ordering + strategy resolution) took.
-pub(crate) fn plan_span(plan: &[usize], elapsed: Duration) -> Span {
-    let order = plan
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    Span::new("plan").timed(elapsed).field("order", order)
-}
-
-/// One `level ?v` span per WCOJ variable level, carrying the leapfrog's
-/// per-level counters.
-pub(crate) fn wco_level_spans(levels: &[(Variable, WcoLevelStats)]) -> Vec<Span> {
-    levels
-        .iter()
-        .map(|(v, s)| {
-            Span::new(format!("level {v}"))
-                .field("rows", s.rows)
-                .field("seeks", s.seeks)
-                .field("gallop_steps", s.gallop_steps)
-        })
-        .collect()
-}
-
-/// One `join` span per pairwise plan step, carrying the step's pattern,
-/// probe count and intermediate cardinality.
-pub(crate) fn pairwise_step_spans(
-    patterns: &[TriplePattern],
-    steps: &[PairwiseStepStats],
-) -> Vec<Span> {
-    steps
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            Span::new(if i == 0 { "scan" } else { "join" })
-                .field("pattern", patterns[s.pattern])
-                .field("scans", s.scans)
-                .field("rows", s.rows)
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::cell::Cell;
+    use std::time::Duration;
     use wdsparql_rdf::term::{iri, var};
-    use wdsparql_rdf::tp;
+    use wdsparql_rdf::{tp, Variable};
 
     fn store() -> TripleStore {
         TripleStore::from_triples(
@@ -1243,7 +975,9 @@ mod tests {
             "planning probes each pattern exactly once"
         );
         ix.count_calls.set(0);
-        let sols = eval_bgp_planned(&ix, &pats, &order);
+        let planned = (order, JoinStrategy::Pairwise);
+        let (sols, _) = bgp::run(&ix, &pats, planned, &QueryBudget::unlimited(), None, false)
+            .expect("unlimited");
         assert_eq!(sols.len(), 2);
         assert_eq!(
             ix.count_calls.get(),
@@ -1252,32 +986,79 @@ mod tests {
         );
     }
 
+    /// The shared request path, driven directly on the counting index:
+    /// a plain request probes the planner exactly as often as planning
+    /// plus strategy resolution do — execution adds nothing — and a
+    /// cache hit probes nothing at all.
+    #[test]
+    fn plain_requests_plan_once_on_a_miss_and_never_on_a_hit() {
+        let g = EncodedGraph::from_triples(store_triples());
+        let ix = CountingIndex {
+            inner: &g,
+            count_calls: Cell::new(0),
+        };
+        let pats = [
+            tp(var("x"), iri("p"), var("y")),
+            tp(var("y"), iri("q"), var("z")),
+        ];
+        for configured in [JoinStrategy::Pairwise, JoinStrategy::Auto] {
+            ix.count_calls.set(0);
+            let order = plan_order(&ix, &pats);
+            crate::wcoj::resolve_with_order(&ix, &pats, configured, &order);
+            let planning = ix.count_calls.get();
+            let cache = ResultCache::new(8);
+            let pin = Pinned {
+                ix: &ix,
+                read: &[(0, 1)],
+                cache: &cache,
+                still_current: &|| true,
+                configured,
+                provenance: &|root| root,
+            };
+            let budget = QueryBudget::unlimited();
+            ix.count_calls.set(0);
+            let miss = bgp::serve(&pin, &pats, &budget, Want::Rows).expect("unlimited");
+            assert_eq!(ix.count_calls.get(), planning, "{configured}: miss");
+            assert_eq!(
+                miss.strategy,
+                JoinStrategy::Pairwise,
+                "resolved on the miss"
+            );
+            ix.count_calls.set(0);
+            let hit = bgp::serve(&pin, &pats, &budget, Want::Rows).expect("unlimited");
+            assert_eq!(ix.count_calls.get(), 0, "{configured}: a hit plans nothing");
+            assert_eq!(hit.solutions, miss.solutions);
+            assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        }
+    }
+
     #[test]
     fn planned_query_survives_an_interleaved_bulk_load() {
         // Before the fix, `plan` and `query` took separate snapshots: a
         // bulk load in between made the displayed plan and the executed
-        // one come from different epochs. `query_with_plan` threads one
-        // snapshot through both; the injected interleave lands exactly
-        // in the old race window.
+        // one come from different epochs. The shared request path runs
+        // on the one snapshot its facade pinned; the injected interleave
+        // lands right after the pin, before planning and execution.
         let s = store();
         let pats = [
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("q"), var("z")),
         ];
         let epoch_before = s.epoch();
-        let out = s.query_with_plan_interleaved(&pats, || {
+        let interleaved = s.serve(&pats, &QueryBudget::unlimited(), Want::Plan, || {
             // Make the load change both the plan input (q outgrows p, so
             // selectivity flips) and the answer set (d q x joins c p d).
             s.bulk_load((0..6).map(|i| Triple::from_strs(&format!("n{i}"), "q", "x")));
             s.bulk_load([Triple::from_strs("d", "q", "x")]);
         });
+        let out = interleaved.expect("unlimited");
         // Plan and solutions both reflect the pre-load snapshot ...
-        assert_eq!(out.epoch, epoch_before);
+        assert_eq!(out.read, [(0, epoch_before)]);
         assert_eq!(out.plan, vec![1, 0], "plan of the pre-load graph");
         assert_eq!(out.solutions.len(), 2, "solutions of the pre-load graph");
         // ... while a fresh call sees the post-load world, consistently.
         let fresh = s.query_with_plan(&pats);
-        assert_eq!(fresh.epoch, s.epoch());
+        assert_eq!(fresh.read, [(0, s.epoch())]);
         assert_eq!(fresh.plan, vec![0, 1], "plan of the post-load graph");
         assert_eq!(fresh.solutions.len(), 3);
     }
@@ -1514,32 +1295,6 @@ mod tests {
             s3.query_budgeted(&pats, &QueryBudget::with_cancel(token)),
             Err(ExecError::Cancelled)
         );
-    }
-
-    #[test]
-    fn query_limited_streams_the_exact_prefix_uncached() {
-        let s = store();
-        let pats = [
-            tp(var("x"), iri("p"), var("y")),
-            tp(var("y"), iri("q"), var("z")),
-        ];
-        let full = s.query(&pats);
-        assert_eq!(full.len(), 2);
-        for k in 0..=full.len() {
-            assert_eq!(
-                s.solutions_limit(&pats, k),
-                full[..k],
-                "LIMIT {k} must be the exact k-prefix of the full run"
-            );
-        }
-        // Over-asking caps at the full result.
-        assert_eq!(s.solutions_limit(&pats, 99), *full);
-        // Limited runs neither read nor populate the result cache.
-        let entries = s.cache_stats().entries;
-        let hits = s.cache_stats().hits;
-        s.solutions_limit(&pats, 1);
-        assert_eq!(s.cache_stats().entries, entries);
-        assert_eq!(s.cache_stats().hits, hits);
     }
 
     #[test]

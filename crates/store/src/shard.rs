@@ -45,32 +45,21 @@
 //! single-threaded, like the equivalence proptests — observe exactly
 //! the single-store semantics.
 
+use crate::bgp::{self, CacheKey, Pinned, PlannedQuery, Want};
 use crate::cache::{CacheStats, ResultCache};
 use crate::encoded::EncodedGraph;
-use crate::join::open_bgp_stream;
 use crate::persist::{PersistError, PersistOpts, StoreDir};
-use crate::service::{
-    eval_bgp_planned, eval_bgp_planned_profiled, pairwise_step_spans, plan_order, plan_span,
-    wco_level_spans, StoreError, StoreSnapshot, StoreStats, TripleStore,
-};
-use crate::wcoj::{
-    eval_bgp_wco, eval_bgp_wco_profiled, eval_bgp_with_strategy, resolve_with_order, JoinStrategy,
-};
+use crate::service::{StoreError, StoreSnapshot, StoreStats, TripleStore};
+use crate::wcoj::JoinStrategy;
 use parking_lot::RwLock;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use wdsparql_obs::{QueryProfile, Span};
 use wdsparql_rdf::{
-    ExecError, Iri, Mapping, QueryBudget, RdfGraph, SolutionStream, Term, Triple, TripleIndex,
-    TriplePattern, Variable,
+    ExecError, Iri, Mapping, QueryBudget, RdfGraph, Term, Triple, TripleIndex, TriplePattern,
+    Variable,
 };
-
-/// Facade cache key: the BGP key plus the `(shard, epoch)` pairs the
-/// query read. Routing is a pure function of the query text, so equal
-/// keys always name the same shard subset.
-type ShardedKey = (String, Vec<(usize, u64)>);
 
 /// Stable shard routing: FNV-1a over the subject's spelling, reduced
 /// modulo the shard count. Spelling (not interner id) keeps the
@@ -467,28 +456,6 @@ impl fmt::Display for ShardedStats {
     }
 }
 
-/// A BGP answered by the sharded facade together with its plan and its
-/// read provenance (the sharded analogue of [`crate::PlannedQuery`]).
-#[derive(Clone, Debug)]
-#[must_use = "a dropped ShardedPlannedQuery is a scatter-gather query that ran for nothing"]
-pub struct ShardedPlannedQuery {
-    /// Pattern indexes in selectivity order (the pairwise evaluation
-    /// order; the WCOJ consumes it only as a selectivity signal).
-    pub plan: Vec<usize>,
-    /// The solution mappings.
-    pub solutions: Arc<Vec<Mapping>>,
-    /// The `(shard, epoch)` pairs the query read — exactly the shards
-    /// whose writes can invalidate this result (a fully subject-routed
-    /// query lists only its routed shards; a fan-out lists every shard).
-    pub read: Vec<(usize, u64)>,
-    /// The join strategy that actually ran (`Auto` already resolved).
-    pub strategy: JoinStrategy,
-    /// The execution profile, when requested through
-    /// [`ShardedStore::query_with_profile`] (`None` from
-    /// [`ShardedStore::query_with_plan`]).
-    pub profile: Option<QueryProfile>,
-}
-
 /// N hash-partitioned-by-subject [`TripleStore`] shards behind one
 /// facade: scattered parallel bulk loads under per-shard write locks,
 /// scatter-gather queries through the shared BGP planner, and a result
@@ -496,7 +463,7 @@ pub struct ShardedPlannedQuery {
 /// the module docs for the design.
 pub struct ShardedStore {
     shards: Vec<TripleStore>,
-    cache: ResultCache<ShardedKey>,
+    cache: ResultCache<CacheKey>,
     /// How facade BGPs are joined (see [`JoinStrategy`]).
     strategy: RwLock<JoinStrategy>,
 }
@@ -724,7 +691,7 @@ impl ShardedStore {
     fn retain_current_cache(&self) {
         let epochs = self.epochs();
         self.cache
-            .retain(|(_, read)| read.iter().all(|&(i, e)| epochs[i] == e));
+            .retain(|key| key.1.iter().all(|&(i, e)| epochs[i] == e));
     }
 
     /// Folds every shard's pending delta segments (epoch- and
@@ -854,30 +821,9 @@ impl ShardedStore {
         }
     }
 
-    fn key_for(
-        &self,
-        patterns: &[TriplePattern],
-        strategy: JoinStrategy,
-        read: &[usize],
-        snap: &ShardedSnapshot,
-    ) -> ShardedKey {
-        let read: Vec<(usize, u64)> = read.iter().map(|&i| (i, snap.shards[i].epoch())).collect();
-        // Keyed by the configured strategy too, so entries produced
-        // under different knob settings never serve each other (see
-        // `strategy_cache_key`).
-        (
-            crate::service::strategy_cache_key(patterns, Some(strategy)),
-            read,
-        )
-    }
-
-    fn key_still_current(&self, key: &ShardedKey) -> bool {
-        key.1.iter().all(|&(i, e)| self.shards[i].epoch() == e)
-    }
-
     /// Cached single-pattern solutions: routed to one shard when the
     /// subject is bound (and then keyed by — and invalidated with —
-    /// that shard's epoch alone), k-way merged across shards otherwise.
+    /// that shard's epoch alone), gathered across shards otherwise.
     pub fn solutions(&self, pat: &TriplePattern) -> Arc<Vec<Mapping>> {
         self.query(std::slice::from_ref(pat))
     }
@@ -889,15 +835,7 @@ impl ShardedStore {
     /// routes or fans out on its own. Results are cached under the
     /// epoch vector of the shards the query read.
     pub fn query(&self, patterns: &[TriplePattern]) -> Arc<Vec<Mapping>> {
-        let read = self.read_set(patterns);
-        let snap = self.read_snapshot_for(&read);
-        let strategy = self.join_strategy();
-        let key = self.key_for(patterns, strategy, &read, &snap);
-        self.cache.get_or_compute(
-            key.clone(),
-            || self.key_still_current(&key),
-            || eval_bgp_with_strategy(&snap, patterns, strategy),
-        )
+        self.answer(patterns, Want::Rows).solutions
     }
 
     /// As [`ShardedStore::query`], evaluated under `budget`: the
@@ -911,24 +849,7 @@ impl ShardedStore {
         patterns: &[TriplePattern],
         budget: &QueryBudget,
     ) -> Result<Arc<Vec<Mapping>>, ExecError> {
-        // Checkpoint before even consulting the cache: an already-dead
-        // budget fails here, independent of what happens to be cached.
-        budget.check()?;
-        let read = self.read_set(patterns);
-        let snap = self.read_snapshot_for(&read);
-        let strategy = self.join_strategy();
-        let key = self.key_for(patterns, strategy, &read, &snap);
-        let out = self.cache.get_or_try_compute(
-            key.clone(),
-            || self.key_still_current(&key),
-            || open_bgp_stream(&snap, patterns, strategy, budget).collect_limit(None),
-        );
-        match &out {
-            Ok(rows) => crate::obs::on_rows_streamed(rows.len() as u64),
-            Err(ExecError::DeadlineExceeded) => crate::obs::on_deadline_exceeded(),
-            Err(ExecError::Cancelled) => {}
-        }
-        out
+        Ok(self.serve(patterns, budget, Want::Rows)?.solutions)
     }
 
     /// Streams the first `limit` solutions over the sharded layout
@@ -941,132 +862,74 @@ impl ShardedStore {
         limit: usize,
         budget: &QueryBudget,
     ) -> Result<Vec<Mapping>, ExecError> {
-        // Checkpoint before any snapshot work: an already-dead budget
-        // fails here, before the store spends effort on its behalf.
-        budget.check()?;
-        let read = self.read_set(patterns);
-        let snap = self.read_snapshot_for(&read);
-        let strategy = self.join_strategy();
-        let out = open_bgp_stream(&snap, patterns, strategy, budget).collect_limit(Some(limit));
-        match &out {
-            Ok(rows) => crate::obs::on_rows_streamed(rows.len() as u64),
-            Err(ExecError::DeadlineExceeded) => crate::obs::on_deadline_exceeded(),
-            Err(ExecError::Cancelled) => {}
-        }
-        out
+        let prefix = self.serve(patterns, budget, Want::Prefix(limit))?;
+        Ok(Arc::unwrap_or_clone(prefix.solutions))
     }
 
     /// The infallible facade over [`ShardedStore::query_limited`]: the
     /// first `limit` solutions under an unlimited budget.
     pub fn solutions_limit(&self, patterns: &[TriplePattern], limit: usize) -> Vec<Mapping> {
-        // analyzer-allow: no-unwrap-in-service an unlimited budget never
-        // fails a checkpoint, so the streamed prefix always arrives.
-        self.query_limited(patterns, limit, &QueryBudget::unlimited())
-            .expect("an unlimited budget never fails a checkpoint")
+        Arc::unwrap_or_clone(self.answer(patterns, Want::Prefix(limit)).solutions)
     }
 
     /// As [`ShardedStore::query`], but also returns the evaluation
     /// order, the resolved strategy and the query's read provenance —
     /// plan and solutions from one snapshot, the plan computed exactly
     /// once.
-    pub fn query_with_plan(&self, patterns: &[TriplePattern]) -> ShardedPlannedQuery {
-        let start = Instant::now();
-        let read = self.read_set(patterns);
-        let snap = self.read_snapshot_for(&read);
-        let configured = self.join_strategy();
-        let key = self.key_for(patterns, configured, &read, &snap);
-        let plan_start = Instant::now();
-        let plan = plan_order(&snap, patterns);
-        let strategy = resolve_with_order(&snap, patterns, configured, &plan);
-        let plan_elapsed = plan_start.elapsed();
-        let solutions = self.cache.get_or_compute(
-            key.clone(),
-            || self.key_still_current(&key),
-            || match strategy {
-                JoinStrategy::Wco => eval_bgp_wco(&snap, patterns),
-                _ => eval_bgp_planned(&snap, patterns, &plan),
-            },
-        );
-        crate::obs::on_query(strategy == JoinStrategy::Wco, start.elapsed(), plan_elapsed);
-        ShardedPlannedQuery {
-            plan,
-            solutions,
-            read: key.1,
-            strategy,
-            profile: None,
-        }
+    pub fn query_with_plan(&self, patterns: &[TriplePattern]) -> PlannedQuery {
+        self.answer(patterns, Want::Plan)
     }
 
     /// As [`ShardedStore::query_with_plan`], additionally building an
-    /// execution profile (the sharded analogue of
-    /// [`TripleStore::query_with_profile`]): the root span carries the
-    /// read provenance — which shards the query pinned, at which
-    /// epochs, and whether it was fully subject-routed or a fan-out —
-    /// on top of the plan timing, strategy, cache outcome and (on a
-    /// cache miss) per-level WCOJ or per-step pairwise counters.
-    pub fn query_with_profile(&self, patterns: &[TriplePattern]) -> ShardedPlannedQuery {
-        let start = Instant::now();
-        let read = self.read_set(patterns);
-        let snap = self.read_snapshot_for(&read);
-        let configured = self.join_strategy();
-        let key = self.key_for(patterns, configured, &read, &snap);
-        let plan_start = Instant::now();
-        let plan = plan_order(&snap, patterns);
-        let strategy = resolve_with_order(&snap, patterns, configured, &plan);
-        let plan_elapsed = plan_start.elapsed();
-        let mut execute: Option<Span> = None;
-        let solutions = self.cache.get_or_compute(
-            key.clone(),
-            || self.key_still_current(&key),
-            || {
-                let exec_start = Instant::now();
-                let (sols, detail) = match strategy {
-                    JoinStrategy::Wco => {
-                        let (sols, levels) = eval_bgp_wco_profiled(&snap, patterns);
-                        (sols, wco_level_spans(&levels))
-                    }
-                    _ => {
-                        let (sols, steps) = eval_bgp_planned_profiled(&snap, patterns, &plan);
-                        (sols, pairwise_step_spans(patterns, &steps))
-                    }
-                };
-                let mut span = Span::new("execute").timed(exec_start.elapsed());
-                for child in detail {
-                    span.push(child);
-                }
-                execute = Some(span);
-                sols
-            },
-        );
-        let total = start.elapsed();
-        crate::obs::on_query(strategy == JoinStrategy::Wco, total, plan_elapsed);
-        let computed_here = execute.is_some();
-        let routed = key.1.len() < self.shards.len();
-        let shards_read = key
-            .1
+    /// execution profile (see [`TripleStore::query_with_profile`]): the
+    /// root span carries the read provenance — which shards the query
+    /// pinned, at which epochs, and whether it was fully subject-routed
+    /// or a fan-out — on top of the plan timing, strategy, cache outcome
+    /// and (on a cache miss) per-level WCOJ or per-step pairwise
+    /// counters.
+    pub fn query_with_profile(&self, patterns: &[TriplePattern]) -> PlannedQuery {
+        self.answer(patterns, Want::Profile)
+    }
+
+    /// Serves one request under an unlimited budget — the infallible
+    /// entry points.
+    fn answer(&self, patterns: &[TriplePattern], want: Want) -> PlannedQuery {
+        // analyzer-allow: no-unwrap-in-service an unlimited budget never
+        // fails a checkpoint, and no request inherits another's failure.
+        self.serve(patterns, &QueryBudget::unlimited(), want)
+            .expect("an unlimited budget never fails a checkpoint")
+    }
+
+    /// Pins the shards the BGP can read — the one acquisition of the
+    /// request — and serves `want` on that snapshot through the shared
+    /// BGP path.
+    fn serve(
+        &self,
+        patterns: &[TriplePattern],
+        budget: &QueryBudget,
+        want: Want,
+    ) -> Result<PlannedQuery, ExecError> {
+        let shards = self.read_set(patterns);
+        let snap = self.read_snapshot_for(&shards);
+        let read: Vec<(usize, u64)> = shards
             .iter()
-            .map(|&(i, e)| format!("{i}@{e}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut root = Span::new("query")
-            .timed(total)
-            .field("strategy", strategy)
-            .field("routing", if routed { "routed" } else { "fan-out" })
-            .field("shards_read", shards_read)
-            .field("patterns", patterns.len())
-            .field("rows", solutions.len())
-            .field("cache", if computed_here { "miss" } else { "hit" });
-        root.push(plan_span(&plan, plan_elapsed));
-        if let Some(span) = execute {
-            root.push(span);
-        }
-        ShardedPlannedQuery {
-            plan,
-            solutions,
-            read: key.1,
-            strategy,
-            profile: Some(QueryProfile::new(root)),
-        }
+            .map(|&i| (i, snap.shards[i].epoch()))
+            .collect();
+        let pin = Pinned {
+            ix: &snap,
+            read: &read,
+            cache: &self.cache,
+            still_current: &|| read.iter().all(|&(i, e)| self.shards[i].epoch() == e),
+            configured: self.join_strategy(),
+            provenance: &|root| {
+                let routed = read.len() < self.shards.len();
+                let shards_read: Vec<String> =
+                    read.iter().map(|&(i, e)| format!("{i}@{e}")).collect();
+                root.field("routing", if routed { "routed" } else { "fan-out" })
+                    .field("shards_read", shards_read.join(","))
+            },
+        };
+        bgp::serve(&pin, patterns, budget, want)
     }
 }
 
@@ -1344,82 +1207,6 @@ mod tests {
         let hits = store.cache_stats().hits;
         assert_eq!(store.query(&[]).as_slice(), &[Mapping::new()]);
         assert_eq!(store.cache_stats().hits, hits + 1);
-    }
-
-    #[test]
-    fn facade_join_strategies_agree_on_cyclic_cores() {
-        let mut triples = fixture();
-        triples.push(Triple::from_strs("a", "p", "c")); // close a triangle
-        let single = TripleStore::from_triples(triples.clone());
-        let sharded = ShardedStore::from_triples(3, triples);
-        let triangle = [
-            tp(var("x"), iri("p"), var("y")),
-            tp(var("y"), iri("p"), var("z")),
-            tp(var("x"), iri("p"), var("z")),
-        ];
-        // Auto resolves the cyclic core to the WCOJ on the facade.
-        let planned = sharded.query_with_plan(&triangle);
-        assert_eq!(planned.strategy, JoinStrategy::Wco);
-        assert!(!planned.solutions.is_empty());
-        // All strategies × both layouts: one solution set.
-        let sorted = |sols: &Arc<Vec<Mapping>>| {
-            let mut v: Vec<Mapping> = sols.iter().cloned().collect();
-            v.sort();
-            v
-        };
-        let want = sorted(&single.query(&triangle));
-        for strategy in [
-            JoinStrategy::Pairwise,
-            JoinStrategy::Wco,
-            JoinStrategy::Auto,
-        ] {
-            sharded.set_join_strategy(strategy);
-            assert_eq!(
-                sorted(&sharded.query(&triangle)),
-                want,
-                "{strategy} diverged on the sharded facade"
-            );
-        }
-    }
-
-    #[test]
-    fn facade_budgeted_and_limited_queries_stream_consistently() {
-        use std::time::Duration;
-        let mut triples = fixture();
-        triples.push(Triple::from_strs("a", "p", "c")); // close a triangle
-        let sharded = ShardedStore::from_triples(3, triples);
-        let triangle = [
-            tp(var("x"), iri("p"), var("y")),
-            tp(var("y"), iri("p"), var("z")),
-            tp(var("x"), iri("p"), var("z")),
-        ];
-        for strategy in [
-            JoinStrategy::Pairwise,
-            JoinStrategy::Wco,
-            JoinStrategy::Auto,
-        ] {
-            sharded.set_join_strategy(strategy);
-            let full = sharded
-                .query_budgeted(&triangle, &QueryBudget::unlimited())
-                .expect("unlimited");
-            assert_eq!(
-                full,
-                sharded.query(&triangle),
-                "{strategy}: budgeted and materialised paths share the cache"
-            );
-            for k in 0..=full.len() {
-                assert_eq!(
-                    sharded.solutions_limit(&triangle, k),
-                    full[..k],
-                    "{strategy}: LIMIT {k} must be the exact k-prefix"
-                );
-            }
-            assert_eq!(
-                sharded.query_budgeted(&triangle, &QueryBudget::with_deadline(Duration::ZERO)),
-                Err(ExecError::DeadlineExceeded),
-                "{strategy}: a dead budget fails typed, not by panicking"
-            );
-        }
     }
 
     #[test]

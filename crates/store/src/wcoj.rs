@@ -38,10 +38,11 @@
 //! chains keep the pairwise pipeline, whose semi-joins are hard to beat
 //! there.
 
+pub use crate::bgp::eval_bgp_with_strategy;
+use crate::bgp::plan_order;
 use crate::dict::{Dictionary, TermId};
 use crate::encoded::EncodedGraph;
 use crate::segment::{Perm, Row};
-use crate::service::{eval_bgp, plan_order};
 use std::collections::BTreeSet;
 use std::fmt;
 use wdsparql_rdf::{
@@ -238,29 +239,6 @@ fn pairwise_blowup_predicted(
     worst > inputs.saturating_mul(4).max(1024)
 }
 
-/// Evaluates a BGP with the given strategy knob: resolves `Auto` on this
-/// snapshot, then runs either the pairwise pipeline or
-/// [`eval_bgp_wco`]. Both produce the same solution *set* (the order may
-/// differ). The pairwise order is planned exactly once — resolution and
-/// execution share it.
-pub fn eval_bgp_with_strategy(
-    ix: &dyn TripleIndex,
-    patterns: &[TriplePattern],
-    strategy: JoinStrategy,
-) -> Vec<Mapping> {
-    match strategy {
-        JoinStrategy::Wco => eval_bgp_wco(ix, patterns),
-        JoinStrategy::Pairwise => eval_bgp(ix, patterns),
-        JoinStrategy::Auto => {
-            let order = plan_order(ix, patterns);
-            match resolve_with_order(ix, patterns, strategy, &order) {
-                JoinStrategy::Wco => eval_bgp_wco(ix, patterns),
-                _ => crate::service::eval_bgp_planned(ix, patterns, &order),
-            }
-        }
-    }
-}
-
 /// The global variable order of the leapfrog join: seed with the
 /// variable whose cheapest covering pattern is most selective, then
 /// repeatedly append the most selective variable sharing a pattern with
@@ -319,7 +297,7 @@ pub fn wco_variable_order(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> V
 /// mapping over `vars(patterns)` whose image lies in the graph — without
 /// materialising any pairwise intermediate.
 pub fn eval_bgp_wco(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Vec<Mapping> {
-    eval_wco_inner(ix, patterns, None)
+    eval_bgp_with_strategy(ix, patterns, JoinStrategy::Wco)
 }
 
 /// As [`eval_bgp_wco`], additionally reporting per-level execution
@@ -330,25 +308,12 @@ pub fn eval_bgp_wco_profiled(
     ix: &dyn TripleIndex,
     patterns: &[TriplePattern],
 ) -> (Vec<Mapping>, Vec<(Variable, WcoLevelStats)>) {
-    let mut levels = Vec::new();
-    let sols = eval_wco_inner(ix, patterns, Some(&mut levels));
-    (sols, levels)
-}
-
-fn eval_wco_inner(
-    ix: &dyn TripleIndex,
-    patterns: &[TriplePattern],
-    profile: Option<&mut Vec<(Variable, WcoLevelStats)>>,
-) -> Vec<Mapping> {
     let budget = QueryBudget::unlimited();
-    let mut stream = WcoStream::new(ix, patterns, &budget, profile.is_some());
-    let out = stream
+    let mut stream = WcoStream::new(ix, patterns, &budget, true);
+    let sols = stream
         .collect_limit(None)
         .expect("an unlimited budget never fails a checkpoint");
-    if let Some(p) = profile {
-        *p = stream.level_stats();
-    }
-    out
+    (sols, stream.level_stats())
 }
 
 /// Where a [`WcoStream`] resumes inside one level of the leapfrog
@@ -564,6 +529,9 @@ impl<'a> WcoStream<'a> {
 }
 
 impl SolutionStream for WcoStream<'_> {
+    // Inlined into the collecting loop of whichever module drains the
+    // stream (the shared request path lives in `bgp.rs`).
+    #[inline]
     fn next(&mut self) -> Result<Option<Mapping>, ExecError> {
         if self.done {
             return Ok(None);
@@ -992,7 +960,11 @@ mod tests {
         half.insert_batch(ts[ts.len() / 2..].iter().copied())
             .unwrap();
         let pats = triangle_bgp();
-        let want = sorted(eval_bgp(&compacted, &pats));
+        let want = sorted(eval_bgp_with_strategy(
+            &compacted,
+            &pats,
+            JoinStrategy::Pairwise,
+        ));
         assert!(!want.is_empty(), "the chorded ring has triangles");
         for (label, g) in [
             ("compacted", &compacted),
@@ -1053,7 +1025,7 @@ mod tests {
         ];
         for pats in cases {
             let got = sorted(eval_bgp_wco(&g, &pats));
-            let want = sorted(eval_bgp(&g, &pats));
+            let want = sorted(eval_bgp_with_strategy(&g, &pats, JoinStrategy::Pairwise));
             assert_eq!(got, want, "encoded backend on {pats:?}");
             // The generic materialised path (RdfGraph default cursors)
             // agrees too.

@@ -77,7 +77,7 @@ fn main() {
     let planned = store.query_with_plan(&patterns);
     println!(
         "\nBGP plan (epoch {}): {}",
-        planned.epoch,
+        planned.read[0].1,
         planned
             .plan
             .iter()
