@@ -3,7 +3,7 @@
 //! query (not the data).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wdsparql_width::{recognize_bw, recognize_dw};
+use wdsparql_width::{domination_width, recognize_bw, recognize_dw};
 use wdsparql_workloads::{clique_child_tree, fk_forest, grid_child_tree};
 
 fn bench_recognize_dw_fk(c: &mut Criterion) {
@@ -13,6 +13,20 @@ fn bench_recognize_dw_fk(c: &mut Criterion) {
         let f = fk_forest(k);
         group.bench_with_input(BenchmarkId::from_parameter(k), &f, |b, f| {
             b.iter(|| assert!(recognize_dw(f, 1).holds()))
+        });
+    }
+    group.finish();
+}
+
+fn bench_domination_width_fk(c: &mut Criterion) {
+    // What `Strategy::Auto` pays per fresh query: the exact width, every
+    // GtG element's core and treewidth computed once.
+    let mut group = c.benchmark_group("domination_width_fk");
+    group.sample_size(10);
+    for k in [3usize, 4, 6] {
+        let f = fk_forest(k);
+        group.bench_with_input(BenchmarkId::from_parameter(k), &f, |b, f| {
+            b.iter(|| assert_eq!(domination_width(f), 1))
         });
     }
     group.finish();
@@ -53,6 +67,7 @@ fn bench_recognize_bw_grid(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_recognize_dw_fk,
+    bench_domination_width_fk,
     bench_recognize_bw_clique,
     bench_recognize_bw_grid
 );

@@ -345,7 +345,12 @@ fn e7_pebble_scaling() {
             }
         })
         .collect();
-    let assignments_col = format!("assignments@{}", ns.last().expect("sweep is non-empty"));
+    // The game stores one level: the partial homomorphisms on the subsets
+    // of min(k, 4) − 1 variables.
+    let assignments_col = format!(
+        "stored (k−1)-tuples@{}",
+        ns.last().expect("sweep is non-empty")
+    );
     let mut t = Table::new(
         "E7  Proposition 2 — pebble game cost vs |dom(G)| and k (polynomial for fixed k)",
         &[
@@ -390,7 +395,7 @@ fn e7_pebble_scaling() {
         ]);
     }
     println!("{}", t.render());
-    println!("(expected shape: each row polynomial in n; cost jumps with k as d^k)\n");
+    println!("(expected shape: each row polynomial in n; time and stored tuples jump with k,\n the tuples as d^(k−1) cut down by the triples they cover)\n");
 }
 
 /// E8 — Proposition 3: →k coincides with → when ctw ≤ k−1.

@@ -138,7 +138,8 @@ pub enum Strategy {
     /// Lemma-1 algorithm with exact homomorphism checks (coNP).
     Naive,
     /// Theorem-1 algorithm with the (k+1)-pebble game; complete iff
-    /// `dw(P) ≤ k`, sound always.
+    /// `dw(P) ≤ k`, sound always. `k = 0` is played as `k = 1`: the game
+    /// needs two pebbles and no pattern has `dw < 1`.
     Pebble { k: usize },
     /// `Pebble` with `k = dw(P)` — polynomial for any class of bounded
     /// domination width, exact for every query (Theorem 3).

@@ -15,19 +15,26 @@ use crate::lemma1::mu_subtree;
 use wdsparql_hom::GenTGraph;
 use wdsparql_pebble::duplicator_wins;
 use wdsparql_rdf::{Mapping, TripleIndex};
-use wdsparql_tree::{subtree_children, subtree_pat, subtree_vars, Wdpf, Wdpt};
+use wdsparql_tree::{subtree_children, subtree_vars, Wdpf, Wdpt};
 
 /// One tree of the Theorem 1 loop. `k` is the domination-width bound; the
-/// pebble game is played with `k + 1` pebbles.
+/// pebble game is played with `max(k, 1) + 1` pebbles (`dw ≥ 1` always,
+/// and more pebbles keep the algorithm sound).
+///
+/// [`mu_subtree`] has already shown that `µ` maps `pat(T^µ)` into `G`, so
+/// each child's game is played on `pat(n)` alone with `X = vars(n) ∩
+/// vars(T^µ)`: the triples of `pat(T^µ)` are ground under `µ` and would
+/// only be looked up again, once per child.
 pub fn check_tree_pebble(t: &Wdpt, g: &dyn TripleIndex, mu: &Mapping, k: usize) -> bool {
     let Some(st) = mu_subtree(t, g, mu) else {
         return false;
     };
     let x = subtree_vars(t, &st);
-    let base = subtree_pat(t, &st);
     subtree_children(t, &st).into_iter().all(|n| {
-        let src = GenTGraph::new(base.union(t.pat(n)), x.iter().copied());
-        !duplicator_wins(&src, g, mu, k + 1)
+        let pat = t.pat(n);
+        let shared = pat.vars().into_iter().filter(|v| x.contains(v));
+        let src = GenTGraph::new(pat.clone(), shared);
+        !duplicator_wins(&src, g, mu, k.max(1) + 1)
     })
 }
 
@@ -125,6 +132,22 @@ mod tests {
             assert_eq!(
                 check_forest(&f, &g, &mu),
                 check_forest_pebble(&f, &g, &mu, 2),
+                "µ = {mu}"
+            );
+        }
+    }
+
+    #[test]
+    fn k_zero_plays_with_two_pebbles() {
+        let f = forest("(?x, p, ?y) OPT (?y, q, ?z)");
+        let g = RdfGraph::from_strs([("a", "p", "b"), ("b", "q", "c"), ("e", "p", "f")]);
+        for mu in [
+            Mapping::from_strs([("x", "a"), ("y", "b")]),
+            Mapping::from_strs([("x", "e"), ("y", "f")]),
+        ] {
+            assert_eq!(
+                check_forest_pebble(&f, &g, &mu, 0),
+                check_forest(&f, &g, &mu),
                 "µ = {mu}"
             );
         }

@@ -8,9 +8,17 @@
 //! homomorphisms `f : vars(S) \ X ⇀ dom(G)` with `|dom(f)| ≤ k` that is
 //! closed under restrictions and has the forth property up to `k`
 //! (every `f` with `|dom(f)| < k` extends to any further variable inside
-//! `F`). We compute the greatest such family by worklist deletion from the
-//! family of *all* partial homomorphisms and report whether the empty
-//! assignment survives — this is exactly the k-consistency test.
+//! `F`). This is exactly the strong k-consistency test, and [`game`]
+//! computes it the way constraint propagation does: it stores the
+//! greatest such family on one level only — the subsets of exactly
+//! `min(k, n) − 1` variables; the levels below are its restrictions and
+//! the level above is tested on the fly — seeds every variable's values
+//! from the index columns of the triples that mention it rather than from
+//! `dom(G)`, keeps each triple's matches as sorted rows so that
+//! extensions are read off by binary search instead of probed value by
+//! value, and deletes by worklist until nothing changes or some subset
+//! is empty. The module documentation of [`game`] has the induction that
+//! makes one level enough and the argument that seeding loses nothing.
 
 #![forbid(unsafe_code)]
 

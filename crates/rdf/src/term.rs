@@ -22,7 +22,22 @@ struct Vocab {
     iri_ids: HashMap<&'static str, u32>,
     var_names: Vec<&'static str>,
     var_ids: HashMap<&'static str, u32>,
-    fresh_counter: u64,
+    /// Ids of the reserved variables, by pool index.
+    reserved: Vec<u32>,
+}
+
+impl Vocab {
+    /// The id of variable `name`, interning it if it is new.
+    fn intern_var(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.var_ids.get(name) {
+            return id;
+        }
+        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+        let id = u32::try_from(self.var_names.len()).expect("variable vocabulary overflow");
+        self.var_names.push(leaked);
+        self.var_ids.insert(leaked, id);
+        id
+    }
 }
 
 fn vocab() -> &'static RwLock<Vocab> {
@@ -107,34 +122,27 @@ impl Variable {
         if let Some(&id) = v.read().var_ids.get(name) {
             return Variable(id);
         }
-        let mut w = v.write();
-        if let Some(&id) = w.var_ids.get(name) {
-            return Variable(id);
-        }
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let id = u32::try_from(w.var_names.len()).expect("variable vocabulary overflow");
-        w.var_names.push(leaked);
-        w.var_ids.insert(leaked, id);
-        Variable(id)
+        Variable(v.write().intern_var(name))
     }
 
-    /// A variable guaranteed to be distinct from every variable created so
-    /// far (used by the ρ_∆ renaming of children assignments, §3.1).
-    pub fn fresh() -> Variable {
+    /// The `i`-th variable of a reserved pool, for renamings that need
+    /// variables apart from a query's own (the ρ_∆ renaming of children
+    /// assignments, §3.1). Each is interned once, on first use, under a
+    /// name (`<ρi>`) that neither surface syntax can spell, so a process
+    /// that renames over and over grows the vocabulary by the largest
+    /// index it ever asked for, not by the number of renamings.
+    pub fn reserved(i: usize) -> Variable {
         let v = vocab();
-        let mut w = v.write();
-        loop {
-            let n = w.fresh_counter;
-            w.fresh_counter += 1;
-            let name = format!("_f{n}");
-            if !w.var_ids.contains_key(name.as_str()) {
-                let leaked: &'static str = Box::leak(name.into_boxed_str());
-                let id = u32::try_from(w.var_names.len()).expect("variable vocabulary overflow");
-                w.var_names.push(leaked);
-                w.var_ids.insert(leaked, id);
-                return Variable(id);
-            }
+        if let Some(&id) = v.read().reserved.get(i) {
+            return Variable(id);
         }
+        let mut w = v.write();
+        while w.reserved.len() <= i {
+            let name = format!("<ρ{}>", w.reserved.len());
+            let id = w.intern_var(&name);
+            w.reserved.push(id);
+        }
+        Variable(w.reserved[i])
     }
 
     /// The canonical spelling, without the leading `?`.
@@ -254,12 +262,13 @@ mod tests {
     }
 
     #[test]
-    fn fresh_variables_never_collide() {
-        let user = Variable::new("_f0"); // squat on a fresh-style name
-        let f1 = Variable::fresh();
-        let f2 = Variable::fresh();
-        assert_ne!(f1, user);
-        assert_ne!(f1, f2);
+    fn reserved_variables_are_interned_once() {
+        let (a, b) = (Variable::reserved(3), Variable::reserved(4));
+        assert_ne!(a, b);
+        assert_eq!(a, Variable::reserved(3));
+        assert_eq!(a.name(), "<ρ3>");
+        // The pool owns the name: spelling it reaches the same variable.
+        assert_eq!(Variable::new("<ρ3>"), a);
     }
 
     #[test]

@@ -5,14 +5,24 @@
 //! the target of a homomorphism from some low-width element. The domination
 //! width `dw(F)` of a wdPF is the least `k ≥ 1` such that `GtG(T)` is
 //! k-dominated for *every* subtree `T` of `F`.
+//!
+//! `ctw` — a core, then a treewidth — is the expensive step, so each
+//! entry point computes it once per `GtG` element: [`is_k_dominated`]
+//! for its one `k`, [`min_domination`] (and through it
+//! [`domination_width`]) for every `k` at once.
 
 use crate::gtg::{forest_subtrees, gtg, GtgElement};
 use wdsparql_hom::{ctw, maps_to};
 use wdsparql_tree::Wdpf;
 
+/// `ctw` of every element, in order.
+fn widths(elements: &[GtgElement]) -> Vec<usize> {
+    elements.iter().map(|e| ctw(&e.graph).width).collect()
+}
+
 /// Is the given `GtG` set k-dominated?
 pub fn is_k_dominated(elements: &[GtgElement], k: usize) -> bool {
-    let widths: Vec<usize> = elements.iter().map(|e| ctw(&e.graph).width).collect();
+    let widths = widths(elements);
     let dominators: Vec<usize> = (0..elements.len()).filter(|&i| widths[i] <= k).collect();
     elements.iter().enumerate().all(|(i, e)| {
         widths[i] <= k
@@ -23,20 +33,24 @@ pub fn is_k_dominated(elements: &[GtgElement], k: usize) -> bool {
 }
 
 /// The least `k` such that the set is k-dominated (`1` for the empty set).
+///
+/// One pass: an element `e` stops being an obstacle at the least of its
+/// own width and the widths of the elements that map into it, so the
+/// answer is the largest of those thresholds — no candidate `k` is tried
+/// and no width is computed twice. Narrower elements are tried narrowest
+/// first, and the first that maps into `e` settles `e`.
 pub fn min_domination(elements: &[GtgElement]) -> usize {
-    if elements.is_empty() {
-        return 1;
-    }
-    let mut widths: Vec<usize> = elements.iter().map(|e| ctw(&e.graph).width).collect();
-    widths.sort_unstable();
-    widths.dedup();
-    for &k in &widths {
-        if is_k_dominated(elements, k) {
-            return k.max(1);
-        }
-    }
-    // k = max ctw always dominates (G' = G), so this is unreachable.
-    unreachable!("the maximal ctw always k-dominates")
+    let widths = widths(elements);
+    let mut narrowest_first: Vec<usize> = (0..elements.len()).collect();
+    narrowest_first.sort_by_key(|&i| widths[i]);
+    let threshold = |i: usize| {
+        narrowest_first
+            .iter()
+            .take_while(|&&d| widths[d] < widths[i])
+            .find(|&&d| maps_to(&elements[d].graph, &elements[i].graph))
+            .map_or(widths[i], |&d| widths[d])
+    };
+    (0..elements.len()).map(threshold).max().unwrap_or(1).max(1)
 }
 
 /// `dw(F)`: the domination width of a wdPF (Definition 2).

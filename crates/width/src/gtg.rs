@@ -8,12 +8,12 @@
 //! * a *children assignment* `∆` maps a non-empty `dom(∆) ⊆ supp(T)` to
 //!   children of the respective witnesses;
 //! * `S_∆ = pat(T) ∪ ⋃_i ρ_∆(i)` where `ρ_∆` renames child-private
-//!   variables to fresh ones;
+//!   variables apart (into a reserved pool, see [`s_delta`]);
 //! * `∆` is *valid* if no unassigned supporting tree folds into `S_∆`;
 //! * `GtG(T) = {(S_∆, vars(T)) | ∆ ∈ VCA(T)}`.
 
-use std::collections::{BTreeMap, BTreeSet};
-use wdsparql_hom::{maps_to, GenTGraph, TGraph, VarMap};
+use std::collections::BTreeMap;
+use wdsparql_hom::{maps_to, GenTGraph, VarMap};
 use wdsparql_rdf::{Term, Variable};
 use wdsparql_tree::{subtree_pat, subtree_vars, subtree_with_vars, NodeId, Subtree, Wdpf};
 
@@ -95,29 +95,31 @@ pub fn children_assignments(f: &Wdpf, support: &Support) -> Vec<ChildrenAssignme
         .collect()
 }
 
-/// Builds `(S_∆, vars(T))`: the subtree pattern united with the fresh-
-/// renamed child patterns `ρ_∆(i)`.
+/// Builds `(S_∆, vars(T))`: the subtree pattern united with the renamed
+/// child patterns `ρ_∆(i)`.
+///
+/// `ρ_∆(i)` is `pat(∆(i))` with the variables outside `vars(T)` renamed
+/// apart. The new names come from [`Variable::reserved`], numbered from 0
+/// within this `S_∆` and skipping members of `vars(T)` — the only
+/// variables of `S_∆` that are not renamed — so they are distinct from
+/// each other and from everything else in `S_∆`, and building the same
+/// `S_∆` again interns nothing.
 pub fn s_delta(f: &Wdpf, st: &ForestSubtree, delta: &ChildrenAssignment) -> GenTGraph {
     let tree = &f.trees[st.tree];
-    let base = subtree_pat(tree, &st.nodes);
     let tvars = subtree_vars(tree, &st.nodes);
-    let mut s = base;
+    let mut pool = (0..).map(Variable::reserved).filter(|v| !tvars.contains(v));
+    let mut s = subtree_pat(tree, &st.nodes);
     for (&i, &child) in &delta.chosen {
-        s = s.union(&rename_child(f, i, child, &tvars));
+        let pat = f.trees[i].pat(child);
+        let renaming: VarMap = pat
+            .vars()
+            .into_iter()
+            .filter(|v| !tvars.contains(v))
+            .zip(pool.by_ref().map(Term::Var))
+            .collect();
+        s = s.union(&pat.apply(&renaming));
     }
     GenTGraph::new(s, tvars)
-}
-
-/// `ρ_∆(i)`: `pat(∆(i))` with variables outside `vars(T)` renamed fresh.
-fn rename_child(f: &Wdpf, tree_idx: usize, child: NodeId, tvars: &BTreeSet<Variable>) -> TGraph {
-    let pat = f.trees[tree_idx].pat(child);
-    let renaming: VarMap = pat
-        .vars()
-        .into_iter()
-        .filter(|v| !tvars.contains(v))
-        .map(|v| (v, Term::Var(Variable::fresh())))
-        .collect();
-    pat.apply(&renaming)
 }
 
 /// Is `∆` valid: for every `i ∈ supp(T) \ dom(∆)`,
@@ -173,7 +175,7 @@ pub fn forest_subtrees(f: &Wdpf) -> Vec<ForestSubtree> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use wdsparql_hom::ctw;
+    use wdsparql_hom::{ctw, TGraph};
     use wdsparql_rdf::term::{iri, var};
     use wdsparql_rdf::tp;
     use wdsparql_tree::{Wdpt, ROOT};

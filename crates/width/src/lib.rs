@@ -5,6 +5,8 @@
 //! * supports, children assignments and the sets `GtG(T)` ([`mod@gtg`]);
 //! * **domination width** `dw` — Definitions 1–2, the exact
 //!   characterisation of PTIME evaluability (Theorem 3) ([`domination`]);
+//!   computed in one pass per subtree: one core and treewidth per `GtG`
+//!   element, then each element's threshold (see [`min_domination`]);
 //! * **branch treewidth** `bw` and local tractability — the UNION-free
 //!   picture of §3.2, where `dw = bw` (Proposition 5) ([`branch`]);
 //! * the **recognition problem** `dw(P) ≤ k` / `bw(P) ≤ k` from the
