@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use wdsparql_contain::{decide_containment, SearchBudget, Verdict};
@@ -64,6 +65,40 @@ fn main() -> ExitCode {
     }
 }
 
+/// Why a command stopped early.
+enum Failure {
+    /// Reported on stderr with the usage text, exit status 1.
+    Message(String),
+    /// The reader of stdout closed it while rows were being written.
+    StdoutClosed,
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Message(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Failure {
+        Failure::Message(msg.to_string())
+    }
+}
+
+/// Runs `lines` against stdout locked and buffered once — one `write`
+/// per eight kilobytes of rows instead of one per row — and flushes.
+/// Every row-printing loop goes through here; a closed pipe ends the
+/// command quietly instead of panicking inside `println!`.
+fn print_lines(lines: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> Result<(), Failure> {
+    let mut out = BufWriter::new(io::stdout().lock());
+    lines(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::BrokenPipe => Failure::StdoutClosed,
+            _ => Failure::Message(format!("stdout: {e}")),
+        })
+}
+
 const USAGE: &str = "usage:
   wdsparql analyze <query>
   wdsparql eval    <data.nt> <query>
@@ -80,6 +115,14 @@ const USAGE: &str = "usage:
   wdsparql demo";
 
 fn run(args: &[String]) -> Result<(), String> {
+    match dispatch(args) {
+        // Whoever read stdout has what it wanted (`| head`): not an error.
+        Ok(()) | Err(Failure::StdoutClosed) => Ok(()),
+        Err(Failure::Message(msg)) => Err(msg),
+    }
+}
+
+fn dispatch(args: &[String]) -> Result<(), Failure> {
     let cmd = args.first().ok_or("missing subcommand")?;
     match cmd.as_str() {
         "analyze" => {
@@ -106,11 +149,10 @@ fn run(args: &[String]) -> Result<(), String> {
             } else {
                 engine.evaluate(&parse_query(args.get(2))?)
             };
-            println!("{} solution(s):", sols.len());
-            for mu in &sols {
-                println!("  {mu}");
-            }
-            Ok(())
+            print_lines(|out| {
+                writeln!(out, "{} solution(s):", sols.len())?;
+                sols.iter().try_for_each(|mu| writeln!(out, "  {mu}"))
+            })
         }
         "check" => {
             let graph = load_graph(args.get(1))?;
@@ -132,28 +174,29 @@ fn run(args: &[String]) -> Result<(), String> {
             let graph = load_graph(args.get(1))?;
             let query = parse_query(args.get(2))?;
             let (sols, stats) = enumerate_with_stats(query.forest(), &graph);
-            println!("{} solution(s)", sols.len());
-            for (domain, count) in count_by_domain(query.forest(), &graph) {
-                let names: Vec<String> = domain.iter().map(|v| v.to_string()).collect();
-                println!("  {{{}}}: {count}", names.join(", "));
-            }
-            println!(
-                "(work: {} hom calls, {} steps, max delay {} steps)",
-                stats.hom_calls, stats.steps, stats.max_delay_steps
-            );
-            Ok(())
+            print_lines(|out| {
+                writeln!(out, "{} solution(s)", sols.len())?;
+                for (domain, count) in count_by_domain(query.forest(), &graph) {
+                    let names: Vec<String> = domain.iter().map(|v| v.to_string()).collect();
+                    writeln!(out, "  {{{}}}: {count}", names.join(", "))?;
+                }
+                writeln!(
+                    out,
+                    "(work: {} hom calls, {} steps, max delay {} steps)",
+                    stats.hom_calls, stats.steps, stats.max_delay_steps
+                )
+            })
         }
         "select" => {
             let graph = load_graph(args.get(1))?;
             let text = args.get(2).ok_or("missing SELECT query argument")?;
             let query = ProjectedQuery::parse(text).map_err(|e| e.to_string())?;
-            println!("query: {query}");
             let sols = enumerate_projected(&query, &graph);
-            println!("{} projected solution(s):", sols.len());
-            for mu in &sols {
-                println!("  {mu}");
-            }
-            Ok(())
+            print_lines(|out| {
+                writeln!(out, "query: {query}")?;
+                writeln!(out, "{} projected solution(s):", sols.len())?;
+                sols.iter().try_for_each(|mu| writeln!(out, "  {mu}"))
+            })
         }
         "contain" => {
             let q1 = parse_query(args.get(1))?;
@@ -178,7 +221,7 @@ fn run(args: &[String]) -> Result<(), String> {
             demo();
             Ok(())
         }
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => Err(format!("unknown subcommand {other:?}").into()),
     }
 }
 
@@ -204,7 +247,7 @@ fn run(args: &[String]) -> Result<(), String> {
 /// acknowledged. `--open` reopens a store previously persisted with
 /// `--dir` — no data file is read; the single positional argument is
 /// the optional query. Corruption on reopen is a clean error.
-fn run_store(args: &[String]) -> Result<(), String> {
+fn run_store(args: &[String]) -> Result<(), Failure> {
     let mut shards = 1usize;
     let mut max_triples: Option<usize> = None;
     let mut strategy = JoinStrategy::default();
@@ -304,7 +347,7 @@ fn store_command(
     dir: Option<&str>,
     open: bool,
     positional: &[&String],
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     // `--open` reads no data file: the store's contents come from disk
     // and the only positional is the optional query.
     let (graph, query_text) = if open {
@@ -321,7 +364,7 @@ fn store_command(
     }
     // The one ingest → stats → compact → report → query sequence, over
     // whichever service the layout below binds.
-    let run = |store: &Service<'_>| -> Result<(), String> {
+    let run = |store: &Service<'_>| -> Result<(), Failure> {
         // Load in batches, as an ingest pipeline would: each batch
         // appends sorted delta segments (scattered across the shards
         // when sharded); the explicit compact folds whatever the
@@ -350,17 +393,17 @@ fn store_command(
                 Some(k) => {
                     let rows =
                         (store.query_limited)(&pats, k, &budget).map_err(|e| e.to_string())?;
-                    print_streamed(&rows, Some(k));
+                    print_streamed(&rows, Some(k))?;
                 }
                 None => {
                     let rows = (store.query_budgeted)(&pats, &budget).map_err(|e| e.to_string())?;
-                    print_streamed(&rows, None);
+                    print_streamed(&rows, None)?;
                 }
             }
             return Ok(());
         }
         let engine = (store.engine)().with_join_strategy(strategy);
-        print_solutions(&query, &engine.evaluate(&query));
+        print_solutions(&query, &engine.evaluate(&query))?;
         // AND-only queries additionally go through the service's planned,
         // cached BGP path — plan and solutions from one snapshot; a second
         // run shows the cache.
@@ -477,24 +520,23 @@ fn budget_from(deadline_ms: Option<u64>) -> wdsparql_rdf::QueryBudget {
 /// Prints the solutions of the streaming (`--limit`/`--deadline-ms`)
 /// service path: every row under a limit (the user asked for exactly
 /// these), the first 10 otherwise.
-fn print_streamed(rows: &[Mapping], limit: Option<usize>) {
-    match limit {
+fn print_streamed(rows: &[Mapping], limit: Option<usize>) -> Result<(), Failure> {
+    print_lines(|out| match limit {
         Some(k) => {
-            println!("streamed {} solution(s) under limit {k}:", rows.len());
-            for mu in rows {
-                println!("  -> {mu}");
-            }
+            writeln!(out, "streamed {} solution(s) under limit {k}:", rows.len())?;
+            rows.iter().try_for_each(|mu| writeln!(out, "  -> {mu}"))
         }
         None => {
-            println!("streamed {} solution(s) within deadline:", rows.len());
+            writeln!(out, "streamed {} solution(s) within deadline:", rows.len())?;
             for mu in rows.iter().take(10) {
-                println!("  -> {mu}");
+                writeln!(out, "  -> {mu}")?;
             }
             if rows.len() > 10 {
-                println!("  ... ({} more)", rows.len() - 10);
+                writeln!(out, "  ... ({} more)", rows.len() - 10)?;
             }
+            Ok(())
         }
-    }
+    })
 }
 
 /// Prints the execution profile requested by `--profile`, if any.
@@ -533,15 +575,25 @@ fn report_bgp_service(
     );
 }
 
-fn print_solutions(query: &Query, sols: &std::collections::BTreeSet<Mapping>) {
-    println!("\nquery: {query}");
-    println!("{} solution(s) via the store-backed engine:", sols.len());
-    for mu in sols.iter().take(10) {
-        println!("  {mu}");
-    }
-    if sols.len() > 10 {
-        println!("  ... ({} more)", sols.len() - 10);
-    }
+fn print_solutions(
+    query: &Query,
+    sols: &std::collections::BTreeSet<Mapping>,
+) -> Result<(), Failure> {
+    print_lines(|out| {
+        writeln!(out, "\nquery: {query}")?;
+        writeln!(
+            out,
+            "{} solution(s) via the store-backed engine:",
+            sols.len()
+        )?;
+        for mu in sols.iter().take(10) {
+            writeln!(out, "  {mu}")?;
+        }
+        if sols.len() > 10 {
+            writeln!(out, "  ... ({} more)", sols.len() - 10)?;
+        }
+        Ok(())
+    })
 }
 
 /// The triple patterns of an AND-only (BGP) pattern, `None` when the

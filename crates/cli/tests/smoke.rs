@@ -70,6 +70,43 @@ fn eval_enumerates_solutions() {
     );
 }
 
+/// `wdsparql eval … | head -2`: the reader takes two lines of a 20 000-row
+/// answer and closes the pipe. The rows go through one buffered writer
+/// that ends the command quietly on `EPIPE` — no `println!` panic
+/// ("failed printing to stdout"), no error text, a clean exit.
+#[test]
+fn eval_into_a_closed_pipe_ends_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let path = std::env::temp_dir().join(format!("wdsparql_smoke_{}_pipe.nt", std::process::id()));
+    let text: String = (0..20_000)
+        .map(|i| format!("<n{i}> <p> <m{i}> .\n"))
+        .collect();
+    std::fs::write(&path, text).expect("create fixture");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_wdsparql"))
+        .args(["eval", path.to_str().unwrap(), "(?x, p, ?y)"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn the wdsparql binary");
+    let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut lines = [String::new(), String::new()];
+    for line in &mut lines {
+        reader.read_line(line).expect("a line of output");
+    }
+    drop(reader);
+    let mut errors = String::new();
+    (child.stderr.take().expect("piped stderr"))
+        .read_to_string(&mut errors)
+        .expect("stderr is text");
+    let status = child.wait().expect("the child exits");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(lines[0], "20000 solution(s):\n");
+    assert!(lines[1].starts_with("  {?x → "), "row line: {:?}", lines[1]);
+    assert_eq!(errors, "", "nothing on stderr, least of all a panic");
+    assert!(status.success(), "exit status: {status}");
+}
+
 #[test]
 fn check_accepts_a_true_binding() {
     let data = fixture_nt("check");

@@ -7,6 +7,10 @@
 //! and friends go through enumeration; their value here is as ground
 //! truth and as the measurement harness for experiment E14 (enumeration
 //! delay on bounded- vs unbounded-width families).
+//!
+//! [`enumerate_with_stats`] is also the workspace's tuple-at-a-time
+//! reference walker: the per-mapping recursion [`crate::enumerate`] used
+//! to be, kept because its step counters are what is being measured.
 
 use crate::enumerate::enumerate_forest;
 use std::collections::BTreeMap;
@@ -74,7 +78,13 @@ impl<'a> Walker<'a> {
         self.out.insert(mu);
     }
 
-    /// Mirrors `enumerate::solutions_below`, with counters.
+    /// The tuple-at-a-time reference: all maximal solutions of the
+    /// subtree rooted at `n` that extend `base`, one homomorphism search
+    /// per node per mapping accumulated on the branch. `enumerate` answers
+    /// the same question once per distinct interface binding; this walk
+    /// is kept as written because its counters *are* the measure (E14's
+    /// delay, the benchmark's `core.enum.*`), and as the oracle
+    /// `tests/enumerate_setwise.rs` holds the set-at-a-time evaluator to.
     fn solutions_below(&mut self, t: &Wdpt, n: NodeId, base: &Mapping) -> Vec<Mapping> {
         self.tick();
         self.stats.hom_calls += 1;
@@ -116,10 +126,10 @@ pub fn enumerate_with_stats(f: &Wdpf, g: &dyn TripleIndex) -> (SolutionSet, Enum
         out: SolutionSet::new(),
     };
     for t in &f.trees {
-        // Mirror `solutions_below` at the root, but emit each root
-        // homomorphism's batch as soon as its subtree is explored — this
-        // is what makes `max_delay_steps` a per-candidate measure rather
-        // than the whole run.
+        // `solutions_below` unrolled at the root, so that each root
+        // homomorphism's batch is emitted as soon as its subtree is
+        // explored — this is what makes `max_delay_steps` a per-candidate
+        // measure rather than the whole run.
         w.tick();
         w.stats.hom_calls += 1;
         let empty = Mapping::new();

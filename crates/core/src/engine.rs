@@ -168,8 +168,8 @@ pub struct Engine {
     backend: Backend,
     /// How each tree node's query core is joined during enumeration
     /// ([`JoinStrategy::Auto`] by default: cyclic cores take the
-    /// worst-case-optimal leapfrog join, acyclic ones the hom solver's
-    /// fail-first search).
+    /// worst-case-optimal leapfrog join, acyclic ones an index
+    /// nested-loop join in a fixed order — see [`crate::enumerate`]).
     strategy: JoinStrategy,
 }
 

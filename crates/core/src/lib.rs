@@ -10,9 +10,13 @@
 //! * [`pebble_eval`] — the **Theorem 1** polynomial-time algorithm for
 //!   classes of bounded domination width (homomorphism tests replaced by
 //!   the existential (k+1)-pebble game);
-//! * [`enumerate`] — full solution enumeration `⟦F⟧_G`;
+//! * [`enumerate`] — full solution enumeration `⟦F⟧_G`, set at a time:
+//!   every node is joined once per distinct binding of its interface
+//!   with the branch above, on flat rows, and OPT is a left outer join on
+//!   that interface (its null is Lemma 1's "must be skipped");
 //! * [`counting`] — solution counting and instrumented enumeration with
-//!   delay measurement (the §5 variants);
+//!   delay measurement (the §5 variants), on the tuple-at-a-time
+//!   reference walker;
 //! * [`explain`] — membership certificates (Lemma 1 witnesses and
 //!   counterexamples);
 //! * [`engine`] — the public [`Query`]/[`Engine`] API with strategy

@@ -15,6 +15,9 @@
 //! * the pull-based execution substrate — [`SolutionStream`],
 //!   [`QueryBudget`] deadlines/cancellation and the typed [`ExecError`]
 //!   ([`exec`]),
+//! * flat solution rows for set-at-a-time evaluators — [`RowTable`], one
+//!   `Vec` of cells over a fixed variable schema, decoded to [`Mapping`]s
+//!   once at the boundary ([`rows`]),
 //! * a small N-Triples-style reader/writer ([`ntriples`]).
 //!
 //! Everything here is deliberately *ground* (no blank nodes, no literals):
@@ -27,6 +30,7 @@ pub mod graph;
 pub mod index;
 pub mod mapping;
 pub mod ntriples;
+pub mod rows;
 pub mod term;
 pub mod trie;
 pub mod triple;
@@ -36,6 +40,7 @@ pub use graph::{binding_of, pattern_matches, RdfGraph};
 pub use index::TripleIndex;
 pub use mapping::Mapping;
 pub use ntriples::{parse_ntriples, write_ntriples, NtError};
+pub use rows::{Cell, CellMap, RowTable};
 pub use term::{iri, var, Iri, Term, Variable};
 pub use trie::{gallop, MaterializedTrie, TrieCursor, TrieOpStats};
 pub use triple::{tp, Triple, TriplePattern};

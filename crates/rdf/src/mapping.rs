@@ -1,8 +1,11 @@
 //! Mappings: partial functions `µ : V → I` (Pérez et al. semantics).
 
-use crate::term::{Iri, Variable};
+use crate::term::{spell_bindings, Iri, Variable};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// How many bindings [`Mapping`]'s `Display` spells per vocabulary read.
+const SPELL_CHUNK: usize = 8;
 
 /// A mapping `µ` — a partial function from variables to IRIs.
 ///
@@ -134,15 +137,29 @@ impl Mapping {
 }
 
 impl fmt::Display for Mapping {
+    /// `{?x → a, ?y → b}`. The spellings are read from the vocabulary a
+    /// chunk of bindings at a time — one lock round trip per mapping of
+    /// up to [`SPELL_CHUNK`] bindings, not two per binding — and written
+    /// after the lock is released.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        for (idx, (v, i)) in self.iter().enumerate() {
-            if idx > 0 {
-                write!(f, ", ")?;
+        f.write_str("{")?;
+        let mut bindings = self.iter();
+        let mut lead = "?";
+        loop {
+            let mut chunk = [("", ""); SPELL_CHUNK];
+            let filled = spell_bindings(&mut bindings, &mut chunk);
+            for (var, iri) in &chunk[..filled] {
+                f.write_str(lead)?;
+                f.write_str(var)?;
+                f.write_str(" → ")?;
+                f.write_str(iri)?;
+                lead = ", ?";
             }
-            write!(f, "{v} → {i}")?;
+            if filled < SPELL_CHUNK {
+                break;
+            }
         }
-        write!(f, "}}")
+        f.write_str("}")
     }
 }
 
@@ -213,6 +230,30 @@ mod tests {
         let m = Mapping::from_strs([("b", "1"), ("a", "2")]);
         let n = Mapping::from_strs([("a", "2"), ("b", "1")]);
         assert_eq!(m.to_string(), n.to_string());
+    }
+
+    /// The chunked `Display` writes what one `write!` per binding wrote,
+    /// on either side of the chunk boundary.
+    #[test]
+    fn display_is_byte_identical_to_per_binding_formatting() {
+        for n in [0usize, 1, 8, 9, 17] {
+            let m: Mapping = (0..n)
+                .map(|k| (v(&format!("disp{k:02}")), i(&format!("http://e.org/é{k}"))))
+                .collect();
+            let mut want = String::from("{");
+            for (idx, (var, iri)) in m.iter().enumerate() {
+                if idx > 0 {
+                    want.push_str(", ");
+                }
+                want.push_str(&format!("{var} → {iri}"));
+            }
+            want.push('}');
+            assert_eq!(m.to_string(), want, "{n} bindings");
+            assert_eq!(format!("{m:?}"), want);
+            assert_eq!(format!("{m:>40}"), want, "flags never applied");
+        }
+        assert_eq!(Mapping::new().to_string(), "{}");
+        assert_eq!(Mapping::from_strs([("x", "a")]).to_string(), "{?x → a}");
     }
 
     #[test]

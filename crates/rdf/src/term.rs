@@ -45,6 +45,24 @@ fn vocab() -> &'static RwLock<Vocab> {
     VOCAB.get_or_init(|| RwLock::new(Vocab::default()))
 }
 
+/// Fills `out` with the spellings of the next bindings of `bindings` —
+/// variable name (without `?`) and IRI — under a single vocabulary read,
+/// and returns how many it filled: fewer than `out.len()` only once
+/// `bindings` is exhausted. The lock is released before the caller
+/// writes anything anywhere.
+pub(crate) fn spell_bindings(
+    bindings: &mut dyn Iterator<Item = (Variable, Iri)>,
+    out: &mut [(&'static str, &'static str)],
+) -> usize {
+    let vocab = vocab().read();
+    let mut filled = 0;
+    for (slot, (v, i)) in out.iter_mut().zip(bindings) {
+        *slot = (vocab.var_names[v.0 as usize], vocab.iri_names[i.0 as usize]);
+        filled += 1;
+    }
+    filled
+}
+
 /// An interned IRI (internationalised resource identifier).
 ///
 /// ```
