@@ -5,16 +5,12 @@
 //! cannot serve every probe) and a background reader keeps scatter-
 //! gather scans in flight while the foreground measures three query
 //! shapes: a routed point lookup, a subject star, and the cyclic
-//! triangle that `Auto` sends to the WCOJ. Percentile entries merge
-//! into the workspace-root `BENCH_store.json` next to the medians of
-//! the other store targets (the vendored criterion emits
-//! `p50_ns`/`p90_ns`/`p99_ns` alongside `median_ns`).
-//!
-//! A second group measures the streaming core's LIMIT pushdown on the
-//! quiesced store: time-to-first-solution (LIMIT 1) and LIMIT-10
-//! against full enumeration, for the triangle and the 4-clique under
-//! the pairwise pipeline — the shapes where stopping after k pulls
-//! skips the bulk of the probe work.
+//! triangle that `Auto` sends to the WCOJ — the triangle as two rows, a
+//! guaranteed cache miss under the churn and a guaranteed hit once it
+//! has stopped. Percentile entries merge into the workspace-root
+//! `BENCH_store.json` next to the medians of the other store targets
+//! (the vendored criterion emits `p50_ns`/`p90_ns`/`p99_ns` alongside
+//! `median_ns`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,11 +24,10 @@ const NODES: usize = 4_000;
 const DRAWS: usize = 30_000;
 const PREDICATES: usize = 8;
 /// Closed `p0`-triangles seeded on top of the stream, so the cyclic
-/// query has guaranteed answers.
-const TRIANGLES: usize = 64;
-/// Closed `p0`-4-cliques seeded likewise, so the 4-clique streaming
-/// benches have solutions to find early.
-const CLIQUES: usize = 16;
+/// query has guaranteed answers — and twice as many as the facade's
+/// result cache holds queries (128), so a probe rotating over their
+/// corners always finds its entry evicted.
+const TRIANGLES: usize = 256;
 const SHARDS: usize = 4;
 
 /// `cargo test` runs bench targets with `--test` (each body once); a
@@ -43,10 +38,10 @@ fn test_mode() -> bool {
 }
 
 fn seed_triples() -> Vec<Triple> {
-    let (nodes, draws, triangles, cliques) = if test_mode() {
-        (200, 1_000, 8, 4)
+    let (nodes, draws, triangles) = if test_mode() {
+        (200, 1_000, 8)
     } else {
-        (NODES, DRAWS, TRIANGLES, CLIQUES)
+        (NODES, DRAWS, TRIANGLES)
     };
     triple_stream(nodes, draws, PREDICATES, 42)
         .chain((0..triangles).flat_map(|i| {
@@ -56,16 +51,6 @@ fn seed_triples() -> Vec<Triple> {
                 Triple::from_strs(&b, "p0", &c),
                 Triple::from_strs(&a, "p0", &c),
             ]
-        }))
-        .chain((0..cliques).flat_map(|i| {
-            let v = [
-                format!("q{i}a"),
-                format!("q{i}b"),
-                format!("q{i}c"),
-                format!("q{i}d"),
-            ];
-            [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3)]
-                .map(|(a, b)| Triple::from_strs(&v[a], "p0", &v[b]))
         }))
         .collect()
 }
@@ -163,9 +148,10 @@ fn bench_latency_under_churn(c: &mut Criterion) {
     let churn = Churn::start(store);
     let mut group = c.benchmark_group("store_latency");
     group.sample_size(30);
-    // Rotating probe subjects: epoch churn already defeats most cache
-    // hits, rotation defeats the rest — the numbers are evaluation
-    // latency, not cache-lookup latency.
+    // Rotating probe subjects, more of them than the result cache has
+    // entries: every probe is a miss wherever the churn writer happens
+    // to be, so the numbers are evaluation latency, not a mix of it with
+    // cache-lookup latency that differs from run to run.
     let probe = AtomicU64::new(0);
     let triangles = if test_mode() { 8 } else { TRIANGLES } as u64;
     group.bench_function("point_routed", |b| {
@@ -188,67 +174,27 @@ fn bench_latency_under_churn(c: &mut Criterion) {
             black_box(store.query(&pats).len())
         })
     });
-    group.bench_function("triangle_wco_fanout", |b| {
+    // The triangle fans out to every shard and is the same query each
+    // time, so under churn alone it read as a cache hit or a miss
+    // depending on where the writer was. Two rows instead. The miss:
+    // each iteration first loads one fresh triple, which bumps the epoch
+    // of a shard the query reads (the load is microseconds against the
+    // join's milliseconds, and part of the row).
+    group.bench_function("triangle_wco_fanout_miss", |b| {
+        b.iter(|| {
+            // relaxed-ok: bench-local rotation counter
+            let i = probe.fetch_add(1, Ordering::Relaxed);
+            store.bulk_load([Triple::from_strs(&format!("m{i}"), "p7", "m")]);
+            black_box(store.query(&triangle).len())
+        })
+    });
+    drop(churn);
+    // The hit: the same query repeated on the quiesced store.
+    group.bench_function("triangle_wco_fanout_hit", |b| {
         b.iter(|| black_box(store.query(&triangle).len()))
     });
     group.finish();
-    drop(churn);
 }
 
-/// LIMIT pushdown on the quiesced store: time-to-first-solution and
-/// LIMIT-10 against full enumeration for the triangle and the
-/// 4-clique, all on the uncached `query_limited` streaming path under
-/// the pairwise pipeline — the strategy where the old materialise-all
-/// evaluator paid the full probe cost before the first row.
-fn bench_streaming_limits(c: &mut Criterion) {
-    let store = workload();
-    store.set_join_strategy(wdsparql_store::JoinStrategy::Pairwise);
-    let p0 = Iri::new("p0");
-    let triangle = [
-        tp(var("x"), p0, var("y")),
-        tp(var("y"), p0, var("z")),
-        tp(var("x"), p0, var("z")),
-    ];
-    let clique4 = [
-        tp(var("x"), p0, var("y")),
-        tp(var("y"), p0, var("z")),
-        tp(var("x"), p0, var("z")),
-        tp(var("x"), p0, var("w")),
-        tp(var("y"), p0, var("w")),
-        tp(var("z"), p0, var("w")),
-    ];
-    // Correctness before timing: both shapes must stream a first row.
-    assert!(
-        !store.solutions_limit(&triangle, 1).is_empty(),
-        "no triangle to stream"
-    );
-    assert!(
-        !store.solutions_limit(&clique4, 1).is_empty(),
-        "no 4-clique to stream"
-    );
-
-    let mut group = c.benchmark_group("store_latency");
-    group.sample_size(30);
-    for (name, pats) in [("triangle", &triangle[..]), ("clique4", &clique4[..])] {
-        group.bench_function(format!("{name}_ttfs"), |b| {
-            b.iter(|| black_box(store.solutions_limit(black_box(pats), 1).len()))
-        });
-        group.bench_function(format!("{name}_limit10"), |b| {
-            b.iter(|| black_box(store.solutions_limit(black_box(pats), 10).len()))
-        });
-        group.bench_function(format!("{name}_full_stream"), |b| {
-            b.iter(|| {
-                let budget = wdsparql_rdf::QueryBudget::unlimited();
-                let rows = store
-                    .query_limited(black_box(pats), usize::MAX, &budget)
-                    .expect("an unlimited budget never fails a checkpoint");
-                black_box(rows.len())
-            })
-        });
-    }
-    group.finish();
-    store.set_join_strategy(wdsparql_store::JoinStrategy::default());
-}
-
-criterion_group!(benches, bench_latency_under_churn, bench_streaming_limits);
+criterion_group!(benches, bench_latency_under_churn);
 criterion_main!(benches);

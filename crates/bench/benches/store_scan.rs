@@ -7,7 +7,7 @@
 //! classes), so the pair-bound `(? p o)` sweep exercises both tiny
 //! object blocks and the hub fan-in where index choice actually
 //! matters. Medians land in the workspace-root `BENCH_store.json` (the
-//! committed cross-PR baseline, shared with the `store_write` target;
+//! committed cross-PR baseline, shared with the other store targets;
 //! `$BENCH_JSON_PATH` overrides) via the vendored criterion's JSON
 //! writer.
 

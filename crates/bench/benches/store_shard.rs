@@ -21,7 +21,7 @@
 //! scatter-gather overhead is reported separately (`query_routed`,
 //! `query_fanout` — routed reads touch one shard; fan-outs pay a k-way
 //! merge). Medians merge into the workspace-root `BENCH_store.json`
-//! (shared with the `store_scan` / `store_write` targets).
+//! (shared with the other store targets).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::OnceLock;
@@ -33,8 +33,8 @@ use wdsparql_workloads::batched_triple_stream;
 const NODES: usize = 15_000;
 const DRAWS: usize = 110_000;
 const PREDICATES: usize = 8;
-/// Same ingest granularity as `store_write`: the 200-triple batches an
-/// incremental pipeline delivers.
+/// The ingest granularity: the 200-triple batches an incremental
+/// pipeline delivers.
 const BATCH: usize = 200;
 /// Shard counts under test; 1 is the single-`TripleStore` baseline.
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];

@@ -1,21 +1,28 @@
 //! bench_gate — the CI regression gate over `BENCH_*.json` baselines:
 //! compares a freshly measured bench JSON against a committed baseline
-//! and fails (exit 1) when the selected group's geometric-mean latency
-//! ratio exceeds the threshold.
+//! and fails (exit 1) when a gated group's geometric-mean latency ratio
+//! exceeds the threshold.
 //!
 //! ```text
 //! bench_gate <baseline.json> <current.json> [--prefix store_scan/] [--max-ratio 1.05]
 //! ```
 //!
-//! Only entries present in *both* files are compared (new benches are
-//! not regressions). The gate is the geometric mean over the matched
-//! entries, not any single entry — single-entry jitter on a shared CI
-//! runner is noise, a uniform shift across a whole group is a
-//! regression.
+//! Without `--prefix` every group of the fresh file — the text before
+//! the first `/` of a row name — is gated on its own, so a regression in
+//! one group cannot hide behind an improvement in another; `--prefix`
+//! gates the rows under that prefix as one group instead. A fresh row
+//! without a baseline is reported and skipped (new benches are not
+//! regressions), but a baseline row of a gated group that the fresh run
+//! did not produce fails the gate: a renamed or dropped row would
+//! otherwise leave it blind. Baseline groups the fresh file does not
+//! touch at all are ignored — several bench targets share one baseline
+//! file. The gate is the geometric mean over a group's matched rows, not
+//! any single row — single-row jitter on a shared CI runner is noise, a
+//! uniform shift across a whole group is a regression.
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -40,13 +47,13 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
-    let mut prefix = String::new();
+    let mut prefix: Option<String> = None;
     let mut max_ratio = 1.05f64;
     let mut positional: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--prefix" => prefix = it.next().ok_or("--prefix needs a value")?.clone(),
+            "--prefix" => prefix = Some(it.next().ok_or("--prefix needs a value")?.clone()),
             "--max-ratio" => {
                 max_ratio = it
                     .next()
@@ -62,12 +69,37 @@ fn run(args: &[String]) -> Result<bool, String> {
     };
     let baseline = load_medians(baseline_path)?;
     let current = load_medians(current_path)?;
+    // The gated groups, each as the name prefix that selects its rows.
+    let groups: BTreeSet<String> = match prefix {
+        Some(p) => BTreeSet::from([p]),
+        None => current.keys().map(|name| group_prefix(name)).collect(),
+    };
+    let mut failed = false;
+    for group in &groups {
+        failed |= gate_group(&baseline, &current, group, max_ratio)?;
+    }
+    Ok(failed)
+}
+
+/// A row's group as a prefix: its name through the first `/`.
+fn group_prefix(name: &str) -> String {
+    match name.split_once('/') {
+        Some((group, _)) => format!("{group}/"),
+        None => name.to_string(),
+    }
+}
+
+/// Gates the rows under `prefix` as one group; `Ok(true)` when it
+/// regressed or lost a baseline row.
+fn gate_group(
+    baseline: &BTreeMap<String, u128>,
+    current: &BTreeMap<String, u128>,
+    prefix: &str,
+    max_ratio: f64,
+) -> Result<bool, String> {
     let mut log_ratio_sum = 0.0f64;
     let mut matched = 0usize;
-    for (name, &cur) in &current {
-        if !name.starts_with(&prefix) {
-            continue;
-        }
+    for (name, &cur) in current.iter().filter(|(n, _)| n.starts_with(prefix)) {
         let Some(&base) = baseline.get(name) else {
             println!("  new   {name}: {cur} ns (no baseline)");
             continue;
@@ -82,15 +114,28 @@ fn run(args: &[String]) -> Result<bool, String> {
             "no entries matching prefix {prefix:?} in both files"
         ));
     }
+    let gone = baseline
+        .iter()
+        .filter(|(name, _)| name.starts_with(prefix) && !current.contains_key(*name))
+        .inspect(|(name, base)| {
+            println!("  gone  {name}: {base} ns (baseline row absent from the fresh run)")
+        })
+        .count();
     let geomean = (log_ratio_sum / matched as f64).exp();
     let regressed = geomean > max_ratio;
     println!(
         "bench_gate: {matched} entr{} under {prefix:?}, geometric mean {geomean:.3}x \
          (threshold {max_ratio:.2}x) -> {}",
         if matched == 1 { "y" } else { "ies" },
-        if regressed { "REGRESSED" } else { "ok" }
+        if regressed {
+            "REGRESSED"
+        } else if gone > 0 {
+            "BASELINE ROWS MISSING"
+        } else {
+            "ok"
+        }
     );
-    Ok(regressed)
+    Ok(regressed || gone > 0)
 }
 
 /// `name -> median_ns` for every entry line of a `BENCH_*.json` file.
@@ -196,9 +241,57 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(run(&args), Ok(false));
-        // No prefix: everything matches, and the other/x blowup trips it.
+        // No prefix: every group is gated, and the other/x blowup trips it.
         let args: Vec<String> = [&b, &c].iter().map(|s| s.to_string()).collect();
         assert_eq!(run(&args), Ok(true));
+    }
+
+    #[test]
+    fn groups_are_gated_separately_without_a_prefix() {
+        let b = fixture("bench-gate-groups", "base.json", BASE);
+        // store_scan doubles while other/x drops to a tenth: the mean
+        // over all three rows is 0.74x, yet the store_scan group alone
+        // is at 2x.
+        let cur = BASE
+            .replace("\"median_ns\": 200", "\"median_ns\": 400")
+            .replace("\"median_ns\": 100", "\"median_ns\": 200")
+            .replace("\"median_ns\": 50", "\"median_ns\": 5");
+        let c = fixture("bench-gate-groups", "cur.json", &cur);
+        let args = |extra: &[&str]| -> Vec<String> {
+            [b.as_str(), c.as_str()]
+                .iter()
+                .chain(extra)
+                .map(|s| s.to_string())
+                .collect()
+        };
+        assert_eq!(run(&args(&["--max-ratio", "1.5"])), Ok(true));
+        assert_eq!(
+            run(&args(&["--max-ratio", "1.5", "--prefix", ""])),
+            Ok(false)
+        );
+        assert_eq!(run(&args(&["--max-ratio", "2.5"])), Ok(false));
+    }
+
+    #[test]
+    fn a_dropped_baseline_row_fails_its_group_only() {
+        let b = fixture("bench-gate-gone", "base.json", BASE);
+        // The fresh run lost store_scan/b (renamed, say): nothing it
+        // measured is slower, and the gate still fails.
+        let renamed = BASE.replace("store_scan/b", "store_scan/b2");
+        let c = fixture("bench-gate-gone", "renamed.json", &renamed);
+        assert_eq!(run(&[b.clone(), c.clone()]), Ok(true));
+        let scoped = |p: &str| vec![b.clone(), c.clone(), "--prefix".into(), p.into()];
+        assert_eq!(run(&scoped("store_scan/")), Ok(true));
+        assert_eq!(run(&scoped("other/")), Ok(false));
+        // A baseline group the fresh file does not touch at all is not
+        // gated: bench targets share one baseline file.
+        let one_target = BASE.replace(
+            ",\n    {\"name\": \"other/x\", \"median_ns\": 50, \"samples\": 10}",
+            "",
+        );
+        assert!(!one_target.contains("other/x"));
+        let c = fixture("bench-gate-gone", "one_target.json", &one_target);
+        assert_eq!(run(&[b, c]), Ok(false));
     }
 
     #[test]

@@ -429,9 +429,18 @@ fn store_command(
     };
     // On reopen the layout on disk decides single vs sharded: a
     // `shard-0/` subdirectory marks a sharded store regardless of what
-    // `--shards` says today.
+    // `--shards` says today. A directory with neither that nor a
+    // manifest holds no store: reopening it is an error, where the
+    // services' open-or-create `open` would format an empty one there.
     let sharded = match dir {
-        Some(d) if open => std::path::Path::new(d).join("shard-0").is_dir(),
+        Some(d) if open => {
+            let path = std::path::Path::new(d);
+            let sharded = path.join("shard-0").is_dir();
+            if !sharded && !path.join(wdsparql_store::persist::MANIFEST).exists() {
+                return Err(format!("--open: no store at {d} (no manifest, no shard-0/)").into());
+            }
+            sharded
+        }
         _ => shards > 1,
     };
     if sharded {
@@ -629,10 +638,22 @@ fn parse_bindings(arg: Option<&String>) -> Result<Mapping, String> {
         let (var, val) = part
             .split_once('=')
             .ok_or_else(|| format!("bad binding {part:?} (expected var=iri)"))?;
-        mu.bind(
-            wdsparql_rdf::Variable::new(var.trim()),
+        let name = var.trim();
+        if name.strip_prefix('?').unwrap_or(name).is_empty() {
+            return Err(format!("bad binding {part:?} (empty variable name)"));
+        }
+        let (var, val) = (
+            wdsparql_rdf::Variable::new(name),
             wdsparql_rdf::Iri::new(val.trim()),
         );
+        match mu.get(var) {
+            Some(bound) if bound != val => {
+                return Err(format!(
+                    "bad bindings: {var} is bound to both {bound} and {val}"
+                ));
+            }
+            _ => mu.bind(var, val),
+        }
     }
     Ok(mu)
 }
@@ -669,6 +690,13 @@ mod tests {
         );
         assert!(parse_bindings(Some(&"xalice".to_string())).is_err());
         assert!(parse_bindings(None).is_err());
+        // An empty name and a conflicting rebinding are errors, not a
+        // panic or a silent last-one-wins; the same IRI twice is fine.
+        assert!(parse_bindings(Some(&"=a".to_string())).is_err());
+        assert!(parse_bindings(Some(&"?=a".to_string())).is_err());
+        assert!(parse_bindings(Some(&"x=a,x=b,y=b".to_string())).is_err());
+        let mu = parse_bindings(Some(&"x=a, ?x=a".to_string())).unwrap();
+        assert_eq!(mu.len(), 1);
     }
 
     #[test]

@@ -120,6 +120,37 @@ fn check_accepts_a_true_binding() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
 }
 
+/// A binding with no variable name, or one variable bound to two IRIs,
+/// is a usage error — not a panic, and not a silent last-one-wins.
+#[test]
+fn check_rejects_empty_and_conflicting_bindings() {
+    let data = fixture_nt("check_bad_bindings");
+    for (bindings, needle) in [
+        ("=alice", "empty variable name"),
+        ("?=alice", "empty variable name"),
+        ("x=alice,x=bob,y=bob", "?x is bound to both alice and bob"),
+    ] {
+        let out = wdsparql(&["check", data.to_str().unwrap(), "(?x, knows, ?y)", bindings]);
+        let errors = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{bindings}: {errors}");
+        assert!(
+            errors.contains("error: bad binding"),
+            "{bindings}: {errors}"
+        );
+        assert!(errors.contains(needle), "{bindings}: {errors}");
+        assert!(!errors.contains("panicked"), "{bindings}: {errors}");
+    }
+    // The same IRI twice is one binding.
+    let out = wdsparql(&[
+        "check",
+        data.to_str().unwrap(),
+        "(?x, knows, ?y)",
+        "x=alice,y=bob,?x=alice",
+    ]);
+    let _ = std::fs::remove_file(&data);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+}
+
 #[test]
 fn contain_reports_both_directions() {
     let out = wdsparql(&[
@@ -601,4 +632,24 @@ fn store_open_requires_dir() {
         "unexpected stderr: {}",
         stderr(&out)
     );
+}
+
+/// `--open` on a path that holds no store is an error that leaves the
+/// path alone — not a freshly formatted empty store answering nothing.
+#[test]
+fn store_open_refuses_a_path_without_a_store() {
+    let dir = std::env::temp_dir().join(format!("wdsparql_smoke_{}_nostore", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = wdsparql(&[
+        "store",
+        "--dir",
+        dir.to_str().unwrap(),
+        "--open",
+        "(?x, knows, ?y)",
+    ]);
+    let errors = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr: {errors}");
+    assert!(errors.contains("error: --open: no store at"), "{errors}");
+    assert!(!errors.contains("panicked"), "{errors}");
+    assert!(!dir.exists(), "a failed reopen must create nothing");
 }

@@ -15,7 +15,7 @@
 
 use wdsparql_algebra::{eval_filter, FilterExpr, GraphPattern};
 use wdsparql_hom::UGraph;
-use wdsparql_rdf::{iri, tp, var, RdfGraph, Triple, Variable};
+use wdsparql_rdf::{iri, tp, var, RdfGraph, Triple};
 
 /// The FILTER encoding of `EMB(H)`: an AND-pattern with one triple per
 /// edge of `H` (symmetrised) and the pairwise-inequality filter.
@@ -90,13 +90,6 @@ pub fn emb_brute_force(h: &UGraph, target: &UGraph) -> bool {
         false
     }
     rec(h, target, &mut assign)
-}
-
-/// Marker type for variables used by the encoding (exposed for tests).
-pub fn emb_vars(h: &UGraph) -> Vec<Variable> {
-    (0..h.n())
-        .map(|u| Variable::new(&format!("emb{u}")))
-        .collect()
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! (a retract) and repeat until no variable can be eliminated.
 
 use crate::solver::{find_hom, maps_to};
-use crate::tgraph::{GenTGraph, TGraph};
+use crate::tgraph::GenTGraph;
 use wdsparql_rdf::Variable;
 
 /// Computes the core of `(S, X)`.
@@ -65,16 +65,10 @@ pub fn is_core_of(c: &GenTGraph, g: &GenTGraph) -> bool {
     is_core(c) && hom_equivalent(c, g)
 }
 
-/// The size signature `(|triples|, |vars|)` of a t-graph — equal for
-/// isomorphic cores, used to spot-check Proposition 1 (uniqueness up to
-/// renaming) in tests.
-pub fn size_signature(s: &TGraph) -> (usize, usize) {
-    (s.len(), s.vars().len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tgraph::TGraph;
     use wdsparql_rdf::term::{iri, var};
     use wdsparql_rdf::{tp, Variable};
 

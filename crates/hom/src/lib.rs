@@ -20,8 +20,8 @@ pub mod ugraph;
 pub use crate::core::{core_of, hom_equivalent, is_core, is_core_of};
 pub use gaifman::{ctw, gaifman as gaifman_graph, tw_gen};
 pub use solver::{
-    all_homs_into_graph, enumerate_homs_into_graph, find_hom, find_hom_into_graph,
-    find_hom_into_graph_with, maps_into_graph, maps_to, SearchOrder,
+    all_homs_into_graph, enumerate_homs_into_graph, find_hom, find_hom_into_graph, maps_into_graph,
+    maps_to,
 };
 pub use tgraph::{frozen_iri, theta, GenTGraph, TGraph, VarMap};
 pub use treewidth::{

@@ -153,44 +153,20 @@ fn slots_unifiable(slots: &[Slot; 3], target: &TriplePattern) -> bool {
     })
 }
 
-/// Triple-selection heuristic for the backtracking search — exposed so the
-/// fail-first design choice can be ablated (bench `hom_solver`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SearchOrder {
-    /// Pick the uncovered source triple with the fewest candidate images
-    /// under the current partial assignment (the default).
-    #[default]
-    FailFirst,
-    /// Take uncovered source triples in input order. Same answers, but
-    /// without the candidate-count probes — and without their pruning.
-    Static,
-}
-
 struct Searcher<'a> {
     triples: Vec<TriplePattern>,
     covered: Vec<bool>,
     assign: VarMap,
     target: TargetIndex<'a>,
-    order: SearchOrder,
 }
 
 impl<'a> Searcher<'a> {
     fn new(src: &TGraph, target: Target<'a>, fixed: VarMap) -> Searcher<'a> {
-        Searcher::with_order(src, target, fixed, SearchOrder::FailFirst)
-    }
-
-    fn with_order(
-        src: &TGraph,
-        target: Target<'a>,
-        fixed: VarMap,
-        order: SearchOrder,
-    ) -> Searcher<'a> {
         Searcher {
             triples: src.iter().copied().collect(),
             covered: vec![false; src.len()],
             assign: fixed,
             target: TargetIndex::new(target),
-            order,
         }
     }
 
@@ -207,30 +183,24 @@ impl<'a> Searcher<'a> {
         [f(t.s), f(t.p), f(t.o)]
     }
 
-    /// Picks the next uncovered triple according to [`SearchOrder`].
+    /// Picks the next uncovered triple, fail-first: the one with the
+    /// fewest candidate images under the current partial assignment.
     fn pick(&self) -> Option<(usize, usize)> {
-        match self.order {
-            SearchOrder::Static => (0..self.triples.len())
-                .find(|&idx| !self.covered[idx])
-                .map(|idx| (idx, 0)),
-            SearchOrder::FailFirst => {
-                let mut best: Option<(usize, usize)> = None;
-                for idx in 0..self.triples.len() {
-                    if self.covered[idx] {
-                        continue;
-                    }
-                    let count = self.target.candidate_count(&self.slots(idx));
-                    match best {
-                        Some((_, c)) if c <= count => {}
-                        _ => best = Some((idx, count)),
-                    }
-                    if count == 0 {
-                        break;
-                    }
-                }
-                best
+        let mut best: Option<(usize, usize)> = None;
+        for idx in 0..self.triples.len() {
+            if self.covered[idx] {
+                continue;
+            }
+            let count = self.target.candidate_count(&self.slots(idx));
+            match best {
+                Some((_, c)) if c <= count => {}
+                _ => best = Some((idx, count)),
+            }
+            if count == 0 {
+                break;
             }
         }
+        best
     }
 
     /// Exhaustive search; `cb` is called once per complete homomorphism and
@@ -322,30 +292,6 @@ pub fn find_hom_into_graph(
     out
 }
 
-/// As [`find_hom_into_graph`], with an explicit [`SearchOrder`] — the
-/// ablation entry point for measuring what the fail-first heuristic buys.
-/// Both orders are exhaustive, so the *answer* never depends on the order.
-pub fn find_hom_into_graph_with(
-    src: &GenTGraph,
-    g: &dyn TripleIndex,
-    fixed: &Mapping,
-    order: SearchOrder,
-) -> Option<Mapping> {
-    let vars = src.s.vars();
-    let fixed_map: VarMap = fixed
-        .iter()
-        .filter(|(v, _)| vars.contains(v))
-        .map(|(v, i)| (v, Term::Iri(i)))
-        .collect();
-    let mut searcher = Searcher::with_order(&src.s, Target::Rdf(g), fixed_map, order);
-    let mut out: Option<Mapping> = None;
-    searcher.search(&mut |h| {
-        out = Some(varmap_to_mapping(h));
-        false
-    });
-    out
-}
-
 /// `(S, X) →µ G`?
 pub fn maps_into_graph(src: &GenTGraph, g: &dyn TripleIndex, mu: &Mapping) -> bool {
     debug_assert!(
@@ -405,18 +351,6 @@ pub fn compose(h: &VarMap, g: &VarMap) -> VarMap {
         out.insert(v, image);
     }
     out
-}
-
-/// Restricts a `Mapping` view of a `VarMap` whose values are all IRIs.
-pub fn varmap_as_mapping(h: &VarMap) -> Option<Mapping> {
-    let mut mu = Mapping::new();
-    for (&v, &t) in h {
-        match t {
-            Term::Iri(i) => mu.bind(v, i),
-            Term::Var(_) => return None,
-        }
-    }
-    Some(mu)
 }
 
 #[cfg(test)]
@@ -655,28 +589,21 @@ mod tests {
 
     #[test]
     fn search_orders_agree_on_satisfiability() {
-        // Fail-first and static orders must answer identically: the
-        // directed 3-cycle pattern has a hom into the directed triangle
-        // but none into the transitive (acyclic) one.
+        // The directed 3-cycle pattern has a hom into the directed
+        // triangle but none into the transitive (acyclic) one.
         let cycle = RdfGraph::from_strs([("1", "r", "2"), ("2", "r", "3"), ("3", "r", "1")]);
         let acyclic = RdfGraph::from_strs([("1", "r", "2"), ("2", "r", "3"), ("1", "r", "3")]);
         let src = GenTGraph::new(k3_pattern(), []);
         for (g, want) in [(&cycle, true), (&acyclic, false)] {
-            for order in [SearchOrder::FailFirst, SearchOrder::Static] {
-                assert_eq!(
-                    find_hom_into_graph_with(&src, g, &Mapping::new(), order).is_some(),
-                    want,
-                    "{order:?}"
-                );
-            }
+            assert_eq!(
+                find_hom_into_graph(&src, g, &Mapping::new()).is_some(),
+                want
+            );
         }
-        // With an anchored binding, the found mapping extends it under
-        // either order.
+        // With an anchored binding, the found mapping extends it.
         let fixed = Mapping::from_strs([("a", "1")]);
-        for order in [SearchOrder::FailFirst, SearchOrder::Static] {
-            let h = find_hom_into_graph_with(&src, &cycle, &fixed, order).unwrap();
-            assert_eq!(h.get(v("a")), Some(Iri::new("1")));
-            assert_eq!(h.len(), 3);
-        }
+        let h = find_hom_into_graph(&src, &cycle, &fixed).unwrap();
+        assert_eq!(h.get(v("a")), Some(Iri::new("1")));
+        assert_eq!(h.len(), 3);
     }
 }

@@ -22,7 +22,6 @@
 //! recorded maximum), i.e. within 6.25% of the true order statistic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// A monotonically increasing event tally.
 #[derive(Debug, Default)]
@@ -148,12 +147,6 @@ impl Histogram {
             // relaxed-ok: as above.
             self.max.fetch_max(v, Ordering::Relaxed);
         }
-    }
-
-    /// Records a [`Duration`] in nanoseconds (saturating at u64::MAX —
-    /// ~584 years).
-    pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// A point-in-time copy of the distribution. Snapshots of the same

@@ -44,10 +44,6 @@ impl Span {
         self
     }
 
-    pub fn set_duration(&mut self, duration: Duration) {
-        self.duration = Some(duration);
-    }
-
     pub fn push(&mut self, child: Span) {
         self.children.push(child);
     }

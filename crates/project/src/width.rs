@@ -5,8 +5,7 @@
 //! *semi-bounded interface* are fixed-parameter tractable, yet NP-hard —
 //! so no analogue of Theorem 3's PTIME/W\[1\]-hard dichotomy can hold. This
 //! module computes the two measures in our setting so that the break of
-//! the dichotomy can be observed experimentally (bench `projection`,
-//! experiment E16).
+//! the dichotomy can be observed experimentally (experiment E16).
 //!
 //! Definitions used here (simplified to ground RDF and set semantics):
 //!

@@ -20,8 +20,10 @@
 //! (segments are tiny, so their leading ranges come from binary search
 //! instead of offsets). [`EncodedGraph::compact`] folds the segments
 //! back into the base with one k-way merge of the SPO runs and re-derives
-//! OSP, POS and the base-only PSO by stable counting scatters; a
-//! [`CompactionPolicy`] decides when that happens automatically.
+//! OSP, POS and the base-only PSO by stable counting scatters.
+//! `insert_batch` does that on its own under one fixed rule: at
+//! `MAX_SEGMENTS` (48) pending segments, or once
+//! `4 · delta rows > base rows + ADAPTIVE_SLACK` (4096).
 
 use crate::dict::{Dictionary, TermId};
 use crate::segment::{
@@ -30,26 +32,13 @@ use crate::segment::{
 pub use crate::segment::{CapacityError, MAX_TRIPLES};
 use wdsparql_rdf::{binding_of, Iri, Mapping, RdfGraph, Term, Triple, TripleIndex, TriplePattern};
 
-/// When [`EncodedGraph::insert_batch`] folds its delta segments back
-/// into the base arrays on its own.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CompactionPolicy {
-    /// Compact when the deltas exceed a quarter of the base (plus slack)
-    /// or the segment count would degrade scans — amortised `O(log n)`
-    /// rewrites per row instead of one per batch.
-    #[default]
-    Adaptive,
-    /// Compact after every batch: the pre-log-structured full-rewrite
-    /// write path, kept as the write-amplification bench baseline.
-    EveryBatch,
-    /// Never compact automatically; only [`EncodedGraph::compact`] folds.
-    Manual,
-}
-
-/// Segment-count bound for [`CompactionPolicy::Adaptive`]: every scan
-/// binary-searches each segment, so the fan-in stays small.
+/// Segment-count bound of the fold rule: every scan binary-searches each
+/// pending segment, so [`EncodedGraph::insert_batch`] folds them back
+/// into the base once there are this many.
 const MAX_SEGMENTS: usize = 48;
-/// Delta slack for [`CompactionPolicy::Adaptive`], so tiny stores do not
+/// Size bound of the fold rule: `insert_batch` also folds once
+/// `4 · delta rows > base rows + ADAPTIVE_SLACK` — amortised `O(log n)`
+/// base rewrites per row, with enough slack that tiny stores do not
 /// compact on every batch.
 const ADAPTIVE_SLACK: usize = 4096;
 
@@ -73,7 +62,6 @@ pub struct EncodedGraph {
     segments: Vec<Segment>,
     /// Total rows across `segments`.
     delta_rows: usize,
-    policy: CompactionPolicy,
     /// Lifetime count of delta folds (not bumped by no-op compactions).
     compactions: u64,
     dom_sorted: Vec<Iri>,
@@ -125,22 +113,6 @@ impl EncodedGraph {
         EncodedGraph::default()
     }
 
-    /// An empty graph with the given [`CompactionPolicy`].
-    pub fn with_compaction_policy(policy: CompactionPolicy) -> EncodedGraph {
-        EncodedGraph {
-            policy,
-            ..EncodedGraph::default()
-        }
-    }
-
-    pub fn compaction_policy(&self) -> CompactionPolicy {
-        self.policy
-    }
-
-    pub fn set_compaction_policy(&mut self, policy: CompactionPolicy) {
-        self.policy = policy;
-    }
-
     /// One-shot build: a single batch, compacted (so the PSO permutation
     /// is ready before the first query).
     pub fn from_triples<I>(triples: I) -> EncodedGraph
@@ -161,9 +133,9 @@ impl EncodedGraph {
 
     /// Bulk insert: encodes and sorts `triples` into one new delta
     /// segment per call — `O(batch · log batch)` plus a containment probe
-    /// per triple, never a base rewrite (unless the [`CompactionPolicy`]
-    /// folds afterwards). Returns the number of triples that were not
-    /// already present.
+    /// per triple, never a base rewrite (unless the fold rule — see
+    /// `MAX_SEGMENTS` — is due afterwards). Returns the number of triples
+    /// that were not already present.
     ///
     /// Errors with [`CapacityError`] — leaving the graph (and its
     /// dictionary) untouched — when the insert would push the store past
@@ -274,14 +246,7 @@ impl EncodedGraph {
     }
 
     fn auto_compact_due(&self) -> bool {
-        match self.policy {
-            CompactionPolicy::EveryBatch => true,
-            CompactionPolicy::Manual => false,
-            CompactionPolicy::Adaptive => {
-                self.segments.len() >= MAX_SEGMENTS
-                    || self.delta_rows * 4 > self.spo.len() + ADAPTIVE_SLACK
-            }
-        }
+        self.segments.len() >= MAX_SEGMENTS || self.delta_rows * 4 > self.spo.len() + ADAPTIVE_SLACK
     }
 
     /// Folds every pending delta segment into the base arrays: one k-way
@@ -990,13 +955,13 @@ mod tests {
         // Once compacted (PSO live), once with every triple still in
         // delta segments, once half-and-half.
         let compacted = sample();
-        let mut all_delta = EncodedGraph::with_compaction_policy(CompactionPolicy::Manual);
+        let mut all_delta = EncodedGraph::new();
         for t in strs {
             all_delta
                 .insert_batch([Triple::from_strs(t.0, t.1, t.2)])
                 .unwrap();
         }
-        let mut half = EncodedGraph::with_compaction_policy(CompactionPolicy::Manual);
+        let mut half = EncodedGraph::new();
         half.insert_batch(strs[..3].iter().map(|t| Triple::from_strs(t.0, t.1, t.2)))
             .unwrap();
         half.compact();
@@ -1047,13 +1012,13 @@ mod tests {
         ];
         let compacted =
             EncodedGraph::from_triples(strs.map(|(s, p, o)| Triple::from_strs(s, p, o)));
-        let mut staged = EncodedGraph::with_compaction_policy(CompactionPolicy::Manual);
+        let mut staged = EncodedGraph::new();
         for t in strs {
             staged
                 .insert_batch([Triple::from_strs(t.0, t.1, t.2)])
                 .unwrap();
         }
-        let mut half = EncodedGraph::with_compaction_policy(CompactionPolicy::Manual);
+        let mut half = EncodedGraph::new();
         half.insert_batch(strs[..3].iter().map(|t| Triple::from_strs(t.0, t.1, t.2)))
             .unwrap();
         half.compact();
@@ -1177,7 +1142,7 @@ mod tests {
 
     #[test]
     fn segment_lifecycle_and_stats() {
-        let mut g = EncodedGraph::with_compaction_policy(CompactionPolicy::Manual);
+        let mut g = EncodedGraph::new();
         assert_eq!(
             g.insert_batch([Triple::from_strs("a", "p", "b")]).unwrap(),
             1
@@ -1202,20 +1167,65 @@ mod tests {
         assert_eq!(g.compactions(), 1);
     }
 
+    /// The fold rule `insert_batch` runs on its own: at `MAX_SEGMENTS`
+    /// pending segments, or once `4 · delta > base + ADAPTIVE_SLACK` —
+    /// and not a batch earlier. A fold changes the layout only: `len()`
+    /// and the answers track an `RdfGraph` of the same triples on both
+    /// sides of it.
     #[test]
-    fn every_batch_policy_keeps_the_base_compacted() {
-        let mut g = EncodedGraph::with_compaction_policy(CompactionPolicy::EveryBatch);
-        for i in 0..5 {
-            g.insert_batch([Triple::from_strs(&format!("s{i}"), "p", "o")])
-                .unwrap();
+    fn deltas_fold_at_the_segment_and_size_thresholds() {
+        let t = |i: usize| Triple::from_strs(&format!("s{}", i % 7), "p", &format!("o{i}"));
+        let pats = [
+            tp(var("x"), iri("p"), var("y")),
+            tp(iri("s3"), var("q"), var("y")),
+            tp(var("x"), var("q"), iri("o5")),
+        ];
+        let agrees = |g: &EncodedGraph, n: usize| {
+            let oracle = RdfGraph::from_triples((0..n).map(t));
+            assert_eq!(g.len(), oracle.len());
+            for pat in &pats {
+                let (mut got, mut want) = (g.match_pattern(pat), oracle.match_pattern(pat));
+                got.sort();
+                want.sort();
+                assert_eq!(got, want, "{n} triples, pattern {pat}");
+            }
+        };
+        let layout = |g: &EncodedGraph| (g.base_len(), g.delta_len(), g.segment_count());
+
+        // One-triple batches stay staged up to the 47th segment; the
+        // 48th folds them all.
+        let mut g = EncodedGraph::new();
+        for i in 0..MAX_SEGMENTS - 1 {
+            g.insert_batch([t(i)]).unwrap();
         }
-        assert_eq!((g.base_len(), g.segment_count()), (5, 0));
-        assert_eq!(g.compactions(), 5);
+        assert_eq!(layout(&g), (0, MAX_SEGMENTS - 1, MAX_SEGMENTS - 1));
+        assert_eq!(g.compactions(), 0);
+        agrees(&g, MAX_SEGMENTS - 1);
+        g.insert_batch([t(MAX_SEGMENTS - 1)]).unwrap();
+        assert_eq!(layout(&g), (MAX_SEGMENTS, 0, 0));
+        assert_eq!(g.compactions(), 1);
+        agrees(&g, MAX_SEGMENTS);
+
+        // On a compacted base a delta stays staged at exactly
+        // `4 · delta = base + ADAPTIVE_SLACK` and folds one row later.
+        let base = 400;
+        let staged = (base + ADAPTIVE_SLACK) / 4;
+        assert_eq!(4 * staged, base + ADAPTIVE_SLACK);
+        let mut g = EncodedGraph::from_triples((0..base).map(t));
+        let folds = g.compactions();
+        g.insert_batch((base..base + staged).map(t)).unwrap();
+        assert_eq!(layout(&g), (base, staged, 1));
+        assert_eq!(g.compactions(), folds);
+        agrees(&g, base + staged);
+        g.insert_batch([t(base + staged)]).unwrap();
+        assert_eq!(layout(&g), (base + staged + 1, 0, 0));
+        assert_eq!(g.compactions(), folds + 1);
+        agrees(&g, base + staged + 1);
     }
 
     #[test]
     fn queries_agree_before_and_after_compaction() {
-        let mut g = EncodedGraph::with_compaction_policy(CompactionPolicy::Manual);
+        let mut g = EncodedGraph::new();
         for i in 0..30 {
             g.insert_batch((0..4).map(|j| {
                 Triple::from_strs(
@@ -1277,7 +1287,7 @@ mod tests {
             .map(|i| Triple::from_strs(&format!("s{}", (i * 7) % 13), "p", &format!("o{i}")))
             .collect();
         let compacted = EncodedGraph::from_triples(triples.iter().copied());
-        let mut staged = EncodedGraph::with_compaction_policy(CompactionPolicy::Manual);
+        let mut staged = EncodedGraph::new();
         for chunk in triples.chunks(11) {
             staged.insert_batch(chunk.iter().copied()).unwrap();
         }
@@ -1306,7 +1316,7 @@ mod tests {
         assert_eq!((s, p, o), (3, 2, 3)); // {a,b,c}, {p,q}, {a,b,c}
 
         // The same statistics hold with every row still in segments.
-        let mut staged = EncodedGraph::with_compaction_policy(CompactionPolicy::Manual);
+        let mut staged = EncodedGraph::new();
         for t in g.iter() {
             staged.insert_batch([t]).unwrap();
         }
@@ -1327,7 +1337,7 @@ mod tests {
 
     #[test]
     fn iter_is_sorted_even_with_segments() {
-        let mut g = EncodedGraph::with_compaction_policy(CompactionPolicy::Manual);
+        let mut g = EncodedGraph::new();
         for i in [5, 1, 9, 3, 7] {
             g.insert_batch([
                 Triple::from_strs(&format!("s{i}"), "p", "o"),

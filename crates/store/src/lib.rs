@@ -16,11 +16,13 @@
 //! slice and the sorted blocks double as merge-join inputs
 //! ([`EncodedGraph::merge_join_ids`]). Writes append small sorted delta
 //! segments instead of rewriting the base; reads merge base + deltas
-//! behind the same bounded-prefix narrowing, and a [`CompactionPolicy`]
-//! (or an explicit [`TripleStore::compact`]) folds the deltas back. The
-//! layout diagram, the per-access-pattern index-choice table and the
-//! segment lifecycle live in this crate's `README.md` (the single copy,
-//! so the two cannot drift).
+//! behind the same bounded-prefix narrowing, and the deltas fold back
+//! into the base at 48 pending segments, once four times the delta rows
+//! exceed the base rows plus 4096, or on an explicit
+//! [`TripleStore::compact`]. The layout diagram, the
+//! per-access-pattern index-choice table and the segment lifecycle live
+//! in this crate's `README.md` (the single copy, so the two cannot
+//! drift).
 //!
 //! ## Layers
 //!
@@ -95,7 +97,7 @@ pub mod wcoj;
 pub use bgp::{open_bgp_stream, PlannedQuery};
 pub use cache::CacheStats;
 pub use dict::{Dictionary, TermId};
-pub use encoded::{CompactionPolicy, EncodedGraph};
+pub use encoded::EncodedGraph;
 pub use join::{PairwiseStepStats, PairwiseStream};
 pub use obs::metrics_json;
 pub use persist::vfs::{Fault, FaultFs, FaultKind, RealFs, Vfs, VfsError};

@@ -203,8 +203,8 @@ pub(crate) fn scatter_by(
     (out, off)
 }
 
-/// Merges two sorted, disjoint runs into one sorted vector (rows during
-/// compaction, terms for the sorted domain).
+/// Merges two sorted runs into one sorted vector (rows during
+/// compaction, terms for the sorted domain); equal items are all kept.
 pub(crate) fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
@@ -222,12 +222,13 @@ pub(crate) fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     out
 }
 
-/// K-way merge of sorted, pairwise-disjoint row runs into one sorted
-/// vector — the compaction primitive. Tournament rounds merge runs
-/// pairwise (similar sizes first), so total work is `O(rows · log runs)`
-/// rather than the quadratic left fold.
-pub(crate) fn merge_many(runs: Vec<Vec<Row>>) -> Vec<Row> {
-    let mut runs: Vec<Vec<Row>> = runs.into_iter().filter(|r| !r.is_empty()).collect();
+/// K-way merge of sorted runs into one sorted vector — the compaction
+/// primitive (row runs, pairwise disjoint) and the sharded fan-out's
+/// gather (per-shard value lists, deduplicated by the caller).
+/// Tournament rounds merge runs pairwise (similar sizes first), so total
+/// work is `O(items · log runs)` rather than the quadratic left fold.
+pub(crate) fn merge_many<T: Ord + Copy>(runs: Vec<Vec<T>>) -> Vec<T> {
+    let mut runs: Vec<Vec<T>> = runs.into_iter().filter(|r| !r.is_empty()).collect();
     runs.sort_by_key(Vec::len);
     while runs.len() > 1 {
         let mut next = Vec::with_capacity(runs.len().div_ceil(2));
@@ -384,7 +385,7 @@ mod tests {
         want.sort_unstable();
         assert_eq!(merge_sorted(&a, &b), merge_many(vec![a.clone(), b.clone()]));
         assert_eq!(merge_many(vec![a.clone(), b.clone(), c.clone()]), want);
-        assert_eq!(merge_many(vec![]), Vec::<Row>::new());
+        assert_eq!(merge_many::<Row>(vec![]), Vec::<Row>::new());
         let merged: Vec<Row> =
             MergedRows::new([a.as_slice(), b.as_slice(), c.as_slice()]).collect();
         assert_eq!(merged, want);

@@ -49,6 +49,7 @@ use crate::bgp::{self, CacheKey, Pinned, PlannedQuery, Want};
 use crate::cache::{CacheStats, ResultCache};
 use crate::encoded::EncodedGraph;
 use crate::persist::{PersistError, PersistOpts, StoreDir};
+use crate::segment::merge_many;
 use crate::service::{StoreError, StoreSnapshot, StoreStats, TripleStore};
 use crate::wcoj::JoinStrategy;
 use parking_lot::RwLock;
@@ -109,70 +110,6 @@ where
             })
             .collect()
     })
-}
-
-/// Merges two sorted runs into one sorted run (stable: ties take the
-/// left run first), checkpointing `budget` once per emitted item so a
-/// deadline interrupts the merge within one comparison step.
-fn merge_two<T: Ord>(a: Vec<T>, b: Vec<T>, budget: &QueryBudget) -> Result<Vec<T>, ExecError> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut a = a.into_iter();
-    let mut b = b.into_iter();
-    let mut next_a = a.next();
-    let mut next_b = b.next();
-    loop {
-        budget.check()?;
-        match (next_a.take(), next_b.take()) {
-            (Some(x), Some(y)) => {
-                if x <= y {
-                    out.push(x);
-                    next_a = a.next();
-                    next_b = Some(y);
-                } else {
-                    out.push(y);
-                    next_a = Some(x);
-                    next_b = b.next();
-                }
-            }
-            (Some(x), None) => {
-                out.push(x);
-                out.extend(a);
-                break;
-            }
-            (None, Some(y)) => {
-                out.push(y);
-                out.extend(b);
-                break;
-            }
-            (None, None) => break,
-        }
-    }
-    Ok(out)
-}
-
-/// K-way merge of sorted runs, tournament-style (pairwise rounds), so
-/// total work is `O(items · log runs)`. The budget threads into every
-/// pairwise merge, so the whole tournament stays interruptible.
-fn merge_many_sorted<T: Ord>(
-    mut runs: Vec<Vec<T>>,
-    budget: &QueryBudget,
-) -> Result<Vec<T>, ExecError> {
-    runs.retain(|r| !r.is_empty());
-    runs.sort_by_key(Vec::len);
-    while runs.len() > 1 {
-        budget.check()?;
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut iter = runs.into_iter();
-        while let Some(a) = iter.next() {
-            budget.check()?;
-            match iter.next() {
-                Some(b) => next.push(merge_two(a, b, budget)?),
-                None => next.push(a),
-            }
-        }
-        runs = next;
-    }
-    Ok(runs.pop().unwrap_or_default())
 }
 
 /// An owned, per-shard-consistent view of every shard at one epoch
@@ -384,11 +321,7 @@ impl TripleIndex for ShardedSnapshot {
                     })
                     .into_iter()
                     .collect();
-                // analyzer-allow: no-unwrap-in-service the trait's
-                // budget-less signature merges under an unlimited budget,
-                // which never fails a checkpoint.
-                let mut merged = merge_many_sorted(runs?, &QueryBudget::unlimited())
-                    .expect("an unlimited budget never fails a checkpoint");
+                let mut merged = merge_many(runs?);
                 merged.dedup();
                 Some(merged)
             }

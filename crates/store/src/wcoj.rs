@@ -949,16 +949,18 @@ mod tests {
     fn triangle_matches_pairwise_across_layouts() {
         let ts = ring_graph(12);
         let compacted = EncodedGraph::from_triples(ts.iter().copied());
-        let mut staged = EncodedGraph::with_compaction_policy(crate::CompactionPolicy::Manual);
+        let mut staged = EncodedGraph::new();
         for chunk in ts.chunks(5) {
             staged.insert_batch(chunk.iter().copied()).unwrap();
         }
-        let mut half = EncodedGraph::with_compaction_policy(crate::CompactionPolicy::Manual);
+        let mut half = EncodedGraph::new();
         half.insert_batch(ts[..ts.len() / 2].iter().copied())
             .unwrap();
         half.compact();
         half.insert_batch(ts[ts.len() / 2..].iter().copied())
             .unwrap();
+        assert!(staged.segment_count() > 1, "staged must stay all-delta");
+        assert_eq!(half.segment_count(), 1, "half must keep its one delta");
         let pats = triangle_bgp();
         let want = sorted(eval_bgp_with_strategy(
             &compacted,

@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 use wdsparql_rdf::{tp, Iri, Mapping, RdfGraph, Triple, TripleIndex, TriplePattern, Variable};
 use wdsparql_store::{
-    eval_bgp_pairwise, eval_bgp_wco, CompactionPolicy, Dictionary, EncodedGraph, JoinStrategy,
-    ShardedStore, TripleStore,
+    eval_bgp_pairwise, eval_bgp_wco, Dictionary, EncodedGraph, JoinStrategy, ShardedStore,
+    TripleStore,
 };
 
 fn arb_graph() -> impl Strategy<Value = RdfGraph> {
@@ -161,7 +161,7 @@ proptest! {
         o in 0..9usize,
     ) {
         let triples: Vec<Triple> = g.iter().copied().collect();
-        let mut enc = EncodedGraph::with_compaction_policy(CompactionPolicy::Manual);
+        let mut enc = EncodedGraph::new();
         for (i, batch) in triples.chunks(chunk).enumerate() {
             enc.insert_batch(batch.iter().copied()).expect("tiny batch");
             if compact_mask & (1 << (i % 6)) != 0 {

@@ -239,9 +239,9 @@ pub fn triple_stream(
 
 /// An incremental-ingest workload: the draws of [`triple_stream`]
 /// delivered as ready-made batches of `batch_size` triples — the shape
-/// the store's log-structured write path (and its write-amplification
-/// bench) consumes. The concatenation of all batches equals the stream;
-/// the final batch may be short. Deterministic in `seed`.
+/// the store's log-structured write path consumes. The concatenation of
+/// all batches equals the stream; the final batch may be short.
+/// Deterministic in `seed`.
 pub fn batched_triple_stream(
     n_nodes: usize,
     n_triples: usize,
