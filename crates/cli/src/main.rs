@@ -627,8 +627,13 @@ fn parse_query(arg: Option<&String>) -> Result<Query, String> {
 
 fn load_graph(arg: Option<&String>) -> Result<wdsparql_rdf::RdfGraph, String> {
     let path = arg.ok_or("missing data file argument")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_ntriples(&text).map_err(|e| format!("{path}: {e}"))
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    // A data error names its line, whichever layer finds it.
+    let text = std::str::from_utf8(&bytes).map_err(|e| {
+        let newlines = bytes[..e.valid_up_to()].iter().filter(|&&b| b == b'\n');
+        format!("{path}: line {}: invalid UTF-8", newlines.count() + 1)
+    })?;
+    parse_ntriples(text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn parse_bindings(arg: Option<&String>) -> Result<Mapping, String> {

@@ -526,6 +526,46 @@ fn store_capacity_guard_is_a_clean_error() {
     );
 }
 
+/// Writes `bytes` as a data file and returns its path.
+fn raw_nt(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+    let path =
+        std::env::temp_dir().join(format!("wdsparql_smoke_{}_{name}.nt", std::process::id()));
+    std::fs::write(&path, bytes).expect("create fixture");
+    path
+}
+
+#[test]
+fn store_skips_a_byte_order_mark() {
+    // U+FEFF is not whitespace: before the fix the first subject was
+    // interned as "\u{feff}a" and the query below found nothing.
+    let data = raw_nt("store_bom", b"\xef\xbb\xbfa p b .\n");
+    let out = wdsparql(&["store", data.to_str().unwrap(), "(a, p, ?y)"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("1 solution(s)"), "unexpected output: {text}");
+    assert!(text.contains("{?y → b}"), "unexpected output: {text}");
+    let _ = std::fs::remove_file(&data);
+}
+
+#[test]
+fn store_names_the_line_of_an_undecodable_byte() {
+    // Before the fix: "stream did not contain valid UTF-8", no line.
+    let data = raw_nt("store_utf8", b"a p b .\n# fine\nc p \xffd .\ne p f .\n");
+    let path = data.to_str().unwrap();
+    let out = wdsparql(&["store", path, "(a, p, ?y)"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(
+        err.starts_with(&format!("error: {path}: line 3: invalid UTF-8")),
+        "unexpected stderr: {err}"
+    );
+    assert!(
+        !stdout(&out).contains("loaded"),
+        "nothing may load from a file that does not decode"
+    );
+    let _ = std::fs::remove_file(&data);
+}
+
 #[test]
 fn store_restart_serves_identical_results() {
     // Durable round-trip: ingest with `--dir`, then reopen the same

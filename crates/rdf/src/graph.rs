@@ -4,18 +4,47 @@
 //! indexes (S, P, O and the three pairs) so that triple-pattern matching
 //! picks the most selective access path — the substrate the evaluation
 //! algorithms and the pebble game run against.
+//!
+//! **Who pays for what.** Inserting keeps two things current: the triples
+//! in arrival order and the membership set (`contains`, `len`, `iter`,
+//! equality). A graph built in bulk — [`RdfGraph::from_triples`], and so
+//! `collect()`, [`RdfGraph::from_strs`] and the N-Triples parser — has no
+//! positional indexes and no `dom(G)` until the first reader needs one:
+//! that reader builds them in a single pass over the triples, behind a
+//! [`OnceLock`] (two threads racing the first read build once), and from
+//! then on every insert maintains them. So a graph that is only filled
+//! and handed on (a parsed file on its way into a store) never builds
+//! them, and a graph that is queried pays the build once, then behaves
+//! as if it had been indexed all along. [`RdfGraph::new`] starts indexed:
+//! a graph grown triple by triple never meets a build at all.
 
 use crate::mapping::Mapping;
+use crate::rows::CellState;
 use crate::term::{Iri, Term};
 use crate::triple::{Triple, TriplePattern};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A finite set of ground RDF triples with positional indexes.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct RdfGraph {
     triples: Vec<Triple>,
-    set: HashSet<Triple>,
+    set: HashSet<Triple, CellState>,
+    /// Filled by the first read (or by [`RdfGraph::new`]); `insert`
+    /// maintains it once it is.
+    index: OnceLock<Index>,
+}
+
+impl Default for RdfGraph {
+    fn default() -> RdfGraph {
+        RdfGraph::new()
+    }
+}
+
+/// The positional indexes: per key, positions into `RdfGraph::triples`.
+#[derive(Clone, Default)]
+struct Index {
     by_s: HashMap<Iri, Vec<u32>>,
     by_p: HashMap<Iri, Vec<u32>>,
     by_o: HashMap<Iri, Vec<u32>>,
@@ -25,16 +54,49 @@ pub struct RdfGraph {
     dom: BTreeSet<Iri>,
 }
 
+impl Index {
+    /// Records that `t` sits at position `idx` of the triple list.
+    fn add(&mut self, idx: u32, t: Triple) {
+        self.by_s.entry(t.s).or_default().push(idx);
+        self.by_p.entry(t.p).or_default().push(idx);
+        self.by_o.entry(t.o).or_default().push(idx);
+        self.by_sp.entry((t.s, t.p)).or_default().push(idx);
+        self.by_so.entry((t.s, t.o)).or_default().push(idx);
+        self.by_po.entry((t.p, t.o)).or_default().push(idx);
+        self.dom.insert(t.s);
+        self.dom.insert(t.p);
+        self.dom.insert(t.o);
+    }
+}
+
 impl RdfGraph {
+    /// The empty graph. Its indexes exist from the start — there is
+    /// nothing to build — so a graph grown by [`RdfGraph::insert`] alone
+    /// is indexed all along and its first query costs what any other does.
     pub fn new() -> RdfGraph {
-        RdfGraph::default()
+        RdfGraph {
+            index: OnceLock::from(Index::default()),
+            ..RdfGraph::unindexed(0)
+        }
     }
 
+    /// An empty graph with room for `expected` triples and no indexes yet.
+    fn unindexed(expected: usize) -> RdfGraph {
+        RdfGraph {
+            triples: Vec::with_capacity(expected),
+            set: HashSet::with_capacity_and_hasher(expected, CellState::default()),
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The graph of `triples`, handed over in bulk: sized once (duplicates
+    /// only over-reserve), and indexed when first read.
     pub fn from_triples<I>(triples: I) -> RdfGraph
     where
         I: IntoIterator<Item = Triple>,
     {
-        let mut g = RdfGraph::new();
+        let triples = triples.into_iter();
+        let mut g = RdfGraph::unindexed(triples.size_hint().0);
         for t in triples {
             g.insert(t);
         }
@@ -60,16 +122,22 @@ impl RdfGraph {
         }
         let idx = u32::try_from(self.triples.len()).expect("graph too large");
         self.triples.push(t);
-        self.by_s.entry(t.s).or_default().push(idx);
-        self.by_p.entry(t.p).or_default().push(idx);
-        self.by_o.entry(t.o).or_default().push(idx);
-        self.by_sp.entry((t.s, t.p)).or_default().push(idx);
-        self.by_so.entry((t.s, t.o)).or_default().push(idx);
-        self.by_po.entry((t.p, t.o)).or_default().push(idx);
-        self.dom.insert(t.s);
-        self.dom.insert(t.p);
-        self.dom.insert(t.o);
+        if let Some(index) = self.index.get_mut() {
+            index.add(idx, t);
+        }
         true
+    }
+
+    /// The indexes, built from the triples so far if nobody asked before.
+    fn index(&self) -> &Index {
+        self.index.get_or_init(|| {
+            let mut index = Index::default();
+            for (idx, t) in self.triples.iter().enumerate() {
+                // `insert` bounds the list: every position fits a `u32`.
+                index.add(idx as u32, *t);
+            }
+            index
+        })
     }
 
     pub fn contains(&self, t: &Triple) -> bool {
@@ -90,15 +158,15 @@ impl RdfGraph {
 
     /// `dom(G)`: the IRIs appearing in the graph (in any position).
     pub fn dom(&self) -> impl Iterator<Item = Iri> + '_ {
-        self.dom.iter().copied()
+        self.index().dom.iter().copied()
     }
 
     pub fn dom_size(&self) -> usize {
-        self.dom.len()
+        self.index().dom.len()
     }
 
     pub fn dom_contains(&self, i: Iri) -> bool {
-        self.dom.contains(&i)
+        self.index().dom.contains(&i)
     }
 
     /// Number of triples matching the pattern's *constant* positions — an
@@ -115,15 +183,17 @@ impl RdfGraph {
         let s = pat.s.as_iri();
         let p = pat.p.as_iri();
         let o = pat.o.as_iri();
-        match (s, p, o) {
-            (Some(s), Some(p), _) => AccessPath::List(self.by_sp.get(&(s, p)).map(Vec::as_slice)),
-            (Some(s), _, Some(o)) => AccessPath::List(self.by_so.get(&(s, o)).map(Vec::as_slice)),
-            (_, Some(p), Some(o)) => AccessPath::List(self.by_po.get(&(p, o)).map(Vec::as_slice)),
-            (Some(s), None, None) => AccessPath::List(self.by_s.get(&s).map(Vec::as_slice)),
-            (None, Some(p), None) => AccessPath::List(self.by_p.get(&p).map(Vec::as_slice)),
-            (None, None, Some(o)) => AccessPath::List(self.by_o.get(&o).map(Vec::as_slice)),
-            (None, None, None) => AccessPath::All,
-        }
+        let list = match (s, p, o) {
+            // A full scan reads the triple list alone: no index needed.
+            (None, None, None) => return AccessPath::All,
+            (Some(s), Some(p), _) => self.index().by_sp.get(&(s, p)),
+            (Some(s), _, Some(o)) => self.index().by_so.get(&(s, o)),
+            (_, Some(p), Some(o)) => self.index().by_po.get(&(p, o)),
+            (Some(s), None, None) => self.index().by_s.get(&s),
+            (None, Some(p), None) => self.index().by_p.get(&p),
+            (None, None, Some(o)) => self.index().by_o.get(&o),
+        };
+        AccessPath::List(list.map(Vec::as_slice))
     }
 
     /// All triples matching `pat`, honouring repeated variables (e.g.
@@ -154,7 +224,8 @@ impl RdfGraph {
     /// All distinct subject/object IRIs connected by predicate `p`, as raw
     /// edges — convenient for building adversarial graph families.
     pub fn edges_with_predicate(&self, p: Iri) -> Vec<(Iri, Iri)> {
-        self.by_p
+        self.index()
+            .by_p
             .get(&p)
             .map(|list| {
                 list.iter()

@@ -10,6 +10,14 @@
 //! `&'static str` without holding a lock. The vocabulary lives for the whole
 //! process, which is the intended lifetime of a query workload; the leak is
 //! bounded by the number of *distinct* names ever created.
+//!
+//! **Who pays for what.** [`Iri::new`] and [`Iri::as_str`] each take the
+//! vocabulary lock, and `new` hashes the whole spelling: they are priced
+//! per *call*, so a caller that meets the same name many times resolves it
+//! once and carries the id. The write side does exactly that —
+//! [`crate::ntriples::parse_ntriples`] touches the interner once per
+//! distinct name per parse, and the store's on-disk images read each
+//! spelling once per block; everything between is integer work on ids.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -109,6 +117,12 @@ impl Iri {
     pub(crate) fn from_raw(id: u32) -> Iri {
         Iri(id)
     }
+}
+
+/// Has `name` been interned as an IRI by anyone in this process?
+#[cfg(test)]
+pub(crate) fn is_interned(name: &str) -> bool {
+    vocab().read().iri_ids.contains_key(name)
 }
 
 impl fmt::Display for Iri {

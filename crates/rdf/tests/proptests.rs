@@ -139,3 +139,143 @@ proptest! {
         prop_assert_eq!(x == y, x.cmp(&y) == std::cmp::Ordering::Equal);
     }
 }
+
+// ---------------------------------------------------------------------
+// The lazy index against an eager model
+// ---------------------------------------------------------------------
+
+fn lazy_triple((s, p, o): (usize, usize, usize)) -> Triple {
+    // One universe for every position, so `dom` sees a name arrive in
+    // one position after it was known in another.
+    Triple::from_strs(&format!("lz{s}"), &format!("lz{p}"), &format!("lz{o}"))
+}
+
+/// Every reader of `g`, against a graph built afresh from `model` (the
+/// distinct triples so far, in arrival order) and read at once — plus a
+/// scan of `model` itself, which involves no index at all. `probe` names
+/// the constants; all eight constant shapes are asked.
+fn same_answers(g: &RdfGraph, model: &[Triple], probe: Triple) -> Result<(), TestCaseError> {
+    use wdsparql_rdf::{pattern_matches, var};
+    let fresh = RdfGraph::from_triples(model.iter().copied());
+    prop_assert_eq!(g, &fresh);
+    prop_assert_eq!(g.len(), model.len());
+    for shape in 0..8 {
+        let pick = |bit: usize, c: Iri, v: &str| -> Term {
+            if shape & bit != 0 {
+                Term::Iri(c)
+            } else {
+                var(v)
+            }
+        };
+        let pat = tp(
+            pick(1, probe.s, "lzs"),
+            pick(2, probe.p, "lzp"),
+            pick(4, probe.o, "lzo"),
+        );
+        let got = g.match_pattern(&pat);
+        prop_assert_eq!(&got, &fresh.match_pattern(&pat), "shape {}", shape);
+        let scanned: Vec<Triple> = model
+            .iter()
+            .filter(|t| pattern_matches(&pat, t))
+            .copied()
+            .collect();
+        prop_assert_eq!(&got, &scanned, "shape {}", shape);
+        // With distinct variables the constants decide alone — except
+        // on a ground pattern, which is counted by its (s, p) list.
+        let count = g.candidate_count(&pat);
+        prop_assert_eq!(count, fresh.candidate_count(&pat), "shape {}", shape);
+        prop_assert!(count == scanned.len() || (shape == 7 && count >= scanned.len()));
+        prop_assert_eq!(g.solutions(&pat), fresh.solutions(&pat), "shape {}", shape);
+    }
+    let loops = tp(var("lzx"), Term::Iri(probe.p), var("lzx"));
+    prop_assert_eq!(g.match_pattern(&loops), fresh.match_pattern(&loops));
+    prop_assert_eq!(g.candidate_count(&loops), fresh.candidate_count(&loops));
+    let dom: std::collections::BTreeSet<Iri> = model.iter().flat_map(|t| t.terms()).collect();
+    prop_assert_eq!(
+        g.dom().collect::<Vec<_>>(),
+        dom.iter().copied().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(g.dom_size(), dom.len());
+    for i in probe.terms() {
+        prop_assert_eq!(g.dom_contains(i), dom.contains(&i));
+    }
+    prop_assert_eq!(
+        g.edges_with_predicate(probe.p),
+        fresh.edges_with_predicate(probe.p)
+    );
+    prop_assert_eq!(format!("{g:?}"), format!("{fresh:?}"));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `insert`, `clone` and every reader interleaved at random on a
+    /// graph that starts unindexed (built in bulk from `bulk`, which may
+    /// be empty): the first read may come before any insert, between
+    /// inserts or never; a clone is taken before and after it, and each
+    /// clone is read again at the end, after the original has moved on.
+    #[test]
+    fn lazy_index_matches_an_eager_model(
+        bulk in proptest::collection::vec((0..5usize, 0..5usize, 0..5usize), 0..8),
+        ops in proptest::collection::vec((0..6usize, (0..5usize, 0..5usize, 0..5usize)), 0..40),
+    ) {
+        let mut g = RdfGraph::from_triples(bulk.into_iter().map(lazy_triple));
+        let mut model: Vec<Triple> = g.iter().copied().collect();
+        let mut clones: Vec<(RdfGraph, Vec<Triple>)> = Vec::new();
+        for (kind, names) in ops {
+            let t = lazy_triple(names);
+            match kind {
+                // Half the ops insert, so reads land between inserts.
+                0..=2 => {
+                    let new = !model.contains(&t);
+                    prop_assert_eq!(g.insert(t), new);
+                    if new {
+                        model.push(t);
+                    }
+                    prop_assert!(g.contains(&t));
+                }
+                3 => clones.push((g.clone(), model.clone())),
+                // One reader alone, so the others meet an index it built.
+                4 => prop_assert_eq!(
+                    g.dom_contains(t.s),
+                    model.iter().any(|m| m.terms().contains(&t.s))
+                ),
+                _ => same_answers(&g, &model, t)?,
+            }
+        }
+        same_answers(&g, &model, lazy_triple((0, 1, 2)))?;
+        for (i, (mut clone, mut then)) in clones.into_iter().enumerate() {
+            same_answers(&clone, &then, lazy_triple((1, 0, 1)))?;
+            // A clone keeps its own index current from here on.
+            let t = lazy_triple((i % 5, 4, 4));
+            if clone.insert(t) {
+                then.push(t);
+            }
+            same_answers(&clone, &then, t)?;
+        }
+    }
+
+    /// Two threads race the first read of a shared graph: one index is
+    /// built, and both see all of it.
+    #[test]
+    fn racing_first_reads_agree(
+        triples in proptest::collection::vec((0..5usize, 0..5usize, 0..5usize), 0..30),
+        probe in (0..5usize, 0..5usize, 0..5usize),
+    ) {
+        let g = RdfGraph::from_triples(triples.into_iter().map(lazy_triple));
+        let model: Vec<Triple> = g.iter().copied().collect();
+        let probe = lazy_triple(probe);
+        let gate = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let reader = || {
+                gate.wait();
+                same_answers(&g, &model, probe)
+            };
+            let (a, b) = (scope.spawn(reader), scope.spawn(reader));
+            (a.join().expect("reader"), b.join().expect("reader"))
+        });
+        a?;
+        b?;
+    }
+}

@@ -34,12 +34,12 @@
 pub mod format;
 pub mod vfs;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use wdsparql_rdf::{Iri, Triple};
+use wdsparql_rdf::{CellMap, Iri, Triple};
 
 use format::{
     checksum64, decode_manifest, decode_paged, decode_triple_block, encode_manifest, encode_paged,
@@ -262,26 +262,23 @@ pub fn format_store(fs: &dyn Vfs, opts: &PersistOpts) -> Result<DirState, Persis
 }
 
 /// Builds the self-contained term table + rows image of `triples`.
+///
+/// Block ids are handed out in first-seen order over the interned ids —
+/// two [`Iri`]s are one spelling exactly when they are one id, so the
+/// table never compares strings — and each spelling is read once, when
+/// its term is first seen.
 pub(crate) fn batch_image(triples: &[Triple]) -> (Vec<&'static str>, Vec<[u32; 3]>) {
-    let mut table: BTreeMap<&'static str, u32> = BTreeMap::new();
-    for t in triples {
-        for iri in [t.s, t.p, t.o] {
-            let next = table.len() as u32;
-            table.entry(iri.as_str()).or_insert(next);
-        }
-    }
-    let mut terms = vec![""; table.len()];
-    for (name, &id) in &table {
-        terms[id as usize] = name;
-    }
+    let mut ids: CellMap<Iri, u32> = CellMap::default();
+    let mut terms = Vec::new();
     let mut rows: Vec<[u32; 3]> = triples
         .iter()
         .map(|t| {
-            [
-                table[t.s.as_str()],
-                table[t.p.as_str()],
-                table[t.o.as_str()],
-            ]
+            t.terms().map(|iri| {
+                *ids.entry(iri).or_insert_with(|| {
+                    terms.push(iri.as_str());
+                    (terms.len() - 1) as u32
+                })
+            })
         })
         .collect();
     rows.sort_unstable();
@@ -289,16 +286,16 @@ pub(crate) fn batch_image(triples: &[Triple]) -> (Vec<&'static str>, Vec<[u32; 3
     (terms, rows)
 }
 
+/// The block's triples: its term table interned once, rows mapped
+/// through it ([`decode_triple_block`] bounds-checked every row index).
 fn materialize(block: &TripleBlock) -> Vec<Triple> {
+    let terms: Vec<Iri> = block.terms.iter().map(|name| Iri::new(name)).collect();
     block
         .rows
         .iter()
-        .map(|r| {
-            Triple::new(
-                Iri::new(&block.terms[r[0] as usize]),
-                Iri::new(&block.terms[r[1] as usize]),
-                Iri::new(&block.terms[r[2] as usize]),
-            )
+        .map(|row| {
+            let [s, p, o] = row.map(|id| terms[id as usize]);
+            Triple::new(s, p, o)
         })
         .collect()
 }
