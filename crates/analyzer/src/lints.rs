@@ -14,19 +14,24 @@
 //! | `io-ordering`           | persistence code must not publish (`rename`/`publish`) without a dominating `fsync`/`sync_all`/`dir_sync` earlier in the function |
 //! | `unused-hatch`          | a `// analyzer-allow:` comment that silences nothing is stale and must go (warning; error under `--strict-hatches`) |
 //!
+//! Which files each lint covers is the one table `LINTS`.
+//!
 //! Every lint has an inline escape hatch: a comment on the flagged line,
 //! or in the contiguous comment block immediately above it, of the form
-//! `// analyzer-allow: <lint-name> <reason>`. The reason is mandatory —
-//! an allow without a justification is itself a violation. Hatches are
+//! `// analyzer-allow: <lint-name> <reason>`, the name spelled exactly.
+//! The reason is mandatory — an allow without a justification is itself
+//! a violation. Hatches are
 //! tracked: one that no lint ever consulted is reported by
 //! `unused-hatch`, so fixes cannot leave silencers behind.
 //!
-//! Most lints are per-file token walks. `lock-order-cycle` is the
-//! exception: [`scan_sources`] lexes the whole in-scope file set first
-//! and resolves calls across files (same-file definitions win; a
-//! cross-file edge needs the receiver field to name the defining file's
-//! stem, e.g. `self.cache.clear()` resolves into `cache.rs`), then
-//! rejects any cycle in the resulting lock-order graph.
+//! Most lints are per-file token walks. The two lock lints are one
+//! cross-file analysis (`lint_locks`): [`scan_sources`] lexes the whole
+//! in-scope file set first and resolves calls across files (same-file
+//! definitions win; a cross-file edge needs the receiver field to name
+//! the defining file's stem, e.g. `self.cache.clear()` resolves into
+//! `cache.rs`), builds one lock-order graph, reports its self-edges
+//! under an exclusive guard as re-entries and rejects any cycle among
+//! the rest.
 
 use crate::lex::{self, Comment, Delim, Kind, Token};
 use std::cell::RefCell;
@@ -49,6 +54,60 @@ pub const BUDGET_CHECKPOINT: &str = "budget-checkpoint";
 pub const LOCK_ORDER: &str = "lock-order-cycle";
 pub const IO_ORDERING: &str = "io-ordering";
 pub const UNUSED_HATCH: &str = "unused-hatch";
+
+/// A per-file lint pass.
+type Pass = fn(&FileCtx<'_>, &mut Vec<Finding>);
+
+/// Every lint: its name, its scope, and its per-file pass. A file is in
+/// a lint's scope when its path (relative to the scan root) contains one
+/// of the fragments — `""` matches every file — so one table covers the
+/// workspace layout (`crates/store/src/...`) and the seeded fixture tree
+/// (`store/src/...`) alike. The lints without a pass run over the whole
+/// file set in [`scan_sources`]: the two lock lints are one cross-file
+/// analysis, and the stale-hatch sweep must run after every other lint.
+const LINTS: [(&str, &[&str], Option<Pass>); 10] = [
+    (
+        NO_UNWRAP,
+        &[
+            "store/src/bgp.rs",
+            "store/src/service.rs",
+            "store/src/shard.rs",
+            "store/src/cache.rs",
+            "store/src/join.rs",
+            "store/src/persist/",
+        ],
+        Some(lint_no_unwrap),
+    ),
+    (ONE_SNAPSHOT, &[""], Some(lint_one_snapshot)),
+    (RELAXED, &[""], Some(lint_relaxed)),
+    (MUST_USE, &[""], Some(lint_must_use)),
+    (
+        WCOJ_RECYCLE,
+        &["store/src/wcoj.rs"],
+        Some(lint_wcoj_recycle),
+    ),
+    (
+        BUDGET_CHECKPOINT,
+        &[
+            "store/src/bgp.rs",
+            "store/src/wcoj.rs",
+            "store/src/join.rs",
+            "store/src/shard.rs",
+        ],
+        Some(lint_budget_checkpoint),
+    ),
+    (IO_ORDERING, &["store/src/persist"], Some(lint_io_ordering)),
+    (LOCK_REENTRY, &["store/src/"], None),
+    (LOCK_ORDER, &["store/src/"], None),
+    (UNUSED_HATCH, &[""], None),
+];
+
+/// Whether the file at `rel` is in `lint`'s scope (see `LINTS`).
+pub fn in_scope(lint: &str, rel: &str) -> bool {
+    LINTS
+        .iter()
+        .any(|(name, frags, _)| *name == lint && frags.iter().any(|f| rel.contains(f)))
+}
 
 /// The field pairing [`WCOJ_RECYCLE`] enforces: trie level buffers
 /// shuttle between the open-level stack and the recycle pool.
@@ -111,61 +170,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Which paths each path-scoped lint applies to. Matching is by suffix
-/// (service files) or substring (lock and persistence files), so the
-/// same config covers both the real workspace layout and the seeded
-/// test fixtures.
-pub struct Config {
-    /// Files under the service-layer unwrap ban.
-    pub service_files: Vec<String>,
-    /// Path fragment selecting the files under the lock-reentry rule.
-    pub lock_fragment: String,
-    /// Files under the trie-buffer recycle discipline.
-    pub recycle_files: Vec<String>,
-    /// Files whose loops must checkpoint the query budget.
-    pub budget_files: Vec<String>,
-    /// Files whose lock acquisitions join the workspace-wide
-    /// lock-order graph checked by [`LOCK_ORDER`].
-    pub lock_order_files: Vec<String>,
-    /// Path fragments selecting the persistence files under the
-    /// [`IO_ORDERING`] publish-after-sync rule — matched by substring,
-    /// so one fragment covers the real `store/src/persist/` module tree
-    /// and the single-file fixtures alike.
-    pub io_files: Vec<String>,
-}
-
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            service_files: vec![
-                "store/src/bgp.rs".to_string(),
-                "store/src/service.rs".to_string(),
-                "store/src/shard.rs".to_string(),
-                "store/src/cache.rs".to_string(),
-                "store/src/join.rs".to_string(),
-                "store/src/persist/mod.rs".to_string(),
-                "store/src/persist/vfs.rs".to_string(),
-                "store/src/persist/format.rs".to_string(),
-            ],
-            lock_fragment: "store/src/".to_string(),
-            recycle_files: vec!["store/src/wcoj.rs".to_string()],
-            budget_files: vec![
-                "store/src/bgp.rs".to_string(),
-                "store/src/wcoj.rs".to_string(),
-                "store/src/join.rs".to_string(),
-                "store/src/shard.rs".to_string(),
-            ],
-            lock_order_files: vec![
-                "store/src/bgp.rs".to_string(),
-                "store/src/service.rs".to_string(),
-                "store/src/shard.rs".to_string(),
-                "store/src/cache.rs".to_string(),
-            ],
-            io_files: vec!["store/src/persist".to_string()],
-        }
-    }
-}
-
 /// Scans a directory tree and returns every finding, sorted by file and
 /// line. When `root` looks like the workspace (has a `crates/` child),
 /// only `src/` and `crates/*/src/` are scanned — tests, benches,
@@ -173,7 +177,7 @@ impl Default for Config {
 /// lints enforce *production-path* invariants). Any other root is walked
 /// whole, which is how the fixture tests point the scanner at seeded
 /// violations.
-pub fn scan_root(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
+pub fn scan_root(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     let crates = root.join("crates");
     if crates.is_dir() {
@@ -200,7 +204,7 @@ pub fn scan_root(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
             .into_owned();
         sources.push((rel, src));
     }
-    Ok(scan_sources(&sources, cfg))
+    Ok(scan_sources(&sources))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -219,11 +223,11 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Lints a whole file set as one unit: every per-file lint, then the
-/// cross-file lock-order analysis over the in-scope files, then the
-/// stale-hatch sweep (which must run last — any lint, including the
-/// cross-file one, can be what a hatch silences). `files` pairs each
-/// reported/config-matched path with its source text.
-pub fn scan_sources(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
+/// cross-file lock analysis, then the stale-hatch sweep (which must run
+/// last — any lint, including the cross-file one, can be what a hatch
+/// silences). `files` pairs each reported, scope-matched path with its
+/// source text.
+pub fn scan_sources(files: &[(String, String)]) -> Vec<Finding> {
     let lexed: Vec<_> = files.iter().map(|(_, src)| lex::lex(src)).collect();
     let ctxs: Vec<FileCtx<'_>> = files
         .iter()
@@ -232,44 +236,16 @@ pub fn scan_sources(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
         .collect();
     let mut findings = Vec::new();
     for ctx in &ctxs {
-        let rel = ctx.rel;
-        if cfg
-            .service_files
-            .iter()
-            .any(|suffix| rel.ends_with(suffix.as_str()))
-        {
-            lint_no_unwrap(ctx, &mut findings);
-        }
-        lint_one_snapshot(ctx, &mut findings);
-        lint_relaxed(ctx, &mut findings);
-        if rel.contains(cfg.lock_fragment.as_str()) {
-            lint_lock_reentry(ctx, &mut findings);
-        }
-        lint_must_use(ctx, &mut findings);
-        if cfg
-            .recycle_files
-            .iter()
-            .any(|suffix| rel.ends_with(suffix.as_str()))
-        {
-            lint_wcoj_recycle(ctx, &mut findings);
-        }
-        if cfg
-            .budget_files
-            .iter()
-            .any(|suffix| rel.ends_with(suffix.as_str()))
-        {
-            lint_budget_checkpoint(ctx, &mut findings);
-        }
-        if cfg
-            .io_files
-            .iter()
-            .any(|fragment| rel.contains(fragment.as_str()))
-        {
-            lint_io_ordering(ctx, &mut findings);
+        for (lint, _, pass) in &LINTS {
+            if let Some(pass) = pass {
+                if in_scope(lint, ctx.rel) {
+                    pass(ctx, &mut findings);
+                }
+            }
         }
     }
-    lint_lock_order(&ctxs, cfg, &mut findings);
-    for ctx in &ctxs {
+    lint_locks(&ctxs, &mut findings);
+    for ctx in ctxs.iter().filter(|c| in_scope(UNUSED_HATCH, c.rel)) {
         lint_unused_hatches(ctx, &mut findings);
     }
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
@@ -277,9 +253,9 @@ pub fn scan_sources(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
 }
 
 /// Lints one file's source text. `rel` is the path reported in findings
-/// and matched against the path-scoped lint config.
-pub fn scan_source(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    scan_sources(&[(rel.to_string(), src.to_string())], cfg)
+/// and matched against the lint scopes.
+pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
+    scan_sources(&[(rel.to_string(), src.to_string())])
 }
 
 // ---------------------------------------------------------------------
@@ -295,6 +271,8 @@ struct FileCtx<'a> {
     delims: HashMap<usize, usize>,
     /// Line ranges covered by `#[cfg(test)]` / `#[test]` items.
     test_ranges: Vec<(u32, u32)>,
+    /// The file's non-test function items, in source order.
+    fns: Vec<FnSpan>,
     /// Lines whose `analyzer-allow:` hatch some lint consulted — the
     /// complement (per [`lint_unused_hatches`]) is stale.
     used_hatches: RefCell<BTreeSet<u32>>,
@@ -304,14 +282,20 @@ impl<'a> FileCtx<'a> {
     fn new(rel: &'a str, toks: &'a [Token], comments: &'a [Comment]) -> FileCtx<'a> {
         let delims = match_delims(toks);
         let test_ranges = test_ranges(toks, &delims);
-        FileCtx {
+        let mut ctx = FileCtx {
             rel,
             toks,
             comment_lines: comments.iter().map(|c| (c.line, c.text.as_str())).collect(),
             delims,
             test_ranges,
+            fns: Vec::new(),
             used_hatches: RefCell::new(BTreeSet::new()),
-        }
+        };
+        ctx.fns = fn_spans(toks, &ctx.delims)
+            .into_iter()
+            .filter(|f| !ctx.in_tests(toks[f.body.0].line))
+            .collect();
+        ctx
     }
 
     fn in_tests(&self, line: u32) -> bool {
@@ -320,45 +304,49 @@ impl<'a> FileCtx<'a> {
             .any(|&(a, b)| a <= line && line <= b)
     }
 
-    /// True when `line` carries (or sits under) a hatch comment whose
-    /// text starts with `marker` followed by a non-empty tail containing
-    /// `required` (the lint name, or "" for markers like `relaxed-ok:`
-    /// whose tail is free-form justification).
-    fn hatched(&self, marker: &str, required: &str, line: u32) -> bool {
+    /// True when the line of token `idx`, or the line its (possibly
+    /// multi-line) statement starts on, carries or sits under a hatch
+    /// comment: `marker`, then — unless `lint` is empty, as for
+    /// `relaxed-ok:` — exactly the lint name and whitespace, then a
+    /// non-empty reason.
+    fn hatched(&self, marker: &str, lint: &str, idx: usize) -> bool {
         let check = |l: u32| {
-            self.comment_lines.get(&l).is_some_and(|text| {
-                let text = text.trim_start();
-                text.strip_prefix(marker).is_some_and(|tail| {
-                    let tail = tail.trim();
-                    if tail.is_empty() || !tail.starts_with(required) {
-                        return false;
-                    }
-                    // The hatch was consulted for its lint at a real
-                    // candidate site — not stale, even when the missing
-                    // reason makes it invalid.
-                    if marker == ALLOW_MARKER && !required.is_empty() {
-                        self.used_hatches.borrow_mut().insert(l);
-                    }
-                    tail.len() > required.len()
-                })
-            })
+            let Some(tail) = self
+                .comment_lines
+                .get(&l)
+                .and_then(|text| text.trim_start().strip_prefix(marker))
+            else {
+                return false;
+            };
+            let reason = if lint.is_empty() {
+                tail
+            } else {
+                let tail = tail.trim_start();
+                let (name, reason) = tail.split_once(char::is_whitespace).unwrap_or((tail, ""));
+                if name != lint {
+                    return false;
+                }
+                // The hatch was consulted for its lint at a real
+                // candidate site — not stale, even when the missing
+                // reason makes it invalid.
+                self.used_hatches.borrow_mut().insert(l);
+                reason
+            };
+            !reason.trim().is_empty()
         };
-        if check(line) {
-            return true;
-        }
-        // Walk up through the contiguous comment block above the line.
-        let mut l = line;
-        while l > 1 && self.comment_lines.contains_key(&(l - 1)) {
-            l -= 1;
-            if check(l) {
-                return true;
-            }
-        }
-        false
+        // The line itself, then up through the contiguous comment block
+        // above it.
+        let covers = |line: u32| {
+            std::iter::successors(Some(line), |&l| {
+                (l > 1 && self.comment_lines.contains_key(&(l - 1))).then(|| l - 1)
+            })
+            .any(check)
+        };
+        covers(self.toks[idx].line) || covers(self.stmt_start_line(idx))
     }
 
-    fn allowed(&self, lint: &'static str, line: u32) -> bool {
-        self.hatched(ALLOW_MARKER, lint, line)
+    fn allowed(&self, lint: &'static str, idx: usize) -> bool {
+        self.hatched(ALLOW_MARKER, lint, idx)
     }
 
     /// The line the statement containing token `idx` starts on — where
@@ -375,12 +363,6 @@ impl<'a> FileCtx<'a> {
             j -= 1;
         }
         self.toks[j].line
-    }
-
-    /// [`FileCtx::allowed`], also accepting a hatch above the start of
-    /// the (possibly multi-line) statement the token belongs to.
-    fn allowed_tok(&self, lint: &'static str, idx: usize) -> bool {
-        self.allowed(lint, self.toks[idx].line) || self.allowed(lint, self.stmt_start_line(idx))
     }
 
     fn finding(&self, lint: &'static str, line: u32, message: String) -> Finding {
@@ -455,23 +437,7 @@ fn test_ranges(toks: &[Token], delims: &HashMap<usize, usize>) -> Vec<(u32, u32)
                         None => break,
                     }
                 }
-                let mut depth_guard = j;
-                let mut body = None;
-                while depth_guard < toks.len() {
-                    match toks[depth_guard].kind {
-                        Kind::Open(Delim::Brace) => {
-                            body = delims.get(&depth_guard).copied();
-                            break;
-                        }
-                        Kind::Open(_) => {
-                            depth_guard =
-                                delims.get(&depth_guard).copied().unwrap_or(depth_guard) + 1;
-                        }
-                        Kind::Punct if toks[depth_guard].text == ";" => break,
-                        _ => depth_guard += 1,
-                    }
-                }
-                if let Some(body_close) = body {
+                if let Some((_, body_close)) = block_after(toks, delims, j) {
                     out.push((toks[i].line, toks[body_close].line));
                     i = body_close + 1;
                     continue;
@@ -503,27 +469,62 @@ fn fn_spans(toks: &[Token], delims: &HashMap<usize, usize>) -> Vec<FnSpan> {
         if name_tok.kind != Kind::Ident {
             continue; // `fn(...)` pointer type, not an item
         }
-        let mut j = i + 2;
-        while j < toks.len() {
-            match toks[j].kind {
-                Kind::Open(Delim::Brace) => {
-                    if let Some(&close) = delims.get(&j) {
-                        out.push(FnSpan {
-                            name: name_tok.text.clone(),
-                            body: (j, close),
-                        });
-                    }
-                    break;
-                }
-                // Skip parameter lists, generics-adjacent groups, return
-                // types in brackets — none of them open the body.
-                Kind::Open(_) => j = delims.get(&j).copied().unwrap_or(j) + 1,
-                Kind::Punct if toks[j].text == ";" => break, // trait decl
-                _ => j += 1,
-            }
+        // Parameter lists and bracketed return types never open the
+        // body; a `;` first is a trait declaration.
+        if let Some(body) = block_after(toks, delims, i + 2) {
+            out.push(FnSpan {
+                name: name_tok.text.clone(),
+                body,
+            });
         }
     }
     out
+}
+
+/// The brace block opened by the first `{` at or after token `from`,
+/// skipping whole parenthesised and bracketed groups on the way; `None`
+/// when a `;` comes first (an item without a body).
+fn block_after(
+    toks: &[Token],
+    delims: &HashMap<usize, usize>,
+    from: usize,
+) -> Option<(usize, usize)> {
+    let mut j = from;
+    while j < toks.len() {
+        match toks[j].kind {
+            Kind::Open(Delim::Brace) => return delims.get(&j).map(|&close| (j, close)),
+            Kind::Open(_) => j = delims.get(&j).copied().unwrap_or(j) + 1,
+            Kind::Punct if toks[j].text == ";" => return None,
+            _ => j += 1,
+        }
+    }
+    None
+}
+
+/// `self . FIELD . METHOD (` starting at token `i`; returns the pair.
+fn field_method_at(toks: &[Token], i: usize) -> Option<(&str, &str)> {
+    if toks.len() < i + 6 {
+        return None;
+    }
+    (toks[i].is_ident("self")
+        && toks[i + 1].is_punct(".")
+        && toks[i + 2].kind == Kind::Ident
+        && toks[i + 3].is_punct(".")
+        && toks[i + 4].kind == Kind::Ident
+        && toks[i + 5].kind == Kind::Open(Delim::Paren))
+    .then(|| (toks[i + 2].text.as_str(), toks[i + 4].text.as_str()))
+}
+
+/// `self . METHOD (` starting at token `i`; returns the method name.
+fn self_call_at(toks: &[Token], i: usize) -> Option<&str> {
+    if toks.len() < i + 4 {
+        return None;
+    }
+    (toks[i].is_ident("self")
+        && toks[i + 1].is_punct(".")
+        && toks[i + 2].kind == Kind::Ident
+        && toks[i + 3].kind == Kind::Open(Delim::Paren))
+    .then(|| toks[i + 2].text.as_str())
 }
 
 // ---------------------------------------------------------------------
@@ -531,14 +532,13 @@ fn fn_spans(toks: &[Token], delims: &HashMap<usize, usize>) -> Vec<FnSpan> {
 // ---------------------------------------------------------------------
 
 fn lint_no_unwrap(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for w in windows3(ctx.toks) {
-        let (a, b, c) = w;
-        if ctx.toks[a].is_punct(".")
+    for b in 1..ctx.toks.len().saturating_sub(1) {
+        if ctx.toks[b - 1].is_punct(".")
             && (ctx.toks[b].is_ident("unwrap") || ctx.toks[b].is_ident("expect"))
-            && ctx.toks[c].kind == Kind::Open(Delim::Paren)
+            && ctx.toks[b + 1].kind == Kind::Open(Delim::Paren)
         {
             let line = ctx.toks[b].line;
-            if ctx.in_tests(line) || ctx.allowed_tok(NO_UNWRAP, b) {
+            if ctx.in_tests(line) || ctx.allowed(NO_UNWRAP, b) {
                 continue;
             }
             findings.push(ctx.finding(
@@ -554,20 +554,13 @@ fn lint_no_unwrap(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
-fn windows3(toks: &[Token]) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-    (0..toks.len().saturating_sub(2)).map(|i| (i, i + 1, i + 2))
-}
-
 // ---------------------------------------------------------------------
 // Lint: one-snapshot-per-path
 // ---------------------------------------------------------------------
 
 fn lint_one_snapshot(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for f in fn_spans(ctx.toks, &ctx.delims) {
+    for f in &ctx.fns {
         let (open, close) = f.body;
-        if ctx.in_tests(ctx.toks[open].line) {
-            continue;
-        }
         let mut sites: Vec<u32> = Vec::new();
         for i in open + 1..close {
             let tok = &ctx.toks[i];
@@ -577,19 +570,12 @@ fn lint_one_snapshot(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
             // A call (next token `(`) through a receiver or path (prev
             // token `.` or `::`) — declarations and bare fn references
             // do not acquire.
-            let is_call = ctx.toks.get(i + 1).map(|t| t.kind) == Some(Kind::Open(Delim::Paren));
-            let through = ctx
-                .toks
-                .get(i.wrapping_sub(1))
-                .is_some_and(|t| t.is_punct(".") || t.is_punct("::"));
-            if !is_call || !through {
+            let is_call = ctx.toks[i + 1].kind == Kind::Open(Delim::Paren);
+            let through = ctx.toks[i - 1].is_punct(".") || ctx.toks[i - 1].is_punct("::");
+            if !is_call || !through || ctx.allowed(ONE_SNAPSHOT, i) {
                 continue;
             }
-            let line = tok.line;
-            if ctx.in_tests(line) || ctx.allowed_tok(ONE_SNAPSHOT, i) {
-                continue;
-            }
-            sites.push(line);
+            sites.push(tok.line);
         }
         if sites.len() >= 2 {
             findings.push(ctx.finding(
@@ -617,11 +603,7 @@ fn lint_relaxed(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     for i in 1..ctx.toks.len() {
         if ctx.toks[i].is_ident("Relaxed") && ctx.toks[i - 1].is_punct("::") {
             let line = ctx.toks[i].line;
-            if ctx.in_tests(line)
-                || ctx.hatched(RELAXED_MARKER, "", line)
-                || ctx.hatched(RELAXED_MARKER, "", ctx.stmt_start_line(i))
-                || ctx.allowed_tok(RELAXED, i)
-            {
+            if ctx.in_tests(line) || ctx.hatched(RELAXED_MARKER, "", i) || ctx.allowed(RELAXED, i) {
                 continue;
             }
             findings.push(ctx.finding(
@@ -638,72 +620,382 @@ fn lint_relaxed(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// Lint: no-lock-reentry
+// Lint: wcoj-buffer-recycle
 // ---------------------------------------------------------------------
 
-const ACQUIRE_METHODS: [&str; 3] = ["read", "write", "lock"];
-const EXCLUSIVE_METHODS: [&str; 2] = ["write", "lock"];
-
-/// `self . FIELD . {read|write|lock} (` starting at token `i`; returns
-/// the field name.
-fn acquisition_at<'a>(toks: &'a [Token], i: usize, methods: &[&str]) -> Option<&'a str> {
-    if toks.len() < i + 6 {
-        return None;
-    }
-    (toks[i].is_ident("self")
-        && toks[i + 1].is_punct(".")
-        && toks[i + 2].kind == Kind::Ident
-        && toks[i + 3].is_punct(".")
-        && toks[i + 4].kind == Kind::Ident
-        && methods.contains(&toks[i + 4].text.as_str())
-        && toks[i + 5].kind == Kind::Open(Delim::Paren))
-    .then(|| toks[i + 2].text.as_str())
-}
-
-/// `self . METHOD (` starting at token `i`; returns the method name.
-fn self_call_at(toks: &[Token], i: usize) -> Option<&str> {
-    if toks.len() < i + 4 {
-        return None;
-    }
-    (toks[i].is_ident("self")
-        && toks[i + 1].is_punct(".")
-        && toks[i + 2].kind == Kind::Ident
-        && toks[i + 3].kind == Kind::Open(Delim::Paren))
-    .then(|| toks[i + 2].text.as_str())
-}
-
-fn lint_lock_reentry(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    let spans = fn_spans(ctx.toks, &ctx.delims);
-    // Phase A: which lock fields does each method acquire, directly or
-    // through other same-file methods (transitive closure — one file is
-    // the unit; cross-type calls are out of scope).
-    let mut locks: HashMap<String, Vec<String>> = HashMap::new();
-    for f in &spans {
-        let entry = locks.entry(f.name.clone()).or_default();
-        for i in f.body.0 + 1..f.body.1 {
-            if let Some(field) = acquisition_at(ctx.toks, i, &ACQUIRE_METHODS) {
-                if !entry.iter().any(|f| f == field) {
-                    entry.push(field.to_string());
+/// Trie level buffers shuttle between the open-level `stack` and the
+/// `spare` recycle pool (the leapfrog's allocation-free descent). The
+/// lint enforces the conservation law per function: every
+/// `self.stack.pop(...)` must be matched by a later `self.spare.push(...)`
+/// in the same body, every `self.spare.pop(...)` by a later
+/// `self.stack.push(...)` — and no `return` may sit between a take and
+/// its give (an early exit there drops the buffer on the floor, and the
+/// pool never refills: a slow leak per binding step).
+fn lint_wcoj_recycle(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+    for f in &ctx.fns {
+        let (open, close) = f.body;
+        let sites: Vec<(usize, &str, &str)> = (open + 1..close)
+            .filter_map(|i| field_method_at(ctx.toks, i).map(|(field, m)| (i, field, m)))
+            .collect();
+        for (take_field, give_field) in
+            [(RECYCLE_STACK, RECYCLE_POOL), (RECYCLE_POOL, RECYCLE_STACK)]
+        {
+            let calls = |field: &str, method: &str| -> Vec<usize> {
+                sites
+                    .iter()
+                    .filter(|&&(_, f, m)| f == field && m == method)
+                    .map(|&(i, _, _)| i)
+                    .collect()
+            };
+            let mut gives = calls(give_field, "push");
+            for take in calls(take_field, "pop") {
+                if ctx.allowed(WCOJ_RECYCLE, take) {
+                    continue;
+                }
+                // Pair with the first give after the take.
+                let Some(pos) = gives.iter().position(|&g| g > take) else {
+                    findings.push(ctx.finding(
+                        WCOJ_RECYCLE,
+                        ctx.toks[take].line,
+                        format!(
+                            "fn `{}` pops a level buffer off `self.{take_field}` but never \
+                             pushes one back to `self.{give_field}`: the buffer leaks and the \
+                             recycle pool starves — return it, or justify with \
+                             `// {} {} <reason>`",
+                            f.name, ALLOW_MARKER, WCOJ_RECYCLE
+                        ),
+                    ));
+                    continue;
+                };
+                let give = gives.remove(pos);
+                // An exit between the take and its give drops the buffer.
+                for j in take + 6..give {
+                    if ctx.toks[j].is_ident("return") && !ctx.allowed(WCOJ_RECYCLE, j) {
+                        findings.push(ctx.finding(
+                            WCOJ_RECYCLE,
+                            ctx.toks[j].line,
+                            format!(
+                                "fn `{}` returns between `self.{take_field}.pop()` and \
+                                 `self.{give_field}.push()`: this exit path leaks the level \
+                                 buffer",
+                                f.name
+                            ),
+                        ));
+                    }
                 }
             }
         }
     }
-    loop {
-        let mut changed = false;
-        for f in &spans {
-            let mut inherited: Vec<String> = Vec::new();
-            for i in f.body.0 + 1..f.body.1 {
-                if let Some(callee) = self_call_at(ctx.toks, i) {
-                    if let Some(fields) = locks.get(callee) {
-                        inherited.extend(fields.iter().cloned());
-                    }
+}
+
+// ---------------------------------------------------------------------
+// Lint: budget-checkpoint
+// ---------------------------------------------------------------------
+
+/// Streaming hot paths must stay interruptible: a `loop`/`while` that
+/// never consults the query budget outlives every deadline and ignores
+/// cancellation (the PR 8 streaming-core contract — checkpoints at
+/// stream-pull granularity *and* inside the join inner loops). The lint
+/// requires a `budget.check()` call lexically inside each loop (the
+/// keyword through its body close; a check in the loop condition
+/// counts), with the usual hatch for planning-time loops whose trip
+/// count is bounded by the query size, not the data.
+fn lint_budget_checkpoint(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+    for f in &ctx.fns {
+        let (open, close) = f.body;
+        for i in open + 1..close {
+            let kw = &ctx.toks[i];
+            if !kw.is_ident("loop") && !kw.is_ident("while") {
+                continue;
+            }
+            // The loop body: the first brace after the keyword (header
+            // parens/brackets are skipped whole — Rust bans brace
+            // expressions in loop headers, so this brace is the body).
+            let Some((_, body_close)) = block_after(ctx.toks, &ctx.delims, i + 1) else {
+                continue;
+            };
+            let checked = (i..body_close).any(|k| {
+                ctx.toks[k].is_ident("budget")
+                    && ctx.toks[k + 1].is_punct(".")
+                    && ctx.toks[k + 2].is_ident("check")
+            });
+            if checked || ctx.allowed(BUDGET_CHECKPOINT, i) {
+                continue;
+            }
+            findings.push(ctx.finding(
+                BUDGET_CHECKPOINT,
+                kw.line,
+                format!(
+                    "`{}` in fn `{}` never checkpoints the query budget: this loop outlives \
+                     every deadline and ignores cancellation — call `budget.check()?` inside \
+                     it, or justify with `// {} {} <reason>`",
+                    kw.text, f.name, ALLOW_MARKER, BUDGET_CHECKPOINT
+                ),
+            ));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lint: must-use-snapshot
+// ---------------------------------------------------------------------
+
+fn lint_must_use(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+    for i in 0..ctx.toks.len().saturating_sub(1) {
+        if !ctx.toks[i].is_ident("struct") && !ctx.toks[i].is_ident("enum") {
+            continue;
+        }
+        let name_tok = &ctx.toks[i + 1];
+        if name_tok.kind != Kind::Ident {
+            continue;
+        }
+        let name = name_tok.text.as_str();
+        if !MUST_USE_SUFFIXES.iter().any(|s| name.ends_with(s)) {
+            continue;
+        }
+        let line = name_tok.line;
+        if ctx.in_tests(line) || ctx.allowed(MUST_USE, i + 1) {
+            continue;
+        }
+        if has_must_use_attr(ctx, i) {
+            continue;
+        }
+        findings.push(ctx.finding(
+            MUST_USE,
+            line,
+            format!(
+                "type `{name}` names a snapshot/plan/guard but is not `#[must_use]`: a silently \
+                 dropped value of it is a query that never ran or a pin that never held"
+            ),
+        ));
+    }
+}
+
+/// Walks backward from the `struct`/`enum` keyword over visibility and
+/// attributes, checking any `#[...]` group for `must_use`.
+fn has_must_use_attr(ctx: &FileCtx<'_>, kw: usize) -> bool {
+    let mut i = kw;
+    while i > 0 {
+        i -= 1;
+        let t = &ctx.toks[i];
+        if t.is_ident("pub") {
+            continue;
+        }
+        if t.kind == Kind::Close(Delim::Paren) {
+            // `pub(crate)` and friends: rewind to the open.
+            let mut depth = 1;
+            while i > 0 && depth > 0 {
+                i -= 1;
+                match ctx.toks[i].kind {
+                    Kind::Close(Delim::Paren) => depth += 1,
+                    Kind::Open(Delim::Paren) => depth -= 1,
+                    _ => {}
                 }
             }
-            let entry = locks.entry(f.name.clone()).or_default();
-            for field in inherited {
-                if !entry.contains(&field) {
-                    entry.push(field);
-                    changed = true;
+            continue;
+        }
+        if t.kind == Kind::Close(Delim::Bracket) {
+            // An attribute group: rewind to its open, check for the
+            // marker, and keep walking (multiple attributes stack).
+            let mut depth = 1;
+            let close = i;
+            while i > 0 && depth > 0 {
+                i -= 1;
+                match ctx.toks[i].kind {
+                    Kind::Close(Delim::Bracket) => depth += 1,
+                    Kind::Open(Delim::Bracket) => depth -= 1,
+                    _ => {}
+                }
+            }
+            if ctx.toks[i..close].iter().any(|t| t.is_ident("must_use")) {
+                return true;
+            }
+            // Expect the `#` before the bracket; consume it if present.
+            if i > 0 && ctx.toks[i - 1].is_punct("#") {
+                i -= 1;
+            }
+            continue;
+        }
+        break;
+    }
+    false
+}
+
+// ---------------------------------------------------------------------
+// Lint: io-ordering
+// ---------------------------------------------------------------------
+
+/// Calls that make a write visible to recovery.
+const PUBLISH_FNS: [&str; 2] = ["rename", "publish"];
+/// Calls that make written data durable first.
+const SYNC_FNS: [&str; 4] = ["fsync", "sync_all", "sync_data", "dir_sync"];
+
+/// Persistence code must sync before it publishes: a `rename` (or a
+/// method named `publish`) with no `fsync`/`sync_all`/`sync_data`/
+/// `dir_sync` call earlier in the same function body is exactly the
+/// rename-before-fsync crash bug the `fsim` model checker catches
+/// dynamically — a crash can persist the new name pointing at data
+/// still in the page cache.
+fn lint_io_ordering(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+    for f in &ctx.fns {
+        let (open, close) = f.body;
+        let mut synced = false;
+        for i in open + 1..close {
+            let tok = &ctx.toks[i];
+            if tok.kind != Kind::Ident
+                || ctx.toks[i + 1].kind != Kind::Open(Delim::Paren)
+                || ctx.toks[i - 1].is_ident("fn")
+            {
+                continue;
+            }
+            let name = tok.text.as_str();
+            if SYNC_FNS.contains(&name) {
+                synced = true;
+            } else if PUBLISH_FNS.contains(&name) && !synced {
+                if ctx.allowed(IO_ORDERING, i) {
+                    continue;
+                }
+                findings.push(ctx.finding(
+                    IO_ORDERING,
+                    tok.line,
+                    format!(
+                        "fn `{}` publishes via `{name}()` with no dominating sync: a crash can \
+                         persist the new name before the data it points to (the \
+                         rename-before-fsync class) — fsync the file and dir_sync the directory \
+                         first, or justify with `// {} {} <reason>`",
+                        f.name, ALLOW_MARKER, IO_ORDERING
+                    ),
+                ));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lint: unused-hatch
+// ---------------------------------------------------------------------
+
+/// Every `analyzer-allow:` comment must silence something. A hatch no
+/// lint consulted during the scan — because the violation it excused
+/// was fixed, the lint name is misspelled, or the file fell out of the
+/// lint's scope — is reported as a warning so fixes cannot leave
+/// silencers behind. Must run after every other lint (including the
+/// cross-file pass), since any of them may be the consumer.
+fn lint_unused_hatches(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+    let used = ctx.used_hatches.borrow();
+    let mut lines: Vec<(&u32, &&str)> = ctx.comment_lines.iter().collect();
+    lines.sort();
+    for (&line, text) in lines {
+        let Some(tail) = text.trim_start().strip_prefix(ALLOW_MARKER) else {
+            continue;
+        };
+        if ctx.in_tests(line) || used.contains(&line) {
+            continue;
+        }
+        let name = tail
+            .split_whitespace()
+            .next()
+            .unwrap_or("<missing lint name>");
+        findings.push(ctx.warning(
+            UNUSED_HATCH,
+            line,
+            format!(
+                "stale `// {ALLOW_MARKER} {name}` hatch: no `{name}` violation is silenced \
+                 here — delete it, or fix the lint name"
+            ),
+        ));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lints: no-lock-reentry and lock-order-cycle (one cross-file analysis)
+// ---------------------------------------------------------------------
+
+/// Methods whose call on a `self.FIELD` acquires that field's lock.
+const ACQUIRE_METHODS: [&str; 3] = ["read", "write", "lock"];
+
+/// `self . FIELD . {read|write|lock} (` starting at token `i`; returns
+/// the field and the method.
+fn acquisition_at(toks: &[Token], i: usize) -> Option<(&str, &str)> {
+    field_method_at(toks, i).filter(|(_, method)| ACQUIRE_METHODS.contains(method))
+}
+
+/// `"store/src/cache.rs"` → `"cache"`.
+fn file_stem(rel: &str) -> &str {
+    let base = rel.rsplit('/').next().unwrap_or(rel);
+    base.strip_suffix(".rs").unwrap_or(base)
+}
+
+/// The one lock analysis, over every file in the [`LOCK_ORDER`] scope:
+///
+/// 1. build a symbol graph: each function's *lock set* — the lock
+///    fields (`self.FIELD.{read|write|lock}()`) it may acquire,
+///    directly or through resolved calls. Same-file calls resolve via
+///    `self.method()`; cross-file calls via `self.<field>.<method>()`
+///    where `<field>` names the defining file's stem (the workspace
+///    convention: `self.cache.clear()` lives in `cache.rs`). Anything
+///    else stays unresolved — under-approximating edges keeps the lints
+///    free of std-method false positives (`.len()`, `.get()`, ...);
+/// 2. add an edge `A → B` whenever `B` is acquired (directly or via a
+///    resolved call) inside the live scope of a guard for `A`. Locks
+///    are named `<file-stem>.<field>`. A self-edge under an exclusive
+///    guard (`write`/`lock`) is a [`LOCK_REENTRY`] finding at the
+///    re-acquiring site — a deadlock with the std-backed locks; a shared
+///    (`read`) guard may be re-read;
+/// 3. reject any cycle among the other edges. Each cycle is reported
+///    once, at the edge out of its lexicographically smallest lock, and
+///    is hatchable there.
+fn lint_locks(ctxs: &[FileCtx<'_>], findings: &mut Vec<Finding>) {
+    let scoped: Vec<&FileCtx<'_>> = ctxs
+        .iter()
+        .filter(|c| in_scope(LOCK_ORDER, c.rel))
+        .collect();
+    // Where is `fn name` defined? (file position in `scoped` → fn idx)
+    let mut defs: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    for (fi, ctx) in scoped.iter().enumerate() {
+        for (si, f) in ctx.fns.iter().enumerate() {
+            defs.entry(f.name.as_str()).or_default().push((fi, si));
+        }
+    }
+    // Resolve the call starting at token `i` of file `fi`, if any.
+    let resolve = |fi: usize, i: usize| -> Option<(usize, usize)> {
+        let toks = scoped[fi].toks;
+        let (target, name) = match field_method_at(toks, i) {
+            Some((_, method)) if ACQUIRE_METHODS.contains(&method) => return None,
+            Some((field, method)) => (
+                scoped.iter().position(|c| file_stem(c.rel) == field)?,
+                method,
+            ),
+            None => (fi, self_call_at(toks, i)?),
+        };
+        defs.get(name)?
+            .iter()
+            .find(|&&(dfi, _)| dfi == target)
+            .copied()
+    };
+    let lock_id = |fi: usize, field: &str| format!("{}.{field}", file_stem(scoped[fi].rel));
+    // Fixpoint: each function's transitive lock set, across files.
+    let mut lock_sets: HashMap<(usize, usize), BTreeSet<String>> = HashMap::new();
+    for (fi, ctx) in scoped.iter().enumerate() {
+        for (si, f) in ctx.fns.iter().enumerate() {
+            let set = (f.body.0 + 1..f.body.1)
+                .filter_map(|i| acquisition_at(ctx.toks, i))
+                .map(|(field, _)| lock_id(fi, field))
+                .collect();
+            lock_sets.insert((fi, si), set);
+        }
+    }
+    loop {
+        let mut changed = false;
+        for (fi, ctx) in scoped.iter().enumerate() {
+            for (si, f) in ctx.fns.iter().enumerate() {
+                let inherited: BTreeSet<String> = (f.body.0 + 1..f.body.1)
+                    .filter_map(|i| resolve(fi, i))
+                    .flat_map(|callee| lock_sets[&callee].iter().cloned())
+                    .collect();
+                let entry = lock_sets.entry((fi, si)).or_default();
+                for l in inherited {
+                    changed |= entry.insert(l);
                 }
             }
         }
@@ -711,56 +1003,91 @@ fn lint_lock_reentry(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
             break;
         }
     }
-    // Phase B: inside each exclusive-lock scope, flag same-lock
-    // re-acquisition — direct, or through a self method that acquires
-    // the same field.
-    for f in &spans {
-        let (open, close) = f.body;
-        if ctx.in_tests(ctx.toks[open].line) {
-            continue;
+    // Edges: B acquired while A's guard is live. Site = (file, token).
+    let mut edges: BTreeMap<String, Vec<(String, usize, usize)>> = BTreeMap::new();
+    for (fi, ctx) in scoped.iter().enumerate() {
+        for f in &ctx.fns {
+            let (open, close) = f.body;
+            for i in open + 1..close {
+                let Some((field, method)) = acquisition_at(ctx.toks, i) else {
+                    continue;
+                };
+                let held = lock_id(fi, field);
+                let exclusive = method != "read";
+                for j in i + 6..scope_end(ctx, open, close, i) {
+                    let (acquired, callee) = match acquisition_at(ctx.toks, j) {
+                        Some((f2, _)) => (BTreeSet::from([lock_id(fi, f2)]), None),
+                        None => match resolve(fi, j) {
+                            Some(c) => (lock_sets[&c].clone(), Some(c)),
+                            None => continue,
+                        },
+                    };
+                    for next in acquired {
+                        if next != held {
+                            edges.entry(held.clone()).or_default().push((next, fi, j));
+                        } else if exclusive
+                            && in_scope(LOCK_REENTRY, ctx.rel)
+                            && !ctx.allowed(LOCK_REENTRY, j)
+                        {
+                            let how = match callee {
+                                None => format!("re-acquires `self.{field}`"),
+                                Some((cfi, csi)) => format!(
+                                    "calls `{}()` — which acquires `self.{field}` —",
+                                    scoped[cfi].fns[csi].name
+                                ),
+                            };
+                            findings.push(ctx.finding(
+                                LOCK_REENTRY,
+                                ctx.toks[j].line,
+                                format!(
+                                    "{how} while fn `{}` still holds its exclusive guard \
+                                     (deadlock with the vendored std-backed locks)",
+                                    f.name
+                                ),
+                            ));
+                        }
+                    }
+                }
+            }
         }
-        for i in open + 1..close {
-            let Some(field) = acquisition_at(ctx.toks, i, &EXCLUSIVE_METHODS) else {
+    }
+    // Cycle rejection: report each cycle once, at the edge out of its
+    // smallest lock.
+    let mut reported: BTreeSet<Vec<String>> = BTreeSet::new();
+    for (src, outs) in &edges {
+        for (dst, fi, tok) in outs {
+            let Some(path) = shortest_path(&edges, dst, src) else {
                 continue;
             };
-            let scope_end = scope_end(ctx, open, close, i);
-            let mut j = i + 6; // past the acquisition's own tokens
-            while j < scope_end {
-                let line = ctx.toks[j].line;
-                if let Some(field2) = acquisition_at(ctx.toks, j, &ACQUIRE_METHODS) {
-                    if field2 == field && !ctx.allowed_tok(LOCK_REENTRY, j) {
-                        findings.push(ctx.finding(
-                            LOCK_REENTRY,
-                            line,
-                            format!(
-                                "re-acquires `self.{field}` while fn `{}` still holds its \
-                                 exclusive guard (deadlock with the vendored std-backed locks)",
-                                f.name
-                            ),
-                        ));
-                    }
-                    j += 6;
-                    continue;
-                }
-                if let Some(callee) = self_call_at(ctx.toks, j) {
-                    if locks
-                        .get(callee)
-                        .is_some_and(|fields| fields.iter().any(|f| *f == field))
-                        && !ctx.allowed_tok(LOCK_REENTRY, j)
-                    {
-                        findings.push(ctx.finding(
-                            LOCK_REENTRY,
-                            line,
-                            format!(
-                                "calls `self.{callee}()` — which acquires `self.{field}` — while \
-                                 fn `{}` still holds the `self.{field}` exclusive guard",
-                                f.name
-                            ),
-                        ));
-                    }
-                }
-                j += 1;
+            // `path` is `dst`-exclusive and `src`-inclusive; the cycle
+            // node list is src, dst, ..., last-before-src.
+            let mut cycle = vec![src.clone(), dst.clone()];
+            cycle.extend(path[..path.len() - 1].iter().cloned());
+            if cycle.iter().min() != Some(src) || reported.contains(&cycle) {
+                continue;
             }
+            let ctx = scoped[*fi];
+            if ctx.allowed(LOCK_ORDER, *tok) {
+                reported.insert(cycle);
+                continue;
+            }
+            let rendered = cycle
+                .iter()
+                .chain(std::iter::once(src))
+                .cloned()
+                .collect::<Vec<_>>()
+                .join(" -> ");
+            findings.push(ctx.finding(
+                LOCK_ORDER,
+                ctx.toks[*tok].line,
+                format!(
+                    "lock-order cycle {rendered}: this edge acquires `{dst}` while holding \
+                     `{src}`, but another path acquires them in the opposite order — pick one \
+                     global order, or justify with `// {} {} <reason>`",
+                    ALLOW_MARKER, LOCK_ORDER
+                ),
+            ));
+            reported.insert(cycle);
         }
     }
 }
@@ -783,22 +1110,17 @@ fn scope_end(ctx: &FileCtx<'_>, body_open: usize, body_close: usize, acq: usize)
             break;
         }
         if t.is_ident("let") {
-            let conditional = ctx
-                .toks
-                .get(j.wrapping_sub(1))
-                .is_some_and(|p| p.is_ident("if") || p.is_ident("while"));
+            let conditional = ctx.toks[j - 1].is_ident("if") || ctx.toks[j - 1].is_ident("while");
             if !conditional {
                 is_let = true;
                 // `let [mut] NAME = ...`: a plain binding we can track
                 // through `drop(NAME)`. Destructuring bindings get block
                 // scope without drop tracking.
                 let mut k = j + 1;
-                if ctx.toks.get(k).is_some_and(|t| t.is_ident("mut")) {
+                if ctx.toks[k].is_ident("mut") {
                     k += 1;
                 }
-                if ctx.toks.get(k).map(|t| t.kind) == Some(Kind::Ident)
-                    && ctx.toks.get(k + 1).is_some_and(|t| t.is_punct("="))
-                {
+                if ctx.toks[k].kind == Kind::Ident && ctx.toks[k + 1].is_punct("=") {
                     binding = Some(ctx.toks[k].text.as_str());
                 }
             }
@@ -857,526 +1179,6 @@ fn scope_end(ctx: &FileCtx<'_>, body_open: usize, body_close: usize, acq: usize)
     }
 }
 
-// ---------------------------------------------------------------------
-// Lint: wcoj-buffer-recycle
-// ---------------------------------------------------------------------
-
-/// `self . FIELD . METHOD (` starting at token `i`; returns the pair.
-fn field_method_at(toks: &[Token], i: usize) -> Option<(&str, &str)> {
-    if toks.len() < i + 6 {
-        return None;
-    }
-    (toks[i].is_ident("self")
-        && toks[i + 1].is_punct(".")
-        && toks[i + 2].kind == Kind::Ident
-        && toks[i + 3].is_punct(".")
-        && toks[i + 4].kind == Kind::Ident
-        && toks[i + 5].kind == Kind::Open(Delim::Paren))
-    .then(|| (toks[i + 2].text.as_str(), toks[i + 4].text.as_str()))
-}
-
-/// Trie level buffers shuttle between the open-level `stack` and the
-/// `spare` recycle pool (the leapfrog's allocation-free descent). The
-/// lint enforces the conservation law per function: every
-/// `self.stack.pop(...)` must be matched by a later `self.spare.push(...)`
-/// in the same body, every `self.spare.pop(...)` by a later
-/// `self.stack.push(...)` — and no `return` may sit between a take and
-/// its give (an early exit there drops the buffer on the floor, and the
-/// pool never refills: a slow leak per binding step).
-fn lint_wcoj_recycle(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for f in fn_spans(ctx.toks, &ctx.delims) {
-        let (open, close) = f.body;
-        if ctx.in_tests(ctx.toks[open].line) {
-            continue;
-        }
-        let mut sites: Vec<(usize, &str, &str)> = Vec::new();
-        for i in open + 1..close {
-            if let Some((field, method)) = field_method_at(ctx.toks, i) {
-                if (field == RECYCLE_STACK || field == RECYCLE_POOL)
-                    && (method == "pop" || method == "push")
-                {
-                    sites.push((i, field, method));
-                }
-            }
-        }
-        for (take_field, give_field) in
-            [(RECYCLE_STACK, RECYCLE_POOL), (RECYCLE_POOL, RECYCLE_STACK)]
-        {
-            let takes: Vec<usize> = sites
-                .iter()
-                .filter(|(_, f, m)| *f == take_field && *m == "pop")
-                .map(|&(i, _, _)| i)
-                .collect();
-            let mut gives: Vec<usize> = sites
-                .iter()
-                .filter(|(_, f, m)| *f == give_field && *m == "push")
-                .map(|&(i, _, _)| i)
-                .collect();
-            for take in takes {
-                if ctx.allowed_tok(WCOJ_RECYCLE, take) {
-                    continue;
-                }
-                // Pair with the first give after the take.
-                let Some(pos) = gives.iter().position(|&g| g > take) else {
-                    findings.push(ctx.finding(
-                        WCOJ_RECYCLE,
-                        ctx.toks[take].line,
-                        format!(
-                            "fn `{}` pops a level buffer off `self.{take_field}` but never \
-                             pushes one back to `self.{give_field}`: the buffer leaks and the \
-                             recycle pool starves — return it, or justify with \
-                             `// {} {} <reason>`",
-                            f.name, ALLOW_MARKER, WCOJ_RECYCLE
-                        ),
-                    ));
-                    continue;
-                };
-                let give = gives.remove(pos);
-                // An exit between the take and its give drops the buffer.
-                for j in take + 6..give {
-                    if ctx.toks[j].is_ident("return") && !ctx.allowed_tok(WCOJ_RECYCLE, j) {
-                        findings.push(ctx.finding(
-                            WCOJ_RECYCLE,
-                            ctx.toks[j].line,
-                            format!(
-                                "fn `{}` returns between `self.{take_field}.pop()` and \
-                                 `self.{give_field}.push()`: this exit path leaks the level \
-                                 buffer",
-                                f.name
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint: budget-checkpoint
-// ---------------------------------------------------------------------
-
-/// Streaming hot paths must stay interruptible: a `loop`/`while` that
-/// never consults the query budget outlives every deadline and ignores
-/// cancellation (the PR 8 streaming-core contract — checkpoints at
-/// stream-pull granularity *and* inside the join inner loops). The lint
-/// requires a `budget.check()` call lexically inside each loop (the
-/// keyword through its body close; a check in the loop condition
-/// counts), with the usual hatch for planning-time loops whose trip
-/// count is bounded by the query size, not the data.
-fn lint_budget_checkpoint(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for f in fn_spans(ctx.toks, &ctx.delims) {
-        let (open, close) = f.body;
-        if ctx.in_tests(ctx.toks[open].line) {
-            continue;
-        }
-        for i in open + 1..close {
-            let kw = &ctx.toks[i];
-            if !kw.is_ident("loop") && !kw.is_ident("while") {
-                continue;
-            }
-            // The loop body: the first brace after the keyword (header
-            // parens/brackets are skipped whole — Rust bans brace
-            // expressions in loop headers, so this brace is the body).
-            let mut j = i + 1;
-            let mut body_open = None;
-            while j < close {
-                match ctx.toks[j].kind {
-                    Kind::Open(Delim::Brace) => {
-                        body_open = Some(j);
-                        break;
-                    }
-                    Kind::Open(_) => j = ctx.delims.get(&j).copied().unwrap_or(j) + 1,
-                    _ => j += 1,
-                }
-            }
-            let Some(body_open) = body_open else {
-                continue;
-            };
-            let body_close = ctx.delims.get(&body_open).copied().unwrap_or(close);
-            let checked = (i..body_close).any(|k| {
-                ctx.toks[k].is_ident("budget")
-                    && ctx.toks.get(k + 1).is_some_and(|t| t.is_punct("."))
-                    && ctx.toks.get(k + 2).is_some_and(|t| t.is_ident("check"))
-            });
-            if checked || ctx.allowed_tok(BUDGET_CHECKPOINT, i) {
-                continue;
-            }
-            findings.push(ctx.finding(
-                BUDGET_CHECKPOINT,
-                kw.line,
-                format!(
-                    "`{}` in fn `{}` never checkpoints the query budget: this loop outlives \
-                     every deadline and ignores cancellation — call `budget.check()?` inside \
-                     it, or justify with `// {} {} <reason>`",
-                    kw.text, f.name, ALLOW_MARKER, BUDGET_CHECKPOINT
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint: must-use-snapshot
-// ---------------------------------------------------------------------
-
-fn lint_must_use(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for i in 0..ctx.toks.len().saturating_sub(1) {
-        if !ctx.toks[i].is_ident("struct") && !ctx.toks[i].is_ident("enum") {
-            continue;
-        }
-        let name_tok = &ctx.toks[i + 1];
-        if name_tok.kind != Kind::Ident {
-            continue;
-        }
-        let name = name_tok.text.as_str();
-        if !MUST_USE_SUFFIXES.iter().any(|s| name.ends_with(s)) {
-            continue;
-        }
-        let line = name_tok.line;
-        if ctx.in_tests(line) || ctx.allowed(MUST_USE, line) {
-            continue;
-        }
-        if has_must_use_attr(ctx, i) {
-            continue;
-        }
-        findings.push(ctx.finding(
-            MUST_USE,
-            line,
-            format!(
-                "type `{name}` names a snapshot/plan/guard but is not `#[must_use]`: a silently \
-                 dropped value of it is a query that never ran or a pin that never held"
-            ),
-        ));
-    }
-}
-
-/// Walks backward from the `struct`/`enum` keyword over visibility and
-/// attributes, checking any `#[...]` group for `must_use`.
-fn has_must_use_attr(ctx: &FileCtx<'_>, kw: usize) -> bool {
-    let mut i = kw;
-    while i > 0 {
-        i -= 1;
-        let t = &ctx.toks[i];
-        if t.is_ident("pub") {
-            continue;
-        }
-        if t.kind == Kind::Close(Delim::Paren) {
-            // `pub(crate)` and friends: rewind to the open.
-            let mut depth = 1;
-            while i > 0 && depth > 0 {
-                i -= 1;
-                match ctx.toks[i].kind {
-                    Kind::Close(Delim::Paren) => depth += 1,
-                    Kind::Open(Delim::Paren) => depth -= 1,
-                    _ => {}
-                }
-            }
-            continue;
-        }
-        if t.kind == Kind::Close(Delim::Bracket) {
-            // An attribute group: rewind to its open, check for the
-            // marker, and keep walking (multiple attributes stack).
-            let mut depth = 1;
-            let close = i;
-            while i > 0 && depth > 0 {
-                i -= 1;
-                match ctx.toks[i].kind {
-                    Kind::Close(Delim::Bracket) => depth += 1,
-                    Kind::Open(Delim::Bracket) => depth -= 1,
-                    _ => {}
-                }
-            }
-            if ctx.toks[close.min(ctx.toks.len() - 1)].kind == Kind::Close(Delim::Bracket)
-                && ctx.toks[i..close].iter().any(|t| t.is_ident("must_use"))
-            {
-                return true;
-            }
-            // Expect the `#` before the bracket; consume it if present.
-            if i > 0 && ctx.toks[i - 1].is_punct("#") {
-                i -= 1;
-            }
-            continue;
-        }
-        break;
-    }
-    false
-}
-
-// ---------------------------------------------------------------------
-// Lint: io-ordering
-// ---------------------------------------------------------------------
-
-/// Calls that make a write visible to recovery.
-const PUBLISH_FNS: [&str; 2] = ["rename", "publish"];
-/// Calls that make written data durable first.
-const SYNC_FNS: [&str; 4] = ["fsync", "sync_all", "sync_data", "dir_sync"];
-
-/// Persistence code must sync before it publishes: a `rename` (or a
-/// method named `publish`) with no `fsync`/`sync_all`/`sync_data`/
-/// `dir_sync` call earlier in the same function body is exactly the
-/// rename-before-fsync crash bug the `fsim` model checker catches
-/// dynamically — a crash can persist the new name pointing at data
-/// still in the page cache.
-fn lint_io_ordering(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for f in fn_spans(ctx.toks, &ctx.delims) {
-        let (open, close) = f.body;
-        if ctx.in_tests(ctx.toks[open].line) {
-            continue;
-        }
-        let mut synced = false;
-        for i in open + 1..close {
-            let tok = &ctx.toks[i];
-            if tok.kind != Kind::Ident
-                || ctx.toks.get(i + 1).map(|t| t.kind) != Some(Kind::Open(Delim::Paren))
-                || ctx
-                    .toks
-                    .get(i.wrapping_sub(1))
-                    .is_some_and(|t| t.is_ident("fn"))
-            {
-                continue;
-            }
-            let name = tok.text.as_str();
-            if SYNC_FNS.contains(&name) {
-                synced = true;
-            } else if PUBLISH_FNS.contains(&name) && !synced {
-                if ctx.allowed_tok(IO_ORDERING, i) {
-                    continue;
-                }
-                findings.push(ctx.finding(
-                    IO_ORDERING,
-                    tok.line,
-                    format!(
-                        "fn `{}` publishes via `{name}()` with no dominating sync: a crash can \
-                         persist the new name before the data it points to (the \
-                         rename-before-fsync class) — fsync the file and dir_sync the directory \
-                         first, or justify with `// {} {} <reason>`",
-                        f.name, ALLOW_MARKER, IO_ORDERING
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint: unused-hatch
-// ---------------------------------------------------------------------
-
-/// Every `analyzer-allow:` comment must silence something. A hatch no
-/// lint consulted during the scan — because the violation it excused
-/// was fixed, the lint name is misspelled, or the file fell out of the
-/// lint's scope — is reported as a warning so fixes cannot leave
-/// silencers behind. Must run after every other lint (including the
-/// cross-file pass), since any of them may be the consumer.
-fn lint_unused_hatches(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    let used = ctx.used_hatches.borrow();
-    let mut lines: Vec<(&u32, &&str)> = ctx.comment_lines.iter().collect();
-    lines.sort();
-    for (&line, text) in lines {
-        let Some(tail) = text.trim_start().strip_prefix(ALLOW_MARKER) else {
-            continue;
-        };
-        if ctx.in_tests(line) || used.contains(&line) {
-            continue;
-        }
-        let name = tail
-            .split_whitespace()
-            .next()
-            .unwrap_or("<missing lint name>");
-        findings.push(ctx.warning(
-            UNUSED_HATCH,
-            line,
-            format!(
-                "stale `// {ALLOW_MARKER} {name}` hatch: no `{name}` violation is silenced \
-                 here — delete it, or fix the lint name"
-            ),
-        ));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint: lock-order-cycle (cross-file)
-// ---------------------------------------------------------------------
-
-/// `"store/src/cache.rs"` → `"cache"`.
-fn file_stem(rel: &str) -> &str {
-    let base = rel.rsplit('/').next().unwrap_or(rel);
-    base.strip_suffix(".rs").unwrap_or(base)
-}
-
-/// The workspace-wide lock-order analysis. Over every file in
-/// [`Config::lock_order_files`]:
-///
-/// 1. build a symbol graph: each function's *lock set* — the lock
-///    fields (`self.FIELD.{read|write|lock}()`) it may acquire,
-///    directly or through resolved calls. Same-file calls resolve via
-///    `self.method()`; cross-file calls via `self.<field>.<method>()`
-///    where `<field>` names the defining file's stem (the workspace
-///    convention: `self.cache.clear()` lives in `cache.rs`). Anything
-///    else stays unresolved — under-approximating edges keeps the lint
-///    free of std-method false positives (`.len()`, `.get()`, ...);
-/// 2. add an edge `A → B` whenever `B` is acquired (directly or via a
-///    resolved call) inside the live scope of a guard for `A`. Locks
-///    are named `<file-stem>.<field>`; self-edges are `no-lock-reentry`
-///    territory, not an order;
-/// 3. reject any cycle. Each cycle is reported once, at the edge out of
-///    its lexicographically smallest lock, and is hatchable there.
-fn lint_lock_order(ctxs: &[FileCtx<'_>], cfg: &Config, findings: &mut Vec<Finding>) {
-    let scoped: Vec<&FileCtx<'_>> = ctxs
-        .iter()
-        .filter(|c| {
-            cfg.lock_order_files
-                .iter()
-                .any(|suffix| c.rel.ends_with(suffix.as_str()))
-        })
-        .collect();
-    if scoped.is_empty() {
-        return;
-    }
-    let spans: Vec<Vec<FnSpan>> = scoped.iter().map(|c| fn_spans(c.toks, &c.delims)).collect();
-    // Where is `fn name` defined? (file position in `scoped` → span idx)
-    let mut defs: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
-    for (fi, fns) in spans.iter().enumerate() {
-        for (si, f) in fns.iter().enumerate() {
-            defs.entry(f.name.as_str()).or_default().push((fi, si));
-        }
-    }
-    // Resolve the call starting at token `i` of file `fi`, if any.
-    let resolve = |fi: usize, i: usize| -> Option<(usize, usize)> {
-        let toks = scoped[fi].toks;
-        if let Some((field, method)) = field_method_at(toks, i) {
-            if ACQUIRE_METHODS.contains(&method) {
-                return None; // an acquisition, not a call
-            }
-            let (ti, _) = scoped
-                .iter()
-                .enumerate()
-                .find(|(_, c)| file_stem(c.rel) == field)?;
-            return defs
-                .get(method)?
-                .iter()
-                .find(|&&(dfi, _)| dfi == ti)
-                .copied();
-        }
-        let callee = self_call_at(toks, i)?;
-        defs.get(callee)?
-            .iter()
-            .find(|&&(dfi, _)| dfi == fi)
-            .copied()
-    };
-    // Fixpoint: each function's transitive lock set, across files.
-    let lock_id = |fi: usize, field: &str| format!("{}.{field}", file_stem(scoped[fi].rel));
-    let mut lock_sets: HashMap<(usize, usize), BTreeSet<String>> = HashMap::new();
-    for (fi, fns) in spans.iter().enumerate() {
-        for (si, f) in fns.iter().enumerate() {
-            let mut set = BTreeSet::new();
-            for i in f.body.0 + 1..f.body.1 {
-                if let Some(field) = acquisition_at(scoped[fi].toks, i, &ACQUIRE_METHODS) {
-                    set.insert(lock_id(fi, field));
-                }
-            }
-            lock_sets.insert((fi, si), set);
-        }
-    }
-    loop {
-        let mut changed = false;
-        for (fi, fns) in spans.iter().enumerate() {
-            for (si, f) in fns.iter().enumerate() {
-                let mut inherited: BTreeSet<String> = BTreeSet::new();
-                for i in f.body.0 + 1..f.body.1 {
-                    if let Some(callee) = resolve(fi, i) {
-                        if let Some(set) = lock_sets.get(&callee) {
-                            inherited.extend(set.iter().cloned());
-                        }
-                    }
-                }
-                let entry = lock_sets.entry((fi, si)).or_default();
-                for l in inherited {
-                    changed |= entry.insert(l);
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Edges: B acquired while A's guard is live. Site = (file, token).
-    let mut edges: BTreeMap<String, Vec<(String, usize, usize)>> = BTreeMap::new();
-    for (fi, fns) in spans.iter().enumerate() {
-        let ctx = scoped[fi];
-        for f in fns {
-            let (open, close) = f.body;
-            if ctx.in_tests(ctx.toks[open].line) {
-                continue;
-            }
-            for i in open + 1..close {
-                let Some(field) = acquisition_at(ctx.toks, i, &ACQUIRE_METHODS) else {
-                    continue;
-                };
-                let held = lock_id(fi, field);
-                let end = scope_end(ctx, open, close, i);
-                for j in i + 6..end {
-                    if let Some(f2) = acquisition_at(ctx.toks, j, &ACQUIRE_METHODS) {
-                        let next = lock_id(fi, f2);
-                        if next != held {
-                            edges.entry(held.clone()).or_default().push((next, fi, j));
-                        }
-                    } else if let Some(callee) = resolve(fi, j) {
-                        for next in lock_sets.get(&callee).into_iter().flatten() {
-                            if *next != held {
-                                edges
-                                    .entry(held.clone())
-                                    .or_default()
-                                    .push((next.clone(), fi, j));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Cycle rejection: report each cycle once, at the edge out of its
-    // smallest lock.
-    let mut reported: BTreeSet<Vec<String>> = BTreeSet::new();
-    for (src, outs) in &edges {
-        for (dst, fi, tok) in outs {
-            let Some(path) = shortest_path(&edges, dst, src) else {
-                continue;
-            };
-            // `path` is `dst`-exclusive and `src`-inclusive; the cycle
-            // node list is src, dst, ..., last-before-src.
-            let mut cycle = vec![src.clone(), dst.clone()];
-            cycle.extend(path[..path.len() - 1].iter().cloned());
-            if cycle.iter().min() != Some(src) || reported.contains(&cycle) {
-                continue;
-            }
-            let ctx = scoped[*fi];
-            if ctx.allowed_tok(LOCK_ORDER, *tok) {
-                reported.insert(cycle);
-                continue;
-            }
-            let rendered = cycle
-                .iter()
-                .chain(std::iter::once(src))
-                .cloned()
-                .collect::<Vec<_>>()
-                .join(" -> ");
-            findings.push(ctx.finding(
-                LOCK_ORDER,
-                ctx.toks[*tok].line,
-                format!(
-                    "lock-order cycle {rendered}: this edge acquires `{dst}` while holding \
-                     `{src}`, but another path acquires them in the opposite order — pick one \
-                     global order, or justify with `// {} {} <reason>`",
-                    ALLOW_MARKER, LOCK_ORDER
-                ),
-            ));
-            reported.insert(cycle);
-        }
-    }
-}
-
 /// BFS shortest node path `from → … → to` over the edge map, inclusive
 /// of `to`, exclusive of `from`. `None` when unreachable.
 fn shortest_path(
@@ -1415,7 +1217,7 @@ mod tests {
     use super::*;
 
     fn scan(rel: &str, src: &str) -> Vec<Finding> {
-        scan_source(rel, src, &Config::default())
+        scan_source(rel, src)
     }
 
     #[test]
@@ -1452,6 +1254,22 @@ mod tests {
             }
         "#;
         assert_eq!(scan("store/src/service.rs", bare).len(), 1, "no reason");
+    }
+
+    #[test]
+    fn allow_comment_must_name_its_lint_exactly() {
+        // A misspelled or punctuated name silences nothing: the unwrap
+        // is flagged and the hatch is stale.
+        for name in ["no-unwrap-in-services", "no-unwrap-in-service."] {
+            let src = format!(
+                "fn hot(x: Option<u32>) -> u32 {{\n    // analyzer-allow: {name}\n    x.unwrap()\n}}\n"
+            );
+            let got: Vec<_> = scan("store/src/service.rs", &src)
+                .iter()
+                .map(|f| (f.lint, f.line))
+                .collect();
+            assert_eq!(got, [(UNUSED_HATCH, 2), (NO_UNWRAP, 3)], "`{name}`");
+        }
     }
 
     #[test]
@@ -1517,6 +1335,22 @@ mod tests {
         assert_eq!(reentries.len(), 2, "{reentries:?}");
         assert_eq!(reentries[0].line, 6);
         assert_eq!(reentries[1].line, 10);
+    }
+
+    #[test]
+    fn shared_guard_rereading_its_lock_is_not_a_reentry() {
+        let src = r#"
+            impl S {
+                fn epoch(&self) -> u64 { self.inner.read().epoch }
+                fn both(&self) -> u64 {
+                    let g = self.inner.read();
+                    let again = self.inner.read();
+                    g.epoch + again.epoch + self.epoch()
+                }
+            }
+        "#;
+        let f = scan("store/src/service.rs", src);
+        assert!(f.is_empty(), "{f:#?}");
     }
 
     #[test]
@@ -1656,13 +1490,10 @@ mod tests {
     }
 
     fn scan_pair(a: (&str, &str), b: (&str, &str)) -> Vec<Finding> {
-        scan_sources(
-            &[
-                (a.0.to_string(), a.1.to_string()),
-                (b.0.to_string(), b.1.to_string()),
-            ],
-            &Config::default(),
-        )
+        scan_sources(&[
+            (a.0.to_string(), a.1.to_string()),
+            (b.0.to_string(), b.1.to_string()),
+        ])
     }
 
     const SHARD_SIDE: &str = r#"
@@ -1755,7 +1586,7 @@ mod tests {
                 dir.rename("seg.tmp", "seg-1")
             }
         "#;
-        let f = scan_source("store/src/persist.rs", bad, &Config::default());
+        let f = scan_source("store/src/persist.rs", bad);
         assert_eq!(
             f.iter().filter(|f| f.lint == IO_ORDERING).count(),
             1,
@@ -1771,10 +1602,10 @@ mod tests {
                 dir.dir_sync()
             }
         "#;
-        assert!(scan_source("store/src/persist.rs", good, &Config::default()).is_empty());
+        assert!(scan_source("store/src/persist.rs", good).is_empty());
 
         // Out-of-scope files are not checked.
-        assert!(scan_source("store/src/service.rs", bad, &Config::default())
+        assert!(scan_source("store/src/service.rs", bad)
             .iter()
             .all(|f| f.lint != IO_ORDERING));
     }
@@ -1829,6 +1660,30 @@ mod tests {
             }
         "#;
         assert!(scan("store/src/service.rs", in_tests).is_empty());
+    }
+
+    /// The scope column of the README's lint catalog lists each lint's
+    /// fragments exactly as [`LINTS`] has them.
+    #[test]
+    fn readme_catalog_scopes_match_the_table() {
+        let readme = include_str!("../README.md");
+        for (lint, frags, _) in LINTS {
+            let row = readme
+                .lines()
+                .find(|l| l.starts_with(&format!("| `{lint}` |")))
+                .unwrap_or_else(|| panic!("no catalog row for `{lint}`"));
+            let scope = row.trim_end_matches('|').rsplit('|').next().unwrap_or("");
+            let want = if frags == [""] {
+                "every file".to_string()
+            } else {
+                frags
+                    .iter()
+                    .map(|f| format!("`{f}`"))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            };
+            assert_eq!(scope.trim(), want, "catalog row for `{lint}`");
+        }
     }
 
     #[test]

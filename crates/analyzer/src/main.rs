@@ -16,7 +16,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use wdsparql_analyzer::lints::{self, Config, Finding, Severity};
+use wdsparql_analyzer::lints::{self, Finding, Severity};
 
 /// Version of the JSON report shape; bump together with
 /// `report-schema.json`.
@@ -58,7 +58,7 @@ fn main() -> ExitCode {
             }
         },
     };
-    let findings = match lints::scan_root(&root, &Config::default()) {
+    let findings = match lints::scan_root(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: scanning {}: {e}", root.display());

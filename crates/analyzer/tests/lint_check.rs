@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use wdsparql_analyzer::lints::{self, Config};
+use wdsparql_analyzer::lints;
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -57,7 +57,7 @@ fn fixture_findings_match_the_seeded_markers() {
          and the two budget-checkpoint loop shapes"
     );
 
-    let findings = lints::scan_root(&root, &Config::default()).expect("scan succeeds");
+    let findings = lints::scan_root(&root).expect("scan succeeds");
     let got: BTreeMap<(String, String, u32), ()> = findings
         .iter()
         .map(|f| ((f.file.clone(), f.lint.to_string(), f.line), ()))
@@ -117,7 +117,7 @@ fn binary_passes_on_the_workspace() {
 }
 
 /// The `io-ordering` scope must cover the real persist module. The
-/// config once listed planned single-file paths; now that the durable
+/// scope once listed planned single-file paths; now that the durable
 /// store exists as a module tree, a scope that silently missed
 /// `store/src/persist/*.rs` would let the publish-after-sync rule rot
 /// on exactly the code it was written for. Matching is by substring,
@@ -129,7 +129,6 @@ fn binary_passes_on_the_workspace() {
 /// as unused-hatch warnings.)
 #[test]
 fn io_ordering_scope_covers_the_real_persist_module() {
-    let cfg = Config::default();
     let ws = workspace_root();
     let persist_dir = ws.join("crates/store/src/persist");
     let entries: Vec<String> = std::fs::read_dir(&persist_dir)
@@ -148,18 +147,14 @@ fn io_ordering_scope_covers_the_real_persist_module() {
     );
     for rel in &entries {
         assert!(
-            cfg.io_files.iter().any(|frag| rel.contains(frag.as_str())),
-            "{rel} must be inside the io-ordering scope {:?}",
-            cfg.io_files
+            lints::in_scope(lints::IO_ORDERING, rel),
+            "{rel} must be inside the io-ordering scope"
         );
     }
     // The seeded fixture file must stay in scope under the same
     // fragments, or `fixture_findings_match_the_seeded_markers` would
     // silently stop exercising the io-ordering rule.
-    assert!(cfg
-        .io_files
-        .iter()
-        .any(|frag| "store/src/persist.rs".contains(frag.as_str())));
+    assert!(lints::in_scope(lints::IO_ORDERING, "store/src/persist.rs"));
 }
 
 /// The shared BGP request path (`store/src/bgp.rs`: every query entry
@@ -175,18 +170,14 @@ fn service_scopes_cover_the_shared_bgp_request_path() {
         workspace_root().join(rel).is_file(),
         "the shared request path moved: re-point the scopes and this test"
     );
-    let cfg = Config::default();
-    assert!(cfg
-        .lock_order_files
-        .iter()
-        .any(|f| rel.ends_with(f.as_str())));
+    assert!(lints::in_scope(lints::LOCK_ORDER, rel));
     let seeded = "pub(crate) fn serve(rows: Option<u64>) -> u64 {\n\
                   \x20   loop {\n\
                   \x20       if done() { break; }\n\
                   \x20   }\n\
                   \x20   rows.unwrap()\n\
                   }\n";
-    let lints: Vec<(&str, u32)> = lints::scan_source(rel, seeded, &cfg)
+    let lints: Vec<(&str, u32)> = lints::scan_source(rel, seeded)
         .iter()
         .map(|f| (f.lint, f.line))
         .collect();

@@ -7,11 +7,12 @@
 //! `dom(µ)`, or `µ` is not a homomorphism, or some child extends (with the
 //! extension mapping as the counterexample).
 
-use crate::lemma1::mu_subtree;
+use crate::lemma1::child_extends;
 use std::fmt;
-use wdsparql_hom::{find_hom_into_graph, GenTGraph};
 use wdsparql_rdf::{Mapping, TripleIndex};
-use wdsparql_tree::{subtree_children, subtree_with_vars, NodeId, Subtree, Wdpf, Wdpt};
+use wdsparql_tree::{
+    subtree_children, subtree_pat, subtree_with_vars, NodeId, Subtree, Wdpf, Wdpt,
+};
 
 /// Why one tree of the forest rejects `µ`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,19 +105,16 @@ pub fn explain_tree(
     let Some(st) = subtree_with_vars(t, &dom) else {
         return Err(TreeRejection::NoSubtreeForDomain);
     };
-    if mu_subtree(t, g, mu).is_none() {
+    if !subtree_pat(t, &st).maps_into_under(mu, g) {
         return Err(TreeRejection::NotAHomomorphism { subtree: st });
     }
     let children = subtree_children(t, &st);
     for &n in &children {
-        let pat = t.pat(n);
-        let x: Vec<_> = pat.vars().into_iter().filter(|v| mu.contains(*v)).collect();
-        let src = GenTGraph::new(pat.clone(), x);
-        if let Some(nu) = find_hom_into_graph(&src, g, mu) {
+        if let Some(extension) = child_extends(t, g, n, mu) {
             return Err(TreeRejection::ChildExtends {
                 subtree: st,
                 child: n,
-                extension: nu,
+                extension,
             });
         }
     }

@@ -20,13 +20,13 @@ pub fn mu_subtree(t: &Wdpt, g: &dyn TripleIndex, mu: &Mapping) -> Option<Subtree
     subtree_pat(t, &st).maps_into_under(mu, g).then_some(st)
 }
 
-/// Does child `n` of the subtree extend compatibly: is there a
-/// homomorphism `ν` from `pat(n)` to `G` compatible with `µ`?
-pub fn child_extends(t: &Wdpt, g: &dyn TripleIndex, n: NodeId, mu: &Mapping) -> bool {
+/// Does child `n` of the subtree extend compatibly: a homomorphism `ν`
+/// from `pat(n)` to `G` compatible with `µ`, if there is one.
+pub fn child_extends(t: &Wdpt, g: &dyn TripleIndex, n: NodeId, mu: &Mapping) -> Option<Mapping> {
     let pat = t.pat(n);
     let x: Vec<_> = pat.vars().into_iter().filter(|v| mu.contains(*v)).collect();
     let src = GenTGraph::new(pat.clone(), x);
-    find_hom_into_graph(&src, g, mu).is_some()
+    find_hom_into_graph(&src, g, mu)
 }
 
 #[cfg(test)]
@@ -88,8 +88,8 @@ mod tests {
         let child = t.children(ROOT)[0];
         let g = RdfGraph::from_strs([("a", "p", "b"), ("b", "q", "c")]);
         let mu_good = Mapping::from_strs([("x", "a"), ("y", "b")]);
-        assert!(child_extends(&t, &g, child, &mu_good));
+        assert!(child_extends(&t, &g, child, &mu_good).is_some());
         let g2 = RdfGraph::from_strs([("a", "p", "b"), ("z9", "q", "c")]);
-        assert!(!child_extends(&t, &g2, child, &mu_good));
+        assert!(child_extends(&t, &g2, child, &mu_good).is_none());
     }
 }

@@ -14,7 +14,7 @@ pub fn check_tree(t: &Wdpt, g: &dyn TripleIndex, mu: &Mapping) -> bool {
         None => false,
         Some(st) => subtree_children(t, &st)
             .into_iter()
-            .all(|n| !child_extends(t, g, n, mu)),
+            .all(|n| child_extends(t, g, n, mu).is_none()),
     }
 }
 

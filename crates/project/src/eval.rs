@@ -80,7 +80,7 @@ fn check_projected_tree(t: &Wdpt, x: &BTreeSet<Variable>, g: &RdfGraph, mu: &Map
                 .expect("solver extensions agree with their fixed bindings");
             if subtree_children(t, &st)
                 .into_iter()
-                .all(|n| !child_extends(t, g, n, &full))
+                .all(|n| child_extends(t, g, n, &full).is_none())
             {
                 return true;
             }

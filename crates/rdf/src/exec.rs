@@ -123,12 +123,6 @@ impl QueryBudget {
         }
     }
 
-    /// Builder-style deadline on an existing budget.
-    pub fn and_deadline(mut self, ttl: Duration) -> QueryBudget {
-        self.deadline = Instant::now().checked_add(ttl);
-        self
-    }
-
     /// Builder-style cancellation token on an existing budget.
     pub fn and_cancel(mut self, token: CancelToken) -> QueryBudget {
         self.cancel = Some(token);
@@ -198,44 +192,9 @@ impl SolutionStream for Box<dyn SolutionStream + '_> {
     }
 }
 
-/// An already-materialised run served as a stream (the adapter for
-/// empty/singleton sources and cached results), checkpointing its
-/// budget on every pull.
-pub struct VecStream<'a> {
-    items: Vec<Mapping>,
-    pos: usize,
-    budget: &'a QueryBudget,
-}
-
-impl<'a> VecStream<'a> {
-    pub fn new(items: Vec<Mapping>, budget: &'a QueryBudget) -> VecStream<'a> {
-        VecStream {
-            items,
-            pos: 0,
-            budget,
-        }
-    }
-}
-
-impl SolutionStream for VecStream<'_> {
-    fn next(&mut self) -> Result<Option<Mapping>, ExecError> {
-        self.budget.check()?;
-        if self.pos >= self.items.len() {
-            return Ok(None);
-        }
-        let mu = std::mem::take(&mut self.items[self.pos]);
-        self.pos += 1;
-        Ok(Some(mu))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn mu(pairs: &[(&str, &str)]) -> Mapping {
-        Mapping::from_strs(pairs.iter().copied())
-    }
 
     #[test]
     fn unlimited_budget_never_fails() {
@@ -271,29 +230,6 @@ mod tests {
         // Cancellation wins over a live deadline: it is checked first.
         let b2 = QueryBudget::with_deadline(Duration::from_secs(3600)).and_cancel(token);
         assert_eq!(b2.check(), Err(ExecError::Cancelled));
-    }
-
-    #[test]
-    fn vec_stream_yields_in_order_and_honours_limits() {
-        let budget = QueryBudget::unlimited();
-        let items = vec![mu(&[("x", "a")]), mu(&[("x", "b")]), mu(&[("x", "c")])];
-        let mut s = VecStream::new(items.clone(), &budget);
-        assert_eq!(s.next(), Ok(Some(items[0].clone())));
-        let rest = s.collect_limit(None).expect("unlimited");
-        assert_eq!(rest, items[1..].to_vec());
-        assert_eq!(s.next(), Ok(None), "exhausted streams stay exhausted");
-
-        let mut s = VecStream::new(items.clone(), &budget);
-        assert_eq!(s.collect_limit(Some(2)).expect("limit 2"), items[..2]);
-        let mut s = VecStream::new(items, &budget);
-        assert_eq!(s.collect_limit(Some(0)).expect("limit 0"), Vec::new());
-    }
-
-    #[test]
-    fn vec_stream_respects_a_dead_budget() {
-        let budget = QueryBudget::with_deadline(Duration::ZERO);
-        let mut s = VecStream::new(vec![mu(&[("x", "a")])], &budget);
-        assert_eq!(s.next(), Err(ExecError::DeadlineExceeded));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod term;
 pub mod trie;
 pub mod triple;
 
-pub use exec::{CancelToken, ExecError, QueryBudget, SolutionStream, VecStream};
+pub use exec::{CancelToken, ExecError, QueryBudget, SolutionStream};
 pub use graph::{binding_of, pattern_matches, RdfGraph};
 pub use index::TripleIndex;
 pub use mapping::Mapping;

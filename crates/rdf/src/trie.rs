@@ -41,12 +41,6 @@ pub struct TrieOpStats {
 }
 
 impl TrieOpStats {
-    /// Folds another counter sample into this one.
-    pub fn absorb(&mut self, other: TrieOpStats) {
-        self.seeks += other.seeks;
-        self.gallop_steps += other.gallop_steps;
-    }
-
     /// The galloping cost of moving `rows` positions: `bit_len(rows)`,
     /// 0 when the seek did not move.
     pub fn gallop_cost(rows: usize) -> u64 {
@@ -315,10 +309,6 @@ mod tests {
         let stats = t.op_stats();
         assert_eq!(stats.seeks, 2);
         assert_eq!(stats.gallop_steps, TrieOpStats::gallop_cost(32));
-        let mut folded = TrieOpStats::default();
-        folded.absorb(stats);
-        folded.absorb(stats);
-        assert_eq!(folded.seeks, 4);
     }
 
     #[test]

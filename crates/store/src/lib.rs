@@ -106,6 +106,6 @@ pub use segment::{CapacityError, MAX_TRIPLES};
 pub use service::{eval_bgp_pairwise, StoreError, StoreSnapshot, StoreStats, TripleStore};
 pub use shard::{ShardedSnapshot, ShardedStats, ShardedStore};
 pub use wcoj::{
-    bgp_is_cyclic, eval_bgp_wco, eval_bgp_wco_profiled, eval_bgp_with_strategy, resolve_strategy,
-    wco_variable_order, JoinStrategy, WcoLevelStats, WcoStream,
+    bgp_is_cyclic, eval_bgp_wco, eval_bgp_with_strategy, resolve_strategy, wco_variable_order,
+    JoinStrategy, WcoLevelStats, WcoStream,
 };

@@ -51,7 +51,7 @@ use wdsparql_rdf::{
 };
 
 /// Execution counters of one leapfrog level (one variable of the global
-/// order), reported by [`eval_bgp_wco_profiled`]:
+/// order), reported by [`WcoStream::level_stats`]:
 ///
 /// * `rows` — successful alignments, i.e. keys bound at this level (the
 ///   level's output cardinality across the whole run);
@@ -298,22 +298,6 @@ pub fn wco_variable_order(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> V
 /// materialising any pairwise intermediate.
 pub fn eval_bgp_wco(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Vec<Mapping> {
     eval_bgp_with_strategy(ix, patterns, JoinStrategy::Wco)
-}
-
-/// As [`eval_bgp_wco`], additionally reporting per-level execution
-/// counters — one `(variable, stats)` pair per variable of the global
-/// order, in that order. Queries that short-circuit before the leapfrog
-/// runs (a failed ground gate, an all-ground BGP) report no levels.
-pub fn eval_bgp_wco_profiled(
-    ix: &dyn TripleIndex,
-    patterns: &[TriplePattern],
-) -> (Vec<Mapping>, Vec<(Variable, WcoLevelStats)>) {
-    let budget = QueryBudget::unlimited();
-    let mut stream = WcoStream::new(ix, patterns, &budget, true);
-    let sols = stream
-        .collect_limit(None)
-        .expect("an unlimited budget never fails a checkpoint");
-    (sols, stream.level_stats())
 }
 
 /// Where a [`WcoStream`] resumes inside one level of the leapfrog
@@ -1040,7 +1024,13 @@ mod tests {
     fn profiled_wco_reports_per_level_counters() {
         let g = EncodedGraph::from_triples(ring_graph(12));
         let pats = triangle_bgp();
-        let (sols, levels) = eval_bgp_wco_profiled(&g, &pats);
+        let profiled = |pats: &[TriplePattern]| {
+            let budget = QueryBudget::unlimited();
+            let mut stream = WcoStream::new(&g, pats, &budget, true);
+            let sols = stream.collect_limit(None).expect("unlimited budget");
+            (sols, stream.level_stats())
+        };
+        let (sols, levels) = profiled(&pats);
         assert_eq!(sorted(sols.clone()), sorted(eval_bgp_wco(&g, &pats)));
         let order = wco_variable_order(&g, &pats);
         assert_eq!(
@@ -1067,7 +1057,7 @@ mod tests {
         );
         // Short-circuited queries report no levels.
         let ground = [tp(iri("v0"), iri("p"), iri("v1"))];
-        let (sols, levels) = eval_bgp_wco_profiled(&g, &ground);
+        let (sols, levels) = profiled(&ground);
         assert_eq!(sols.len(), 1);
         assert!(levels.is_empty());
     }
