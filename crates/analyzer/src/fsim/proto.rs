@@ -1,7 +1,8 @@
 //! The durable-storage commit protocol as an executable model — the
-//! specification ROADMAP open item 1 must implement, verified here
-//! against every crash point *before* the real persistence code
-//! exists.
+//! specification the store's `persist` module implements, verified here
+//! against every crash point. It was written before that code; a
+//! protocol change (ROADMAP item 3(c)'s write-ahead log) is specified
+//! here first too.
 //!
 //! # On-disk layout (mirrors the store's base + delta segments)
 //!

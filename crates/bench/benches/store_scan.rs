@@ -2,7 +2,8 @@
 //! [`RdfGraph`]'s hash-indexed pattern matching vs [`EncodedGraph`]'s
 //! dictionary-encoded sorted-permutation ranges, on a ≥100k-triple
 //! workload graph, plus join throughput (hash bind join vs sorted-merge
-//! intersection). The workload mixes a uniform stream with type-like
+//! intersection, and the open-path BGP from query to printed rows). The
+//! workload mixes a uniform stream with type-like
 //! hub objects (every node carries a `type` triple into one of a few
 //! classes), so the pair-bound `(? p o)` sweep exercises both tiny
 //! object blocks and the hub fan-in where index choice actually
@@ -12,10 +13,11 @@
 //! writer.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::fmt::Write;
 use std::sync::OnceLock;
 use wdsparql_rdf::term::var;
-use wdsparql_rdf::{tp, Iri, RdfGraph, Term, Triple, TriplePattern, Variable};
-use wdsparql_store::EncodedGraph;
+use wdsparql_rdf::{tp, Iri, Mapping, RdfGraph, Term, Triple, TriplePattern, Variable};
+use wdsparql_store::{eval_bgp_pairwise, eval_bgp_with_strategy, EncodedGraph, JoinStrategy};
 use wdsparql_workloads::triple_stream;
 
 const NODES: usize = 20_000;
@@ -245,6 +247,32 @@ fn bench_join_throughput(c: &mut Criterion) {
                     .len();
             }
             black_box(n)
+        })
+    });
+    // The `bgp_join` open path `(?x p0 ?y)(?y p1 ?z)` end to end on the
+    // store: the pairwise stream's rows decoded to `Mapping`s, and every
+    // one printed into a reused buffer.
+    let path = [
+        tp(var("x"), Term::Iri(Iri::new("p0")), var("y")),
+        tp(var("y"), Term::Iri(Iri::new("p1")), var("z")),
+    ];
+    let sorted = |mut rows: Vec<Mapping>| {
+        rows.sort();
+        rows
+    };
+    assert_eq!(
+        sorted(eval_bgp_with_strategy(enc, &path, JoinStrategy::Pairwise)),
+        sorted(eval_bgp_pairwise(rdf, &path)),
+        "open-path rows disagree between backends"
+    );
+    let mut out = String::new();
+    group.bench_function("open_path_rows", |b| {
+        b.iter(|| {
+            out.clear();
+            for mu in eval_bgp_with_strategy(enc, black_box(&path), JoinStrategy::Pairwise) {
+                let _ = writeln!(out, "{mu}"); // infallible: fmt::Write on String
+            }
+            black_box(out.len())
         })
     });
     group.finish();

@@ -190,6 +190,12 @@ impl SolutionStream for Box<dyn SolutionStream + '_> {
     fn next(&mut self) -> Result<Option<Mapping>, ExecError> {
         self.as_mut().next()
     }
+
+    /// Forwarded, so a boxed stream drains through its own collector (one
+    /// dynamic call per collection), not through a dynamic `next` per row.
+    fn collect_limit(&mut self, limit: Option<usize>) -> Result<Vec<Mapping>, ExecError> {
+        self.as_mut().collect_limit(limit)
+    }
 }
 
 #[cfg(test)]

@@ -1,20 +1,100 @@
 //! Mappings: partial functions `µ : V → I` (Pérez et al. semantics).
 
 use crate::term::{spell_bindings, Iri, Variable};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// How many bindings [`Mapping`]'s `Display` spells per vocabulary read.
 const SPELL_CHUNK: usize = 8;
 
+/// How many bindings a [`Mapping`] holds without a heap allocation.
+const INLINE: usize = 6;
+
+type Pair = (Variable, Iri);
+
+/// What the unused inline slots hold. Never read: every accessor goes
+/// through [`Pairs::as_slice`].
+const FILLER: Pair = (Variable::from_raw(0), Iri::from_raw(0));
+
 /// A mapping `µ` — a partial function from variables to IRIs.
 ///
-/// Backed by a `BTreeMap` so iteration, display and equality are
-/// deterministic, which matters when mappings are collected into solution
-/// sets and compared across evaluation strategies.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// Held as its `(variable, IRI)` pairs sorted by variable: inline up to
+/// six pairs, on the heap beyond. A lookup is a binary search,
+/// [`Mapping::compatible`] and [`Mapping::union`] are merge walks, and
+/// cloning a small mapping is a copy. Order, equality and hashing are
+/// those of the sorted pair list — lexicographic, the same relations an
+/// ordered map from variables to IRIs gives — so iteration, display and
+/// comparison are deterministic, which matters when mappings are
+/// collected into solution sets and compared across evaluation
+/// strategies.
+#[derive(Clone, Default)]
 pub struct Mapping {
-    bindings: BTreeMap<Variable, Iri>,
+    bindings: Pairs,
+}
+
+/// A key-sorted pair list, with no variable twice.
+#[derive(Clone)]
+enum Pairs {
+    Inline { len: u8, pairs: [Pair; INLINE] },
+    Heap(Vec<Pair>),
+}
+
+impl Default for Pairs {
+    fn default() -> Pairs {
+        Pairs::Inline {
+            len: 0,
+            pairs: [FILLER; INLINE],
+        }
+    }
+}
+
+impl Pairs {
+    fn as_slice(&self) -> &[Pair] {
+        match self {
+            Pairs::Inline { len, pairs } => &pairs[..usize::from(*len)],
+            Pairs::Heap(pairs) => pairs,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Pair] {
+        match self {
+            Pairs::Inline { len, pairs } => &mut pairs[..usize::from(*len)],
+            Pairs::Heap(pairs) => pairs,
+        }
+    }
+
+    /// Inserts `pair` at index `at`, moving to the heap once the inline
+    /// slots are full. The caller keeps the list sorted.
+    fn insert(&mut self, at: usize, pair: Pair) {
+        match self {
+            Pairs::Inline { len, pairs } if usize::from(*len) < INLINE => {
+                pairs.copy_within(at..usize::from(*len), at + 1);
+                pairs[at] = pair;
+                *len += 1;
+            }
+            Pairs::Inline { pairs, .. } => {
+                let mut heap = Vec::with_capacity(2 * INLINE);
+                heap.extend_from_slice(&pairs[..at]);
+                heap.push(pair);
+                heap.extend_from_slice(&pairs[at..]);
+                *self = Pairs::Heap(heap);
+            }
+            Pairs::Heap(pairs) => pairs.insert(at, pair),
+        }
+    }
+
+    /// Appends a pair whose variable is greater than every one held.
+    fn push(&mut self, pair: Pair) {
+        debug_assert!(self.as_slice().last().is_none_or(|last| last.0 < pair.0));
+        match self {
+            Pairs::Inline { len, pairs } if usize::from(*len) < INLINE => {
+                pairs[usize::from(*len)] = pair;
+                *len += 1;
+            }
+            _ => self.insert(self.as_slice().len(), pair),
+        }
+    }
 }
 
 impl Mapping {
@@ -33,9 +113,23 @@ impl Mapping {
     {
         let mut m = Mapping::new();
         for (v, i) in pairs {
-            if let Some(prev) = m.bindings.insert(v, i) {
-                assert_eq!(prev, i, "conflicting binding for {v}");
+            match m.search(v) {
+                Ok(k) => assert_eq!(m.pairs()[k].1, i, "conflicting binding for {v}"),
+                Err(k) => m.bindings.insert(k, (v, i)),
             }
+        }
+        m
+    }
+
+    /// Builds a mapping from pairs already strictly ascending by
+    /// variable — no search per pair.
+    pub(crate) fn from_sorted<I>(pairs: I) -> Mapping
+    where
+        I: IntoIterator<Item = (Variable, Iri)>,
+    {
+        let mut m = Mapping::new();
+        for pair in pairs {
+            m.bindings.push(pair);
         }
         m
     }
@@ -52,56 +146,84 @@ impl Mapping {
         )
     }
 
+    fn pairs(&self) -> &[Pair] {
+        self.bindings.as_slice()
+    }
+
+    /// Where `v` is, or where it would go.
+    fn search(&self, v: Variable) -> Result<usize, usize> {
+        self.pairs().binary_search_by_key(&v, |&(u, _)| u)
+    }
+
     pub fn bind(&mut self, v: Variable, i: Iri) {
-        self.bindings.insert(v, i);
+        match self.search(v) {
+            Ok(k) => self.bindings.as_mut_slice()[k].1 = i,
+            Err(k) => self.bindings.insert(k, (v, i)),
+        }
     }
 
     pub fn get(&self, v: Variable) -> Option<Iri> {
-        self.bindings.get(&v).copied()
+        self.search(v).ok().map(|k| self.pairs()[k].1)
     }
 
     pub fn contains(&self, v: Variable) -> bool {
-        self.bindings.contains_key(&v)
+        self.search(v).is_ok()
     }
 
     /// `dom(µ)`.
     pub fn domain(&self) -> impl Iterator<Item = Variable> + '_ {
-        self.bindings.keys().copied()
+        self.pairs().iter().map(|&(v, _)| v)
     }
 
     pub fn len(&self) -> usize {
-        self.bindings.len()
+        self.pairs().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.bindings.is_empty()
+        self.pairs().is_empty()
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (Variable, Iri)> + '_ {
-        self.bindings.iter().map(|(&v, &i)| (v, i))
+        self.pairs().iter().copied()
     }
 
     /// Two mappings are *compatible* if they agree on every shared variable.
     pub fn compatible(&self, other: &Mapping) -> bool {
-        // Iterate over the smaller mapping.
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        small
-            .iter()
-            .all(|(v, i)| large.get(v).is_none_or(|j| j == i))
+        let (mut a, mut b) = (self.pairs(), other.pairs());
+        while let (Some(&(va, ia)), Some(&(vb, ib))) = (a.first(), b.first()) {
+            match va.cmp(&vb) {
+                Ordering::Less => a = &a[1..],
+                Ordering::Greater => b = &b[1..],
+                Ordering::Equal if ia != ib => return false,
+                Ordering::Equal => (a, b) = (&a[1..], &b[1..]),
+            }
+        }
+        true
     }
 
     /// `µ1 ∪ µ2` for compatible mappings; `None` if incompatible.
     pub fn union(&self, other: &Mapping) -> Option<Mapping> {
-        if !self.compatible(other) {
-            return None;
+        let (mut a, mut b) = (self.pairs(), other.pairs());
+        let mut out = Mapping::new();
+        while let (Some(&pa), Some(&pb)) = (a.first(), b.first()) {
+            match pa.0.cmp(&pb.0) {
+                Ordering::Less => {
+                    out.bindings.push(pa);
+                    a = &a[1..];
+                }
+                Ordering::Greater => {
+                    out.bindings.push(pb);
+                    b = &b[1..];
+                }
+                Ordering::Equal if pa.1 != pb.1 => return None,
+                Ordering::Equal => {
+                    out.bindings.push(pa);
+                    (a, b) = (&a[1..], &b[1..]);
+                }
+            }
         }
-        let mut out = self.clone();
-        for (v, i) in other.iter() {
-            out.bindings.insert(v, i);
+        for &pair in a.iter().chain(b) {
+            out.bindings.push(pair);
         }
         Some(out)
     }
@@ -119,20 +241,31 @@ impl Mapping {
         }
         out
     }
+}
 
-    /// True iff `dom(µ)` equals exactly the given variable set.
-    pub fn domain_is<I>(&self, vars: I) -> bool
-    where
-        I: IntoIterator<Item = Variable>,
-    {
-        let mut count = 0usize;
-        for v in vars {
-            if !self.contains(v) {
-                return false;
-            }
-            count += 1;
-        }
-        count == self.len()
+impl PartialEq for Mapping {
+    fn eq(&self, other: &Mapping) -> bool {
+        self.pairs() == other.pairs()
+    }
+}
+
+impl Eq for Mapping {}
+
+impl PartialOrd for Mapping {
+    fn partial_cmp(&self, other: &Mapping) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Mapping {
+    fn cmp(&self, other: &Mapping) -> Ordering {
+        self.pairs().cmp(other.pairs())
+    }
+}
+
+impl Hash for Mapping {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.pairs().hash(state);
     }
 }
 
@@ -220,9 +353,9 @@ mod tests {
         let m = Mapping::from_strs([("x", "a"), ("y", "b"), ("z", "c")]);
         let r = m.restrict([v("x"), v("z"), v("unbound")]);
         assert_eq!(r.len(), 2);
-        assert!(r.domain_is([v("x"), v("z")]));
-        assert!(!r.domain_is([v("x")]));
-        assert!(!r.domain_is([v("x"), v("z"), v("y")]));
+        let mut want = vec![v("x"), v("z")];
+        want.sort();
+        assert_eq!(r.domain().collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! Flat rows: solution tables in id space, for set-at-a-time evaluation.
 //!
-//! A [`Mapping`] is a heap `BTreeMap` — the right public type, and the
-//! wrong thing to clone, hash and union a hundred thousand times inside
-//! an evaluator. A [`RowTable`] holds the same information flat: one
-//! fixed, ascending variable schema per table and one [`Cell`] per
-//! variable per row in a single `Vec`, `None` standing for "unbound"
-//! (the outer-join null of an OPT whose right side did not extend).
-//! Copying a row is a `memcpy`, a join key is a slice, and nothing is
-//! decoded until [`RowTable::into_mappings`] at the boundary.
+//! A [`Mapping`] is the right public type: one sorted list of its own
+//! `(variable, IRI)` pairs. Inside an evaluator that touches a hundred
+//! thousand rows, repeating the variables in every row is waste, and so
+//! is looking a variable up by search. A [`RowTable`] holds the rows
+//! flat instead: one fixed, ascending variable schema per table and one
+//! [`Cell`] per variable per row in a single `Vec`, `None` standing for
+//! "unbound" (the outer-join null of an OPT whose right side did not
+//! extend). Copying a row is a `memcpy`, a join key is a slice, and a
+//! variable is a column number fixed once per query. Nothing is decoded
+//! until [`RowTable::mapping`] / [`RowTable::into_mappings`] at the
+//! boundary, which read the schema in order — already the mapping's own
+//! pair order — so building a `Mapping` searches for nothing. The store's
+//! BGP streams keep their one current row in a table like this too.
 //!
 //! The table carries the three relational moves a set-at-a-time
 //! evaluator is made of, and nothing evaluator-specific:
@@ -311,13 +316,15 @@ impl RowTable {
         self.len = order.len();
     }
 
-    /// Row `i` as the mapping it stands for: its bound columns.
+    /// Row `i` as the mapping it stands for: its bound columns, taken in
+    /// schema order, which is already the mapping's pair order.
     pub fn mapping(&self, i: usize) -> Mapping {
-        self.vars
-            .iter()
-            .zip(self.row(i))
-            .filter_map(|(&v, &cell)| Some((v, cell?)))
-            .collect()
+        Mapping::from_sorted(
+            self.vars
+                .iter()
+                .zip(self.row(i))
+                .filter_map(|(&v, &cell)| Some((v, cell?))),
+        )
     }
 
     /// Decodes every row, in row order — the one place flat rows become

@@ -114,7 +114,7 @@ impl Iri {
     /// Rebuilds an [`Iri`] from an id previously obtained via
     /// [`Iri::id`]. Crate-internal: only ids that came out of the
     /// interner are valid.
-    pub(crate) fn from_raw(id: u32) -> Iri {
+    pub(crate) const fn from_raw(id: u32) -> Iri {
         Iri(id)
     }
 }
@@ -185,6 +185,12 @@ impl Variable {
     /// The raw interned id.
     pub fn id(self) -> u32 {
         self.0
+    }
+
+    /// As [`Iri::from_raw`]: only ids that came out of the interner are
+    /// valid.
+    pub(crate) const fn from_raw(id: u32) -> Variable {
+        Variable(id)
     }
 }
 

@@ -25,7 +25,8 @@
 //! `match_pattern` scan.
 
 use wdsparql_rdf::{
-    binding_of, ExecError, Mapping, QueryBudget, SolutionStream, Triple, TripleIndex, TriplePattern,
+    ExecError, Iri, Mapping, QueryBudget, RowTable, SolutionStream, Term, Triple, TripleIndex,
+    TriplePattern, Variable,
 };
 
 /// Per-step counters of one pairwise run, reported by a profiled
@@ -43,12 +44,23 @@ pub struct PairwiseStepStats {
     pub rows: u64,
 }
 
-/// One suspended bind-join level of a depth-first pairwise walk: the
-/// parent row, the pattern bound under it, and the cursor into its
-/// matches.
+/// One position of a plan step's pattern, resolved against the stream's
+/// schema once per query.
+#[derive(Clone, Copy)]
+enum Slot {
+    Const(Iri),
+    /// A variable this step binds: free in the probe, and each match
+    /// writes it into this column (a repeated variable twice, with the
+    /// one value the match gives both positions).
+    Bind(usize, Variable),
+    /// A variable an earlier step bound: the probe reads this column.
+    Read(usize, Variable),
+}
+
+/// One suspended level of a depth-first pairwise walk: the matches of
+/// its step's pattern bound under the row above, and the cursor into
+/// them.
 struct LevelState {
-    parent: Mapping,
-    bound: TriplePattern,
     matches: Vec<Triple>,
     pos: usize,
 }
@@ -58,16 +70,23 @@ struct LevelState {
 /// [`SolutionStream::next`] pull advances to the next full row and
 /// suspends; the seed scan itself is deferred to the first pull, so a
 /// zero deadline fails before any index work happens.
+///
+/// The walk fills one row over the BGP's variables in ascending order: a
+/// match writes only the cells its step binds, a step's pattern is bound
+/// from the cells of the steps before it, and a full row is decoded to
+/// a [`Mapping`] by [`RowTable::mapping`].
 pub struct PairwiseStream<'a> {
     ix: &'a dyn TripleIndex,
     patterns: &'a [TriplePattern],
     order: Vec<usize>,
-    /// The pruned seed rows; `None` until the first pull computes them.
-    seed: Option<Vec<Mapping>>,
-    seed_pos: usize,
-    /// `levels[s - 1]` is the suspended state of plan step `s`.
+    /// `steps[s]` is plan step `s`'s pattern, resolved.
+    steps: Vec<[Slot; 3]>,
+    /// The one row the walk fills.
+    row: RowTable,
+    /// `levels[s]` is the suspended state of plan step `s`, the pruned
+    /// seed at 0; empty until the first pull scans the seed.
     levels: Vec<LevelState>,
-    /// The plan step the walk is currently at (0 = pulling seed rows).
+    /// The plan step the walk is currently at.
     step: usize,
     done: bool,
     /// The single empty-mapping solution of an empty BGP.
@@ -99,12 +118,20 @@ impl<'a> PairwiseStream<'a> {
                 })
                 .collect()
         });
+        let mut schema: Vec<Variable> = Vec::with_capacity(3 * patterns.len());
+        schema.extend(patterns.iter().flat_map(|p| p.var_occurrences()));
+        schema.sort_unstable();
+        schema.dedup();
+        let mut row = RowTable::new(schema);
+        // The one row the stream fills, all unbound.
+        row.push_spread(&[], &[]);
+        let steps = resolve_steps(patterns, &order, row.vars());
         PairwiseStream {
             ix,
             patterns,
             order,
-            seed: None,
-            seed_pos: 0,
+            steps,
+            row,
             levels: Vec::new(),
             step: 0,
             done: false,
@@ -122,54 +149,52 @@ impl<'a> PairwiseStream<'a> {
         self.stats.clone().unwrap_or_default()
     }
 
-    /// Computes the seed rows: the most selective pattern's solutions,
-    /// semi-join pruned against the second pattern's candidate values
-    /// on their first shared variable (the first pattern's side is
-    /// already in hand, so only the second's sorted values are
-    /// scanned).
-    fn compute_seed(&mut self) {
+    /// Scans the seed: the most selective pattern's matches, semi-join
+    /// pruned against the second pattern's candidate values on their
+    /// first shared variable (the first pattern's side is already in
+    /// hand, so only the second's sorted values are scanned).
+    fn seed(&mut self) -> Vec<Triple> {
         let first = &self.patterns[self.order[0]];
-        let mut sols = self.ix.solutions(first);
+        let mut matches = self.ix.match_pattern(first);
         if let Some(&second) = self.order.get(1) {
-            let shared = first
-                .vars()
-                .intersection(&self.patterns[second].vars())
-                .copied()
-                .next();
-            if let Some(v) = shared {
-                if let Some(vals) = self.ix.candidate_values(&self.patterns[second], v) {
-                    sols.retain(|mu| {
-                        mu.get(v)
-                            .is_some_and(|val| vals.binary_search(&val).is_ok())
-                    });
+            let second = &self.patterns[second];
+            let shared = (first.positions().into_iter().enumerate())
+                .filter_map(|(pos, t)| Some((t.as_var()?, pos)))
+                .filter(|&(v, _)| second.var_occurrences().any(|u| u == v))
+                .min();
+            if let Some((v, pos)) = shared {
+                if let Some(vals) = self.ix.candidate_values(second, v) {
+                    matches.retain(|t| vals.binary_search(&t.terms()[pos]).is_ok());
                 }
             }
         }
         if let Some(s) = self.stats.as_deref_mut() {
             s[0].scans = 1;
-            s[0].rows = sols.len() as u64;
+            s[0].rows = matches.len() as u64;
         }
-        self.seed = Some(sols);
+        matches
     }
 
-    /// Suspends plan step `s` under parent row `mu`: binds the step's
-    /// pattern and scans its matches (one index probe).
-    fn open(&mut self, s: usize, mu: Mapping) {
-        let bound = self.patterns[self.order[s]].apply_partial(&mu);
-        let matches = self.ix.match_pattern(&bound);
+    /// Suspends plan step `s` under the current row: binds the step's
+    /// pattern from the row's cells and scans its matches (one index
+    /// probe).
+    fn open(&mut self, s: usize) {
+        let cells = self.row.row(0);
+        let [ps, pp, po] = self.steps[s].map(|slot| match slot {
+            Slot::Const(i) => Term::Iri(i),
+            Slot::Bind(_, v) => Term::Var(v),
+            // An earlier step on this path always wrote the cell.
+            Slot::Read(col, v) => cells[col].map_or(Term::Var(v), Term::Iri),
+        });
+        let matches = self.ix.match_pattern(&TriplePattern::new(ps, pp, po));
         if let Some(stats) = self.stats.as_deref_mut() {
             stats[s].scans += 1;
         }
-        let state = LevelState {
-            parent: mu,
-            bound,
-            matches,
-            pos: 0,
-        };
-        if let Some(slot) = self.levels.get_mut(s - 1) {
+        let state = LevelState { matches, pos: 0 };
+        if let Some(slot) = self.levels.get_mut(s) {
             *slot = state;
         } else {
-            debug_assert_eq!(self.levels.len(), s - 1);
+            debug_assert_eq!(self.levels.len(), s);
             self.levels.push(state);
         }
         self.step = s;
@@ -186,56 +211,67 @@ impl<'a> PairwiseStream<'a> {
         }
         loop {
             self.budget.check()?;
-            if self.seed.is_none() {
-                self.compute_seed();
+            if self.levels.is_empty() {
+                let matches = self.seed();
+                self.levels.push(LevelState { matches, pos: 0 });
             }
-            if self.step == 0 {
-                // analyzer-allow: no-unwrap-in-service compute_seed just
-                // above fills the slot on the first pull.
-                let seed = self.seed.as_ref().expect("seed computed above");
-                if self.seed_pos >= seed.len() {
+            let level = &mut self.levels[self.step];
+            let Some(&t) = level.matches.get(level.pos) else {
+                // This level's matches are spent: resume the parent step,
+                // or finish once the seed is.
+                if self.step == 0 {
                     self.done = true;
                     return Ok(None);
                 }
-                let mu = seed[self.seed_pos].clone();
-                self.seed_pos += 1;
-                if self.order.len() == 1 {
-                    return Ok(Some(mu));
-                }
-                self.open(1, mu);
-            } else {
-                let ls = &mut self.levels[self.step - 1];
-                if ls.pos < ls.matches.len() {
-                    let t = ls.matches[ls.pos];
-                    ls.pos += 1;
-                    // analyzer-allow: no-unwrap-in-service match_pattern
-                    // yields exactly the triples the bound pattern
-                    // matches, so a binding always exists; a None here is
-                    // index corruption.
-                    let nu = binding_of(&ls.bound, &t)
-                        .expect("match_pattern returns only matching triples");
-                    // analyzer-allow: no-unwrap-in-service nu binds only
-                    // the pattern's free variables, which are disjoint
-                    // from the parent's by construction of apply_partial.
-                    let merged = ls
-                        .parent
-                        .union(&nu)
-                        .expect("bound pattern cannot rebind branch variables");
-                    if let Some(stats) = self.stats.as_deref_mut() {
-                        stats[self.step].rows += 1;
-                    }
-                    if self.step + 1 == self.order.len() {
-                        return Ok(Some(merged));
-                    }
-                    self.open(self.step + 1, merged);
-                } else {
-                    // This level's matches are spent: resume the parent
-                    // step (back to the seed at step 0).
-                    self.step -= 1;
+                self.step -= 1;
+                continue;
+            };
+            level.pos += 1;
+            let cells = self.row.row_mut(0);
+            for (slot, value) in self.steps[self.step].iter().zip(t.terms()) {
+                if let Slot::Bind(col, _) = *slot {
+                    cells[col] = Some(value);
                 }
             }
+            if self.step > 0 {
+                if let Some(stats) = self.stats.as_deref_mut() {
+                    stats[self.step].rows += 1;
+                }
+            }
+            if self.step + 1 == self.steps.len() {
+                return Ok(Some(self.row.mapping(0)));
+            }
+            self.open(self.step + 1);
         }
     }
+}
+
+/// Resolves each plan step's pattern against `schema` (ascending): a
+/// variable is read from its column if an earlier step binds it, and
+/// bound by this step otherwise.
+fn resolve_steps(
+    patterns: &[TriplePattern],
+    order: &[usize],
+    schema: &[Variable],
+) -> Vec<[Slot; 3]> {
+    let mut steps: Vec<[Slot; 3]> = Vec::with_capacity(order.len());
+    for &i in order {
+        let slots = patterns[i].positions().map(|term| match term {
+            Term::Iri(c) => Slot::Const(c),
+            Term::Var(v) => {
+                let col = schema.partition_point(|&u| u < v);
+                let earlier = (steps.iter().flatten())
+                    .any(|slot| matches!(*slot, Slot::Bind(c, _) if c == col));
+                if earlier {
+                    Slot::Read(col, v)
+                } else {
+                    Slot::Bind(col, v)
+                }
+            }
+        });
+        steps.push(slots);
+    }
+    steps
 }
 
 impl SolutionStream for PairwiseStream<'_> {

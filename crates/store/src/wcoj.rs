@@ -46,7 +46,7 @@ use crate::segment::{Perm, Row};
 use std::collections::BTreeSet;
 use std::fmt;
 use wdsparql_rdf::{
-    gallop, ExecError, Iri, Mapping, MaterializedTrie, QueryBudget, SolutionStream, Term,
+    gallop, ExecError, Iri, Mapping, MaterializedTrie, QueryBudget, RowTable, SolutionStream, Term,
     TrieCursor, TrieOpStats, TripleIndex, TriplePattern, Variable,
 };
 
@@ -327,11 +327,16 @@ enum WcoMode {
 /// Checkpoints: the per-level loop and the leapfrog search both call
 /// [`QueryBudget::check`] every iteration, so a deadline or
 /// cancellation is noticed within one seek/gallop step.
+///
+/// Bindings live in one row over the variables in ascending order, not
+/// in join order: level `l` writes column `column_of[l]`, and a full
+/// binding is decoded by [`RowTable::mapping`].
 pub struct WcoStream<'a> {
     cursors: Vec<Box<dyn TrieCursor + 'a>>,
     by_var: Vec<Vec<usize>>,
     order: Vec<Variable>,
-    binding: Vec<Option<Iri>>,
+    column_of: Vec<usize>,
+    row: RowTable,
     level: usize,
     mode: WcoMode,
     done: bool,
@@ -380,13 +385,22 @@ impl<'a> WcoStream<'a> {
             }
             cursors.push(ix.trie_cursor(pat, &vs));
         }
-        let binding = vec![None; order.len()];
+        let mut schema = order.clone();
+        schema.sort();
+        let column_of = order
+            .iter()
+            .map(|&v| schema.partition_point(|&u| u < v))
+            .collect();
+        let mut row = RowTable::new(schema);
+        // The one row the stream fills, all unbound.
+        row.push_spread(&[], &[]);
         let stats = profiled.then(|| vec![WcoLevelStats::default(); order.len()]);
         WcoStream {
             cursors,
             by_var,
             order,
-            binding,
+            column_of,
+            row,
             level: 0,
             mode: WcoMode::Open,
             done: false,
@@ -403,7 +417,8 @@ impl<'a> WcoStream<'a> {
             cursors: Vec::new(),
             by_var: Vec::new(),
             order: Vec::new(),
-            binding: Vec::new(),
+            column_of: Vec::new(),
+            row: RowTable::new(Vec::new()),
             level: 0,
             mode: WcoMode::Open,
             done: pending.is_none(),
@@ -421,15 +436,6 @@ impl<'a> WcoStream<'a> {
             Some(s) => self.order.iter().copied().zip(s.iter().copied()).collect(),
             None => Vec::new(),
         }
-    }
-
-    fn emit(&self) -> Mapping {
-        Mapping::from_pairs(
-            self.order
-                .iter()
-                .zip(self.binding.iter())
-                .map(|(&v, b)| (v, b.expect("every level bound before emitting"))),
-        )
     }
 
     /// Resumes the flattened recursion until the next solution, the end
@@ -477,7 +483,6 @@ impl<'a> WcoStream<'a> {
                             // This level is exhausted: restore its
                             // cursors to their parent state and resume
                             // one level up (or finish at the root).
-                            self.binding[self.level] = None;
                             for &c in &self.by_var[self.level] {
                                 self.cursors[c].up();
                             }
@@ -490,12 +495,13 @@ impl<'a> WcoStream<'a> {
                         }
                         Some(_) => {
                             let probe = self.by_var[self.level][0];
-                            self.binding[self.level] = Some(self.cursors[probe].value());
+                            self.row.row_mut(0)[self.column_of[self.level]] =
+                                Some(self.cursors[probe].value());
                             if self.level + 1 == self.order.len() {
                                 // A full binding: emit it and resume by
                                 // advancing past this deepest key.
                                 self.mode = WcoMode::Advance;
-                                return Ok(Some(self.emit()));
+                                return Ok(Some(self.row.mapping(0)));
                             }
                             self.level += 1;
                             self.mode = WcoMode::Open;
