@@ -106,6 +106,12 @@ fn tokenize(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
                 while j < bytes.len() && is_word_byte(bytes[j]) {
                     j += 1;
                 }
+                if j == start {
+                    return Err(ParseError {
+                        offset: i,
+                        message: format!("unexpected character '{}'", b as char),
+                    });
+                }
                 let word = &input[start..j];
                 let tok = match word.to_ascii_uppercase().as_str() {
                     "AND" => Tok::And,
@@ -321,6 +327,15 @@ mod tests {
     fn unterminated_iri_is_an_error() {
         let e = parse_pattern("(?x, <p, ?y)").unwrap_err();
         assert!(e.message.contains("unterminated"));
+    }
+
+    /// `>` is neither a word byte nor a token of its own: it used to lex
+    /// as an empty word forever, without advancing.
+    #[test]
+    fn stray_closing_angle_is_a_positioned_error() {
+        let e = parse_pattern("(?x, p, >)").unwrap_err();
+        assert_eq!(e.offset, 8, "{e}");
+        assert!(e.message.contains("unexpected character '>'"), "{e}");
     }
 
     #[test]

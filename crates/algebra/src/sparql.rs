@@ -170,6 +170,12 @@ fn tokenize(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
                 while j < bytes.len() && is_word(bytes[j]) {
                     j += 1;
                 }
+                if j == start {
+                    return Err(err(
+                        i,
+                        format!("unexpected character '{}'", bytes[i] as char),
+                    ));
+                }
                 let word = &input[start..j];
                 let tok = match word.to_ascii_uppercase().as_str() {
                     "SELECT" => Tok::Select,
@@ -661,6 +667,16 @@ mod tests {
         assert!(parse_sparql_select("SELECT ?x { ?x p ?y }").is_err());
         // Projection is accepted by parse_sparql (and dropped).
         assert!(parse_sparql("SELECT ?x WHERE { ?x p ?y }").is_ok());
+    }
+
+    /// `>` is neither a word byte nor a token of its own: it used to lex
+    /// as an empty word forever, without advancing.
+    #[test]
+    fn stray_closing_angle_is_a_positioned_error() {
+        let e = parse_sparql("SELECT * WHERE { ?x p > }").unwrap_err();
+        assert_eq!(e.offset, 22, "{e}");
+        assert!(e.message.contains("unexpected character '>'"), "{e}");
+        assert_eq!(parse_sparql("{ > }").unwrap_err().offset, 2);
     }
 
     #[test]

@@ -475,17 +475,6 @@ impl SimFs {
         }
         (out, exhausted)
     }
-
-    /// `(name, bytes)` for every reachable file — test/debug helper for
-    /// comparing recovered states.
-    pub fn dump(&self) -> Vec<(String, Vec<u8>)> {
-        let inner = self.inner.lock_clean();
-        inner
-            .dir_live
-            .iter()
-            .map(|(n, &fid)| (n.clone(), inner.files[fid].live.clone()))
-            .collect()
-    }
 }
 
 /// The live page `p` of `buf`, zero-padded to `ps` bytes (holes past

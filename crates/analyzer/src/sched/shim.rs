@@ -2,7 +2,7 @@
 //! `Mutex`/`RwLock` (vendored parking_lot API: no poisoning, guards
 //! from `lock()`/`read()`/`write()` directly), `AtomicU64`, `OnceLock`,
 //! and `spawn`/`JoinHandle`. Each visible operation calls back into the
-//! run's [`Controller`] at a yield point, so the explorer owns every
+//! run's `Controller` at a yield point, so the explorer owns every
 //! interleaving decision.
 //!
 //! Two deliberate approximations, documented for model authors:

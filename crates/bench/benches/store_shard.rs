@@ -19,8 +19,8 @@
 //! Before anything is timed, the sharded layouts are asserted to answer
 //! every check query identically to the single store. Read-side
 //! scatter-gather overhead is reported separately (`query_routed`,
-//! `query_fanout` — routed reads touch one shard; fan-outs pay a k-way
-//! merge). Medians merge into the workspace-root `BENCH_store.json`
+//! `query_fanout` — routed reads touch one shard; fan-outs gather every
+//! shard). Medians merge into the workspace-root `BENCH_store.json`
 //! (shared with the other store targets).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -182,7 +182,7 @@ fn bench_sharded_writes(c: &mut Criterion) {
     }
 
     // Read-side scatter-gather overhead, on fully-built stores: routed
-    // point reads (one shard) and a predicate fan-out (k-way merge),
+    // point reads (one shard) and a predicate fan-out (every shard),
     // measured on snapshots so the facade cache stays out of the way.
     let single = TripleStore::new();
     for batch in batches() {

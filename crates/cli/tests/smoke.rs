@@ -194,6 +194,17 @@ fn malformed_query_fails_cleanly() {
     assert!(!out.status.success(), "parse error must fail");
 }
 
+/// A stray `>` once sent the tokenizer into an endless loop that pushed
+/// empty tokens until memory ran out; now it is a positioned parse error.
+#[test]
+fn stray_closing_angle_is_a_parse_error() {
+    let out = wdsparql(&["analyze", "(?x, p, >)"]);
+    let errors = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr: {errors}");
+    assert!(errors.contains("error:"), "stderr: {errors}");
+    assert!(errors.contains("at byte 8"), "stderr: {errors}");
+}
+
 #[test]
 fn store_reports_stats_and_serves_queries() {
     let data = fixture_nt("store");

@@ -42,7 +42,7 @@
 //!
 //! A step scans when the pattern joins on nothing (probing would repeat
 //! one scan per row), or when `candidate_count` of the free pattern is at
-//! most [`SCAN_PER_ROW`] times the number of rows: a probe costs about as
+//! most `SCAN_PER_ROW` times the number of rows: a probe costs about as
 //! much as reading that many matches of a scan. Both numbers are in hand
 //! (the count ordered the patterns), and the count is what bounds the
 //! scan — a scan is always of *one* pattern, whose size the index

@@ -292,15 +292,6 @@ pub fn find_hom_into_graph(
     out
 }
 
-/// `(S, X) →µ G`?
-pub fn maps_into_graph(src: &GenTGraph, g: &dyn TripleIndex, mu: &Mapping) -> bool {
-    debug_assert!(
-        src.x.iter().all(|&v| mu.contains(v)),
-        "µ must be defined on X"
-    );
-    find_hom_into_graph(src, g, mu).is_some()
-}
-
 /// Enumerates every homomorphism from the t-graph `src` into `g` that
 /// extends `fixed` (restricted to variables of `src`). `cb` returns `true`
 /// to continue; the function returns `false` iff the callback aborted.

@@ -57,27 +57,6 @@ impl BitSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    pub fn union_with(&mut self, other: &BitSet) {
-        if self.words.len() < other.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        for (i, a) in self.words.iter_mut().enumerate() {
-            *a &= other.words.get(i).copied().unwrap_or(0);
-        }
-    }
-
-    pub fn difference_with(&mut self, other: &BitSet) {
-        for (i, a) in self.words.iter_mut().enumerate() {
-            *a &= !other.words.get(i).copied().unwrap_or(0);
-        }
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut w = w;
@@ -298,21 +277,6 @@ mod tests {
         s.remove(3);
         assert!(!s.contains(3));
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn bitset_set_ops() {
-        let a: BitSet = [1, 2, 3].into_iter().collect();
-        let b: BitSet = [2, 3, 4].into_iter().collect();
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 3]);
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

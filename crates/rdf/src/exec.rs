@@ -21,7 +21,7 @@
 //! [`QueryBudget::check`] once per iteration (the store's analyzer
 //! enforces this as the `budget-checkpoint` lint). `check` is engineered
 //! to be nearly free: cancellation is one relaxed atomic load, and the
-//! clock is consulted only every [`CHECK_MASK`]+1 calls — except the
+//! clock is consulted only every `CHECK_MASK`+1 calls — except the
 //! very first, so a zero deadline fails before any work happens.
 
 use std::fmt;
@@ -137,7 +137,7 @@ impl QueryBudget {
     }
 
     /// The checkpoint: cancellation every call, the clock every
-    /// [`CHECK_MASK`]+1 calls (and always on the first, so a zero
+    /// `CHECK_MASK`+1 calls (and always on the first, so a zero
     /// deadline fails before any work). Evaluation loops call this once
     /// per iteration — see the module docs for the placement rule.
     #[inline]

@@ -211,32 +211,6 @@ impl RdfGraph {
                 .collect(),
         }
     }
-
-    /// The solutions of a single triple pattern: `⟦t⟧_G = {µ | dom(µ) =
-    /// vars(t) and µ(t) ∈ G}` (Pérez et al., rule 1).
-    pub fn solutions(&self, pat: &TriplePattern) -> Vec<Mapping> {
-        self.match_pattern(pat)
-            .into_iter()
-            .filter_map(|t| binding_of(pat, &t))
-            .collect()
-    }
-
-    /// All distinct subject/object IRIs connected by predicate `p`, as raw
-    /// edges — convenient for building adversarial graph families.
-    pub fn edges_with_predicate(&self, p: Iri) -> Vec<(Iri, Iri)> {
-        self.index()
-            .by_p
-            .get(&p)
-            .map(|list| {
-                list.iter()
-                    .map(|&i| {
-                        let t = self.triples[i as usize];
-                        (t.s, t.o)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
 }
 
 enum AccessPath<'g> {
@@ -305,6 +279,7 @@ impl Extend<Triple> for RdfGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::TripleIndex;
     use crate::term::{iri, var, Variable};
     use crate::triple::tp;
 
@@ -400,19 +375,5 @@ mod tests {
         let g1 = RdfGraph::from_strs([("a", "p", "b"), ("b", "p", "c")]);
         let g2 = RdfGraph::from_strs([("b", "p", "c"), ("a", "p", "b")]);
         assert_eq!(g1, g2);
-    }
-
-    #[test]
-    fn edges_with_predicate_projects_pairs() {
-        let g = sample();
-        let mut qs = g.edges_with_predicate(Iri::new("q"));
-        qs.sort();
-        assert_eq!(
-            qs,
-            vec![
-                (Iri::new("b"), Iri::new("a")),
-                (Iri::new("c"), Iri::new("a"))
-            ]
-        );
     }
 }

@@ -52,7 +52,9 @@ pub trait TripleIndex {
     fn match_pattern(&self, pat: &TriplePattern) -> Vec<Triple>;
 
     /// The solutions of a single triple pattern: `⟦t⟧_G = {µ | dom(µ) =
-    /// vars(t) and µ(t) ∈ G}` (Pérez et al., rule 1).
+    /// vars(t) and µ(t) ∈ G}` (Pérez et al., rule 1) — the one definition
+    /// in the workspace: every backend serves it from its
+    /// [`match_pattern`](TripleIndex::match_pattern).
     fn solutions(&self, pat: &TriplePattern) -> Vec<Mapping> {
         self.match_pattern(pat)
             .into_iter()
@@ -80,7 +82,8 @@ pub trait TripleIndex {
     ///
     /// Keys ascend in a total order that is consistent across every
     /// cursor this index produces, but is otherwise backend-private (the
-    /// default uses [`Iri`] interner ids; `wdsparql-store` serves its
+    /// default materialises [`match_pattern`](TripleIndex::match_pattern)
+    /// with [`Iri`] interner ids as keys; `wdsparql-store` serves its
     /// dictionary ids straight off the sorted permutation arrays).
     /// [`TrieCursor::value`] decodes keys when bindings are emitted.
     fn trie_cursor<'a>(
@@ -88,7 +91,13 @@ pub trait TripleIndex {
         pat: &TriplePattern,
         vars: &[Variable],
     ) -> Box<dyn TrieCursor + 'a> {
-        Box::new(MaterializedTrie::from_solutions(&self.solutions(pat), vars))
+        let rows = self
+            .match_pattern(pat)
+            .into_iter()
+            .map(|t| [t.s, t.p, t.o].map(|i| u64::from(i.id())));
+        Box::new(MaterializedTrie::from_matches(pat, rows, vars, |k| {
+            Iri::from_raw(u32::try_from(k).expect("interner ids fit u32"))
+        }))
     }
 }
 
@@ -119,10 +128,6 @@ impl TripleIndex for RdfGraph {
 
     fn match_pattern(&self, pat: &TriplePattern) -> Vec<Triple> {
         RdfGraph::match_pattern(self, pat)
-    }
-
-    fn solutions(&self, pat: &TriplePattern) -> Vec<Mapping> {
-        RdfGraph::solutions(self, pat)
     }
 }
 

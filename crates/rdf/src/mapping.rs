@@ -272,7 +272,7 @@ impl Hash for Mapping {
 impl fmt::Display for Mapping {
     /// `{?x → a, ?y → b}`. The spellings are read from the vocabulary a
     /// chunk of bindings at a time — one lock round trip per mapping of
-    /// up to [`SPELL_CHUNK`] bindings, not two per binding — and written
+    /// up to `SPELL_CHUNK` bindings, not two per binding — and written
     /// after the lock is released.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("{")?;

@@ -16,12 +16,12 @@
 //! order; joins never compare keys across backends. [`TrieCursor::value`]
 //! decodes the current key back to its [`Iri`] when a binding is
 //! emitted. The default backend implementation is [`MaterializedTrie`]:
-//! the pattern's solutions projected onto the variable order, sorted and
-//! deduplicated, with interner ids as keys.
+//! the pattern's matching triples, as `(s, p, o)` key rows projected onto
+//! the variable order, sorted and deduplicated — with interner ids as
+//! keys by default, with dictionary ids on `wdsparql-store`'s fallback.
 
-use crate::mapping::Mapping;
-use crate::term::Iri;
-use crate::term::Variable;
+use crate::term::{Iri, Term, Variable};
+use crate::triple::TriplePattern;
 
 /// Cumulative operation counters a [`TrieCursor`] may expose for query
 /// profiling: how many `seek`s it served and an estimate of the
@@ -139,9 +139,38 @@ pub struct MaterializedTrie<'a> {
 }
 
 impl<'a> MaterializedTrie<'a> {
+    /// Builds the trie of `pat`'s matches: `rows` are the matching
+    /// triples as `(s, p, o)` keys, projected onto `vars` (which must
+    /// list `vars(pat)` exactly, in the desired order) — a repeated
+    /// variable reads its first position, so the rows must already
+    /// honour the pattern's repeats. `decode` maps a key back to its
+    /// [`Iri`]; the keys' order is the cursor's.
+    pub fn from_matches(
+        pat: &TriplePattern,
+        rows: impl IntoIterator<Item = [u64; 3]>,
+        vars: &[Variable],
+        decode: impl Fn(u64) -> Iri + 'a,
+    ) -> MaterializedTrie<'a> {
+        let positions = pat.positions();
+        let at: Vec<usize> = vars
+            .iter()
+            .map(|&v| {
+                positions
+                    .iter()
+                    .position(|&t| t == Term::Var(v))
+                    .expect("projected variables occur in the pattern")
+            })
+            .collect();
+        let rows = rows
+            .into_iter()
+            .map(|row| std::array::from_fn(|i| at.get(i).map_or(0, |&p| row[p])))
+            .collect();
+        MaterializedTrie::from_rows(rows, vars.len(), decode)
+    }
+
     /// Builds a trie from raw projected rows (positions `depth..` are
     /// padding). Sorts and deduplicates.
-    pub fn from_rows(
+    fn from_rows(
         mut rows: Vec<[u64; 3]>,
         depth: usize,
         decode: impl Fn(u64) -> Iri + 'a,
@@ -158,30 +187,6 @@ impl<'a> MaterializedTrie<'a> {
             stack: Vec::new(),
             stats: TrieOpStats::default(),
         }
-    }
-
-    /// Builds the trie of a pattern's solution mappings projected onto
-    /// `vars` (which must list `vars(pat)` exactly, in the desired
-    /// order). Keys are [`Iri`] interner ids, so every cursor built this
-    /// way — over any backend — shares one key order.
-    pub fn from_solutions(sols: &[Mapping], vars: &[Variable]) -> MaterializedTrie<'static> {
-        let rows = sols
-            .iter()
-            .map(|mu| {
-                let mut row = [0u64; 3];
-                for (i, &v) in vars.iter().enumerate() {
-                    row[i] = u64::from(
-                        mu.get(v)
-                            .expect("solution mappings bind every pattern variable")
-                            .id(),
-                    );
-                }
-                row
-            })
-            .collect();
-        MaterializedTrie::from_rows(rows, vars.len(), |k| {
-            Iri::from_raw(u32::try_from(k).expect("interner ids fit u32"))
-        })
     }
 
     /// Current level, `None` at the virtual root.

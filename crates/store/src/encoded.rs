@@ -15,7 +15,7 @@
 //! so each base permutation carries an offset array indexed by leading
 //! term id, and a bound *first* component resolves to its contiguous row
 //! range in O(1). Writes are **log-structured**: `insert_batch` appends
-//! one small sorted [`Segment`] per call instead of rewriting the base;
+//! one small sorted `Segment` per call instead of rewriting the base;
 //! reads merge base + segments behind the same bounded-prefix narrowing
 //! (segments are tiny, so their leading ranges come from binary search
 //! instead of offsets). [`EncodedGraph::compact`] folds the segments
@@ -30,7 +30,7 @@ use crate::segment::{
     check_capacity, merge_many, merge_sorted, offsets, scatter_by, MergedRows, Perm, Row, Segment,
 };
 pub use crate::segment::{CapacityError, MAX_TRIPLES};
-use wdsparql_rdf::{binding_of, Iri, Mapping, RdfGraph, Term, Triple, TripleIndex, TriplePattern};
+use wdsparql_rdf::{Iri, RdfGraph, Term, Triple, TripleIndex, TriplePattern};
 
 /// Segment-count bound of the fold rule: every scan binary-searches each
 /// pending segment, so [`EncodedGraph::insert_batch`] folds them back
@@ -90,21 +90,47 @@ impl<'a> PatternRuns<'a> {
 }
 
 /// The resolution of a pattern against the indexes: the permutation
-/// whose sorted prefix covers the bound positions, and the narrowed
-/// runs. `residual` is `None` on every shape but one — the `(s ? o)`
-/// hybrid, where a tiny subject block is scanned with the object as a
-/// per-row filter instead of binary-searching a hub object's block.
+/// whose sorted prefix covers the bound positions, the narrowed runs,
+/// and the per-row tests the runs cannot express. `residual` is `None`
+/// on every shape but one — the `(s ? o)` hybrid, where a tiny subject
+/// block is scanned with the object as a per-row filter instead of
+/// binary-searching a hub object's block; `eqs` is empty unless the
+/// pattern repeats a variable.
 struct Scan<'a> {
     perm: Perm,
     runs: PatternRuns<'a>,
     /// At most one `(row position, required id)` filter.
     residual: Option<(usize, TermId)>,
+    /// Row-position pairs that must hold equal ids.
+    eqs: Vec<(usize, usize)>,
 }
 
 impl Scan<'_> {
+    /// No per-row test: every row of the runs matches.
     #[inline]
-    fn row_passes(&self, row: &Row) -> bool {
-        self.residual.is_none_or(|(pos, id)| row[pos] == id)
+    fn exact(&self) -> bool {
+        self.residual.is_none() && self.eqs.is_empty()
+    }
+
+    /// Calls `f` on every matching row, in `perm`'s layout. Exact runs
+    /// take a loop without a test: this is under every pairwise probe.
+    #[inline]
+    fn for_each(&self, mut f: impl FnMut(&Row)) {
+        if self.exact() {
+            for src in self.runs.iter() {
+                src.iter().for_each(&mut f);
+            }
+            return;
+        }
+        for src in self.runs.iter() {
+            for row in src {
+                if self.residual.is_none_or(|(pos, id)| row[pos] == id)
+                    && self.eqs.iter().all(|&(i, j)| row[i] == row[j])
+                {
+                    f(row);
+                }
+            }
+        }
     }
 }
 
@@ -253,7 +279,7 @@ impl EncodedGraph {
     /// merge of the SPO runs, then the OSP, POS and PSO permutations and
     /// all four offset tables are re-derived from the merged SPO by
     /// stable counting scatters (`O(rows + terms)` each, no comparison
-    /// sorts — see [`scatter_by`]). Returns `false` when there was
+    /// sorts — see `scatter_by`). Returns `false` when there was
     /// nothing to do. The triple set is unchanged — only its physical
     /// layout.
     pub fn compact(&mut self) -> bool {
@@ -505,6 +531,8 @@ impl EncodedGraph {
         PatternRuns { base, deltas }
     }
 
+    /// The [`Scan`] answering `pat`; `None` when a bound term is not
+    /// interned (nothing can match).
     #[inline]
     fn scan(&self, pat: &TriplePattern) -> Option<Scan<'_>> {
         let spo_ids = self.resolve_ids(pat)?;
@@ -517,6 +545,7 @@ impl EncodedGraph {
                     deltas: self.segments.iter().map(|s| s.rows(Perm::Spo)).collect(),
                 },
                 residual: None,
+                eqs: Self::repeat_constraints(pat, Perm::Spo),
             });
         };
         // `(s ? o)` hybrid: both leading block lengths are two offset
@@ -534,6 +563,7 @@ impl EncodedGraph {
                         perm: Perm::Spo,
                         runs: self.pattern_runs(Perm::Spo, [Some(s), None, None]),
                         residual: Some((2, o)),
+                        eqs: Vec::new(),
                     });
                 }
             }
@@ -542,6 +572,7 @@ impl EncodedGraph {
             perm,
             runs: self.pattern_runs(perm, spo_ids),
             residual: None,
+            eqs: Self::repeat_constraints(pat, perm),
         })
     }
 
@@ -569,7 +600,7 @@ impl EncodedGraph {
     /// segment, cheap enough for the hom solver's per-node fail-first
     /// probes and the BGP planner's selectivity estimates. With the PSO
     /// permutation in place every bound shape resolves to an exact run
-    /// (see [`EncodedGraph::exact_perm`]), so this is no longer merely an
+    /// (see `EncodedGraph::exact_perm`), so this is no longer merely an
     /// upper bound. Repeated variables are not constants: `(?x p ?x)`
     /// counts every `p`-triple.
     pub fn candidate_count(&self, pat: &TriplePattern) -> usize {
@@ -601,35 +632,18 @@ impl EncodedGraph {
         let Some(scan) = self.scan(pat) else {
             return Vec::new();
         };
-        let eqs = Self::repeat_constraints(pat, scan.perm);
         // Bound positions already carry their IRI in the pattern — only
         // the variable positions go through the decode table.
         let fixed = pat.positions().map(Term::as_iri);
-        let decode = |row: Row, out: &mut Vec<Triple>| {
+        let mut out = Vec::with_capacity(if scan.exact() { scan.runs.total() } else { 0 });
+        scan.for_each(|&row| {
             let [s, p, o] = scan.perm.spo_of(row);
             out.push(Triple::new(
                 fixed[0].unwrap_or_else(|| self.dict.decode(s)),
                 fixed[1].unwrap_or_else(|| self.dict.decode(p)),
                 fixed[2].unwrap_or_else(|| self.dict.decode(o)),
             ));
-        };
-        let exact = eqs.is_empty() && scan.residual.is_none();
-        let mut out = Vec::with_capacity(if exact { scan.runs.total() } else { 0 });
-        if exact {
-            for src in scan.runs.iter() {
-                for &row in src {
-                    decode(row, &mut out);
-                }
-            }
-        } else {
-            for src in scan.runs.iter() {
-                for &row in src {
-                    if scan.row_passes(&row) && eqs.iter().all(|&(i, j)| row[i] == row[j]) {
-                        decode(row, &mut out);
-                    }
-                }
-            }
-        }
+        });
         out
     }
 
@@ -637,27 +651,11 @@ impl EncodedGraph {
     /// `(s, p, o)` id triples — the input of the WCOJ's materialised
     /// fallback trie when no permutation fits a variable order.
     pub(crate) fn matching_rows(&self, pat: &TriplePattern) -> Vec<Row> {
-        let Some(scan) = self.scan(pat) else {
-            return Vec::new();
-        };
-        let eqs = Self::repeat_constraints(pat, scan.perm);
         let mut out = Vec::new();
-        for src in scan.runs.iter() {
-            for &row in src {
-                if scan.row_passes(&row) && eqs.iter().all(|&(i, j)| row[i] == row[j]) {
-                    out.push(scan.perm.spo_of(row));
-                }
-            }
+        if let Some(scan) = self.scan(pat) {
+            scan.for_each(|&row| out.push(scan.perm.spo_of(row)));
         }
         out
-    }
-
-    /// Single-pattern solutions (Pérez et al., rule 1).
-    pub fn solutions(&self, pat: &TriplePattern) -> Vec<Mapping> {
-        self.match_pattern(pat)
-            .into_iter()
-            .filter_map(|t| binding_of(pat, &t))
-            .collect()
     }
 
     /// The sorted, deduplicated ids that variable `v` can take in a match
@@ -670,31 +668,13 @@ impl EncodedGraph {
         pat: &TriplePattern,
         v: wdsparql_rdf::Variable,
     ) -> Option<Vec<TermId>> {
-        let positions: Vec<usize> = pat
-            .positions()
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, t)| t == Term::Var(v))
-            .map(|(i, _)| i)
-            .collect();
-        if positions.is_empty() {
-            return None;
-        }
+        let first = pat.positions().iter().position(|&t| t == Term::Var(v))?;
         let Some(scan) = self.scan(pat) else {
             return Some(Vec::new());
         };
-        let eqs = Self::repeat_constraints(pat, scan.perm);
-        let take = scan.perm.layout()[positions[0]];
+        let take = scan.perm.layout()[first];
         let mut ids: Vec<TermId> = Vec::new();
-        for src in scan.runs.iter() {
-            ids.extend(
-                src.iter()
-                    .filter(|row| {
-                        scan.row_passes(row) && eqs.iter().all(|&(i, j)| row[i] == row[j])
-                    })
-                    .map(|row| row[take]),
-            );
-        }
+        scan.for_each(|row| ids.push(row[take]));
         if !ids.is_sorted() {
             ids.sort_unstable();
         }
@@ -730,21 +710,6 @@ impl EncodedGraph {
         let xs = self.candidate_ids(a, v)?;
         let ys = self.candidate_ids(b, v)?;
         Some(intersect_sorted(&xs, &ys))
-    }
-
-    /// As [`EncodedGraph::merge_join_ids`], decoded back to IRIs.
-    pub fn merge_join_values(
-        &self,
-        a: &TriplePattern,
-        b: &TriplePattern,
-        v: wdsparql_rdf::Variable,
-    ) -> Option<Vec<Iri>> {
-        Some(
-            self.merge_join_ids(a, b, v)?
-                .into_iter()
-                .map(|id| self.dict.decode(id))
-                .collect(),
-        )
     }
 
     /// Distinct predicates with their cardinalities, descending — the
@@ -844,10 +809,6 @@ impl TripleIndex for EncodedGraph {
 
     fn match_pattern(&self, pat: &TriplePattern) -> Vec<Triple> {
         EncodedGraph::match_pattern(self, pat)
-    }
-
-    fn solutions(&self, pat: &TriplePattern) -> Vec<Mapping> {
-        EncodedGraph::solutions(self, pat)
     }
 
     fn candidate_values(&self, pat: &TriplePattern, v: wdsparql_rdf::Variable) -> Option<Vec<Iri>> {
@@ -1274,8 +1235,11 @@ mod tests {
         );
         let p1 = tp(var("s"), iri("p"), var("o1"));
         let p2 = tp(var("s"), iri("q"), var("o2"));
-        let shared = g.merge_join_values(&p1, &p2, Variable::new("s")).unwrap();
-        let mut names: Vec<&str> = shared.iter().map(|i| i.as_str()).collect();
+        let shared = g.merge_join_ids(&p1, &p2, Variable::new("s")).unwrap();
+        let mut names: Vec<&str> = shared
+            .iter()
+            .map(|&id| g.dictionary().decode(id).as_str())
+            .collect();
         names.sort_unstable();
         assert_eq!(names, vec!["b", "c"]);
         assert!(g.merge_join_ids(&p1, &p2, Variable::new("nope")).is_none());

@@ -1,5 +1,5 @@
 //! The pairwise join pipeline as a pull-based stream: the
-//! most-selective-first plan of [`crate::bgp::plan_order`] executed
+//! most-selective-first plan of `bgp::plan_order` executed
 //! as a semi-join-pruned seed scan plus index-nested-loop (bind) joins,
 //! producing solutions one pull at a time ([`PairwiseStream`]) instead
 //! of materialising every intermediate.
@@ -98,7 +98,7 @@ pub struct PairwiseStream<'a> {
 impl<'a> PairwiseStream<'a> {
     /// Opens the pipeline over `ix` with the evaluation `order` already
     /// planned (callers that must not re-plan pass the plan in; see
-    /// [`crate::bgp::plan_order`]). With `profiled`, per-step
+    /// `bgp::plan_order`). With `profiled`, per-step
     /// counters accumulate for [`PairwiseStream::step_stats`].
     pub fn new(
         ix: &'a dyn TripleIndex,

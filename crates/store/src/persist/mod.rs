@@ -3,7 +3,7 @@
 //!
 //! A store directory holds:
 //!
-//! * `manifest` — the root pointer: a paged [`format`] file naming the
+//! * `manifest` — the root pointer: a paged [`format`](mod@format) file naming the
 //!   current checkpoint (`base-<n>`), its payload checksum and the
 //!   epoch it covers;
 //! * `base-<n>` — the checkpoint: every triple as of its epoch, one

@@ -13,7 +13,7 @@
 //!
 //! How a BGP request is served — cache, planning, join strategy,
 //! streaming, accounting — is not decided here: every query entry point
-//! pins one snapshot and delegates to [`crate::bgp::serve`], the same
+//! pins one snapshot and delegates to `bgp::serve`, the same
 //! code the sharded facade ([`crate::ShardedStore`]) runs over its
 //! scatter-gather snapshot. One snapshot *and one plan* thread through
 //! planning and execution, so the plan [`TripleStore::query_with_plan`]

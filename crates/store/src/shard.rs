@@ -255,58 +255,6 @@ impl TripleIndex for ShardedSnapshot {
         }
     }
 
-    fn solutions(&self, pat: &TriplePattern) -> Vec<Mapping> {
-        match self.route(pat) {
-            Some(i) => {
-                crate::obs::on_routed_read();
-                let start = Instant::now();
-                let out = self.shard(i).solutions(pat);
-                crate::obs::on_shard_read(i, out.len() as u64, start.elapsed());
-                out
-            }
-            None => {
-                // Scatter and concatenate in shard order. (This used to
-                // sort every shard's run and k-way merge them — an
-                // O(n log n) bill per fan-out that made 4-shard reads
-                // 3.5× slower than one shard, purchasing a global order
-                // no caller relies on. Shard order is deterministic,
-                // which is all the caches and tests need.)
-                let start = Instant::now();
-                let est = self.fanout_estimate(pat);
-                let out = if self.parallel_fanout(est) {
-                    self.gather(true, |i, g| {
-                        let shard_start = Instant::now();
-                        let run = g.solutions(pat);
-                        crate::obs::on_shard_read(i, run.len() as u64, shard_start.elapsed());
-                        run
-                    })
-                } else {
-                    // Sequential: bind each shard's matches straight
-                    // into the gathered run — no per-shard mapping
-                    // vectors.
-                    let mut out = Vec::with_capacity(est);
-                    for (i, g) in self.graphs().enumerate() {
-                        let shard_start = Instant::now();
-                        let before = out.len();
-                        out.extend(
-                            g.match_pattern(pat)
-                                .into_iter()
-                                .filter_map(|t| wdsparql_rdf::binding_of(pat, &t)),
-                        );
-                        crate::obs::on_shard_read(
-                            i,
-                            (out.len() - before) as u64,
-                            shard_start.elapsed(),
-                        );
-                    }
-                    out
-                };
-                crate::obs::on_fanout(start.elapsed());
-                out
-            }
-        }
-    }
-
     fn candidate_values(&self, pat: &TriplePattern, v: Variable) -> Option<Vec<Iri>> {
         match self.route(pat) {
             Some(i) => self.shard(i).candidate_values(pat, v),

@@ -18,13 +18,14 @@
 //!   **zero-copy view** over the permutation whose prefix matches the
 //!   pattern's bound positions and variable order — the base range
 //!   resolved through the offset table plus one narrowed run per delta
-//!   segment, dictionary ids as keys ([`encoded_trie`]). When no
+//!   segment, dictionary ids as keys (`encoded_trie`). When no
 //!   permutation fits (two of the six rotations are not stored, and
 //!   repeated variables constrain rows), the pattern falls back to a
 //!   materialised projection — still linear in *that pattern's* matches,
 //!   never in a join intermediate. Other backends (the scatter-gather
 //!   [`crate::ShardedSnapshot`], [`wdsparql_rdf::RdfGraph`]) serve the
-//!   default materialised trie in [`Iri`] key space;
+//!   default materialised trie, built from their `match_pattern` rows
+//!   in [`Iri`] key space;
 //! * at each variable the participating tries are intersected by
 //!   **leapfrog search**: repeatedly gallop (`seek`) the laggards to the
 //!   current maximum until all agree, bind, `open`, recurse
@@ -175,7 +176,7 @@ pub fn bgp_is_cyclic(patterns: &[TriplePattern]) -> bool {
 /// on a shared variable, an outright product otherwise) exceeds four
 /// times the candidate input rows — the skew-blind but cheap signal for
 /// unavoidable Cartesian blow-ups. Callers that already planned the
-/// pairwise order use [`resolve_with_order`] so each query plans once.
+/// pairwise order use `resolve_with_order` so each query plans once.
 pub fn resolve_strategy(
     ix: &dyn TripleIndex,
     patterns: &[TriplePattern],
@@ -317,11 +318,11 @@ enum WcoMode {
 }
 
 /// The leapfrog triejoin as a resumable explicit-stack cursor: the
-/// recursion of the classic LFTJ flattened into (`level`, [`WcoMode`])
+/// recursion of the classic LFTJ flattened into (`level`, `WcoMode`)
 /// so each [`SolutionStream::next`] pull runs the intersection exactly
 /// until the next full binding is found, then suspends. The classic
 /// bracketing survives: entering a level opens its cursors, leaving
-/// restores them to their parent state ([`WcoMode::Open`] / the
+/// restores them to their parent state (`WcoMode::Open` / the
 /// exhausted-alignment arm).
 ///
 /// Checkpoints: the per-level loop and the leapfrog search both call
@@ -767,28 +768,9 @@ pub(crate) fn encoded_trie<'a>(
     // No permutation fits this (constants, variable order) layout —
     // materialise the pattern's matches projected onto `vars`. Linear in
     // the pattern's own match set, never in a join intermediate.
-    let var_pos: Vec<usize> = vars
-        .iter()
-        .map(|&v| {
-            positions
-                .iter()
-                .position(|&t| t == Term::Var(v))
-                .expect("projected variables occur in the pattern")
-        })
-        .collect();
-    let rows: Vec<[u64; 3]> = g
-        .matching_rows(pat)
-        .into_iter()
-        .map(|row| {
-            let mut out = [0u64; 3];
-            for (i, &p) in var_pos.iter().enumerate() {
-                out[i] = u64::from(row[p]);
-            }
-            out
-        })
-        .collect();
+    let rows = g.matching_rows(pat).into_iter().map(|r| r.map(u64::from));
     let dict = g.dictionary();
-    Box::new(MaterializedTrie::from_rows(rows, depth, move |k| {
+    Box::new(MaterializedTrie::from_matches(pat, rows, vars, move |k| {
         dict.decode(k as TermId)
     }))
 }
@@ -983,6 +965,9 @@ mod tests {
     fn wco_handles_edge_shapes() {
         let mut ts = ring_graph(10);
         ts.push(Triple::from_strs("v0", "p", "v0")); // a loop
+        let sharded = crate::ShardedStore::new(3);
+        sharded.bulk_load(ts.iter().copied());
+        let snap = sharded.snapshot();
         let g = EncodedGraph::from_triples(ts);
         let r = g.to_rdf();
         let cases: Vec<Vec<TriplePattern>> = vec![
@@ -1023,6 +1008,10 @@ mod tests {
             // agrees too.
             let generic = sorted(eval_bgp_wco(&r, &pats));
             assert_eq!(generic, want, "materialised backend on {pats:?}");
+            // So does the scatter-gather snapshot, whose default trie is
+            // fed its fanned-out `match_pattern` rows.
+            let gathered = sorted(eval_bgp_wco(&snap, &pats));
+            assert_eq!(gathered, want, "sharded backend on {pats:?}");
         }
     }
 

@@ -471,8 +471,12 @@ proptest! {
         let v = Variable::new("j");
         let a = tp(wdsparql_rdf::var("j"), wdsparql_rdf::iri(&format!("sp{p1}")), wdsparql_rdf::var("o1"));
         let b = tp(wdsparql_rdf::var("j"), wdsparql_rdf::iri(&format!("sp{p2}")), wdsparql_rdf::var("o2"));
-        let joined: std::collections::BTreeSet<Iri> =
-            enc.merge_join_values(&a, &b, v).unwrap().into_iter().collect();
+        let joined: std::collections::BTreeSet<Iri> = enc
+            .merge_join_ids(&a, &b, v)
+            .unwrap()
+            .into_iter()
+            .map(|id| enc.dictionary().decode(id))
+            .collect();
         let sa: std::collections::BTreeSet<Iri> =
             g.solutions(&a).into_iter().filter_map(|m| m.get(v)).collect();
         let sb: std::collections::BTreeSet<Iri> =

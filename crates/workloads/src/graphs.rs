@@ -318,7 +318,7 @@ pub fn scale_free(n: usize, m: usize, predicate: &str, seed: u64) -> RdfGraph {
 mod tests {
     use super::*;
     use wdsparql_rdf::term::{iri, var};
-    use wdsparql_rdf::tp;
+    use wdsparql_rdf::{tp, TripleIndex};
 
     #[test]
     fn random_graph_is_deterministic() {
