@@ -153,8 +153,7 @@ enum Backend {
     /// handle).
     Memory(Box<RdfGraph>),
     /// A shared [`TripleStore`]: the matcher delegates to the store's
-    /// dictionary-encoded sorted-permutation ranges, under the store's
-    /// read lock.
+    /// sorted-permutation ranges, under the store's read lock.
     Store(Arc<TripleStore>),
     /// A shared [`ShardedStore`]: the matcher scatter-gathers over the
     /// hash-partitioned shards through a

@@ -63,7 +63,7 @@ pub struct Registry {
     // Gauges — last published observation (refreshed by `stats()`).
     /// Triples in the store (sharded: summed over shards).
     pub triples: Gauge,
-    /// Distinct dictionary terms.
+    /// Distinct terms.
     pub terms: Gauge,
     /// Rows in the compacted base permutations.
     pub base_rows: Gauge,

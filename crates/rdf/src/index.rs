@@ -8,7 +8,7 @@
 //! many?" (for search ordering), "is this ground triple present?", and
 //! "what is `dom(G)`?". This trait captures exactly that surface, so the
 //! same algorithms run unchanged against [`RdfGraph`]'s hash indexes or
-//! against `wdsparql-store`'s dictionary-encoded sorted permutations.
+//! against `wdsparql-store`'s sorted permutations.
 //!
 //! The trait is dyn-compatible on purpose: call sites take
 //! `&dyn TripleIndex`, and `&RdfGraph` coerces implicitly, so existing
@@ -83,21 +83,19 @@ pub trait TripleIndex {
     /// Keys ascend in a total order that is consistent across every
     /// cursor this index produces, but is otherwise backend-private (the
     /// default materialises [`match_pattern`](TripleIndex::match_pattern)
-    /// with [`Iri`] interner ids as keys; `wdsparql-store` serves its
-    /// dictionary ids straight off the sorted permutation arrays).
-    /// [`TrieCursor::value`] decodes keys when bindings are emitted.
+    /// into a [`MaterializedTrie`] keyed by [`Iri`] interner ids;
+    /// `wdsparql-store` serves the same ids straight off its sorted
+    /// permutation arrays). [`TrieCursor::value`] is the key's [`Iri`].
     fn trie_cursor<'a>(
         &'a self,
         pat: &TriplePattern,
         vars: &[Variable],
     ) -> Box<dyn TrieCursor + 'a> {
-        let rows = self
-            .match_pattern(pat)
-            .into_iter()
-            .map(|t| [t.s, t.p, t.o].map(|i| u64::from(i.id())));
-        Box::new(MaterializedTrie::from_matches(pat, rows, vars, |k| {
-            Iri::from_raw(u32::try_from(k).expect("interner ids fit u32"))
-        }))
+        Box::new(MaterializedTrie::from_matches(
+            pat,
+            self.match_pattern(pat),
+            vars,
+        ))
     }
 }
 

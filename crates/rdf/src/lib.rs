@@ -41,6 +41,6 @@ pub use index::TripleIndex;
 pub use mapping::Mapping;
 pub use ntriples::{parse_ntriples, write_ntriples, NtError};
 pub use rows::{Cell, CellMap, RowTable};
-pub use term::{iri, var, Iri, Term, Variable};
+pub use term::{iri, var, Iri, IriSet, Term, Variable};
 pub use trie::{gallop, MaterializedTrie, TrieCursor, TrieOpStats};
 pub use triple::{tp, Triple, TriplePattern};

@@ -137,6 +137,75 @@ impl fmt::Debug for Iri {
     }
 }
 
+/// A set of [`Iri`]s as one bit per interner id, up to the largest
+/// member: membership is one bit test, iteration walks the bits in
+/// ascending id order (= [`Iri`]'s order). Dense when its members' ids
+/// are — the term table of a store holding one dataset.
+#[derive(Clone, Debug, Default)]
+pub struct IriSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl IriSet {
+    pub fn new() -> IriSet {
+        IriSet::default()
+    }
+
+    /// Adds `i`; returns whether it was new.
+    pub fn insert(&mut self, i: Iri) -> bool {
+        let (w, bit) = (i.0 as usize / 64, 1u64 << (i.0 % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let fresh = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    #[inline]
+    pub fn contains(&self, i: Iri) -> bool {
+        self.words
+            .get(i.0 as usize / 64)
+            .is_some_and(|w| w & (1 << (i.0 % 64)) != 0)
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The members, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = Iri> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    Iri(w as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+
+    /// The smallest and the largest member, `None` when empty.
+    pub fn bounds(&self) -> Option<(Iri, Iri)> {
+        let first = self.iter().next()?;
+        let (w, word) = self
+            .words
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|(_, &word)| word != 0)?;
+        Some((first, Iri(w as u32 * 64 + 63 - word.leading_zeros())))
+    }
+}
+
 /// An interned SPARQL variable.
 ///
 /// Names are canonicalised without the leading `?`; [`fmt::Display`] adds it
@@ -333,6 +402,25 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_variable_name_panics() {
         let _ = Variable::new("?");
+    }
+
+    #[test]
+    fn iri_sets_walk_their_bits_in_id_order() {
+        let mut s = IriSet::new();
+        assert_eq!((s.len(), s.bounds()), (0, None));
+        let names: Vec<Iri> = (0..130)
+            .map(|i| Iri::new(&format!("iri-set-{i}")))
+            .collect();
+        let picked = [names[129], names[0], names[64], names[63], names[0]];
+        let fresh: Vec<bool> = picked.iter().map(|&i| s.insert(i)).collect();
+        assert_eq!(fresh, [true, true, true, true, false]);
+        let mut want = picked[..4].to_vec();
+        want.sort();
+        assert_eq!(s.iter().collect::<Vec<_>>(), want);
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.bounds(), Some((names[0], names[129])));
+        assert!(s.contains(names[64]) && !s.contains(names[65]));
+        assert!(!s.contains(Iri::new("iri-set-interned-after")));
     }
 
     #[test]

@@ -9,19 +9,19 @@
 //! leapfrog join intersects with instead of materialising pairwise
 //! intermediates.
 //!
-//! Keys are opaque `u64`s. A backend may expose its *native* key space —
-//! `wdsparql-store` serves dictionary ids straight off its sorted
-//! permutation arrays — as long as every cursor produced by the same
+//! Keys are opaque `u64`s. A backend may expose its *native* key space
+//! as long as every cursor produced by the same
 //! [`TripleIndex`](crate::TripleIndex) value uses one consistent total
-//! order; joins never compare keys across backends. [`TrieCursor::value`]
-//! decodes the current key back to its [`Iri`] when a binding is
-//! emitted. The default backend implementation is [`MaterializedTrie`]:
-//! the pattern's matching triples, as `(s, p, o)` key rows projected onto
-//! the variable order, sorted and deduplicated — with interner ids as
-//! keys by default, with dictionary ids on `wdsparql-store`'s fallback.
+//! order; joins never compare keys across backends. Every backend in the
+//! workspace keys on [`Iri`] interner ids — `wdsparql-store` serves them
+//! straight off its sorted permutation arrays. [`TrieCursor::value`] is
+//! the current key's [`Iri`], read when a binding is emitted. The
+//! default backend implementation is [`MaterializedTrie`]: the pattern's
+//! matching triples projected onto the variable order, sorted and
+//! deduplicated.
 
 use crate::term::{Iri, Term, Variable};
-use crate::triple::TriplePattern;
+use crate::triple::{Triple, TriplePattern};
 
 /// Cumulative operation counters a [`TrieCursor`] may expose for query
 /// profiling: how many `seek`s it served and an estimate of the
@@ -116,18 +116,17 @@ pub fn gallop<T>(run: &[T], pred: impl Fn(&T) -> bool) -> usize {
 }
 
 /// A [`TrieCursor`] over materialised rows: the pattern's distinct
-/// bindings projected onto the variable order, sorted — the fallback
-/// every [`TripleIndex`](crate::TripleIndex) backend can serve, and the
-/// fallback `wdsparql-store` uses when no sorted permutation matches a
-/// pattern's constant/variable layout.
+/// bindings projected onto the variable order, sorted, with [`Iri`]
+/// interner ids as keys — the default trie of every
+/// [`TripleIndex`](crate::TripleIndex) backend, and the fallback
+/// `wdsparql-store` uses when no sorted permutation matches a pattern's
+/// constant/variable layout.
 ///
 /// Rows are fixed-width `[u64; 3]` with positions beyond
-/// [`depth`](TrieCursor::depth) padded (padding is never compared). The
-/// `decode` closure maps a key back to its [`Iri`].
-pub struct MaterializedTrie<'a> {
+/// [`depth`](TrieCursor::depth) padded (padding is never compared).
+pub struct MaterializedTrie {
     rows: Vec<[u64; 3]>,
     depth: usize,
-    decode: Box<dyn Fn(u64) -> Iri + 'a>,
     /// Current half-open row range; meaningful only below the root.
     lo: usize,
     hi: usize,
@@ -138,19 +137,16 @@ pub struct MaterializedTrie<'a> {
     stats: TrieOpStats,
 }
 
-impl<'a> MaterializedTrie<'a> {
-    /// Builds the trie of `pat`'s matches: `rows` are the matching
-    /// triples as `(s, p, o)` keys, projected onto `vars` (which must
-    /// list `vars(pat)` exactly, in the desired order) — a repeated
-    /// variable reads its first position, so the rows must already
-    /// honour the pattern's repeats. `decode` maps a key back to its
-    /// [`Iri`]; the keys' order is the cursor's.
+impl MaterializedTrie {
+    /// Builds the trie of `pat`'s matches, projected onto `vars` (which
+    /// must list `vars(pat)` exactly, in the desired order) — a repeated
+    /// variable reads its first position, so `matches` must already
+    /// honour the pattern's repeats.
     pub fn from_matches(
         pat: &TriplePattern,
-        rows: impl IntoIterator<Item = [u64; 3]>,
+        matches: impl IntoIterator<Item = Triple>,
         vars: &[Variable],
-        decode: impl Fn(u64) -> Iri + 'a,
-    ) -> MaterializedTrie<'a> {
+    ) -> MaterializedTrie {
         let positions = pat.positions();
         let at: Vec<usize> = vars
             .iter()
@@ -161,27 +157,25 @@ impl<'a> MaterializedTrie<'a> {
                     .expect("projected variables occur in the pattern")
             })
             .collect();
-        let rows = rows
+        let rows = matches
             .into_iter()
-            .map(|row| std::array::from_fn(|i| at.get(i).map_or(0, |&p| row[p])))
+            .map(|t| {
+                let row = t.terms();
+                std::array::from_fn(|i| at.get(i).map_or(0, |&p| u64::from(row[p].id())))
+            })
             .collect();
-        MaterializedTrie::from_rows(rows, vars.len(), decode)
+        MaterializedTrie::from_rows(rows, vars.len())
     }
 
-    /// Builds a trie from raw projected rows (positions `depth..` are
-    /// padding). Sorts and deduplicates.
-    fn from_rows(
-        mut rows: Vec<[u64; 3]>,
-        depth: usize,
-        decode: impl Fn(u64) -> Iri + 'a,
-    ) -> MaterializedTrie<'a> {
+    /// Builds a trie from raw projected rows of interner ids (positions
+    /// `depth..` are padding). Sorts and deduplicates.
+    fn from_rows(mut rows: Vec<[u64; 3]>, depth: usize) -> MaterializedTrie {
         assert!(depth <= 3, "a triple pattern has at most three variables");
         rows.sort_unstable();
         rows.dedup();
         MaterializedTrie {
             rows,
             depth,
-            decode: Box::new(decode),
             lo: 0,
             hi: 0,
             stack: Vec::new(),
@@ -195,7 +189,7 @@ impl<'a> MaterializedTrie<'a> {
     }
 }
 
-impl TrieCursor for MaterializedTrie<'_> {
+impl TrieCursor for MaterializedTrie {
     fn depth(&self) -> usize {
         self.depth
     }
@@ -206,7 +200,9 @@ impl TrieCursor for MaterializedTrie<'_> {
     }
 
     fn value(&self) -> Iri {
-        (self.decode)(self.key().expect("value() requires a current key"))
+        let key = self.key().expect("value() requires a current key");
+        // Every key is the id of an `Iri` of a match.
+        Iri::from_raw(key as u32)
     }
 
     fn advance(&mut self) {
@@ -273,12 +269,12 @@ mod tests {
     fn cursor_walks_a_two_level_trie() {
         // Pairs (x, y): x=1 → {10, 11}; x=5 → {20}.
         let rows = vec![[5, 20, 0], [1, 10, 0], [1, 11, 0], [1, 10, 0]];
-        let mut t = MaterializedTrie::from_rows(rows, 2, |k| Iri::new(&format!("i{k}")));
+        let mut t = MaterializedTrie::from_rows(rows, 2);
         assert_eq!(t.depth(), 2);
         assert_eq!(t.key(), None, "the cursor starts at the virtual root");
         t.open();
         assert_eq!(t.key(), Some(1));
-        assert_eq!(t.value(), Iri::new("i1"));
+        assert_eq!(t.value().id(), 1);
         t.open();
         assert_eq!(t.key(), Some(10));
         t.advance();
@@ -306,7 +302,7 @@ mod tests {
     #[test]
     fn op_stats_count_seeks_and_their_gallop_cost() {
         let rows: Vec<[u64; 3]> = (0..64).map(|i| [i, 0, 0]).collect();
-        let mut t = MaterializedTrie::from_rows(rows, 1, |k| Iri::new(&format!("i{k}")));
+        let mut t = MaterializedTrie::from_rows(rows, 1);
         assert_eq!(t.op_stats(), TrieOpStats::default());
         t.open();
         t.seek(32);
@@ -319,7 +315,7 @@ mod tests {
     #[test]
     fn seek_gallops_forward_only() {
         let rows: Vec<[u64; 3]> = (0..50).map(|i| [i * 2, 0, 0]).collect();
-        let mut t = MaterializedTrie::from_rows(rows, 1, |k| Iri::new(&format!("i{k}")));
+        let mut t = MaterializedTrie::from_rows(rows, 1);
         t.open();
         t.seek(31);
         assert_eq!(t.key(), Some(32));

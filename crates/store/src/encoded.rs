@@ -1,8 +1,8 @@
 //! [`EncodedGraph`]: the triple set as sorted permutation arrays with a
 //! log-structured write path.
 //!
-//! Every triple is dictionary-encoded into a `[TermId; 3]` row and stored
-//! under several component rotations:
+//! Every triple is stored as a row of its three [`Iri`]s — the interner
+//! id is the store's term id — under several component rotations:
 //!
 //! ```text
 //! SPO  rows are (s, p, o)   answers  (s ? ?) (s p ?) (s p o) (? ? ?)
@@ -11,16 +11,21 @@
 //! PSO  rows are (p, s, o)   subject-sorted (? p ?) — merge-join inputs
 //! ```
 //!
-//! The **base** arrays hold the compacted bulk: dictionary ids are dense,
-//! so each base permutation carries an offset array indexed by leading
-//! term id, and a bound *first* component resolves to its contiguous row
-//! range in O(1). Writes are **log-structured**: `insert_batch` appends
-//! one small sorted `Segment` per call instead of rewriting the base;
-//! reads merge base + segments behind the same bounded-prefix narrowing
-//! (segments are tiny, so their leading ranges come from binary search
-//! instead of offsets). [`EncodedGraph::compact`] folds the segments
+//! The **base** arrays hold the compacted bulk. Each base permutation
+//! carries an offset array indexed by leading id over the graph's **id
+//! window** — the ids between its smallest and its largest term — so a
+//! bound *first* component resolves to its contiguous row range in O(1),
+//! and the tables' size follows the graph's terms, not how many names
+//! the process interned before them. One bitset over the ids is the
+//! graph's term table: `dom(G)`, membership, the term count, the window,
+//! and the O(1) empty answer for a constant the graph never saw. Writes
+//! are **log-structured**: `insert_batch` appends one small sorted
+//! `Segment` per call instead of rewriting the base; reads merge base +
+//! segments behind the same bounded-prefix narrowing (segments are tiny,
+//! so their leading ranges come from binary search instead of offsets). [`EncodedGraph::compact`] folds the segments
 //! back into the base with one k-way merge of the SPO runs and re-derives
-//! OSP, POS and the base-only PSO by stable counting scatters. PSO and
+//! OSP, POS and the base-only PSO by stable counting scatters (PSO
+//! shares POS's offset table: both count rows per predicate). PSO and
 //! POS each get a **key level** — per predicate block, its distinct
 //! subject / object ids and the row each starts at — which the WCOJ trie
 //! walks instead of the rows; it is built by one walk over the
@@ -30,14 +35,14 @@
 //! `MAX_SEGMENTS` (48) pending segments, or once
 //! `4 · delta rows > base rows + ADAPTIVE_SLACK` (4096).
 
-use crate::dict::{Dictionary, TermId};
 use crate::segment::{
-    check_capacity, merge_many, merge_sorted, offsets, scatter_by, KeyLevel, KeyedBlock,
-    MergedRows, Perm, Row, Segment,
+    check_capacity, merge_many, offsets, scatter_by, KeyLevel, KeyedBlock, MergedRows, Perm, Row,
+    Segment, Window,
 };
 pub use crate::segment::{CapacityError, MAX_TRIPLES};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use wdsparql_rdf::{Iri, RdfGraph, Term, Triple, TripleIndex, TriplePattern};
+use wdsparql_rdf::{Iri, IriSet, RdfGraph, Term, Triple, TripleIndex, TriplePattern};
 
 /// Segment-count bound of the fold rule: every scan binary-searches each
 /// pending segment, so [`EncodedGraph::insert_batch`] folds them back
@@ -49,21 +54,26 @@ const MAX_SEGMENTS: usize = 48;
 /// compact on every batch.
 const ADAPTIVE_SLACK: usize = 4096;
 
-/// A dictionary-encoded, permutation-indexed set of ground triples.
+/// A permutation-indexed set of ground triples, keyed by [`Iri`] id.
 #[derive(Clone, Debug, Default)]
 pub struct EncodedGraph {
-    dict: Dictionary,
-    /// Compacted base permutations and their leading-id offset tables.
+    /// `dom(G)`: one bit per interner id of a term the graph holds.
+    terms: IriSet,
+    /// Compacted base permutations.
     spo: Vec<Row>,
     pos: Vec<Row>,
     osp: Vec<Row>,
     /// Base-only merge-join permutation, rebuilt by [`Self::compact`];
     /// consulted by `scan` only when no delta segments are pending.
     pso: Vec<Row>,
+    /// The ids the offset tables cover: the graph's terms at the last
+    /// compaction.
+    window: Window,
+    /// Leading-id offset tables over `window`. PSO reads POS's: both
+    /// count rows per predicate.
     spo_off: Vec<u32>,
     pos_off: Vec<u32>,
     osp_off: Vec<u32>,
-    pso_off: Vec<u32>,
     /// Key levels of the two predicate-led base permutations, each built
     /// by the first [`EncodedGraph::block_keys`] call after the
     /// compaction that wrote its permutation.
@@ -76,7 +86,6 @@ pub struct EncodedGraph {
     delta_rows: usize,
     /// Lifetime count of delta folds (not bumped by no-op compactions).
     compactions: u64,
-    dom_sorted: Vec<Iri>,
 }
 
 /// The narrowed row runs answering one pattern: the base range plus one
@@ -111,8 +120,8 @@ impl<'a> PatternRuns<'a> {
 struct Scan<'a> {
     perm: Perm,
     runs: PatternRuns<'a>,
-    /// At most one `(row position, required id)` filter.
-    residual: Option<(usize, TermId)>,
+    /// At most one `(row position, required term)` filter.
+    residual: Option<(usize, Iri)>,
     /// Row-position pairs that must hold equal ids.
     eqs: Vec<(usize, usize)>,
 }
@@ -169,14 +178,14 @@ impl EncodedGraph {
         EncodedGraph::from_triples(g.iter().copied())
     }
 
-    /// Bulk insert: encodes and sorts `triples` into one new delta
-    /// segment per call — `O(batch · log batch)` plus a containment probe
-    /// per triple, never a base rewrite (unless the fold rule — see
-    /// `MAX_SEGMENTS` — is due afterwards). Returns the number of triples
-    /// that were not already present.
+    /// Bulk insert: sorts `triples` into one new delta segment per call
+    /// — `O(batch · log batch)` plus a containment probe per row, never
+    /// a base rewrite (unless the fold rule — see `MAX_SEGMENTS` — is due
+    /// afterwards). Returns the number of triples that were not already
+    /// present.
     ///
-    /// Errors with [`CapacityError`] — leaving the graph (and its
-    /// dictionary) untouched — when the insert would push the store past
+    /// Errors with [`CapacityError`] — leaving the graph (and its term
+    /// table) untouched — when the insert would push the store past
     /// [`MAX_TRIPLES`] rows, the bound above which the `u32` offset
     /// tables would silently truncate.
     pub fn insert_batch<I>(&mut self, triples: I) -> Result<usize, CapacityError>
@@ -198,85 +207,37 @@ impl EncodedGraph {
     where
         I: IntoIterator<Item = Triple>,
     {
-        // Phase 1, read-only: drop triples already present *before*
-        // interning anything, so a refused batch cannot leave terms in
-        // the dictionary that no triple uses. A triple with any unknown
-        // term is fresh by definition; the rest are probed in sorted row
-        // order — one two-pointer walk per segment and a block binary
-        // search against the base, instead of per-triple searches of
-        // every run.
-        let mut fresh: Vec<Triple> = Vec::new();
-        let mut known: Vec<(Row, Triple)> = Vec::new();
-        for t in triples {
-            match self.encode_triple(&t) {
-                None => fresh.push(t),
-                Some(row) => known.push((row, t)),
-            }
-        }
-        known.sort_unstable_by_key(|&(row, _)| row);
-        known.dedup_by_key(|&mut (row, _)| row);
-        let mut present = vec![false; known.len()];
+        // One sort: in-batch duplicates die in the dedup, rows a segment
+        // holds in one two-pointer walk per segment, rows the base holds
+        // in one block search each.
+        let mut rows: Vec<Row> = triples.into_iter().map(Triple::terms).collect();
+        rows.sort_unstable();
+        rows.dedup();
         for seg in &self.segments {
             let run = seg.rows(Perm::Spo);
             let mut i = 0;
-            for ((row, _), present) in known.iter().zip(&mut present) {
+            rows.retain(|row| {
                 while i < run.len() && run[i] < *row {
                     i += 1;
                 }
-                if i == run.len() {
-                    break;
-                }
-                if run[i] == *row {
-                    *present = true;
-                }
-            }
+                run.get(i) != Some(row)
+            });
         }
-        for ((row, t), present) in known.into_iter().zip(present) {
-            if !present && !self.base_contains(row) {
-                fresh.push(t);
-            }
-        }
-        if fresh.is_empty() {
+        rows.retain(|&row| !self.base_contains(row));
+        if rows.is_empty() {
             return Ok(0);
         }
-        // `fresh` may still repeat triples whose terms are not all
-        // interned yet (in-batch duplicates); those die in the row-level
-        // dedup below, after interning — harmless, since a duplicate
-        // brings no new terms. The capacity pre-check therefore uses the
-        // conservative count, and only a batch failing it pays for an
-        // exact triple-level dedup and a re-check.
-        if check_capacity(self.len() + fresh.len(), limit).is_err() {
-            fresh.sort_unstable();
-            fresh.dedup();
-            check_capacity(self.len() + fresh.len(), limit)?;
+        // Terms join the table only once the batch is accepted: a refused
+        // batch leaves no terms behind.
+        check_capacity(self.len() + rows.len(), limit)?;
+        for &term in rows.iter().flatten() {
+            self.terms.insert(term);
         }
-        // Phase 2: intern, sort into one delta segment, fold the newly
-        // interned terms into the sorted domain.
-        let prev_terms = self.dict.len();
-        let mut rows: Vec<Row> = fresh
-            .into_iter()
-            .map(|t| {
-                [
-                    self.dict.encode(t.s),
-                    self.dict.encode(t.p),
-                    self.dict.encode(t.o),
-                ]
-            })
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
         let segment = Segment::from_sorted_spo(rows);
         let added = segment.len();
         self.delta_rows += added;
         self.segments.push(segment);
         crate::obs::on_segment_append();
-        if self.dict.len() > prev_terms {
-            let mut new_terms: Vec<Iri> = (prev_terms..self.dict.len())
-                .map(|id| self.dict.decode(id as TermId))
-                .collect();
-            new_terms.sort_unstable();
-            self.dom_sorted = merge_sorted(&self.dom_sorted, &new_terms);
-        }
         if self.auto_compact_due() {
             self.compact();
         }
@@ -289,13 +250,13 @@ impl EncodedGraph {
 
     /// Folds every pending delta segment into the base arrays: one k-way
     /// merge of the SPO runs, then the OSP, POS and PSO permutations and
-    /// all four offset tables are re-derived from the merged SPO by
-    /// stable counting scatters (`O(rows + terms)` each, no comparison
-    /// sorts — see `scatter_by`). Returns `false` when there was
-    /// nothing to do. The triple set is unchanged — only its physical
-    /// layout.
+    /// the three offset tables are re-derived from the merged SPO by
+    /// stable counting scatters over the new id window (`O(rows +
+    /// window)` each, no comparison sorts — see `scatter_by`). Returns
+    /// `false` when there was nothing to do. The triple set is unchanged
+    /// — only its physical layout.
     pub fn compact(&mut self) -> bool {
-        if self.segments.is_empty() && self.pso.len() == self.spo.len() {
+        if self.is_compacted() {
             return false;
         }
         let start = std::time::Instant::now();
@@ -308,25 +269,24 @@ impl EncodedGraph {
             }
             self.spo = merge_many(spo_runs);
         }
-        let terms = self.dict.len();
-        self.spo_off = offsets(&self.spo, terms);
+        let w = self
+            .terms
+            .bounds()
+            .map_or_else(Window::default, |(lo, hi)| Window::spanning(lo, hi));
+        self.window = w;
+        self.spo_off = offsets(&self.spo, 0, w);
         // Stability chains the sort keys: SPO scattered by o is OSP,
         // OSP scattered by p is POS, SPO scattered by p is PSO (whose
-        // offset table equals POS's — both count rows per predicate).
-        let (osp, osp_off) = scatter_by(&self.spo, 2, terms, |[s, p, o]| [o, s, p]);
-        self.osp = osp;
-        self.osp_off = osp_off;
-        let (pos, pos_off) = scatter_by(&self.osp, 2, terms, |[o, s, p]| [p, o, s]);
-        self.pos = pos;
-        self.pos_off = pos_off;
-        let (pso, pso_off) = scatter_by(&self.spo, 1, terms, |[s, p, o]| [p, s, o]);
-        self.pso = pso;
-        self.pso_off = pso_off;
+        // offset table is POS's — both count rows per predicate).
+        self.osp_off = offsets(&self.spo, 2, w);
+        self.osp = scatter_by(&self.spo, 2, &self.osp_off, w, |[s, p, o]| [o, s, p]);
+        self.pos_off = offsets(&self.spo, 1, w);
+        self.pos = scatter_by(&self.osp, 2, &self.pos_off, w, |[o, s, p]| [p, o, s]);
+        self.pso = scatter_by(&self.spo, 1, &self.pos_off, w, |[s, p, o]| [p, s, o]);
         // The old base's key levels; the new ones are built on first use.
         self.pso_keys.take();
         self.pos_keys.take();
         debug_assert!(self.osp.is_sorted() && self.pos.is_sorted() && self.pso.is_sorted());
-        debug_assert_eq!(self.pso_off, self.pos_off);
         crate::obs::on_compaction(start.elapsed());
         true
     }
@@ -367,26 +327,19 @@ impl EncodedGraph {
 
     /// Number of distinct terms (= `|dom(G)|`).
     pub fn term_count(&self) -> usize {
-        self.dict.len()
-    }
-
-    pub fn dictionary(&self) -> &Dictionary {
-        &self.dict
+        self.terms.len()
     }
 
     pub fn contains(&self, t: &Triple) -> bool {
-        let Some(row) = self.encode_triple(t) else {
+        let row = t.terms();
+        if !row.iter().all(|&i| self.terms.contains(i)) {
             return false;
-        };
-        self.contains_ids(row)
-    }
-
-    fn encode_triple(&self, t: &Triple) -> Option<Row> {
-        Some([
-            self.dict.lookup(t.s)?,
-            self.dict.lookup(t.p)?,
-            self.dict.lookup(t.o)?,
-        ])
+        }
+        self.base_contains(row)
+            || self
+                .segments
+                .iter()
+                .any(|s| s.rows(Perm::Spo).binary_search(&row).is_ok())
     }
 
     fn base_contains(&self, row: Row) -> bool {
@@ -395,33 +348,16 @@ impl EncodedGraph {
             .is_ok()
     }
 
-    fn contains_ids(&self, row: Row) -> bool {
-        self.base_contains(row)
-            || self
-                .segments
-                .iter()
-                .any(|s| s.rows(Perm::Spo).binary_search(&row).is_ok())
-    }
-
-    fn decode_triple(&self, row: Row) -> Triple {
-        Triple::new(
-            self.dict.decode(row[0]),
-            self.dict.decode(row[1]),
-            self.dict.decode(row[2]),
-        )
-    }
-
     /// The contiguous row range of base permutation `rows` whose leading
     /// component is `id` — O(1) through the offset array. Empty when the
-    /// id is out of the table's range (terms interned after the last
-    /// compaction have no base rows yet).
+    /// id is outside the window (terms added after the last compaction
+    /// have no base rows yet).
     #[inline]
-    fn leading_range<'a>(&self, rows: &'a [Row], off: &[u32], id: TermId) -> &'a [Row] {
-        let i = id as usize;
-        if i + 1 >= off.len() {
-            return &[];
+    fn leading_range<'a>(&self, rows: &'a [Row], off: &[u32], id: Iri) -> &'a [Row] {
+        match self.window.slot(id) {
+            Some(i) => &rows[off[i] as usize..off[i + 1] as usize],
+            None => &[],
         }
-        &rows[off[i] as usize..off[i + 1] as usize]
     }
 
     /// Narrows a sorted row slice to the rows with `row[pos] == key` by
@@ -430,27 +366,27 @@ impl EncodedGraph {
     /// 0` that holds on any sorted run, which is how segment runs resolve
     /// their leading component without an offset table).
     #[inline]
-    fn narrow(slice: &[Row], pos: usize, key: TermId) -> &[Row] {
+    fn narrow(slice: &[Row], pos: usize, key: Iri) -> &[Row] {
         let lo = slice.partition_point(|r| r[pos] < key);
         let hi = lo + slice[lo..].partition_point(|r| r[pos] <= key);
         &slice[lo..hi]
     }
 
-    /// Resolves the pattern's bound positions to dictionary ids. `None`
-    /// when a bound term is not interned (nothing can match).
+    /// The pattern's bound positions, `None` for a variable — or `None`
+    /// outright when a bound term is not in the graph (nothing can
+    /// match): one bit test per constant.
     #[inline]
-    pub(crate) fn resolve_ids(&self, pat: &TriplePattern) -> Option<[Option<TermId>; 3]> {
-        let resolve = |term: Term| -> Result<Option<TermId>, ()> {
-            match term {
-                Term::Var(_) => Ok(None),
-                Term::Iri(i) => self.dict.lookup(i).map(Some).ok_or(()),
+    pub(crate) fn bound_terms(&self, pat: &TriplePattern) -> Option<[Option<Iri>; 3]> {
+        let mut bound = [None; 3];
+        for (slot, term) in bound.iter_mut().zip(pat.positions()) {
+            if let Term::Iri(i) = term {
+                if !self.terms.contains(i) {
+                    return None;
+                }
+                *slot = Some(i);
             }
-        };
-        Some([
-            resolve(pat.s).ok()?,
-            resolve(pat.p).ok()?,
-            resolve(pat.o).ok()?,
-        ])
+        }
+        Some(bound)
     }
 
     /// The permutation whose sorted prefix covers every bound position —
@@ -467,7 +403,7 @@ impl EncodedGraph {
     /// (sort-free merge-join candidates), which exists only in the
     /// compacted base — with segments pending it uses POS.
     #[inline]
-    fn exact_perm(&self, spo_ids: [Option<TermId>; 3]) -> Option<Perm> {
+    fn exact_perm(&self, spo_ids: [Option<Iri>; 3]) -> Option<Perm> {
         match spo_ids.map(|id| id.is_some()) {
             [false, false, false] => None,
             [true, true, _] | [true, false, false] => Some(Perm::Spo),
@@ -488,14 +424,14 @@ impl EncodedGraph {
             Perm::Spo => (&self.spo, &self.spo_off),
             Perm::Pos => (&self.pos, &self.pos_off),
             Perm::Osp => (&self.osp, &self.osp_off),
-            Perm::Pso => (&self.pso, &self.pso_off),
+            Perm::Pso => (&self.pso, &self.pos_off),
         }
     }
 
     /// The bound ids of `spo_ids` rotated into `perm`'s row positions.
     /// For a serving permutation they occupy a prefix.
     #[inline]
-    fn prefix_keys(perm: Perm, spo_ids: [Option<TermId>; 3]) -> [Option<TermId>; 3] {
+    fn prefix_keys(perm: Perm, spo_ids: [Option<Iri>; 3]) -> [Option<Iri>; 3] {
         let layout = perm.layout();
         let mut keys = [None; 3];
         for (component, id) in spo_ids.into_iter().enumerate() {
@@ -511,7 +447,7 @@ impl EncodedGraph {
     /// Narrows one already-lead-resolved run by the remaining prefix
     /// keys, binary search per bound position.
     #[inline]
-    fn narrow_prefix<'a>(mut run: &'a [Row], keys: &[Option<TermId>; 3], from: usize) -> &'a [Row] {
+    fn narrow_prefix<'a>(mut run: &'a [Row], keys: &[Option<Iri>; 3], from: usize) -> &'a [Row] {
         for (pos, key) in keys.iter().enumerate().skip(from) {
             match key {
                 Some(k) => run = Self::narrow(run, pos, *k),
@@ -528,7 +464,7 @@ impl EncodedGraph {
     /// guarantee), and `perm` must not be the base-only PSO while
     /// segments are pending. Allocation-free when no segments are
     /// pending.
-    pub(crate) fn pattern_runs(&self, perm: Perm, spo_ids: [Option<TermId>; 3]) -> PatternRuns<'_> {
+    pub(crate) fn pattern_runs(&self, perm: Perm, spo_ids: [Option<Iri>; 3]) -> PatternRuns<'_> {
         debug_assert!(perm != Perm::Pso || self.segments.is_empty());
         let keys = Self::prefix_keys(perm, spo_ids);
         let (rows, off) = self.perm_base(perm);
@@ -550,22 +486,22 @@ impl EncodedGraph {
     /// (PSO or POS): the block's distinct second-column ids, each with
     /// its rows — what the WCOJ trie walks a bound predicate's first
     /// variable over. `None` for SPO / OSP and for an empty block.
-    pub(crate) fn block_keys(&self, perm: Perm, lead: TermId) -> Option<KeyedBlock<'_>> {
-        let (rows, off, level) = match perm {
-            Perm::Pso => (&self.pso, &self.pso_off, &self.pso_keys),
-            Perm::Pos => (&self.pos, &self.pos_off, &self.pos_keys),
+    pub(crate) fn block_keys(&self, perm: Perm, lead: Iri) -> Option<KeyedBlock<'_>> {
+        let (rows, level) = match perm {
+            Perm::Pso => (&self.pso, &self.pso_keys),
+            Perm::Pos => (&self.pos, &self.pos_keys),
             Perm::Spo | Perm::Osp => return None,
         };
-        let i = lead as usize;
-        let (lo, hi) = (*off.get(i)?, *off.get(i + 1)?);
+        let i = self.window.slot(lead)?;
+        let (lo, hi) = (self.pos_off[i], self.pos_off[i + 1]);
         (lo < hi).then(|| level.get_or_init(|| KeyLevel::of(rows)).block(rows, lo, hi))
     }
 
-    /// The [`Scan`] answering `pat`; `None` when a bound term is not
-    /// interned (nothing can match).
+    /// The [`Scan`] answering `pat`; `None` when a bound term is not in
+    /// the graph (nothing can match).
     #[inline]
     fn scan(&self, pat: &TriplePattern) -> Option<Scan<'_>> {
-        let spo_ids = self.resolve_ids(pat)?;
+        let spo_ids = self.bound_terms(pat)?;
         let Some(perm) = self.exact_perm(spo_ids) else {
             // No bound component: full scan over SPO, base + all deltas.
             return Some(Scan {
@@ -634,7 +570,7 @@ impl EncodedGraph {
     /// upper bound. Repeated variables are not constants: `(?x p ?x)`
     /// counts every `p`-triple.
     pub fn candidate_count(&self, pat: &TriplePattern) -> usize {
-        let Some(spo_ids) = self.resolve_ids(pat) else {
+        let Some(spo_ids) = self.bound_terms(pat) else {
             return 0;
         };
         let Some(perm) = self.exact_perm(spo_ids) else {
@@ -662,48 +598,31 @@ impl EncodedGraph {
         let Some(scan) = self.scan(pat) else {
             return Vec::new();
         };
-        // Bound positions already carry their IRI in the pattern — only
-        // the variable positions go through the decode table.
-        let fixed = pat.positions().map(Term::as_iri);
         let mut out = Vec::with_capacity(if scan.exact() { scan.runs.total() } else { 0 });
         scan.for_each(|&row| {
             let [s, p, o] = scan.perm.spo_of(row);
-            out.push(Triple::new(
-                fixed[0].unwrap_or_else(|| self.dict.decode(s)),
-                fixed[1].unwrap_or_else(|| self.dict.decode(p)),
-                fixed[2].unwrap_or_else(|| self.dict.decode(o)),
-            ));
+            out.push(Triple::new(s, p, o));
         });
         out
     }
 
-    /// All rows matching `pat` (honouring repeated variables), as
-    /// `(s, p, o)` id triples — the input of the WCOJ's materialised
-    /// fallback trie when no permutation fits a variable order.
-    pub(crate) fn matching_rows(&self, pat: &TriplePattern) -> Vec<Row> {
-        let mut out = Vec::new();
-        if let Some(scan) = self.scan(pat) {
-            scan.for_each(|&row| out.push(scan.perm.spo_of(row)));
-        }
-        out
-    }
-
-    /// The sorted, deduplicated ids that variable `v` can take in a match
-    /// of `pat` — the merge-join input. `None` when `v` does not occur in
-    /// `pat`. When the scan lands on a run already sorted by `v`'s row
-    /// position (PSO's subject-sorted predicate blocks, or any leading
-    /// position), the comparison sort is skipped.
+    /// The sorted, deduplicated terms that variable `v` can take in a
+    /// match of `pat` — the merge-join input, ascending in [`Iri`] order.
+    /// `None` when `v` does not occur in `pat`. When the scan lands on a
+    /// run already sorted by `v`'s row position (PSO's subject-sorted
+    /// predicate blocks, or any leading position), the comparison sort is
+    /// skipped.
     pub fn candidate_ids(
         &self,
         pat: &TriplePattern,
         v: wdsparql_rdf::Variable,
-    ) -> Option<Vec<TermId>> {
+    ) -> Option<Vec<Iri>> {
         let first = pat.positions().iter().position(|&t| t == Term::Var(v))?;
         let Some(scan) = self.scan(pat) else {
             return Some(Vec::new());
         };
         let take = scan.perm.layout()[first];
-        let mut ids: Vec<TermId> = Vec::new();
+        let mut ids: Vec<Iri> = Vec::new();
         scan.for_each(|row| ids.push(row[take]));
         if !ids.is_sorted() {
             ids.sort_unstable();
@@ -712,20 +631,15 @@ impl EncodedGraph {
         Some(ids)
     }
 
-    /// As [`EncodedGraph::candidate_ids`], decoded back to IRIs and
-    /// re-sorted in [`Iri`] order — the backend-independent semi-join
-    /// input behind [`TripleIndex::candidate_values`] (local ids mean
-    /// nothing outside this graph's dictionary, so cross-backend callers
-    /// get values).
+    /// [`EncodedGraph::candidate_ids`] — the rows hold the terms
+    /// themselves, so the backend-independent semi-join input behind
+    /// [`TripleIndex::candidate_values`] is the same list.
     pub fn candidate_values(
         &self,
         pat: &TriplePattern,
         v: wdsparql_rdf::Variable,
     ) -> Option<Vec<Iri>> {
-        let ids = self.candidate_ids(pat, v)?;
-        let mut vals: Vec<Iri> = ids.into_iter().map(|id| self.dict.decode(id)).collect();
-        vals.sort_unstable();
-        Some(vals)
+        self.candidate_ids(pat, v)
     }
 
     /// Sorted-merge intersection of the candidate id lists of a variable
@@ -736,7 +650,7 @@ impl EncodedGraph {
         a: &TriplePattern,
         b: &TriplePattern,
         v: wdsparql_rdf::Variable,
-    ) -> Option<Vec<TermId>> {
+    ) -> Option<Vec<Iri>> {
         let xs = self.candidate_ids(a, v)?;
         let ys = self.candidate_ids(b, v)?;
         Some(intersect_sorted(&xs, &ys))
@@ -746,25 +660,16 @@ impl EncodedGraph {
     /// selectivity statistics behind the service's query planner. Base
     /// counts read off the POS offsets; pending segments are folded in.
     pub fn predicate_cardinalities(&self) -> Vec<(Iri, usize)> {
-        let mut counts = vec![0usize; self.dict.len()];
-        for (id, count) in counts
-            .iter_mut()
-            .enumerate()
-            .take(self.pos_off.len().saturating_sub(1))
-        {
-            *count = (self.pos_off[id + 1] - self.pos_off[id]) as usize;
+        let mut counts: BTreeMap<Iri, usize> = BTreeMap::new();
+        for w in self.pos_off.windows(2).filter(|w| w[1] > w[0]) {
+            counts.insert(self.pos[w[0] as usize][0], (w[1] - w[0]) as usize);
         }
         for seg in &self.segments {
-            for row in seg.rows(Perm::Pos) {
-                counts[row[0] as usize] += 1;
+            for block in seg.rows(Perm::Pos).chunk_by(|a, b| a[0] == b[0]) {
+                *counts.entry(block[0][0]).or_default() += block.len();
             }
         }
-        let mut out: Vec<(Iri, usize)> = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(id, &n)| (self.dict.decode(id as TermId), n))
-            .collect();
+        let mut out: Vec<(Iri, usize)> = counts.into_iter().collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
     }
@@ -772,27 +677,27 @@ impl EncodedGraph {
     /// Number of distinct terms occurring as subjects / predicates /
     /// objects: the base offset tables plus the pending segments.
     pub fn position_cardinalities(&self) -> (usize, usize, usize) {
-        let distinct = |perm: Perm, off: &[u32]| {
+        let distinct = |perm: Perm| {
+            let (rows, off) = self.perm_base(perm);
+            let blocks = off.windows(2).filter(|w| w[1] > w[0]);
             if self.segments.is_empty() {
-                return off.windows(2).filter(|w| w[1] > w[0]).count();
+                return blocks.count();
             }
-            let mut seen = vec![false; self.dict.len()];
-            for (id, w) in off.windows(2).enumerate() {
-                if w[1] > w[0] {
-                    seen[id] = true;
-                }
+            let mut seen = IriSet::new();
+            for w in blocks {
+                seen.insert(rows[w[0] as usize][0]);
             }
             for seg in &self.segments {
                 for row in seg.rows(perm) {
-                    seen[row[0] as usize] = true;
+                    seen.insert(row[0]);
                 }
             }
-            seen.into_iter().filter(|&b| b).count()
+            seen.len()
         };
         (
-            distinct(Perm::Spo, &self.spo_off),
-            distinct(Perm::Pos, &self.pos_off),
-            distinct(Perm::Osp, &self.osp_off),
+            distinct(Perm::Spo),
+            distinct(Perm::Pos),
+            distinct(Perm::Osp),
         )
     }
 
@@ -803,10 +708,10 @@ impl EncodedGraph {
             std::iter::once(self.spo.as_slice())
                 .chain(self.segments.iter().map(|s| s.rows(Perm::Spo))),
         )
-        .map(|row| self.decode_triple(row))
+        .map(|[s, p, o]| Triple::new(s, p, o))
     }
 
-    /// Decodes the whole store back into an [`RdfGraph`].
+    /// The whole store as an [`RdfGraph`].
     pub fn to_rdf(&self) -> RdfGraph {
         self.iter().collect()
     }
@@ -826,11 +731,11 @@ impl TripleIndex for EncodedGraph {
     }
 
     fn dom(&self) -> Box<dyn Iterator<Item = Iri> + '_> {
-        Box::new(self.dom_sorted.iter().copied())
+        Box::new(self.terms.iter())
     }
 
     fn dom_contains(&self, i: Iri) -> bool {
-        self.dict.lookup(i).is_some()
+        self.terms.contains(i)
     }
 
     fn candidate_count(&self, pat: &TriplePattern) -> usize {
@@ -847,9 +752,9 @@ impl TripleIndex for EncodedGraph {
 
     /// The WCOJ trie view: zero-copy over the permutation whose prefix
     /// matches the pattern's bound positions and variable order (base +
-    /// delta segment runs, dictionary ids as keys), falling back to a
-    /// materialised projection when no permutation fits — see
-    /// [`crate::wcoj`].
+    /// delta segment runs, [`Iri`] ids as keys), falling back to the
+    /// materialised trie of the pattern's matches when no permutation
+    /// fits — see [`crate::wcoj`].
     fn trie_cursor<'a>(
         &'a self,
         pat: &TriplePattern,
@@ -866,8 +771,8 @@ impl FromIterator<Triple> for EncodedGraph {
 }
 
 impl PartialEq for EncodedGraph {
-    /// Set equality up to dictionary numbering and physical layout: both
-    /// graphs hold the same ground triples (compacted or not).
+    /// Set equality up to physical layout: both graphs hold the same
+    /// ground triples (compacted or not).
     fn eq(&self, other: &EncodedGraph) -> bool {
         self.len() == other.len() && self.iter().all(|t| other.contains(&t))
     }
@@ -875,8 +780,8 @@ impl PartialEq for EncodedGraph {
 
 impl Eq for EncodedGraph {}
 
-/// Two-pointer intersection of sorted id lists.
-fn intersect_sorted(a: &[TermId], b: &[TermId]) -> Vec<TermId> {
+/// Two-pointer intersection of sorted term lists.
+fn intersect_sorted(a: &[Iri], b: &[Iri]) -> Vec<Iri> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -896,6 +801,7 @@ fn intersect_sorted(a: &[TermId], b: &[TermId]) -> Vec<TermId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use wdsparql_rdf::term::{iri, var};
     use wdsparql_rdf::{tp, Variable};
 
@@ -923,6 +829,193 @@ mod tests {
         assert!(!g.contains(&Triple::from_strs("y", "r", "x")));
     }
 
+    /// `name` as an [`Iri`] interned after 100 000 unrelated names, so
+    /// its id sits far above every name the other tests use.
+    fn late(name: &str) -> Iri {
+        static PADDING: std::sync::Once = std::sync::Once::new();
+        PADDING.call_once(|| {
+            for i in 0..100_000 {
+                Iri::new(&format!("id-window-padding-{i}"));
+            }
+        });
+        Iri::new(&format!("late/{name}"))
+    }
+
+    /// The id layouts each agreement test runs under: names as given
+    /// (small ids), every name late (a narrow window far above zero), and
+    /// names ending in an odd byte late (one wide window over both).
+    #[derive(Clone, Copy, Debug)]
+    enum Ids {
+        Early,
+        Late,
+        Mixed,
+    }
+
+    impl Ids {
+        const ALL: [Ids; 3] = [Ids::Early, Ids::Late, Ids::Mixed];
+
+        fn iri(self, name: &str) -> Iri {
+            let odd = name.bytes().last().is_some_and(|b| b % 2 == 1);
+            match self {
+                Ids::Late => late(name),
+                Ids::Mixed if odd => late(name),
+                Ids::Early | Ids::Mixed => Iri::new(name),
+            }
+        }
+
+        fn triple(self, s: &str, p: &str, o: &str) -> Triple {
+            Triple::new(self.iri(s), self.iri(p), self.iri(o))
+        }
+
+        /// `pat` with its constants renamed (spelled through [`Iri`]).
+        fn pattern(self, pat: &TriplePattern) -> TriplePattern {
+            let [s, p, o] = pat.positions().map(|t| match t {
+                Term::Iri(i) => Term::Iri(self.iri(i.as_str())),
+                v => v,
+            });
+            tp(s, p, o)
+        }
+    }
+
+    /// Every walk of a trie, root to leaf, as its terms; checks on the
+    /// way that each key is its term's id and that keys ascend.
+    fn walk(cur: &mut dyn wdsparql_rdf::TrieCursor) -> Vec<Vec<Iri>> {
+        fn go(cur: &mut dyn wdsparql_rdf::TrieCursor, at: &mut Vec<Iri>, out: &mut Vec<Vec<Iri>>) {
+            cur.open();
+            let mut last = None;
+            while let Some(key) = cur.key() {
+                let term = cur.value();
+                assert_eq!(key, u64::from(term.id()));
+                assert!(last < Some(key), "keys ascend");
+                last = Some(key);
+                at.push(term);
+                if at.len() == cur.depth() {
+                    out.push(at.clone());
+                } else {
+                    go(cur, at, out);
+                }
+                at.pop();
+                cur.advance();
+            }
+            cur.up();
+        }
+        let mut out = Vec::new();
+        go(cur, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Every ordering of `vs`.
+    fn orders(vs: &[Variable]) -> Vec<Vec<Variable>> {
+        if vs.len() <= 1 {
+            return vec![vs.to_vec()];
+        }
+        let mut out = Vec::new();
+        for (i, &v) in vs.iter().enumerate() {
+            let mut rest = vs.to_vec();
+            rest.remove(i);
+            for mut tail in orders(&rest) {
+                tail.insert(0, v);
+                out.push(tail);
+            }
+        }
+        out
+    }
+
+    /// Holds `g` to `r` (the same triples) on every read it serves, for
+    /// each of `pats`: matches, exact constant counts, candidate ids and
+    /// values of each variable, and the trie of every variable order
+    /// (keyed, row-walked or materialised — whichever `g` picks) against
+    /// the default materialised trie; then `dom`, `dom_contains`,
+    /// `term_count` and the position and predicate cardinalities. A
+    /// compacted `g`'s offset tables must span its id window exactly.
+    fn agrees_with(g: &EncodedGraph, r: &RdfGraph, pats: &[TriplePattern], label: &str) {
+        assert_eq!(g.len(), r.len(), "{label}");
+        for pat in pats {
+            let (mut got, mut want) = (g.match_pattern(pat), r.match_pattern(pat));
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "{label}: pattern {pat}");
+            let constant_matches = r
+                .iter()
+                .filter(|t| {
+                    (0..3).all(|i| {
+                        pat.positions()[i]
+                            .as_iri()
+                            .is_none_or(|c| c == t.terms()[i])
+                    })
+                })
+                .count();
+            assert_eq!(g.candidate_count(pat), constant_matches, "{label}: {pat}");
+            assert_eq!(
+                g.solutions(pat).len(),
+                r.solutions(pat).len(),
+                "{label}: {pat}"
+            );
+            let vars: Vec<Variable> = pat.vars().into_iter().collect();
+            for &v in &vars {
+                let mut want: Vec<Iri> = r.solutions(pat).iter().filter_map(|m| m.get(v)).collect();
+                want.sort();
+                want.dedup();
+                assert_eq!(
+                    g.candidate_ids(pat, v).as_ref(),
+                    Some(&want),
+                    "{label}: {pat} {v}"
+                );
+                assert_eq!(g.candidate_values(pat, v), Some(want), "{label}: {pat} {v}");
+            }
+            assert_eq!(g.candidate_ids(pat, Variable::new("unused")), None);
+            if vars.is_empty() {
+                continue;
+            }
+            for order in orders(&vars) {
+                assert_eq!(
+                    walk(&mut *g.trie_cursor(pat, &order)),
+                    walk(&mut *r.trie_cursor(pat, &order)),
+                    "{label}: trie of {pat} over {order:?}"
+                );
+            }
+        }
+        let dom: Vec<Iri> = g.dom().collect();
+        assert!(dom.is_sorted(), "{label}: dom ascends");
+        assert_eq!(dom, r.dom().collect::<Vec<_>>(), "{label}");
+        assert_eq!(g.term_count(), dom.len(), "{label}");
+        assert!(dom.iter().all(|&i| g.dom_contains(i)), "{label}");
+        assert!(!g.dom_contains(Iri::new("never-in-any-graph")), "{label}");
+        let distinct = |f: fn(&Triple) -> Iri| r.iter().map(f).collect::<BTreeSet<Iri>>().len();
+        assert_eq!(
+            g.position_cardinalities(),
+            (distinct(|t| t.s), distinct(|t| t.p), distinct(|t| t.o)),
+            "{label}"
+        );
+        let mut per_p: BTreeMap<Iri, usize> = BTreeMap::new();
+        for t in r.iter() {
+            *per_p.entry(t.p).or_default() += 1;
+        }
+        let mut want: Vec<(Iri, usize)> = per_p.into_iter().collect();
+        want.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        assert_eq!(g.predicate_cardinalities(), want, "{label}");
+        if g.is_compacted() {
+            let span = g.terms.bounds().map_or(0, |(lo, hi)| hi.id() - lo.id() + 1);
+            assert_eq!(g.window.lo, dom.first().map_or(0, |i| i.id()), "{label}");
+            for off in [&g.spo_off, &g.pos_off, &g.osp_off] {
+                assert_eq!(off.len(), span as usize + 1, "{label}: sized by the window");
+            }
+        }
+    }
+
+    /// `g` as built, and compacted.
+    fn agrees_before_and_after_compaction(
+        g: &EncodedGraph,
+        r: &RdfGraph,
+        pats: &[TriplePattern],
+        label: &str,
+    ) {
+        agrees_with(g, r, pats, label);
+        let mut folded = g.clone();
+        folded.compact();
+        agrees_with(&folded, r, pats, &format!("{label}, compacted"));
+    }
+
     #[test]
     fn every_access_pattern_matches_the_rdf_graph() {
         let strs = [
@@ -931,8 +1024,8 @@ mod tests {
             ("b", "p", "c"),
             ("b", "q", "a"),
             ("c", "q", "a"),
+            ("c", "q", "c"),
         ];
-        let r = RdfGraph::from_strs(strs);
         let pats = [
             tp(iri("a"), iri("p"), iri("b")),
             tp(iri("a"), iri("p"), var("y")),
@@ -942,36 +1035,33 @@ mod tests {
             tp(var("x"), iri("q"), var("y")),
             tp(var("x"), var("y"), iri("a")),
             tp(var("x"), var("y"), var("z")),
+            tp(var("x"), iri("q"), var("x")),
+            tp(iri("zz"), iri("p"), var("y")),
         ];
-        // Once compacted (PSO live), once with every triple still in
-        // delta segments, once half-and-half.
-        let compacted = sample();
-        let mut all_delta = EncodedGraph::new();
-        for t in strs {
-            all_delta
-                .insert_batch([Triple::from_strs(t.0, t.1, t.2)])
-                .unwrap();
-        }
-        let mut half = EncodedGraph::new();
-        half.insert_batch(strs[..3].iter().map(|t| Triple::from_strs(t.0, t.1, t.2)))
-            .unwrap();
-        half.compact();
-        half.insert_batch(strs[3..].iter().map(|t| Triple::from_strs(t.0, t.1, t.2)))
-            .unwrap();
-        for (label, g) in [
-            ("compacted", &compacted),
-            ("all-delta", &all_delta),
-            ("half", &half),
-        ] {
-            assert_eq!(g.len(), r.len(), "{label}");
-            for pat in pats {
-                let mut got = g.match_pattern(&pat);
-                let mut want = r.match_pattern(&pat);
-                got.sort();
-                want.sort();
-                assert_eq!(got, want, "{label}: pattern {pat}");
-                assert!(g.candidate_count(&pat) >= got.len(), "{label}: {pat}");
-                assert_eq!(g.solutions(&pat).len(), r.solutions(&pat).len());
+        for ids in Ids::ALL {
+            let ts: Vec<Triple> = strs.iter().map(|&(s, p, o)| ids.triple(s, p, o)).collect();
+            let pats: Vec<TriplePattern> = pats.iter().map(|p| ids.pattern(p)).collect();
+            let r = RdfGraph::from_triples(ts.iter().copied());
+            // Once compacted (PSO live), once with every triple still in
+            // delta segments, once half-and-half.
+            let compacted = EncodedGraph::from_triples(ts.iter().copied());
+            let mut all_delta = EncodedGraph::new();
+            for &t in &ts {
+                all_delta.insert_batch([t]).unwrap();
+            }
+            let mut half = EncodedGraph::new();
+            half.insert_batch(ts[..3].iter().copied()).unwrap();
+            half.compact();
+            half.insert_batch(ts[3..].iter().copied()).unwrap();
+            for (label, g) in [
+                ("compacted", &compacted),
+                ("all-delta", &all_delta),
+                ("half", &half),
+            ] {
+                agrees_before_and_after_compaction(g, &r, &pats, &format!("{ids:?} {label}"));
+            }
+            if let Ids::Late = ids {
+                assert!(compacted.window.lo >= 100_000 && compacted.spo_off.len() < 100_000);
             }
         }
     }
@@ -1108,27 +1198,40 @@ mod tests {
 
     #[test]
     fn incremental_batches_agree_with_one_shot_build() {
-        let all: Vec<Triple> = (0..40)
-            .map(|i| {
-                Triple::from_strs(
-                    &format!("s{}", i % 7),
-                    &format!("p{}", i % 3),
-                    &format!("o{i}"),
-                )
-            })
-            .collect();
-        let one_shot = EncodedGraph::from_triples(all.iter().copied());
-        let mut incremental = EncodedGraph::new();
-        for chunk in all.chunks(9) {
-            incremental.insert_batch(chunk.iter().copied()).unwrap();
+        let pats = [
+            tp(var("x"), iri("p1"), var("y")),
+            tp(iri("s3"), var("q"), var("y")),
+            tp(var("x"), var("q"), iri("o12")),
+            tp(var("x"), var("q"), var("y")),
+        ];
+        for ids in Ids::ALL {
+            let all: Vec<Triple> = (0..40)
+                .map(|i| {
+                    ids.triple(
+                        &format!("s{}", i % 7),
+                        &format!("p{}", i % 3),
+                        &format!("o{i}"),
+                    )
+                })
+                .collect();
+            let pats: Vec<TriplePattern> = pats.iter().map(|p| ids.pattern(p)).collect();
+            let r = RdfGraph::from_triples(all.iter().copied());
+            let one_shot = EncodedGraph::from_triples(all.iter().copied());
+            let mut incremental = EncodedGraph::new();
+            for chunk in all.chunks(9) {
+                incremental.insert_batch(chunk.iter().copied()).unwrap();
+            }
+            assert_eq!(one_shot, incremental);
+            // Re-inserting is a no-op.
+            assert_eq!(incremental.insert_batch(all.iter().copied()).unwrap(), 0);
+            agrees_with(&one_shot, &r, &pats, &format!("{ids:?} one-shot"));
+            agrees_with(&incremental, &r, &pats, &format!("{ids:?} incremental"));
+            // Compaction changes the layout, never the contents.
+            incremental.compact();
+            assert_eq!(incremental.segment_count(), 0);
+            assert_eq!(one_shot, incremental);
+            agrees_with(&incremental, &r, &pats, &format!("{ids:?} compacted"));
         }
-        assert_eq!(one_shot, incremental);
-        // Re-inserting is a no-op.
-        assert_eq!(incremental.insert_batch(all).unwrap(), 0);
-        // Compaction changes the layout, never the contents.
-        incremental.compact();
-        assert_eq!(incremental.segment_count(), 0);
-        assert_eq!(one_shot, incremental);
     }
 
     #[test]
@@ -1266,10 +1369,7 @@ mod tests {
         let p1 = tp(var("s"), iri("p"), var("o1"));
         let p2 = tp(var("s"), iri("q"), var("o2"));
         let shared = g.merge_join_ids(&p1, &p2, Variable::new("s")).unwrap();
-        let mut names: Vec<&str> = shared
-            .iter()
-            .map(|&id| g.dictionary().decode(id).as_str())
-            .collect();
+        let mut names: Vec<&str> = shared.iter().map(|i| i.as_str()).collect();
         names.sort_unstable();
         assert_eq!(names, vec!["b", "c"]);
         assert!(g.merge_join_ids(&p1, &p2, Variable::new("nope")).is_none());
@@ -1288,15 +1388,8 @@ mod tests {
         let pat = tp(var("s"), iri("p"), var("o"));
         let a = compacted.candidate_ids(&pat, Variable::new("s")).unwrap();
         let b = staged.candidate_ids(&pat, Variable::new("s")).unwrap();
-        assert!(a.is_sorted() && b.is_sorted());
-        // Same ids under both layouts (dictionaries agree: same insert
-        // order of first occurrence is not guaranteed, so compare decoded).
-        let decode = |g: &EncodedGraph, ids: &[TermId]| -> Vec<Iri> {
-            let mut v: Vec<Iri> = ids.iter().map(|&i| g.dictionary().decode(i)).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(decode(&compacted, &a), decode(&staged, &b));
+        assert!(a.is_sorted());
+        assert_eq!(a, b, "the same terms under both layouts");
     }
 
     #[test]
@@ -1341,34 +1434,23 @@ mod tests {
         }
         let rows: Vec<Triple> = g.iter().collect();
         assert_eq!(rows.len(), g.len());
-        assert!(rows.is_sorted_by(|a, b| {
-            let key = |t: &Triple| {
-                let d = g.dictionary();
-                [
-                    d.lookup(t.s).unwrap(),
-                    d.lookup(t.p).unwrap(),
-                    d.lookup(t.o).unwrap(),
-                ]
-            };
-            key(a) <= key(b)
-        }));
+        assert!(rows.is_sorted_by_key(|t| t.terms()));
     }
 
     /// `(lead, key, rows)` for every key of both predicate-led key
-    /// levels, decoded, with each key's rows checked to be exactly the
-    /// rows it leads.
+    /// levels, with each key's rows checked to be exactly the rows it
+    /// leads.
     fn key_levels(g: &EncodedGraph) -> [Vec<(Iri, Iri, usize)>; 2] {
         [Perm::Pso, Perm::Pos].map(|perm| {
             let mut out = Vec::new();
-            for lead in 0..g.term_count() as TermId {
+            for lead in g.terms.iter() {
                 let Some(mut block) = g.block_keys(perm, lead) else {
                     continue;
                 };
                 while let Some(&key) = block.keys.first() {
                     let rows = block.first_rows();
                     assert!(rows.iter().all(|r| r[..2] == [lead, key]), "{perm:?}");
-                    let decode = |id| g.dictionary().decode(id);
-                    out.push((decode(lead), decode(key), rows.len()));
+                    out.push((lead, key, rows.len()));
                     block.skip(1);
                 }
             }

@@ -1,6 +1,6 @@
 //! # wdsparql-store
 //!
-//! A dictionary-encoded triple store with sorted permutation indexes, a
+//! A triple store with sorted permutation indexes, a
 //! log-structured write path and a concurrent query service — the
 //! production-path substrate behind the evaluation engine, replacing
 //! [`RdfGraph`](wdsparql_rdf::RdfGraph)'s string-interned hash indexes
@@ -8,13 +8,16 @@
 //!
 //! ## Index layout
 //!
-//! Triples are interned through a [`Dictionary`] into dense `u32` ids and
-//! stored as sorted arrays of `[TermId; 3]` rows — the SPO, POS and OSP
-//! component rotations, plus a base-only PSO rotation for subject-sorted
-//! merge-join inputs — each base array with an offset table indexed by
-//! leading id, so every bound-prefix lookup lands on one contiguous
-//! slice and the sorted blocks double as merge-join inputs
-//! ([`EncodedGraph::merge_join_ids`]). Writes append small sorted delta
+//! A term's id is its [`Iri`](wdsparql_rdf::Iri) interner id — the store
+//! has no dictionary of its own. Triples are stored as sorted arrays of
+//! `[Iri; 3]` rows — the SPO, POS and OSP component rotations, plus a
+//! base-only PSO rotation for subject-sorted merge-join inputs — each
+//! base array with an offset table indexed by leading id over the
+//! graph's id window (its smallest to its largest term), so every
+//! bound-prefix lookup lands on one contiguous slice and the sorted
+//! blocks double as merge-join inputs
+//! ([`EncodedGraph::merge_join_ids`]); one bitset over the ids is the
+//! graph's term table. Writes append small sorted delta
 //! segments instead of rewriting the base; reads merge base + deltas
 //! behind the same bounded-prefix narrowing, and the deltas fold back
 //! into the base at 48 pending segments, once four times the delta rows
@@ -26,8 +29,8 @@
 //!
 //! ## Layers
 //!
-//! * [`Dictionary`] — dense two-way term interning;
-//! * [`EncodedGraph`] — the permutation arrays and segments; implements
+//! * [`EncodedGraph`] — the term bitset, the permutation arrays and
+//!   segments; implements
 //!   [`wdsparql_rdf::TripleIndex`], so every evaluation algorithm in the
 //!   workspace (naive, pebble, enumeration, reference semantics) runs
 //!   against it unchanged;
@@ -84,7 +87,6 @@
 
 mod bgp;
 mod cache;
-pub mod dict;
 pub mod encoded;
 pub mod join;
 pub mod obs;
@@ -96,7 +98,6 @@ pub mod wcoj;
 
 pub use bgp::{open_bgp_stream, PlannedQuery};
 pub use cache::CacheStats;
-pub use dict::{Dictionary, TermId};
 pub use encoded::EncodedGraph;
 pub use join::{PairwiseStepStats, PairwiseStream};
 pub use obs::metrics_json;

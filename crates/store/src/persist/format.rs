@@ -256,9 +256,8 @@ pub struct TripleBlock {
 }
 
 /// Serializes triples as a local term table (length-prefixed UTF-8
-/// spellings) plus `[s, p, o]` index rows — the same
-/// dictionary-plus-sorted-rows shape the in-memory graph uses, just
-/// self-contained per file.
+/// spellings) plus `[s, p, o]` index rows into it — self-contained per
+/// file.
 pub fn encode_triple_block(terms: &[&str], rows: &[[u32; 3]]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(terms.len() as u32).to_le_bytes());

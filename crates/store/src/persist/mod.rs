@@ -7,8 +7,10 @@
 //!   current checkpoint (`base-<n>`), its payload checksum and the
 //!   epoch it covers;
 //! * `base-<n>` — the checkpoint: every triple as of its epoch, one
-//!   paged triple block;
-//! * `seg-<n>` — immutable delta segments, one per committed batch;
+//!   paged triple block whose terms are numbered by spelling, so its
+//!   bytes depend on the triple set alone;
+//! * `seg-<n>` — immutable delta segments, one per committed batch, its
+//!   terms numbered in the batch's first-seen order;
 //! * `commit.log` — fixed-size records, one per committed batch:
 //!   `(epoch, segment id, payload length, payload checksum)`.
 //!
@@ -261,16 +263,48 @@ pub fn format_store(fs: &dyn Vfs, opts: &PersistOpts) -> Result<DirState, Persis
     Ok(DirState::default())
 }
 
-/// Builds the self-contained term table + rows image of `triples`.
+/// Builds the self-contained term table + rows image of one committed
+/// batch.
 ///
-/// Block ids are handed out in first-seen order over the interned ids —
-/// two [`Iri`]s are one spelling exactly when they are one id, so the
-/// table never compares strings — and each spelling is read once, when
-/// its term is first seen.
-pub(crate) fn batch_image(triples: &[Triple]) -> (Vec<&'static str>, Vec<[u32; 3]>) {
+/// Block ids are handed out in first-seen order over the batch — two
+/// [`Iri`]s are one spelling exactly when they are one id, so the table
+/// never compares strings — and each spelling is read once, when its
+/// term is first seen.
+fn batch_image(triples: &[Triple]) -> (Vec<&'static str>, Vec<[u32; 3]>) {
+    let (terms, mut rows) = first_seen(triples);
+    rows.sort_unstable();
+    rows.dedup();
+    (terms, rows)
+}
+
+/// Builds the image of a checkpoint: as [`batch_image`], but block ids
+/// rank the terms by spelling. The store hands its triples over in
+/// interner order, which differs from process to process; ranked by
+/// spelling, a checkpoint depends on nothing but the triple set.
+fn checkpoint_image(triples: &[Triple]) -> (Vec<&'static str>, Vec<[u32; 3]>) {
+    let (seen, rows) = first_seen(triples);
+    let mut by_spelling: Vec<u32> = (0..seen.len() as u32).collect();
+    by_spelling.sort_unstable_by_key(|&id| seen[id as usize]);
+    let mut rank = vec![0u32; seen.len()];
+    for (r, &id) in by_spelling.iter().enumerate() {
+        rank[id as usize] = r as u32;
+    }
+    let terms = by_spelling.iter().map(|&id| seen[id as usize]).collect();
+    let mut rows: Vec<[u32; 3]> = rows
+        .into_iter()
+        .map(|row| row.map(|id| rank[id as usize]))
+        .collect();
+    rows.sort_unstable();
+    rows.dedup();
+    (terms, rows)
+}
+
+/// The spellings of `triples`' terms in first-seen order, and the
+/// triples as rows of indexes into them.
+fn first_seen(triples: &[Triple]) -> (Vec<&'static str>, Vec<[u32; 3]>) {
     let mut ids: CellMap<Iri, u32> = CellMap::default();
     let mut terms = Vec::new();
-    let mut rows: Vec<[u32; 3]> = triples
+    let rows = triples
         .iter()
         .map(|t| {
             t.terms().map(|iri| {
@@ -281,8 +315,6 @@ pub(crate) fn batch_image(triples: &[Triple]) -> (Vec<&'static str>, Vec<[u32; 3
             })
         })
         .collect();
-    rows.sort_unstable();
-    rows.dedup();
     (terms, rows)
 }
 
@@ -386,7 +418,7 @@ pub fn checkpoint(
     if st.wedged {
         return Err(wedged_err());
     }
-    let (terms, rows) = batch_image(triples);
+    let (terms, rows) = checkpoint_image(triples);
     let payload = encode_triple_block(&terms, &rows);
     let framed = encode_paged(PageKind::Checkpoint, epoch, &payload, opts.page_size);
     let base_id = st.next_base_id;

@@ -1,6 +1,6 @@
 //! Row-run plumbing for the log-structured [`EncodedGraph`]: permutation
-//! rotations, immutable sorted delta segments, k-way merges, offset
-//! tables and the `u32` capacity guard.
+//! rotations, immutable sorted delta segments, k-way merges, id-window
+//! offset tables and the `u32` capacity guard.
 //!
 //! A [`Segment`] is the unit of the write path: one `insert_batch`
 //! becomes one segment holding the batch's rows sorted under the SPO,
@@ -11,12 +11,13 @@
 //!
 //! [`EncodedGraph`]: crate::EncodedGraph
 
-use crate::dict::TermId;
 use std::fmt;
 use std::sync::OnceLock;
+use wdsparql_rdf::Iri;
 
-/// One dictionary-encoded row: a triple's ids under some rotation.
-pub(crate) type Row = [TermId; 3];
+/// One row: a triple's terms under some rotation. Rows compare by
+/// [`Iri`] interner id, so every sorted run is in interner order.
+pub(crate) type Row = [Iri; 3];
 
 /// Which permutation a row slice came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,7 +181,7 @@ impl Segment {
 /// over 12-byte rows and their duplicates.
 #[derive(Clone, Debug)]
 pub(crate) struct KeyLevel {
-    keys: Vec<TermId>,
+    keys: Vec<Iri>,
     /// `starts[i]..starts[i + 1]` are pair `i`'s rows; the last entry is
     /// the row count.
     starts: Vec<u32>,
@@ -222,7 +223,7 @@ impl KeyLevel {
 /// ascending, each with its rows. Never empty while a trie holds it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct KeyedBlock<'a> {
-    pub(crate) keys: &'a [TermId],
+    pub(crate) keys: &'a [Iri],
     /// One longer than `keys`: `keys[i]`'s rows are
     /// `rows[starts[i]..starts[i + 1]]`.
     starts: &'a [u32],
@@ -244,39 +245,59 @@ impl<'a> KeyedBlock<'a> {
     }
 }
 
+/// The id window `[lo, lo + len)` an offset table covers: the ids
+/// between the smallest and the largest term of a graph. A table indexes
+/// `id − lo`, so its size follows the graph's own terms, not how many
+/// names the process interned before them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Window {
+    pub(crate) lo: u32,
+    pub(crate) len: usize,
+}
+
+impl Window {
+    /// The window spanning `lo..=hi`.
+    pub(crate) fn spanning(lo: Iri, hi: Iri) -> Window {
+        Window {
+            lo: lo.id(),
+            len: (hi.id() - lo.id()) as usize + 1,
+        }
+    }
+
+    /// `id`'s slot, `None` outside the window.
+    #[inline]
+    pub(crate) fn slot(self, id: Iri) -> Option<usize> {
+        let i = id.id().wrapping_sub(self.lo) as usize;
+        (i < self.len).then_some(i)
+    }
+}
+
 /// Stable counting sort of `rows` by the component at `key`, each row
-/// rotated by `rotate` on its way out. Because counting sort is stable,
+/// rotated by `rotate` on its way out; `off` is that component's offset
+/// table over `window` ([`offsets`]). Because counting sort is stable,
 /// feeding rows already sorted by a secondary order yields the full
-/// lexicographic order of the rotated rows in **O(rows + terms)** — no
+/// lexicographic order of the rotated rows in **O(rows + window)** — no
 /// comparisons: SPO scattered by `o` is OSP, OSP scattered by `p` is
-/// POS, SPO scattered by `p` is PSO. Also returns the leading-id offset
-/// table of the result (the scatter computes it anyway).
+/// POS, SPO scattered by `p` is PSO.
 pub(crate) fn scatter_by(
     rows: &[Row],
     key: usize,
-    terms: usize,
+    off: &[u32],
+    window: Window,
     rotate: impl Fn(Row) -> Row,
-) -> (Vec<Row>, Vec<u32>) {
-    debug_assert!(u32::try_from(rows.len()).is_ok(), "capacity guard bypassed");
-    let mut off = vec![0u32; terms + 1];
-    for row in rows {
-        off[row[key] as usize + 1] += 1;
-    }
-    for i in 1..off.len() {
-        off[i] += off[i - 1];
-    }
-    let mut cursor: Vec<u32> = off.clone();
-    let mut out = vec![[0 as TermId; 3]; rows.len()];
+) -> Vec<Row> {
+    let mut cursor: Vec<u32> = off.to_vec();
+    let mut out = rows.to_vec();
     for &row in rows {
-        let slot = &mut cursor[row[key] as usize];
+        let slot = &mut cursor[(row[key].id() - window.lo) as usize];
         out[*slot as usize] = rotate(row);
         *slot += 1;
     }
-    (out, off)
+    out
 }
 
-/// Merges two sorted runs into one sorted vector (rows during
-/// compaction, terms for the sorted domain); equal items are all kept.
+/// Merges two sorted runs into one sorted vector; equal items are all
+/// kept.
 pub(crate) fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
@@ -316,14 +337,17 @@ pub(crate) fn merge_many<T: Ord + Copy>(runs: Vec<Vec<T>>) -> Vec<T> {
     runs.pop().unwrap_or_default()
 }
 
-/// Leading-component offsets: `off[id]..off[id+1]` is the row range whose
-/// first component is `id`. The caller guarantees (via
-/// [`check_capacity`]) that the row count fits `u32`.
-pub(crate) fn offsets(rows: &[Row], terms: usize) -> Vec<u32> {
+/// The offset table of component `key` over `window`: `off[id − lo]..
+/// off[id − lo + 1]` is the row range a sort by that component gives
+/// `id` — for `key == 0` on sorted rows, the rows whose first component
+/// is `id`. The caller guarantees (via [`check_capacity`]) that the row
+/// count fits `u32`, and that every row's `key` component lies in the
+/// window.
+pub(crate) fn offsets(rows: &[Row], key: usize, window: Window) -> Vec<u32> {
     debug_assert!(u32::try_from(rows.len()).is_ok(), "capacity guard bypassed");
-    let mut off = vec![0u32; terms + 1];
+    let mut off = vec![0u32; window.len + 1];
     for row in rows {
-        off[row[0] as usize + 1] += 1;
+        off[(row[key].id() - window.lo) as usize + 1] += 1;
     }
     for i in 1..off.len() {
         off[i] += off[i - 1];
@@ -374,9 +398,23 @@ impl Iterator for MergedRows<'_> {
 mod tests {
     use super::*;
 
+    /// `n` fresh terms, ascending: interned in order under a name
+    /// nothing else uses, so `t[i] < t[i + 1]`.
+    fn terms(tag: &str, n: usize) -> Vec<Iri> {
+        (0..n)
+            .map(|i| Iri::new(&format!("segment-test-{tag}-{i}")))
+            .collect()
+    }
+
+    /// Rows of small indexes into `t`.
+    fn rows(t: &[Iri], ix: &[[usize; 3]]) -> Vec<Row> {
+        ix.iter().map(|r| r.map(|i| t[i])).collect()
+    }
+
     #[test]
     fn rotations_round_trip() {
-        let row: Row = [1, 2, 3];
+        let t = terms("rotate", 3);
+        let row: Row = [t[0], t[1], t[2]];
         for perm in [Perm::Spo, Perm::Pos, Perm::Osp, Perm::Pso] {
             assert_eq!(perm.spo_of(perm.rotate(row)), row, "{perm:?}");
         }
@@ -409,7 +447,8 @@ mod tests {
 
     #[test]
     fn segment_runs_are_sorted_rotations() {
-        let seg = Segment::from_sorted_spo(vec![[0, 1, 2], [1, 0, 0], [1, 2, 0]]);
+        let t = terms("segment", 3);
+        let seg = Segment::from_sorted_spo(rows(&t, &[[0, 1, 2], [1, 0, 0], [1, 2, 0]]));
         assert_eq!(seg.len(), 3);
         for perm in [Perm::Spo, Perm::Pos, Perm::Osp] {
             let rows = seg.rows(perm);
@@ -423,63 +462,72 @@ mod tests {
     #[test]
     fn scatters_derive_the_other_permutations() {
         // A small but irregular SPO-sorted set.
-        let mut spo: Vec<Row> = vec![
-            [0, 1, 2],
-            [0, 2, 1],
-            [1, 0, 0],
-            [1, 1, 2],
-            [2, 0, 1],
-            [2, 2, 2],
-        ];
+        let t = terms("scatter", 3);
+        let mut spo = rows(
+            &t,
+            &[
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 0],
+                [1, 1, 2],
+                [2, 0, 1],
+                [2, 2, 2],
+            ],
+        );
         spo.sort_unstable();
+        let w = Window::spanning(t[0], t[2]);
         let sorted_rotation = |perm: Perm| {
             let mut rows: Vec<Row> = spo.iter().map(|&r| perm.rotate(r)).collect();
             rows.sort_unstable();
             rows
         };
-        let (osp, osp_off) = scatter_by(&spo, 2, 3, |[s, p, o]| [o, s, p]);
+        let osp_off = offsets(&spo, 2, w);
+        let osp = scatter_by(&spo, 2, &osp_off, w, |[s, p, o]| [o, s, p]);
         assert_eq!(osp, sorted_rotation(Perm::Osp));
-        assert_eq!(osp_off, offsets(&osp, 3));
-        let (pos, pos_off) = scatter_by(&osp, 2, 3, |[o, s, p]| [p, o, s]);
+        assert_eq!(osp_off, offsets(&osp, 0, w));
+        let pos_off = offsets(&osp, 2, w);
+        let pos = scatter_by(&osp, 2, &pos_off, w, |[o, s, p]| [p, o, s]);
         assert_eq!(pos, sorted_rotation(Perm::Pos));
-        assert_eq!(pos_off, offsets(&pos, 3));
-        let (pso, pso_off) = scatter_by(&spo, 1, 3, |[s, p, o]| [p, s, o]);
+        assert_eq!(pos_off, offsets(&pos, 0, w));
+        let pso = scatter_by(&spo, 1, &pos_off, w, |[s, p, o]| [p, s, o]);
         assert_eq!(pso, sorted_rotation(Perm::Pso));
-        assert_eq!(pso_off, pos_off);
+        assert_eq!(pos_off, offsets(&pso, 0, w));
     }
 
     #[test]
     fn key_levels_index_the_distinct_pairs() {
         // PSO rows; predicate 2's block is rows 3..6, subjects 0 and 2.
-        let pso: Vec<Row> = vec![
-            [0, 1, 0],
-            [1, 0, 2],
-            [1, 1, 2],
-            [2, 0, 1],
-            [2, 2, 0],
-            [2, 2, 2],
-        ];
+        let t = terms("keys", 3);
+        let pso = rows(
+            &t,
+            &[
+                [0, 1, 0],
+                [1, 0, 2],
+                [1, 1, 2],
+                [2, 0, 1],
+                [2, 2, 0],
+                [2, 2, 2],
+            ],
+        );
         let level = KeyLevel::of(&pso);
-        assert_eq!(level.keys, [1, 0, 1, 0, 2]);
+        assert_eq!(level.keys, [t[1], t[0], t[1], t[0], t[2]]);
         assert_eq!(level.starts, [0, 1, 2, 3, 4, 6]);
         let mut block = level.block(&pso, 3, 6);
-        assert_eq!(block.keys, &[0, 2]);
-        assert_eq!(block.first_rows(), &[[2, 0, 1]]);
+        assert_eq!(block.keys, &[t[0], t[2]]);
+        assert_eq!(block.first_rows(), &pso[3..4]);
         block.skip(1);
-        assert_eq!(block.first_rows(), &[[2, 2, 0], [2, 2, 2]]);
+        assert_eq!(block.first_rows(), &pso[4..6]);
         let first = level.block(&pso, 0, 1);
-        assert_eq!(
-            (first.keys, first.first_rows()),
-            (&[1][..], &[[0, 1, 0]][..])
-        );
+        assert_eq!((first.keys, first.first_rows()), (&t[1..2], &pso[..1]));
         assert_eq!(KeyLevel::of(&[]).starts, [0]);
     }
 
     #[test]
     fn merges_agree_with_sorting() {
-        let a = vec![[0, 0, 0], [2, 0, 0], [4, 0, 0]];
-        let b = vec![[1, 0, 0], [3, 0, 0]];
-        let c = vec![[5, 0, 0]];
+        let t = terms("merge", 6);
+        let a = rows(&t, &[[0, 0, 0], [2, 0, 0], [4, 0, 0]]);
+        let b = rows(&t, &[[1, 0, 0], [3, 0, 0]]);
+        let c = rows(&t, &[[5, 0, 0]]);
         let mut want: Vec<Row> = [a.clone(), b.clone(), c.clone()].concat();
         want.sort_unstable();
         assert_eq!(merge_sorted(&a, &b), merge_many(vec![a.clone(), b.clone()]));
@@ -492,8 +540,17 @@ mod tests {
 
     #[test]
     fn offsets_partition_by_leading_id() {
-        let rows = vec![[0, 9, 9], [0, 9, 9], [2, 1, 1]];
-        let off = offsets(&rows, 3);
-        assert_eq!(off, vec![0, 2, 2, 3]);
+        let t = terms("offsets", 10);
+        let rs = rows(&t, &[[7, 9, 9], [7, 9, 9], [9, 1, 1]]);
+        // The window spans the rows' leads, not the ids below them.
+        let w = Window::spanning(t[7], t[9]);
+        let off = offsets(&rs, 0, w);
+        assert_eq!(off.len(), w.len + 1);
+        let block = |i: Iri| w.slot(i).map(|k| off[k]..off[k + 1]);
+        assert_eq!(block(t[7]), Some(0..2));
+        assert_eq!(block(t[8]), Some(2..2));
+        assert_eq!(block(t[9]), Some(2..3));
+        assert_eq!(block(t[6]), None);
+        assert_eq!(block(Iri::new("segment-test-later")), None);
     }
 }

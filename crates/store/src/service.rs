@@ -455,7 +455,7 @@ impl TripleStore {
             return Ok(0);
         }
         // No-op pre-scan on a lock-free snapshot: O(batch · log n) of
-        // dictionary lookups and containment probes happens with no lock
+        // containment probes happens with no lock
         // held at all. The snapshot `Arc` must drop before the write
         // lock, or `Arc::make_mut` below would see it and deep-clone the
         // whole graph on every load.

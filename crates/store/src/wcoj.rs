@@ -18,7 +18,7 @@
 //!   **zero-copy view** over the permutation whose prefix matches the
 //!   pattern's bound positions and variable order — the base range
 //!   resolved through the offset table plus one narrowed run per delta
-//!   segment, dictionary ids as keys (`encoded_trie`). A run is walked
+//!   segment, [`Iri`] interner ids as keys (`encoded_trie`). A run is walked
 //!   one of two ways inside the same trie: a compacted PSO/POS base block
 //!   under a bound predicate enters its first variable **keyed** — over
 //!   the block's distinct second-column ids, kept beside the permutation
@@ -27,12 +27,12 @@
 //!   their duplicates, and opening a key is two array loads — while delta
 //!   runs, SPO/OSP runs and every deeper level are **row-walked**. When no
 //!   permutation fits (two of the six rotations are not stored, and
-//!   repeated variables constrain rows), the pattern falls back to a
-//!   materialised projection — still linear in *that pattern's* matches,
-//!   never in a join intermediate. Other backends (the scatter-gather
-//!   [`crate::ShardedSnapshot`], [`wdsparql_rdf::RdfGraph`]) serve the
-//!   default materialised trie, built from their `match_pattern` rows
-//!   in [`Iri`] key space;
+//!   repeated variables constrain rows), the pattern falls back to the
+//!   [`MaterializedTrie`] of its matches — still linear in *that
+//!   pattern's* matches, never in a join intermediate. Other backends
+//!   (the scatter-gather [`crate::ShardedSnapshot`],
+//!   [`wdsparql_rdf::RdfGraph`]) serve the same materialised trie as
+//!   their default: every trie keys on the same ids;
 //! * at each variable the participating tries are intersected by
 //!   **leapfrog search**, Veldhuizen's round robin: visit the cursors in
 //!   turn, gallop (`seek`) each one that lags the largest key seen so far,
@@ -48,7 +48,6 @@
 
 pub use crate::bgp::eval_bgp_with_strategy;
 use crate::bgp::plan_order;
-use crate::dict::{Dictionary, TermId};
 use crate::encoded::EncodedGraph;
 use crate::segment::{KeyedBlock, Perm, Row};
 use std::collections::BTreeSet;
@@ -616,7 +615,7 @@ enum Run<'a> {
 impl<'a> Run<'a> {
     /// The run's first key at row position `pos`.
     #[inline]
-    fn head(&self, pos: usize) -> TermId {
+    fn head(&self, pos: usize) -> Iri {
         match self {
             Run::Rows(rows) => rows[0][pos],
             Run::Keys(block) => block.keys[0],
@@ -634,7 +633,7 @@ impl<'a> Run<'a> {
     /// Gallops past the leading keys that satisfy `below`; returns how
     /// many entries (rows or keys) it moved over.
     #[inline]
-    fn skip_while(&mut self, pos: usize, below: impl Fn(TermId) -> bool) -> usize {
+    fn skip_while(&mut self, pos: usize, below: impl Fn(Iri) -> bool) -> usize {
         match self {
             Run::Rows(rows) => {
                 let n = gallop(rows, |row| below(row[pos]));
@@ -689,16 +688,10 @@ struct SliceTrie<'a> {
     /// allocation-free after the first few steps.
     spare: Vec<Vec<Run<'a>>>,
     stats: TrieOpStats,
-    dict: &'a Dictionary,
 }
 
 impl<'a> SliceTrie<'a> {
-    fn new(
-        depth: usize,
-        first_pos: usize,
-        level0: Vec<Run<'a>>,
-        dict: &'a Dictionary,
-    ) -> SliceTrie<'a> {
+    fn new(depth: usize, first_pos: usize, level0: Vec<Run<'a>>) -> SliceTrie<'a> {
         debug_assert!(
             first_pos == 1 || level0.iter().all(|r| matches!(r, Run::Rows(_))),
             "a key level is the second column of a predicate-led block"
@@ -711,13 +704,18 @@ impl<'a> SliceTrie<'a> {
             stack: Vec::new(),
             spare: Vec::new(),
             stats: TrieOpStats::default(),
-            dict,
         }
     }
 
     /// Row position of the current level, `None` at the virtual root.
     fn pos(&self) -> Option<usize> {
         Some(self.first_pos + self.stack.len().checked_sub(1)?)
+    }
+
+    /// The current term: the least run head.
+    fn head(&self) -> Option<Iri> {
+        let pos = self.pos()?;
+        self.runs.iter().map(|r| r.head(pos)).min()
     }
 }
 
@@ -727,19 +725,16 @@ impl TrieCursor for SliceTrie<'_> {
     }
 
     fn key(&self) -> Option<u64> {
-        let pos = self.pos()?;
-        self.runs.iter().map(|r| u64::from(r.head(pos))).min()
+        self.head().map(|i| u64::from(i.id()))
     }
 
     fn value(&self) -> Iri {
-        let key = self.key().expect("value() requires a current key");
-        self.dict.decode(key as TermId)
+        self.head().expect("value() requires a current key")
     }
 
     fn advance(&mut self) {
         let Some(pos) = self.pos() else { return };
-        let Some(k) = self.key() else { return };
-        let k = k as TermId;
+        let Some(k) = self.head() else { return };
         for r in &mut self.runs {
             if r.head(pos) == k {
                 r.skip_while(pos, |id| id <= k);
@@ -751,14 +746,14 @@ impl TrieCursor for SliceTrie<'_> {
     fn seek(&mut self, target: u64) {
         let Some(pos) = self.pos() else { return };
         self.stats.seeks += 1;
-        let Ok(t) = TermId::try_from(target) else {
-            // Beyond any dictionary id: exhausted.
+        let Ok(t) = u32::try_from(target) else {
+            // Beyond any interner id: exhausted.
             self.runs.clear();
             return;
         };
         for r in &mut self.runs {
-            if r.head(pos) < t {
-                let moved = r.skip_while(pos, |id| id < t);
+            if r.head(pos).id() < t {
+                let moved = r.skip_while(pos, |id| id.id() < t);
                 self.stats.gallop_steps += TrieOpStats::gallop_cost(moved);
             }
         }
@@ -772,7 +767,7 @@ impl TrieCursor for SliceTrie<'_> {
             // From the root: level 0 spans the full narrowed runs.
             None => sub.extend_from_slice(&self.level0),
             Some(pos) => {
-                let k = self.key().expect("open() requires a current key") as TermId;
+                let k = self.head().expect("open() requires a current key");
                 sub.extend(
                     self.runs
                         .iter()
@@ -799,8 +794,8 @@ impl TrieCursor for SliceTrie<'_> {
 /// some stored permutation's layout puts the bound positions in a prefix
 /// and the variables in exactly the requested order (PSO qualifies only
 /// on a fully compacted graph — delta segments carry no PSO run);
-/// otherwise the match set is materialised and projected, in dictionary
-/// id space either way.
+/// otherwise the pattern's matches feed the shared [`MaterializedTrie`].
+/// Both key on [`Iri`] ids.
 pub(crate) fn encoded_trie<'a>(
     g: &'a EncodedGraph,
     pat: &TriplePattern,
@@ -808,9 +803,9 @@ pub(crate) fn encoded_trie<'a>(
 ) -> Box<dyn TrieCursor + 'a> {
     let depth = vars.len();
     let positions = pat.positions();
-    let Some(spo_ids) = g.resolve_ids(pat) else {
-        // A bound term the dictionary has never seen: nothing matches.
-        return Box::new(SliceTrie::new(depth, 0, Vec::new(), g.dictionary()));
+    let Some(spo_ids) = g.bound_terms(pat) else {
+        // A bound term the graph has never seen: nothing matches.
+        return Box::new(SliceTrie::new(depth, 0, Vec::new()));
     };
     let constants = spo_ids.iter().filter(|id| id.is_some()).count();
     // `depth + constants == 3` ⟺ no variable repeats: repeats constrain
@@ -848,17 +843,17 @@ pub(crate) fn encoded_trie<'a>(
                     .collect(),
                 None => runs.iter().map(Run::Rows).collect(),
             };
-            return Box::new(SliceTrie::new(depth, constants, level0, g.dictionary()));
+            return Box::new(SliceTrie::new(depth, constants, level0));
         }
     }
     // No permutation fits this (constants, variable order) layout —
     // materialise the pattern's matches projected onto `vars`. Linear in
     // the pattern's own match set, never in a join intermediate.
-    let rows = g.matching_rows(pat).into_iter().map(|r| r.map(u64::from));
-    let dict = g.dictionary();
-    Box::new(MaterializedTrie::from_matches(pat, rows, vars, move |k| {
-        dict.decode(k as TermId)
-    }))
+    Box::new(MaterializedTrie::from_matches(
+        pat,
+        g.match_pattern(pat),
+        vars,
+    ))
 }
 
 #[cfg(test)]
@@ -1158,13 +1153,17 @@ mod tests {
 
     #[test]
     fn encoded_trie_walks_a_permutation_view() {
+        // Names no other test interns, met in this order: their ids
+        // ascend a < p < b < c < d < q.
+        let n = |name: &str| Iri::new(&format!("trie-view-{name}"));
+        let t = |s, p, o| Triple::new(n(s), n(p), n(o));
         let g = EncodedGraph::from_triples([
-            Triple::from_strs("a", "p", "b"),
-            Triple::from_strs("a", "p", "c"),
-            Triple::from_strs("b", "p", "c"),
-            Triple::from_strs("d", "q", "a"),
+            t("a", "p", "b"),
+            t("a", "p", "c"),
+            t("b", "p", "c"),
+            t("d", "q", "a"),
         ]);
-        let pat = tp(var("x"), iri("p"), var("y"));
+        let pat = tp(var("x"), Term::Iri(n("p")), var("y"));
         // Subject-major order: zero-copy over PSO.
         let mut cur = encoded_trie(&g, &pat, &[Variable::new("x"), Variable::new("y")]);
         assert_eq!(cur.depth(), 2);
@@ -1183,7 +1182,7 @@ mod tests {
             cur.up();
             cur.advance();
         }
-        assert_eq!(subjects, vec![Iri::new("a"), Iri::new("b")]);
+        assert_eq!(subjects, vec![n("a"), n("b")]);
         // Object-major order: zero-copy over POS.
         let mut cur = encoded_trie(&g, &pat, &[Variable::new("y"), Variable::new("x")]);
         cur.open();
@@ -1192,31 +1191,30 @@ mod tests {
             objects.push(cur.value());
             cur.advance();
         }
-        objects.sort();
-        assert_eq!(objects, vec![Iri::new("b"), Iri::new("c")]);
+        assert_eq!(objects, vec![n("b"), n("c")]);
         // The compacted PSO block under the bound predicate is walked
         // over its key level: seeks stay inside the block — a target
         // past its last key exhausts the level even though the `q` block
         // after it holds that id — and a target beyond any `u32` id
         // exhausts it too.
-        let id = |name: &str| u64::from(g.dictionary().lookup(Iri::new(name)).unwrap());
+        let id = |name: &str| u64::from(n(name).id());
         assert!(id("d") > id("b"), "d is interned last");
         let mut cur = encoded_trie(&g, &pat, &[Variable::new("x"), Variable::new("y")]);
         cur.open();
-        assert_eq!(cur.value(), Iri::new("a"));
+        assert_eq!(cur.value(), n("a"));
         cur.seek(id("b"));
-        assert_eq!(cur.value(), Iri::new("b"));
+        assert_eq!(cur.value(), n("b"));
         cur.open();
-        assert_eq!(cur.value(), Iri::new("c"), "b's rows are the key's rows");
+        assert_eq!(cur.value(), n("c"), "b's rows are the key's rows");
         cur.advance();
         assert_eq!(cur.key(), None);
         cur.up();
-        assert_eq!(cur.value(), Iri::new("b"));
+        assert_eq!(cur.value(), n("b"));
         cur.seek(id("d"));
         assert_eq!(cur.key(), None, "d leads rows only in the q block");
         cur.up();
         cur.open();
-        assert_eq!(cur.value(), Iri::new("a"), "re-opening rewinds the level");
+        assert_eq!(cur.value(), n("a"), "re-opening rewinds the level");
         cur.seek(u64::from(u32::MAX) + 1);
         assert_eq!(cur.key(), None);
         assert_eq!(cur.op_stats().seeks, 3);

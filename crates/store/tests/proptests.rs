@@ -1,5 +1,4 @@
-//! Property tests for the store: dictionary round-trips, full
-//! access-pattern equivalence between [`EncodedGraph`]'s sorted
+//! Property tests for the store: full access-pattern equivalence between [`EncodedGraph`]'s sorted
 //! permutation ranges and [`RdfGraph`]'s hash indexes — with delta
 //! segments pending, absent, and interleaved with compaction — and
 //! service-level queries racing compaction. All properties replay under
@@ -8,12 +7,12 @@
 
 use proptest::prelude::*;
 use wdsparql_rdf::{
-    tp, Iri, Mapping, QueryBudget, RdfGraph, SolutionStream, Triple, TripleIndex, TriplePattern,
-    Variable,
+    tp, Iri, Mapping, QueryBudget, RdfGraph, SolutionStream, Term, Triple, TripleIndex,
+    TriplePattern, Variable,
 };
 use wdsparql_store::{
-    eval_bgp_pairwise, eval_bgp_wco, eval_bgp_with_strategy, open_bgp_stream, Dictionary,
-    EncodedGraph, JoinStrategy, PairwiseStream, ShardedStore, TripleStore, WcoStream,
+    eval_bgp_pairwise, eval_bgp_wco, eval_bgp_with_strategy, open_bgp_stream, EncodedGraph,
+    JoinStrategy, PairwiseStream, ShardedStore, TripleStore, WcoStream,
 };
 
 fn arb_graph() -> impl Strategy<Value = RdfGraph> {
@@ -46,6 +45,54 @@ fn join_term_of(choice: usize, prefix: &str) -> wdsparql_rdf::Term {
         7 => var("a"),
         8 => var("b"),
         _ => var("c"),
+    }
+}
+
+/// `name` as an [`Iri`] interned after 100 000 unrelated names, so its
+/// id sits far above every name the generated graphs use.
+fn late(name: &str) -> Iri {
+    static PADDING: std::sync::Once = std::sync::Once::new();
+    PADDING.call_once(|| {
+        for i in 0..100_000 {
+            Iri::new(&format!("id-window-padding-{i}"));
+        }
+    });
+    Iri::new(&format!("late/{name}"))
+}
+
+/// The id layouts a store is checked under: names as given (small ids),
+/// every name late (a narrow id window far above zero), and names ending
+/// in an odd byte late (one wide window over both).
+#[derive(Clone, Copy, Debug)]
+enum Ids {
+    Early,
+    Late,
+    Mixed,
+}
+
+impl Ids {
+    const ALL: [Ids; 3] = [Ids::Early, Ids::Late, Ids::Mixed];
+
+    fn iri(self, i: Iri) -> Iri {
+        let odd = i.as_str().bytes().last().is_some_and(|b| b % 2 == 1);
+        match self {
+            Ids::Late => late(i.as_str()),
+            Ids::Mixed if odd => late(i.as_str()),
+            Ids::Early | Ids::Mixed => i,
+        }
+    }
+
+    fn triple(self, t: &Triple) -> Triple {
+        let [s, p, o] = t.terms().map(|i| self.iri(i));
+        Triple::new(s, p, o)
+    }
+
+    fn pattern(self, pat: &TriplePattern) -> TriplePattern {
+        let [s, p, o] = pat.positions().map(|t| match t {
+            Term::Iri(i) => Term::Iri(self.iri(i)),
+            v => v,
+        });
+        tp(s, p, o)
     }
 }
 
@@ -183,23 +230,6 @@ proptest! {
                 prop_assert_eq!(&sharded.solutions_limit(&pats, k)[..], &full[..k.min(full.len())]);
             }
         }
-    }
-
-    /// Dictionary encode/decode/lookup round-trips, with dense ids.
-    #[test]
-    fn dictionary_round_trips(names in proptest::collection::vec("[a-z]{1,6}", 1..20)) {
-        let mut d = Dictionary::new();
-        let ids: Vec<u32> = names.iter().map(|n| d.encode(Iri::new(n))).collect();
-        for (name, &id) in names.iter().zip(&ids) {
-            prop_assert_eq!(d.decode(id), Iri::new(name));
-            prop_assert_eq!(d.lookup(Iri::new(name)), Some(id));
-            prop_assert_eq!(d.encode(Iri::new(name)), id, "re-encode must be stable");
-        }
-        // Ids are dense: 0..distinct-names.
-        let distinct: std::collections::BTreeSet<&String> = names.iter().collect();
-        prop_assert_eq!(d.len(), distinct.len());
-        let max = ids.iter().copied().max().unwrap() as usize;
-        prop_assert_eq!(max + 1, d.len());
     }
 
     /// EncodedGraph agrees with RdfGraph on every access pattern,
@@ -452,9 +482,11 @@ proptest! {
     /// (row-walked runs only) and as a base plus one delta segment (keyed
     /// and row-walked runs merged in one trie level), and every sharded
     /// layout (materialised scatter-gather tries), plus the facade under
-    /// every `JoinStrategy`. On each encoded layout every k-prefix of the
-    /// leapfrog stream is the first k rows of its full run. Replays under
-    /// `PROPTEST_SEED`.
+    /// every `JoinStrategy`. The three encoded layouts run under each id
+    /// layout ([`Ids`]: names as given, interned late, and a mix, so the
+    /// id windows sit low, far above zero, and span both), and on each of
+    /// them every k-prefix of the leapfrog stream is the first k rows of
+    /// its full run. Replays under `PROPTEST_SEED`.
     #[test]
     fn wcoj_matches_pairwise(
         g in arb_graph(),
@@ -475,33 +507,39 @@ proptest! {
         let mut pairwise = eval_bgp_pairwise(snap.graph(), &pats);
         pairwise.sort();
         prop_assert_eq!(&pairwise, &want, "pairwise vs reference on {:?}", &pats);
-        let triples: Vec<Triple> = g.iter().copied().collect();
-        let mut staged = EncodedGraph::new();
-        for batch in triples.chunks(chunk) {
-            staged.insert_batch(batch.iter().copied()).expect("tiny batch");
-        }
-        prop_assert!(staged.base_len() == 0, "chunks this small never fold");
-        let split = triples.len() / 2;
-        let mut mixed = EncodedGraph::new();
-        mixed.insert_batch(triples[..split].iter().copied()).expect("tiny batch");
-        mixed.compact();
-        mixed.insert_batch(triples[split..].iter().copied()).expect("tiny batch");
-        prop_assert!(mixed.segment_count() <= 1);
         let budget = QueryBudget::unlimited();
         let mut bgps = keyed_cores();
         bgps.push(pats.clone());
-        for bgp in &bgps {
-            let want = reference_bgp(&g, bgp);
-            for (label, ix) in [("compacted", snap.graph()), ("staged", &staged), ("mixed", &mixed)] {
-                let run = |k| WcoStream::new(ix, bgp, &budget, false)
-                    .collect_limit(k)
-                    .expect("unlimited");
-                let full = run(None);
-                let mut sorted = full.clone();
-                sorted.sort();
-                prop_assert_eq!(&sorted, &want, "{} wco vs reference on {:?}", label, bgp);
-                for k in 0..=full.len() + 1 {
-                    prop_assert_eq!(&run(Some(k))[..], &full[..k.min(full.len())], "{} k {} on {:?}", label, k, bgp);
+        for ids in Ids::ALL {
+            let g = RdfGraph::from_triples(g.iter().map(|t| ids.triple(t)));
+            let triples: Vec<Triple> = g.iter().copied().collect();
+            let store = TripleStore::from_triples(triples.iter().copied());
+            let snap = store.read_snapshot();
+            let mut staged = EncodedGraph::new();
+            for batch in triples.chunks(chunk) {
+                staged.insert_batch(batch.iter().copied()).expect("tiny batch");
+            }
+            prop_assert!(staged.base_len() == 0, "chunks this small never fold");
+            let split = triples.len() / 2;
+            let mut mixed = EncodedGraph::new();
+            mixed.insert_batch(triples[..split].iter().copied()).expect("tiny batch");
+            mixed.compact();
+            mixed.insert_batch(triples[split..].iter().copied()).expect("tiny batch");
+            prop_assert!(mixed.segment_count() <= 1);
+            for bgp in &bgps {
+                let bgp: Vec<TriplePattern> = bgp.iter().map(|p| ids.pattern(p)).collect();
+                let want = reference_bgp(&g, &bgp);
+                for (label, ix) in [("compacted", snap.graph()), ("staged", &staged), ("mixed", &mixed)] {
+                    let run = |k| WcoStream::new(ix, &bgp, &budget, false)
+                        .collect_limit(k)
+                        .expect("unlimited");
+                    let full = run(None);
+                    let mut sorted = full.clone();
+                    sorted.sort();
+                    prop_assert_eq!(&sorted, &want, "{:?} {} wco vs reference on {:?}", ids, label, &bgp);
+                    for k in 0..=full.len() + 1 {
+                        prop_assert_eq!(&run(Some(k))[..], &full[..k.min(full.len())], "{:?} {} k {} on {:?}", ids, label, k, &bgp);
+                    }
                 }
             }
         }
@@ -528,12 +566,8 @@ proptest! {
         let v = Variable::new("j");
         let a = tp(wdsparql_rdf::var("j"), wdsparql_rdf::iri(&format!("sp{p1}")), wdsparql_rdf::var("o1"));
         let b = tp(wdsparql_rdf::var("j"), wdsparql_rdf::iri(&format!("sp{p2}")), wdsparql_rdf::var("o2"));
-        let joined: std::collections::BTreeSet<Iri> = enc
-            .merge_join_ids(&a, &b, v)
-            .unwrap()
-            .into_iter()
-            .map(|id| enc.dictionary().decode(id))
-            .collect();
+        let joined: std::collections::BTreeSet<Iri> =
+            enc.merge_join_ids(&a, &b, v).unwrap().into_iter().collect();
         let sa: std::collections::BTreeSet<Iri> =
             g.solutions(&a).into_iter().filter_map(|m| m.get(v)).collect();
         let sb: std::collections::BTreeSet<Iri> =
