@@ -45,6 +45,58 @@ enum Tok {
     Iri(String),
 }
 
+/// A term of either query syntax, as its lexer core scans it.
+pub(crate) enum Lexeme<'a> {
+    /// `<…>`: the IRI between the brackets.
+    Iri(&'a str),
+    /// `?name`: the name.
+    Var(&'a str),
+    /// A run of word bytes: a keyword or a bare IRI, as the syntax says.
+    Word(&'a str),
+}
+
+/// The lexer core of both query syntaxes: scans the `<…>` IRI, `?var`
+/// or bare word at byte `i` of `input`, with `is_word` the syntax's word
+/// bytes, and returns it with the offset just past it. Any other byte
+/// at `i` is an unexpected character.
+pub(crate) fn scan_term(
+    input: &str,
+    i: usize,
+    is_word: impl Fn(u8) -> bool,
+) -> Result<(Lexeme<'_>, usize), ParseError> {
+    let bytes = input.as_bytes();
+    let err = |message: String| ParseError { offset: i, message };
+    let word_end = |from: usize| {
+        (from..bytes.len())
+            .find(|&j| !is_word(bytes[j]))
+            .unwrap_or(bytes.len())
+    };
+    match bytes[i] {
+        b'<' => {
+            let end = (input[i + 1..].find('>').map(|j| i + 1 + j))
+                .ok_or_else(|| err("unterminated '<'".into()))?;
+            if end == i + 1 {
+                return Err(err("empty IRI '<>'".into()));
+            }
+            Ok((Lexeme::Iri(&input[i + 1..end]), end + 1))
+        }
+        b'?' => {
+            let end = word_end(i + 1);
+            if end == i + 1 {
+                return Err(err("expected a variable name after '?'".into()));
+            }
+            Ok((Lexeme::Var(&input[i + 1..end]), end))
+        }
+        b => {
+            let end = word_end(i);
+            if end == i {
+                return Err(err(format!("unexpected character '{}'", b as char)));
+            }
+            Ok((Lexeme::Word(&input[i..end]), end))
+        }
+    }
+}
+
 fn tokenize(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
     let bytes = input.as_bytes();
     let mut i = 0usize;
@@ -52,77 +104,31 @@ fn tokenize(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
     let is_word_byte =
         |b: u8| !b.is_ascii_whitespace() && !matches!(b, b'(' | b')' | b',' | b'<' | b'>' | b'?');
     while i < bytes.len() {
-        let b = bytes[i];
-        match b {
-            b if b.is_ascii_whitespace() => i += 1,
-            b'(' => {
-                out.push((i, Tok::LParen));
+        let (tok, end) = match bytes[i] {
+            b if b.is_ascii_whitespace() => {
                 i += 1;
+                continue;
             }
-            b')' => {
-                out.push((i, Tok::RParen));
-                i += 1;
-            }
-            b',' => {
-                out.push((i, Tok::Comma));
-                i += 1;
-            }
-            b'<' => {
-                let start = i + 1;
-                let end = input[start..]
-                    .find('>')
-                    .map(|j| start + j)
-                    .ok_or(ParseError {
-                        offset: i,
-                        message: "unterminated '<'".into(),
-                    })?;
-                if end == start {
-                    return Err(ParseError {
-                        offset: i,
-                        message: "empty IRI '<>'".into(),
-                    });
-                }
-                out.push((i, Tok::Iri(input[start..end].to_string())));
-                i = end + 1;
-            }
-            b'?' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && is_word_byte(bytes[j]) {
-                    j += 1;
-                }
-                if j == start {
-                    return Err(ParseError {
-                        offset: i,
-                        message: "expected a variable name after '?'".into(),
-                    });
-                }
-                out.push((i, Tok::Var(input[start..j].to_string())));
-                i = j;
-            }
+            b'(' => (Tok::LParen, i + 1),
+            b')' => (Tok::RParen, i + 1),
+            b',' => (Tok::Comma, i + 1),
             _ => {
-                let start = i;
-                let mut j = i;
-                while j < bytes.len() && is_word_byte(bytes[j]) {
-                    j += 1;
-                }
-                if j == start {
-                    return Err(ParseError {
-                        offset: i,
-                        message: format!("unexpected character '{}'", b as char),
-                    });
-                }
-                let word = &input[start..j];
-                let tok = match word.to_ascii_uppercase().as_str() {
-                    "AND" => Tok::And,
-                    "OPT" | "OPTIONAL" => Tok::Opt,
-                    "UNION" => Tok::Union,
-                    _ => Tok::Iri(word.to_string()),
+                let (lexeme, end) = scan_term(input, i, is_word_byte)?;
+                let tok = match lexeme {
+                    Lexeme::Iri(iri) => Tok::Iri(iri.to_string()),
+                    Lexeme::Var(name) => Tok::Var(name.to_string()),
+                    Lexeme::Word(word) => match word.to_ascii_uppercase().as_str() {
+                        "AND" => Tok::And,
+                        "OPT" | "OPTIONAL" => Tok::Opt,
+                        "UNION" => Tok::Union,
+                        _ => Tok::Iri(word.to_string()),
+                    },
                 };
-                out.push((start, tok));
-                i = j;
+                (tok, end)
             }
-        }
+        };
+        out.push((i, tok));
+        i = end;
     }
     Ok(out)
 }

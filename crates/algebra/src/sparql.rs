@@ -28,7 +28,7 @@
 //! so that no caller can drop one by accident.
 
 use crate::filter::FilterExpr;
-use crate::parser::ParseError;
+use crate::parser::{scan_term, Lexeme, ParseError};
 use crate::pattern::GraphPattern;
 use wdsparql_rdf::{tp, Term, Variable};
 
@@ -85,111 +85,44 @@ fn tokenize(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
             )
     };
     while i < bytes.len() {
-        match bytes[i] {
-            b if b.is_ascii_whitespace() => i += 1,
-            b'{' => {
-                out.push((i, Tok::LBrace));
+        let (tok, end) = match (bytes[i], bytes.get(i + 1)) {
+            (b, _) if b.is_ascii_whitespace() => {
                 i += 1;
+                continue;
             }
-            b'}' => {
-                out.push((i, Tok::RBrace));
-                i += 1;
-            }
-            b'(' => {
-                out.push((i, Tok::LParen));
-                i += 1;
-            }
-            b')' => {
-                out.push((i, Tok::RParen));
-                i += 1;
-            }
-            b'=' => {
-                out.push((i, Tok::Eq));
-                i += 1;
-            }
-            b'!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push((i, Tok::Neq));
-                    i += 2;
-                } else {
-                    out.push((i, Tok::Bang));
-                    i += 1;
-                }
-            }
-            b'&' => {
-                if bytes.get(i + 1) == Some(&b'&') {
-                    out.push((i, Tok::AndAnd));
-                    i += 2;
-                } else {
-                    return Err(err(i, "expected '&&'"));
-                }
-            }
-            b'|' => {
-                if bytes.get(i + 1) == Some(&b'|') {
-                    out.push((i, Tok::OrOr));
-                    i += 2;
-                } else {
-                    return Err(err(i, "expected '||'"));
-                }
-            }
-            b'.' => {
-                out.push((i, Tok::Dot));
-                i += 1;
-            }
-            b'*' => {
-                out.push((i, Tok::Star));
-                i += 1;
-            }
-            b'<' => {
-                let start = i + 1;
-                let end = input[start..]
-                    .find('>')
-                    .map(|j| start + j)
-                    .ok_or_else(|| err(i, "unterminated '<'"))?;
-                if end == start {
-                    return Err(err(i, "empty IRI '<>'"));
-                }
-                out.push((i, Tok::Iri(input[start..end].to_string())));
-                i = end + 1;
-            }
-            b'?' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && is_word(bytes[j]) {
-                    j += 1;
-                }
-                if j == start {
-                    return Err(err(i, "expected a variable name after '?'"));
-                }
-                out.push((i, Tok::Var(input[start..j].to_string())));
-                i = j;
-            }
+            (b'{', _) => (Tok::LBrace, i + 1),
+            (b'}', _) => (Tok::RBrace, i + 1),
+            (b'(', _) => (Tok::LParen, i + 1),
+            (b')', _) => (Tok::RParen, i + 1),
+            (b'=', _) => (Tok::Eq, i + 1),
+            (b'!', Some(b'=')) => (Tok::Neq, i + 2),
+            (b'!', _) => (Tok::Bang, i + 1),
+            (b'&', Some(b'&')) => (Tok::AndAnd, i + 2),
+            (b'&', _) => return Err(err(i, "expected '&&'")),
+            (b'|', Some(b'|')) => (Tok::OrOr, i + 2),
+            (b'|', _) => return Err(err(i, "expected '||'")),
+            (b'.', _) => (Tok::Dot, i + 1),
+            (b'*', _) => (Tok::Star, i + 1),
             _ => {
-                let start = i;
-                let mut j = i;
-                while j < bytes.len() && is_word(bytes[j]) {
-                    j += 1;
-                }
-                if j == start {
-                    return Err(err(
-                        i,
-                        format!("unexpected character '{}'", bytes[i] as char),
-                    ));
-                }
-                let word = &input[start..j];
-                let tok = match word.to_ascii_uppercase().as_str() {
-                    "SELECT" => Tok::Select,
-                    "WHERE" => Tok::Where,
-                    "OPTIONAL" | "OPT" => Tok::Optional,
-                    "UNION" => Tok::Union,
-                    "FILTER" => Tok::Filter,
-                    "BOUND" => Tok::BoundKw,
-                    _ => Tok::Iri(word.to_string()),
+                let (lexeme, end) = scan_term(input, i, is_word)?;
+                let tok = match lexeme {
+                    Lexeme::Iri(iri) => Tok::Iri(iri.to_string()),
+                    Lexeme::Var(name) => Tok::Var(name.to_string()),
+                    Lexeme::Word(word) => match word.to_ascii_uppercase().as_str() {
+                        "SELECT" => Tok::Select,
+                        "WHERE" => Tok::Where,
+                        "OPTIONAL" | "OPT" => Tok::Optional,
+                        "UNION" => Tok::Union,
+                        "FILTER" => Tok::Filter,
+                        "BOUND" => Tok::BoundKw,
+                        _ => Tok::Iri(word.to_string()),
+                    },
                 };
-                out.push((start, tok));
-                i = j;
+                (tok, end)
             }
-        }
+        };
+        out.push((i, tok));
+        i = end;
     }
     Ok(out)
 }

@@ -350,18 +350,28 @@ fn store_command(
 ) -> Result<(), Failure> {
     // `--open` reads no data file: the store's contents come from disk
     // and the only positional is the optional query.
-    let (graph, query_text) = if open {
-        (wdsparql_rdf::RdfGraph::new(), positional.first().copied())
+    let (data, query_text) = if open {
+        (None, positional.first())
     } else {
-        (
-            load_graph(positional.first().copied())?,
-            positional.get(1).copied(),
-        )
+        let data = positional.first().ok_or("missing data file argument")?;
+        (Some(*data), positional.get(1))
     };
-    let streaming = limit.is_some() || deadline_ms.is_some();
-    if streaming && query_text.is_none() {
-        return Err("--limit/--deadline-ms need a query to run".into());
-    }
+    // The query is parsed, and checked against the streaming path, before
+    // any data is read or any store directory is made.
+    let query = query_text.map(|text| Query::parse(text)).transpose();
+    let query = query.map_err(|e| e.to_string())?;
+    let streamed = match (&query, limit.is_some() || deadline_ms.is_some()) {
+        (_, false) => None,
+        (None, true) => return Err("--limit/--deadline-ms need a query to run".into()),
+        (Some(q), true) => Some(
+            bgp_patterns(q.pattern())
+                .ok_or("--limit/--deadline-ms need an AND-only (BGP) query")?,
+        ),
+    };
+    let graph = match data {
+        Some(path) => load_graph(Some(path))?,
+        None => wdsparql_rdf::RdfGraph::new(),
+    };
     // The one ingest → stats → compact → report → query sequence, over
     // whichever service the layout below binds.
     let run = |store: &Service<'_>| -> Result<(), Failure> {
@@ -381,29 +391,26 @@ fn store_command(
                 .map_err(|e| e.to_string())
         })?;
         (store.compact_and_report)();
-        let Some(text) = query_text else {
-            return Ok(());
-        };
-        let query = Query::parse(text).map_err(|e| e.to_string())?;
-        if streaming {
-            let pats = bgp_patterns(query.pattern())
-                .ok_or("--limit/--deadline-ms need an AND-only (BGP) query")?;
+        if let Some(pats) = &streamed {
             let budget = budget_from(deadline_ms);
             match limit {
                 Some(k) => {
                     let rows =
-                        (store.query_limited)(&pats, k, &budget).map_err(|e| e.to_string())?;
+                        (store.query_limited)(pats, k, &budget).map_err(|e| e.to_string())?;
                     print_streamed(&rows, Some(k))?;
                 }
                 None => {
-                    let rows = (store.query_budgeted)(&pats, &budget).map_err(|e| e.to_string())?;
+                    let rows = (store.query_budgeted)(pats, &budget).map_err(|e| e.to_string())?;
                     print_streamed(&rows, None)?;
                 }
             }
             return Ok(());
         }
+        let Some(query) = &query else {
+            return Ok(());
+        };
         let engine = (store.engine)().with_join_strategy(strategy);
-        print_solutions(&query, &engine.evaluate(&query))?;
+        print_solutions(query, &engine.evaluate(query))?;
         // AND-only queries additionally go through the service's planned,
         // cached BGP path — plan and solutions from one snapshot; a second
         // run shows the cache.

@@ -633,6 +633,27 @@ fn store_restart_serves_identical_results() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A query the `store` run cannot answer — it does not parse, or it is
+/// not a BGP under `--limit` — fails before the data is read: nothing is
+/// ingested or printed, and no durable store is made.
+#[test]
+fn store_rejects_a_bad_query_before_reading_the_data() {
+    let data = fixture_nt("early_reject");
+    let dir = std::env::temp_dir().join(format!("wdsparql_smoke_{}_early", std::process::id()));
+    let (path, at) = (data.to_str().unwrap(), dir.to_str().unwrap());
+    let opt = "(?x, knows, ?y) OPT (?y, email, ?e)";
+    for args in [
+        vec!["store", "--dir", at, path, "(?x, p"],
+        vec!["store", "--dir", at, "--limit", "1", path, opt],
+    ] {
+        let out = wdsparql(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert_eq!(stdout(&out), "", "{args:?} ingested before failing");
+        assert!(!dir.exists(), "{args:?} made a store at {at}");
+    }
+    let _ = std::fs::remove_file(&data);
+}
+
 #[test]
 fn store_open_with_a_corrupt_manifest_is_a_clean_error() {
     let data = triangle_nt("corrupt");

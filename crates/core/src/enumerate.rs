@@ -25,50 +25,20 @@
 //! order while still flat and decoded once, and a forest's union merges
 //! the trees' sorted sets.
 //!
-//! ## One node: an index nested-loop join in a fixed order
+//! ## One node: the store's keyed join
 //!
-//! A node's rows start as its keys and are extended by one triple
-//! pattern at a time, in an order chosen once per node evaluation: a
-//! pattern sharing a variable with what is bound comes before one that
-//! does not, fewer candidates (by the pattern's constants) before more.
-//! One step extends every row by the matches of the pattern, one of two
-//! ways:
-//!
-//! * **probe** — substitute the row into the pattern and ask the index,
-//!   once per row;
-//! * **scan** — ask the index once for the pattern with its variables
-//!   free and hash-join the matches to the rows on the variables already
-//!   bound; the rows of a key are regrouped afterwards.
-//!
-//! A step scans when the pattern joins on nothing (probing would repeat
-//! one scan per row), or when `candidate_count` of the free pattern is at
-//! most `SCAN_PER_ROW` times the number of rows: a probe costs about as
-//! much as reading that many matches of a scan. Both numbers are in hand
-//! (the count ordered the patterns), and the count is what bounds the
-//! scan — a scan is always of *one* pattern, whose size the index
-//! promises, never a join whose size nothing estimates.
-//!
-//! ## Join strategies
-//!
-//! [`JoinStrategy::Pairwise`] is the join above, for every node.
-//! [`JoinStrategy::Wco`] sends every node through the store's leapfrog
-//! triejoin ([`WcoStream`]), once per key with the key substituted.
-//! [`JoinStrategy::Auto`] decides once per node evaluation, from the
-//! variable sets alone: the leapfrog join when the node's pattern with
-//! its interface bound is still cyclic (a triangle with one corner bound
-//! is not), the nested loop otherwise.
+//! A node's own rows are the solutions of its BGP under each of its keys,
+//! computed by [`join_keyed`] — the set-at-a-time driver of the store's
+//! node join, which shares its plan order, step resolution and
+//! [`JoinStrategy::Auto`] rule with the BGP service (see
+//! [`wdsparql_store::join`] for the order, the scan-or-probe rule and
+//! when the leapfrog triejoin runs). This module keeps the tree walk:
+//! interfaces, distinct keys, the outer join per child, and the sort.
 
 use wdsparql_algebra::SolutionSet;
-use wdsparql_rdf::{
-    Cell, CellMap, ExecError, QueryBudget, RowTable, SolutionStream, Term, TripleIndex,
-    TriplePattern, Variable,
-};
-use wdsparql_store::{bgp_is_cyclic, JoinStrategy, WcoStream};
+use wdsparql_rdf::{ExecError, QueryBudget, RowTable, TripleIndex, TriplePattern, Variable};
+use wdsparql_store::{join_keyed, JoinStrategy};
 use wdsparql_tree::{NodeId, Wdpf, Wdpt};
-
-/// A step scans instead of probing when the free pattern has at most
-/// this many candidates per row to extend (see the module docs).
-const SCAN_PER_ROW: usize = 8;
 
 /// Enumerates `⟦T⟧_G` (nested-loop node joins).
 pub fn enumerate_tree(t: &Wdpt, g: &dyn TripleIndex) -> SolutionSet {
@@ -89,9 +59,10 @@ pub fn enumerate_tree_with(t: &Wdpt, g: &dyn TripleIndex, strategy: JoinStrategy
 
 /// As [`enumerate_forest`], with a [`JoinStrategy`] knob for the
 /// per-node query cores: each node's pattern set is a BGP, and under
-/// `Wco`/`Auto` the ones whose core is cyclic *once the interface is
-/// bound* evaluate through the store's worst-case-optimal leapfrog join
-/// instead of the nested loop (see the module docs).
+/// `Wco` — or `Auto`, for a core that is cyclic *once the interface is
+/// bound* or whose pairwise plan is predicted to blow up — it evaluates
+/// through the store's worst-case-optimal leapfrog join instead of the
+/// nested loop (see the module docs).
 pub fn enumerate_forest_with(f: &Wdpf, g: &dyn TripleIndex, strategy: JoinStrategy) -> SolutionSet {
     enumerate_forest_budgeted(f, g, strategy, &QueryBudget::unlimited())
         .expect("an unlimited budget never fails a checkpoint")
@@ -192,7 +163,8 @@ impl TreeEval<'_> {
     fn subtree(&self, n: NodeId, keys: &RowTable) -> Result<Tagged, ExecError> {
         // Before any index work, so that a dead budget fails first.
         self.budget.check()?;
-        let (own, tags) = self.node_rows(n, keys)?;
+        let pats: Vec<TriplePattern> = self.t.pat(n).iter().copied().collect();
+        let (own, tags) = join_keyed(self.g, &pats, keys, self.strategy, self.budget)?;
         let children = self.t.children(n);
         if children.is_empty() || own.is_empty() {
             return Ok(own.group_by(&tags, keys.len()));
@@ -261,178 +233,6 @@ impl TreeEval<'_> {
         }
         Ok(out.group_by(&out_tags, keys.len()))
     }
-
-    /// The homomorphisms of `n`'s own pattern extending each of `keys`:
-    /// rows over `vars(n)` and the key's variables.
-    fn node_rows(&self, n: NodeId, keys: &RowTable) -> Result<Tagged, ExecError> {
-        let pats: Vec<TriplePattern> = self.t.pat(n).iter().copied().collect();
-        let mut vars: Vec<Variable> = keys.vars().to_vec();
-        vars.extend(pats.iter().flat_map(|p| p.var_occurrences()));
-        vars.sort_unstable();
-        vars.dedup();
-        let mut rows = RowTable::new(vars);
-        let spread: Vec<usize> = keys.columns_in(rows.vars()).into_iter().flatten().collect();
-        for key in keys.rows() {
-            rows.push_spread(key, &spread);
-        }
-        let tags: Vec<u32> = (0..keys.len() as u32).collect();
-        if rows.is_empty() {
-            return Ok((rows, tags));
-        }
-        let mut bound = vec![false; rows.width()];
-        for &c in &spread {
-            bound[c] = true;
-        }
-        let wco = match self.strategy {
-            JoinStrategy::Pairwise => false,
-            JoinStrategy::Wco => true,
-            // A cycle takes three hyperedges. Which variables are bound
-            // is the same for every key; the first stands in for all.
-            JoinStrategy::Auto => {
-                pats.len() > 2 && {
-                    let core: Vec<TriplePattern> =
-                        pats.iter().map(|p| bind(p, &rows, rows.row(0))).collect();
-                    bgp_is_cyclic(&core)
-                }
-            }
-        };
-        if wco {
-            return self.leapfrog(&pats, rows, tags);
-        }
-        // One count per pattern orders the steps and decides scan or
-        // probe; a lone pattern under a lone key is probed once either way.
-        let counts: Vec<usize> = if pats.len() == 1 && rows.len() == 1 {
-            vec![usize::MAX]
-        } else {
-            pats.iter().map(|p| self.g.candidate_count(p)).collect()
-        };
-        let mut tagged = (rows, tags);
-        let mut rest: Vec<usize> = (0..pats.len()).collect();
-        while !rest.is_empty() && !tagged.0.is_empty() {
-            let joins = |p: &TriplePattern| {
-                p.var_occurrences()
-                    .any(|v| tagged.0.column(v).is_some_and(|c| bound[c]))
-            };
-            let pick = (0..rest.len())
-                .min_by_key(|&at| (!joins(&pats[rest[at]]), counts[rest[at]]))
-                .unwrap_or(0);
-            let i = rest.swap_remove(pick);
-            tagged = self.extend(tagged, &pats[i], counts[i], &mut bound)?;
-        }
-        Ok(tagged)
-    }
-
-    /// One step of a node join: every row extended by the matches of
-    /// `pat` that agree with it, by probing per row or by one scan and a
-    /// hash join (see the module docs). The variables of `pat` are bound
-    /// afterwards.
-    fn extend(
-        &self,
-        (rows, tags): Tagged,
-        pat: &TriplePattern,
-        count: usize,
-        bound: &mut [bool],
-    ) -> Result<Tagged, ExecError> {
-        // Per position: the column it joins on, or the column it fills.
-        let column = |t: Term, want_bound: bool| {
-            let c = rows.column(t.as_var()?)?;
-            (bound[c] == want_bound).then_some(c)
-        };
-        let joined = pat.positions().map(|t| column(t, true));
-        let filled = pat.positions().map(|t| column(t, false));
-        let mut out = RowTable::new(rows.vars().to_vec());
-        let mut out_tags = Vec::new();
-        let joins = joined.iter().any(Option::is_some);
-        if !joins || count <= SCAN_PER_ROW.saturating_mul(rows.len()) {
-            // Rows chained by join key (the newest first).
-            let key_of = |row: &[Cell]| joined.map(|c| c.and_then(|c| row[c]));
-            let mut newest: CellMap<[Cell; 3], u32> = CellMap::default();
-            newest.reserve(rows.len());
-            let mut older = vec![u32::MAX; rows.len()];
-            for (r, row) in rows.rows().enumerate() {
-                if let Some(prev) = newest.insert(key_of(row), r as u32) {
-                    older[r] = prev;
-                }
-            }
-            for m in self.g.match_pattern(pat) {
-                let values = m.terms();
-                let key: [Cell; 3] = std::array::from_fn(|at| joined[at].map(|_| values[at]));
-                let mut next = newest.get(&key).copied().unwrap_or(u32::MAX);
-                while next != u32::MAX {
-                    self.budget.check()?;
-                    let r = next as usize;
-                    let new = out.push(rows.row(r));
-                    for (col, value) in filled.iter().zip(values) {
-                        if let Some(c) = *col {
-                            new[c] = Some(value);
-                        }
-                    }
-                    out_tags.push(tags[r]);
-                    next = older[r];
-                }
-            }
-        } else {
-            for (row, &tag) in rows.rows().zip(&tags) {
-                let probe = bind(pat, &rows, row);
-                if let Some(ground) = probe.as_triple() {
-                    self.budget.check()?;
-                    if self.g.contains(&ground) {
-                        out.push(row);
-                        out_tags.push(tag);
-                    }
-                    continue;
-                }
-                for m in self.g.match_pattern(&probe) {
-                    self.budget.check()?;
-                    let new = out.push(row);
-                    for (col, value) in filled.iter().zip(m.terms()) {
-                        if let Some(c) = *col {
-                            new[c] = Some(value);
-                        }
-                    }
-                    out_tags.push(tag);
-                }
-            }
-        }
-        for c in filled.into_iter().flatten() {
-            bound[c] = true;
-        }
-        Ok((out, out_tags))
-    }
-
-    /// A node join through the leapfrog triejoin: one [`WcoStream`] per
-    /// key, over the patterns with the key substituted.
-    fn leapfrog(
-        &self,
-        pats: &[TriplePattern],
-        rows: RowTable,
-        tags: Vec<u32>,
-    ) -> Result<Tagged, ExecError> {
-        let mut out = RowTable::new(rows.vars().to_vec());
-        let mut out_tags = Vec::new();
-        let mut core = Vec::with_capacity(pats.len());
-        for (row, &tag) in rows.rows().zip(&tags) {
-            core.clear();
-            core.extend(pats.iter().map(|p| bind(p, &rows, row)));
-            let mut stream = WcoStream::new(self.g, &core, self.budget, false);
-            while let Some(mu) = stream.next()? {
-                let new = out.push(row);
-                for (v, value) in mu.iter() {
-                    if let Some(c) = rows.column(v) {
-                        new[c] = Some(value);
-                    }
-                }
-                out_tags.push(tag);
-            }
-        }
-        Ok((out, out_tags))
-    }
-}
-
-/// `pat` with the variables that `row` (a row of `schema`) binds replaced
-/// by their values.
-fn bind(pat: &TriplePattern, schema: &RowTable, row: &[Cell]) -> TriplePattern {
-    pat.substitute(&|v| schema.column(v).and_then(|c| row[c]).map(Term::Iri))
 }
 
 #[cfg(test)]

@@ -11,9 +11,11 @@
 //!   classes of bounded domination width (homomorphism tests replaced by
 //!   the existential (k+1)-pebble game);
 //! * [`enumerate`] — full solution enumeration `⟦F⟧_G`, set at a time:
-//!   every node is joined once per distinct binding of its interface
-//!   with the branch above, on flat rows, and OPT is a left outer join on
-//!   that interface (its null is Lemma 1's "must be skipped");
+//!   the tree walk. Every node is joined once per distinct binding of
+//!   its interface with the branch above, by the store's keyed node join
+//!   ([`wdsparql_store::join_keyed`], the BGP service's plan order, steps
+//!   and `Auto` rule), on flat rows, and OPT is a left outer join on that
+//!   interface (its null is Lemma 1's "must be skipped");
 //! * [`counting`] — solution counting and instrumented enumeration with
 //!   delay measurement (the §5 variants), on the tuple-at-a-time
 //!   reference walker;

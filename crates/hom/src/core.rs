@@ -8,7 +8,8 @@
 //! minimisation procedure: a non-distinguished variable `v` can be folded
 //! away iff `(S, X) → (S − v, X)` where `S − v` drops every triple
 //! mentioning `v`; when a witness `h` is found we replace `S` by `h(S)`
-//! (a retract) and repeat until no variable can be eliminated.
+//! (a retract). One sweep over the variables suffices: a variable that
+//! does not fold stays unfoldable in every retract (see [`core_of`]).
 
 use crate::solver::{find_hom, maps_to};
 use crate::tgraph::GenTGraph;
@@ -19,27 +20,30 @@ use wdsparql_rdf::Variable;
 /// The result is a subgraph of the input (no renaming is applied beyond
 /// folding), is itself a core, and is homomorphically equivalent to the
 /// input.
+///
+/// One sweep over the non-distinguished variables of `S` folds each
+/// in turn. A variable that fails to fold never needs a second try: if
+/// `S' = h(S)` is a later retract and `g: S' → S' − v`, then
+/// `g ∘ h: S → S − v` (as `S' − v ⊆ S − v`), so `v` would have folded
+/// in `S` already. The only variables the sweep skips are those an
+/// earlier fold already took out of `S`.
 pub fn core_of(g: &GenTGraph) -> GenTGraph {
     let mut s = g.s.clone();
-    'outer: loop {
-        let vars: Vec<Variable> = s.vars().into_iter().filter(|v| !g.x.contains(v)).collect();
-        for v in vars {
-            let s_v = s.without_var(v);
-            if s_v.len() == s.len() {
-                continue; // v occurs in no triple (cannot happen) — skip
-            }
-            let candidate = GenTGraph::new(s.clone(), g.x.clone());
-            if let Some(h) = find_hom(&candidate, &s_v) {
-                let folded = s.apply(&h);
-                debug_assert!(
-                    folded.is_subset(&s_v),
-                    "solver witness escaped its target: h(S) = {folded} ⊄ {s_v}"
-                );
-                s = folded;
-                continue 'outer;
-            }
+    let vars: Vec<Variable> = s.vars().into_iter().filter(|v| !g.x.contains(v)).collect();
+    for v in vars {
+        let s_v = s.without_var(v);
+        if s_v.len() == s.len() {
+            continue; // folded away earlier in the sweep
         }
-        break;
+        let candidate = GenTGraph::new(s.clone(), g.x.clone());
+        if let Some(h) = find_hom(&candidate, &s_v) {
+            let folded = s.apply(&h);
+            debug_assert!(
+                folded.is_subset(&s_v),
+                "solver witness escaped its target: h(S) = {folded} ⊄ {s_v}"
+            );
+            s = folded;
+        }
     }
     GenTGraph::new(s, g.x.clone())
 }

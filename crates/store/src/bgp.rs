@@ -16,7 +16,6 @@
 use crate::cache::ResultCache;
 use crate::join::PairwiseStream;
 use crate::wcoj::{resolve_with_order, JoinStrategy, WcoStream};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wdsparql_obs::{QueryProfile, Span};
@@ -82,41 +81,71 @@ fn cache_key(patterns: &[TriplePattern], strategy: JoinStrategy) -> String {
     key
 }
 
+/// One `candidate_count` per pattern: what [`plan_order`], the `Auto`
+/// rule and the keyed join's scan rule read. A lone pattern under at most
+/// one key is not counted (`usize::MAX`): it has nothing to be ordered
+/// against, nothing to blow up with, and is probed once either way.
+pub(crate) fn candidate_counts(
+    ix: &dyn TripleIndex,
+    patterns: &[TriplePattern],
+    keys: usize,
+) -> Vec<usize> {
+    if patterns.len() == 1 && keys <= 1 {
+        return vec![usize::MAX];
+    }
+    patterns.iter().map(|p| ix.candidate_count(p)).collect()
+}
+
 /// The one source of truth for BGP evaluation order, shared by the
-/// `plan` entry points, [`serve`] (what actually runs) and the free
-/// `eval_bgp_*` functions, so displayed and executed plans only ever
-/// come from one computation on one graph.
+/// `plan` entry points, [`serve`] (what actually runs), the free
+/// `eval_bgp_*` functions and the keyed join, so displayed and executed
+/// plans only ever come from one computation on one graph.
 ///
-/// Greedy: seed with the most selective pattern, then repeatedly take
+/// Greedy, by the [`candidate_counts`] of the patterns: repeatedly take
 /// the most selective pattern sharing a variable with what is already
-/// bound. A disconnected pattern (Cartesian product) is chosen only
-/// when nothing connected remains — deferring it keeps the bind-join
-/// loop's intermediate result linear in the joined component instead
-/// of multiplying unrelated match sets.
-pub(crate) fn plan_order(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Vec<usize> {
-    let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-    // `sort_by_cached_key`: exactly one candidate_count per pattern —
-    // the planning cost callers pay once per planned query.
-    remaining.sort_by_cached_key(|&i| ix.candidate_count(&patterns[i]));
-    let mut order = Vec::with_capacity(patterns.len());
-    let mut bound: HashSet<Variable> = HashSet::new();
-    for _ in 0..patterns.len() {
-        let pick = remaining
-            .iter()
-            .position(|&i| patterns[i].vars().iter().any(|v| bound.contains(v)))
-            .unwrap_or(0);
-        let i = remaining.remove(pick);
-        bound.extend(patterns[i].vars());
-        order.push(i);
+/// bound — `bound` to begin with (nothing for a plain BGP, the key's
+/// variables for a keyed join) — else the most selective of all. A
+/// disconnected pattern (Cartesian product) is chosen only when nothing
+/// connected remains — deferring it keeps the bind-join loop's
+/// intermediate result linear in the joined component instead of
+/// multiplying unrelated match sets.
+pub(crate) fn plan_order(
+    patterns: &[TriplePattern],
+    counts: &[usize],
+    bound: &[Variable],
+) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..patterns.len()).collect();
+    order.sort_by_key(|&i| counts[i]);
+    // Position `k` takes the first pattern after it that joins, else the
+    // next by count; the rest keep their count order.
+    for k in 0..order.len() {
+        let pick = (k..order.len())
+            .find(|&at| joins(patterns, bound, &order[..k], order[at]))
+            .unwrap_or(k);
+        order[k..=pick].rotate_right(1);
     }
     order
+}
+
+/// Does pattern `i` share a variable with `bound` or with a pattern of
+/// `placed` — is it a join, not a product, after them?
+pub(crate) fn joins(
+    patterns: &[TriplePattern],
+    bound: &[Variable],
+    placed: &[usize],
+    i: usize,
+) -> bool {
+    let placed = |v| (placed.iter()).any(|&j| patterns[j].var_occurrences().any(|u| u == v));
+    patterns[i]
+        .var_occurrences()
+        .any(|v| bound.contains(&v) || placed(v))
 }
 
 /// Plans the pairwise order and resolves [`JoinStrategy::Auto`] on one
 /// snapshot — the once-per-request planning step. A forced WCOJ
 /// consumes no order, so unless the caller must report one
 /// (`report_plan`) it plans nothing.
-fn plan_and_resolve(
+pub(crate) fn plan_and_resolve(
     ix: &dyn TripleIndex,
     patterns: &[TriplePattern],
     configured: JoinStrategy,
@@ -125,8 +154,9 @@ fn plan_and_resolve(
     if configured == JoinStrategy::Wco && !report_plan {
         return (Vec::new(), configured);
     }
-    let order = plan_order(ix, patterns);
-    let strategy = resolve_with_order(ix, patterns, configured, &order);
+    let counts = candidate_counts(ix, patterns, 1);
+    let order = plan_order(patterns, &counts, &[]);
+    let strategy = resolve_with_order(ix, patterns, configured, &counts, &order, &[]);
     (order, strategy)
 }
 

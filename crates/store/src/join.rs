@@ -1,33 +1,69 @@
-//! The pairwise join pipeline as a pull-based stream: the
-//! most-selective-first plan of `bgp::plan_order` executed
-//! as a semi-join-pruned seed scan plus index-nested-loop (bind) joins,
-//! producing solutions one pull at a time ([`PairwiseStream`]) instead
-//! of materialising every intermediate.
+//! The node join: a BGP joined one triple pattern at a time, in the
+//! greedy order of `bgp::plan_order`, every step's pattern resolved once
+//! to `Const`/`Bind`/`Read` slots (which positions are constants, which
+//! read a column an earlier step — or the key — bound, which fill one).
+//! Two drivers run it over the same steps, one probe builder and one
+//! "write a match into a row" helper:
 //!
-//! ## Order equivalence
+//! * [`PairwiseStream`] behind the BGP service: depth-first, one row at
+//!   a time, so it streams and stops after `LIMIT k` pulls;
+//! * [`join_keyed`] behind the wdPT enumerator
+//!   (`wdsparql_core::enumerate`): set at a time, every step extending a
+//!   whole table of rows that start as the keys a parent node binds.
 //!
-//! The old breadth-first materialisation expanded every intermediate row
-//! before moving to the next plan step; the stream runs the same plan
-//! depth-first, one root-to-leaf path at a time. Both orders enumerate
-//! the same tuples `(seed index, step-1 match index, step-2 match
-//! index, …)` lexicographically — breadth-first keeps parents in order
-//! with contiguous children, depth-first walks exactly that tree — so
-//! the streamed sequence *equals* the materialised vector, prefix by
-//! prefix. The equivalence is what lets `LIMIT k` stop after `k` pulls
-//! and still agree with the first `k` rows of a full run (pinned by the
-//! `streaming_matches_materialized` proptest).
+//! Both take `JoinStrategy::Auto` through the one rule of
+//! [`crate::wcoj`]: the leapfrog triejoin when the BGP is cyclic or a
+//! blow-up of the pairwise plan is predicted, the pairwise join
+//! otherwise. For a keyed join the variables the key binds count as
+//! constants: a triangle with one corner bound is a path.
 //!
-//! ## Checkpoints
+//! ## The depth-first driver
 //!
-//! The pull loop checks the [`QueryBudget`] once per iteration — one
-//! bind-join probe or one emitted row per check — so a deadline or a
-//! cancellation interrupts the pipeline within one bound
-//! `match_pattern` scan.
+//! A semi-join-pruned seed scan plus index-nested-loop (bind) joins,
+//! run depth-first, one root-to-leaf path at a time. It enumerates the
+//! tuples `(seed index, step-1 match index, …)` in lexicographic order,
+//! the order a breadth-first run materialises them in, so every
+//! k-prefix of the stream is the first k rows of a full run — what lets
+//! `LIMIT k` stop after `k` pulls (pinned by the
+//! `streaming_matches_materialized` proptest). The pull loop checks the
+//! [`QueryBudget`] once per bind-join probe or emitted row.
+//!
+//! ## The set-at-a-time driver
+//!
+//! A node's rows start as its keys and are extended by one step at a
+//! time: the plan order puts a pattern sharing a variable with what is
+//! bound (the key's variables to begin with) before one that does not,
+//! fewer candidates (by the pattern's constants) before more. One step
+//! extends every row by the matches of the pattern, one of two ways:
+//!
+//! * **probe** — substitute the row into the pattern and ask the index,
+//!   once per row;
+//! * **scan** — ask the index once for the pattern with its variables
+//!   free and hash-join the matches to the rows on the variables already
+//!   bound; the rows of a key are regrouped afterwards.
+//!
+//! A step scans when the pattern joins on nothing (probing would repeat
+//! one scan per row), or when `candidate_count` of the free pattern is at
+//! most `SCAN_PER_ROW` times the number of rows: a probe costs about as
+//! much as reading that many matches of a scan. Both numbers are in hand
+//! (the count ordered the patterns), and the count is what bounds the
+//! scan — a scan is always of *one* pattern, whose size the index
+//! promises, never a join whose size nothing estimates.
+//!
+//! Where `JoinStrategy` says leapfrog, every key runs one [`WcoStream`]
+//! over the patterns with the key substituted.
 
+use crate::bgp::{candidate_counts, plan_order};
+use crate::wcoj::{resolve_with_order, JoinStrategy, WcoStream};
 use wdsparql_rdf::{
-    ExecError, Iri, Mapping, QueryBudget, RowTable, SolutionStream, Term, Triple, TripleIndex,
-    TriplePattern, Variable,
+    Cell, CellMap, ExecError, Iri, Mapping, QueryBudget, RowTable, SolutionStream, Term, Triple,
+    TripleIndex, TriplePattern, Variable,
 };
+
+/// A step of the set-at-a-time driver scans instead of probing when the
+/// free pattern has at most this many candidates per row to extend (see
+/// the module docs).
+const SCAN_PER_ROW: usize = 8;
 
 /// Per-step counters of one pairwise run, reported by a profiled
 /// [`PairwiseStream`]: one entry per plan position, in execution order.
@@ -44,7 +80,7 @@ pub struct PairwiseStepStats {
     pub rows: u64,
 }
 
-/// One position of a plan step's pattern, resolved against the stream's
+/// One position of a plan step's pattern, resolved against the row
 /// schema once per query.
 #[derive(Clone, Copy)]
 enum Slot {
@@ -53,8 +89,30 @@ enum Slot {
     /// writes it into this column (a repeated variable twice, with the
     /// one value the match gives both positions).
     Bind(usize, Variable),
-    /// A variable an earlier step bound: the probe reads this column.
+    /// A variable the key or an earlier step bound: the probe reads this
+    /// column.
     Read(usize, Variable),
+}
+
+/// The pattern a step asks the index under `row`: its constants, and the
+/// cells it reads (a cell still unbound stays a variable).
+fn probe(slots: &[Slot; 3], row: &[Cell]) -> TriplePattern {
+    let [s, p, o] = slots.map(|slot| match slot {
+        Slot::Const(i) => Term::Iri(i),
+        Slot::Bind(_, v) => Term::Var(v),
+        Slot::Read(col, v) => row[col].map_or(Term::Var(v), Term::Iri),
+    });
+    TriplePattern::new(s, p, o)
+}
+
+/// Writes a match of a step into `row`: each position the step binds
+/// gets `value(position, variable)`.
+fn fill(row: &mut [Cell], slots: &[Slot; 3], value: impl Fn(usize, Variable) -> Cell) {
+    for (at, slot) in slots.iter().enumerate() {
+        if let Slot::Bind(col, v) = *slot {
+            row[col] = value(at, v);
+        }
+    }
 }
 
 /// One suspended level of a depth-first pairwise walk: the matches of
@@ -118,14 +176,9 @@ impl<'a> PairwiseStream<'a> {
                 })
                 .collect()
         });
-        let mut schema: Vec<Variable> = Vec::with_capacity(3 * patterns.len());
-        schema.extend(patterns.iter().flat_map(|p| p.var_occurrences()));
-        schema.sort_unstable();
-        schema.dedup();
-        let mut row = RowTable::new(schema);
+        let (mut row, steps) = resolve_steps(patterns, &order, &[]);
         // The one row the stream fills, all unbound.
         row.push_spread(&[], &[]);
-        let steps = resolve_steps(patterns, &order, row.vars());
         PairwiseStream {
             ix,
             patterns,
@@ -179,14 +232,10 @@ impl<'a> PairwiseStream<'a> {
     /// pattern from the row's cells and scans its matches (one index
     /// probe).
     fn open(&mut self, s: usize) {
-        let cells = self.row.row(0);
-        let [ps, pp, po] = self.steps[s].map(|slot| match slot {
-            Slot::Const(i) => Term::Iri(i),
-            Slot::Bind(_, v) => Term::Var(v),
-            // An earlier step on this path always wrote the cell.
-            Slot::Read(col, v) => cells[col].map_or(Term::Var(v), Term::Iri),
-        });
-        let matches = self.ix.match_pattern(&TriplePattern::new(ps, pp, po));
+        // An earlier step on this path always wrote the cells it reads.
+        let matches = self
+            .ix
+            .match_pattern(&probe(&self.steps[s], self.row.row(0)));
         if let Some(stats) = self.stats.as_deref_mut() {
             stats[s].scans += 1;
         }
@@ -227,12 +276,10 @@ impl<'a> PairwiseStream<'a> {
                 continue;
             };
             level.pos += 1;
-            let cells = self.row.row_mut(0);
-            for (slot, value) in self.steps[self.step].iter().zip(t.terms()) {
-                if let Slot::Bind(col, _) = *slot {
-                    cells[col] = Some(value);
-                }
-            }
+            let values = t.terms();
+            fill(self.row.row_mut(0), &self.steps[self.step], |at, _| {
+                Some(values[at])
+            });
             if self.step > 0 {
                 if let Some(stats) = self.stats.as_deref_mut() {
                     stats[self.step].rows += 1;
@@ -246,22 +293,28 @@ impl<'a> PairwiseStream<'a> {
     }
 }
 
-/// Resolves each plan step's pattern against `schema` (ascending): a
-/// variable is read from its column if an earlier step binds it, and
-/// bound by this step otherwise.
+/// The row schema of a join — the variables of `bound` (the key's) and
+/// of the patterns, ascending — as an empty table, and each plan step's
+/// pattern resolved against it: a variable is read from its column if
+/// the key or an earlier step binds it, and bound by this step otherwise.
 fn resolve_steps(
     patterns: &[TriplePattern],
     order: &[usize],
-    schema: &[Variable],
-) -> Vec<[Slot; 3]> {
+    bound: &[Variable],
+) -> (RowTable, Vec<[Slot; 3]>) {
+    let mut schema: Vec<Variable> = bound.to_vec();
+    schema.extend(patterns.iter().flat_map(|p| p.var_occurrences()));
+    schema.sort_unstable();
+    schema.dedup();
     let mut steps: Vec<[Slot; 3]> = Vec::with_capacity(order.len());
     for &i in order {
         let slots = patterns[i].positions().map(|term| match term {
             Term::Iri(c) => Slot::Const(c),
             Term::Var(v) => {
                 let col = schema.partition_point(|&u| u < v);
-                let earlier = (steps.iter().flatten())
-                    .any(|slot| matches!(*slot, Slot::Bind(c, _) if c == col));
+                let earlier = bound.contains(&v)
+                    || (steps.iter().flatten())
+                        .any(|slot| matches!(*slot, Slot::Bind(c, _) if c == col));
                 if earlier {
                     Slot::Read(col, v)
                 } else {
@@ -271,7 +324,7 @@ fn resolve_steps(
         });
         steps.push(slots);
     }
-    steps
+    (RowTable::new(schema), steps)
 }
 
 impl SolutionStream for PairwiseStream<'_> {
@@ -294,10 +347,139 @@ impl SolutionStream for PairwiseStream<'_> {
     }
 }
 
+/// Rows of a keyed join, each tagged with the index of the key it
+/// extends.
+type Tagged = (RowTable, Vec<u32>);
+
+/// The set-at-a-time node join (see the module docs): every solution of
+/// the BGP `patterns` that extends a row of `keys`, as a row over the
+/// keys' variables and the patterns', tagged with the index of its key.
+/// Every key binds each of its columns; [`RowTable::unit`] asks for the
+/// BGP's plain solutions. `strategy` is resolved once for all keys, and
+/// `budget` is checked per produced row and per probe.
+pub fn join_keyed(
+    ix: &dyn TripleIndex,
+    patterns: &[TriplePattern],
+    keys: &RowTable,
+    strategy: JoinStrategy,
+    budget: &QueryBudget,
+) -> Result<Tagged, ExecError> {
+    let counts = candidate_counts(ix, patterns, keys.len());
+    let order = plan_order(patterns, &counts, keys.vars());
+    let (mut rows, steps) = resolve_steps(patterns, &order, keys.vars());
+    let spread: Vec<usize> = keys.columns_in(rows.vars()).into_iter().flatten().collect();
+    for key in keys.rows() {
+        rows.push_spread(key, &spread);
+    }
+    let mut tagged = (rows, (0..keys.len() as u32).collect());
+    let strategy = resolve_with_order(ix, patterns, strategy, &counts, &order, keys.vars());
+    if strategy == JoinStrategy::Wco {
+        return leapfrog(ix, &steps, tagged, budget);
+    }
+    for (slots, &i) in steps.iter().zip(&order) {
+        if tagged.0.is_empty() {
+            break;
+        }
+        tagged = extend(ix, tagged, &patterns[i], slots, counts[i], budget)?;
+    }
+    Ok(tagged)
+}
+
+/// One step of the set-at-a-time driver: every row extended by the
+/// matches of `pat` (resolved to `slots`) that agree with it, by probing
+/// per row or by one scan and a hash join (see the module docs).
+fn extend(
+    ix: &dyn TripleIndex,
+    (rows, tags): Tagged,
+    pat: &TriplePattern,
+    slots: &[Slot; 3],
+    count: usize,
+    budget: &QueryBudget,
+) -> Result<Tagged, ExecError> {
+    let joined = slots.map(|slot| match slot {
+        Slot::Read(col, _) => Some(col),
+        _ => None,
+    });
+    let mut out = RowTable::new(rows.vars().to_vec());
+    let mut out_tags = Vec::new();
+    let joins = joined.iter().any(Option::is_some);
+    if !joins || count <= SCAN_PER_ROW.saturating_mul(rows.len()) {
+        // Rows chained by join key (the newest first).
+        let key_of = |row: &[Cell]| joined.map(|c| c.and_then(|c| row[c]));
+        let mut newest: CellMap<[Cell; 3], u32> = CellMap::default();
+        newest.reserve(rows.len());
+        let mut older = vec![u32::MAX; rows.len()];
+        for (r, row) in rows.rows().enumerate() {
+            if let Some(prev) = newest.insert(key_of(row), r as u32) {
+                older[r] = prev;
+            }
+        }
+        for m in ix.match_pattern(pat) {
+            let values = m.terms();
+            let key: [Cell; 3] = std::array::from_fn(|at| joined[at].map(|_| values[at]));
+            let mut next = newest.get(&key).copied().unwrap_or(u32::MAX);
+            while next != u32::MAX {
+                budget.check()?;
+                let r = next as usize;
+                fill(out.push(rows.row(r)), slots, |at, _| Some(values[at]));
+                out_tags.push(tags[r]);
+                next = older[r];
+            }
+        }
+    } else {
+        for (row, &tag) in rows.rows().zip(&tags) {
+            let asked = probe(slots, row);
+            if let Some(ground) = asked.as_triple() {
+                budget.check()?;
+                if ix.contains(&ground) {
+                    out.push(row);
+                    out_tags.push(tag);
+                }
+                continue;
+            }
+            for m in ix.match_pattern(&asked) {
+                budget.check()?;
+                let values = m.terms();
+                fill(out.push(row), slots, |at, _| Some(values[at]));
+                out_tags.push(tag);
+            }
+        }
+    }
+    Ok((out, out_tags))
+}
+
+/// The keyed join through the leapfrog triejoin: one [`WcoStream`] per
+/// key, over the steps' probes under that key.
+fn leapfrog(
+    ix: &dyn TripleIndex,
+    steps: &[[Slot; 3]],
+    (rows, tags): Tagged,
+    budget: &QueryBudget,
+) -> Result<Tagged, ExecError> {
+    let mut out = RowTable::new(rows.vars().to_vec());
+    let mut out_tags = Vec::new();
+    let mut core = Vec::with_capacity(steps.len());
+    for (key, &tag) in rows.rows().zip(&tags) {
+        core.clear();
+        core.extend(steps.iter().map(|slots| probe(slots, key)));
+        let mut stream = WcoStream::new(ix, &core, budget, false);
+        // analyzer-allow: budget-checkpoint every pull of the leapfrog
+        // checks the budget inside its seek loops.
+        while let Some(mu) = stream.next()? {
+            let new = out.push(key);
+            for slots in steps {
+                fill(new, slots, |_, v| mu.get(v));
+            }
+            out_tags.push(tag);
+        }
+    }
+    Ok((out, out_tags))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bgp::{eval_bgp_with_strategy, open_bgp_stream, plan_order};
+    use crate::bgp::{candidate_counts, eval_bgp_with_strategy, open_bgp_stream, plan_order};
     use crate::JoinStrategy;
     use std::time::Duration;
     use wdsparql_rdf::term::{iri, var};
@@ -329,7 +511,7 @@ mod tests {
     fn streamed_rows_equal_the_materialised_vector() {
         let g = graph();
         let pats = chain();
-        let order = plan_order(&g, &pats);
+        let order = plan_order(&pats, &candidate_counts(&g, &pats, 1), &[]);
         let want = eval_bgp_with_strategy(&g, &pats, JoinStrategy::Pairwise);
         assert!(!want.is_empty());
         let budget = QueryBudget::unlimited();
@@ -350,7 +532,7 @@ mod tests {
     fn limit_pushdown_stops_probing_early() {
         let g = graph();
         let pats = chain();
-        let order = plan_order(&g, &pats);
+        let order = plan_order(&pats, &candidate_counts(&g, &pats, 1), &[]);
         let budget = QueryBudget::unlimited();
         let mut full = PairwiseStream::new(&g, &pats, order.clone(), &budget, true);
         let all = full.collect_limit(None).expect("unlimited");
@@ -369,7 +551,7 @@ mod tests {
     fn zero_deadline_fails_before_any_index_work() {
         let g = graph();
         let pats = chain();
-        let order = plan_order(&g, &pats);
+        let order = plan_order(&pats, &candidate_counts(&g, &pats, 1), &[]);
         let budget = QueryBudget::with_deadline(Duration::ZERO);
         let mut stream = PairwiseStream::new(&g, &pats, order, &budget, false);
         assert_eq!(stream.next(), Err(ExecError::DeadlineExceeded));

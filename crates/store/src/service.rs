@@ -19,7 +19,7 @@
 //! planning and execution, so the plan [`TripleStore::query_with_plan`]
 //! displays is always the executed one, computed exactly once.
 
-use crate::bgp::{self, plan_order, CacheKey, Pinned, PlannedQuery, Want};
+use crate::bgp::{self, candidate_counts, plan_order, CacheKey, Pinned, PlannedQuery, Want};
 use crate::cache::ResultCache;
 use crate::encoded::{CapacityError, EncodedGraph};
 use crate::persist::vfs::Vfs;
@@ -656,7 +656,8 @@ impl TripleStore {
     /// [`TripleStore::query_with_plan`] — between a bare `plan` and a
     /// later `query`, a bulk load may land and change the snapshot.
     pub fn plan(&self, patterns: &[TriplePattern]) -> Vec<usize> {
-        plan_order(&*self.snapshot().0, patterns)
+        let (ix, _) = self.snapshot();
+        plan_order(patterns, &candidate_counts(&*ix, patterns, 1), &[])
     }
 
     /// Cached single-pattern solutions.
@@ -968,7 +969,7 @@ mod tests {
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("q"), var("z")),
         ];
-        let order = plan_order(&ix, &pats);
+        let order = plan_order(&pats, &candidate_counts(&ix, &pats, 1), &[]);
         assert_eq!(
             ix.count_calls.get(),
             pats.len(),
@@ -1003,8 +1004,9 @@ mod tests {
         ];
         for configured in [JoinStrategy::Pairwise, JoinStrategy::Auto] {
             ix.count_calls.set(0);
-            let order = plan_order(&ix, &pats);
-            crate::wcoj::resolve_with_order(&ix, &pats, configured, &order);
+            let counts = candidate_counts(&ix, &pats, 1);
+            let order = plan_order(&pats, &counts, &[]);
+            crate::wcoj::resolve_with_order(&ix, &pats, configured, &counts, &order, &[]);
             let planning = ix.count_calls.get();
             let cache = ResultCache::new(8);
             let pin = Pinned {

@@ -47,7 +47,7 @@
 //! there.
 
 pub use crate::bgp::eval_bgp_with_strategy;
-use crate::bgp::plan_order;
+use crate::bgp::joins;
 use crate::encoded::EncodedGraph;
 use crate::segment::{KeyedBlock, Perm, Row};
 use std::collections::BTreeSet;
@@ -121,10 +121,24 @@ impl fmt::Display for JoinStrategy {
 /// `(?x p ?y1)(?x p ?y2)(?x p ?y3)` reduces (each `?yi` is private) even
 /// though its patterns pairwise share `?x`.
 pub fn bgp_is_cyclic(patterns: &[TriplePattern]) -> bool {
+    cyclic_once_bound(patterns, &[])
+}
+
+/// [`bgp_is_cyclic`] with the variables of `bound` taken for constants.
+fn cyclic_once_bound(patterns: &[TriplePattern], bound: &[Variable]) -> bool {
+    // A cycle takes three hyperedges.
+    if patterns.len() < 3 {
+        return false;
+    }
     let mut edges: Vec<BTreeSet<Variable>> = patterns
         .iter()
-        .map(|p| p.vars())
-        .filter(|vs| !vs.is_empty())
+        .map(|p| {
+            p.vars()
+                .into_iter()
+                .filter(|v| !bound.contains(v))
+                .collect()
+        })
+        .filter(|vs: &BTreeSet<Variable>| !vs.is_empty())
         .collect();
     // analyzer-allow: budget-checkpoint planning-time GYO reduction,
     // bounded by the query size (each round removes a variable or an
@@ -181,67 +195,70 @@ pub fn bgp_is_cyclic(patterns: &[TriplePattern]) -> bool {
 /// the pairwise plan's largest intermediate (`|A ⋈ B| ≈ |A|·|B| / |G|`
 /// on a shared variable, an outright product otherwise) exceeds four
 /// times the candidate input rows — the skew-blind but cheap signal for
-/// unavoidable Cartesian blow-ups. Callers that already planned the
-/// pairwise order use `resolve_with_order` so each query plans once.
+/// unavoidable Cartesian blow-ups.
 pub fn resolve_strategy(
     ix: &dyn TripleIndex,
     patterns: &[TriplePattern],
     strategy: JoinStrategy,
 ) -> JoinStrategy {
     match strategy {
-        JoinStrategy::Auto => resolve_with_order(ix, patterns, strategy, &plan_order(ix, patterns)),
+        JoinStrategy::Auto => crate::bgp::plan_and_resolve(ix, patterns, strategy, false).1,
         fixed => fixed,
     }
 }
 
-/// As [`resolve_strategy`] with the pairwise plan already in hand — the
-/// service entry point (`query_with_plan` computes the order anyway, and
-/// re-deriving it here would undo the plans-exactly-once guarantee).
+/// The one `Auto` rule, as [`resolve_strategy`] states it, with the
+/// pairwise plan and its counts already in hand (so each query plans
+/// once) and the variables of `bound` — those a keyed join's key binds —
+/// taken for constants: they join a pattern to the plan, and a cycle
+/// through them is broken.
 pub(crate) fn resolve_with_order(
     ix: &dyn TripleIndex,
     patterns: &[TriplePattern],
     strategy: JoinStrategy,
+    counts: &[usize],
     order: &[usize],
+    bound: &[Variable],
 ) -> JoinStrategy {
     match strategy {
-        JoinStrategy::Auto => {
-            if bgp_is_cyclic(patterns) || pairwise_blowup_predicted(ix, patterns, order) {
+        JoinStrategy::Auto if patterns.len() > 1 => {
+            if cyclic_once_bound(patterns, bound)
+                || pairwise_blowup_predicted(ix, patterns, counts, order, bound)
+            {
                 JoinStrategy::Wco
             } else {
                 JoinStrategy::Pairwise
             }
         }
+        // A lone pattern neither closes a cycle nor blows up.
+        JoinStrategy::Auto => JoinStrategy::Pairwise,
         fixed => fixed,
     }
 }
 
-/// The uniform-containment walk behind [`resolve_strategy`]: follow the
-/// pairwise plan, estimating each intermediate, and flag the plan when
-/// the largest estimate dwarfs the inputs.
+/// The uniform-containment walk behind [`resolve_strategy`], over two
+/// patterns or more: follow the pairwise plan, estimating each
+/// intermediate, and flag the plan when the largest estimate dwarfs the
+/// inputs.
 fn pairwise_blowup_predicted(
     ix: &dyn TripleIndex,
     patterns: &[TriplePattern],
+    counts: &[usize],
     order: &[usize],
+    bound: &[Variable],
 ) -> bool {
-    if patterns.len() < 2 {
-        return false;
-    }
-    let counts: Vec<usize> = patterns.iter().map(|p| ix.candidate_count(p)).collect();
     let inputs: usize = counts.iter().sum();
     let n = ix.len().max(1);
-    let mut bound = patterns[order[0]].vars();
     let mut cur = counts[order[0]].max(1);
     let mut worst = cur;
-    for &i in &order[1..] {
-        let vars = patterns[i].vars();
-        let shares = !bound.is_disjoint(&vars);
-        cur = if shares {
+    for k in 1..order.len() {
+        let i = order[k];
+        cur = if joins(patterns, bound, &order[..k], i) {
             (cur.saturating_mul(counts[i].max(1)) / n).max(1)
         } else {
             cur.saturating_mul(counts[i].max(1))
         };
         worst = worst.max(cur);
-        bound.extend(vars);
     }
     worst > inputs.saturating_mul(4).max(1024)
 }

@@ -7,12 +7,12 @@
 
 use proptest::prelude::*;
 use wdsparql_rdf::{
-    tp, Iri, Mapping, QueryBudget, RdfGraph, SolutionStream, Term, Triple, TripleIndex,
+    tp, Iri, Mapping, QueryBudget, RdfGraph, RowTable, SolutionStream, Term, Triple, TripleIndex,
     TriplePattern, Variable,
 };
 use wdsparql_store::{
-    eval_bgp_pairwise, eval_bgp_wco, eval_bgp_with_strategy, open_bgp_stream, EncodedGraph,
-    JoinStrategy, PairwiseStream, ShardedStore, TripleStore, WcoStream,
+    eval_bgp_pairwise, eval_bgp_wco, eval_bgp_with_strategy, join_keyed, open_bgp_stream,
+    EncodedGraph, JoinStrategy, PairwiseStream, ShardedStore, TripleStore, WcoStream,
 };
 
 fn arb_graph() -> impl Strategy<Value = RdfGraph> {
@@ -143,6 +143,24 @@ fn corner_bgps(g: &RdfGraph) -> Vec<Vec<TriplePattern>> {
     bgps
 }
 
+/// The key tables a keyed join of `pats` is checked under: the unit
+/// table, and 0, 1 and 3 bindings of the first variable of `pats` — the
+/// three including a value no generated graph has.
+fn key_tables(pats: &[TriplePattern]) -> Vec<RowTable> {
+    let mut tables = vec![RowTable::unit()];
+    if let Some(v) = pats.iter().flat_map(|p| p.var_occurrences()).next() {
+        let values = ["sn1", "absent-term", "sn2"].map(Iri::new);
+        for n in [0, 1, 3] {
+            let mut keys = RowTable::new(vec![v]);
+            for &value in &values[..n] {
+                keys.push(&[Some(value)]);
+            }
+            tables.push(keys);
+        }
+    }
+    tables
+}
+
 /// Cyclic cores in which every pattern binds its predicate alone — the
 /// shapes whose tries walk PSO and POS key levels on a compacted base.
 /// Random BGPs draw that shape only now and then.
@@ -228,6 +246,25 @@ proptest! {
             let full = sharded.query(&pats);
             for k in 0..=full.len() + 1 {
                 prop_assert_eq!(&sharded.solutions_limit(&pats, k)[..], &full[..k.min(full.len())]);
+            }
+            // The keyed join, under every strategy: each key's rows are
+            // the solutions of the BGP with that key substituted.
+            for keys in key_tables(&pats) {
+                for (label, ix) in [("staged", &staged as &dyn TripleIndex), ("sharded", &snap)] {
+                    for strategy in [JoinStrategy::Pairwise, JoinStrategy::Wco, JoinStrategy::Auto] {
+                        let (rows, tags) = join_keyed(ix, &pats, &keys, strategy, &budget).expect("unlimited");
+                        for (k, key) in keys.rows().enumerate() {
+                            let bound = |v| keys.column(v).and_then(|c| key[c]).map(Term::Iri);
+                            let core: Vec<TriplePattern> = pats.iter().map(|p| p.substitute(&bound)).collect();
+                            let solutions = eval_bgp_with_strategy(ix, &core, strategy);
+                            let mut want: Vec<Mapping> = solutions.iter().filter_map(|mu| mu.union(&keys.mapping(k))).collect();
+                            let mut got: Vec<Mapping> = (0..rows.len()).filter(|&r| tags[r] as usize == k).map(|r| rows.mapping(r)).collect();
+                            want.sort();
+                            got.sort();
+                            prop_assert_eq!(got, want, "{} {} keyed {:?} of {:?}", label, strategy, key, &pats);
+                        }
+                    }
+                }
             }
         }
     }
