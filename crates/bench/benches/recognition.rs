@@ -3,6 +3,8 @@
 //! query (not the data).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use wdsparql_algebra::parse_pattern;
+use wdsparql_tree::Wdpf;
 use wdsparql_width::{domination_width, recognize_bw, recognize_dw};
 use wdsparql_workloads::{clique_child_tree, fk_forest, grid_child_tree};
 
@@ -27,6 +29,37 @@ fn bench_domination_width_fk(c: &mut Criterion) {
         let f = fk_forest(k);
         group.bench_with_input(BenchmarkId::from_parameter(k), &f, |b, f| {
             b.iter(|| assert_eq!(domination_width(f), 1))
+        });
+    }
+    group.finish();
+}
+
+fn bench_domination_width_shapes(c: &mut Criterion) {
+    // The same on the realistic OPT shapes the `membership` benchmark asks
+    // about, and on Q_4: one GtG element, no dominator, a core that keeps
+    // every triple — the path where laziness has nothing to skip.
+    let mut group = c.benchmark_group("domination_width_shapes");
+    group.sample_size(10);
+    let text = |t: &str| Wdpf::from_pattern(&parse_pattern(t).expect("parses")).expect("wd");
+    let shapes = [
+        (
+            "opt_star",
+            text("((person1, knows, ?y) OPT (?y, email, ?e)) OPT (?y, city, ?c)"),
+            1,
+        ),
+        (
+            "opt_nested",
+            text(
+                "((person1, knows, ?y) AND (?y, knows, ?z)) \
+                 OPT ((?z, wrote, ?w) OPT (?w, topic, ?t))",
+            ),
+            1,
+        ),
+        ("q4", Wdpf::new(vec![clique_child_tree(4)]), 3),
+    ];
+    for (name, f, dw) in &shapes {
+        group.bench_with_input(BenchmarkId::from_parameter(name), f, |b, f| {
+            b.iter(|| assert_eq!(domination_width(f), *dw))
         });
     }
     group.finish();
@@ -68,6 +101,7 @@ criterion_group!(
     benches,
     bench_recognize_dw_fk,
     bench_domination_width_fk,
+    bench_domination_width_shapes,
     bench_recognize_bw_clique,
     bench_recognize_bw_grid
 );

@@ -48,8 +48,34 @@ pub fn tw_gen(g: &GenTGraph) -> TwResult {
 }
 
 /// `ctw(S, X) := tw(core(S, X))`.
+///
+/// The core is a retract of `(S, X)`: a subgraph of `S` with the same
+/// `X`. Its Gaifman graph is therefore a subgraph of `G(S, X)`, so
+/// `ctw(S, X) ≤ tw(S, X)`, and both are ≥ 1 by the convention above.
+/// `tw(S, X) ≤ 1` exactly when `G(S, X)` is a forest, which is cheap to
+/// see: then `ctw(S, X) = 1` and no core is computed. A core that keeps
+/// every triple is `S` itself, whose Gaifman graph is already built.
 pub fn ctw(g: &GenTGraph) -> TwResult {
-    tw_gen(&core_of(g))
+    let (ug, _) = gaifman(g);
+    if is_forest(&ug) {
+        return TwResult {
+            width: 1,
+            exact: true,
+        };
+    }
+    let core = core_of(g);
+    if core.len() == g.len() {
+        treewidth(&ug)
+    } else {
+        tw_gen(&core)
+    }
+}
+
+/// Every component of `c` vertices has `c − 1` edges (so fewer edges
+/// than vertices in all).
+fn is_forest(g: &UGraph) -> bool {
+    let edges = g.edge_count();
+    edges < g.n().max(1) && edges + g.components().len() == g.n()
 }
 
 #[cfg(test)]

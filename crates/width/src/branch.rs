@@ -43,11 +43,12 @@ pub fn branch_treewidth_forest(f: &Wdpf) -> usize {
     f.trees.iter().map(branch_treewidth).max().unwrap_or(1)
 }
 
-/// The recognition problem `bw(T) ≤ k`.
+/// The recognition problem `bw(T) ≤ k`; `false` at `k = 0`, as `bw ≥ 1`.
 pub fn bw_at_most(t: &Wdpt, k: usize) -> bool {
-    t.node_ids()
-        .filter(|n| t.parent(*n).is_some())
-        .all(|n| ctw(&branch_tgraph(t, n)).width <= k)
+    k >= 1
+        && t.node_ids()
+            .filter(|n| t.parent(*n).is_some())
+            .all(|n| ctw(&branch_tgraph(t, n)).width <= k)
 }
 
 /// The local width of a node: `ctw(pat(n), vars(n) ∩ vars(n'))`.

@@ -6,30 +6,168 @@
 //! width `dw(F)` of a wdPF is the least `k ≥ 1` such that `GtG(T)` is
 //! k-dominated for *every* subtree `T` of `F`.
 //!
-//! `ctw` — a core, then a treewidth — is the expensive step, so each
-//! entry point computes it once per `GtG` element: [`is_k_dominated`]
-//! for its one `k`, [`min_domination`] (and through it
-//! [`domination_width`]) for every `k` at once.
+//! `ctw` — a core, then a treewidth — is the expensive step, so it is
+//! computed lazily, and at most once per distinct `(S, X)` in one
+//! recognition (F_k's seven `GtG` elements are four distinct ones). The
+//! core of `(S, X)` is a retract: a subgraph of `S` with the same `X`,
+//! whose Gaifman graph is a subgraph of `G(S, X)`. So
+//! `1 ≤ ctw(S, X) ≤ tw(S, X)`, and the cheap test `tw ≤ 1` (the Gaifman
+//! graph is a forest) settles much:
+//!
+//! * an element with `tw ≤ 1` has width exactly 1;
+//! * an element into which an exact-width-1 element maps has threshold 1
+//!   (no width is lower), and its core is never computed;
+//! * only the rest get `ctw`, and one found to have width 1 joins the
+//!   dominators of the elements after it. Thresholds above 1 are then
+//!   found narrowest dominator first.
+//!
+//! [`dw_at_most`] reads the same rule at its `k`. Skipping an element's
+//! core loses no dominator: if a settled `e` maps into `e'`, so does the
+//! width-1 element that settled `e`, homomorphisms being closed under
+//! composition.
 
-use crate::gtg::{forest_subtrees, gtg, GtgElement};
-use wdsparql_hom::{ctw, maps_to};
+use crate::gtg::{forest_subtrees, ForestTable, GtgElement};
+use std::collections::HashMap;
+use wdsparql_hom::{ctw, gaifman_graph, maps_to, GenTGraph};
 use wdsparql_tree::Wdpf;
 
-/// `ctw` of every element, in order.
-fn widths(elements: &[GtgElement]) -> Vec<usize> {
-    elements.iter().map(|e| ctw(&e.graph).width).collect()
+#[cfg(test)] // the tests reach it through `super::*`
+use crate::gtg::gtg;
+
+/// The widths and homomorphisms one recognition has computed, per
+/// distinct `(S, X)`, each when first asked for: whether `tw ≤ 1` (the
+/// Gaifman graph is a forest), `ctw`, and `→` per ordered pair.
+#[derive(Default)]
+pub(crate) struct Widths {
+    ids: HashMap<GenTGraph, usize>,
+    narrow: Vec<Option<bool>>,
+    ctw: Vec<Option<usize>>,
+    maps: HashMap<(usize, usize), bool>,
+}
+
+/// One `GtG` set with the ids [`Widths`] gave its elements.
+pub(crate) struct Scoped<'a> {
+    elements: &'a [GtgElement],
+    ids: Vec<usize>,
+}
+
+impl Widths {
+    pub(crate) fn scope<'a>(&mut self, elements: &'a [GtgElement]) -> Scoped<'a> {
+        let ids = elements
+            .iter()
+            .map(|e| match self.ids.get(&e.graph) {
+                Some(&id) => id,
+                None => {
+                    let id = self.ctw.len();
+                    self.narrow.push(None);
+                    self.ctw.push(None);
+                    self.ids.insert(e.graph.clone(), id);
+                    id
+                }
+            })
+            .collect();
+        Scoped { elements, ids }
+    }
+
+    /// Is `tw ≤ 1`, and so `ctw = 1`, for element `i`?
+    fn narrow(&mut self, g: &Scoped, i: usize) -> bool {
+        *self.narrow[g.ids[i]].get_or_insert_with(|| {
+            // A forest: each component of `c` vertices has `c − 1` edges.
+            let (gaifman, _) = gaifman_graph(&g.elements[i].graph);
+            let (edges, n) = (gaifman.edge_count(), gaifman.n());
+            edges < n.max(1) && edges + gaifman.components().len() == n
+        })
+    }
+
+    pub(crate) fn ctw(&mut self, g: &Scoped, i: usize) -> usize {
+        let id = g.ids[i];
+        if self.narrow[id] == Some(true) {
+            return 1;
+        }
+        *self.ctw[id].get_or_insert_with(|| ctw(&g.elements[i].graph).width)
+    }
+
+    /// Does element `d` map into element `i`?
+    pub(crate) fn maps_to(&mut self, g: &Scoped, d: usize, i: usize) -> bool {
+        *self
+            .maps
+            .entry((g.ids[d], g.ids[i]))
+            .or_insert_with(|| maps_to(&g.elements[d].graph, &g.elements[i].graph))
+    }
+
+    /// Splits the set into dominators of `ctw ≤ k` and the elements of
+    /// `ctw > k` that none of them settled on the way. Elements with
+    /// `tw ≤ 1` come first and are dominators outright; each other element
+    /// is tried against the dominators found so far before its `ctw` is
+    /// computed, and an element some dominator maps into is in neither list.
+    fn settle(&mut self, g: &Scoped, k: usize) -> (Vec<usize>, Vec<usize>) {
+        if g.ids.len() == 1 {
+            // Nothing else can dominate it: only its width matters.
+            let only = vec![0];
+            return if self.ctw(g, 0) <= k {
+                (only, Vec::new())
+            } else {
+                (Vec::new(), only)
+            };
+        }
+        let mut order: Vec<usize> = (0..g.ids.len()).collect();
+        order.sort_by_key(|&i| !self.narrow(g, i));
+        let (mut small, mut wide) = (Vec::new(), Vec::new());
+        for i in order {
+            if self.narrow(g, i) {
+                small.push(i);
+            } else if small.iter().any(|&d| self.maps_to(g, d, i)) {
+                continue;
+            } else if self.ctw(g, i) <= k {
+                small.push(i);
+            } else {
+                wide.push(i);
+            }
+        }
+        (small, wide)
+    }
+
+    /// Is the set k-dominated?
+    fn k_dominated(&mut self, g: &Scoped, k: usize) -> bool {
+        let (small, wide) = self.settle(g, k);
+        wide.into_iter()
+            .all(|i| small.iter().any(|&d| self.maps_to(g, d, i)))
+    }
+
+    /// The least `k` such that the set is k-dominated (`1` for the empty
+    /// set): the largest threshold of an element, the least of its own
+    /// width and the widths of the elements that map into it. Elements
+    /// settled at 1 are left out; every width a remaining threshold can take
+    /// is known: 1 for the width-1 dominators, `ctw` for the rest.
+    fn min_domination(&mut self, g: &Scoped) -> usize {
+        let (ones, mut wide) = self.settle(g, 1);
+        wide.sort_by_key(|&i| self.ctw(g, i));
+        let dominators: Vec<(usize, usize)> = ones
+            .iter()
+            .map(|&d| (d, 1))
+            .chain(wide.iter().map(|&d| (d, self.ctw(g, d))))
+            .collect();
+        let mut k = 1;
+        for &i in &wide {
+            // Narrower elements, narrowest first: the first that maps into
+            // `i` settles it.
+            let own = self.ctw(g, i);
+            let threshold = dominators
+                .iter()
+                .take_while(|&&(_, w)| w < own)
+                .find(|&&(d, _)| self.maps_to(g, d, i))
+                .map_or(own, |&(_, w)| w);
+            k = k.max(threshold);
+        }
+        k
+    }
 }
 
 /// Is the given `GtG` set k-dominated?
 pub fn is_k_dominated(elements: &[GtgElement], k: usize) -> bool {
-    let widths = widths(elements);
-    let dominators: Vec<usize> = (0..elements.len()).filter(|&i| widths[i] <= k).collect();
-    elements.iter().enumerate().all(|(i, e)| {
-        widths[i] <= k
-            || dominators
-                .iter()
-                .any(|&d| maps_to(&elements[d].graph, &e.graph))
-    })
+    let mut widths = Widths::default();
+    let g = widths.scope(elements);
+    widths.k_dominated(&g, k)
 }
 
 /// The least `k` such that the set is k-dominated (`1` for the empty set).
@@ -37,20 +175,12 @@ pub fn is_k_dominated(elements: &[GtgElement], k: usize) -> bool {
 /// One pass: an element `e` stops being an obstacle at the least of its
 /// own width and the widths of the elements that map into it, so the
 /// answer is the largest of those thresholds — no candidate `k` is tried
-/// and no width is computed twice. Narrower elements are tried narrowest
-/// first, and the first that maps into `e` settles `e`.
+/// and no width is computed twice, nor one the lazy rule of the module
+/// settles without a core.
 pub fn min_domination(elements: &[GtgElement]) -> usize {
-    let widths = widths(elements);
-    let mut narrowest_first: Vec<usize> = (0..elements.len()).collect();
-    narrowest_first.sort_by_key(|&i| widths[i]);
-    let threshold = |i: usize| {
-        narrowest_first
-            .iter()
-            .take_while(|&&d| widths[d] < widths[i])
-            .find(|&&d| maps_to(&elements[d].graph, &elements[i].graph))
-            .map_or(widths[i], |&d| widths[d])
-    };
-    (0..elements.len()).map(threshold).max().unwrap_or(1).max(1)
+    let mut widths = Widths::default();
+    let g = widths.scope(elements);
+    widths.min_domination(&g)
 }
 
 /// `dw(F)`: the domination width of a wdPF (Definition 2).
@@ -59,29 +189,51 @@ pub fn min_domination(elements: &[GtgElement]) -> usize {
 /// of the *query*, which is small; recognition is NP-hard already for
 /// UNION-free patterns (§5).
 pub fn domination_width(f: &Wdpf) -> usize {
+    let table = ForestTable::new(f);
+    let mut widths = Widths::default();
     forest_subtrees(f)
         .iter()
-        .map(|st| min_domination(&gtg(f, st)))
+        .map(|st| {
+            let elements = table.gtg(st);
+            let g = widths.scope(&elements);
+            widths.min_domination(&g)
+        })
         .max()
         .unwrap_or(1)
-        .max(1)
 }
 
 /// The recognition problem `dw(F) ≤ k`, with early exit per subtree.
+///
+/// `false` at `k = 0`: domination width is at least 1.
 pub fn dw_at_most(f: &Wdpf, k: usize) -> bool {
-    forest_subtrees(f)
-        .iter()
-        .all(|st| is_k_dominated(&gtg(f, st), k))
+    if k == 0 {
+        return false;
+    }
+    let table = ForestTable::new(f);
+    let mut widths = Widths::default();
+    forest_subtrees(f).iter().all(|st| {
+        let elements = table.gtg(st);
+        let g = widths.scope(&elements);
+        widths.k_dominated(&g, k)
+    })
 }
 
 /// Per-subtree report: (tree index, node set size, |GtG|, minimal k) —
 /// used by the experiments harness to reproduce Example 4/5 tables.
 pub fn domination_report(f: &Wdpf) -> Vec<(usize, usize, usize, usize)> {
+    let table = ForestTable::new(f);
+    let mut widths = Widths::default();
     forest_subtrees(f)
         .iter()
         .map(|st| {
-            let g = gtg(f, st);
-            (st.tree, st.nodes.len(), g.len(), min_domination(&g))
+            let elements = table.gtg(st);
+            let g = widths.scope(&elements);
+            (
+                st.tree,
+                st.nodes.len(),
+                elements.len(),
+                widths.min_domination(&g),
+            )
         })
         .collect()
 }

@@ -11,11 +11,21 @@
 //!   variables apart (into a reserved pool, see [`s_delta`]);
 //! * `∆` is *valid* if no unassigned supporting tree folds into `S_∆`;
 //! * `GtG(T) = {(S_∆, vars(T)) | ∆ ∈ VCA(T)}`.
+//!
+//! Every function here reads one per-forest table, built once per
+//! recognition: each node's variables as a [`BitSet`] over a forest-local
+//! variable index, so a support is a greedy closure over bitsets. A
+//! witness has exactly the variables of `T`, all of them in `X`, so the
+//! only homomorphism from it to try is the identity: it folds into `S_∆`
+//! iff its triples are a subset of `S_∆` (see [`is_valid_assignment`]).
 
-use std::collections::BTreeMap;
-use wdsparql_hom::{maps_to, GenTGraph, VarMap};
+use std::collections::{BTreeMap, BTreeSet};
+use wdsparql_hom::{BitSet, GenTGraph, TGraph};
 use wdsparql_rdf::{Term, Variable};
-use wdsparql_tree::{subtree_pat, subtree_vars, subtree_with_vars, NodeId, Subtree, Wdpf};
+use wdsparql_tree::{subtree_pat, NodeId, Subtree, Wdpf, Wdpt, ROOT};
+
+#[cfg(test)] // the tests reach it through `super::*`
+use wdsparql_hom::maps_to;
 
 /// A subtree of a wdPF: tree index plus node set.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,17 +57,13 @@ impl Support {
 
 /// Computes `supp(T)` with the witness subtrees `T^{sp(i)}`.
 pub fn support(f: &Wdpf, st: &ForestSubtree) -> Support {
-    let vars = subtree_vars(&f.trees[st.tree], &st.nodes);
-    let mut witnesses = BTreeMap::new();
-    for (i, tree) in f.trees.iter().enumerate() {
-        if let Some(w) = subtree_with_vars(tree, &vars) {
-            witnesses.insert(i, w);
-        }
-    }
-    debug_assert!(
-        witnesses.contains_key(&st.tree),
-        "supp(T) contains T's tree"
-    );
+    let table = ForestTable::new(f);
+    let x = table.subtree_vars(st);
+    let witnesses = table
+        .support(&x)
+        .into_iter()
+        .map(|w| (w.tree, w.nodes.iter().map(NodeId).collect()))
+        .collect();
     Support { witnesses }
 }
 
@@ -70,29 +76,16 @@ pub struct ChildrenAssignment {
 /// Enumerates `CA(T)`: every function with non-empty domain ⊆ supp(T)
 /// assigning to each chosen index a child of its witness subtree.
 pub fn children_assignments(f: &Wdpf, support: &Support) -> Vec<ChildrenAssignment> {
-    // Options per supporting index: one of its witness's children, or skip.
-    let per_index: Vec<(usize, Vec<NodeId>)> = support
+    let options: Vec<Options> = support
         .witnesses
         .iter()
-        .map(|(&i, w)| (i, wdsparql_tree::subtree_children(&f.trees[i], w)))
+        .map(|(&i, w)| Options {
+            tree: i,
+            children: wdsparql_tree::subtree_children(&f.trees[i], w),
+            skippable: true,
+        })
         .collect();
-    let mut out: Vec<BTreeMap<usize, NodeId>> = vec![BTreeMap::new()];
-    for (i, children) in &per_index {
-        let mut next = Vec::with_capacity(out.len() * (children.len() + 1));
-        for partial in &out {
-            next.push(partial.clone()); // skip i
-            for &c in children {
-                let mut with = partial.clone();
-                with.insert(*i, c);
-                next.push(with);
-            }
-        }
-        out = next;
-    }
-    out.into_iter()
-        .filter(|m| !m.is_empty())
-        .map(|chosen| ChildrenAssignment { chosen })
-        .collect()
+    assignments(&options)
 }
 
 /// Builds `(S_∆, vars(T))`: the subtree pattern united with the renamed
@@ -105,25 +98,23 @@ pub fn children_assignments(f: &Wdpf, support: &Support) -> Vec<ChildrenAssignme
 /// each other and from everything else in `S_∆`, and building the same
 /// `S_∆` again interns nothing.
 pub fn s_delta(f: &Wdpf, st: &ForestSubtree, delta: &ChildrenAssignment) -> GenTGraph {
-    let tree = &f.trees[st.tree];
-    let tvars = subtree_vars(tree, &st.nodes);
-    let mut pool = (0..).map(Variable::reserved).filter(|v| !tvars.contains(v));
-    let mut s = subtree_pat(tree, &st.nodes);
-    for (&i, &child) in &delta.chosen {
-        let pat = f.trees[i].pat(child);
-        let renaming: VarMap = pat
-            .vars()
-            .into_iter()
-            .filter(|v| !tvars.contains(v))
-            .zip(pool.by_ref().map(Term::Var))
-            .collect();
-        s = s.union(&pat.apply(&renaming));
-    }
-    GenTGraph::new(s, tvars)
+    let table = ForestTable::new(f);
+    let x = table.subtree_vars(st);
+    let renamed = delta
+        .chosen
+        .iter()
+        .map(|(&i, &c)| table.private(i, c, &x).count())
+        .sum();
+    SubtreeBase::new(&table, st, x, renamed).s_delta(&table, delta)
 }
 
 /// Is `∆` valid: for every `i ∈ supp(T) \ dom(∆)`,
 /// `(pat(T^{sp(i)}), vars(T)) ̸→ (S_∆, vars(T))`?
+///
+/// `s_delta` is `S_∆` built for the subtree `support` belongs to. Each
+/// witness has exactly the variables of that subtree, which are `S_∆`'s
+/// `X`, so a homomorphism from it fixes every variable and exists iff
+/// `pat(T^{sp(i)}) ⊆ S_∆`.
 pub fn is_valid_assignment(
     f: &Wdpf,
     support: &Support,
@@ -134,11 +125,7 @@ pub fn is_valid_assignment(
         .witnesses
         .iter()
         .filter(|(i, _)| !delta.chosen.contains_key(i))
-        .all(|(&i, witness)| {
-            let pat = subtree_pat(&f.trees[i], witness);
-            let src = GenTGraph::new(pat, s_delta.x.iter().copied());
-            !maps_to(&src, s_delta)
-        })
+        .all(|(&i, witness)| !subtree_pat(&f.trees[i], witness).is_subset(&s_delta.s))
 }
 
 /// One element of `GtG(T)` with its provenance.
@@ -149,16 +136,10 @@ pub struct GtgElement {
 }
 
 /// Computes `GtG(T)` — the generalised t-graphs of the valid children
-/// assignments.
+/// assignments. This indexes the forest for one subtree; the recognisers
+/// index it once for all of them.
 pub fn gtg(f: &Wdpf, st: &ForestSubtree) -> Vec<GtgElement> {
-    let supp = support(f, st);
-    children_assignments(f, &supp)
-        .into_iter()
-        .filter_map(|delta| {
-            let graph = s_delta(f, st, &delta);
-            is_valid_assignment(f, &supp, &delta, &graph).then_some(GtgElement { delta, graph })
-        })
-        .collect()
+    ForestTable::new(f).gtg(st)
 }
 
 /// Enumerates every subtree of the forest.
@@ -170,6 +151,260 @@ pub fn forest_subtrees(f: &Wdpf) -> Vec<ForestSubtree> {
         }
     }
     out
+}
+
+fn is_subset(a: &BitSet, b: &BitSet) -> bool {
+    a.iter().all(|bit| b.contains(bit))
+}
+
+/// What GtG reads of a forest, indexed once: the forest's variables in
+/// ascending order (a variable's position is its bit in every variable set
+/// below, so iterating a set visits variables in ascending order) and each
+/// node's variables as a set of those bits.
+pub(crate) struct ForestTable<'f> {
+    f: &'f Wdpf,
+    vars: Vec<Variable>,
+    /// `node_vars[i][n]` is `vars(n)` for node `n` of tree `i`.
+    node_vars: Vec<Vec<BitSet>>,
+}
+
+/// One supporting tree of a subtree: its witness `T^{sp(i)}` as node bits
+/// and the witness's children, in node order.
+struct Witness {
+    tree: usize,
+    nodes: BitSet,
+    children: Vec<NodeId>,
+}
+
+impl<'f> ForestTable<'f> {
+    pub(crate) fn new(f: &'f Wdpf) -> ForestTable<'f> {
+        let node_var_occurrences =
+            |t: &'f Wdpt, n: NodeId| t.pat(n).iter().flat_map(|triple| triple.var_occurrences());
+        let mut vars: Vec<Variable> = f
+            .trees
+            .iter()
+            .flat_map(|t| t.node_ids().flat_map(move |n| node_var_occurrences(t, n)))
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let bit = |v: Variable| vars.binary_search(&v).expect("a forest variable");
+        let node_vars = f
+            .trees
+            .iter()
+            .map(|t| {
+                t.node_ids()
+                    .map(|n| node_var_occurrences(t, n).map(bit).collect())
+                    .collect()
+            })
+            .collect();
+        ForestTable { f, vars, node_vars }
+    }
+
+    fn bit(&self, v: Variable) -> Option<usize> {
+        self.vars.binary_search(&v).ok()
+    }
+
+    /// The variables of node `n` of tree `i` outside `x` — the ones
+    /// `ρ_∆` renames when `n` is chosen — in ascending order.
+    fn private<'a>(
+        &'a self,
+        i: usize,
+        n: NodeId,
+        x: &'a BitSet,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.node_vars[i][n.0].iter().filter(|&b| !x.contains(b))
+    }
+
+    fn subtree_vars(&self, st: &ForestSubtree) -> BitSet {
+        let mut x = BitSet::new();
+        for n in &st.nodes {
+            for b in self.node_vars[st.tree][n.0].iter() {
+                x.insert(b);
+            }
+        }
+        x
+    }
+
+    /// The witness of tree `i` for the variable set `x`, if any. The
+    /// largest subtree with variables inside `x` is the greedy closure from
+    /// the root; the arena puts every parent before its children, so one
+    /// pass in node order computes it. It is the witness iff it reaches
+    /// every variable of `x`.
+    fn witness(&self, i: usize, x: &BitSet) -> Option<Witness> {
+        let tree = &self.f.trees[i];
+        let mut nodes = BitSet::new();
+        let mut reached = BitSet::new();
+        for n in tree.node_ids() {
+            let attached = tree.parent(n).is_none_or(|p| nodes.contains(p.0));
+            if attached && is_subset(&self.node_vars[i][n.0], x) {
+                nodes.insert(n.0);
+                for b in self.node_vars[i][n.0].iter() {
+                    reached.insert(b);
+                }
+            }
+        }
+        if !nodes.contains(ROOT.0) || reached.len() != x.len() {
+            return None;
+        }
+        let children = tree
+            .node_ids()
+            .filter(|n| !nodes.contains(n.0))
+            .filter(|&n| tree.parent(n).is_some_and(|p| nodes.contains(p.0)))
+            .collect();
+        Some(Witness {
+            tree: i,
+            nodes,
+            children,
+        })
+    }
+
+    /// `supp(T)` for `x = vars(T)`, in tree order.
+    fn support(&self, x: &BitSet) -> Vec<Witness> {
+        (0..self.f.trees.len())
+            .filter_map(|i| self.witness(i, x))
+            .collect()
+    }
+
+    /// `pat` of a node set of tree `i`.
+    fn pat(&self, i: usize, nodes: impl IntoIterator<Item = NodeId>) -> TGraph {
+        let tree = &self.f.trees[i];
+        nodes
+            .into_iter()
+            .flat_map(|n| tree.pat(n).iter().copied())
+            .collect()
+    }
+
+    /// `GtG(T)`, in the order of [`children_assignments`]. A supporting
+    /// tree whose witness's triples all lie in `pat(T)` folds into every
+    /// `S_∆`, so only the assignments that choose a child for it can be
+    /// valid; the others are never built. `T`'s own tree is one such when
+    /// its witness is `T` itself (always, in NR normal form): then, if `T`
+    /// has no children, `GtG(T)` is empty.
+    pub(crate) fn gtg(&self, st: &ForestSubtree) -> Vec<GtgElement> {
+        let x = self.subtree_vars(st);
+        let supp = self.support(&x);
+        let own = supp.iter().find(|w| w.tree == st.tree);
+        let own = own.expect("the largest subtree of T's tree within vars(T) has vars(T)");
+        if own.children.is_empty() && own.nodes.len() == st.nodes.len() {
+            return Vec::new();
+        }
+        let renamed = supp
+            .iter()
+            .map(|w| {
+                let private = |&c: &NodeId| self.private(w.tree, c, &x).count();
+                w.children.iter().map(private).max().unwrap_or(0)
+            })
+            .sum();
+        let base = SubtreeBase::new(self, st, x, renamed);
+        let witness_pats: Vec<TGraph> = supp
+            .iter()
+            .map(|w| self.pat(w.tree, w.nodes.iter().map(NodeId)))
+            .collect();
+        let options: Vec<Options> = supp
+            .iter()
+            .zip(&witness_pats)
+            .map(|(w, pat)| Options {
+                tree: w.tree,
+                children: w.children.clone(),
+                skippable: !pat.is_subset(&base.pat),
+            })
+            .collect();
+        assignments(&options)
+            .into_iter()
+            .filter_map(|delta| {
+                let graph = base.s_delta(self, &delta);
+                let valid = supp
+                    .iter()
+                    .zip(&witness_pats)
+                    .filter(|(w, _)| !delta.chosen.contains_key(&w.tree))
+                    .all(|(_, pat)| !pat.is_subset(&graph.s));
+                valid.then_some(GtgElement { delta, graph })
+            })
+            .collect()
+    }
+}
+
+/// What every `S_∆` of one subtree starts from: `pat(T)`, `X = vars(T)`
+/// and the reserved variables outside `X` that `ρ_∆` renames into, in
+/// order.
+struct SubtreeBase {
+    pat: TGraph,
+    x: BitSet,
+    x_vars: BTreeSet<Variable>,
+    pool: Vec<Variable>,
+}
+
+impl SubtreeBase {
+    /// The base for `st` with `x = vars(st)`, its pool long enough for
+    /// `renamed` variables.
+    fn new(table: &ForestTable, st: &ForestSubtree, x: BitSet, renamed: usize) -> SubtreeBase {
+        let pat = table.pat(st.tree, st.nodes.iter().copied());
+        let x_vars = x.iter().map(|b| table.vars[b]).collect();
+        let pool = (0..)
+            .map(Variable::reserved)
+            .filter(|&v| !table.bit(v).is_some_and(|b| x.contains(b)))
+            .take(renamed)
+            .collect();
+        SubtreeBase {
+            pat,
+            x,
+            x_vars,
+            pool,
+        }
+    }
+
+    fn s_delta(&self, table: &ForestTable, delta: &ChildrenAssignment) -> GenTGraph {
+        let mut s = self.pat.clone();
+        let mut pool = self.pool.iter().copied();
+        for (&i, &child) in &delta.chosen {
+            let renaming: Vec<(Variable, Term)> = table
+                .private(i, child, &self.x)
+                .map(|b| table.vars[b])
+                .zip(pool.by_ref().map(Term::Var))
+                .collect();
+            let rho = |v: Variable| renaming.iter().find(|(u, _)| *u == v).map(|&(_, t)| t);
+            for t in table.f.trees[i].pat(child).iter() {
+                s.insert(t.substitute(&rho));
+            }
+        }
+        GenTGraph {
+            s,
+            x: self.x_vars.clone(),
+        }
+    }
+}
+
+/// One digit of the children-assignment counter: a supporting tree, its
+/// witness's children, and whether the tree may be left unassigned.
+struct Options {
+    tree: usize,
+    children: Vec<NodeId>,
+    skippable: bool,
+}
+
+/// Every non-empty children assignment over `options`, counting with the
+/// first tree as the most significant digit; a digit runs through "skip"
+/// (when allowed) and then the children in order.
+fn assignments(options: &[Options]) -> Vec<ChildrenAssignment> {
+    let mut out: Vec<BTreeMap<usize, NodeId>> = vec![BTreeMap::new()];
+    for o in options {
+        let mut next = Vec::with_capacity(out.len() * (o.children.len() + 1));
+        for partial in &out {
+            if o.skippable {
+                next.push(partial.clone());
+            }
+            for &c in &o.children {
+                let mut with = partial.clone();
+                with.insert(o.tree, c);
+                next.push(with);
+            }
+        }
+        out = next;
+    }
+    out.into_iter()
+        .filter(|m| !m.is_empty())
+        .map(|chosen| ChildrenAssignment { chosen })
+        .collect()
 }
 
 #[cfg(test)]

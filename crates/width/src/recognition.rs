@@ -15,7 +15,8 @@
 //!   violating node.
 
 use crate::branch::branch_tgraph;
-use crate::gtg::{forest_subtrees, gtg, ForestSubtree};
+use crate::domination::Widths;
+use crate::gtg::{forest_subtrees, gtg, ForestSubtree, ForestTable};
 use wdsparql_hom::{ctw, maps_to};
 use wdsparql_tree::{NodeId, Wdpf, Wdpt, ROOT};
 
@@ -56,28 +57,35 @@ impl DwCertificate {
 }
 
 /// Decides `dw(F) ≤ k`, producing a checkable certificate either way.
+///
+/// Requires `k ≥ 1`: every width is at least 1, and at `k = 0` a forest
+/// whose `GtG` sets are all empty has no element to name as a violation.
+/// Each distinct `(S, X)` gets one `ctw` and each ordered pair one
+/// homomorphism test per call (see [`crate::domination`]); every element's
+/// `ctw` is still reported, for [`verify_dw_certificate`] to re-check.
 pub fn recognize_dw(f: &Wdpf, k: usize) -> DwCertificate {
+    debug_assert!(k >= 1, "recognize_dw needs k ≥ 1: widths are at least 1");
+    let table = ForestTable::new(f);
+    let mut widths = Widths::default();
     let mut per_subtree = Vec::new();
     for st in forest_subtrees(f) {
-        let elements = gtg(f, &st);
-        let ctws: Vec<usize> = elements.iter().map(|e| ctw(&e.graph).width).collect();
+        let elements = table.gtg(&st);
+        let g = widths.scope(&elements);
+        let ctws: Vec<usize> = (0..elements.len()).map(|i| widths.ctw(&g, i)).collect();
         let small: Vec<usize> = (0..elements.len()).filter(|&i| ctws[i] <= k).collect();
         let mut dominator_of = Vec::with_capacity(elements.len());
-        for (i, e) in elements.iter().enumerate() {
-            if ctws[i] <= k {
+        for (i, &w) in ctws.iter().enumerate() {
+            if w <= k {
                 dominator_of.push(i);
                 continue;
             }
-            match small
-                .iter()
-                .find(|&&d| maps_to(&elements[d].graph, &e.graph))
-            {
+            match small.iter().find(|&&d| widths.maps_to(&g, d, i)) {
                 Some(&d) => dominator_of.push(d),
                 None => {
                     return DwCertificate::Violated(DwViolation {
                         subtree: st,
                         element: i,
-                        element_ctw: ctws[i],
+                        element_ctw: w,
                     })
                 }
             }
@@ -151,7 +159,11 @@ impl BwCertificate {
 /// Decides `bw(T) ≤ k` with a per-node certificate (Definition 3). The
 /// NP-hard kernel is the per-node `ctw ≤ k` check; our exact core and
 /// treewidth machinery pays that price only in the (small) query size.
+///
+/// Requires `k ≥ 1`, as [`recognize_dw`] does: a tree with no OPT has no
+/// node to name as a violation.
 pub fn recognize_bw(t: &Wdpt, k: usize) -> BwCertificate {
+    debug_assert!(k >= 1, "recognize_bw needs k ≥ 1: widths are at least 1");
     let mut widths = Vec::new();
     for n in t.node_ids().filter(|&n| n != ROOT) {
         let w = ctw(&branch_tgraph(t, n)).width;
