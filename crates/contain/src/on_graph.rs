@@ -4,23 +4,23 @@
 
 use crate::order::set_subsumed;
 use wdsparql_core::enumerate_forest;
-use wdsparql_rdf::RdfGraph;
+use wdsparql_rdf::TripleIndex;
 use wdsparql_tree::Wdpf;
 
 /// `⟦F1⟧_G ⊆ ⟦F2⟧_G`.
-pub fn contained_on(f1: &Wdpf, f2: &Wdpf, g: &RdfGraph) -> bool {
+pub fn contained_on(f1: &Wdpf, f2: &Wdpf, g: &dyn TripleIndex) -> bool {
     let a = enumerate_forest(f1, g);
     let b = enumerate_forest(f2, g);
     a.is_subset(&b)
 }
 
 /// `⟦F1⟧_G = ⟦F2⟧_G`.
-pub fn equivalent_on(f1: &Wdpf, f2: &Wdpf, g: &RdfGraph) -> bool {
+pub fn equivalent_on(f1: &Wdpf, f2: &Wdpf, g: &dyn TripleIndex) -> bool {
     enumerate_forest(f1, g) == enumerate_forest(f2, g)
 }
 
 /// `⟦F1⟧_G ⊑ ⟦F2⟧_G`: every solution of `F1` is extended by one of `F2`.
-pub fn subsumed_on(f1: &Wdpf, f2: &Wdpf, g: &RdfGraph) -> bool {
+pub fn subsumed_on(f1: &Wdpf, f2: &Wdpf, g: &dyn TripleIndex) -> bool {
     let a = enumerate_forest(f1, g);
     let b = enumerate_forest(f2, g);
     set_subsumed(&a, &b)
@@ -30,7 +30,11 @@ pub fn subsumed_on(f1: &Wdpf, f2: &Wdpf, g: &RdfGraph) -> bool {
 /// Empty iff [`contained_on`]; each entry is a ready-made
 /// counterexample mapping for this graph (useful when debugging a
 /// `NotContained` verdict or an `Unknown` one by hand).
-pub fn containment_violations(f1: &Wdpf, f2: &Wdpf, g: &RdfGraph) -> Vec<wdsparql_rdf::Mapping> {
+pub fn containment_violations(
+    f1: &Wdpf,
+    f2: &Wdpf,
+    g: &dyn TripleIndex,
+) -> Vec<wdsparql_rdf::Mapping> {
     let b = enumerate_forest(f2, g);
     enumerate_forest(f1, g)
         .into_iter()
@@ -42,6 +46,7 @@ pub fn containment_violations(f1: &Wdpf, f2: &Wdpf, g: &RdfGraph) -> Vec<wdsparq
 mod tests {
     use super::*;
     use wdsparql_algebra::parse_pattern;
+    use wdsparql_rdf::RdfGraph;
 
     fn forest(text: &str) -> Wdpf {
         Wdpf::from_pattern(&parse_pattern(text).unwrap()).unwrap()

@@ -9,8 +9,8 @@
 //! delay on bounded- vs unbounded-width families).
 //!
 //! [`enumerate_with_stats`] is also the workspace's tuple-at-a-time
-//! reference walker: the per-mapping recursion [`crate::enumerate`] used
-//! to be, kept because its step counters are what is being measured.
+//! reference walker, kept because its step counters are what is being
+//! measured.
 
 use crate::enumerate::enumerate_forest;
 use std::collections::BTreeMap;
@@ -93,26 +93,33 @@ impl<'a> Walker<'a> {
             let combined = base
                 .union(&nu)
                 .expect("solver extensions agree with their fixed bindings");
-            let mut partials = vec![combined.clone()];
-            for &c in t.children(n) {
-                let exts = self.solutions_below(t, c, &combined);
-                if exts.is_empty() {
-                    continue;
-                }
-                let mut next = Vec::with_capacity(partials.len() * exts.len());
-                for p in &partials {
-                    for e in &exts {
-                        next.push(
-                            p.union(e)
-                                .expect("sibling extensions share only branch variables"),
-                        );
-                    }
-                }
-                partials = next;
-            }
-            out.extend(partials);
+            out.extend(self.with_children(t, n, &combined));
         }
         out
+    }
+
+    /// The maximal extensions of `mu`, a solution of node `n`, over `n`'s
+    /// children: a child with no extension is skipped, and the others
+    /// multiply (siblings share only branch variables).
+    fn with_children(&mut self, t: &Wdpt, n: NodeId, mu: &Mapping) -> Vec<Mapping> {
+        let mut partials = vec![mu.clone()];
+        for &c in t.children(n) {
+            let exts = self.solutions_below(t, c, mu);
+            if exts.is_empty() {
+                continue;
+            }
+            let mut next = Vec::with_capacity(partials.len() * exts.len());
+            for p in &partials {
+                for e in &exts {
+                    next.push(
+                        p.union(e)
+                            .expect("sibling extensions share only branch variables"),
+                    );
+                }
+            }
+            partials = next;
+        }
+        partials
     }
 }
 
@@ -132,26 +139,8 @@ pub fn enumerate_with_stats(f: &Wdpf, g: &dyn TripleIndex) -> (SolutionSet, Enum
         // measure rather than the whole run.
         w.tick();
         w.stats.hom_calls += 1;
-        let empty = Mapping::new();
-        for nu in all_homs_into_graph(t.pat(t.root()), g, &empty) {
-            let mut partials = vec![nu.clone()];
-            for &c in t.children(t.root()) {
-                let exts = w.solutions_below(t, c, &nu);
-                if exts.is_empty() {
-                    continue;
-                }
-                let mut next = Vec::with_capacity(partials.len() * exts.len());
-                for p in &partials {
-                    for e in &exts {
-                        next.push(
-                            p.union(e)
-                                .expect("sibling extensions share only branch variables"),
-                        );
-                    }
-                }
-                partials = next;
-            }
-            for mu in partials {
+        for nu in all_homs_into_graph(t.pat(t.root()), g, &Mapping::new()) {
+            for mu in w.with_children(t, t.root(), &nu) {
                 w.emit(mu);
             }
         }

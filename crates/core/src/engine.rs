@@ -3,7 +3,7 @@
 //! strategies).
 
 use crate::enumerate::{enumerate_forest_budgeted, enumerate_forest_with};
-use crate::naive::check_forest;
+use crate::explain::check_forest;
 use crate::pebble_eval::check_forest_pebble;
 use std::fmt;
 use std::sync::{Arc, OnceLock};

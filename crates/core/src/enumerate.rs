@@ -40,21 +40,9 @@ use wdsparql_rdf::{ExecError, QueryBudget, RowTable, TripleIndex, TriplePattern,
 use wdsparql_store::{join_keyed, JoinStrategy};
 use wdsparql_tree::{NodeId, Wdpf, Wdpt};
 
-/// Enumerates `⟦T⟧_G` (nested-loop node joins).
-pub fn enumerate_tree(t: &Wdpt, g: &dyn TripleIndex) -> SolutionSet {
-    enumerate_tree_with(t, g, JoinStrategy::Pairwise)
-}
-
 /// Enumerates `⟦F⟧_G = ⋃_i ⟦T_i⟧_G` (nested-loop node joins).
 pub fn enumerate_forest(f: &Wdpf, g: &dyn TripleIndex) -> SolutionSet {
     enumerate_forest_with(f, g, JoinStrategy::Pairwise)
-}
-
-/// As [`enumerate_tree`], with a [`JoinStrategy`] for the per-node query
-/// cores (see the module docs).
-pub fn enumerate_tree_with(t: &Wdpt, g: &dyn TripleIndex, strategy: JoinStrategy) -> SolutionSet {
-    enumerate_tree_budgeted(t, g, strategy, &QueryBudget::unlimited())
-        .expect("an unlimited budget never fails a checkpoint")
 }
 
 /// As [`enumerate_forest`], with a [`JoinStrategy`] knob for the
@@ -68,12 +56,27 @@ pub fn enumerate_forest_with(f: &Wdpf, g: &dyn TripleIndex, strategy: JoinStrate
         .expect("an unlimited budget never fails a checkpoint")
 }
 
-/// As [`enumerate_tree_with`], under a [`QueryBudget`]: enumeration
+/// As [`enumerate_forest_with`], under a [`QueryBudget`]: enumeration
 /// checkpoints once per node evaluation and once per produced row (and
 /// the leapfrog join checkpoints inside its seek loops), so a deadline or
 /// cancellation surfaces as a typed [`ExecError`] instead of running to
 /// completion.
-pub fn enumerate_tree_budgeted(
+pub fn enumerate_forest_budgeted(
+    f: &Wdpf,
+    g: &dyn TripleIndex,
+    strategy: JoinStrategy,
+    budget: &QueryBudget,
+) -> Result<SolutionSet, ExecError> {
+    let mut out = SolutionSet::new();
+    for t in &f.trees {
+        // A linear merge of two sorted sets (a move when `out` is empty).
+        out.append(&mut enumerate_tree(t, g, strategy, budget)?);
+    }
+    Ok(out)
+}
+
+/// `⟦T⟧_G` for one tree of the forest: the tree walk from the root.
+fn enumerate_tree(
     t: &Wdpt,
     g: &dyn TripleIndex,
     strategy: JoinStrategy,
@@ -96,22 +99,6 @@ pub fn enumerate_tree_budgeted(
     rows.sort_as_mappings();
     // Sorted and distinct already: the set is built in one pass.
     Ok(rows.into_mappings().into_iter().collect())
-}
-
-/// As [`enumerate_forest_with`], under a [`QueryBudget`] (see
-/// [`enumerate_tree_budgeted`]).
-pub fn enumerate_forest_budgeted(
-    f: &Wdpf,
-    g: &dyn TripleIndex,
-    strategy: JoinStrategy,
-    budget: &QueryBudget,
-) -> Result<SolutionSet, ExecError> {
-    let mut out = SolutionSet::new();
-    for t in &f.trees {
-        // A linear merge of two sorted sets (a move when `out` is empty).
-        out.append(&mut enumerate_tree_budgeted(t, g, strategy, budget)?);
-    }
-    Ok(out)
 }
 
 /// Fills `below[n]` with the variables of the subtree rooted at `n`,

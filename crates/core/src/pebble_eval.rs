@@ -47,7 +47,7 @@ pub fn check_forest_pebble(f: &Wdpf, g: &dyn TripleIndex, mu: &Mapping, k: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::check_forest;
+    use crate::explain::check_forest;
     use wdsparql_algebra::parse_pattern;
     use wdsparql_rdf::RdfGraph;
     use wdsparql_rdf::Triple;

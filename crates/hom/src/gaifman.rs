@@ -71,9 +71,9 @@ pub fn ctw(g: &GenTGraph) -> TwResult {
     }
 }
 
-/// Every component of `c` vertices has `c − 1` edges (so fewer edges
-/// than vertices in all).
-fn is_forest(g: &UGraph) -> bool {
+/// Is `g` a forest, i.e. `tw ≤ 1` for a Gaifman graph: every component of
+/// `c` vertices has `c − 1` edges (so fewer edges than vertices in all).
+pub fn is_forest(g: &UGraph) -> bool {
     let edges = g.edge_count();
     edges < g.n().max(1) && edges + g.components().len() == g.n()
 }

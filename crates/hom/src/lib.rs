@@ -18,7 +18,7 @@ pub mod treewidth;
 pub mod ugraph;
 
 pub use crate::core::{core_of, hom_equivalent, is_core, is_core_of};
-pub use gaifman::{ctw, gaifman as gaifman_graph, tw_gen};
+pub use gaifman::{ctw, gaifman as gaifman_graph, is_forest, tw_gen};
 pub use solver::{
     all_homs_into_graph, enumerate_homs_into_graph, find_hom, find_hom_into_graph, maps_to,
 };

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use wdsparql_algebra::SolutionSet;
 use wdsparql_core::{child_extends, enumerate_forest};
 use wdsparql_hom::all_homs_into_graph;
-use wdsparql_rdf::{Mapping, RdfGraph, Variable};
+use wdsparql_rdf::{Mapping, TripleIndex, Variable};
 use wdsparql_tree::{enumerate_subtrees, subtree_children, subtree_pat, subtree_vars, Wdpt};
 
 /// Projects every mapping in `sols` to the variables in `x`
@@ -23,12 +23,12 @@ pub fn project_solutions(sols: &SolutionSet, x: &BTreeSet<Variable>) -> Solution
 }
 
 /// Enumerates `⟦(F, X)⟧_G` by enumerating `⟦F⟧_G` and projecting.
-pub fn enumerate_projected(q: &ProjectedQuery, g: &RdfGraph) -> SolutionSet {
+pub fn enumerate_projected(q: &ProjectedQuery, g: &dyn TripleIndex) -> SolutionSet {
     project_solutions(&enumerate_forest(q.forest(), g), q.projection())
 }
 
 /// Counts the distinct projected solutions `|⟦(F, X)⟧_G|`.
-pub fn count_projected(q: &ProjectedQuery, g: &RdfGraph) -> usize {
+pub fn count_projected(q: &ProjectedQuery, g: &dyn TripleIndex) -> usize {
     enumerate_projected(q, g).len()
 }
 
@@ -36,7 +36,7 @@ pub fn count_projected(q: &ProjectedQuery, g: &RdfGraph) -> usize {
 /// of `⟦F⟧_G` project onto it (the bag-semantics count of `SELECT`).
 pub fn projection_multiplicities(
     q: &ProjectedQuery,
-    g: &RdfGraph,
+    g: &dyn TripleIndex,
 ) -> std::collections::BTreeMap<Mapping, usize> {
     let mut out = std::collections::BTreeMap::new();
     for mu in &enumerate_forest(q.forest(), g) {
@@ -54,7 +54,7 @@ pub fn projection_multiplicities(
 /// `vars(T') ∩ X` equal `dom(µ)`, looking for a homomorphism of
 /// `pat(T')` extending `µ` that no child of `T'` can extend (Lemma 1
 /// relativised to the projection).
-pub fn check_projected(q: &ProjectedQuery, g: &RdfGraph, mu: &Mapping) -> bool {
+pub fn check_projected(q: &ProjectedQuery, g: &dyn TripleIndex, mu: &Mapping) -> bool {
     if mu.domain().any(|v| !q.projection().contains(&v)) {
         return false;
     }
@@ -64,7 +64,12 @@ pub fn check_projected(q: &ProjectedQuery, g: &RdfGraph, mu: &Mapping) -> bool {
 }
 
 /// The per-tree witness search behind [`check_projected`].
-fn check_projected_tree(t: &Wdpt, x: &BTreeSet<Variable>, g: &RdfGraph, mu: &Mapping) -> bool {
+fn check_projected_tree(
+    t: &Wdpt,
+    x: &BTreeSet<Variable>,
+    g: &dyn TripleIndex,
+    mu: &Mapping,
+) -> bool {
     let dom: BTreeSet<Variable> = mu.domain().collect();
     for st in enumerate_subtrees(t) {
         let visible: BTreeSet<Variable> = subtree_vars(t, &st).intersection(x).copied().collect();
@@ -93,6 +98,7 @@ fn check_projected_tree(t: &Wdpt, x: &BTreeSet<Variable>, g: &RdfGraph, mu: &Map
 mod tests {
     use super::*;
     use crate::query::ProjectedQuery;
+    use wdsparql_rdf::RdfGraph;
 
     fn sample_graph() -> RdfGraph {
         RdfGraph::from_strs([

@@ -9,7 +9,8 @@ use wdsparql_project::{
     check_projected, count_projected, enumerate_projected, project_solutions,
     projection_multiplicities, ProjectedQuery,
 };
-use wdsparql_rdf::{Mapping, Variable};
+use wdsparql_rdf::{Mapping, TripleIndex, Variable};
+use wdsparql_store::TripleStore;
 use wdsparql_workloads::{random_graph, random_wdpt, RandomTreeParams};
 
 fn small_params() -> RandomTreeParams {
@@ -37,11 +38,46 @@ fn random_projection(vars: &BTreeSet<Variable>, seed: u64) -> BTreeSet<Variable>
         .collect()
 }
 
+/// Projected enumeration and counting on `g` against the projection of
+/// the full solution set `full`.
+fn check_enumeration(
+    q: &ProjectedQuery,
+    full: &wdsparql_algebra::SolutionSet,
+    g: &dyn TripleIndex,
+) -> Result<(), TestCaseError> {
+    let projected = enumerate_projected(q, g);
+    prop_assert_eq!(&projected, &project_solutions(full, q.projection()));
+    prop_assert_eq!(count_projected(q, g), projected.len());
+    Ok(())
+}
+
+/// Projected membership on `g` against projected enumeration on `g`.
+fn check_membership(q: &ProjectedQuery, g: &dyn TripleIndex) -> Result<(), TestCaseError> {
+    let projected = enumerate_projected(q, g);
+    for mu in &projected {
+        prop_assert!(check_projected(q, g, mu), "rejected {}", mu);
+    }
+    // Probe a perturbed mapping: rebind one projected variable of a
+    // solution to a fresh IRI and require agreement with enumeration.
+    if let (Some(mu), Some(&v)) = (projected.iter().next(), q.projection().iter().next()) {
+        if mu.contains(v) {
+            let mut probe = Mapping::new();
+            for (pv, i) in mu.iter() {
+                probe.bind(pv, i);
+            }
+            probe.bind(v, wdsparql_rdf::Iri::new("fresh-probe"));
+            prop_assert_eq!(check_projected(q, g, &probe), projected.contains(&probe));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Projected enumeration is exactly the projection of full
-    /// enumeration, and counting matches it.
+    /// enumeration, and counting matches it, on the plain graph and on
+    /// the store.
     #[test]
     fn enumeration_commutes_with_projection(
         tree_seed in 0u64..5000,
@@ -57,14 +93,13 @@ proptest! {
             forest.trees.iter().flat_map(|t| t.vars_tree()).collect();
         let x = random_projection(&vars, proj_seed);
         let q = ProjectedQuery::new(forest, x.iter().copied()).unwrap();
-        let projected = enumerate_projected(&q, &g);
-        prop_assert_eq!(&projected, &project_solutions(&full, &x));
-        prop_assert_eq!(count_projected(&q, &g), projected.len());
+        check_enumeration(&q, &full, &g)?;
+        TripleStore::from_rdf(&g).with_index(|s| check_enumeration(&q, &full, s))?;
     }
 
     /// Membership agrees with enumeration: every enumerated projected
     /// solution is accepted, and perturbed mappings are accepted iff
-    /// enumeration contains them.
+    /// enumeration contains them, on the plain graph and on the store.
     #[test]
     fn membership_agrees_with_enumeration(
         tree_seed in 0u64..5000,
@@ -78,25 +113,8 @@ proptest! {
             forest.trees.iter().flat_map(|t| t.vars_tree()).collect();
         let x = random_projection(&vars, proj_seed);
         let q = ProjectedQuery::new(forest, x.iter().copied()).unwrap();
-        let projected = enumerate_projected(&q, &g);
-        for mu in &projected {
-            prop_assert!(check_projected(&q, &g, mu), "rejected {}", mu);
-        }
-        // Probe a perturbed mapping: rebind one projected variable of a
-        // solution to a fresh IRI and require agreement with enumeration.
-        if let (Some(mu), Some(&v)) = (projected.iter().next(), x.iter().next()) {
-            if mu.contains(v) {
-                let mut probe = Mapping::new();
-                for (pv, i) in mu.iter() {
-                    probe.bind(pv, i);
-                }
-                probe.bind(v, wdsparql_rdf::Iri::new("fresh-probe"));
-                prop_assert_eq!(
-                    check_projected(&q, &g, &probe),
-                    projected.contains(&probe)
-                );
-            }
-        }
+        check_membership(&q, &g)?;
+        TripleStore::from_rdf(&g).with_index(|s| check_membership(&q, s))?;
     }
 
     /// Multiplicities sum to the size of the full solution set, and their

@@ -1,7 +1,8 @@
 //! Subtrees of a wdPT (§2.1): connected node sets containing the root.
 //!
 //! The arena in [`Wdpt`] guarantees `parent(n).0 < n.0`, which makes
-//! subtree enumeration and closure computations simple index scans.
+//! subtree enumeration and the witness closure ([`maximal_subtree_within`])
+//! one pass each in arena order.
 
 use crate::wdpt::{NodeId, Wdpt, ROOT};
 use std::collections::BTreeSet;
@@ -77,26 +78,19 @@ pub fn enumerate_subtrees(t: &Wdpt) -> Vec<Subtree> {
 }
 
 /// The unique maximal subtree `T'` with `vars(T') ⊆ allowed` — the greedy
-/// closure: start at the root (required to satisfy the bound) and keep
-/// adding children whose variables fit. Returns `None` if even the root
-/// does not fit.
+/// closure from the root, in one pass in node order: the arena puts every
+/// parent before its children, so a node joins iff its parent has joined
+/// (the root: always) and its variables fit. Returns `None` if even the
+/// root does not fit.
 pub fn maximal_subtree_within(t: &Wdpt, allowed: &BTreeSet<Variable>) -> Option<Subtree> {
-    if !t.vars(ROOT).is_subset(allowed) {
-        return None;
-    }
-    let mut s = root_subtree();
-    loop {
-        let mut grew = false;
-        for n in subtree_children(t, &s) {
-            if t.vars(n).is_subset(allowed) {
-                s.insert(n);
-                grew = true;
-            }
-        }
-        if !grew {
-            return Some(s);
+    let mut s = Subtree::new();
+    for n in t.node_ids() {
+        let attached = t.parent(n).is_none_or(|p| s.contains(&p));
+        if attached && t.vars(n).is_subset(allowed) {
+            s.insert(n);
         }
     }
+    s.contains(&ROOT).then_some(s)
 }
 
 /// The unique subtree `T'` with `vars(T') = target` exactly, if any — the

@@ -5,10 +5,10 @@
 use proptest::prelude::*;
 use wdsparql_algebra::{eval, GraphPattern};
 use wdsparql_hom::TGraph;
-use wdsparql_rdf::{iri, tp, var, RdfGraph, Term, Triple};
+use wdsparql_rdf::{iri, tp, var, RdfGraph, Term, Triple, Variable};
 use wdsparql_tree::{
     enumerate_subtrees, is_valid_subtree, pattern_from_wdpt, subtree_children, subtree_vars,
-    wdpt_from_pattern, Wdpt, ROOT,
+    subtree_with_vars, wdpt_from_pattern, Wdpt, ROOT,
 };
 
 /// Well-designed UNION-free patterns by construction (same technique as
@@ -146,8 +146,10 @@ proptest! {
         prop_assert_eq!(eval(&before, &g), eval(&after, &g));
     }
 
-    /// vars of a subtree = union of node vars (and the witness-subtree
-    /// finder returns exactly matching subtrees).
+    /// vars of a subtree = union of node vars, and the witness-subtree
+    /// finder returns the subtree back from its variables — the witness is
+    /// unique in NR normal form (Lemma 1's premise) — and nothing once a
+    /// variable the tree lacks is added.
     #[test]
     fn subtree_vars_are_unions(p in arb_wd_pattern()) {
         prop_assume!(wdsparql_algebra::is_well_designed(&p));
@@ -159,9 +161,10 @@ proptest! {
                 expected.extend(t.vars(n));
             }
             prop_assert_eq!(&direct, &expected);
-            if let Some(w) = wdsparql_tree::subtree_with_vars(&t, &direct) {
-                prop_assert_eq!(subtree_vars(&t, &w), direct);
-            }
+            prop_assert_eq!(subtree_with_vars(&t, &direct), Some(s.clone()));
+            let mut beyond = direct;
+            beyond.insert(Variable::new("not_in_any_tree"));
+            prop_assert_eq!(subtree_with_vars(&t, &beyond), None);
         }
     }
 }

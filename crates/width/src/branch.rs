@@ -45,26 +45,19 @@ pub fn branch_treewidth_forest(f: &Wdpf) -> usize {
 
 /// The recognition problem `bw(T) ≤ k`; `false` at `k = 0`, as `bw ≥ 1`.
 pub fn bw_at_most(t: &Wdpt, k: usize) -> bool {
-    k >= 1
-        && t.node_ids()
-            .filter(|n| t.parent(*n).is_some())
-            .all(|n| ctw(&branch_tgraph(t, n)).width <= k)
+    k >= 1 && branch_treewidth(t) <= k
 }
 
-/// The local width of a node: `ctw(pat(n), vars(n) ∩ vars(n'))`.
-pub fn local_node_width(t: &Wdpt, n: NodeId) -> usize {
-    let parent = t.parent(n).expect("local width is defined for non-roots");
-    let shared: Vec<_> = t.vars(n).intersection(&t.vars(parent)).copied().collect();
-    ctw(&GenTGraph::new(t.pat(n).clone(), shared)).width
-}
-
-/// The local-tractability width of a wdPT: the max local node width
-/// (`1` for a single-node tree). A class is locally tractable iff this is
-/// bounded.
+/// The local-tractability width of a wdPT: the max over non-root nodes `n`
+/// with parent `n'` of `ctw(pat(n), vars(n) ∩ vars(n'))` (`1` for a
+/// single-node tree). A class is locally tractable iff this is bounded.
 pub fn local_width(t: &Wdpt) -> usize {
     t.node_ids()
-        .filter(|n| t.parent(*n).is_some())
-        .map(|n| local_node_width(t, n))
+        .filter_map(|n| t.parent(n).map(|p| (n, p)))
+        .map(|(n, p)| {
+            let shared: Vec<_> = t.vars(n).intersection(&t.vars(p)).copied().collect();
+            ctw(&GenTGraph::new(t.pat(n).clone(), shared)).width
+        })
         .max()
         .unwrap_or(1)
         .max(1)

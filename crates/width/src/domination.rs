@@ -21,14 +21,14 @@
 //!   dominators of the elements after it. Thresholds above 1 are then
 //!   found narrowest dominator first.
 //!
-//! [`dw_at_most`] reads the same rule at its `k`. Skipping an element's
+//! [`dw_at_most`] compares `dw` with its `k`. Skipping an element's
 //! core loses no dominator: if a settled `e` maps into `e'`, so does the
 //! width-1 element that settled `e`, homomorphisms being closed under
 //! composition.
 
 use crate::gtg::{forest_subtrees, ForestTable, GtgElement};
 use std::collections::HashMap;
-use wdsparql_hom::{ctw, gaifman_graph, maps_to, GenTGraph};
+use wdsparql_hom::{ctw, gaifman_graph, is_forest, maps_to, GenTGraph};
 use wdsparql_tree::Wdpf;
 
 #[cfg(test)] // the tests reach it through `super::*`
@@ -71,12 +71,8 @@ impl Widths {
 
     /// Is `tw ≤ 1`, and so `ctw = 1`, for element `i`?
     fn narrow(&mut self, g: &Scoped, i: usize) -> bool {
-        *self.narrow[g.ids[i]].get_or_insert_with(|| {
-            // A forest: each component of `c` vertices has `c − 1` edges.
-            let (gaifman, _) = gaifman_graph(&g.elements[i].graph);
-            let (edges, n) = (gaifman.edge_count(), gaifman.n());
-            edges < n.max(1) && edges + gaifman.components().len() == n
-        })
+        *self.narrow[g.ids[i]]
+            .get_or_insert_with(|| is_forest(&gaifman_graph(&g.elements[i].graph).0))
     }
 
     pub(crate) fn ctw(&mut self, g: &Scoped, i: usize) -> usize {
@@ -95,16 +91,16 @@ impl Widths {
             .or_insert_with(|| maps_to(&g.elements[d].graph, &g.elements[i].graph))
     }
 
-    /// Splits the set into dominators of `ctw ≤ k` and the elements of
-    /// `ctw > k` that none of them settled on the way. Elements with
-    /// `tw ≤ 1` come first and are dominators outright; each other element
-    /// is tried against the dominators found so far before its `ctw` is
-    /// computed, and an element some dominator maps into is in neither list.
-    fn settle(&mut self, g: &Scoped, k: usize) -> (Vec<usize>, Vec<usize>) {
+    /// Splits the set into dominators of width 1 and the wider elements
+    /// that none of them settled on the way. Elements with `tw ≤ 1` come
+    /// first and are dominators outright; each other element is tried
+    /// against the dominators found so far before its `ctw` is computed,
+    /// and an element some dominator maps into is in neither list.
+    fn settle(&mut self, g: &Scoped) -> (Vec<usize>, Vec<usize>) {
         if g.ids.len() == 1 {
             // Nothing else can dominate it: only its width matters.
             let only = vec![0];
-            return if self.ctw(g, 0) <= k {
+            return if self.ctw(g, 0) == 1 {
                 (only, Vec::new())
             } else {
                 (Vec::new(), only)
@@ -112,26 +108,19 @@ impl Widths {
         }
         let mut order: Vec<usize> = (0..g.ids.len()).collect();
         order.sort_by_key(|&i| !self.narrow(g, i));
-        let (mut small, mut wide) = (Vec::new(), Vec::new());
+        let (mut ones, mut wide) = (Vec::new(), Vec::new());
         for i in order {
             if self.narrow(g, i) {
-                small.push(i);
-            } else if small.iter().any(|&d| self.maps_to(g, d, i)) {
+                ones.push(i);
+            } else if ones.iter().any(|&d| self.maps_to(g, d, i)) {
                 continue;
-            } else if self.ctw(g, i) <= k {
-                small.push(i);
+            } else if self.ctw(g, i) == 1 {
+                ones.push(i);
             } else {
                 wide.push(i);
             }
         }
-        (small, wide)
-    }
-
-    /// Is the set k-dominated?
-    fn k_dominated(&mut self, g: &Scoped, k: usize) -> bool {
-        let (small, wide) = self.settle(g, k);
-        wide.into_iter()
-            .all(|i| small.iter().any(|&d| self.maps_to(g, d, i)))
+        (ones, wide)
     }
 
     /// The least `k` such that the set is k-dominated (`1` for the empty
@@ -139,8 +128,11 @@ impl Widths {
     /// width and the widths of the elements that map into it. Elements
     /// settled at 1 are left out; every width a remaining threshold can take
     /// is known: 1 for the width-1 dominators, `ctw` for the rest.
+    ///
+    /// One pass: no candidate `k` is tried and no width is computed twice,
+    /// nor one the lazy rule of the module settles without a core.
     fn min_domination(&mut self, g: &Scoped) -> usize {
-        let (ones, mut wide) = self.settle(g, 1);
+        let (ones, mut wide) = self.settle(g);
         wide.sort_by_key(|&i| self.ctw(g, i));
         let dominators: Vec<(usize, usize)> = ones
             .iter()
@@ -163,26 +155,6 @@ impl Widths {
     }
 }
 
-/// Is the given `GtG` set k-dominated?
-pub fn is_k_dominated(elements: &[GtgElement], k: usize) -> bool {
-    let mut widths = Widths::default();
-    let g = widths.scope(elements);
-    widths.k_dominated(&g, k)
-}
-
-/// The least `k` such that the set is k-dominated (`1` for the empty set).
-///
-/// One pass: an element `e` stops being an obstacle at the least of its
-/// own width and the widths of the elements that map into it, so the
-/// answer is the largest of those thresholds — no candidate `k` is tried
-/// and no width is computed twice, nor one the lazy rule of the module
-/// settles without a core.
-pub fn min_domination(elements: &[GtgElement]) -> usize {
-    let mut widths = Widths::default();
-    let g = widths.scope(elements);
-    widths.min_domination(&g)
-}
-
 /// `dw(F)`: the domination width of a wdPF (Definition 2).
 ///
 /// Exponential in `|F|` in general — domination width is a static property
@@ -202,40 +174,9 @@ pub fn domination_width(f: &Wdpf) -> usize {
         .unwrap_or(1)
 }
 
-/// The recognition problem `dw(F) ≤ k`, with early exit per subtree.
-///
-/// `false` at `k = 0`: domination width is at least 1.
+/// The recognition problem `dw(F) ≤ k`; `false` at `k = 0`, as `dw ≥ 1`.
 pub fn dw_at_most(f: &Wdpf, k: usize) -> bool {
-    if k == 0 {
-        return false;
-    }
-    let table = ForestTable::new(f);
-    let mut widths = Widths::default();
-    forest_subtrees(f).iter().all(|st| {
-        let elements = table.gtg(st);
-        let g = widths.scope(&elements);
-        widths.k_dominated(&g, k)
-    })
-}
-
-/// Per-subtree report: (tree index, node set size, |GtG|, minimal k) —
-/// used by the experiments harness to reproduce Example 4/5 tables.
-pub fn domination_report(f: &Wdpf) -> Vec<(usize, usize, usize, usize)> {
-    let table = ForestTable::new(f);
-    let mut widths = Widths::default();
-    forest_subtrees(f)
-        .iter()
-        .map(|st| {
-            let elements = table.gtg(st);
-            let g = widths.scope(&elements);
-            (
-                st.tree,
-                st.nodes.len(),
-                elements.len(),
-                widths.min_domination(&g),
-            )
-        })
-        .collect()
+    k >= 1 && domination_width(f) <= k
 }
 
 #[cfg(test)]
@@ -253,14 +194,6 @@ mod tests {
             assert_eq!(domination_width(&f), 1, "dw(F_{k})");
             assert!(dw_at_most(&f, 1));
         }
-    }
-
-    #[test]
-    fn report_covers_all_subtrees() {
-        let f = fk(2);
-        let report = domination_report(&f);
-        assert_eq!(report.len(), 8);
-        assert!(report.iter().all(|&(_, _, _, k)| k == 1));
     }
 
     #[test]
@@ -285,7 +218,9 @@ mod tests {
             nodes: [wdsparql_tree::ROOT].into_iter().collect(),
         };
         let g = gtg(&f, &st);
-        assert!(is_k_dominated(&g, 1));
+        let mut widths = Widths::default();
+        let scoped = widths.scope(&g);
+        assert_eq!(widths.min_domination(&scoped), 1);
         let max_ctw = g
             .iter()
             .map(|e| wdsparql_hom::ctw(&e.graph).width)

@@ -8,7 +8,7 @@
 //! * a *children assignment* `∆` maps a non-empty `dom(∆) ⊆ supp(T)` to
 //!   children of the respective witnesses;
 //! * `S_∆ = pat(T) ∪ ⋃_i ρ_∆(i)` where `ρ_∆` renames child-private
-//!   variables apart (into a reserved pool, see [`s_delta`]);
+//!   variables apart (into a pool of [`Variable::reserved`] names);
 //! * `∆` is *valid* if no unassigned supporting tree folds into `S_∆`;
 //! * `GtG(T) = {(S_∆, vars(T)) | ∆ ∈ VCA(T)}`.
 //!
@@ -17,12 +17,12 @@
 //! variable index, so a support is a greedy closure over bitsets. A
 //! witness has exactly the variables of `T`, all of them in `X`, so the
 //! only homomorphism from it to try is the identity: it folds into `S_∆`
-//! iff its triples are a subset of `S_∆` (see [`is_valid_assignment`]).
+//! iff its triples are a subset of `S_∆`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use wdsparql_hom::{BitSet, GenTGraph, TGraph};
 use wdsparql_rdf::{Term, Variable};
-use wdsparql_tree::{subtree_pat, NodeId, Subtree, Wdpf, Wdpt, ROOT};
+use wdsparql_tree::{NodeId, Subtree, Wdpf, Wdpt, ROOT};
 
 #[cfg(test)] // the tests reach it through `super::*`
 use wdsparql_hom::maps_to;
@@ -34,98 +34,10 @@ pub struct ForestSubtree {
     pub nodes: Subtree,
 }
 
-/// The support of a subtree: for each supporting tree index, its witness
-/// subtree.
-#[derive(Clone, Debug)]
-pub struct Support {
-    pub witnesses: BTreeMap<usize, Subtree>,
-}
-
-impl Support {
-    pub fn indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.witnesses.keys().copied()
-    }
-
-    pub fn len(&self) -> usize {
-        self.witnesses.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.witnesses.is_empty()
-    }
-}
-
-/// Computes `supp(T)` with the witness subtrees `T^{sp(i)}`.
-pub fn support(f: &Wdpf, st: &ForestSubtree) -> Support {
-    let table = ForestTable::new(f);
-    let x = table.subtree_vars(st);
-    let witnesses = table
-        .support(&x)
-        .into_iter()
-        .map(|w| (w.tree, w.nodes.iter().map(NodeId).collect()))
-        .collect();
-    Support { witnesses }
-}
-
 /// A children assignment `∆ ∈ CA(T)`: tree index → chosen child node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChildrenAssignment {
     pub chosen: BTreeMap<usize, NodeId>,
-}
-
-/// Enumerates `CA(T)`: every function with non-empty domain ⊆ supp(T)
-/// assigning to each chosen index a child of its witness subtree.
-pub fn children_assignments(f: &Wdpf, support: &Support) -> Vec<ChildrenAssignment> {
-    let options: Vec<Options> = support
-        .witnesses
-        .iter()
-        .map(|(&i, w)| Options {
-            tree: i,
-            children: wdsparql_tree::subtree_children(&f.trees[i], w),
-            skippable: true,
-        })
-        .collect();
-    assignments(&options)
-}
-
-/// Builds `(S_∆, vars(T))`: the subtree pattern united with the renamed
-/// child patterns `ρ_∆(i)`.
-///
-/// `ρ_∆(i)` is `pat(∆(i))` with the variables outside `vars(T)` renamed
-/// apart. The new names come from [`Variable::reserved`], numbered from 0
-/// within this `S_∆` and skipping members of `vars(T)` — the only
-/// variables of `S_∆` that are not renamed — so they are distinct from
-/// each other and from everything else in `S_∆`, and building the same
-/// `S_∆` again interns nothing.
-pub fn s_delta(f: &Wdpf, st: &ForestSubtree, delta: &ChildrenAssignment) -> GenTGraph {
-    let table = ForestTable::new(f);
-    let x = table.subtree_vars(st);
-    let renamed = delta
-        .chosen
-        .iter()
-        .map(|(&i, &c)| table.private(i, c, &x).count())
-        .sum();
-    SubtreeBase::new(&table, st, x, renamed).s_delta(&table, delta)
-}
-
-/// Is `∆` valid: for every `i ∈ supp(T) \ dom(∆)`,
-/// `(pat(T^{sp(i)}), vars(T)) ̸→ (S_∆, vars(T))`?
-///
-/// `s_delta` is `S_∆` built for the subtree `support` belongs to. Each
-/// witness has exactly the variables of that subtree, which are `S_∆`'s
-/// `X`, so a homomorphism from it fixes every variable and exists iff
-/// `pat(T^{sp(i)}) ⊆ S_∆`.
-pub fn is_valid_assignment(
-    f: &Wdpf,
-    support: &Support,
-    delta: &ChildrenAssignment,
-    s_delta: &GenTGraph,
-) -> bool {
-    support
-        .witnesses
-        .iter()
-        .filter(|(i, _)| !delta.chosen.contains_key(i))
-        .all(|(&i, witness)| !subtree_pat(&f.trees[i], witness).is_subset(&s_delta.s))
 }
 
 /// One element of `GtG(T)` with its provenance.
@@ -274,7 +186,7 @@ impl<'f> ForestTable<'f> {
             .collect()
     }
 
-    /// `GtG(T)`, in the order of [`children_assignments`]. A supporting
+    /// `GtG(T)`, in the order of `assignments`. A supporting
     /// tree whose witness's triples all lie in `pat(T)` folds into every
     /// `S_∆`, so only the assignments that choose a child for it can be
     /// valid; the others are never built. `T`'s own tree is one such when
@@ -288,14 +200,7 @@ impl<'f> ForestTable<'f> {
         if own.children.is_empty() && own.nodes.len() == st.nodes.len() {
             return Vec::new();
         }
-        let renamed = supp
-            .iter()
-            .map(|w| {
-                let private = |&c: &NodeId| self.private(w.tree, c, &x).count();
-                w.children.iter().map(private).max().unwrap_or(0)
-            })
-            .sum();
-        let base = SubtreeBase::new(self, st, x, renamed);
+        let base = SubtreeBase::new(self, st, x, &supp);
         let witness_pats: Vec<TGraph> = supp
             .iter()
             .map(|w| self.pat(w.tree, w.nodes.iter().map(NodeId)))
@@ -335,9 +240,17 @@ struct SubtreeBase {
 }
 
 impl SubtreeBase {
-    /// The base for `st` with `x = vars(st)`, its pool long enough for
-    /// `renamed` variables.
-    fn new(table: &ForestTable, st: &ForestSubtree, x: BitSet, renamed: usize) -> SubtreeBase {
+    /// The base for `st` with `x = vars(st)`, its pool long enough for any
+    /// assignment over the support `supp`: per supporting tree, the most
+    /// private variables one of its witness's children has.
+    fn new(table: &ForestTable, st: &ForestSubtree, x: BitSet, supp: &[Witness]) -> SubtreeBase {
+        let renamed = supp
+            .iter()
+            .map(|w| {
+                let private = |&c: &NodeId| table.private(w.tree, c, &x).count();
+                w.children.iter().map(private).max().unwrap_or(0)
+            })
+            .sum();
         let pat = table.pat(st.tree, st.nodes.iter().copied());
         let x_vars = x.iter().map(|b| table.vars[b]).collect();
         let pool = (0..)
@@ -353,6 +266,12 @@ impl SubtreeBase {
         }
     }
 
+    /// `(S_∆, vars(T))`: `pat(T)` united with each `ρ_∆(i)`, which is
+    /// `pat(∆(i))` with its variables outside `vars(T)` renamed to the
+    /// pool's next names. The pool skips members of `vars(T)` — the only
+    /// variables of `S_∆` that are not renamed — so the new names are
+    /// distinct from each other and from everything else in `S_∆`, and
+    /// building the same `S_∆` again interns nothing.
     fn s_delta(&self, table: &ForestTable, delta: &ChildrenAssignment) -> GenTGraph {
         let mut s = self.pat.clone();
         let mut pool = self.pool.iter().copied();
@@ -475,17 +394,20 @@ pub(crate) mod tests {
             tree: 0,
             nodes: [ROOT].into_iter().collect(),
         };
-        let supp = support(&f, &st);
-        assert_eq!(supp.indices().collect::<Vec<_>>(), vec![0, 1]);
+        let table = ForestTable::new(&f);
+        let trees = |supp: &[Witness]| supp.iter().map(|w| w.tree).collect::<Vec<_>>();
+        let supp = table.support(&table.subtree_vars(&st));
+        assert_eq!(trees(&supp), vec![0, 1]);
         // T1[r1, n11]: vars {x, y, z} — supported by trees 1 and 3.
         let st2 = ForestSubtree {
             tree: 0,
             nodes: [ROOT, NodeId(1)].into_iter().collect(),
         };
-        let supp2 = support(&f, &st2);
-        assert_eq!(supp2.indices().collect::<Vec<_>>(), vec![0, 2]);
+        let supp2 = table.support(&table.subtree_vars(&st2));
+        assert_eq!(trees(&supp2), vec![0, 2]);
         // The witness in tree 3 is its root subtree.
-        assert_eq!(supp2.witnesses[&2], [ROOT].into_iter().collect::<Subtree>());
+        let witness: Subtree = supp2[1].nodes.iter().map(NodeId).collect();
+        assert_eq!(witness, [ROOT].into_iter().collect::<Subtree>());
     }
 
     #[test]
@@ -591,13 +513,25 @@ pub(crate) mod tests {
             tree: 0,
             nodes: [ROOT].into_iter().collect(),
         };
-        let supp = support(&f, &st);
-        let cas = children_assignments(&f, &supp);
+        let table = ForestTable::new(&f);
+        let x = table.subtree_vars(&st);
+        let supp = table.support(&x);
+        let options: Vec<Options> = supp
+            .iter()
+            .map(|w| Options {
+                tree: w.tree,
+                children: w.children.clone(),
+                skippable: true,
+            })
+            .collect();
+        let cas = assignments(&options);
         // 1 and 2 each have one witness child in T1 (two children) and T2
-        // (one child): assignments = (2+1)*(1+1) - 1 = 5 non-empty.
+        // (one child): assignments = (2+1)*(1+1) - 1 = 5 non-empty, valid
+        // or not.
         assert_eq!(cas.len(), 5);
+        let base = SubtreeBase::new(&table, &st, x, &supp);
         for ca in &cas {
-            let g = s_delta(&f, &st, ca);
+            let g = base.s_delta(&table, ca);
             // x and y are never renamed; z/w never survive unrenamed.
             assert!(g.s.vars().contains(&v("x")));
             assert!(g.s.vars().contains(&v("y")));
