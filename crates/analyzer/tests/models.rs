@@ -1,4 +1,4 @@
-//! Schedule-exploration models of the store's three core concurrency
+//! Schedule-exploration models of the store's five core concurrency
 //! protocols, each in two variants:
 //!
 //! * the **buggy pre-fix variant** — the exact bug class a past PR
@@ -10,7 +10,7 @@
 //!
 //! The models use the `wdsparql_analyzer::sched` shims, so every
 //! lock/atomic/once op is a scheduling decision the DFS explorer
-//! controls. All three protocols fit in 2–3 model threads and are
+//! controls. All five protocols fit in 2–3 model threads and are
 //! caught with a preemption bound of 2.
 
 use std::sync::Arc;
@@ -350,5 +350,76 @@ fn scatter_join_then_publish_is_clean() {
             assert_published_counts_are_backed(&m);
         })
         .expect("join-then-publish holds on every schedule");
+    assert!(report.exhausted, "{report:?}");
+}
+
+// ---------------------------------------------------------------------
+// Protocol 5 — normalise off-lock, append under the write lock (the
+// store's one write path). `TripleStore::try_bulk_load` sorts, dedups
+// and probes its batch against a lock-free snapshot, then appends the
+// fresh rows under the write lock. A load that lands in between may add
+// some of those rows first. The fix compares the snapshot's epoch under
+// the write lock and, when it moved, re-filters the fresh rows against
+// the current graph (`EncodedGraph::retain_absent`).
+// ---------------------------------------------------------------------
+
+/// The graph collapsed to (epoch, rows in append order).
+type GraphModel = Arc<RwLock<(u64, Vec<u64>)>>;
+
+/// One bulk load of `batch`: normalise on a snapshot, then append.
+fn model_load(g: &GraphModel, batch: &[u64], refilter: bool) {
+    let (mut fresh, epoch) = {
+        let snap = g.read();
+        let fresh: Vec<u64> = batch
+            .iter()
+            .copied()
+            .filter(|r| !snap.1.contains(r))
+            .collect();
+        (fresh, snap.0)
+    };
+    if fresh.is_empty() {
+        return;
+    }
+    let mut w = g.write();
+    if refilter && w.0 != epoch {
+        fresh.retain(|r| !w.1.contains(r));
+        if fresh.is_empty() {
+            return;
+        }
+    }
+    w.1.extend(fresh);
+    w.0 += 1;
+}
+
+/// Two writers load overlapping batches ({1, 2} and {2, 3}); the graph
+/// must end up holding each row once.
+fn overlapping_loads(refilter: bool) {
+    let g: GraphModel = Arc::new(RwLock::new((0, Vec::new())));
+    let g2 = Arc::clone(&g);
+    let writer = spawn(move || model_load(&g2, &[1, 2], refilter));
+    model_load(&g, &[2, 3], refilter);
+    writer.join();
+    let rows = g.read().1.clone();
+    for (i, r) in rows.iter().enumerate() {
+        assert!(!rows[..i].contains(r), "row {r} landed twice");
+    }
+}
+
+#[test]
+fn unchecked_append_after_off_lock_normalise_is_caught() {
+    // BUGGY: both writers normalise at one epoch and append without
+    // looking at it again.
+    let violation = Explorer::new(2)
+        .check(|| overlapping_loads(false))
+        .expect_err("the double-append race must be caught");
+    assert!(violation.message.contains("landed twice"), "{violation}");
+}
+
+#[test]
+fn epoch_checked_refilter_is_clean() {
+    // FIXED: a moved epoch re-filters the fresh rows under the lock.
+    let report = Explorer::new(2)
+        .check(|| overlapping_loads(true))
+        .expect("the epoch check and re-filter hold on every schedule");
     assert!(report.exhausted, "{report:?}");
 }

@@ -47,7 +47,7 @@ use std::sync::Arc;
 use wdsparql_contain::{decide_containment, SearchBudget, Verdict};
 use wdsparql_core::{count_by_domain, enumerate_with_stats, Engine, Query, Strategy};
 use wdsparql_project::{enumerate_projected, ProjectedQuery};
-use wdsparql_rdf::{parse_ntriples, ExecError, Mapping, QueryBudget, Triple, TriplePattern};
+use wdsparql_rdf::{parse_statements, ExecError, Mapping, QueryBudget, Triple, TriplePattern};
 use wdsparql_store::{
     CacheStats, JoinStrategy, PlannedQuery, ShardedStore, StoreError, TripleStore,
 };
@@ -320,7 +320,7 @@ type Budgeted<T> = Result<T, ExecError>;
 /// `compact_and_report`, `engine` and `provenance` legitimately differ.
 #[allow(clippy::type_complexity)] // plain signatures of the methods bound
 struct Service<'a> {
-    try_bulk_load: &'a dyn Fn(Vec<Triple>) -> Result<usize, StoreError>,
+    try_bulk_load: &'a dyn Fn(&[Triple]) -> Result<usize, StoreError>,
     /// Folds whatever the adaptive policy left pending, then prints the
     /// stats, the durable epoch(s) and the ingest lifecycle.
     compact_and_report: &'a dyn Fn(),
@@ -368,24 +368,20 @@ fn store_command(
                 .ok_or("--limit/--deadline-ms need an AND-only (BGP) query")?,
         ),
     };
-    let graph = match data {
-        Some(path) => load_graph(Some(path))?,
-        None => wdsparql_rdf::RdfGraph::new(),
+    let statements = match data {
+        Some(path) => read_statements(Some(path))?,
+        None => Vec::new(),
     };
     // The one ingest → stats → compact → report → query sequence, over
     // whichever service the layout below binds.
     let run = |store: &Service<'_>| -> Result<(), Failure> {
-        // Load in batches, as an ingest pipeline would: each batch
-        // appends sorted delta segments (scattered across the shards
-        // when sharded); the explicit compact folds whatever the
+        // Load the parsed statements in batches, as an ingest pipeline
+        // would: the store drops repeats and held triples, and each
+        // batch appends sorted delta segments (scattered across the
+        // shards when sharded); the explicit compact folds whatever the
         // adaptive policy left pending. Capacity exhaustion is a clean
         // error, not a panic.
-        let mut stream = graph.iter().copied();
-        let mut batches = std::iter::from_fn(|| {
-            let batch: Vec<_> = stream.by_ref().take(4096).collect();
-            (!batch.is_empty()).then_some(batch)
-        });
-        batches.try_for_each(|batch| {
+        statements.chunks(4096).try_for_each(|batch| {
             (store.try_bulk_load)(batch)
                 .map(|_| ())
                 .map_err(|e| e.to_string())
@@ -464,7 +460,7 @@ fn store_command(
         store.set_capacity_limit(max_triples);
         store.set_join_strategy(strategy);
         run(&Service {
-            try_bulk_load: &|batch| store.try_bulk_load(batch),
+            try_bulk_load: &|batch| store.try_bulk_load(batch.iter().copied()),
             compact_and_report: &|| {
                 let staged = store.stats();
                 store.compact();
@@ -502,7 +498,7 @@ fn store_command(
         store.set_capacity_limit(max_triples);
         store.set_join_strategy(strategy);
         run(&Service {
-            try_bulk_load: &|batch| store.try_bulk_load(batch),
+            try_bulk_load: &|batch| store.try_bulk_load(batch.iter().copied()),
             compact_and_report: &|| {
                 let staged = store.stats();
                 store.compact();
@@ -633,6 +629,11 @@ fn parse_query(arg: Option<&String>) -> Result<Query, String> {
 }
 
 fn load_graph(arg: Option<&String>) -> Result<wdsparql_rdf::RdfGraph, String> {
+    read_statements(arg).map(wdsparql_rdf::RdfGraph::from_triples)
+}
+
+/// The statements of the data file, in file order, repeats included.
+fn read_statements(arg: Option<&String>) -> Result<Vec<Triple>, String> {
     let path = arg.ok_or("missing data file argument")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     // A data error names its line, whichever layer finds it.
@@ -640,7 +641,7 @@ fn load_graph(arg: Option<&String>) -> Result<wdsparql_rdf::RdfGraph, String> {
         let newlines = bytes[..e.valid_up_to()].iter().filter(|&&b| b == b'\n');
         format!("{path}: line {}: invalid UTF-8", newlines.count() + 1)
     })?;
-    parse_ntriples(text).map_err(|e| format!("{path}: {e}"))
+    parse_statements(text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn parse_bindings(arg: Option<&String>) -> Result<Mapping, String> {

@@ -633,6 +633,50 @@ fn store_restart_serves_identical_results() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A data file that repeats statements inside its first 4096-statement
+/// ingest batch and again across the boundary into the second: the
+/// volatile run, the durable run and the reopened store each count every
+/// distinct triple once and give the same answers.
+#[test]
+fn store_counts_repeated_statements_once() {
+    // 4 000 distinct statements plus 96 repeats fill the first batch; the
+    // second repeats 500 of them and adds 500 more.
+    let line = |i: usize| format!("<s{i}> <p> <o{}> .\n", i % 10);
+    let mut text: String = (0..4000).chain(0..96).map(line).collect();
+    text.extend((0..500).chain(4000..4500).map(line));
+    let data = raw_nt("repeats", text.as_bytes());
+    let dir = std::env::temp_dir().join(format!(
+        "wdsparql_smoke_{}_repeats_store",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (path, at) = (data.to_str().unwrap(), dir.to_str().unwrap());
+    // Under `--limit` every answer is printed, not the first ten.
+    let query = ["--limit", "1000", "(?x, p, o3)"];
+    let runs = [
+        [&["store", path][..], &query].concat(),
+        [&["store", "--dir", at, path][..], &query].concat(),
+        [&["store", "--dir", at, "--open"][..], &query].concat(),
+    ];
+    let mut answers = Vec::new();
+    for args in runs {
+        let out = wdsparql(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(text.contains("4500 triple(s)"), "{args:?}: {text}");
+        assert!(
+            text.contains("streamed 450 solution(s)"),
+            "{args:?}: {text}"
+        );
+        let mut rows: Vec<&str> = text.lines().filter(|l| l.starts_with("  -> ")).collect();
+        rows.sort_unstable();
+        answers.push(rows.join("\n"));
+    }
+    assert!(answers.windows(2).all(|w| w[0] == w[1]), "answers differ");
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A query the `store` run cannot answer — it does not parse, or it is
 /// not a BGP under `--limit` — fails before the data is read: nothing is
 /// ingested or printed, and no durable store is made.

@@ -80,12 +80,10 @@ pub trait TripleIndex {
     /// join opens one of these per pattern and intersects levels with
     /// galloping [`TrieCursor::seek`].
     ///
-    /// Keys ascend in a total order that is consistent across every
-    /// cursor this index produces, but is otherwise backend-private (the
-    /// default materialises [`match_pattern`](TripleIndex::match_pattern)
-    /// into a [`MaterializedTrie`] keyed by [`Iri`] interner ids;
-    /// `wdsparql-store` serves the same ids straight off its sorted
-    /// permutation arrays). [`TrieCursor::value`] is the key's [`Iri`].
+    /// Keys are [`Iri`]s, ascending in [`Iri`]'s order (the default
+    /// materialises [`match_pattern`](TripleIndex::match_pattern) into a
+    /// [`MaterializedTrie`]; `wdsparql-store` serves the same keys
+    /// straight off its sorted permutation arrays).
     fn trie_cursor<'a>(
         &'a self,
         pat: &TriplePattern,

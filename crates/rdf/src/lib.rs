@@ -39,7 +39,7 @@ pub use exec::{CancelToken, ExecError, QueryBudget, SolutionStream};
 pub use graph::{binding_of, pattern_matches, RdfGraph};
 pub use index::TripleIndex;
 pub use mapping::Mapping;
-pub use ntriples::{parse_ntriples, write_ntriples, NtError};
+pub use ntriples::{parse_ntriples, parse_statements, write_ntriples, NtError};
 pub use rows::{Cell, CellMap, RowTable};
 pub use term::{iri, var, Iri, IriSet, Term, Variable};
 pub use trie::{gallop, MaterializedTrie, TrieCursor, TrieOpStats};

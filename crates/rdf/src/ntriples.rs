@@ -15,14 +15,17 @@
 //! [`char::is_whitespace`] says; one leading U+FEFF (a byte-order mark) is
 //! skipped.
 //!
-//! **Who pays for what.** [`parse_ntriples`] walks the bytes of each line
-//! once and allocates nothing per line. Names are looked up in a table
-//! local to the parse, keyed by slices of the input, so the process-wide
-//! interner ([`Iri::new`]: a lock and a hash of the spelling) is touched
-//! once per *distinct* name per parse, not once per occurrence — and only
-//! for statements that validated: a rejected line leaves none of its
-//! names behind in the vocabulary. The graph it returns has not built its
-//! positional indexes (see [`crate::graph`]); the first reader does.
+//! **Who pays for what.** [`parse_statements`] walks the bytes of each
+//! line once and allocates nothing per line. Names are looked up in a
+//! table local to the parse, keyed by slices of the input, so the
+//! process-wide interner ([`Iri::new`]: a lock and a hash of the
+//! spelling) is touched once per *distinct* name per parse, not once per
+//! occurrence — and only for statements that validated: a rejected line
+//! leaves none of its names behind in the vocabulary. It returns the
+//! statements in file order, repeats included, for a consumer that makes
+//! its own set (the store's bulk load does). [`parse_ntriples`] collects
+//! them into an [`RdfGraph`], which has not built its positional indexes
+//! (see [`crate::graph`]); the first reader does.
 
 use crate::graph::RdfGraph;
 use crate::term::Iri;
@@ -54,13 +57,19 @@ fn err(line: usize, message: impl Into<String>) -> NtError {
 
 /// Parses a graph from N-Triples-style text.
 pub fn parse_ntriples(input: &str) -> Result<RdfGraph, NtError> {
+    parse_statements(input).map(RdfGraph::from_triples)
+}
+
+/// Parses N-Triples-style text into its statements, in file order,
+/// repeats included.
+pub fn parse_statements(input: &str) -> Result<Vec<Triple>, NtError> {
     // An encoding signature, not the first letter of the first subject.
     let input = input.strip_prefix('\u{feff}').unwrap_or(input);
     // Keyed by spellings from outside the program, so under the standard
     // keyed hasher (which also beat the id hasher of `rows` on strings).
     let mut ids: HashMap<&str, Iri> = HashMap::new();
-    // Statements first, the graph afterwards: filling its membership set
-    // between lookups would keep pushing the name table out of cache.
+    // Statements only: filling a graph's membership set between lookups
+    // would keep pushing the name table out of cache.
     let mut statements = Vec::new();
     for (lineno, line) in input.lines().enumerate() {
         if let Some(names) = scan_statement(line, lineno + 1)? {
@@ -68,7 +77,7 @@ pub fn parse_ntriples(input: &str) -> Result<RdfGraph, NtError> {
             statements.push(Triple::new(s, p, o));
         }
     }
-    Ok(RdfGraph::from_triples(statements))
+    Ok(statements)
 }
 
 /// What a byte means to the scanner.

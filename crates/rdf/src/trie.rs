@@ -9,16 +9,11 @@
 //! leapfrog join intersects with instead of materialising pairwise
 //! intermediates.
 //!
-//! Keys are opaque `u64`s. A backend may expose its *native* key space
-//! as long as every cursor produced by the same
-//! [`TripleIndex`](crate::TripleIndex) value uses one consistent total
-//! order; joins never compare keys across backends. Every backend in the
-//! workspace keys on [`Iri`] interner ids — `wdsparql-store` serves them
-//! straight off its sorted permutation arrays. [`TrieCursor::value`] is
-//! the current key's [`Iri`], read when a binding is emitted. The
-//! default backend implementation is [`MaterializedTrie`]: the pattern's
-//! matching triples projected onto the variable order, sorted and
-//! deduplicated.
+//! Keys are the terms themselves: [`Iri`]s, in [`Iri`]'s order (by
+//! interner id) — `wdsparql-store` serves them straight off its sorted
+//! permutation arrays. The default backend implementation is
+//! [`MaterializedTrie`]: the pattern's matching triples projected onto
+//! the variable order, sorted and deduplicated.
 
 use crate::term::{Iri, Term, Variable};
 use crate::triple::{Triple, TriplePattern};
@@ -71,17 +66,18 @@ pub trait TrieCursor {
     fn depth(&self) -> usize;
 
     /// The current key at the current level; `None` when exhausted.
-    fn key(&self) -> Option<u64>;
+    fn key(&self) -> Option<Iri>;
 
-    /// The [`Iri`] the current key denotes. Panics when `key()` is
-    /// `None`.
-    fn value(&self) -> Iri;
+    /// The current key. Panics when `key()` is `None`.
+    fn value(&self) -> Iri {
+        self.key().expect("value() requires a current key")
+    }
 
     /// Moves to the next distinct key at this level.
     fn advance(&mut self);
 
     /// Gallops to the first key `≥ target` at this level.
-    fn seek(&mut self, target: u64);
+    fn seek(&mut self, target: Iri);
 
     /// Descends into the current key's sub-trie.
     fn open(&mut self);
@@ -116,16 +112,18 @@ pub fn gallop<T>(run: &[T], pred: impl Fn(&T) -> bool) -> usize {
 }
 
 /// A [`TrieCursor`] over materialised rows: the pattern's distinct
-/// bindings projected onto the variable order, sorted, with [`Iri`]
-/// interner ids as keys — the default trie of every
+/// bindings projected onto the variable order, sorted — the default
+/// trie of every
 /// [`TripleIndex`](crate::TripleIndex) backend, and the fallback
 /// `wdsparql-store` uses when no sorted permutation matches a pattern's
 /// constant/variable layout.
 ///
-/// Rows are fixed-width `[u64; 3]` with positions beyond
-/// [`depth`](TrieCursor::depth) padded (padding is never compared).
+/// Rows are fixed-width `[Iri; 3]`; positions beyond
+/// [`depth`](TrieCursor::depth) repeat the last projected term, so the
+/// padding is a function of the key and sorting and deduplicating whole
+/// rows stays exact.
 pub struct MaterializedTrie {
-    rows: Vec<[u64; 3]>,
+    rows: Vec<[Iri; 3]>,
     depth: usize,
     /// Current half-open row range; meaningful only below the root.
     lo: usize,
@@ -148,28 +146,24 @@ impl MaterializedTrie {
         vars: &[Variable],
     ) -> MaterializedTrie {
         let positions = pat.positions();
-        let at: Vec<usize> = vars
-            .iter()
-            .map(|&v| {
-                positions
-                    .iter()
-                    .position(|&t| t == Term::Var(v))
-                    .expect("projected variables occur in the pattern")
-            })
-            .collect();
+        let column = |&v: &Variable| {
+            positions
+                .iter()
+                .position(|&t| t == Term::Var(v))
+                .expect("projected variables occur in the pattern")
+        };
+        // Row positions past the depth repeat the last variable's column.
+        let at: [usize; 3] = std::array::from_fn(|i| vars.get(i).or(vars.last()).map_or(0, column));
         let rows = matches
             .into_iter()
-            .map(|t| {
-                let row = t.terms();
-                std::array::from_fn(|i| at.get(i).map_or(0, |&p| u64::from(row[p].id())))
-            })
+            .map(|t| at.map(|p| t.terms()[p]))
             .collect();
         MaterializedTrie::from_rows(rows, vars.len())
     }
 
-    /// Builds a trie from raw projected rows of interner ids (positions
-    /// `depth..` are padding). Sorts and deduplicates.
-    fn from_rows(mut rows: Vec<[u64; 3]>, depth: usize) -> MaterializedTrie {
+    /// Builds a trie from projected rows (positions `depth..` are
+    /// padding). Sorts and deduplicates.
+    fn from_rows(mut rows: Vec<[Iri; 3]>, depth: usize) -> MaterializedTrie {
         assert!(depth <= 3, "a triple pattern has at most three variables");
         rows.sort_unstable();
         rows.dedup();
@@ -194,15 +188,9 @@ impl TrieCursor for MaterializedTrie {
         self.depth
     }
 
-    fn key(&self) -> Option<u64> {
+    fn key(&self) -> Option<Iri> {
         let level = self.level()?;
         (self.lo < self.hi).then(|| self.rows[self.lo][level])
-    }
-
-    fn value(&self) -> Iri {
-        let key = self.key().expect("value() requires a current key");
-        // Every key is the id of an `Iri` of a match.
-        Iri::from_raw(key as u32)
     }
 
     fn advance(&mut self) {
@@ -212,7 +200,7 @@ impl TrieCursor for MaterializedTrie {
         }
     }
 
-    fn seek(&mut self, target: u64) {
+    fn seek(&mut self, target: Iri) {
         let Some(level) = self.level() else { return };
         let moved = gallop(&self.rows[self.lo..self.hi], |r| r[level] < target);
         self.stats.seeks += 1;
@@ -265,28 +253,35 @@ mod tests {
         assert_eq!(gallop(&[] as &[u32], |&x| x < 5), 0);
     }
 
+    /// `n` keys in ascending order: names interned in sequence get
+    /// ascending ids, whichever test thread interns each first.
+    fn keys(n: usize) -> Vec<Iri> {
+        (0..n).map(|i| Iri::new(&format!("trie-key-{i}"))).collect()
+    }
+
     #[test]
     fn cursor_walks_a_two_level_trie() {
         // Pairs (x, y): x=1 → {10, 11}; x=5 → {20}.
-        let rows = vec![[5, 20, 0], [1, 10, 0], [1, 11, 0], [1, 10, 0]];
-        let mut t = MaterializedTrie::from_rows(rows, 2);
+        let k = keys(21);
+        let rows = [[5, 20], [1, 10], [1, 11], [1, 10]].map(|[x, y]| [k[x], k[y], k[y]]);
+        let mut t = MaterializedTrie::from_rows(rows.to_vec(), 2);
         assert_eq!(t.depth(), 2);
         assert_eq!(t.key(), None, "the cursor starts at the virtual root");
         t.open();
-        assert_eq!(t.key(), Some(1));
-        assert_eq!(t.value().id(), 1);
+        assert_eq!(t.key(), Some(k[1]));
+        assert_eq!(t.value(), k[1]);
         t.open();
-        assert_eq!(t.key(), Some(10));
+        assert_eq!(t.key(), Some(k[10]));
         t.advance();
-        assert_eq!(t.key(), Some(11));
+        assert_eq!(t.key(), Some(k[11]));
         t.advance();
         assert_eq!(t.key(), None);
         t.up();
-        assert_eq!(t.key(), Some(1), "up() restores the opened key");
+        assert_eq!(t.key(), Some(k[1]), "up() restores the opened key");
         t.advance();
-        assert_eq!(t.key(), Some(5));
+        assert_eq!(t.key(), Some(k[5]));
         t.open();
-        assert_eq!(t.key(), Some(20));
+        assert_eq!(t.key(), Some(k[20]));
         t.up();
         t.advance();
         assert_eq!(t.key(), None);
@@ -295,18 +290,18 @@ mod tests {
         // advances.
         t.up();
         t.open();
-        assert_eq!(t.key(), Some(1));
+        assert_eq!(t.key(), Some(k[1]));
         t.up();
     }
 
     #[test]
     fn op_stats_count_seeks_and_their_gallop_cost() {
-        let rows: Vec<[u64; 3]> = (0..64).map(|i| [i, 0, 0]).collect();
-        let mut t = MaterializedTrie::from_rows(rows, 1);
+        let k = keys(64);
+        let mut t = MaterializedTrie::from_rows(k.iter().map(|&x| [x; 3]).collect(), 1);
         assert_eq!(t.op_stats(), TrieOpStats::default());
         t.open();
-        t.seek(32);
-        t.seek(32); // in place: a seek, but zero gallop cost
+        t.seek(k[32]);
+        t.seek(k[32]); // in place: a seek, but zero gallop cost
         let stats = t.op_stats();
         assert_eq!(stats.seeks, 2);
         assert_eq!(stats.gallop_steps, TrieOpStats::gallop_cost(32));
@@ -314,16 +309,17 @@ mod tests {
 
     #[test]
     fn seek_gallops_forward_only() {
-        let rows: Vec<[u64; 3]> = (0..50).map(|i| [i * 2, 0, 0]).collect();
+        let k = keys(100);
+        let rows = (0..50).map(|i| [k[i * 2]; 3]).collect();
         let mut t = MaterializedTrie::from_rows(rows, 1);
         t.open();
-        t.seek(31);
-        assert_eq!(t.key(), Some(32));
-        t.seek(32);
-        assert_eq!(t.key(), Some(32), "seek to the current key stays put");
-        t.seek(7);
-        assert_eq!(t.key(), Some(32), "seek never moves backwards");
-        t.seek(99);
+        t.seek(k[31]);
+        assert_eq!(t.key(), Some(k[32]));
+        t.seek(k[32]);
+        assert_eq!(t.key(), Some(k[32]), "seek to the current key stays put");
+        t.seek(k[7]);
+        assert_eq!(t.key(), Some(k[32]), "seek never moves backwards");
+        t.seek(k[99]);
         assert_eq!(t.key(), None);
     }
 }

@@ -20,18 +20,23 @@
 //! graph's term table: `dom(G)`, membership, the term count, the window,
 //! and the O(1) empty answer for a constant the graph never saw. Writes
 //! are **log-structured**: `insert_batch` appends one small sorted
-//! `Segment` per call instead of rewriting the base; reads merge base +
-//! segments behind the same bounded-prefix narrowing (segments are tiny,
-//! so their leading ranges come from binary search instead of offsets). [`EncodedGraph::compact`] folds the segments
-//! back into the base with one k-way merge of the SPO runs and re-derives
-//! OSP, POS and the base-only PSO by stable counting scatters (PSO
-//! shares POS's offset table: both count rows per predicate). PSO and
+//! `Segment` per call instead of rewriting the base, in two halves —
+//! `fresh_rows` sorts and dedups the batch and drops the rows the graph
+//! holds (read-only, so the service runs it on a lock-free snapshot),
+//! `append_fresh` adds the terms and pushes the segment (under the
+//! service's write lock). Reads merge base + segments behind the same
+//! bounded-prefix narrowing (segments are tiny, so their leading ranges
+//! come from binary search instead of offsets).
+//! [`EncodedGraph::compact`] folds the segments back into the base with
+//! one k-way merge of the SPO runs and re-derives OSP, POS and the
+//! base-only PSO by stable counting scatters (PSO shares POS's offset
+//! table: both count rows per predicate). PSO and
 //! POS each get a **key level** — per predicate block, its distinct
 //! subject / object ids and the row each starts at — which the WCOJ trie
 //! walks instead of the rows; it is built by one walk over the
 //! permutation the first time a trie asks for it after a compaction, so
 //! ingest, reopen and stores never joined by the WCOJ do not pay for it.
-//! `insert_batch` does that on its own under one fixed rule: at
+//! `append_fresh` folds on its own under one fixed rule: at
 //! `MAX_SEGMENTS` (48) pending segments, or once
 //! `4 · delta rows > base rows + ADAPTIVE_SLACK` (4096).
 
@@ -196,23 +201,36 @@ impl EncodedGraph {
     }
 
     /// [`EncodedGraph::insert_batch`] under a row-count `limit` (clamped
-    /// to [`MAX_TRIPLES`]) — the hook the service layer uses to enforce
-    /// its configurable ingest cap. The limit is a parameter, not graph
-    /// state, so configuring it never touches the copy-on-write payload.
-    pub(crate) fn insert_batch_capped<I>(
+    /// to [`MAX_TRIPLES`]): [`EncodedGraph::fresh_rows`], the capacity
+    /// check, [`EncodedGraph::append_fresh`]. The limit is a parameter,
+    /// not graph state, so configuring it never touches the
+    /// copy-on-write payload.
+    pub(crate) fn insert_batch_capped(
         &mut self,
-        triples: I,
+        triples: impl IntoIterator<Item = Triple>,
         limit: usize,
-    ) -> Result<usize, CapacityError>
-    where
-        I: IntoIterator<Item = Triple>,
-    {
-        // One sort: in-batch duplicates die in the dedup, rows a segment
-        // holds in one two-pointer walk per segment, rows the base holds
-        // in one block search each.
+    ) -> Result<usize, CapacityError> {
+        let rows = self.fresh_rows(triples);
+        check_capacity(self.len() + rows.len(), limit)?;
+        Ok(self.append_fresh(rows))
+    }
+
+    /// The rows of `triples` this graph lacks, sorted and distinct: one
+    /// sort, in-batch duplicates dropped by the dedup, then
+    /// [`EncodedGraph::retain_absent`].
+    pub(crate) fn fresh_rows(&self, triples: impl IntoIterator<Item = Triple>) -> Vec<Row> {
         let mut rows: Vec<Row> = triples.into_iter().map(Triple::terms).collect();
         rows.sort_unstable();
         rows.dedup();
+        self.retain_absent(&mut rows);
+        rows
+    }
+
+    /// Drops from the sorted `rows` those this graph holds: rows a
+    /// segment holds in one two-pointer walk per segment, rows the base
+    /// holds in one block search each.
+    pub(crate) fn retain_absent(&self, rows: &mut Vec<Row>) {
+        debug_assert!(rows.is_sorted());
         for seg in &self.segments {
             let run = seg.rows(Perm::Spo);
             let mut i = 0;
@@ -224,12 +242,17 @@ impl EncodedGraph {
             });
         }
         rows.retain(|&row| !self.base_contains(row));
+    }
+
+    /// Appends `rows` — sorted, distinct and absent from the graph, as
+    /// [`EncodedGraph::fresh_rows`] returns them — as one delta segment,
+    /// then applies the fold rule. Returns the number of rows added.
+    /// Terms join the table only here, once the batch is accepted: a
+    /// refused batch leaves no terms behind.
+    pub(crate) fn append_fresh(&mut self, rows: Vec<Row>) -> usize {
         if rows.is_empty() {
-            return Ok(0);
+            return 0;
         }
-        // Terms join the table only once the batch is accepted: a refused
-        // batch leaves no terms behind.
-        check_capacity(self.len() + rows.len(), limit)?;
         for &term in rows.iter().flatten() {
             self.terms.insert(term);
         }
@@ -241,7 +264,7 @@ impl EncodedGraph {
         if self.auto_compact_due() {
             self.compact();
         }
-        Ok(added)
+        added
     }
 
     fn auto_compact_due(&self) -> bool {
@@ -884,11 +907,10 @@ mod tests {
             cur.open();
             let mut last = None;
             while let Some(key) = cur.key() {
-                let term = cur.value();
-                assert_eq!(key, u64::from(term.id()));
+                assert_eq!(cur.value(), key);
                 assert!(last < Some(key), "keys ascend");
                 last = Some(key);
-                at.push(term);
+                at.push(key);
                 if at.len() == cur.depth() {
                     out.push(at.clone());
                 } else {

@@ -264,23 +264,24 @@ pub fn format_store(fs: &dyn Vfs, opts: &PersistOpts) -> Result<DirState, Persis
 }
 
 /// Builds the self-contained term table + rows image of one committed
-/// batch.
+/// batch of distinct triples.
 ///
 /// Block ids are handed out in first-seen order over the batch — two
 /// [`Iri`]s are one spelling exactly when they are one id, so the table
 /// never compares strings — and each spelling is read once, when its
-/// term is first seen.
+/// term is first seen. The rows are sorted by those ids: the batch's
+/// order and its term numbering fix the bytes.
 fn batch_image(triples: &[Triple]) -> (Vec<&'static str>, Vec<[u32; 3]>) {
     let (terms, mut rows) = first_seen(triples);
     rows.sort_unstable();
-    rows.dedup();
     (terms, rows)
 }
 
-/// Builds the image of a checkpoint: as [`batch_image`], but block ids
-/// rank the terms by spelling. The store hands its triples over in
-/// interner order, which differs from process to process; ranked by
-/// spelling, a checkpoint depends on nothing but the triple set.
+/// Builds the image of a checkpoint, a graph's distinct triples: as
+/// [`batch_image`], but block ids rank the terms by spelling. The store
+/// hands its triples over in interner order, which differs from process
+/// to process; ranked by spelling, a checkpoint depends on nothing but
+/// the triple set.
 fn checkpoint_image(triples: &[Triple]) -> (Vec<&'static str>, Vec<[u32; 3]>) {
     let (seen, rows) = first_seen(triples);
     let mut by_spelling: Vec<u32> = (0..seen.len() as u32).collect();
@@ -295,7 +296,6 @@ fn checkpoint_image(triples: &[Triple]) -> (Vec<&'static str>, Vec<[u32; 3]>) {
         .map(|row| row.map(|id| rank[id as usize]))
         .collect();
     rows.sort_unstable();
-    rows.dedup();
     (terms, rows)
 }
 
@@ -332,11 +332,11 @@ fn materialize(block: &TripleBlock) -> Vec<Triple> {
         .collect()
 }
 
-/// Durably commits one batch as epoch `epoch`: segment published
-/// first, then the log record that makes it real. On any failure the
-/// commit rolls back — the log is truncated to its prior length and
-/// the segment files removed — so an interrupted load is invisible
-/// (D2) and the caller's in-memory state needs no change.
+/// Durably commits one batch of distinct triples as epoch `epoch`:
+/// segment published first, then the log record that makes it real.
+/// On any failure the commit rolls back — the log is truncated to its
+/// prior length and the segment files removed — so an interrupted load
+/// is invisible (D2) and the caller's in-memory state needs no change.
 pub fn commit_batch(
     fs: &dyn Vfs,
     opts: &PersistOpts,
@@ -397,9 +397,10 @@ pub fn commit_batch(
     }
 }
 
-/// Publishes a full checkpoint of `triples` at `epoch`: new `base-<n>`,
-/// then a new manifest pointing at it (both via tmp → fsync → rename →
-/// dir_sync), then the log is truncated and obsolete files swept.
+/// Publishes a full checkpoint of the distinct `triples` at `epoch`:
+/// new `base-<n>`, then a new manifest pointing at it (both via tmp →
+/// fsync → rename → dir_sync), then the log is truncated and obsolete
+/// files swept.
 ///
 /// Failure before the manifest publish leaves the old manifest, log
 /// and segments fully intact — the caller may simply carry on; the

@@ -24,9 +24,9 @@ use crate::cache::ResultCache;
 use crate::encoded::{CapacityError, EncodedGraph};
 use crate::persist::vfs::Vfs;
 use crate::persist::{PersistError, PersistOpts, StoreDir};
+use crate::segment::Row;
 use crate::wcoj::JoinStrategy;
 use parking_lot::RwLock;
-use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -86,6 +86,33 @@ fn replay_overflow(e: CapacityError) -> StoreError {
     StoreError::Persist(PersistError::Corrupt(format!(
         "recovered image exceeds the in-memory row bound: {e}"
     )))
+}
+
+/// The one image step of every checkpoint: `graph`, as of `epoch`,
+/// written into `dir`.
+fn checkpoint_into(
+    dir: &mut StoreDir,
+    graph: &EncodedGraph,
+    epoch: u64,
+) -> Result<(), PersistError> {
+    let image: Vec<Triple> = graph.iter().collect();
+    dir.checkpoint(epoch, &image)
+}
+
+/// The triples of `fresh` — sorted, distinct rows drawn from `batch` —
+/// in the order they first occur in `batch`: a committed segment
+/// numbers its terms in first-seen order, so this order fixes its
+/// bytes. One binary search per statement; `taken` drops the repeats.
+fn in_batch_order(batch: &[Triple], fresh: &[Row]) -> Vec<Triple> {
+    let mut taken = vec![false; fresh.len()];
+    batch
+        .iter()
+        .filter(|t| match fresh.binary_search(&t.terms()) {
+            Ok(i) => !std::mem::replace(&mut taken[i], true),
+            Err(_) => false,
+        })
+        .copied()
+        .collect()
 }
 
 /// A snapshot of the store's contents, taken under the read lock.
@@ -401,9 +428,8 @@ impl TripleStore {
             )));
         }
         sd.format()?;
-        let image: Vec<Triple> = inner.graph.iter().collect();
-        if !image.is_empty() || inner.epoch > 0 {
-            sd.checkpoint(inner.epoch, &image)?;
+        if !inner.graph.is_empty() || inner.epoch > 0 {
+            checkpoint_into(&mut sd, &inner.graph, inner.epoch)?;
         }
         inner.persist = Some(sd);
         Ok(())
@@ -421,11 +447,14 @@ impl TripleStore {
     /// bumps the epoch (invalidating cached results) when anything
     /// changed.
     ///
-    /// The all-contains no-op pre-scan (an idempotent ingest retry must
-    /// not deep-clone the graph under [`Arc::make_mut`]) runs against a
-    /// read-lock snapshot, so it never stalls readers behind the
-    /// write-lock queue; only the epoch re-validation and the actual
-    /// insert hold the write lock.
+    /// The batch is normalised once, off-lock: sorted, deduplicated and
+    /// checked against a lock-free snapshot, so a batch the store
+    /// already holds returns without taking the write lock (an
+    /// idempotent ingest retry never deep-clones the graph under
+    /// [`Arc::make_mut`]). The write lock covers the epoch check, the
+    /// capacity check, the durable commit and the append — plus a
+    /// re-check of the fresh rows against the current graph, only when
+    /// another load landed since the snapshot.
     ///
     /// Panics if the store would exceed [`crate::MAX_TRIPLES`] rows (or
     /// the configured [`TripleStore::set_capacity_limit`]) — use
@@ -450,70 +479,60 @@ impl TripleStore {
     where
         I: IntoIterator<Item = Triple>,
     {
+        self.load(triples, || ())
+    }
+
+    /// The one write path, volatile and durable alike. `between` runs
+    /// after the off-lock normalisation and before the write lock: the
+    /// regression hook for a load that lands in between (tests land an
+    /// overlapping `bulk_load` there).
+    fn load<I>(&self, triples: I, between: impl FnOnce()) -> Result<usize, StoreError>
+    where
+        I: IntoIterator<Item = Triple>,
+    {
         let batch: Vec<Triple> = triples.into_iter().collect();
         if batch.is_empty() {
             return Ok(0);
         }
-        // No-op pre-scan on a lock-free snapshot: O(batch · log n) of
-        // containment probes happens with no lock
-        // held at all. The snapshot `Arc` must drop before the write
-        // lock, or `Arc::make_mut` below would see it and deep-clone the
-        // whole graph on every load.
         let start = Instant::now();
-        let (all_present, epoch) = {
+        // The snapshot `Arc` must drop before the write lock, or
+        // `Arc::make_mut` below would see it and deep-clone the whole
+        // graph on every load.
+        let (mut rows, epoch) = {
             let (snapshot, epoch) = self.snapshot();
-            (batch.iter().all(|t| snapshot.contains(t)), epoch)
+            (snapshot.fresh_rows(batch.iter().copied()), epoch)
         };
+        // The store never deletes a triple: what the snapshot holds, the
+        // current graph holds too.
+        if rows.is_empty() {
+            return Ok(0);
+        }
+        between();
         let mut inner = self.inner.write();
-        if all_present {
-            // Re-validate under the write lock: the snapshot may be
-            // stale. Same epoch — nothing changed since the pre-scan, so
-            // the verdict stands. Epoch moved — re-check against the
-            // current graph (rare, and still cheaper than a deep clone).
-            if inner.epoch == epoch || batch.iter().all(|t| inner.graph.contains(t)) {
-                return Ok(0);
-            }
-        }
-        let limit = inner.capacity_limit.unwrap_or(crate::MAX_TRIPLES);
         let inner = &mut *inner;
-        let added = if let Some(dir) = inner.persist.as_mut() {
-            // Durable path: the exact fresh set must hit disk before it
-            // becomes visible, so an acked load is durable (the ack
-            // happens after fsync) and a failed one is invisible (the
-            // commit rolls back, and the graph was never touched).
-            let mut seen = HashSet::new();
-            let fresh: Vec<Triple> = batch
-                .iter()
-                .copied()
-                .filter(|t| !inner.graph.contains(t) && seen.insert(*t))
-                .collect();
-            if fresh.is_empty() {
+        if inner.epoch != epoch {
+            inner.graph.retain_absent(&mut rows);
+            if rows.is_empty() {
                 return Ok(0);
             }
-            // The capacity verdict must precede the durable commit: a
-            // batch acked to disk and then refused in memory would leave
-            // the two states disagreeing forever.
-            crate::segment::check_capacity(inner.graph.len() + fresh.len(), limit)?;
-            dir.commit_batch(inner.epoch + 1, &fresh)?;
-            // analyzer-allow: no-unwrap-in-service the capacity check
-            // above ran against this exact fresh set, so the capped
-            // insert cannot be refused after the durable commit acked.
-            let added = Arc::make_mut(&mut inner.graph)
-                .insert_batch_capped(fresh, limit)
-                .expect("capacity was checked before the durable commit");
-            debug_assert!(added > 0);
-            added
-        } else {
-            Arc::make_mut(&mut inner.graph).insert_batch_capped(batch, limit)?
-        };
-        if added > 0 {
-            inner.epoch += 1;
-            crate::obs::on_epoch_bump();
-            // Every cached entry is keyed to an older epoch and is now
-            // unreachable — drop them so the result sets free their
-            // memory immediately instead of lingering until evicted.
-            self.cache.clear();
         }
+        // The capacity verdict precedes the durable commit: a batch acked
+        // to disk and then refused in memory would leave the two states
+        // disagreeing forever.
+        let limit = inner.capacity_limit.unwrap_or(crate::MAX_TRIPLES);
+        crate::segment::check_capacity(inner.graph.len() + rows.len(), limit)?;
+        if let Some(dir) = inner.persist.as_mut() {
+            // The fresh set hits disk before it becomes visible, so an
+            // acked load is durable and a failed one is invisible.
+            dir.commit_batch(inner.epoch + 1, &in_batch_order(&batch, &rows))?;
+        }
+        let added = Arc::make_mut(&mut inner.graph).append_fresh(rows);
+        inner.epoch += 1;
+        crate::obs::on_epoch_bump();
+        // Every cached entry is keyed to an older epoch and is now
+        // unreachable — drop them so the result sets free their memory
+        // immediately instead of lingering until evicted.
+        self.cache.clear();
         crate::obs::on_bulk_load(start.elapsed());
         Ok(added)
     }
@@ -546,7 +565,7 @@ impl TripleStore {
             let mut inner = self.inner.write();
             if inner.epoch == epoch {
                 inner.graph = Arc::new(folded);
-                Self::checkpoint_locked(&mut inner);
+                let _ = Self::checkpoint_locked(&mut inner);
                 return true;
             }
         }
@@ -556,21 +575,20 @@ impl TripleStore {
         }
         let folded = Arc::make_mut(&mut inner.graph).compact();
         if folded {
-            Self::checkpoint_locked(&mut inner);
+            let _ = Self::checkpoint_locked(&mut inner);
         }
         folded
     }
 
-    /// Best-effort checkpoint of the current image, under an
-    /// already-held write lock. No-op on volatile stores; on durable
-    /// ones a failure is deliberately ignored here — the old manifest
-    /// and log still describe the store exactly, and any orphaned
-    /// half-written base file is swept at the next recovery.
-    fn checkpoint_locked(inner: &mut Inner) {
-        if let Some(dir) = inner.persist.as_mut() {
-            let image: Vec<Triple> = inner.graph.iter().collect();
-            let _ = dir.checkpoint(inner.epoch, &image);
-        }
+    /// Checkpoints the current image under an already-held write lock:
+    /// `Ok(false)` on a volatile store, `Ok(true)` after a durable
+    /// checkpoint.
+    fn checkpoint_locked(inner: &mut Inner) -> Result<bool, PersistError> {
+        let Some(dir) = inner.persist.as_mut() else {
+            return Ok(false);
+        };
+        checkpoint_into(dir, &inner.graph, inner.epoch)?;
+        Ok(true)
     }
 
     /// Checkpoints a durable store now: rewrites the on-disk base image
@@ -578,14 +596,7 @@ impl TripleStore {
     /// `Ok(false)` (and does nothing) on a volatile store, `Ok(true)`
     /// after a durable checkpoint.
     pub fn checkpoint(&self) -> Result<bool, StoreError> {
-        let mut inner = self.inner.write();
-        let inner = &mut *inner;
-        let Some(dir) = inner.persist.as_mut() else {
-            return Ok(false);
-        };
-        let image: Vec<Triple> = inner.graph.iter().collect();
-        dir.checkpoint(inner.epoch, &image)?;
-        Ok(true)
+        Ok(Self::checkpoint_locked(&mut self.inner.write())?)
     }
 
     /// Whether this store is backed by a durable directory (opened via
@@ -1069,8 +1080,8 @@ mod tests {
     fn noop_bulk_load_revalidates_under_the_write_lock() {
         let s = store();
         let epoch = s.epoch();
-        // All-present batches are detected on the snapshot and re-validated
-        // under the write lock — no epoch bump, no cache clear.
+        // All-present batches are detected on the snapshot and return
+        // before the write lock — no epoch bump, no cache clear.
         let pats = [tp(var("x"), iri("p"), var("y"))];
         s.query(&pats);
         let entries = s.cache_stats().entries;
@@ -1079,6 +1090,41 @@ mod tests {
         assert_eq!(s.cache_stats().entries, entries, "cache survived the no-op");
         // An empty batch takes no locks at all.
         assert_eq!(s.bulk_load(std::iter::empty::<Triple>()), 0);
+    }
+
+    /// A load that lands between another load's off-lock normalisation
+    /// and its write lock: the later writer re-filters its fresh rows
+    /// against the current graph, so every triple of the overlap lands
+    /// once — in memory, and on disk.
+    #[test]
+    fn a_load_landing_between_normalise_and_append_is_refiltered() {
+        let ts = |range: std::ops::Range<usize>| -> Vec<Triple> {
+            range
+                .map(|i| Triple::from_strs(&format!("ov{i}"), "p", "o"))
+                .collect()
+        };
+        let (mine, theirs) = (ts(0..6), ts(3..9));
+        let dir = std::env::temp_dir().join(format!("wdsparql-overlap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for s in [TripleStore::new(), TripleStore::open(&dir).expect("open")] {
+            let mut other = 0;
+            let added = s
+                .load(mine.iter().copied(), || other = s.bulk_load(theirs.clone()))
+                .expect("load");
+            assert_eq!((other, added), (6, 3), "the overlap counts once");
+            assert_eq!((s.len(), s.epoch()), (9, 2));
+        }
+        let rec = StoreDir::real(&dir, PersistOpts::default())
+            .and_then(|mut sd| sd.recover())
+            .expect("recover");
+        let mut on_disk: Vec<Triple> = rec.checkpoint;
+        on_disk.extend(rec.deltas.into_iter().flat_map(|(_, batch)| batch));
+        let mut want = ts(0..9);
+        on_disk.sort();
+        want.sort();
+        assert_eq!(on_disk, want, "each triple committed once");
+        assert_eq!(TripleStore::open(&dir).expect("reopen").len(), 9);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn store_triples() -> Vec<Triple> {

@@ -18,14 +18,15 @@
 //!   **zero-copy view** over the permutation whose prefix matches the
 //!   pattern's bound positions and variable order — the base range
 //!   resolved through the offset table plus one narrowed run per delta
-//!   segment, [`Iri`] interner ids as keys (`encoded_trie`). A run is walked
-//!   one of two ways inside the same trie: a compacted PSO/POS base block
-//!   under a bound predicate enters its first variable **keyed** — over
-//!   the block's distinct second-column ids, kept beside the permutation
-//!   from the first such trie after a compaction on (`segment::KeyLevel`),
-//!   so a seek gallops over dense 4-byte keys instead of 12-byte rows and
-//!   their duplicates, and opening a key is two array loads — while delta
-//!   runs, SPO/OSP runs and every deeper level are **row-walked**. When no
+//!   segment, keyed by the [`Iri`]s themselves (`encoded_trie`). A run
+//!   is walked one of two ways inside the same trie: a compacted PSO/POS
+//!   base block under a bound predicate enters its first variable
+//!   **keyed** — over the block's distinct second-column ids, kept
+//!   beside the permutation from the first such trie after a compaction
+//!   on (`segment::KeyLevel`), so a seek gallops over dense 4-byte keys
+//!   instead of 12-byte rows and their duplicates, and opening a key is
+//!   two array loads — while delta runs, SPO/OSP runs and every deeper
+//!   level are **row-walked**. When no
 //!   permutation fits (two of the six rotations are not stored, and
 //!   repeated variables constrain rows), the pattern falls back to the
 //!   [`MaterializedTrie`] of its matches — still linear in *that
@@ -520,10 +521,8 @@ impl<'a> WcoStream<'a> {
                             self.level -= 1;
                             self.mode = WcoMode::Advance;
                         }
-                        Some(_) => {
-                            let probe = self.by_var[self.level][0];
-                            self.row.row_mut(0)[self.column_of[self.level]] =
-                                Some(self.cursors[probe].value());
+                        Some(key) => {
+                            self.row.row_mut(0)[self.column_of[self.level]] = Some(key);
                             if self.level + 1 == self.order.len() {
                                 // A full binding: emit it and resume by
                                 // advancing past this deepest key.
@@ -584,7 +583,7 @@ fn leapfrog_align(
     cursors: &mut [Box<dyn TrieCursor + '_>],
     active: &[usize],
     budget: &QueryBudget,
-) -> Result<(Option<u64>, u64), ExecError> {
+) -> Result<(Option<Iri>, u64), ExecError> {
     let mut seeks = 0u64;
     let Some(mut max) = cursors[active[0]].key() else {
         return Ok((None, seeks));
@@ -741,12 +740,8 @@ impl TrieCursor for SliceTrie<'_> {
         self.depth
     }
 
-    fn key(&self) -> Option<u64> {
-        self.head().map(|i| u64::from(i.id()))
-    }
-
-    fn value(&self) -> Iri {
-        self.head().expect("value() requires a current key")
+    fn key(&self) -> Option<Iri> {
+        self.head()
     }
 
     fn advance(&mut self) {
@@ -760,17 +755,12 @@ impl TrieCursor for SliceTrie<'_> {
         self.runs.retain(|r| !r.is_empty());
     }
 
-    fn seek(&mut self, target: u64) {
+    fn seek(&mut self, target: Iri) {
         let Some(pos) = self.pos() else { return };
         self.stats.seeks += 1;
-        let Ok(t) = u32::try_from(target) else {
-            // Beyond any interner id: exhausted.
-            self.runs.clear();
-            return;
-        };
         for r in &mut self.runs {
-            if r.head(pos).id() < t {
-                let moved = r.skip_while(pos, |id| id.id() < t);
+            if r.head(pos) < target {
+                let moved = r.skip_while(pos, |id| id < target);
                 self.stats.gallop_steps += TrieOpStats::gallop_cost(moved);
             }
         }
@@ -812,7 +802,7 @@ impl TrieCursor for SliceTrie<'_> {
 /// and the variables in exactly the requested order (PSO qualifies only
 /// on a fully compacted graph — delta segments carry no PSO run);
 /// otherwise the pattern's matches feed the shared [`MaterializedTrie`].
-/// Both key on [`Iri`] ids.
+/// Both key on [`Iri`]s.
 pub(crate) fn encoded_trie<'a>(
     g: &'a EncodedGraph,
     pat: &TriplePattern,
@@ -1212,14 +1202,12 @@ mod tests {
         // The compacted PSO block under the bound predicate is walked
         // over its key level: seeks stay inside the block — a target
         // past its last key exhausts the level even though the `q` block
-        // after it holds that id — and a target beyond any `u32` id
-        // exhausts it too.
-        let id = |name: &str| u64::from(n(name).id());
-        assert!(id("d") > id("b"), "d is interned last");
+        // after it holds that id.
+        assert!(n("d") > n("b"), "d is interned last");
         let mut cur = encoded_trie(&g, &pat, &[Variable::new("x"), Variable::new("y")]);
         cur.open();
         assert_eq!(cur.value(), n("a"));
-        cur.seek(id("b"));
+        cur.seek(n("b"));
         assert_eq!(cur.value(), n("b"));
         cur.open();
         assert_eq!(cur.value(), n("c"), "b's rows are the key's rows");
@@ -1227,13 +1215,11 @@ mod tests {
         assert_eq!(cur.key(), None);
         cur.up();
         assert_eq!(cur.value(), n("b"));
-        cur.seek(id("d"));
+        cur.seek(n("d"));
         assert_eq!(cur.key(), None, "d leads rows only in the q block");
         cur.up();
         cur.open();
         assert_eq!(cur.value(), n("a"), "re-opening rewinds the level");
-        cur.seek(u64::from(u32::MAX) + 1);
-        assert_eq!(cur.key(), None);
-        assert_eq!(cur.op_stats().seeks, 3);
+        assert_eq!(cur.op_stats().seeks, 2);
     }
 }

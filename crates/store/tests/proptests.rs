@@ -641,7 +641,10 @@ proptest! {
     /// triple set, and the same answers over the full [`TripleIndex`]
     /// surface (len / contains / dom / match_pattern / solutions for
     /// every constant-and-variable pattern shape over the universe).
-    /// Replays under `PROPTEST_SEED=<u64>`.
+    /// Both share one normaliser, so a `BTreeSet` model checks the
+    /// deduplication itself: every load adds exactly the model's growth,
+    /// and the reopened set is the model. Replays under
+    /// `PROPTEST_SEED=<u64>`.
     #[test]
     fn durable_store_matches_volatile(
         script in proptest::collection::vec(
@@ -659,6 +662,7 @@ proptest! {
         };
         let durable = TripleStore::open_with_opts(&dir, opts).expect("open durable");
         let volatile = TripleStore::new();
+        let mut model = std::collections::BTreeSet::new();
         for (compact_after, coded) in &script {
             let batch: Vec<Triple> = coded
                 .iter()
@@ -669,6 +673,9 @@ proptest! {
             let a = durable.try_bulk_load(batch.iter().copied()).expect("durable load");
             let b = volatile.try_bulk_load(batch.iter().copied()).expect("volatile load");
             prop_assert_eq!(a, b, "added counts diverge");
+            let before = model.len();
+            model.extend(batch.iter().copied());
+            prop_assert_eq!(a, model.len() - before, "added count is not the model's growth");
             prop_assert_eq!(durable.epoch(), volatile.epoch(), "epochs diverge mid-script");
             if *compact_after {
                 prop_assert_eq!(durable.compact(), volatile.compact());
@@ -685,6 +692,7 @@ proptest! {
         let gs: std::collections::BTreeSet<Triple> = got.triples().collect();
         let ws: std::collections::BTreeSet<Triple> = want.triples().collect();
         prop_assert_eq!(&gs, &ws, "triple sets diverge across restart");
+        prop_assert_eq!(&gs, &model, "the reopened set is not the model");
         let gd: std::collections::BTreeSet<Iri> = got.dom().collect();
         let wd: std::collections::BTreeSet<Iri> = want.dom().collect();
         prop_assert_eq!(gd, wd, "domains diverge across restart");
