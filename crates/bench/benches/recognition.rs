@@ -21,8 +21,9 @@ fn bench_recognize_dw_fk(c: &mut Criterion) {
 }
 
 fn bench_domination_width_fk(c: &mut Criterion) {
-    // What `Strategy::Auto` pays per fresh query: the exact width, every
-    // GtG element's core and treewidth computed once.
+    // What `Strategy::Auto` pays per fresh query when the step budget
+    // leaves a child test to the game: the exact width, every GtG
+    // element's core and treewidth computed once.
     let mut group = c.benchmark_group("domination_width_fk");
     group.sample_size(10);
     for k in [3usize, 4, 6] {

@@ -45,7 +45,7 @@ use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use wdsparql_contain::{decide_containment, SearchBudget, Verdict};
-use wdsparql_core::{count_by_domain, enumerate_with_stats, Engine, Query, Strategy};
+use wdsparql_core::{count_by_domain, enumerate_with_stats, Engine, Query, Route, Strategy};
 use wdsparql_project::{enumerate_projected, ProjectedQuery};
 use wdsparql_rdf::{parse_statements, ExecError, Mapping, QueryBudget, Triple, TriplePattern};
 use wdsparql_store::{
@@ -165,7 +165,13 @@ fn dispatch(args: &[String]) -> Result<(), Failure> {
             let dw = query.domination_width();
             let pebble = engine.check(&query, &mu, Strategy::Pebble { k: dw });
             println!("pebble (Theorem 1, k = dw = {dw}):      {pebble}");
-            if reference != pebble {
+            let (auto, route) = engine.check_auto(&query, &mu);
+            let via = match route {
+                Route::Exact => "exact".to_string(),
+                Route::Pebble { k } => format!("pebble k = {k}"),
+            };
+            println!("auto (exact under a step budget, else pebble at dw): {auto} via {via}");
+            if reference != pebble || reference != auto {
                 return Err("internal disagreement between strategies (bug)".into());
             }
             Ok(())

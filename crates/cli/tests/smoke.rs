@@ -120,6 +120,66 @@ fn check_accepts_a_true_binding() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
 }
 
+/// `check` prints a third verdict, `Strategy::Auto`'s, with the route that
+/// settled it: the exact search for a profile question, the pebble game
+/// at `k = dw` for a triangle child against a triangle-free graph.
+#[test]
+fn check_prints_the_auto_verdict_and_its_route() {
+    let data = fixture_nt("check_auto");
+    let out = wdsparql(&[
+        "check",
+        data.to_str().unwrap(),
+        "(?x, knows, ?y) OPT (?y, email, ?e)",
+        "x=alice,y=bob,e=bob@example.org",
+    ]);
+    let _ = std::fs::remove_file(&data);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.lines()
+            .any(|l| l.starts_with("pebble") && l.ends_with("true")),
+        "unexpected output: {text}"
+    );
+    assert!(
+        text.lines()
+            .any(|l| l.starts_with("auto (") && l.ends_with(": true via exact")),
+        "unexpected output: {text}"
+    );
+
+    // A complete bipartite r-graph: the child's triangle never maps, and
+    // refuting it takes the search more than its budget.
+    let path = std::env::temp_dir().join(format!(
+        "wdsparql_smoke_{}_check_auto_game.nt",
+        std::process::id()
+    ));
+    let mut nt = String::from("<a> <p> <b> .\n");
+    for u in 0..8 {
+        for v in 0..8 {
+            if u % 2 != v % 2 {
+                nt.push_str(&format!("<t{u}> <r> <t{v}> .\n"));
+            }
+        }
+        if u % 2 == 0 {
+            nt.push_str(&format!("<b> <r> <t{u}> .\n"));
+        }
+    }
+    std::fs::write(&path, nt).unwrap();
+    let out = wdsparql(&[
+        "check",
+        path.to_str().unwrap(),
+        "(?x, p, ?y) OPT ((?y, r, ?o1) AND ((?o1, r, ?o2) AND ((?o1, r, ?o3) AND (?o2, r, ?o3))))",
+        "x=a,y=b",
+    ]);
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.lines()
+            .any(|l| l.starts_with("auto (") && l.ends_with(": true via pebble k = 2")),
+        "unexpected output: {text}"
+    );
+}
+
 /// A binding with no variable name, or one variable bound to two IRIs,
 /// is a usage error — not a panic, and not a silent last-one-wins.
 #[test]

@@ -4,7 +4,7 @@
 
 use crate::enumerate::{enumerate_forest_budgeted, enumerate_forest_with};
 use crate::explain::check_forest;
-use crate::pebble_eval::check_forest_pebble;
+use crate::pebble_eval::{check_forest_auto, check_forest_pebble, Route};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use wdsparql_algebra::{
@@ -101,7 +101,8 @@ impl Query {
         &self.forest
     }
 
-    /// `dw(P)` (cached; exponential in the query size).
+    /// `dw(P)` (cached; exponential in the query size). [`Strategy::Auto`]
+    /// computes it only when it falls back to the pebble game.
     pub fn domination_width(&self) -> usize {
         *self.dw.get_or_init(|| domination_width(&self.forest))
     }
@@ -141,8 +142,15 @@ pub enum Strategy {
     /// `dw(P) ≤ k`, sound always. `k = 0` is played as `k = 1`: the game
     /// needs two pebbles and no pattern has `dw < 1`.
     Pebble { k: usize },
-    /// `Pebble` with `k = dw(P)` — polynomial for any class of bounded
-    /// domination width, exact for every query (Theorem 3).
+    /// A portfolio, exact for every query and polynomial for any class of
+    /// bounded domination width: each child test of Lemma 1 runs as an
+    /// exact homomorphism search under a small step budget, and only the
+    /// children whose search gives up go to the pebble game at
+    /// `k = dw(P)` — the only case in which `dw(P)` is computed. The mix
+    /// accepts a tree only when Lemma 1 does, and rejects one only when
+    /// Theorem 1's algorithm does, which at `k = dw(P)` is complete
+    /// (Theorem 3); [`crate::pebble_eval`] has the argument.
+    /// [`Engine::check_auto`] also reports which route was taken.
     Auto,
 }
 
@@ -263,11 +271,16 @@ impl Engine {
             Strategy::Reference => reference_eval(q.pattern(), g).contains(mu),
             Strategy::Naive => check_forest(q.forest(), g, mu),
             Strategy::Pebble { k } => check_forest_pebble(q.forest(), g, mu, k),
-            Strategy::Auto => {
-                let k = q.domination_width();
-                check_forest_pebble(q.forest(), g, mu, k)
-            }
+            Strategy::Auto => self.check_auto(q, mu).0,
         })
+    }
+
+    /// [`Strategy::Auto`]'s verdict together with the [`Route`] that
+    /// settled it: `Exact` when every child test needed was decided
+    /// within the step budget, `Pebble { k }` when `dw(P) = k` was
+    /// computed and the game played.
+    pub fn check_auto(&self, q: &Query, mu: &Mapping) -> (bool, Route) {
+        self.with_index(|g| check_forest_auto(q.forest(), g, mu, || q.domination_width()))
     }
 
     /// Enumerates all solutions `⟦P⟧_G`. Each tree node's query core is

@@ -23,10 +23,19 @@ pub fn mu_subtree(t: &Wdpt, g: &dyn TripleIndex, mu: &Mapping) -> Option<Subtree
 /// Does child `n` of the subtree extend compatibly: a homomorphism `ν`
 /// from `pat(n)` to `G` compatible with `µ`, if there is one.
 pub fn child_extends(t: &Wdpt, g: &dyn TripleIndex, n: NodeId, mu: &Mapping) -> Option<Mapping> {
+    find_hom_into_graph(&child_source(t, n, mu), g, mu)
+}
+
+/// The source of child `n`'s test, `(pat(n), vars(n) ∩ dom(µ))`, for the
+/// exact search and the pebble game alike. With `dom(µ) = vars(T^µ)` this
+/// is `(pat(T^µ) ∪ pat(n), vars(T^µ))` of Lemma 1 and Theorem 1 without
+/// the triples of `pat(T^µ)`: [`mu_subtree`] has already shown that `µ`
+/// maps them into `G`, and being ground under `µ` they constrain nothing
+/// further.
+pub(crate) fn child_source(t: &Wdpt, n: NodeId, mu: &Mapping) -> GenTGraph {
     let pat = t.pat(n);
     let x: Vec<_> = pat.vars().into_iter().filter(|v| mu.contains(*v)).collect();
-    let src = GenTGraph::new(pat.clone(), x);
-    find_hom_into_graph(&src, g, mu)
+    GenTGraph::new(pat.clone(), x)
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //!   pattern trees;
 //! * [`pebble_eval`] — the **Theorem 1** polynomial-time algorithm for
 //!   classes of bounded domination width (homomorphism tests replaced by
-//!   the existential (k+1)-pebble game);
+//!   the existential (k+1)-pebble game), and the portfolio behind
+//!   `Strategy::Auto` (exact child tests under a step budget, the game
+//!   only for the children they leave open);
 //! * [`enumerate`] — full solution enumeration `⟦F⟧_G`, set at a time:
 //!   the tree walk. Every node is joined once per distinct binding of
 //!   its interface with the branch above, by the store's keyed node join
@@ -39,6 +41,6 @@ pub use explain::{
     check_forest, check_tree, explain_forest, explain_tree, Explanation, TreeRejection,
 };
 pub use lemma1::{child_extends, mu_subtree};
-pub use pebble_eval::{check_forest_pebble, check_tree_pebble};
+pub use pebble_eval::{check_forest_auto, check_forest_pebble, check_tree_pebble, Route};
 pub use wdsparql_algebra::GraphPattern;
 pub use wdsparql_store::JoinStrategy;

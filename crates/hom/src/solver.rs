@@ -153,11 +153,19 @@ fn slots_unifiable(slots: &[Slot; 3], target: &TriplePattern) -> bool {
     })
 }
 
+/// A budgeted search ran out of steps before it could decide.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Undecided;
+
 struct Searcher<'a> {
     triples: Vec<TriplePattern>,
     covered: Vec<bool>,
     assign: VarMap,
     target: TargetIndex<'a>,
+    /// Candidate images the search may still try; `None` is unbounded.
+    steps: Option<usize>,
+    /// Set when `steps` ran out: the search stopped without deciding.
+    gave_up: bool,
 }
 
 impl<'a> Searcher<'a> {
@@ -167,6 +175,8 @@ impl<'a> Searcher<'a> {
             covered: vec![false; src.len()],
             assign: fixed,
             target: TargetIndex::new(target),
+            steps: None,
+            gave_up: false,
         }
     }
 
@@ -205,7 +215,8 @@ impl<'a> Searcher<'a> {
 
     /// Exhaustive search; `cb` is called once per complete homomorphism and
     /// returns `true` to continue enumerating. Returns `false` if the
-    /// callback aborted the search.
+    /// callback aborted the search or the step budget ran out (then
+    /// `gave_up` is set).
     fn search(&mut self, cb: &mut dyn FnMut(&VarMap) -> bool) -> bool {
         let Some((idx, _)) = self.pick() else {
             return cb(&self.assign);
@@ -213,6 +224,14 @@ impl<'a> Searcher<'a> {
         self.covered[idx] = true;
         let slots = self.slots(idx);
         for cand in self.target.candidates(&slots) {
+            if let Some(left) = &mut self.steps {
+                if *left == 0 {
+                    self.gave_up = true;
+                    self.covered[idx] = false;
+                    return false;
+                }
+                *left -= 1;
+            }
             let mut newly_bound: Vec<Variable> = Vec::new();
             let mut ok = true;
             for (slot, value) in slots.iter().zip(cand) {
@@ -284,12 +303,53 @@ pub fn find_hom_into_graph(
     g: &dyn TripleIndex,
     fixed: &Mapping,
 ) -> Option<Mapping> {
+    first_hom_into_graph(src, g, fixed, None).expect("an unbounded search always decides")
+}
+
+/// [`find_hom_into_graph`] under a budget: the search may try at most
+/// `steps` candidate images (one per target triple it attempts to map a
+/// source triple onto) and answers `Err(Undecided)` when it would need
+/// one more. An answer it does give is exact. Deciding at `steps` implies
+/// deciding at every larger budget, and a budget of at least the number
+/// of candidates the unbounded search tries always decides.
+pub fn find_hom_into_graph_within(
+    src: &GenTGraph,
+    g: &dyn TripleIndex,
+    fixed: &Mapping,
+    steps: usize,
+) -> Result<Option<Mapping>, Undecided> {
+    first_hom_into_graph(src, g, fixed, Some(steps))
+}
+
+fn first_hom_into_graph(
+    src: &GenTGraph,
+    g: &dyn TripleIndex,
+    fixed: &Mapping,
+    steps: Option<usize>,
+) -> Result<Option<Mapping>, Undecided> {
+    let mut searcher = graph_searcher(&src.s, g, fixed);
+    searcher.steps = steps;
     let mut out: Option<Mapping> = None;
-    enumerate_homs_into_graph(&src.s, g, fixed, &mut |mu| {
-        out = Some(mu);
+    searcher.search(&mut |h| {
+        out = Some(varmap_to_mapping(h));
         false
     });
-    out
+    match out {
+        None if searcher.gave_up => Err(Undecided),
+        found => Ok(found),
+    }
+}
+
+/// A searcher from `src` into `g` with `fixed`'s bindings on the
+/// variables of `src` pinned.
+fn graph_searcher<'a>(src: &TGraph, g: &'a dyn TripleIndex, fixed: &Mapping) -> Searcher<'a> {
+    let vars = src.vars();
+    let fixed_map: VarMap = fixed
+        .iter()
+        .filter(|(v, _)| vars.contains(v))
+        .map(|(v, i)| (v, Term::Iri(i)))
+        .collect();
+    Searcher::new(src, Target::Rdf(g), fixed_map)
 }
 
 /// Enumerates every homomorphism from the t-graph `src` into `g` that
@@ -301,17 +361,7 @@ pub fn enumerate_homs_into_graph(
     fixed: &Mapping,
     cb: &mut dyn FnMut(Mapping) -> bool,
 ) -> bool {
-    let vars = src.vars();
-    let fixed_map: VarMap = fixed
-        .iter()
-        .filter(|(v, _)| vars.contains(v))
-        .map(|(v, i)| (v, Term::Iri(i)))
-        .collect();
-    let mut searcher = Searcher::new(src, Target::Rdf(g), fixed_map);
-    searcher.search(&mut |h| {
-        let mu = varmap_to_mapping(h);
-        cb(mu)
-    })
+    graph_searcher(src, g, fixed).search(&mut |h| cb(varmap_to_mapping(h)))
 }
 
 /// Collects all homomorphisms from `src` into `g` extending `fixed`.

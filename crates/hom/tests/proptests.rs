@@ -1,12 +1,15 @@
 //! Property tests for the homomorphism/core/treewidth toolkit.
 
 use proptest::prelude::*;
+use std::cell::Cell;
 use wdsparql_hom::{
-    core_of, decomposition_from_order, find_hom, find_hom_into_graph, hom_equivalent, is_core,
-    min_degree_order, min_fill_order, mmd_lower_bound, treewidth, verify_decomposition,
-    width_of_order, GenTGraph, TGraph, UGraph,
+    core_of, decomposition_from_order, find_hom, find_hom_into_graph, find_hom_into_graph_within,
+    hom_equivalent, is_core, min_degree_order, min_fill_order, mmd_lower_bound, treewidth,
+    verify_decomposition, width_of_order, GenTGraph, TGraph, UGraph, Undecided,
 };
-use wdsparql_rdf::{iri, tp, var, Mapping, RdfGraph, Term, Triple, Variable};
+use wdsparql_rdf::{
+    iri, tp, var, Iri, Mapping, RdfGraph, Term, Triple, TripleIndex, TriplePattern, Variable,
+};
 
 /// Random small t-graphs over 5 variables, 2 predicates, 2 constants.
 fn arb_tgraph() -> impl Strategy<Value = TGraph> {
@@ -41,11 +44,69 @@ fn arb_gen_tgraph() -> impl Strategy<Value = GenTGraph> {
 }
 
 fn arb_graph() -> impl Strategy<Value = RdfGraph> {
-    proptest::collection::vec((0..4usize, 0..2usize, 0..4usize), 0..10).prop_map(|triples| {
+    arb_graph_of(0..10)
+}
+
+fn arb_graph_of(triples: std::ops::Range<usize>) -> impl Strategy<Value = RdfGraph> {
+    proptest::collection::vec((0..4usize, 0..2usize, 0..4usize), triples).prop_map(|triples| {
         RdfGraph::from_triples(triples.into_iter().map(|(s, p, o)| {
             Triple::from_strs(&format!("hn{s}"), ["hp", "hq"][p], &format!("hn{o}"))
         }))
     })
+}
+
+/// Random small t-graphs whose constants are nodes of [`arb_graph`]'s
+/// graphs, so that searches into them get somewhere before they fail.
+fn arb_query_tgraph() -> impl Strategy<Value = TGraph> {
+    proptest::collection::vec((0..5usize, 0..2usize, 0..5usize), 1..6).prop_map(|triples| {
+        let term = |i: usize| -> Term {
+            if i < 4 {
+                var(&format!("ht{i}"))
+            } else {
+                iri("hn0")
+            }
+        };
+        TGraph::from_patterns(
+            triples
+                .into_iter()
+                .map(|(s, p, o)| tp(term(s), iri(["hp", "hq"][p]), term(o))),
+        )
+    })
+}
+
+/// `g` with a count of the rows its `match_pattern` hands out: the
+/// solver draws its candidate images from those rows, so after a search
+/// the count bounds the candidates it tried (and equals it when the
+/// search found nothing, since then every list is tried in full).
+struct RowCounting<'a> {
+    g: &'a RdfGraph,
+    rows: Cell<usize>,
+}
+
+impl TripleIndex for RowCounting<'_> {
+    fn len(&self) -> usize {
+        self.g.len()
+    }
+    fn contains(&self, t: &Triple) -> bool {
+        self.g.contains(t)
+    }
+    fn triples(&self) -> Box<dyn Iterator<Item = Triple> + '_> {
+        self.g.triples()
+    }
+    fn dom(&self) -> Box<dyn Iterator<Item = Iri> + '_> {
+        TripleIndex::dom(self.g)
+    }
+    fn dom_contains(&self, i: Iri) -> bool {
+        self.g.dom_contains(i)
+    }
+    fn candidate_count(&self, pat: &TriplePattern) -> usize {
+        self.g.candidate_count(pat)
+    }
+    fn match_pattern(&self, pat: &TriplePattern) -> Vec<Triple> {
+        let rows = self.g.match_pattern(pat);
+        self.rows.set(self.rows.get() + rows.len());
+        rows
+    }
 }
 
 fn arb_ugraph() -> impl Strategy<Value = UGraph> {
@@ -97,6 +158,49 @@ proptest! {
         let src = GenTGraph::new(a.clone(), []);
         if let Some(mu) = find_hom_into_graph(&src, &g, &Mapping::new()) {
             prop_assert!(a.maps_into_under(&mu, &g));
+        }
+    }
+
+    /// The budgeted search answers as the unbounded one does or gives up;
+    /// deciding at one budget means deciding at every larger one; and it
+    /// never gives up once the budget covers the candidates the unbounded
+    /// search tried.
+    #[test]
+    fn budgeted_search_is_exact_monotone_and_complete(
+        s in arb_query_tgraph(),
+        g in arb_graph_of(6..20),
+        pins in proptest::collection::vec(0..8usize, 4),
+    ) {
+        // Pin some variables to graph nodes, as µ does (a pin of 4 or more
+        // leaves the variable free).
+        let pinned: Vec<(Variable, Iri)> = s
+            .vars()
+            .into_iter()
+            .zip(&pins)
+            .filter(|&(_, &n)| n < 4)
+            .map(|(v, n)| (v, Iri::new(&format!("hn{n}"))))
+            .collect();
+        let a = GenTGraph::new(s, pinned.iter().map(|&(v, _)| v));
+        let fixed = Mapping::from_pairs(pinned);
+        let counting = RowCounting { g: &g, rows: Cell::new(0) };
+        let unbounded = find_hom_into_graph(&a, &counting, &fixed);
+        let tried = counting.rows.get();
+        let mut decided_at = None;
+        for steps in (0..=tried.min(256)).chain([tried, tried + 1, usize::MAX]) {
+            match find_hom_into_graph_within(&a, &g, &fixed, steps) {
+                Ok(answer) => {
+                    prop_assert_eq!(answer.is_some(), unbounded.is_some(), "steps = {}", steps);
+                    if let Some(mu) = &answer {
+                        prop_assert!(a.s.maps_into_under(mu, &g));
+                    }
+                    decided_at.get_or_insert(steps);
+                }
+                Err(Undecided) => prop_assert!(
+                    decided_at.is_none() && steps < tried,
+                    "gave up at {} steps after deciding at {:?}, {} tried unbounded",
+                    steps, decided_at, tried
+                ),
+            }
         }
     }
 

@@ -1,12 +1,14 @@
 //! Cross-crate differential tests: the reference bottom-up semantics, the
-//! Lemma-1 naive evaluator, the solution enumerator and the Theorem 1
-//! pebble evaluator must all agree wherever each is applicable.
+//! Lemma-1 naive evaluator, the solution enumerator, the Theorem 1
+//! pebble evaluator and `Strategy::Auto`'s portfolio must all agree
+//! wherever each is applicable.
 
 use proptest::prelude::*;
 use wdsparql::algebra::{eval, GraphPattern};
 use wdsparql::core::{check_forest, check_forest_pebble, enumerate_forest};
 use wdsparql::rdf::{iri, tp, var, Mapping, RdfGraph, Term, Triple};
 use wdsparql::tree::Wdpf;
+use wdsparql::{Engine, Query};
 
 /// A small deterministic universe for random graphs and patterns.
 const NODES: [&str; 4] = ["a", "b", "c", "d"];
@@ -224,6 +226,33 @@ proptest! {
                 check_forest_pebble(&f, &g, mu, dw),
                 reference.contains(mu),
                 "disagreement on {} (dw={}) for {}", mu, dw, p
+            );
+        }
+    }
+
+    /// `Strategy::Auto` (exact child tests under a step budget, the game
+    /// at `dw` for the rest) is exact: it equals the Lemma 1 check on
+    /// solutions, on restrictions of solutions and on the empty mapping.
+    #[test]
+    fn auto_is_exact(p in arb_wd_pattern(), g in arb_graph()) {
+        let f = Wdpf::from_pattern(&p).unwrap();
+        let mut candidates: Vec<Mapping> = eval(&p, &g).iter().take(5).cloned().collect();
+        let restricted: Vec<Mapping> = candidates
+            .iter()
+            .filter_map(|mu| {
+                let dom: Vec<_> = mu.domain().collect();
+                (dom.len() > 1).then(|| mu.restrict(dom[..dom.len() - 1].iter().copied()))
+            })
+            .collect();
+        candidates.extend(restricted);
+        candidates.push(Mapping::new());
+        let query = Query::from_pattern(p.clone()).unwrap();
+        let engine = Engine::new(g.clone());
+        for mu in &candidates {
+            prop_assert_eq!(
+                engine.check(&query, mu, wdsparql::Strategy::Auto),
+                check_forest(&f, &g, mu),
+                "Auto disagrees on {} for {}", mu, p
             );
         }
     }

@@ -1,11 +1,14 @@
 //! Theorem 1 end to end: on every instance family of `wdsparql-workloads`
 //! and on the social-network query shapes the repo benchmark asks,
-//! `Strategy::Auto` (domination width, then the pebble game) gives the
-//! verdict of `Strategy::Naive` and of `Strategy::Reference`, on every
-//! backend; and with fewer pebbles than the width asks for, the pebble
+//! `Strategy::Auto` (exact child tests under a step budget, then the
+//! pebble game at `k = dw` for the children left open) gives the verdict
+//! of `Strategy::Naive` and of `Strategy::Reference`, on every backend,
+//! settling the social questions exactly and the clique families in the
+//! game; and with fewer pebbles than the width asks for, the pebble
 //! algorithm may reject a member but never accepts a non-member.
 
 use std::sync::Arc;
+use wdsparql::core::Route;
 use wdsparql::rdf::{Iri, Mapping, RdfGraph};
 use wdsparql::store::{ShardedStore, TripleStore};
 use wdsparql::tree::ROOT;
@@ -138,6 +141,40 @@ fn auto_naive_and_reference_agree_on_every_family_and_backend() {
     assert!(
         members > asked / 5 && members < asked * 4 / 5,
         "a one-sided table proves little"
+    );
+}
+
+/// The step budget decides every social question exactly, without
+/// computing `dw`, and leaves the clique child of `Q_k` — whose
+/// refutation is the search's worst case — to the game at `k = dw`.
+#[test]
+fn auto_routes_social_rows_exactly_and_clique_rows_to_the_game() {
+    let (mut social, mut cliques) = (0, 0);
+    for row in table() {
+        let clique = row.label.starts_with("Q_");
+        for (backend, engine) in engines(&row.graph) {
+            for (i, mu) in row.mus.iter().enumerate() {
+                let (verdict, route) = engine.check_auto(&row.query, mu);
+                let context = format!("{} on {backend}, µ = {mu}", row.label);
+                assert_eq!(
+                    verdict,
+                    engine.check(&row.query, mu, Strategy::Naive),
+                    "{context}"
+                );
+                if row.expected.is_none() {
+                    assert_eq!(route, Route::Exact, "{context}");
+                    social += 1;
+                } else if clique && i == 0 {
+                    let k = row.query.domination_width();
+                    assert_eq!(route, Route::Pebble { k }, "{context}");
+                    cliques += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        social > 0 && cliques == 2 * 3,
+        "{social} social, {cliques} clique checks"
     );
 }
 
