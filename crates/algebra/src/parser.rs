@@ -12,7 +12,8 @@
 //! Operators at the same nesting level chain *left-associatively* with a
 //! single precedence level, matching the paper's fully parenthesised style:
 //! `A OPT B AND C` reads as `(A OPT B) AND C`. `OPTIONAL` is an alias for
-//! `OPT`. `AND`, `OPT`, `OPTIONAL` and `UNION` are reserved words.
+//! `OPT`. `AND`, `OPT`, `OPTIONAL` and `UNION` are reserved words. Groups
+//! nest at most [`MAX_NESTING`] deep.
 
 use crate::pattern::GraphPattern;
 use std::fmt;
@@ -33,16 +34,36 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Tok {
+/// The deepest nesting either query syntax accepts: groups `( … )` of
+/// the paper's syntax, groups `{ … }` of the SPARQL-style syntax, and the
+/// parentheses of a `FILTER` expression each count one level. Both parsers
+/// keep their open groups on a heap stack, so any depth parses in constant
+/// stack; the limit is for what runs on the pattern afterwards. The
+/// well-designedness check, the translation, evaluation, printing and
+/// dropping all recurse once per level, and 2 048 levels fit the 8 MiB of
+/// a main thread with room to spare. A deeper text is refused with a
+/// positioned [`ParseError`] at the group that opens level 2 049.
+pub const MAX_NESTING: usize = 2048;
+
+/// The error for a group, opened at `offset`, that would nest deeper than
+/// [`MAX_NESTING`].
+pub(crate) fn too_deep(offset: usize) -> ParseError {
+    ParseError {
+        offset,
+        message: format!("nesting deeper than {MAX_NESTING} levels"),
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tok<'a> {
     LParen,
     RParen,
     Comma,
     And,
     Opt,
     Union,
-    Var(String),
-    Iri(String),
+    Var(&'a str),
+    Iri(&'a str),
 }
 
 /// A term of either query syntax, as its lexer core scans it.
@@ -97,7 +118,7 @@ pub(crate) fn scan_term(
     }
 }
 
-fn tokenize(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
+fn tokenize(input: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
     let bytes = input.as_bytes();
     let mut i = 0usize;
     let mut out = Vec::new();
@@ -115,14 +136,16 @@ fn tokenize(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
             _ => {
                 let (lexeme, end) = scan_term(input, i, is_word_byte)?;
                 let tok = match lexeme {
-                    Lexeme::Iri(iri) => Tok::Iri(iri.to_string()),
-                    Lexeme::Var(name) => Tok::Var(name.to_string()),
-                    Lexeme::Word(word) => match word.to_ascii_uppercase().as_str() {
-                        "AND" => Tok::And,
-                        "OPT" | "OPTIONAL" => Tok::Opt,
-                        "UNION" => Tok::Union,
-                        _ => Tok::Iri(word.to_string()),
-                    },
+                    Lexeme::Iri(iri) => Tok::Iri(iri),
+                    Lexeme::Var(name) => Tok::Var(name),
+                    Lexeme::Word(w) if w.eq_ignore_ascii_case("AND") => Tok::And,
+                    Lexeme::Word(w)
+                        if w.eq_ignore_ascii_case("OPT") || w.eq_ignore_ascii_case("OPTIONAL") =>
+                    {
+                        Tok::Opt
+                    }
+                    Lexeme::Word(w) if w.eq_ignore_ascii_case("UNION") => Tok::Union,
+                    Lexeme::Word(w) => Tok::Iri(w),
                 };
                 (tok, end)
             }
@@ -133,27 +156,30 @@ fn tokenize(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
     Ok(out)
 }
 
-struct Parser {
-    toks: Vec<(usize, Tok)>,
+/// A binary operator of the paper's syntax.
+type Op = fn(GraphPattern, GraphPattern) -> GraphPattern;
+
+/// One open pattern: what its operands have built so far, and the
+/// operator waiting for the next operand.
+#[derive(Default)]
+struct Level {
+    acc: Option<GraphPattern>,
+    op: Option<Op>,
+}
+
+struct Parser<'a> {
+    toks: Vec<(usize, Tok<'a>)>,
     pos: usize,
     input_len: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(_, t)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(_, t)| t)
     }
 
     fn offset(&self) -> usize {
         self.toks.get(self.pos).map_or(self.input_len, |&(o, _)| o)
-    }
-
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(_, t)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -163,7 +189,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Tok<'_>, what: &str) -> Result<(), ParseError> {
         match self.peek() {
             Some(t) if t == want => {
                 self.pos += 1;
@@ -173,51 +199,85 @@ impl Parser {
         }
     }
 
+    /// A term, consumed. Anything else is an error at it, or at the last
+    /// token once the input has run out.
     fn parse_term(&mut self) -> Result<Term, ParseError> {
-        match self.bump() {
-            Some(Tok::Var(name)) => Ok(wdsparql_rdf::var(&name)),
-            Some(Tok::Iri(name)) => Ok(wdsparql_rdf::iri(&name)),
-            _ => {
-                self.pos = self.pos.saturating_sub(1);
-                Err(self.err("expected a term (variable or IRI)"))
+        let term = match self.peek() {
+            Some(Tok::Var(name)) => wdsparql_rdf::var(name),
+            Some(Tok::Iri(name)) => wdsparql_rdf::iri(name),
+            other => {
+                if other.is_none() {
+                    self.pos = self.pos.saturating_sub(1);
+                }
+                return Err(self.err("expected a term (variable or IRI)"));
             }
-        }
+        };
+        self.pos += 1;
+        Ok(term)
     }
 
-    fn parse_operand(&mut self) -> Result<GraphPattern, ParseError> {
-        self.expect(&Tok::LParen, "'('")?;
-        // Lookahead: a triple pattern is `term ',' ...`.
+    /// After an operand's `(`: the rest of a triple pattern, or `None`
+    /// with nothing consumed when a grouped pattern follows instead.
+    fn parse_triple(&mut self) -> Result<Option<GraphPattern>, ParseError> {
         let save = self.pos;
         if let Ok(s) = self.parse_term() {
-            if self.peek() == Some(&Tok::Comma) {
+            if self.peek() == Some(Tok::Comma) {
                 self.pos += 1;
                 let p = self.parse_term()?;
-                self.expect(&Tok::Comma, "','")?;
+                self.expect(Tok::Comma, "','")?;
                 let o = self.parse_term()?;
-                self.expect(&Tok::RParen, "')'")?;
-                return Ok(GraphPattern::Triple(tp(s, p, o)));
+                self.expect(Tok::RParen, "')'")?;
+                return Ok(Some(GraphPattern::Triple(tp(s, p, o))));
             }
         }
         self.pos = save;
-        let inner = self.parse_pattern()?;
-        self.expect(&Tok::RParen, "')'")?;
-        Ok(inner)
+        Ok(None)
     }
 
+    /// `pattern := operand (op operand)*` with `operand := '(' triple ')'
+    /// | '(' pattern ')'`, the open groups kept on a stack.
     fn parse_pattern(&mut self) -> Result<GraphPattern, ParseError> {
-        let mut acc = self.parse_operand()?;
+        let mut open = vec![Level::default()];
         loop {
-            let op = match self.peek() {
-                Some(Tok::And) => GraphPattern::and as fn(_, _) -> _,
-                Some(Tok::Opt) => GraphPattern::opt,
-                Some(Tok::Union) => GraphPattern::union,
-                _ => break,
+            // An operand.
+            self.expect(Tok::LParen, "'('")?;
+            let Some(mut operand) = self.parse_triple()? else {
+                if open.len() > MAX_NESTING {
+                    return Err(too_deep(self.toks[self.pos - 1].0));
+                }
+                open.push(Level::default());
+                continue;
             };
-            self.pos += 1;
-            let rhs = self.parse_operand()?;
-            acc = op(acc, rhs);
+            // Fold the finished operand into its pattern; close every
+            // pattern that has no operator after it.
+            loop {
+                let level = open.last_mut().expect("the outermost pattern stays open");
+                level.acc = Some(match (level.acc.take(), level.op.take()) {
+                    (Some(acc), Some(op)) => op(acc, operand),
+                    _ => operand,
+                });
+                let op: Op = match self.peek() {
+                    Some(Tok::And) => GraphPattern::and,
+                    Some(Tok::Opt) => GraphPattern::opt,
+                    Some(Tok::Union) => GraphPattern::union,
+                    _ => {
+                        let done = open
+                            .pop()
+                            .and_then(|l| l.acc)
+                            .expect("an operand was folded");
+                        if open.is_empty() {
+                            return Ok(done);
+                        }
+                        self.expect(Tok::RParen, "')'")?;
+                        operand = done;
+                        continue;
+                    }
+                };
+                self.pos += 1;
+                open.last_mut().expect("still open").op = Some(op);
+                break;
+            }
         }
-        Ok(acc)
     }
 }
 

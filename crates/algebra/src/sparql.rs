@@ -17,7 +17,9 @@
 //! Elements of a block combine left-to-right: a triple or group joins with
 //! AND, an `OPTIONAL` group applies OPT to everything accumulated so far —
 //! the standard SPARQL reading, under which
-//! `{ A . OPTIONAL { B } C }` means `((A OPT B) AND C)`.
+//! `{ A . OPTIONAL { B } C }` means `((A OPT B) AND C)`. Groups nest at
+//! most [`MAX_NESTING`] deep, and so do a `FILTER`'s parentheses and
+//! `!`s together.
 //!
 //! `FILTER` clauses are accepted **only in the top-level group** (where
 //! their SPARQL semantics is the unambiguous "filter the final solution
@@ -28,12 +30,12 @@
 //! so that no caller can drop one by accident.
 
 use crate::filter::FilterExpr;
-use crate::parser::{scan_term, Lexeme, ParseError};
+use crate::parser::{scan_term, too_deep, Lexeme, ParseError, MAX_NESTING};
 use crate::pattern::GraphPattern;
 use wdsparql_rdf::{tp, Term, Variable};
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Tok {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tok<'a> {
     LBrace,
     RBrace,
     LParen,
@@ -51,9 +53,20 @@ enum Tok {
     Union,
     Filter,
     BoundKw,
-    Var(String),
-    Iri(String),
+    Var(&'a str),
+    Iri(&'a str),
 }
+
+/// The keywords, matched case-insensitively; any other word is an IRI.
+const KEYWORDS: [(&str, Tok<'static>); 7] = [
+    ("SELECT", Tok::Select),
+    ("WHERE", Tok::Where),
+    ("OPTIONAL", Tok::Optional),
+    ("OPT", Tok::Optional),
+    ("UNION", Tok::Union),
+    ("FILTER", Tok::Filter),
+    ("BOUND", Tok::BoundKw),
+];
 
 fn err(offset: usize, message: impl Into<String>) -> ParseError {
     ParseError {
@@ -62,7 +75,7 @@ fn err(offset: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-fn tokenize(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
+fn tokenize(input: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -106,17 +119,12 @@ fn tokenize(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
             _ => {
                 let (lexeme, end) = scan_term(input, i, is_word)?;
                 let tok = match lexeme {
-                    Lexeme::Iri(iri) => Tok::Iri(iri.to_string()),
-                    Lexeme::Var(name) => Tok::Var(name.to_string()),
-                    Lexeme::Word(word) => match word.to_ascii_uppercase().as_str() {
-                        "SELECT" => Tok::Select,
-                        "WHERE" => Tok::Where,
-                        "OPTIONAL" | "OPT" => Tok::Optional,
-                        "UNION" => Tok::Union,
-                        "FILTER" => Tok::Filter,
-                        "BOUND" => Tok::BoundKw,
-                        _ => Tok::Iri(word.to_string()),
-                    },
+                    Lexeme::Iri(iri) => Tok::Iri(iri),
+                    Lexeme::Var(name) => Tok::Var(name),
+                    Lexeme::Word(word) => KEYWORDS
+                        .iter()
+                        .find(|(kw, _)| word.eq_ignore_ascii_case(kw))
+                        .map_or(Tok::Iri(word), |&(_, tok)| tok),
                 };
                 (tok, end)
             }
@@ -127,26 +135,53 @@ fn tokenize(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
     Ok(out)
 }
 
-struct Parser {
-    toks: Vec<(usize, Tok)>,
+/// How a group's pattern joins the block it sits in.
+enum Slot {
+    /// The top-level group: the query's pattern.
+    Query,
+    /// `{ … }` inside a block: joined to it with AND.
+    And,
+    /// `OPTIONAL { … }`: the right side of an OPT over the block so far.
+    Opt(GraphPattern),
+}
+
+/// One open group: where it began, how it joins its block, the UNION
+/// branches it has finished, and the block it is reading.
+struct Group {
+    at: usize,
+    slot: Slot,
+    branches: Vec<GraphPattern>,
+    acc: Option<GraphPattern>,
+}
+
+/// One open parenthesis of a FILTER expression (or the expression
+/// itself): the `||` operands so far, the `&&` operands of the current
+/// one, and the `!`s in front of the operand being read.
+#[derive(Default)]
+struct Clause {
+    or: Option<FilterExpr>,
+    and: Option<FilterExpr>,
+    nots: usize,
+}
+
+struct Parser<'a> {
+    toks: Vec<(usize, Tok<'a>)>,
     pos: usize,
     len: usize,
-    /// Group-nesting depth (1 = the top-level group).
-    depth: usize,
     /// FILTER clauses collected from the top-level group.
     filters: Vec<FilterExpr>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(_, t)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(_, t)| t)
     }
 
     fn offset(&self) -> usize {
         self.toks.get(self.pos).map_or(self.len, |&(o, _)| o)
     }
 
-    fn eat(&mut self, want: &Tok, what: &str) -> Result<(), ParseError> {
+    fn eat(&mut self, want: Tok<'_>, what: &str) -> Result<(), ParseError> {
         if self.peek() == Some(want) {
             self.pos += 1;
             Ok(())
@@ -165,55 +200,45 @@ impl Parser {
         Ok(t)
     }
 
-    fn parse_group(&mut self) -> Result<GraphPattern, ParseError> {
+    /// Opens the group at the cursor, a level below `open`.
+    fn open_group(&mut self, open: &mut Vec<Group>, slot: Slot) -> Result<(), ParseError> {
         let at = self.offset();
-        self.eat(&Tok::LBrace, "'{'")?;
-        self.depth += 1;
-        let mut branches = vec![self.parse_block()?];
-        while self.peek() == Some(&Tok::Union) {
-            self.pos += 1;
-            branches.push(self.parse_block()?);
+        self.eat(Tok::LBrace, "'{'")?;
+        if open.len() == MAX_NESTING {
+            return Err(too_deep(at));
         }
-        self.depth -= 1;
-        self.eat(&Tok::RBrace, "'}'")?;
-        // A filter inside one branch of a bare top-level UNION would be
-        // silently hoisted over the other branches; SPARQL scopes it to
-        // its branch, so reject the ambiguous form outright.
-        if self.depth == 0 && branches.len() > 1 && !self.filters.is_empty() {
-            return Err(err(
-                at,
-                "FILTER cannot be combined with a top-level UNION \
-                 (wrap the UNION in an inner group: { { A } UNION { B } } FILTER ...)",
-            ));
-        }
-        Ok(GraphPattern::union_all(branches))
+        open.push(Group {
+            at,
+            slot,
+            branches: Vec::new(),
+            acc: None,
+        });
+        Ok(())
     }
 
-    fn parse_block(&mut self) -> Result<GraphPattern, ParseError> {
-        let mut acc: Option<GraphPattern> = None;
+    /// `group := '{' block ('UNION' block)* '}'`, with `block` the
+    /// elements of the module grammar; the open groups kept on a stack.
+    fn parse_group(&mut self) -> Result<GraphPattern, ParseError> {
+        let mut open = Vec::new();
+        self.open_group(&mut open, Slot::Query)?;
         loop {
+            let group = open.last_mut().expect("a group is open");
             match self.peek() {
                 Some(Tok::Optional) => {
                     self.pos += 1;
-                    let left = acc
+                    let left = group
+                        .acc
                         .take()
                         .ok_or_else(|| err(self.offset(), "OPTIONAL needs a preceding pattern"))?;
-                    let right = self.parse_group()?;
-                    acc = Some(GraphPattern::opt(left, right));
+                    self.open_group(&mut open, Slot::Opt(left))?;
                 }
-                Some(Tok::LBrace) => {
-                    let sub = self.parse_group()?;
-                    acc = Some(match acc.take() {
-                        None => sub,
-                        Some(left) => GraphPattern::and(left, sub),
-                    });
-                }
+                Some(Tok::LBrace) => self.open_group(&mut open, Slot::And)?,
                 Some(Tok::Var(_)) | Some(Tok::Iri(_)) => {
                     let s = self.parse_term()?;
                     let p = self.parse_term()?;
                     let o = self.parse_term()?;
                     let triple = GraphPattern::Triple(tp(s, p, o));
-                    acc = Some(match acc.take() {
+                    group.acc = Some(match group.acc.take() {
                         None => triple,
                         Some(left) => GraphPattern::and(left, triple),
                     });
@@ -221,73 +246,135 @@ impl Parser {
                 Some(Tok::Filter) => {
                     let at = self.offset();
                     self.pos += 1;
-                    if self.depth != 1 {
+                    if open.len() != 1 {
                         return Err(err(
                             at,
                             "FILTER is only supported in the top-level group \
                              (nested filter scope is outside the paper's fragment)",
                         ));
                     }
-                    let expr = self.parse_filter_or()?;
+                    let expr = self.parse_filter()?;
                     self.filters.push(expr);
                 }
                 Some(Tok::Dot) => {
                     self.pos += 1; // separators are optional and skippable
                 }
-                _ => break,
+                _ => {
+                    // The end of a block.
+                    let block = group.acc.take();
+                    group
+                        .branches
+                        .push(block.ok_or_else(|| err(self.offset(), "empty group"))?);
+                    if self.peek() == Some(Tok::Union) {
+                        self.pos += 1;
+                        continue;
+                    }
+                    let group = open.pop().expect("a group is open");
+                    self.eat(Tok::RBrace, "'}'")?;
+                    // A filter inside one branch of a bare top-level UNION
+                    // would be silently hoisted over the other branches;
+                    // SPARQL scopes it to its branch, so reject the
+                    // ambiguous form outright.
+                    if open.is_empty() && group.branches.len() > 1 && !self.filters.is_empty() {
+                        return Err(err(
+                            group.at,
+                            "FILTER cannot be combined with a top-level UNION \
+                             (wrap the UNION in an inner group: { { A } UNION { B } } FILTER ...)",
+                        ));
+                    }
+                    let sub = GraphPattern::union_all(group.branches);
+                    let Some(parent) = open.last_mut() else {
+                        return Ok(sub);
+                    };
+                    parent.acc = Some(match (group.slot, parent.acc.take()) {
+                        (Slot::Opt(left), _) => GraphPattern::opt(left, sub),
+                        (_, None) => sub,
+                        (_, Some(left)) => GraphPattern::and(left, sub),
+                    });
+                }
             }
         }
-        acc.ok_or_else(|| err(self.offset(), "empty group"))
     }
 
     // ---- FILTER expressions -------------------------------------------
 
-    fn parse_filter_or(&mut self) -> Result<FilterExpr, ParseError> {
-        let mut acc = self.parse_filter_and()?;
-        while self.peek() == Some(&Tok::OrOr) {
+    /// `fexpr := fand ('||' fand)*`, `fand := funary ('&&' funary)*` and
+    /// `funary := '!' funary | '(' fexpr ')' | atom`, the open
+    /// parentheses kept on a stack. A `!` and a `(` each nest one level.
+    fn parse_filter(&mut self) -> Result<FilterExpr, ParseError> {
+        let mut open = vec![Clause::default()];
+        let mut levels = 0;
+        loop {
+            // An operand: its `!`s, then a parenthesis or an atom.
+            let clause = open.last_mut().expect("a clause is open");
+            let mut operand = match self.peek() {
+                Some(tok @ (Tok::Bang | Tok::LParen)) => {
+                    if levels == MAX_NESTING {
+                        return Err(too_deep(self.offset()));
+                    }
+                    levels += 1;
+                    self.pos += 1;
+                    if tok == Tok::Bang {
+                        clause.nots += 1;
+                    } else {
+                        open.push(Clause::default());
+                    }
+                    continue;
+                }
+                _ => self.parse_filter_atom()?,
+            };
+            // Fold the finished operand in; close every parenthesis that
+            // has no operator after it.
+            loop {
+                let clause = open.last_mut().expect("a clause is open");
+                levels -= clause.nots;
+                for _ in 0..std::mem::take(&mut clause.nots) {
+                    operand = FilterExpr::not(operand);
+                }
+                clause.and = Some(match clause.and.take() {
+                    None => operand,
+                    Some(acc) => FilterExpr::and(acc, operand),
+                });
+                if self.peek() == Some(Tok::AndAnd) {
+                    self.pos += 1;
+                    break;
+                }
+                let and = clause.and.take().expect("an operand was folded");
+                clause.or = Some(match clause.or.take() {
+                    None => and,
+                    Some(acc) => FilterExpr::or(acc, and),
+                });
+                if self.peek() == Some(Tok::OrOr) {
+                    self.pos += 1;
+                    break;
+                }
+                let done = open
+                    .pop()
+                    .and_then(|c| c.or)
+                    .expect("an operand was folded");
+                if open.is_empty() {
+                    return Ok(done);
+                }
+                self.eat(Tok::RParen, "')'")?;
+                levels -= 1;
+                operand = done;
+            }
+        }
+    }
+
+    /// `BOUND '(' var ')'` or `term ('=' | '!=') term`.
+    fn parse_filter_atom(&mut self) -> Result<FilterExpr, ParseError> {
+        if self.peek() == Some(Tok::BoundKw) {
             self.pos += 1;
-            acc = FilterExpr::or(acc, self.parse_filter_and()?);
+            self.eat(Tok::LParen, "'(' after BOUND")?;
+            let at = self.offset();
+            let t = self.parse_term()?;
+            let v = t
+                .as_var()
+                .ok_or_else(|| err(at, "BOUND expects a variable"))?;
+            self.eat(Tok::RParen, "')'")?;
+            return Ok(FilterExpr::Bound(v));
         }
-        Ok(acc)
-    }
-
-    fn parse_filter_and(&mut self) -> Result<FilterExpr, ParseError> {
-        let mut acc = self.parse_filter_unary()?;
-        while self.peek() == Some(&Tok::AndAnd) {
-            self.pos += 1;
-            acc = FilterExpr::and(acc, self.parse_filter_unary()?);
-        }
-        Ok(acc)
-    }
-
-    fn parse_filter_unary(&mut self) -> Result<FilterExpr, ParseError> {
-        match self.peek() {
-            Some(Tok::Bang) => {
-                self.pos += 1;
-                Ok(FilterExpr::not(self.parse_filter_unary()?))
-            }
-            Some(Tok::LParen) => {
-                self.pos += 1;
-                let inner = self.parse_filter_or()?;
-                self.eat(&Tok::RParen, "')'")?;
-                Ok(inner)
-            }
-            Some(Tok::BoundKw) => {
-                self.pos += 1;
-                self.eat(&Tok::LParen, "'(' after BOUND")?;
-                let at = self.offset();
-                let t = self.parse_term()?;
-                let v = t
-                    .as_var()
-                    .ok_or_else(|| err(at, "BOUND expects a variable"))?;
-                self.eat(&Tok::RParen, "')'")?;
-                Ok(FilterExpr::Bound(v))
-            }
-            _ => self.parse_filter_comparison(),
-        }
-    }
-
-    fn parse_filter_comparison(&mut self) -> Result<FilterExpr, ParseError> {
         let at = self.offset();
         let lhs = self.parse_term()?;
         let negated = match self.peek() {
@@ -368,11 +455,10 @@ pub fn parse_sparql_filtered(
         toks,
         pos: 0,
         len: input.len(),
-        depth: 0,
         filters: Vec::new(),
     };
     let mut projection = None;
-    if p.peek() == Some(&Tok::Select) {
+    if p.peek() == Some(Tok::Select) {
         p.pos += 1;
         match p.peek() {
             Some(Tok::Star) => {
@@ -400,7 +486,7 @@ pub fn parse_sparql_filtered(
                 ))
             }
         }
-        p.eat(&Tok::Where, "'WHERE'")?;
+        p.eat(Tok::Where, "'WHERE'")?;
     }
     let pat = p.parse_group()?;
     if p.peek().is_some() {

@@ -5,9 +5,19 @@
 //! `P1` does not occur outside `P'` in `P`. A general pattern is
 //! well-designed if it is `P1 UNION ··· UNION Pm` with every branch a
 //! UNION-free well-designed pattern (UNION normal form).
+//!
+//! The check is linear in `|P|` times the number of 64-variable words.
+//! The leaves (triple patterns) of a branch are numbered left to right,
+//! so every subpattern `P'` covers a contiguous range `[lo, hi)` of them,
+//! and a variable occurs outside `P'` iff it first occurs before `lo` or
+//! last occurs at `hi` or later. The variables are numbered twice: by
+//! first occurrence, under which "first occurs before `lo`" is a prefix
+//! of the numbers, and by last occurrence, under which "last occurs at
+//! `hi` or later" is a suffix. One post-order pass carries each
+//! subpattern's variables as a bitset in both numberings and tests every
+//! OPT against the prefix and the suffix of its range, a word at a time.
 
 use crate::pattern::GraphPattern;
-use std::collections::BTreeSet;
 use std::fmt;
 use wdsparql_rdf::Variable;
 
@@ -44,11 +54,14 @@ impl fmt::Display for WdViolation {
 
 impl std::error::Error for WdViolation {}
 
-/// Checks whether `p` is well-designed; `Err` explains the first violation.
+/// Checks whether `p` is well-designed; `Err` explains the first violation:
+/// the first branch that has one, in it the first `OPT` subpattern in
+/// pre-order that violates the condition, and of that one the offending
+/// variable that comes first in [`Variable`]'s order.
 pub fn check_well_designed(p: &GraphPattern) -> Result<(), WdViolation> {
     let branches = p.union_branches().ok_or(WdViolation::UnionNotTopLevel)?;
     for b in branches {
-        check_union_free_wd(b, &BTreeSet::new())?;
+        Scope::new(b).check(b)?;
     }
     Ok(())
 }
@@ -58,39 +71,168 @@ pub fn is_well_designed(p: &GraphPattern) -> bool {
     check_well_designed(p).is_ok()
 }
 
-/// Recursive check for UNION-free patterns. `outside` is the set of
-/// variables occurring in `P` strictly outside the current subpattern.
-fn check_union_free_wd(p: &GraphPattern, outside: &BTreeSet<Variable>) -> Result<(), WdViolation> {
-    match p {
-        GraphPattern::Triple(_) => Ok(()),
-        GraphPattern::Union(_, _) => Err(WdViolation::UnionNotTopLevel),
-        GraphPattern::And(l, r) => {
-            let mut outside_l = outside.clone();
-            outside_l.extend(r.vars());
-            check_union_free_wd(l, &outside_l)?;
-            let mut outside_r = outside.clone();
-            outside_r.extend(l.vars());
-            check_union_free_wd(r, &outside_r)
-        }
-        GraphPattern::Opt(l, r) => {
-            let lv = l.vars();
-            if let Some(&bad) = r
-                .vars()
-                .iter()
-                .find(|v| !lv.contains(v) && outside.contains(v))
-            {
-                return Err(WdViolation::OptScope {
-                    variable: bad,
-                    subpattern: p.to_string(),
-                });
+/// Where the variables of one UNION-free pattern occur: the leaves in
+/// order, each variable numbered by first and by last occurrence.
+struct Scope {
+    /// `(variable, number by first occurrence)`, ascending by variable.
+    ids: Vec<(Variable, usize)>,
+    /// Per number by first occurrence: the variable, and its number by
+    /// last occurrence.
+    vars: Vec<(Variable, usize)>,
+    /// Per leaf `i`: how many variables first occur before leaf `i`, and
+    /// how many last occur before it.
+    before: Vec<(usize, usize)>,
+    /// 64-bit words per variable set.
+    words: usize,
+}
+
+/// The post-order pass of [`Scope::check`]: the variable sets of the
+/// subpatterns whose parent is still open, `2 · words` each (by first,
+/// then by last occurrence), and the earliest violation in pre-order so
+/// far.
+struct Pass<'p> {
+    sets: Vec<u64>,
+    next_leaf: usize,
+    next_node: usize,
+    found: Option<(usize, Variable, &'p GraphPattern)>,
+}
+
+/// The words of the bits `0..k` (`below`) or `k..` (`!below`).
+fn prefix_word(w: usize, k: usize, below: bool) -> u64 {
+    let ones = match k.saturating_sub(w * 64) {
+        0 => 0,
+        n if n >= 64 => u64::MAX,
+        n => (1 << n) - 1,
+    };
+    if below {
+        ones
+    } else {
+        !ones
+    }
+}
+
+/// The bits set in `words`.
+fn bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            let b = word.trailing_zeros() as usize;
+            word &= word.checked_sub(1)?;
+            Some(w * 64 + b)
+        })
+    })
+}
+
+impl Scope {
+    fn new(p: &GraphPattern) -> Scope {
+        let triples = p.triples();
+        let mut ids: Vec<(Variable, usize)> = Vec::new();
+        // Per number by first occurrence: the variable, its first and
+        // last leaf.
+        let mut occurs: Vec<(Variable, usize, usize)> = Vec::new();
+        for (leaf, t) in triples.iter().enumerate() {
+            for v in t.var_occurrences() {
+                match ids.binary_search_by_key(&v, |&(u, _)| u) {
+                    Ok(k) => occurs[ids[k].1].2 = leaf,
+                    Err(k) => {
+                        ids.insert(k, (v, occurs.len()));
+                        occurs.push((v, leaf, leaf));
+                    }
+                }
             }
-            let mut outside_l = outside.clone();
-            outside_l.extend(r.vars());
-            check_union_free_wd(l, &outside_l)?;
-            let mut outside_r = outside.clone();
-            outside_r.extend(lv);
-            check_union_free_wd(r, &outside_r)
         }
+        let mut by_last: Vec<usize> = (0..occurs.len()).collect();
+        by_last.sort_by_key(|&id| occurs[id].2);
+        let mut vars: Vec<(Variable, usize)> = occurs.iter().map(|&(v, ..)| (v, 0)).collect();
+        for (rank, &id) in by_last.iter().enumerate() {
+            vars[id].1 = rank;
+        }
+        let mut before = vec![(0, 0); triples.len() + 1];
+        for &(_, first, last) in &occurs {
+            before[first + 1].0 += 1;
+            before[last + 1].1 += 1;
+        }
+        for i in 1..before.len() {
+            before[i].0 += before[i - 1].0;
+            before[i].1 += before[i - 1].1;
+        }
+        Scope {
+            ids,
+            vars,
+            before,
+            words: occurs.len().div_ceil(64),
+        }
+    }
+
+    /// The numbers of `v` by first and by last occurrence.
+    fn numbers(&self, v: Variable) -> (usize, usize) {
+        let k = self.ids.binary_search_by_key(&v, |&(u, _)| u);
+        let first = self.ids[k.expect("every variable of the pattern has a number")].1;
+        (first, self.vars[first].1)
+    }
+
+    fn check(&self, p: &GraphPattern) -> Result<(), WdViolation> {
+        let mut pass = Pass {
+            sets: Vec::new(),
+            next_leaf: 0,
+            next_node: 0,
+            found: None,
+        };
+        self.walk(p, &mut pass);
+        match pass.found {
+            None => Ok(()),
+            Some((_, variable, opt)) => Err(WdViolation::OptScope {
+                variable,
+                subpattern: opt.to_string(),
+            }),
+        }
+    }
+
+    /// Pushes the variables of `p` onto `pass.sets` and returns its range
+    /// of leaves; on the way, records the earliest violating `OPT`.
+    fn walk<'p>(&self, p: &'p GraphPattern, pass: &mut Pass<'p>) -> (usize, usize) {
+        let w = self.words;
+        let node = pass.next_node;
+        pass.next_node += 1;
+        let (l, r) = match p {
+            GraphPattern::Triple(t) => {
+                let at = pass.sets.len();
+                pass.sets.resize(at + 2 * w, 0);
+                for v in t.var_occurrences() {
+                    let (first, last) = self.numbers(v);
+                    pass.sets[at + first / 64] |= 1 << (first % 64);
+                    pass.sets[at + w + last / 64] |= 1 << (last % 64);
+                }
+                pass.next_leaf += 1;
+                return (pass.next_leaf - 1, pass.next_leaf);
+            }
+            GraphPattern::And(l, r) | GraphPattern::Opt(l, r) => (l, r),
+            GraphPattern::Union(_, _) => unreachable!("a UNION-free branch"),
+        };
+        let (lo, _) = self.walk(l, pass);
+        let (_, hi) = self.walk(r, pass);
+        let right = pass.sets.len() - 2 * w;
+        let left = right - 2 * w;
+        if matches!(p, GraphPattern::Opt(_, _)) && pass.found.is_none_or(|(n, ..)| node < n) {
+            // `vars(P2) \ vars(P1)` that first occur before `p`, and
+            // those that last occur after it.
+            let sets = &pass.sets;
+            let (first_before, last_before) = (self.before[lo].0, self.before[hi].1);
+            let new = |i: usize| sets[right + i] & !sets[left + i];
+            let early = bits((0..w).map(|i| new(i) & prefix_word(i, first_before, true)));
+            let late = bits((0..w).map(|i| new(w + i) & prefix_word(i, last_before, false)));
+            let by_last = |rank: usize| self.vars.iter().find(|&&(_, r)| r == rank);
+            let bad = (early.map(|id| self.vars[id].0))
+                .chain(late.filter_map(|rank| by_last(rank).map(|&(v, _)| v)))
+                .min();
+            if let Some(v) = bad {
+                pass.found = Some((node, v, p));
+            }
+        }
+        for i in 0..2 * w {
+            pass.sets[left + i] |= pass.sets[right + i];
+        }
+        pass.sets.truncate(right);
+        (lo, hi)
     }
 }
 

@@ -2,8 +2,12 @@
 //! laws of the reference semantics.
 
 use proptest::prelude::*;
-use wdsparql_algebra::{eval, join, left_outer_join, parse_pattern, GraphPattern, SolutionSet};
-use wdsparql_rdf::{iri, tp, var, RdfGraph, Term, Triple};
+use std::collections::BTreeSet;
+use wdsparql_algebra::{
+    check_well_designed, eval, join, left_outer_join, parse_pattern, GraphPattern, SolutionSet,
+    WdViolation,
+};
+use wdsparql_rdf::{iri, tp, var, RdfGraph, Term, Triple, Variable};
 
 fn arb_term() -> impl Strategy<Value = Term> {
     prop_oneof![
@@ -24,6 +28,34 @@ fn arb_pattern() -> impl Strategy<Value = GraphPattern> {
     })
 }
 
+/// Well-designedness straight from the definition (§2): the first
+/// violation in a pre-order walk that carries the variables occurring
+/// outside the current subpattern.
+fn wd_by_definition(p: &GraphPattern) -> Result<(), WdViolation> {
+    fn walk(p: &GraphPattern, outside: &BTreeSet<Variable>) -> Result<(), WdViolation> {
+        let (l, r) = match p {
+            GraphPattern::Triple(_) => return Ok(()),
+            GraphPattern::Union(_, _) => return Err(WdViolation::UnionNotTopLevel),
+            GraphPattern::And(l, r) | GraphPattern::Opt(l, r) => (l, r),
+        };
+        let (lv, rv) = (l.vars(), r.vars());
+        if matches!(p, GraphPattern::Opt(_, _)) {
+            if let Some(&bad) = rv.iter().find(|v| !lv.contains(v) && outside.contains(v)) {
+                return Err(WdViolation::OptScope {
+                    variable: bad,
+                    subpattern: p.to_string(),
+                });
+            }
+        }
+        walk(l, &outside.union(&rv).copied().collect())?;
+        walk(r, &outside.union(&lv).copied().collect())
+    }
+    let branches = p.union_branches().ok_or(WdViolation::UnionNotTopLevel)?;
+    branches
+        .into_iter()
+        .try_for_each(|b| walk(b, &BTreeSet::new()))
+}
+
 fn arb_graph() -> impl Strategy<Value = RdfGraph> {
     proptest::collection::vec((0..3usize, 0..2usize, 0..3usize), 0..8).prop_map(|ts| {
         RdfGraph::from_triples(ts.into_iter().map(|(s, p, o)| {
@@ -42,6 +74,15 @@ proptest! {
         let text = p.to_string();
         let parsed = parse_pattern(&text).expect("printer output parses");
         prop_assert_eq!(parsed, p);
+    }
+
+    /// The linear well-designedness check reports what the definition
+    /// does: the same first violation, with the same variable.
+    #[test]
+    fn well_designedness_follows_the_definition(p in arb_pattern(), q in arb_pattern()) {
+        for p in [p.clone(), GraphPattern::opt(p, q)] {
+            prop_assert_eq!(check_well_designed(&p), wd_by_definition(&p), "{}", p);
+        }
     }
 
     /// UNION is commutative and associative under the set semantics.

@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wdsparql_algebra::parse_pattern;
+use wdsparql_core::Query;
 use wdsparql_tree::Wdpf;
 use wdsparql_width::{domination_width, recognize_bw, recognize_dw};
 use wdsparql_workloads::{clique_child_tree, fk_forest, grid_child_tree};
@@ -98,12 +99,49 @@ fn bench_recognize_bw_grid(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_query_parse(c: &mut Criterion) {
+    // The front end of every `membership` and `wd_eval` op: `Query::parse`
+    // from text to the translated forest, on the benchmark's query shapes
+    // (`wd_eval_mix` parses one text of each of its seven classes per
+    // iteration) and on a 500-deep right-nested OPT chain, where a
+    // translation that rescans the tree per level shows.
+    let mut group = c.benchmark_group("query_parse");
+    group.sample_size(10);
+    let star = "((person1, knows, ?y) OPT (?y, email, ?e)) OPT (?y, city, ?c)";
+    let nested = "((person1, knows, ?y) AND (?y, knows, ?z)) \
+                  OPT ((?z, wrote, ?w) OPT (?w, topic, ?t))";
+    let mix = [
+        star,
+        nested,
+        "((person1, knows, ?y) OPT (?y, email, ?e)) \
+         UNION ((person2, knows, ?y) OPT (?y, city, ?c))",
+        "{ ?x city city1 OPTIONAL { ?x email ?e OPTIONAL { ?x wrote ?w } } }",
+        "((?x, city, city1) AND (?x, knows, ?y)) \
+         OPT ((?y, wrote, ?w) OPT (?w, topic, topic1))",
+        "((?p, type, Person) OPT (?p, email, ?e)) OPT (?p, city, ?c)",
+        "((?x, knows, ?y) AND (?y, knows, ?z) AND (?z, knows, ?x)) OPT (?x, email, ?e)",
+    ];
+    let mut chain = "(?v500, p, ?v501)".to_string();
+    for i in (0..500).rev() {
+        chain = format!("(?v{i}, p, ?v{}) OPT ({chain})", i + 1);
+    }
+    let parse = |text: &str| Query::parse(text).expect("well-designed");
+    group.bench_function("membership_star", |b| b.iter(|| parse(star)));
+    group.bench_function("membership_nested", |b| b.iter(|| parse(nested)));
+    group.bench_function("wd_eval_mix", |b| {
+        b.iter(|| mix.iter().map(|t| parse(t).forest().len()).sum::<usize>())
+    });
+    group.bench_function("opt_chain_500", |b| b.iter(|| parse(&chain)));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_recognize_dw_fk,
     bench_domination_width_fk,
     bench_domination_width_shapes,
     bench_recognize_bw_clique,
-    bench_recognize_bw_grid
+    bench_recognize_bw_grid,
+    bench_query_parse
 );
 criterion_main!(benches);

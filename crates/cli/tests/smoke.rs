@@ -265,6 +265,32 @@ fn stray_closing_angle_is_a_parse_error() {
     assert!(errors.contains("at byte 8"), "stderr: {errors}");
 }
 
+/// 50 000 nested groups once overflowed the main thread's stack and
+/// aborted the process; past the nesting limit a query is a positioned
+/// parse error.
+#[test]
+fn deep_nesting_is_a_parse_error() {
+    let data = fixture_nt("deep");
+    let deep = format!(
+        "{}(?x, knows, ?y){}",
+        "(".repeat(50_000),
+        ")".repeat(50_000)
+    );
+    let out = wdsparql(&["eval", data.to_str().unwrap(), &deep]);
+    let errors = stderr(&out);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "stderr: {}",
+        &errors[..200.min(errors.len())]
+    );
+    assert!(
+        errors.contains("parse error at byte 2048: nesting deeper than 2048 levels"),
+        "stderr: {}",
+        &errors[..200.min(errors.len())]
+    );
+}
+
 #[test]
 fn store_reports_stats_and_serves_queries() {
     let data = fixture_nt("store");

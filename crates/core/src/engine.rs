@@ -36,7 +36,9 @@ impl std::error::Error for QueryError {}
 /// A well-designed query: the surface pattern plus its wdPF translation
 /// and lazily-computed width measures.
 pub struct Query {
-    pattern: GraphPattern,
+    /// Set at construction from a pattern; built from the forest on the
+    /// first [`Query::pattern`] call otherwise.
+    pattern: OnceLock<GraphPattern>,
     forest: Wdpf,
     dw: OnceLock<usize>,
     bw: OnceLock<usize>,
@@ -75,26 +77,30 @@ impl Query {
     pub fn from_pattern(pattern: GraphPattern) -> Result<Query, QueryError> {
         let forest = Wdpf::from_pattern(&pattern).map_err(QueryError::Translate)?;
         Ok(Query {
-            pattern,
+            pattern: OnceLock::from(pattern),
             forest,
             dw: OnceLock::new(),
             bw: OnceLock::new(),
         })
     }
 
-    /// Wraps a hand-built forest (the pattern is reconstructed).
+    /// Wraps a hand-built forest. The pattern is reconstructed on first
+    /// use ([`Query::pattern`], `Display`, [`Strategy::Reference`]); the
+    /// other strategies read only the forest and never build it.
     pub fn from_forest(forest: Wdpf) -> Query {
-        let pattern = wdsparql_tree::pattern_from_wdpf(&forest);
         Query {
-            pattern,
+            pattern: OnceLock::new(),
             forest,
             dw: OnceLock::new(),
             bw: OnceLock::new(),
         }
     }
 
+    /// The pattern: as parsed, or reconstructed from the forest of
+    /// [`Query::from_forest`] on the first call.
     pub fn pattern(&self) -> &GraphPattern {
-        &self.pattern
+        self.pattern
+            .get_or_init(|| wdsparql_tree::pattern_from_wdpf(&self.forest))
     }
 
     pub fn forest(&self) -> &Wdpf {
@@ -120,14 +126,15 @@ impl Query {
         local_width_forest(&self.forest)
     }
 
+    /// A well-designed pattern is UNION-free iff it translates to one tree.
     pub fn is_union_free(&self) -> bool {
-        self.pattern.is_union_free()
+        self.forest.len() == 1
     }
 }
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.pattern.fmt(f)
+        self.pattern().fmt(f)
     }
 }
 

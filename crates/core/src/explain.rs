@@ -13,12 +13,10 @@
 //! but each child-extension test is an NP-complete homomorphism check —
 //! the coNP algorithm whose restriction classes the paper characterises.
 
-use crate::lemma1::child_extends;
+use crate::lemma1::{child_extends, domain_nodes, maps_into_under};
 use std::fmt;
 use wdsparql_rdf::{Mapping, TripleIndex};
-use wdsparql_tree::{
-    subtree_children, subtree_pat, subtree_with_vars, NodeId, Subtree, Wdpf, Wdpt,
-};
+use wdsparql_tree::{children_of_nodes, subtree_of, NodeId, Subtree, Wdpf, Wdpt};
 
 /// Why one tree of the forest rejects `µ`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -107,14 +105,14 @@ pub fn explain_tree(
     g: &dyn TripleIndex,
     mu: &Mapping,
 ) -> Result<(Subtree, Vec<NodeId>), TreeRejection> {
-    let dom = mu.domain().collect();
-    let Some(st) = subtree_with_vars(t, &dom) else {
+    let Some(nodes) = domain_nodes(t, mu) else {
         return Err(TreeRejection::NoSubtreeForDomain);
     };
-    if !subtree_pat(t, &st).maps_into_under(mu, g) {
+    let st = subtree_of(&nodes);
+    if !maps_into_under(t, &nodes, mu, g) {
         return Err(TreeRejection::NotAHomomorphism { subtree: st });
     }
-    let children = subtree_children(t, &st);
+    let children: Vec<NodeId> = children_of_nodes(t, &nodes).collect();
     for &n in &children {
         if let Some(extension) = child_extends(t, g, n, mu) {
             return Err(TreeRejection::ChildExtends {

@@ -7,17 +7,44 @@
 //!
 //! Since trees are in NR normal form, the candidate subtree `T^µ` with
 //! `vars(T^µ) = dom(µ)` is unique when it exists.
+//!
+//! Every check of a question runs this per tree, so it runs on bits: `dom(µ)`
+//! becomes bits of the tree's variable index (a variable the tree lacks
+//! settles the tree at once), `T^µ` is the greedy closure over node
+//! masks, its children are read off its node bits, and "µ maps
+//! `pat(T^µ)` into `G`" walks the triples of `T^µ`'s nodes in place
+//! instead of building their union. [`mu_subtree`] is the same on
+//! [`Subtree`]s.
 
-use wdsparql_hom::{find_hom_into_graph, GenTGraph};
+use wdsparql_hom::{find_hom_into_graph, BitSet, GenTGraph};
 use wdsparql_rdf::{Mapping, TripleIndex};
-use wdsparql_tree::{subtree_pat, subtree_with_vars, NodeId, Subtree, Wdpt};
+use wdsparql_tree::{nodes_with_vars, subtree_of, NodeId, Subtree, Wdpt};
 
 /// The unique subtree `T^µ` with `vars(T^µ) = dom(µ)` such that `µ` maps
 /// `pat(T^µ)` into `G`, if it exists.
 pub fn mu_subtree(t: &Wdpt, g: &dyn TripleIndex, mu: &Mapping) -> Option<Subtree> {
-    let dom = mu.domain().collect();
-    let st = subtree_with_vars(t, &dom)?;
-    subtree_pat(t, &st).maps_into_under(mu, g).then_some(st)
+    mu_nodes(t, g, mu).map(|nodes| subtree_of(&nodes))
+}
+
+/// [`mu_subtree`] as node bits.
+pub(crate) fn mu_nodes(t: &Wdpt, g: &dyn TripleIndex, mu: &Mapping) -> Option<BitSet> {
+    let nodes = domain_nodes(t, mu)?;
+    maps_into_under(t, &nodes, mu, g).then_some(nodes)
+}
+
+/// The node bits of the subtree with `vars = dom(µ)`, if any — `T^µ`
+/// before the homomorphism test.
+pub(crate) fn domain_nodes(t: &Wdpt, mu: &Mapping) -> Option<BitSet> {
+    nodes_with_vars(t, &t.var_bits(mu.domain())?)
+}
+
+/// Does `µ` map every triple of the `nodes` of `t` into `G`?
+pub(crate) fn maps_into_under(t: &Wdpt, nodes: &BitSet, mu: &Mapping, g: &dyn TripleIndex) -> bool {
+    nodes.iter().all(|n| {
+        t.pat(NodeId(n))
+            .iter()
+            .all(|p| p.apply(mu).is_some_and(|ground| g.contains(&ground)))
+    })
 }
 
 /// Does child `n` of the subtree extend compatibly: a homomorphism `ν`
@@ -33,9 +60,8 @@ pub fn child_extends(t: &Wdpt, g: &dyn TripleIndex, n: NodeId, mu: &Mapping) -> 
 /// maps them into `G`, and being ground under `µ` they constrain nothing
 /// further.
 pub(crate) fn child_source(t: &Wdpt, n: NodeId, mu: &Mapping) -> GenTGraph {
-    let pat = t.pat(n);
-    let x: Vec<_> = pat.vars().into_iter().filter(|v| mu.contains(*v)).collect();
-    GenTGraph::new(pat.clone(), x)
+    let x = t.variables(t.var_mask(n)).filter(|&v| mu.contains(v));
+    GenTGraph::new(t.pat(n).clone(), x)
 }
 
 #[cfg(test)]

@@ -48,11 +48,11 @@
 //! polynomial, so the bound for classes of bounded domination width stays
 //! polynomial.
 
-use crate::lemma1::{child_source, mu_subtree};
+use crate::lemma1::{child_source, mu_nodes};
 use wdsparql_hom::{find_hom_into_graph_within, GenTGraph, Undecided};
 use wdsparql_pebble::duplicator_wins;
 use wdsparql_rdf::{Mapping, TripleIndex};
-use wdsparql_tree::{subtree_children, Wdpf, Wdpt};
+use wdsparql_tree::{children_of_nodes, Wdpf, Wdpt};
 
 /// The candidate images one child's exact search in [`check_forest_auto`]
 /// may try before the child is left to the game.
@@ -83,17 +83,17 @@ pub enum Route {
 /// pebble game is played with `max(k, 1) + 1` pebbles (`dw ≥ 1` always,
 /// and more pebbles keep the algorithm sound).
 ///
-/// [`mu_subtree`] has already shown that `µ` maps `pat(T^µ)` into `G`, so
+/// [`crate::mu_subtree`] has already shown that `µ` maps `pat(T^µ)` into `G`, so
 /// each child's game is played on `pat(n)` alone with `X = vars(n) ∩
 /// dom(µ)`: the triples of `pat(T^µ)` are ground under `µ` and would only
 /// be looked up again, once per child.
 pub fn check_tree_pebble(t: &Wdpt, g: &dyn TripleIndex, mu: &Mapping, k: usize) -> bool {
-    let Some(st) = mu_subtree(t, g, mu) else {
+    let Some(st) = mu_nodes(t, g, mu) else {
         return false;
     };
-    subtree_children(t, &st)
-        .into_iter()
-        .all(|n| !duplicator_wins(&child_source(t, n, mu), g, mu, k.max(1) + 1))
+    let refuted = children_of_nodes(t, &st)
+        .all(|n| !duplicator_wins(&child_source(t, n, mu), g, mu, k.max(1) + 1));
+    refuted
 }
 
 /// The full Theorem 1 algorithm on a forest: `µ ∈ ⟦F⟧_G`, correct whenever
@@ -126,11 +126,11 @@ fn check_forest_within(
 ) -> (bool, Route) {
     let mut open: Vec<Vec<GenTGraph>> = Vec::new();
     'trees: for t in &f.trees {
-        let Some(st) = mu_subtree(t, g, mu) else {
+        let Some(st) = mu_nodes(t, g, mu) else {
             continue;
         };
         let mut left = Vec::new();
-        for n in subtree_children(t, &st) {
+        for n in children_of_nodes(t, &st) {
             let src = child_source(t, n, mu);
             match find_hom_into_graph_within(&src, g, mu, steps) {
                 Ok(Some(_)) => continue 'trees,

@@ -57,6 +57,24 @@ impl BitSet {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// `self ⊆ other`.
+    pub fn is_subset(&self, other: &BitSet) -> bool {
+        self.words.iter().enumerate().all(|(i, &w)| {
+            let o = other.words.get(i).copied().unwrap_or(0);
+            w & !o == 0
+        })
+    }
+
+    /// `self ∪= other`.
+    pub fn union_with(&mut self, other: &BitSet) {
+        if self.words.len() < other.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, &o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut w = w;

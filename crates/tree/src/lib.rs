@@ -13,8 +13,9 @@ pub mod translate;
 pub mod wdpt;
 
 pub use subtree::{
-    enumerate_subtrees, is_valid_subtree, maximal_subtree_within, root_subtree, subtree_children,
-    subtree_pat, subtree_vars, subtree_with_vars, Subtree,
+    children_of_nodes, enumerate_subtrees, is_valid_subtree, maximal_subtree_within,
+    nodes_with_vars, root_subtree, subtree_children, subtree_of, subtree_pat, subtree_vars,
+    subtree_with_vars, Subtree,
 };
 pub use translate::{
     pattern_from_wdpf, pattern_from_wdpt, wdpt_from_pattern, TranslateError, Wdpf,

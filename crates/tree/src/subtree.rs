@@ -3,10 +3,17 @@
 //! The arena in [`Wdpt`] guarantees `parent(n).0 < n.0`, which makes
 //! subtree enumeration and the witness closure ([`maximal_subtree_within`])
 //! one pass each in arena order.
+//!
+//! The closures and a subtree's children are computed on bits: a subtree
+//! as the set of its node ids, its variables as bits of the tree's
+//! variable index ([`Wdpt::var_mask`]). [`nodes_with_vars`] and
+//! [`children_of_nodes`] take and give those bits, for callers that run
+//! them per question (Lemma 1); the functions on [`Subtree`]s and sets of
+//! [`Variable`]s wrap them.
 
 use crate::wdpt::{NodeId, Wdpt, ROOT};
 use std::collections::BTreeSet;
-use wdsparql_hom::TGraph;
+use wdsparql_hom::{BitSet, TGraph};
 use wdsparql_rdf::Variable;
 
 /// A subtree is the set of its node ids (always containing the root).
@@ -15,6 +22,11 @@ pub type Subtree = BTreeSet<NodeId>;
 /// The subtree containing only the root.
 pub fn root_subtree() -> Subtree {
     [ROOT].into_iter().collect()
+}
+
+/// Node bits as a subtree.
+pub fn subtree_of(nodes: &BitSet) -> Subtree {
+    nodes.iter().map(NodeId).collect()
 }
 
 /// Is `s` a subtree of `t` (contains the root; closed under parents)?
@@ -31,28 +43,28 @@ pub fn is_valid_subtree(t: &Wdpt, s: &Subtree) -> bool {
 
 /// `pat(T')` for a subtree.
 pub fn subtree_pat(t: &Wdpt, s: &Subtree) -> TGraph {
-    let mut out = TGraph::new();
-    for &n in s {
-        out = out.union(t.pat(n));
-    }
-    out
+    s.iter().flat_map(|&n| t.pat(n).iter().copied()).collect()
 }
 
 /// `vars(T')` for a subtree.
 pub fn subtree_vars(t: &Wdpt, s: &Subtree) -> BTreeSet<Variable> {
-    let mut out = BTreeSet::new();
+    let mut bits = BitSet::new();
     for &n in s {
-        out.extend(t.vars(n));
+        bits.union_with(t.var_mask(n));
     }
-    out
+    t.variables(&bits).collect()
 }
 
 /// The *children of the subtree*: nodes outside `s` whose parent is in `s`.
 pub fn subtree_children(t: &Wdpt, s: &Subtree) -> Vec<NodeId> {
+    children_of_nodes(t, &s.iter().map(|n| n.0).collect()).collect()
+}
+
+/// [`subtree_children`] of a subtree given as node bits, in node order.
+pub fn children_of_nodes<'a>(t: &'a Wdpt, nodes: &'a BitSet) -> impl Iterator<Item = NodeId> + 'a {
     t.node_ids()
-        .filter(|n| !s.contains(n))
-        .filter(|&n| t.parent(n).is_some_and(|p| s.contains(&p)))
-        .collect()
+        .filter(|n| !nodes.contains(n.0))
+        .filter(|&n| t.parent(n).is_some_and(|p| nodes.contains(p.0)))
 }
 
 /// Enumerates *all* subtrees of `t` (exponentially many in general).
@@ -83,22 +95,40 @@ pub fn enumerate_subtrees(t: &Wdpt) -> Vec<Subtree> {
 /// (the root: always) and its variables fit. Returns `None` if even the
 /// root does not fit.
 pub fn maximal_subtree_within(t: &Wdpt, allowed: &BTreeSet<Variable>) -> Option<Subtree> {
-    let mut s = Subtree::new();
+    let bits: BitSet = allowed.iter().filter_map(|&v| t.var_id(v)).collect();
+    maximal_nodes_within(t, &bits).map(|s| subtree_of(&s))
+}
+
+/// [`maximal_subtree_within`] on bits: `allowed` as variable bits, the
+/// subtree as node bits.
+fn maximal_nodes_within(t: &Wdpt, allowed: &BitSet) -> Option<BitSet> {
+    let mut nodes = BitSet::with_capacity(t.len());
     for n in t.node_ids() {
-        let attached = t.parent(n).is_none_or(|p| s.contains(&p));
-        if attached && t.vars(n).is_subset(allowed) {
-            s.insert(n);
+        let attached = t.parent(n).is_none_or(|p| nodes.contains(p.0));
+        if attached && t.var_mask(n).is_subset(allowed) {
+            nodes.insert(n.0);
         }
     }
-    s.contains(&ROOT).then_some(s)
+    nodes.contains(ROOT.0).then_some(nodes)
 }
 
 /// The unique subtree `T'` with `vars(T') = target` exactly, if any — the
 /// witness `T^{sp(i)}` in the definition of support (§3.1). For trees in NR
 /// normal form this witness is unique when it exists.
 pub fn subtree_with_vars(t: &Wdpt, target: &BTreeSet<Variable>) -> Option<Subtree> {
-    let s = maximal_subtree_within(t, target)?;
-    (&subtree_vars(t, &s) == target).then_some(s)
+    let target = t.var_bits(target.iter().copied())?;
+    nodes_with_vars(t, &target).map(|s| subtree_of(&s))
+}
+
+/// [`subtree_with_vars`] on bits: `target` as variable bits, the witness
+/// as node bits.
+pub fn nodes_with_vars(t: &Wdpt, target: &BitSet) -> Option<BitSet> {
+    let nodes = maximal_nodes_within(t, target)?;
+    let mut reached = BitSet::new();
+    for n in nodes.iter() {
+        reached.union_with(t.var_mask(NodeId(n)));
+    }
+    (reached.len() == target.len()).then_some(nodes)
 }
 
 #[cfg(test)]

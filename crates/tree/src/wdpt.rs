@@ -10,10 +10,23 @@
 //!
 //! plus, throughout the paper (and enforced by [`Wdpt::nr_normalize`]):
 //! NR normal form — every non-root node has a variable not in its parent.
+//!
+//! # The variable index
+//!
+//! Every tree numbers its own variables densely, in the order the arena
+//! first meets them, and keeps `vars(n)` of each node as a [`BitSet`] of
+//! those numbers ([`Wdpt::var_mask`]). [`Wdpt::new`] and
+//! [`Wdpt::add_child`] index the label they are given, and
+//! [`Wdpt::nr_normalize`] carries the bits along when it merges a label
+//! into the children below it; no other operation changes a label. So
+//! NR normal form is a subset test per node, and the subtree machinery of
+//! [`crate::subtree`] and Lemma 1 works on node and variable bits rather
+//! than on sets of [`Variable`]s. [`Wdpt::var_id`], [`Wdpt::var_bits`] and
+//! [`Wdpt::variables`] translate between the two.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use wdsparql_hom::TGraph;
+use wdsparql_hom::{BitSet, TGraph};
 use wdsparql_rdf::Variable;
 
 /// Index of a node inside its [`Wdpt`].
@@ -26,14 +39,51 @@ pub const ROOT: NodeId = NodeId(0);
 #[derive(Clone, Debug)]
 struct Node {
     pat: TGraph,
+    /// `vars(pat)` as bits of the tree's variable index.
+    vars: BitSet,
     parent: Option<NodeId>,
     children: Vec<NodeId>,
+}
+
+/// The variables of one tree, numbered densely in order of first
+/// appearance in the arena.
+#[derive(Clone, Debug, Default)]
+struct VarIndex {
+    /// Dense id → variable.
+    vars: Vec<Variable>,
+    /// `(variable, dense id)`, ascending by variable.
+    ids: Vec<(Variable, usize)>,
+}
+
+impl VarIndex {
+    fn id(&self, v: Variable) -> Option<usize> {
+        let k = self.ids.binary_search_by_key(&v, |&(u, _)| u).ok()?;
+        Some(self.ids[k].1)
+    }
+
+    /// The bits of `vars(pat)`, numbering the variables not seen before.
+    fn index(&mut self, pat: &TGraph) -> BitSet {
+        let mut bits = BitSet::new();
+        for v in pat.iter().flat_map(|t| t.var_occurrences()) {
+            let id = match self.ids.binary_search_by_key(&v, |&(u, _)| u) {
+                Ok(k) => self.ids[k].1,
+                Err(k) => {
+                    self.ids.insert(k, (v, self.vars.len()));
+                    self.vars.push(v);
+                    self.vars.len() - 1
+                }
+            };
+            bits.insert(id);
+        }
+        bits
+    }
 }
 
 /// A well-designed pattern tree.
 #[derive(Clone)]
 pub struct Wdpt {
     nodes: Vec<Node>,
+    index: VarIndex,
 }
 
 /// Structural errors detected by [`Wdpt::validate`].
@@ -64,12 +114,15 @@ impl std::error::Error for TreeError {}
 impl Wdpt {
     /// Creates a tree with only a root labelled `pat`.
     pub fn new(pat: TGraph) -> Wdpt {
+        let mut index = VarIndex::default();
         Wdpt {
             nodes: vec![Node {
+                vars: index.index(&pat),
                 pat,
                 parent: None,
                 children: Vec::new(),
             }],
+            index,
         }
     }
 
@@ -78,6 +131,7 @@ impl Wdpt {
         assert!(parent.0 < self.nodes.len(), "no such parent");
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
+            vars: self.index.index(&pat),
             pat,
             parent: Some(parent),
             children: Vec::new(),
@@ -109,7 +163,32 @@ impl Wdpt {
 
     /// `vars(n)`.
     pub fn vars(&self, n: NodeId) -> BTreeSet<Variable> {
-        self.nodes[n.0].pat.vars()
+        self.variables(self.var_mask(n)).collect()
+    }
+
+    /// `vars(n)` as bits of the tree's variable index.
+    pub fn var_mask(&self, n: NodeId) -> &BitSet {
+        &self.nodes[n.0].vars
+    }
+
+    /// The dense id of `v` in this tree, if `v` occurs in it.
+    pub fn var_id(&self, v: Variable) -> Option<usize> {
+        self.index.id(v)
+    }
+
+    /// The variables whose ids `bits` holds, in id order.
+    pub fn variables<'a>(&'a self, bits: &'a BitSet) -> impl Iterator<Item = Variable> + 'a {
+        bits.iter().map(|id| self.index.vars[id])
+    }
+
+    /// The bits of a set of variables, or `None` if one of them does not
+    /// occur in the tree.
+    pub fn var_bits(&self, vars: impl IntoIterator<Item = Variable>) -> Option<BitSet> {
+        let mut bits = BitSet::with_capacity(self.index.vars.len());
+        for v in vars {
+            bits.insert(self.var_id(v)?);
+        }
+        Some(bits)
     }
 
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
@@ -122,16 +201,22 @@ impl Wdpt {
 
     /// `pat(T)`: the union of all node labels.
     pub fn pat_tree(&self) -> TGraph {
-        let mut out = TGraph::new();
-        for n in &self.nodes {
-            out = out.union(&n.pat);
-        }
-        out
+        self.nodes
+            .iter()
+            .flat_map(|n| n.pat.iter().copied())
+            .collect()
     }
 
     /// `vars(T)`.
     pub fn vars_tree(&self) -> BTreeSet<Variable> {
-        self.pat_tree().vars()
+        self.index.vars.iter().copied().collect()
+    }
+
+    /// Does node `n` add no variable over its parent? Never true of the
+    /// root.
+    fn adds_nothing(&self, n: NodeId) -> bool {
+        self.parent(n)
+            .is_some_and(|p| self.var_mask(n).is_subset(self.var_mask(p)))
     }
 
     /// The nodes on the path from the root to `n`, inclusive.
@@ -158,14 +243,10 @@ impl Wdpt {
     /// Checks condition (3) and NR normal form.
     pub fn validate(&self) -> Result<(), TreeError> {
         self.check_connectedness()?;
-        for n in self.node_ids() {
-            if let Some(p) = self.parent(n) {
-                if self.vars(n).is_subset(&self.vars(p)) {
-                    return Err(TreeError::NotNrNormalForm(n));
-                }
-            }
+        match self.node_ids().find(|&n| self.adds_nothing(n)) {
+            Some(n) => Err(TreeError::NotNrNormalForm(n)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Checks only condition (3) (variable-occurrence connectedness).
@@ -208,63 +289,70 @@ impl Wdpt {
 
     /// Is the tree in NR normal form?
     pub fn is_nr_normal_form(&self) -> bool {
-        self.node_ids().all(|n| match self.parent(n) {
-            None => true,
-            Some(p) => !self.vars(n).is_subset(&self.vars(p)),
-        })
+        !self.node_ids().any(|n| self.adds_nothing(n))
     }
 
     /// Rewrites the tree into NR normal form, preserving `⟦T⟧_G`
-    /// (Letelier et al.): while some non-root node `n` adds no variable
-    /// over its parent, delete `n`, add `pat(n)` into each of `n`'s
-    /// children, and attach those children to `n`'s parent.
+    /// (Letelier et al.): every non-root node `n` that adds no variable
+    /// over its parent is deleted, `pat(n)` is added into each of `n`'s
+    /// children, and those children take `n`'s place in its parent's
+    /// child list.
+    ///
+    /// One pass in arena order, which puts parents first, decides every
+    /// node: a node is deleted iff its label, with the labels of the
+    /// deleted nodes right above it, adds nothing over its nearest kept
+    /// ancestor. Deleting nodes one at a time, always the first in arena
+    /// order that adds nothing, deletes the same nodes, since a deletion
+    /// only changes nodes after it, and leaves the kept nodes in the same
+    /// order.
     pub fn nr_normalize(&mut self) {
-        loop {
-            let Some(bad) = self.node_ids().find(|&n| match self.parent(n) {
-                None => false,
-                Some(p) => self.vars(n).is_subset(&self.vars(p)),
-            }) else {
-                break;
+        if self.is_nr_normal_form() {
+            return;
+        }
+        let old = std::mem::take(&mut self.nodes);
+        // Per old node: its new id if kept; else the new id of its nearest
+        // kept ancestor and the label it passes down.
+        let mut kept: Vec<Option<usize>> = vec![None; old.len()];
+        let mut anchor = vec![0; old.len()];
+        let mut passed: Vec<Option<(TGraph, BitSet)>> = vec![None; old.len()];
+        for (i, node) in old.iter().enumerate() {
+            let (mut pat, mut vars) = (node.pat.clone(), node.vars.clone());
+            let Some(p) = node.parent else {
+                kept[i] = Some(0);
+                self.nodes.push(Node {
+                    pat,
+                    vars,
+                    parent: None,
+                    children: Vec::new(),
+                });
+                continue;
             };
-            self.remove_and_merge(bad);
-        }
-    }
-
-    /// Removes node `bad` (non-root), pushing its label into its children
-    /// and reattaching them to its parent. Rebuilds the node arena to keep
-    /// ids dense.
-    fn remove_and_merge(&mut self, bad: NodeId) {
-        let parent = self.parent(bad).expect("cannot remove the root");
-        let bad_pat = self.nodes[bad.0].pat.clone();
-        let bad_children = self.nodes[bad.0].children.clone();
-        // Merge label into children and reparent them.
-        for &c in &bad_children {
-            self.nodes[c.0].pat = self.nodes[c.0].pat.union(&bad_pat);
-            self.nodes[c.0].parent = Some(parent);
-        }
-        // Replace `bad` in parent's child list by bad's children, keeping
-        // sibling order stable.
-        let pos = self.nodes[parent.0]
-            .children
-            .iter()
-            .position(|&c| c == bad)
-            .expect("parent lists its child");
-        self.nodes[parent.0]
-            .children
-            .splice(pos..=pos, bad_children.iter().copied());
-        // Compact the arena: shift every id above `bad` down by one.
-        self.nodes.remove(bad.0);
-        let fix = |id: &mut NodeId| {
-            if id.0 > bad.0 {
-                id.0 -= 1;
+            if let Some((above, above_vars)) = &passed[p.0] {
+                pat = pat.union(above);
+                vars.union_with(above_vars);
             }
-        };
-        for node in &mut self.nodes {
-            if let Some(ref mut p) = node.parent {
-                fix(p);
+            anchor[i] = kept[p.0].unwrap_or(anchor[p.0]);
+            if vars.is_subset(&self.nodes[anchor[i]].vars) {
+                passed[i] = Some((pat, vars));
+            } else {
+                kept[i] = Some(self.nodes.len());
+                self.nodes.push(Node {
+                    pat,
+                    vars,
+                    parent: Some(NodeId(anchor[i])),
+                    children: Vec::new(),
+                });
             }
-            for c in &mut node.children {
-                fix(c);
+        }
+        // Child lists: a deleted child is replaced by its own children.
+        for (i, node) in old.iter().enumerate() {
+            let Some(id) = kept[i] else { continue };
+            let mut stack: Vec<NodeId> = node.children.iter().rev().copied().collect();
+            while let Some(c) = stack.pop() {
+                match kept[c.0] {
+                    Some(k) => self.nodes[id].children.push(NodeId(k)),
+                    None => stack.extend(old[c.0].children.iter().rev()),
+                }
             }
         }
     }

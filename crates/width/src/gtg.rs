@@ -65,10 +65,6 @@ pub fn forest_subtrees(f: &Wdpf) -> Vec<ForestSubtree> {
     out
 }
 
-fn is_subset(a: &BitSet, b: &BitSet) -> bool {
-    a.iter().all(|bit| b.contains(bit))
-}
-
 /// What GtG reads of a forest, indexed once: the forest's variables in
 /// ascending order (a variable's position is its bit in every variable set
 /// below, so iterating a set visits variables in ascending order) and each
@@ -148,7 +144,7 @@ impl<'f> ForestTable<'f> {
         let mut reached = BitSet::new();
         for n in tree.node_ids() {
             let attached = tree.parent(n).is_none_or(|p| nodes.contains(p.0));
-            if attached && is_subset(&self.node_vars[i][n.0], x) {
+            if attached && self.node_vars[i][n.0].is_subset(x) {
                 nodes.insert(n.0);
                 for b in self.node_vars[i][n.0].iter() {
                     reached.insert(b);
