@@ -16,7 +16,7 @@ pub mod sparql;
 pub mod well_designed;
 
 pub use filter::{eval_filter, filter_solutions, FilterExpr};
-pub use parser::{parse_pattern, ParseError, MAX_NESTING};
+pub use parser::{parse_pattern, ParseError, MAX_DEPTH, MAX_NESTING};
 pub use pattern::GraphPattern;
 pub use semantics::{contains, eval, join, left_outer_join, SolutionSet};
 pub use sparql::{parse_sparql, parse_sparql_filtered, parse_sparql_select};

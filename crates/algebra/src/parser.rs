@@ -13,11 +13,12 @@
 //! single precedence level, matching the paper's fully parenthesised style:
 //! `A OPT B AND C` reads as `(A OPT B) AND C`. `OPTIONAL` is an alias for
 //! `OPT`. `AND`, `OPT`, `OPTIONAL` and `UNION` are reserved words. Groups
-//! nest at most [`MAX_NESTING`] deep.
+//! nest at most [`MAX_NESTING`] deep, and a pattern is at most
+//! [`MAX_DEPTH`] operators deep.
 
 use crate::pattern::GraphPattern;
 use std::fmt;
-use wdsparql_rdf::{tp, Term};
+use wdsparql_rdf::{tp, Term, TriplePattern};
 
 /// A parse error with byte offset into the input.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,6 +45,54 @@ impl std::error::Error for ParseError {}
 /// a main thread with room to spare. A deeper text is refused with a
 /// positioned [`ParseError`] at the group that opens level 2 049.
 pub const MAX_NESTING: usize = 2048;
+
+/// The deepest pattern either query syntax builds, counted in operators:
+/// a triple pattern is 0 deep, and an `AND`, `OPT` or `UNION` is one
+/// deeper than its deeper operand. Groups are not operators, and operators
+/// at one nesting level chain, so a flat chain of `n` operands is `n - 1`
+/// deep inside a single group: [`MAX_NESTING`] alone does not bound it.
+/// The well-designedness check, the translation, printing and dropping
+/// recurse once per operator: in a debug build on the 8 MiB of a main
+/// thread, `AND` and `OPT` chains 4 096 deep, left- or right-deep, were
+/// checked, translated, printed and dropped, and 6 144 deep overflowed,
+/// so 2 048 leaves twice the room. A deeper pattern is refused with a
+/// positioned [`ParseError`] at the operator that would cross the bound
+/// (for the curly syntax's implicit `AND`, at the element it joins).
+pub const MAX_DEPTH: usize = 2048;
+
+/// A binary operator of either syntax.
+pub(crate) type Op = fn(GraphPattern, GraphPattern) -> GraphPattern;
+
+/// A pattern under construction and its depth (see [`MAX_DEPTH`]).
+pub(crate) struct Deep {
+    pub(crate) pattern: GraphPattern,
+    depth: usize,
+}
+
+impl Deep {
+    pub(crate) fn triple(t: TriplePattern) -> Deep {
+        Deep {
+            pattern: GraphPattern::Triple(t),
+            depth: 0,
+        }
+    }
+
+    /// `op(self, right)`, for the operator at byte `at`: refused there
+    /// when it would be deeper than [`MAX_DEPTH`].
+    pub(crate) fn apply(self, op: Op, right: Deep, at: usize) -> Result<Deep, ParseError> {
+        let depth = self.depth.max(right.depth) + 1;
+        if depth > MAX_DEPTH {
+            return Err(ParseError {
+                offset: at,
+                message: format!("pattern deeper than {MAX_DEPTH} operators"),
+            });
+        }
+        Ok(Deep {
+            pattern: op(self.pattern, right.pattern),
+            depth,
+        })
+    }
+}
 
 /// The error for a group, opened at `offset`, that would nest deeper than
 /// [`MAX_NESTING`].
@@ -156,15 +205,12 @@ fn tokenize(input: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
     Ok(out)
 }
 
-/// A binary operator of the paper's syntax.
-type Op = fn(GraphPattern, GraphPattern) -> GraphPattern;
-
 /// One open pattern: what its operands have built so far, and the
-/// operator waiting for the next operand.
+/// operator waiting for the next operand, with its offset.
 #[derive(Default)]
 struct Level {
-    acc: Option<GraphPattern>,
-    op: Option<Op>,
+    acc: Option<Deep>,
+    op: Option<(Op, usize)>,
 }
 
 struct Parser<'a> {
@@ -218,7 +264,7 @@ impl<'a> Parser<'a> {
 
     /// After an operand's `(`: the rest of a triple pattern, or `None`
     /// with nothing consumed when a grouped pattern follows instead.
-    fn parse_triple(&mut self) -> Result<Option<GraphPattern>, ParseError> {
+    fn parse_triple(&mut self) -> Result<Option<Deep>, ParseError> {
         let save = self.pos;
         if let Ok(s) = self.parse_term() {
             if self.peek() == Some(Tok::Comma) {
@@ -227,7 +273,7 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::Comma, "','")?;
                 let o = self.parse_term()?;
                 self.expect(Tok::RParen, "')'")?;
-                return Ok(Some(GraphPattern::Triple(tp(s, p, o))));
+                return Ok(Some(Deep::triple(tp(s, p, o))));
             }
         }
         self.pos = save;
@@ -236,7 +282,7 @@ impl<'a> Parser<'a> {
 
     /// `pattern := operand (op operand)*` with `operand := '(' triple ')'
     /// | '(' pattern ')'`, the open groups kept on a stack.
-    fn parse_pattern(&mut self) -> Result<GraphPattern, ParseError> {
+    fn parse_pattern(&mut self) -> Result<Deep, ParseError> {
         let mut open = vec![Level::default()];
         loop {
             // An operand.
@@ -253,7 +299,7 @@ impl<'a> Parser<'a> {
             loop {
                 let level = open.last_mut().expect("the outermost pattern stays open");
                 level.acc = Some(match (level.acc.take(), level.op.take()) {
-                    (Some(acc), Some(op)) => op(acc, operand),
+                    (Some(acc), Some((op, at))) => acc.apply(op, operand, at)?,
                     _ => operand,
                 });
                 let op: Op = match self.peek() {
@@ -273,8 +319,9 @@ impl<'a> Parser<'a> {
                         continue;
                     }
                 };
+                let at = self.toks[self.pos].0;
                 self.pos += 1;
-                open.last_mut().expect("still open").op = Some(op);
+                open.last_mut().expect("still open").op = Some((op, at));
                 break;
             }
         }
@@ -293,7 +340,7 @@ pub fn parse_pattern(input: &str) -> Result<GraphPattern, ParseError> {
     if p.peek().is_some() {
         return Err(p.err("trailing input after pattern"));
     }
-    Ok(pat)
+    Ok(pat.pattern)
 }
 
 #[cfg(test)]

@@ -19,7 +19,8 @@
 //! the standard SPARQL reading, under which
 //! `{ A . OPTIONAL { B } C }` means `((A OPT B) AND C)`. Groups nest at
 //! most [`MAX_NESTING`] deep, and so do a `FILTER`'s parentheses and
-//! `!`s together.
+//! `!`s together; the pattern built is at most
+//! [`MAX_DEPTH`](crate::parser::MAX_DEPTH) operators deep.
 //!
 //! `FILTER` clauses are accepted **only in the top-level group** (where
 //! their SPARQL semantics is the unambiguous "filter the final solution
@@ -30,7 +31,7 @@
 //! so that no caller can drop one by accident.
 
 use crate::filter::FilterExpr;
-use crate::parser::{scan_term, too_deep, Lexeme, ParseError, MAX_NESTING};
+use crate::parser::{scan_term, too_deep, Deep, Lexeme, ParseError, MAX_NESTING};
 use crate::pattern::GraphPattern;
 use wdsparql_rdf::{tp, Term, Variable};
 
@@ -141,17 +142,20 @@ enum Slot {
     Query,
     /// `{ … }` inside a block: joined to it with AND.
     And,
-    /// `OPTIONAL { … }`: the right side of an OPT over the block so far.
-    Opt(GraphPattern),
+    /// `OPTIONAL { … }`: the right side of an OPT over the block so far,
+    /// for the `OPTIONAL` at the given offset.
+    Opt(Deep, usize),
 }
 
-/// One open group: where it began, how it joins its block, the UNION
-/// branches it has finished, and the block it is reading.
+/// One open group: where it began, how it joins its block, the UNION of
+/// the branches it has finished and the offset of the last `UNION` (none
+/// before the first), and the block it is reading.
 struct Group {
     at: usize,
     slot: Slot,
-    branches: Vec<GraphPattern>,
-    acc: Option<GraphPattern>,
+    union: Option<Deep>,
+    union_at: Option<usize>,
+    acc: Option<Deep>,
 }
 
 /// One open parenthesis of a FILTER expression (or the expression
@@ -210,7 +214,8 @@ impl<'a> Parser<'a> {
         open.push(Group {
             at,
             slot,
-            branches: Vec::new(),
+            union: None,
+            union_at: None,
             acc: None,
         });
         Ok(())
@@ -218,29 +223,31 @@ impl<'a> Parser<'a> {
 
     /// `group := '{' block ('UNION' block)* '}'`, with `block` the
     /// elements of the module grammar; the open groups kept on a stack.
-    fn parse_group(&mut self) -> Result<GraphPattern, ParseError> {
+    fn parse_group(&mut self) -> Result<Deep, ParseError> {
         let mut open = Vec::new();
         self.open_group(&mut open, Slot::Query)?;
         loop {
             let group = open.last_mut().expect("a group is open");
             match self.peek() {
                 Some(Tok::Optional) => {
+                    let at = self.offset();
                     self.pos += 1;
                     let left = group
                         .acc
                         .take()
                         .ok_or_else(|| err(self.offset(), "OPTIONAL needs a preceding pattern"))?;
-                    self.open_group(&mut open, Slot::Opt(left))?;
+                    self.open_group(&mut open, Slot::Opt(left, at))?;
                 }
                 Some(Tok::LBrace) => self.open_group(&mut open, Slot::And)?,
                 Some(Tok::Var(_)) | Some(Tok::Iri(_)) => {
+                    let at = self.offset();
                     let s = self.parse_term()?;
                     let p = self.parse_term()?;
                     let o = self.parse_term()?;
-                    let triple = GraphPattern::Triple(tp(s, p, o));
+                    let triple = Deep::triple(tp(s, p, o));
                     group.acc = Some(match group.acc.take() {
                         None => triple,
-                        Some(left) => GraphPattern::and(left, triple),
+                        Some(left) => left.apply(GraphPattern::and, triple, at)?,
                     });
                 }
                 Some(Tok::Filter) => {
@@ -260,12 +267,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1; // separators are optional and skippable
                 }
                 _ => {
-                    // The end of a block.
+                    // The end of a block: UNION it to the branches before.
                     let block = group.acc.take();
-                    group
-                        .branches
-                        .push(block.ok_or_else(|| err(self.offset(), "empty group"))?);
+                    let block = block.ok_or_else(|| err(self.offset(), "empty group"))?;
+                    group.union = Some(match (group.union.take(), group.union_at) {
+                        (Some(left), Some(at)) => left.apply(GraphPattern::union, block, at)?,
+                        _ => block,
+                    });
                     if self.peek() == Some(Tok::Union) {
+                        group.union_at = Some(self.offset());
                         self.pos += 1;
                         continue;
                     }
@@ -275,21 +285,21 @@ impl<'a> Parser<'a> {
                     // would be silently hoisted over the other branches;
                     // SPARQL scopes it to its branch, so reject the
                     // ambiguous form outright.
-                    if open.is_empty() && group.branches.len() > 1 && !self.filters.is_empty() {
+                    if open.is_empty() && group.union_at.is_some() && !self.filters.is_empty() {
                         return Err(err(
                             group.at,
                             "FILTER cannot be combined with a top-level UNION \
                              (wrap the UNION in an inner group: { { A } UNION { B } } FILTER ...)",
                         ));
                     }
-                    let sub = GraphPattern::union_all(group.branches);
+                    let sub = group.union.expect("a branch was folded");
                     let Some(parent) = open.last_mut() else {
                         return Ok(sub);
                     };
                     parent.acc = Some(match (group.slot, parent.acc.take()) {
-                        (Slot::Opt(left), _) => GraphPattern::opt(left, sub),
+                        (Slot::Opt(left, at), _) => left.apply(GraphPattern::opt, sub, at)?,
                         (_, None) => sub,
-                        (_, Some(left)) => GraphPattern::and(left, sub),
+                        (_, Some(left)) => left.apply(GraphPattern::and, sub, group.at)?,
                     });
                 }
             }
@@ -496,7 +506,7 @@ pub fn parse_sparql_filtered(
         .filters
         .into_iter()
         .fold(FilterExpr::True, FilterExpr::and);
-    Ok((pat, projection, filter))
+    Ok((pat.pattern, projection, filter))
 }
 
 #[cfg(test)]

@@ -25,10 +25,13 @@ const DRAWS: usize = 30_000;
 const PREDICATES: usize = 8;
 /// Closed `p0`-triangles seeded on top of the stream, so the cyclic
 /// query has guaranteed answers — and twice as many as the facade's
-/// result cache holds queries (128), so a probe rotating over their
+/// result cache holds queries ([`CACHE`]), so a probe rotating over their
 /// corners always finds its entry evicted.
 const TRIANGLES: usize = 256;
 const SHARDS: usize = 4;
+/// The facade's result cache, opted into so that the `_hit` row has a
+/// cache to hit.
+const CACHE: usize = 128;
 
 /// `cargo test` runs bench targets with `--test` (each body once); a
 /// token workload keeps that pass fast while still exercising every
@@ -65,7 +68,10 @@ fn workload() -> &'static Arc<ShardedStore> {
             env!("CARGO_MANIFEST_DIR"),
             "/../../BENCH_store.json"
         ));
-        Arc::new(ShardedStore::from_triples(SHARDS, seed_triples()))
+        let store = ShardedStore::with_cache_capacity(SHARDS, CACHE);
+        store.bulk_load(seed_triples());
+        store.compact();
+        Arc::new(store)
     })
 }
 

@@ -234,8 +234,9 @@ fn dispatch(args: &[String]) -> Result<(), Failure> {
 /// The `store` subcommand: bulk-load an N-Triples file into the triple
 /// store — one [`wdsparql_store::TripleStore`] by default, a
 /// hash-by-subject [`wdsparql_store::ShardedStore`] under `--shards N` —
-/// report the ingest lifecycle, and run an optional query through the
-/// store-backed engine and the service's planned BGP path.
+/// report the ingest lifecycle, and run an optional query once: an
+/// AND-only query through the service's planned BGP path (which also
+/// reports its plan), any other through the store-backed engine.
 /// `--max-triples N` caps ingest (per shard when sharded); the capacity
 /// guard surfaces as a clean error instead of a panic. `--join-strategy`
 /// picks how the service joins BGPs: `pairwise`, `wco` (the
@@ -334,7 +335,6 @@ struct Service<'a> {
     /// `epoch N` for the single store, the `(shard, epoch)` read vector
     /// for the sharded facade.
     provenance: &'a dyn Fn(&[(usize, u64)]) -> String,
-    query: &'a dyn Fn(&[TriplePattern]) -> Rows,
     query_with_plan: &'a dyn Fn(&[TriplePattern]) -> PlannedQuery,
     query_with_profile: &'a dyn Fn(&[TriplePattern]) -> PlannedQuery,
     query_budgeted: &'a dyn Fn(&[TriplePattern], &QueryBudget) -> Budgeted<Rows>,
@@ -411,29 +411,32 @@ fn store_command(
         let Some(query) = &query else {
             return Ok(());
         };
-        let engine = (store.engine)().with_join_strategy(strategy);
-        print_solutions(query, &engine.evaluate(query))?;
-        // AND-only queries additionally go through the service's planned,
-        // cached BGP path — plan and solutions from one snapshot; a second
-        // run shows the cache.
-        if let Some(pats) = bgp_patterns(query.pattern()) {
-            let planned = if profile {
-                (store.query_with_profile)(&pats)
-            } else {
-                (store.query_with_plan)(&pats)
-            };
-            let again = (store.query)(&pats);
-            assert_eq!(planned.solutions.len(), again.len());
-            report_bgp_service(
-                &pats,
-                &planned.plan,
-                planned.strategy,
-                planned.solutions.len(),
-                &(store.provenance)(&planned.read),
-                (store.cache_stats)(),
-            );
-            print_profile(planned.profile.as_ref());
-        }
+        // An AND-only query is evaluated once, by the service's planned
+        // BGP path: plan and solutions from one snapshot, printed in
+        // ascending order as the engine's solution set is. OPT and UNION
+        // need the engine.
+        let Some(pats) = bgp_patterns(query.pattern()) else {
+            let engine = (store.engine)().with_join_strategy(strategy);
+            let sols = engine.evaluate(query);
+            return print_solutions(query, sols.len(), &sols);
+        };
+        let planned = if profile {
+            (store.query_with_profile)(&pats)
+        } else {
+            (store.query_with_plan)(&pats)
+        };
+        let mut sols: Vec<&Mapping> = planned.solutions.iter().collect();
+        sols.sort_unstable();
+        print_solutions(query, sols.len(), sols)?;
+        report_bgp_service(
+            &pats,
+            &planned.plan,
+            planned.strategy,
+            planned.solutions.len(),
+            &(store.provenance)(&planned.read),
+            (store.cache_stats)(),
+        );
+        print_profile(planned.profile.as_ref());
         Ok(())
     };
     // On reopen the layout on disk decides single vs sharded: a
@@ -483,7 +486,6 @@ fn store_command(
             },
             engine: &|| Engine::from_sharded_store(Arc::clone(&store)),
             provenance: &|read| format!("epochs {read:?}"),
-            query: &|pats| store.query(pats),
             query_with_plan: &|pats| store.query_with_plan(pats),
             query_with_profile: &|pats| store.query_with_profile(pats),
             query_budgeted: &|pats, budget| store.query_budgeted(pats, budget),
@@ -517,7 +519,6 @@ fn store_command(
             },
             engine: &|| Engine::from_store(Arc::clone(&store)),
             provenance: &|read| format!("epoch {}", read[0].1),
-            query: &|pats| store.query(pats),
             query_with_plan: &|pats| store.query_with_plan(pats),
             query_with_profile: &|pats| store.query_with_profile(pats),
             query_budgeted: &|pats, budget| store.query_budgeted(pats, budget),
@@ -593,22 +594,20 @@ fn report_bgp_service(
     );
 }
 
-fn print_solutions(
+/// Prints `count` solutions, given in ascending order: the first ten.
+fn print_solutions<'a>(
     query: &Query,
-    sols: &std::collections::BTreeSet<Mapping>,
+    count: usize,
+    sols: impl IntoIterator<Item = &'a Mapping>,
 ) -> Result<(), Failure> {
     print_lines(|out| {
         writeln!(out, "\nquery: {query}")?;
-        writeln!(
-            out,
-            "{} solution(s) via the store-backed engine:",
-            sols.len()
-        )?;
-        for mu in sols.iter().take(10) {
+        writeln!(out, "{count} solution(s) via the store-backed engine:")?;
+        for mu in sols.into_iter().take(10) {
             writeln!(out, "  {mu}")?;
         }
-        if sols.len() > 10 {
-            writeln!(out, "  ... ({} more)", sols.len() - 10)?;
+        if count > 10 {
+            writeln!(out, "  ... ({} more)", count - 10)?;
         }
         Ok(())
     })

@@ -315,7 +315,8 @@ fn store_reports_stats_and_serves_queries() {
         "unexpected output: {text}"
     );
 
-    // An AND-only query additionally exercises the cached service path.
+    // An AND-only query is evaluated once, by the service's planned
+    // path: one miss, no hit.
     let out = wdsparql(&[
         "store",
         data.to_str().unwrap(),
@@ -325,7 +326,7 @@ fn store_reports_stats_and_serves_queries() {
     let text = stdout(&out);
     assert!(text.contains("service plan"), "unexpected output: {text}");
     assert!(
-        text.contains("1 hit(s) / 1 miss(es)"),
+        text.contains("0 hit(s) / 1 miss(es)"),
         "unexpected output: {text}"
     );
 

@@ -6,9 +6,10 @@
 //! [`TripleIndex`] to evaluate on, the `(shard, epoch)` pairs that
 //! snapshot read (the single store reads `[(0, epoch)]`), its result
 //! cache and how to re-validate the provenance. [`serve`] then runs the
-//! rest of the sequence — entry checkpoint → key → cache → plan once →
-//! resolve `Auto` → open the stream → collect → account — for every
-//! entry point; a [`Want`] says what the caller wants back. Everything
+//! rest of the sequence — entry checkpoint → key → cache (both skipped
+//! when the cache is off, the default) → plan once → resolve `Auto` →
+//! open the stream → collect → account — for every entry point; a
+//! [`Want`] says what the caller wants back. Everything
 //! here runs on `&dyn TripleIndex`, so the planner and both join
 //! pipelines are the same code on the encoded graph and on the
 //! scatter-gather [`crate::ShardedSnapshot`].
@@ -316,7 +317,8 @@ pub(crate) struct Pinned<'a> {
 /// What the caller of [`serve`] wants back.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Want {
-    /// Every row, through the result cache. Plans only on a miss and
+    /// Every row, through the result cache when it has capacity (past
+    /// it otherwise, counted as a miss). Plans only on a miss and
     /// reports no plan: the caller wants rows.
     Rows,
     /// The first `k` rows, streamed. Uncached in both directions — a
@@ -408,7 +410,8 @@ pub(crate) fn serve(
 
 /// The fallible part of [`serve`]: entry checkpoint, up-front planning
 /// when the plan is part of the answer, then the rows — streamed for a
-/// prefix, through the cache otherwise.
+/// prefix, evaluated outright when the cache is off, through the cache
+/// otherwise.
 fn answer(
     pin: &Pinned<'_>,
     patterns: &[TriplePattern],
@@ -437,6 +440,12 @@ fn answer(
     };
     match want {
         Want::Prefix(k) => compute(Some(k)).map(Arc::new),
+        // Nothing to find and nowhere to keep it: no key, no lock, no
+        // in-flight slot. Still one miss per evaluation.
+        _ if pin.cache.is_off() => {
+            pin.cache.count_miss();
+            compute(None).map(Arc::new)
+        }
         _ => {
             let key = Arc::new((cache_key(patterns, pin.configured), pin.read.to_vec()));
             pin.cache

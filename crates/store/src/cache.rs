@@ -2,13 +2,14 @@
 //! an LRU keyed by an arbitrary key type (query text plus whatever epoch
 //! shape the owner validates against), with per-key in-flight
 //! deduplication so N concurrent misses of the same key compute the
-//! result once.
+//! result once. It is opt-in (`with_cache_capacity`): both services
+//! default to capacity 0, and a request on a zero-capacity cache never
+//! reaches [`ResultCache::get_or_try_compute`] — it only counts a miss.
 //!
 //! Recency is tracked by a logical clock plus a tick-ordered index
 //! ([`std::collections::BTreeMap`]), so eviction pops the stalest entry
-//! in `O(log n)` instead of scanning the whole map — the scan was fine
-//! at a 128-entry default but not for the service-sized caches the
-//! sharded facade fronts.
+//! in `O(log n)` instead of scanning the whole map, which matters for
+//! service-sized caches.
 //!
 //! [`TripleStore`]: crate::TripleStore
 //! [`ShardedStore`]: crate::ShardedStore
@@ -131,6 +132,8 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
 /// [`TripleStore`]: crate::TripleStore
 /// [`ShardedStore`]: crate::ShardedStore
 pub(crate) struct ResultCache<K> {
+    /// Zero means off: [`ResultCache::is_off`].
+    capacity: usize,
     cache: Mutex<LruCache<K>>,
     /// In-flight computations keyed like the cache: concurrent misses of
     /// the same key join the first thread's slot instead of re-running
@@ -145,6 +148,7 @@ pub(crate) struct ResultCache<K> {
 impl<K: Eq + Hash + Clone> ResultCache<K> {
     pub(crate) fn new(capacity: usize) -> ResultCache<K> {
         ResultCache {
+            capacity,
             cache: Mutex::new(LruCache::new(capacity)),
             pending: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
@@ -152,6 +156,13 @@ impl<K: Eq + Hash + Clone> ResultCache<K> {
             evictions: AtomicU64::new(0),
             stampede_waits: AtomicU64::new(0),
         }
+    }
+
+    /// A zero-capacity cache keeps nothing, so its owner does not consult
+    /// it: no key, no lock, no in-flight slot. It only counts each
+    /// evaluation as a miss ([`ResultCache::count_miss`]).
+    pub(crate) fn is_off(&self) -> bool {
+        self.capacity == 0
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -245,10 +256,7 @@ impl<K: Eq + Hash + Clone> ResultCache<K> {
         };
         // Exactly one leader per slot, so the miss counter counts
         // computations, not callers.
-        // relaxed-ok: statistics counter; publication order is carried
-        // by the slot's OnceLock, not this add.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        crate::obs::on_cache_miss();
+        self.count_miss();
         let rows = Arc::new(compute()?);
         // Publish before waking the waiters and unregistering (`lead`'s
         // drop), so a racer either sees the cache entry or the pending
@@ -263,6 +271,15 @@ impl<K: Eq + Hash + Clone> ResultCache<K> {
         }
         let _ = lead.slot.set(Some(Arc::clone(&rows)));
         Ok(rows)
+    }
+
+    /// One evaluation: a leader's, or any request on a cache that is
+    /// off. Counted before the evaluation runs.
+    pub(crate) fn count_miss(&self) {
+        // relaxed-ok: statistics counter; publication order is carried
+        // by the slot's OnceLock (or there is no slot), not this add.
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        crate::obs::on_cache_miss();
     }
 
     /// A result served without a computation: from the LRU, or by

@@ -5,7 +5,9 @@
 //! lock: queries clone the `Arc` under a brief read lock and evaluate
 //! lock-free against that snapshot, while bulk loads mutate via
 //! copy-on-write under the write lock — so a slow query never blocks a
-//! load, and a load never blocks queries. An LRU result cache is keyed
+//! load, and a load never blocks queries. The LRU result cache is
+//! opt-in ([`TripleStore::with_cache_capacity`]); by default a request
+//! evaluates its query and touches no cache state. When on, it is keyed
 //! by the query plus the `(shard, epoch)` pairs it read — `[(0, epoch)]`
 //! here; a bulk load bumps the epoch, so stale entries can never be
 //! served — with per-key in-flight deduplication so concurrent misses of
@@ -278,11 +280,20 @@ impl Default for TripleStore {
 }
 
 impl TripleStore {
-    /// An empty store with the default cache capacity (128 queries).
+    /// An empty store without a result cache: every query evaluates,
+    /// builds no cache key and keeps no result (its evaluations still
+    /// count as [`CacheStats::misses`]). Opt in with
+    /// [`TripleStore::with_cache_capacity`].
     pub fn new() -> TripleStore {
-        TripleStore::with_cache_capacity(128)
+        TripleStore::with_cache_capacity(0)
     }
 
+    /// An empty store whose result cache keeps up to `capacity` complete
+    /// results, keyed by query, configured strategy and epoch, with
+    /// concurrent misses of one query computed once. It pays off only
+    /// when queries repeat between writes: a miss builds a key, takes
+    /// the LRU and in-flight locks, and the cache holds every kept
+    /// result alive. `0` is [`TripleStore::new`]'s cache-less store.
     pub fn with_cache_capacity(capacity: usize) -> TripleStore {
         TripleStore {
             inner: RwLock::new(Inner {
@@ -335,7 +346,8 @@ impl TripleStore {
     /// (a torn tail is truncated, corrupt referenced segments are
     /// quarantined), and the graph is rebuilt at the last consistent
     /// epoch. Every subsequent [`TripleStore::bulk_load`] is committed
-    /// to disk before it is acknowledged.
+    /// to disk before it is acknowledged. Like [`TripleStore::new`], the
+    /// reopened store has no result cache.
     pub fn open(dir: impl AsRef<Path>) -> Result<TripleStore, StoreError> {
         TripleStore::open_with_opts(dir, PersistOpts::default())
     }
@@ -346,7 +358,7 @@ impl TripleStore {
         opts: PersistOpts,
     ) -> Result<TripleStore, StoreError> {
         let sd = StoreDir::real(dir.as_ref(), opts)?;
-        TripleStore::open_dir(sd, 128)
+        TripleStore::open_dir(sd)
     }
 
     /// [`TripleStore::open`] over an arbitrary [`Vfs`] — the hook the
@@ -356,15 +368,12 @@ impl TripleStore {
         fs: Arc<dyn Vfs + Send + Sync>,
         opts: PersistOpts,
     ) -> Result<TripleStore, StoreError> {
-        TripleStore::open_dir(StoreDir::new(fs, opts), 128)
+        TripleStore::open_dir(StoreDir::new(fs, opts))
     }
 
-    pub(crate) fn open_dir(
-        mut dir: StoreDir,
-        cache_capacity: usize,
-    ) -> Result<TripleStore, StoreError> {
+    pub(crate) fn open_dir(mut dir: StoreDir) -> Result<TripleStore, StoreError> {
         let start = Instant::now();
-        let store = TripleStore::with_cache_capacity(cache_capacity);
+        let store = TripleStore::new();
         let mut graph = EncodedGraph::new();
         let mut epoch = 0;
         if dir.is_formatted()? {
@@ -791,16 +800,16 @@ mod tests {
     use wdsparql_rdf::{tp, Variable};
 
     fn store() -> TripleStore {
-        TripleStore::from_triples(
-            [
-                ("a", "p", "b"),
-                ("b", "p", "c"),
-                ("c", "p", "d"),
-                ("b", "q", "x"),
-                ("c", "q", "x"),
-            ]
-            .map(|(s, p, o)| Triple::from_strs(s, p, o)),
-        )
+        TripleStore::from_triples(store_triples())
+    }
+
+    /// A compacted store over `triples` with a result cache, for the
+    /// tests that watch the cache.
+    fn cached(triples: impl IntoIterator<Item = Triple>) -> TripleStore {
+        let s = TripleStore::with_cache_capacity(128);
+        s.bulk_load(triples);
+        s.compact();
+        s
     }
 
     #[test]
@@ -829,7 +838,7 @@ mod tests {
 
     #[test]
     fn compact_folds_segments_and_keeps_the_cache() {
-        let s = store();
+        let s = cached(store_triples());
         s.bulk_load([Triple::from_strs("d", "p", "e")]);
         let pats = [tp(var("x"), iri("p"), var("y"))];
         let before = s.query(&pats);
@@ -1078,7 +1087,7 @@ mod tests {
 
     #[test]
     fn noop_bulk_load_revalidates_under_the_write_lock() {
-        let s = store();
+        let s = cached(store_triples());
         let epoch = s.epoch();
         // All-present batches are detected on the snapshot and return
         // before the write lock — no epoch bump, no cache clear.
@@ -1141,7 +1150,7 @@ mod tests {
 
     #[test]
     fn join_strategy_knob_routes_and_agrees() {
-        let s = TripleStore::from_triples(
+        let s = cached(
             [
                 ("a", "p", "b"),
                 ("b", "p", "c"),
@@ -1195,7 +1204,7 @@ mod tests {
 
     #[test]
     fn query_with_profile_builds_a_span_tree() {
-        let s = TripleStore::from_triples(
+        let s = cached(
             [
                 ("a", "p", "b"),
                 ("b", "p", "c"),
@@ -1264,7 +1273,7 @@ mod tests {
 
     #[test]
     fn query_joins_and_caches() {
-        let s = store();
+        let s = cached(store_triples());
         let pats = [
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("q"), var("z")),
@@ -1311,7 +1320,7 @@ mod tests {
 
     #[test]
     fn query_budgeted_shares_the_cache_and_types_its_failures() {
-        let s = store();
+        let s = cached(store_triples());
         let pats = [
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("q"), var("z")),
@@ -1325,7 +1334,7 @@ mod tests {
         assert_eq!(s.cache_stats().misses, 1, "query() hit the budgeted entry");
         // A dead budget fails typed, and the failure is not cached: the
         // key stays recomputable.
-        let s2 = store();
+        let s2 = cached(store_triples());
         let err = s2.query_budgeted(&pats, &QueryBudget::with_deadline(Duration::ZERO));
         assert_eq!(err, Err(ExecError::DeadlineExceeded));
         assert_eq!(s2.cache_stats().entries, 0, "errors never land in the LRU");

@@ -29,12 +29,13 @@
 //!
 //! ## Caching
 //!
-//! The facade's result cache is keyed by the query plus the **epoch
-//! vector of the shards the query read**: a routed query is keyed by one
-//! `(shard, epoch)` pair and survives bulk loads that only touch other
-//! shards; a fan-out query is keyed by every shard's epoch and
-//! invalidates on any write. A load purges exactly the entries whose
-//! epochs it bumped.
+//! The facade's result cache is opt-in
+//! ([`ShardedStore::with_cache_capacity`]; off by default). It is keyed
+//! by the query plus the **epoch vector of the shards the query read**:
+//! a routed query is keyed by one `(shard, epoch)` pair and survives
+//! bulk loads that only touch other shards; a fan-out query is keyed by
+//! every shard's epoch and invalidates on any write. A load purges
+//! exactly the entries whose epochs it bumped.
 //!
 //! ## Consistency
 //!
@@ -350,15 +351,19 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// An empty store with `shards` partitions and the default facade
-    /// cache capacity (128 queries).
+    /// An empty store with `shards` partitions and no result cache:
+    /// every query evaluates, builds no cache key and keeps no result
+    /// (its evaluations still count as [`CacheStats::misses`]). Opt in
+    /// with [`ShardedStore::with_cache_capacity`].
     pub fn new(shards: usize) -> ShardedStore {
-        ShardedStore::with_cache_capacity(shards, 128)
+        ShardedStore::with_cache_capacity(shards, 0)
     }
 
-    /// As [`ShardedStore::new`] with an explicit facade cache capacity.
-    /// The per-shard [`TripleStore`] caches are disabled — results are
-    /// cached once, at the facade, under the epoch-vector key.
+    /// As [`ShardedStore::new`] with a facade result cache of up to
+    /// `capacity` complete results (see
+    /// [`TripleStore::with_cache_capacity`] for what it costs). The
+    /// per-shard [`TripleStore`]s never cache — results are cached once,
+    /// at the facade, under the epoch-vector key.
     pub fn with_cache_capacity(shards: usize, capacity: usize) -> ShardedStore {
         assert!(shards >= 1, "a sharded store needs at least one shard");
         ShardedStore {
@@ -401,7 +406,8 @@ impl ShardedStore {
     /// subdirectory per shard, each an independent [`TripleStore`]
     /// store directory with its own manifest, log, and recovery. The
     /// shard count is discovered from the contiguous `shard-0 ..
-    /// shard-(n-1)` subdirectories present on disk.
+    /// shard-(n-1)` subdirectories present on disk. Like
+    /// [`ShardedStore::new`], the reopened store has no result cache.
     pub fn open(dir: impl AsRef<Path>) -> Result<ShardedStore, StoreError> {
         ShardedStore::open_with_opts(dir, PersistOpts::default())
     }
@@ -422,7 +428,7 @@ impl ShardedStore {
                 break;
             }
             let sd = StoreDir::real(shard_dir, opts.clone())?;
-            shards.push(TripleStore::open_dir(sd, 0)?);
+            shards.push(TripleStore::open_dir(sd)?);
         }
         if shards.is_empty() {
             return Err(StoreError::Persist(PersistError::Corrupt(format!(
@@ -432,7 +438,7 @@ impl ShardedStore {
         }
         Ok(ShardedStore {
             shards,
-            cache: ResultCache::new(128),
+            cache: ResultCache::new(0),
             strategy: RwLock::new(JoinStrategy::default()),
         })
     }
@@ -836,6 +842,15 @@ mod tests {
 
     /// Two subject names guaranteed to live in different shards of a
     /// `shards`-way store (probed; plenty of names to choose from).
+    /// A compacted `shards`-way store over `triples` with a facade result
+    /// cache, for the tests that watch the cache.
+    fn cached(shards: usize, triples: Vec<Triple>) -> ShardedStore {
+        let s = ShardedStore::with_cache_capacity(shards, 128);
+        s.bulk_load(triples);
+        s.compact();
+        s
+    }
+
     fn split_subjects(store: &ShardedStore) -> (Iri, Iri) {
         let a = Iri::new("probe0");
         for i in 1..1000 {
@@ -926,7 +941,7 @@ mod tests {
     #[test]
     fn facade_query_agrees_with_single_store() {
         let single = TripleStore::from_triples(fixture());
-        let sharded = ShardedStore::from_triples(3, fixture());
+        let sharded = cached(3, fixture());
         let pats = [
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("q"), var("z")),
@@ -956,7 +971,7 @@ mod tests {
 
     #[test]
     fn routed_cache_survives_unrelated_writes() {
-        let store = ShardedStore::new(2);
+        let store = ShardedStore::with_cache_capacity(2, 128);
         let (a, b) = split_subjects(&store);
         store.bulk_load([
             Triple::new(a, Iri::new("p"), Iri::new("o1")),
@@ -1081,7 +1096,7 @@ mod tests {
 
     #[test]
     fn empty_query_yields_the_empty_mapping_and_never_invalidates() {
-        let store = ShardedStore::from_triples(2, fixture());
+        let store = cached(2, fixture());
         assert_eq!(store.query(&[]).as_slice(), &[Mapping::new()]);
         store.bulk_load([Triple::from_strs("zz", "p", "zz")]);
         // The empty BGP reads no shard, so its entry survives any write.
@@ -1113,7 +1128,7 @@ mod tests {
     fn sharded_query_with_profile_builds_a_span_tree() {
         let mut triples = fixture();
         triples.push(Triple::from_strs("a", "p", "c")); // close a triangle
-        let sharded = ShardedStore::from_triples(3, triples);
+        let sharded = cached(3, triples);
         let triangle = [
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("p"), var("z")),

@@ -5,7 +5,9 @@
 //! delegate every entry point to one shared request path, so every cell
 //! must agree — with an independent oracle (pairwise joins over the
 //! plain `RdfGraph`), with the other cells, and with itself across
-//! entry points.
+//! entry points. The table runs twice: on stores with a result cache,
+//! and on default-constructed ones (no cache), which must return the
+//! same rows while evaluating every request and keeping nothing.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -132,6 +134,29 @@ fn queries() -> Vec<(&'static str, Vec<TriplePattern>)> {
     ]
 }
 
+/// The fixture in a single store with a result cache.
+fn cached_single() -> TripleStore {
+    let store = TripleStore::with_cache_capacity(128);
+    store.bulk_load(fixture());
+    store.compact();
+    store
+}
+
+/// The fixture in a `shards`-way store with a facade result cache.
+fn cached_sharded(shards: usize) -> ShardedStore {
+    let store = ShardedStore::with_cache_capacity(shards, 128);
+    store.bulk_load(fixture());
+    store.compact();
+    store
+}
+
+/// Whether the facade under test was built with a result cache.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Cache {
+    On,
+    Off,
+}
+
 fn sorted(rows: &[Mapping]) -> Vec<Mapping> {
     let mut v = rows.to_vec();
     v.sort();
@@ -140,6 +165,8 @@ fn sorted(rows: &[Mapping]) -> Vec<Mapping> {
 
 /// Every entry point of one facade under one strategy, on one query.
 /// Returns what `query_with_plan` reported, for cross-facade checks.
+/// With the cache off, every complete evaluation must count exactly one
+/// miss, and nothing may ever hit or be kept.
 fn check_cell(
     store: &dyn Facade,
     cell: &str,
@@ -147,16 +174,34 @@ fn check_cell(
     want: &[Mapping],
     plan: &[usize],
     configured: JoinStrategy,
+    cache: Cache,
 ) -> PlannedQuery {
+    let start = store.cache_stats();
+    let mut evaluations = 0;
+    let mut kept_nothing = |evaluated: u64| {
+        evaluations += evaluated;
+        if cache == Cache::Off {
+            let cs = store.cache_stats();
+            assert_eq!(
+                cs.misses - start.misses,
+                evaluations,
+                "{cell}: one miss each"
+            );
+            assert_eq!((cs.hits, cs.entries), (0, 0), "{cell}: nothing kept");
+        }
+    };
     let full = store.query(pats);
+    kept_nothing(1);
     assert_eq!(sorted(&full), want, "{cell}: query");
     if let [pat] = pats {
         assert_eq!(*store.solutions(pat), *full, "{cell}: solutions");
+        kept_nothing(1);
     }
 
     // Planned and profiled: the same rows (the cached entry), the plan
     // `plan()` computes, the strategy actually resolved.
     let planned = store.query_with_plan(pats);
+    kept_nothing(1);
     assert_eq!(planned.solutions, full, "{cell}: query_with_plan rows");
     assert_eq!(planned.plan, plan, "{cell}: plan");
     assert!(planned.profile.is_none(), "{cell}: no profile unless asked");
@@ -173,6 +218,7 @@ fn check_cell(
         forced => assert_eq!(planned.strategy, forced, "{cell}: forced strategy"),
     }
     let profiled = store.query_with_profile(pats);
+    kept_nothing(1);
     assert_eq!(profiled.solutions, full, "{cell}: query_with_profile rows");
     assert_eq!(
         (&profiled.plan, profiled.strategy, &profiled.read),
@@ -180,11 +226,14 @@ fn check_cell(
         "{cell}: profiled ≡ planned"
     );
     let root = &profiled.profile.as_ref().expect("profile requested").root;
-    assert_eq!(
-        root.get("cache"),
-        Some("hit"),
-        "{cell}: third run is cached"
-    );
+    match cache {
+        Cache::On => assert_eq!(
+            root.get("cache"),
+            Some("hit"),
+            "{cell}: third run is cached"
+        ),
+        Cache::Off => assert_eq!(root.get("cache"), Some("miss"), "{cell}: evaluated"),
+    }
     assert_eq!(
         root.get("rows").map(str::to_owned),
         Some(full.len().to_string()),
@@ -195,11 +244,14 @@ fn check_cell(
     let hits = store.cache_stats().hits;
     let budgeted = store.query_budgeted(pats, &QueryBudget::unlimited());
     assert_eq!(budgeted.as_ref(), Ok(&full), "{cell}: query_budgeted");
-    assert_eq!(
-        store.cache_stats().hits,
-        hits + 1,
-        "{cell}: budgeted shares the cache"
-    );
+    match cache {
+        Cache::On => assert_eq!(
+            store.cache_stats().hits,
+            hits + 1,
+            "{cell}: budgeted shares the cache"
+        ),
+        Cache::Off => kept_nothing(1),
+    }
 
     // Limited: the exact k-prefix of this facade's full run, for every
     // k, through neither side of the cache.
@@ -240,15 +292,18 @@ fn check_cell(
         Err(ExecError::Cancelled),
         "{cell}"
     );
+    // Prefixes and requests refused at the entry checkpoint evaluate
+    // nothing to completion: no miss.
+    kept_nothing(0);
     planned
 }
 
 #[test]
 fn every_entry_point_agrees_across_facades_and_strategies() {
     let graph = RdfGraph::from_triples(fixture());
-    let single = TripleStore::from_triples(fixture());
-    let one = ShardedStore::from_triples(1, fixture());
-    let three = ShardedStore::from_triples(3, fixture());
+    let single = cached_single();
+    let one = cached_sharded(1);
+    let three = cached_sharded(3);
     for strategy in [
         JoinStrategy::Pairwise,
         JoinStrategy::Wco,
@@ -266,7 +321,7 @@ fn every_entry_point_agrees_across_facades_and_strategies() {
             for (facade, store) in facades {
                 store.set_join_strategy(strategy);
                 let cell = format!("{facade}/{strategy}/{name}");
-                let planned = check_cell(store, &cell, &pats, &want, &plan, strategy);
+                let planned = check_cell(store, &cell, &pats, &want, &plan, strategy, Cache::On);
                 // Read provenance: every shard at its current epoch,
                 // except that a fully subject-routed BGP pins one.
                 let epochs = store.epochs();
@@ -293,6 +348,62 @@ fn every_entry_point_agrees_across_facades_and_strategies() {
             assert_eq!(s.read, [(0, single.epoch())]);
         }
     }
+}
+
+/// The table's queries × strategies on default-constructed stores (no
+/// result cache) and on a reopened durable one: the rows of the cached
+/// stores, in their order, from the same plan and strategy, with every
+/// request evaluated — one miss each, `cache=miss` on every profile —
+/// and nothing ever hit or kept.
+#[test]
+fn default_stores_evaluate_every_request_and_keep_nothing() {
+    let dir = std::env::temp_dir().join(format!("wdsparql-facades-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    TripleStore::open(&dir)
+        .expect("format")
+        .bulk_load(fixture());
+    let reopened = TripleStore::open(&dir).expect("reopen");
+    // The replayed batch folded into the base: rows in the order of the
+    // cached single store's layout.
+    reopened.compact();
+    let graph = RdfGraph::from_triples(fixture());
+    let (single, one, three) = (
+        TripleStore::from_triples(fixture()),
+        ShardedStore::from_triples(1, fixture()),
+        ShardedStore::from_triples(3, fixture()),
+    );
+    let (cached, cached_one, cached_three) =
+        (cached_single(), cached_sharded(1), cached_sharded(3));
+    let pairs: [(&str, &dyn Facade, &dyn Facade); 4] = [
+        ("single", &single, &cached),
+        ("1-shard", &one, &cached_one),
+        ("3-shard", &three, &cached_three),
+        ("reopened", &reopened, &cached),
+    ];
+    for strategy in [
+        JoinStrategy::Pairwise,
+        JoinStrategy::Wco,
+        JoinStrategy::Auto,
+    ] {
+        for (name, pats) in queries() {
+            let want = sorted(&eval_bgp_pairwise(&graph, &pats));
+            let plan = cached.plan(&pats);
+            for (facade, store, with_cache) in pairs {
+                store.set_join_strategy(strategy);
+                with_cache.set_join_strategy(strategy);
+                let cell = format!("default {facade}/{strategy}/{name}");
+                let off = check_cell(store, &cell, &pats, &want, &plan, strategy, Cache::Off);
+                let on = with_cache.query_with_plan(&pats);
+                assert_eq!(
+                    (&off.solutions, &off.plan, off.strategy),
+                    (&on.solutions, &on.plan, on.strategy),
+                    "{cell}: the cached store's rows"
+                );
+            }
+        }
+    }
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A budgeted caller whose budget dies mid-computation, while it leads

@@ -1,7 +1,7 @@
 //! The triple-store service end to end: stream a synthetic bulk load
 //! into a shared `TripleStore`, inspect its stats, and serve the same
 //! well-designed query from four threads concurrently — with the
-//! epoch-keyed LRU cache absorbing the repeats. A final act replays a
+//! epoch-keyed LRU cache (opt-in) absorbing the repeats. A final act replays a
 //! *skewed* ingest into a hash-sharded `ShardedStore`: scattered loads
 //! under per-shard write locks, balanced shards despite the hot
 //! subjects, and routed queries whose cached results survive writes to
@@ -18,8 +18,10 @@ fn main() {
     // 1. Bulk-load a generated workload in batches, as an ingest
     //    pipeline would: each batch appends one sorted delta segment
     //    (no base rewrite); the adaptive compaction policy folds the
-    //    segments back into the base as they accumulate.
-    let store = Arc::new(TripleStore::new());
+    //    segments back into the base as they accumulate. The result
+    //    cache is opt-in: this service repeats its queries, so it asks
+    //    for one.
+    let store = Arc::new(TripleStore::with_cache_capacity(128));
     let mut stream = triple_stream(2_000, 50_000, 6, 7);
     let mut batch_no = 0;
     loop {
@@ -101,7 +103,7 @@ fn main() {
     //    head of subjects draws most writes), yet hashing the subject
     //    *names* keeps the shards balanced; every bulk load scatters
     //    its batch under independent per-shard write locks.
-    let sharded = Arc::new(ShardedStore::new(4));
+    let sharded = Arc::new(ShardedStore::with_cache_capacity(4, 128));
     let mut stream = skewed_triple_stream(2_000, 40_000, 6, 13);
     loop {
         let batch: Vec<_> = stream.by_ref().take(10_000).collect();

@@ -1,10 +1,12 @@
-//! Nesting depth: a query nested deeper than `MAX_NESTING` levels is a
-//! positioned parse error, from every text entry point, however deep it
-//! goes; one at the limit runs the whole pipeline on a main thread's
-//! stack. 30 000 levels of `(` or `{` once overflowed the stack of
-//! `wdsparql eval` and aborted the process.
+//! Nesting depth: a query nested deeper than `MAX_NESTING` levels, or
+//! whose pattern is deeper than `MAX_DEPTH` operators, is a positioned
+//! parse error, from every text entry point, however deep it goes; one at
+//! either limit runs the whole pipeline on a main thread's stack. 30 000
+//! levels of `(` or `{` once overflowed the stack of `wdsparql eval` and
+//! aborted the process, and so did a flat chain of 30 000 `AND` or `OPT`
+//! operands, which opens no group at all.
 
-use wdsparql::algebra::MAX_NESTING;
+use wdsparql::algebra::{MAX_DEPTH, MAX_NESTING};
 use wdsparql::core::QueryError;
 use wdsparql::project::ProjectError;
 use wdsparql::rdf::RdfGraph;
@@ -15,6 +17,38 @@ const DEEP: usize = 100_000;
 /// The message the parsers refuse a too-deep text with.
 fn too_deep_at(offset: usize) -> String {
     format!("parse error at byte {offset}: nesting deeper than {MAX_NESTING} levels")
+}
+
+/// The message the parsers refuse a too-deep pattern with.
+fn too_many_operators_at(offset: usize) -> String {
+    format!("parse error at byte {offset}: pattern deeper than {MAX_DEPTH} operators")
+}
+
+/// `n` operators in one group, chained left to right: `n` deep. `AND`
+/// walks a path `(?v0, p, ?v1) AND (?v1, p, ?v2) AND …`; `OPT` and
+/// `UNION` hang off one subject, `(?x, p, ?y0) OPT (?x, q, ?y1) OPT …`
+/// (well-designed) and `(?x, p, ?y) UNION (?x, q, ?y) UNION …`.
+fn flat_chain(op: &str, n: usize) -> String {
+    let operand = |i: usize| match op {
+        "AND" => format!("(?v{i}, p, ?v{})", i + 1),
+        "OPT" if i == 0 => "(?x, p, ?y0)".to_string(),
+        "OPT" => format!("(?x, q, ?y{i})"),
+        _ if i == 0 => "(?x, p, ?y)".to_string(),
+        _ => "(?x, q, ?y)".to_string(),
+    };
+    let mut text = operand(0);
+    for i in 1..=n {
+        text.push_str(&format!(" {op} {}", operand(i)));
+    }
+    text
+}
+
+/// The byte offset of the `n`-th (from 0) whole-word `word` in `text`.
+fn nth_word(text: &str, word: &str, n: usize) -> usize {
+    text.match_indices(&format!(" {word} "))
+        .nth(n)
+        .map(|(at, _)| at + 1)
+        .expect("long enough")
 }
 
 /// `(?v0, p, ?v1) OPT ((?v1, p, ?v2) OPT (… (?vn, p, ?vn+1)))`: `n` nested
@@ -122,6 +156,97 @@ fn a_chain_at_the_limit_runs_on_a_main_thread_stack() {
                 }
                 assert!(printed.contains("?v2048"));
                 assert!(printed.contains("a3"));
+                drop(q);
+            }
+        })
+        .expect("spawn")
+        .join()
+        .expect("the pipeline fits the stack");
+}
+
+/// A flat chain crosses the depth bound at its operator number
+/// `MAX_DEPTH + 1`, in both syntaxes and for every operator: a chain of
+/// 100 000 operands, refused on a test thread's default stack.
+#[test]
+fn a_hundred_thousand_operand_chains_are_refused_at_the_crossing_operator() {
+    for op in ["AND", "OPT", "UNION"] {
+        let text = flat_chain(op, DEEP);
+        let want = too_many_operators_at(nth_word(&text, op, MAX_DEPTH));
+        assert_eq!(
+            Query::parse(&text).err(),
+            Some(QueryError::Parse(want)),
+            "{op}"
+        );
+    }
+    // The curly syntax: triples joined by juxtaposition (refused at the
+    // triple the implicit AND would join), OPTIONAL and UNION groups.
+    let mut triples = String::from("{");
+    let mut optionals = String::from("{ ?x p ?y0");
+    let mut unions = String::from("{ { ?x p ?y }");
+    for i in 0..DEEP {
+        triples.push_str(&format!(" ?v{i} p ?v{} .", i + 1));
+        optionals.push_str(&format!(" OPTIONAL {{ ?x q ?y{} }}", i + 1));
+        unions.push_str(" UNION { ?x q ?y }");
+    }
+    for text in [&mut triples, &mut optionals, &mut unions] {
+        text.push_str(" }");
+    }
+    let crossing = [
+        (
+            &triples,
+            triples.find(&format!(" ?v{} p", MAX_DEPTH + 1)).unwrap() + 1,
+        ),
+        (&optionals, nth_word(&optionals, "OPTIONAL", MAX_DEPTH)),
+        (&unions, nth_word(&unions, "UNION", MAX_DEPTH)),
+    ];
+    for (text, at) in crossing {
+        match Query::parse(text) {
+            Err(QueryError::Parse(m)) => assert_eq!(m, too_many_operators_at(at)),
+            other => panic!("{:?}", other.map(|q| q.forest().len())),
+        }
+    }
+}
+
+/// Flat chains exactly `MAX_DEPTH` deep are accepted, one operator more is
+/// not, and at the bound the pipeline fits the 8 MiB stack of a main
+/// thread: parsed, translated, evaluated, printed and dropped. (The `AND`
+/// chain is one BGP of 2 049 patterns, which the engine plans in cubic
+/// time, minutes in a debug build, so it is not evaluated here.)
+#[test]
+fn flat_chains_at_the_depth_bound_run_on_a_main_thread_stack() {
+    for op in ["AND", "OPT", "UNION"] {
+        let over = flat_chain(op, MAX_DEPTH + 1);
+        let at = nth_word(&over, op, MAX_DEPTH);
+        assert_eq!(
+            Query::parse(&over).err(),
+            Some(QueryError::Parse(too_many_operators_at(at))),
+            "{op}"
+        );
+    }
+    std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(|| {
+            let g = RdfGraph::from_strs([("a0", "p", "a1"), ("a0", "q", "b"), ("b", "q", "a1")]);
+            let engine = Engine::new(g);
+            // Per operator: trees, nodes of the first, solutions.
+            let n = MAX_DEPTH + 1;
+            for (op, trees, nodes, evaluated) in [
+                ("AND", 1, 1, None),
+                ("OPT", 1, n, Some(1)),
+                ("UNION", n, 1, Some(3)),
+            ] {
+                let q = Query::parse(&flat_chain(op, MAX_DEPTH)).expect("at the bound");
+                let forest = &q.forest().trees;
+                assert_eq!((forest.len(), forest[0].len()), (trees, nodes), "{op}");
+                let mut printed = format!("{q}\n");
+                if let Some(want) = evaluated {
+                    let solutions = engine.evaluate(&q);
+                    assert_eq!(solutions.len(), want, "{op}");
+                    for mu in &solutions {
+                        printed.push_str(&format!("{mu}\n"));
+                    }
+                }
+                assert!(printed.len() > 12 * n, "{op}: every operand printed");
                 drop(q);
             }
         })

@@ -76,7 +76,7 @@ fn store_and_memory_backends_agree_on_workload_graphs() {
 #[test]
 fn bulk_loaded_stream_serves_queries_like_a_set_build() {
     let triples: Vec<Triple> = triple_stream(60, 2_000, 4, 3).collect();
-    let store = Arc::new(TripleStore::new());
+    let store = Arc::new(TripleStore::with_cache_capacity(128));
     // Load in uneven batches, exercising the sorted-merge insert path.
     for chunk in triples.chunks(333) {
         store.bulk_load(chunk.iter().copied());
