@@ -2,8 +2,8 @@
 //! [`RdfGraph`]'s hash-indexed pattern matching vs [`EncodedGraph`]'s
 //! dictionary-encoded sorted-permutation ranges, on a ≥100k-triple
 //! workload graph, plus join throughput (hash bind join vs sorted-merge
-//! intersection, and the open-path BGP from query to printed rows). The
-//! workload mixes a uniform stream with type-like
+//! intersection, and the open- and anchored-path BGPs from query to
+//! printed rows). The workload mixes a uniform stream with type-like
 //! hub objects (every node carries a `type` triple into one of a few
 //! classes), so the pair-bound `(? p o)` sweep exercises both tiny
 //! object blocks and the hub fan-in where index choice actually
@@ -271,6 +271,40 @@ fn bench_join_throughput(c: &mut Criterion) {
             out.clear();
             for mu in eval_bgp_with_strategy(enc, black_box(&path), JoinStrategy::Pairwise) {
                 let _ = writeln!(out, "{mu}"); // infallible: fmt::Write on String
+            }
+            black_box(out.len())
+        })
+    });
+    // The `bgp_join` anchored path `(c p0 ?y)(?y p1 ?z)` from the first
+    // eight `p0` subjects, printed the same way: a seed of a few rows
+    // against the whole `p1` block, which the pairwise seed must not
+    // read.
+    let mut anchors: Vec<Iri> = enc.match_pattern(&path[0]).iter().map(|t| t.s).collect();
+    anchors.dedup();
+    anchors.truncate(8);
+    let anchored: Vec<[TriplePattern; 2]> = anchors
+        .iter()
+        .map(|&c| {
+            [
+                tp(Term::Iri(c), Term::Iri(Iri::new("p0")), var("y")),
+                path[1],
+            ]
+        })
+        .collect();
+    for bgp in &anchored {
+        assert_eq!(
+            sorted(eval_bgp_with_strategy(enc, bgp, JoinStrategy::Pairwise)),
+            sorted(eval_bgp_pairwise(rdf, bgp)),
+            "anchored-path rows disagree between backends"
+        );
+    }
+    group.bench_function("anchored_path_rows", |b| {
+        b.iter(|| {
+            out.clear();
+            for bgp in &anchored {
+                for mu in eval_bgp_with_strategy(enc, black_box(bgp), JoinStrategy::Pairwise) {
+                    let _ = writeln!(out, "{mu}"); // infallible: fmt::Write on String
+                }
             }
             black_box(out.len())
         })

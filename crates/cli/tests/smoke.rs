@@ -482,6 +482,41 @@ fn store_profile_prints_a_span_tree() {
     let _ = std::fs::remove_file(&data);
 }
 
+/// The pairwise profile's `scan` span says whether the seed's semi-join
+/// prune ran and how many candidates it read: an anchored path (one seed
+/// row against eleven `knows` edges) skips it, an open path (two seed
+/// rows against the same eleven) reads the eleven distinct `knows`
+/// objects.
+#[test]
+fn store_profile_shows_the_seed_prune_decision() {
+    let path = std::env::temp_dir().join(format!("wdsparql_smoke_{}_prune.nt", std::process::id()));
+    let mut f = std::fs::File::create(&path).expect("create fixture");
+    writeln!(f, "<a> <knows> <b> .").unwrap();
+    writeln!(f, "<b> <knows> <c> .").unwrap();
+    for i in 0..9 {
+        writeln!(f, "<n{i}> <knows> <n{}> .", i + 1).unwrap();
+    }
+    writeln!(f, "<b> <email> <e1> .").unwrap();
+    writeln!(f, "<c> <email> <e2> .").unwrap();
+    drop(f);
+    let data = path.to_str().unwrap();
+    for (query, prune) in [
+        ("(a, knows, ?y) AND (?y, knows, ?z)", "prune=skipped"),
+        ("(?x, knows, ?y) AND (?y, email, ?e)", "prune=11"),
+    ] {
+        let out = wdsparql(&["store", "--profile", data, query]);
+        assert!(out.status.success(), "stderr: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(text.contains("strategy=pairwise"), "{query}: {text}");
+        let scan = text
+            .lines()
+            .find(|l| l.contains("scan ["))
+            .unwrap_or_else(|| panic!("{query}: no scan span: {text}"));
+        assert!(scan.contains(prune), "{query}: {scan}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn store_metrics_json_dumps_the_registry() {
     let data = triangle_nt("metrics");

@@ -15,7 +15,7 @@
 //! scatter-gather [`crate::ShardedSnapshot`].
 
 use crate::cache::ResultCache;
-use crate::join::PairwiseStream;
+use crate::join::{PairwisePlan, PairwiseStream};
 use crate::wcoj::{resolve_with_order, JoinStrategy, WcoStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -100,7 +100,9 @@ pub(crate) fn candidate_counts(
 /// The one source of truth for BGP evaluation order, shared by the
 /// `plan` entry points, [`serve`] (what actually runs), the free
 /// `eval_bgp_*` functions and the keyed join, so displayed and executed
-/// plans only ever come from one computation on one graph.
+/// plans only ever come from one computation on one graph. The plan
+/// keeps `counts` beside the order, so execution reads them instead of
+/// asking the index again.
 ///
 /// Greedy, by the [`candidate_counts`] of the patterns: repeatedly take
 /// the most selective pattern sharing a variable with what is already
@@ -109,37 +111,75 @@ pub(crate) fn candidate_counts(
 /// disconnected pattern (Cartesian product) is chosen only when nothing
 /// connected remains — deferring it keeps the bind-join loop's
 /// intermediate result linear in the joined component instead of
-/// multiplying unrelated match sets.
+/// multiplying unrelated match sets. Quadratic in the patterns: a
+/// candidate's join test is a look-up in [`BoundVars`].
 pub(crate) fn plan_order(
     patterns: &[TriplePattern],
     counts: &[usize],
     bound: &[Variable],
-) -> Vec<usize> {
+) -> PairwisePlan {
     let mut order: Vec<usize> = (0..patterns.len()).collect();
     order.sort_by_key(|&i| counts[i]);
+    let mut placed = BoundVars::new(patterns, bound);
     // Position `k` takes the first pattern after it that joins, else the
     // next by count; the rest keep their count order.
     for k in 0..order.len() {
         let pick = (k..order.len())
-            .find(|&at| joins(patterns, bound, &order[..k], order[at]))
+            .find(|&at| placed.joins(&patterns[order[at]]))
             .unwrap_or(k);
         order[k..=pick].rotate_right(1);
+        placed.bind(&patterns[order[k]]);
     }
-    order
+    PairwisePlan {
+        order,
+        counts: counts.to_vec(),
+    }
 }
 
-/// Does pattern `i` share a variable with `bound` or with a pattern of
-/// `placed` — is it a join, not a product, after them?
-pub(crate) fn joins(
-    patterns: &[TriplePattern],
-    bound: &[Variable],
-    placed: &[usize],
-    i: usize,
-) -> bool {
-    let placed = |v| (placed.iter()).any(|&j| patterns[j].var_occurrences().any(|u| u == v));
-    patterns[i]
-        .var_occurrences()
-        .any(|v| bound.contains(&v) || placed(v))
+/// The variables bound while a plan is walked: every variable of the
+/// BGP, ascending, with one flag each, so that asking whether a pattern
+/// joins what is placed looks up its three positions instead of
+/// rescanning every placed pattern.
+pub(crate) struct BoundVars(Vec<(Variable, bool)>);
+
+impl BoundVars {
+    /// Nothing placed yet; the variables of `bound` (a keyed join's key)
+    /// are bound from the start.
+    pub(crate) fn new(patterns: &[TriplePattern], bound: &[Variable]) -> BoundVars {
+        let mut vars = Vec::with_capacity(3 * patterns.len());
+        vars.extend((patterns.iter()).flat_map(|p| p.var_occurrences().map(|v| (v, false))));
+        vars.sort_unstable();
+        vars.dedup();
+        let mut placed = BoundVars(vars);
+        for &v in bound {
+            placed.set(v);
+        }
+        placed
+    }
+
+    fn flag(&self, v: Variable) -> Option<usize> {
+        self.0.binary_search_by_key(&v, |&(u, _)| u).ok()
+    }
+
+    fn set(&mut self, v: Variable) {
+        if let Some(at) = self.flag(v) {
+            self.0[at].1 = true;
+        }
+    }
+
+    /// Does `pat` share a variable with what is bound — is it a join,
+    /// not a product, after it?
+    pub(crate) fn joins(&self, pat: &TriplePattern) -> bool {
+        pat.var_occurrences()
+            .any(|v| self.flag(v).is_some_and(|at| self.0[at].1))
+    }
+
+    /// Binds the variables of `pat`.
+    pub(crate) fn bind(&mut self, pat: &TriplePattern) {
+        for v in pat.var_occurrences() {
+            self.set(v);
+        }
+    }
 }
 
 /// Plans the pairwise order and resolves [`JoinStrategy::Auto`] on one
@@ -151,14 +191,13 @@ pub(crate) fn plan_and_resolve(
     patterns: &[TriplePattern],
     configured: JoinStrategy,
     report_plan: bool,
-) -> (Vec<usize>, JoinStrategy) {
+) -> (PairwisePlan, JoinStrategy) {
     if configured == JoinStrategy::Wco && !report_plan {
-        return (Vec::new(), configured);
+        return (PairwisePlan::default(), configured);
     }
-    let counts = candidate_counts(ix, patterns, 1);
-    let order = plan_order(patterns, &counts, &[]);
-    let strategy = resolve_with_order(ix, patterns, configured, &counts, &order, &[]);
-    (order, strategy)
+    let plan = plan_order(patterns, &candidate_counts(ix, patterns, 1), &[]);
+    let strategy = resolve_with_order(ix, patterns, configured, &plan, &[]);
+    (plan, strategy)
 }
 
 /// The two evaluators behind one cursor — and the one place either is
@@ -169,19 +208,19 @@ enum BgpStream<'a> {
 }
 
 impl<'a> BgpStream<'a> {
-    /// Opens the evaluator a *resolved* `strategy` calls for; `order` is
+    /// Opens the evaluator a *resolved* `strategy` calls for; `plan` is
     /// the pairwise plan (unused by the WCOJ). Never re-plans.
     fn open(
         ix: &'a dyn TripleIndex,
         patterns: &'a [TriplePattern],
-        order: Vec<usize>,
+        plan: PairwisePlan,
         strategy: JoinStrategy,
         budget: &'a QueryBudget,
         profiled: bool,
     ) -> BgpStream<'a> {
         match strategy {
             JoinStrategy::Wco => BgpStream::Wco(WcoStream::new(ix, patterns, budget, profiled)),
-            _ => BgpStream::Pairwise(PairwiseStream::new(ix, patterns, order, budget, profiled)),
+            _ => BgpStream::Pairwise(PairwiseStream::new(ix, patterns, plan, budget, profiled)),
         }
     }
 
@@ -206,10 +245,14 @@ impl<'a> BgpStream<'a> {
                 .iter()
                 .enumerate()
                 .map(|(i, s)| {
-                    Span::new(if i == 0 { "scan" } else { "join" })
+                    let span = Span::new(if i == 0 { "scan" } else { "join" })
                         .field("pattern", patterns[s.pattern])
                         .field("scans", s.scans)
-                        .field("rows", s.rows)
+                        .field("rows", s.rows);
+                    match s.prune {
+                        Some(prune) => span.field("prune", prune),
+                        None => span,
+                    }
                 })
                 .collect(),
         }
@@ -240,13 +283,13 @@ impl SolutionStream for BgpStream<'_> {
 pub(crate) fn run(
     ix: &dyn TripleIndex,
     patterns: &[TriplePattern],
-    (order, strategy): (Vec<usize>, JoinStrategy),
+    (plan, strategy): (PairwisePlan, JoinStrategy),
     budget: &QueryBudget,
     limit: Option<usize>,
     profiled: bool,
 ) -> Result<(Vec<Mapping>, Option<Span>), ExecError> {
     let start = profiled.then(Instant::now);
-    let mut stream = BgpStream::open(ix, patterns, order, strategy, budget, profiled);
+    let mut stream = BgpStream::open(ix, patterns, plan, strategy, budget, profiled);
     let rows = stream.collect_limit(limit)?;
     let span = start.map(|t| {
         let mut span = Span::new("execute").timed(t.elapsed());
@@ -289,10 +332,8 @@ pub fn open_bgp_stream<'a>(
     strategy: JoinStrategy,
     budget: &'a QueryBudget,
 ) -> Box<dyn SolutionStream + 'a> {
-    let (order, strategy) = plan_and_resolve(ix, patterns, strategy, false);
-    Box::new(BgpStream::open(
-        ix, patterns, order, strategy, budget, false,
-    ))
+    let (plan, strategy) = plan_and_resolve(ix, patterns, strategy, false);
+    Box::new(BgpStream::open(ix, patterns, plan, strategy, budget, false))
 }
 
 /// What a facade hands [`serve`]: one pinned snapshot and everything
@@ -339,8 +380,8 @@ struct Trace {
     /// The strategy the request resolved, once it planned (a plain
     /// request served from the cache never does).
     strategy: Option<JoinStrategy>,
-    /// The pairwise order, when it is part of the answer.
-    plan: Vec<usize>,
+    /// The pairwise plan, when it is part of the answer.
+    plan: PairwisePlan,
     /// Wall time of the up-front planning of [`Want::Plan`] and
     /// [`Want::Profile`].
     plan_elapsed: Option<Duration>,
@@ -384,7 +425,7 @@ pub(crate) fn serve(
     let profile = (want == Want::Profile).then(|| {
         let root = Span::new("query").timed(total).field("strategy", strategy);
         let computed_here = trace.execute.is_some();
-        let order: Vec<String> = trace.plan.iter().map(usize::to_string).collect();
+        let order: Vec<String> = trace.plan.order.iter().map(usize::to_string).collect();
         let mut root = (pin.provenance)(root)
             .field("patterns", patterns.len())
             .field("rows", solutions.len())
@@ -400,7 +441,7 @@ pub(crate) fn serve(
         QueryProfile::new(root)
     });
     Ok(PlannedQuery {
-        plan: trace.plan,
+        plan: trace.plan.order,
         solutions,
         read: pin.read.to_vec(),
         strategy,

@@ -2,8 +2,9 @@
 //! greedy order of `bgp::plan_order`, every step's pattern resolved once
 //! to `Const`/`Bind`/`Read` slots (which positions are constants, which
 //! read a column an earlier step — or the key — bound, which fill one).
-//! Two drivers run it over the same steps, one probe builder and one
-//! "write a match into a row" helper:
+//! Two drivers run it over the same steps, one probe builder, one
+//! "write a match into a row" helper and one scan-or-probe rule
+//! (`scan_pays`), decided on the counts the plan was made from:
 //!
 //! * [`PairwiseStream`] behind the BGP service: depth-first, one row at
 //!   a time, so it streams and stops after `LIMIT k` pulls;
@@ -19,8 +20,15 @@
 //!
 //! ## The depth-first driver
 //!
-//! A semi-join-pruned seed scan plus index-nested-loop (bind) joins,
-//! run depth-first, one root-to-leaf path at a time. It enumerates the
+//! A seed scan plus index-nested-loop (bind) joins, run depth-first, one
+//! root-to-leaf path at a time. Before the walk the seed is semi-join
+//! pruned against the second pattern's candidate values, but only when
+//! the scan-or-probe rule says reading them pays: the second pattern's
+//! planned count is at most `SCAN_PER_ROW` per seed row. An anchored
+//! seed of a few rows against a whole predicate block skips the prune,
+//! and the bind join's probe under each seed row drops the dead ones —
+//! a dead row yields no match, so the rows, their order and every
+//! `LIMIT` prefix are those of the pruned run. It enumerates the
 //! tuples `(seed index, step-1 match index, …)` in lexicographic order,
 //! the order a breadth-first run materialises them in, so every
 //! k-prefix of the stream is the first k rows of a full run — what lets
@@ -46,24 +54,66 @@
 //! one scan per row), or when `candidate_count` of the free pattern is at
 //! most `SCAN_PER_ROW` times the number of rows: a probe costs about as
 //! much as reading that many matches of a scan. Both numbers are in hand
-//! (the count ordered the patterns), and the count is what bounds the
-//! scan — a scan is always of *one* pattern, whose size the index
-//! promises, never a join whose size nothing estimates.
+//! (the count ordered the patterns, and the plan carries it), and the
+//! count is what bounds the scan — a scan is always of *one* pattern,
+//! whose size the index promises, never a join whose size nothing
+//! estimates.
 //!
 //! Where `JoinStrategy` says leapfrog, every key runs one [`WcoStream`]
 //! over the patterns with the key substituted.
 
 use crate::bgp::{candidate_counts, plan_order};
 use crate::wcoj::{resolve_with_order, JoinStrategy, WcoStream};
+use std::fmt;
 use wdsparql_rdf::{
     Cell, CellMap, ExecError, Iri, Mapping, QueryBudget, RowTable, SolutionStream, Term, Triple,
     TripleIndex, TriplePattern, Variable,
 };
 
-/// A step of the set-at-a-time driver scans instead of probing when the
-/// free pattern has at most this many candidates per row to extend (see
-/// the module docs).
+/// A scan of one pattern replaces a probe per row when the pattern has
+/// at most this many candidates per row (see the module docs).
 const SCAN_PER_ROW: usize = 8;
+
+/// The one scan-or-probe rule of both drivers: reading the `count`
+/// candidates of a pattern pays against probing the index once for each
+/// of `rows` rows when it reads at most [`SCAN_PER_ROW`] of them per row.
+fn scan_pays(count: usize, rows: usize) -> bool {
+    count <= SCAN_PER_ROW.saturating_mul(rows)
+}
+
+/// A planned pairwise join: the evaluation order and the
+/// `candidate_count` of every pattern, as the planner read them, so that
+/// execution decides with the plan's counts instead of asking the index
+/// again.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PairwisePlan {
+    /// Pattern indexes (into the caller's pattern list) in evaluation
+    /// order.
+    pub order: Vec<usize>,
+    /// `counts[i]` is the candidate count of pattern `i` (`usize::MAX`
+    /// for a lone pattern, which is not counted).
+    pub counts: Vec<usize>,
+}
+
+/// What the seed step's semi-join prune did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SeedPrune {
+    /// It read this many candidate values of the second pattern.
+    Read(u64),
+    /// It did not run: the second pattern's planned count is more than
+    /// `SCAN_PER_ROW` (8) per seed row, so the bind join's probes drop the
+    /// dead seed rows for less.
+    Skipped,
+}
+
+impl fmt::Display for SeedPrune {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SeedPrune::Read(n) => write!(f, "{n}"),
+            SeedPrune::Skipped => f.write_str("skipped"),
+        }
+    }
+}
 
 /// Per-step counters of one pairwise run, reported by a profiled
 /// [`PairwiseStream`]: one entry per plan position, in execution order.
@@ -76,8 +126,13 @@ pub struct PairwiseStepStats {
     /// `match_pattern` per left-hand row for a bind join.
     pub scans: u64,
     /// Intermediate result cardinality *after* this step (for the seed:
-    /// after the semi-join prune).
+    /// after the semi-join prune if it ran, the seed's matches if it was
+    /// skipped).
     pub rows: u64,
+    /// The seed step's prune decision; `None` on a bind-join step, and on
+    /// a seed with no second pattern sharing a variable with it or an
+    /// index that keeps no candidate lists.
+    pub prune: Option<SeedPrune>,
 }
 
 /// One position of a plan step's pattern, resolved against the row
@@ -123,11 +178,12 @@ struct LevelState {
     pos: usize,
 }
 
-/// The pairwise pipeline (seed scan + semi-join prune + bind joins) as
-/// a resumable depth-first cursor over the plan's join tree. Each
-/// [`SolutionStream::next`] pull advances to the next full row and
-/// suspends; the seed scan itself is deferred to the first pull, so a
-/// zero deadline fails before any index work happens.
+/// The pairwise pipeline (seed scan, a semi-join prune where the plan's
+/// counts say it pays, bind joins) as a resumable depth-first cursor
+/// over the plan's join tree. Each [`SolutionStream::next`] pull
+/// advances to the next full row and suspends; the seed scan itself is
+/// deferred to the first pull, so a zero deadline fails before any index
+/// work happens.
 ///
 /// The walk fills one row over the BGP's variables in ascending order: a
 /// match writes only the cells its step binds, a step's pattern is bound
@@ -136,7 +192,7 @@ struct LevelState {
 pub struct PairwiseStream<'a> {
     ix: &'a dyn TripleIndex,
     patterns: &'a [TriplePattern],
-    order: Vec<usize>,
+    plan: PairwisePlan,
     /// `steps[s]` is plan step `s`'s pattern, resolved.
     steps: Vec<[Slot; 3]>,
     /// The one row the walk fills.
@@ -154,35 +210,35 @@ pub struct PairwiseStream<'a> {
 }
 
 impl<'a> PairwiseStream<'a> {
-    /// Opens the pipeline over `ix` with the evaluation `order` already
-    /// planned (callers that must not re-plan pass the plan in; see
-    /// `bgp::plan_order`). With `profiled`, per-step
-    /// counters accumulate for [`PairwiseStream::step_stats`].
+    /// Opens the pipeline over `ix` with the `plan` already made
+    /// (callers that must not re-plan pass it in; see `bgp::plan_order`):
+    /// execution follows its order and reads its counts, and asks the
+    /// index for no count of its own. With `profiled`, per-step counters
+    /// accumulate for [`PairwiseStream::step_stats`].
     pub fn new(
         ix: &'a dyn TripleIndex,
         patterns: &'a [TriplePattern],
-        order: Vec<usize>,
+        plan: PairwisePlan,
         budget: &'a QueryBudget,
         profiled: bool,
     ) -> PairwiseStream<'a> {
-        debug_assert_eq!(order.len(), patterns.len());
+        debug_assert_eq!(plan.order.len(), patterns.len());
+        debug_assert_eq!(plan.counts.len(), patterns.len());
         let stats = profiled.then(|| {
-            order
-                .iter()
+            (plan.order.iter())
                 .map(|&i| PairwiseStepStats {
                     pattern: i,
-                    scans: 0,
-                    rows: 0,
+                    ..PairwiseStepStats::default()
                 })
                 .collect()
         });
-        let (mut row, steps) = resolve_steps(patterns, &order, &[]);
+        let (mut row, steps) = resolve_steps(patterns, &plan.order, &[]);
         // The one row the stream fills, all unbound.
         row.push_spread(&[], &[]);
         PairwiseStream {
             ix,
             patterns,
-            order,
+            plan,
             steps,
             row,
             levels: Vec::new(),
@@ -205,25 +261,36 @@ impl<'a> PairwiseStream<'a> {
     /// Scans the seed: the most selective pattern's matches, semi-join
     /// pruned against the second pattern's candidate values on their
     /// first shared variable (the first pattern's side is already in
-    /// hand, so only the second's sorted values are scanned).
+    /// hand, so only the second's sorted values are scanned) — when
+    /// [`scan_pays`] for the second's planned count against the seed's
+    /// rows. Otherwise the bind join's probe under each seed row drops
+    /// the dead ones for less than reading the list would cost; they
+    /// yield nothing, so the rows and their order are the same.
     fn seed(&mut self) -> Vec<Triple> {
-        let first = &self.patterns[self.order[0]];
+        let first = &self.patterns[self.plan.order[0]];
         let mut matches = self.ix.match_pattern(first);
-        if let Some(&second) = self.order.get(1) {
-            let second = &self.patterns[second];
+        let mut prune = None;
+        if let Some(&second) = self.plan.order.get(1) {
+            let pat = &self.patterns[second];
             let shared = (first.positions().into_iter().enumerate())
                 .filter_map(|(pos, t)| Some((t.as_var()?, pos)))
-                .filter(|&(v, _)| second.var_occurrences().any(|u| u == v))
+                .filter(|&(v, _)| pat.var_occurrences().any(|u| u == v))
                 .min();
             if let Some((v, pos)) = shared {
-                if let Some(vals) = self.ix.candidate_values(second, v) {
-                    matches.retain(|t| vals.binary_search(&t.terms()[pos]).is_ok());
-                }
+                prune = if scan_pays(self.plan.counts[second], matches.len()) {
+                    self.ix.candidate_values(pat, v).map(|vals| {
+                        matches.retain(|t| vals.binary_search(&t.terms()[pos]).is_ok());
+                        SeedPrune::Read(vals.len() as u64)
+                    })
+                } else {
+                    Some(SeedPrune::Skipped)
+                };
             }
         }
         if let Some(s) = self.stats.as_deref_mut() {
             s[0].scans = 1;
             s[0].rows = matches.len() as u64;
+            s[0].prune = prune;
         }
         matches
     }
@@ -365,22 +432,22 @@ pub fn join_keyed(
     budget: &QueryBudget,
 ) -> Result<Tagged, ExecError> {
     let counts = candidate_counts(ix, patterns, keys.len());
-    let order = plan_order(patterns, &counts, keys.vars());
-    let (mut rows, steps) = resolve_steps(patterns, &order, keys.vars());
+    let plan = plan_order(patterns, &counts, keys.vars());
+    let (mut rows, steps) = resolve_steps(patterns, &plan.order, keys.vars());
     let spread: Vec<usize> = keys.columns_in(rows.vars()).into_iter().flatten().collect();
     for key in keys.rows() {
         rows.push_spread(key, &spread);
     }
     let mut tagged = (rows, (0..keys.len() as u32).collect());
-    let strategy = resolve_with_order(ix, patterns, strategy, &counts, &order, keys.vars());
+    let strategy = resolve_with_order(ix, patterns, strategy, &plan, keys.vars());
     if strategy == JoinStrategy::Wco {
         return leapfrog(ix, &steps, tagged, budget);
     }
-    for (slots, &i) in steps.iter().zip(&order) {
+    for (slots, &i) in steps.iter().zip(&plan.order) {
         if tagged.0.is_empty() {
             break;
         }
-        tagged = extend(ix, tagged, &patterns[i], slots, counts[i], budget)?;
+        tagged = extend(ix, tagged, &patterns[i], slots, plan.counts[i], budget)?;
     }
     Ok(tagged)
 }
@@ -403,7 +470,7 @@ fn extend(
     let mut out = RowTable::new(rows.vars().to_vec());
     let mut out_tags = Vec::new();
     let joins = joined.iter().any(Option::is_some);
-    if !joins || count <= SCAN_PER_ROW.saturating_mul(rows.len()) {
+    if !joins || scan_pays(count, rows.len()) {
         // Rows chained by join key (the newest first).
         let key_of = |row: &[Cell]| joined.map(|c| c.and_then(|c| row[c]));
         let mut newest: CellMap<[Cell; 3], u32> = CellMap::default();
@@ -560,7 +627,7 @@ mod tests {
         // The empty BGP also checkpoints before its one row (fresh
         // budget: op 0 is the one call guaranteed to consult the clock).
         let fresh = QueryBudget::with_deadline(Duration::ZERO);
-        let mut empty = PairwiseStream::new(&g, &[], Vec::new(), &fresh, false);
+        let mut empty = PairwiseStream::new(&g, &[], PairwisePlan::default(), &fresh, false);
         assert_eq!(empty.next(), Err(ExecError::DeadlineExceeded));
     }
 

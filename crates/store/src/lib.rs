@@ -99,7 +99,7 @@ pub mod wcoj;
 pub use bgp::{open_bgp_stream, PlannedQuery};
 pub use cache::CacheStats;
 pub use encoded::EncodedGraph;
-pub use join::{join_keyed, PairwiseStepStats, PairwiseStream};
+pub use join::{join_keyed, PairwisePlan, PairwiseStepStats, PairwiseStream, SeedPrune};
 pub use obs::metrics_json;
 pub use persist::vfs::{Fault, FaultFs, FaultKind, RealFs, Vfs, VfsError};
 pub use persist::{PersistError, PersistOpts, Recovered, StoreDir};

@@ -227,9 +227,10 @@ impl std::ops::Deref for StoreSnapshot {
     }
 }
 
-/// The pairwise pipeline as a public entry point (plan + semi-join +
-/// bind joins on one snapshot) — the baseline the WCOJ benches and
-/// equivalence tests compare [`crate::wcoj::eval_bgp_wco`] against.
+/// The pairwise pipeline as a public entry point (plan, the seed's
+/// semi-join where the plan's counts say it pays, bind joins, on one
+/// snapshot) — the baseline the WCOJ benches and equivalence tests
+/// compare [`crate::wcoj::eval_bgp_wco`] against.
 pub fn eval_bgp_pairwise(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Vec<Mapping> {
     bgp::eval_bgp_with_strategy(ix, patterns, JoinStrategy::Pairwise)
 }
@@ -677,7 +678,7 @@ impl TripleStore {
     /// later `query`, a bulk load may land and change the snapshot.
     pub fn plan(&self, patterns: &[TriplePattern]) -> Vec<usize> {
         let (ix, _) = self.snapshot();
-        plan_order(patterns, &candidate_counts(&*ix, patterns, 1), &[])
+        plan_order(patterns, &candidate_counts(&*ix, patterns, 1), &[]).order
     }
 
     /// Cached single-pattern solutions.
@@ -687,8 +688,9 @@ impl TripleStore {
 
     /// Evaluates the conjunction of `patterns` (a BGP: the AND-only
     /// fragment) under the configured [`JoinStrategy`]: the pairwise
-    /// pipeline (most-selective-first ordering, a sorted semi-join on
-    /// the first shared variable, bind joins for the rest), the
+    /// pipeline (most-selective-first ordering, a sorted semi-join of
+    /// the seed on the first variable it shares with the second pattern
+    /// when the plan's counts say it pays, bind joins for the rest), the
     /// worst-case-optimal leapfrog join over the sorted permutations, or
     /// — under `Auto` — whichever the core's shape calls for. Results
     /// are cached per epoch.
@@ -1026,7 +1028,7 @@ mod tests {
             ix.count_calls.set(0);
             let counts = candidate_counts(&ix, &pats, 1);
             let order = plan_order(&pats, &counts, &[]);
-            crate::wcoj::resolve_with_order(&ix, &pats, configured, &counts, &order, &[]);
+            crate::wcoj::resolve_with_order(&ix, &pats, configured, &order, &[]);
             let planning = ix.count_calls.get();
             let cache = ResultCache::new(8);
             let pin = Pinned {

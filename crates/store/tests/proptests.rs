@@ -12,7 +12,7 @@ use wdsparql_rdf::{
 };
 use wdsparql_store::{
     eval_bgp_pairwise, eval_bgp_wco, eval_bgp_with_strategy, join_keyed, open_bgp_stream,
-    EncodedGraph, JoinStrategy, PairwiseStream, ShardedStore, TripleStore, WcoStream,
+    EncodedGraph, JoinStrategy, PairwisePlan, PairwiseStream, ShardedStore, TripleStore, WcoStream,
 };
 
 fn arb_graph() -> impl Strategy<Value = RdfGraph> {
@@ -224,8 +224,10 @@ proptest! {
         for pats in corner_bgps(&g) {
             let want = reference_bgp(&g, &pats);
             for (label, ix) in [("staged", &staged as &dyn TripleIndex), ("sharded", &snap)] {
+                let counts: Vec<usize> = pats.iter().map(|p| ix.candidate_count(p)).collect();
                 for order in plan_orders(pats.len()) {
-                    let run = |k| PairwiseStream::new(ix, &pats, order.clone(), &budget, false)
+                    let plan = PairwisePlan { order: order.clone(), counts: counts.clone() };
+                    let run = |k| PairwiseStream::new(ix, &pats, plan.clone(), &budget, false)
                         .collect_limit(k)
                         .expect("unlimited");
                     let full = run(None);

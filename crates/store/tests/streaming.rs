@@ -8,58 +8,100 @@
 //! properties replay under `PROPTEST_SEED=<u64>`.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
+use wdsparql_obs::Span;
 use wdsparql_rdf::{
     tp, CancelToken, ExecError, Mapping, QueryBudget, RdfGraph, Triple, TriplePattern,
 };
 use wdsparql_store::{JoinStrategy, ShardedStore, TripleStore};
 
+/// Up to 128 triples: a dense `sp0` block over twelve nodes beside three
+/// sparse blocks over six, so that a pairwise seed on a sparse pattern
+/// meets a dense second pattern (the semi-join prune is skipped) about
+/// as often as two patterns of like size (it runs).
 fn arb_graph() -> impl Strategy<Value = RdfGraph> {
-    proptest::collection::vec((0..6usize, 0..3usize, 0..6usize), 0..20).prop_map(|ts| {
+    proptest::collection::vec((0..12usize, 0..16usize, 0..12usize), 0..128).prop_map(|ts| {
         RdfGraph::from_triples(ts.into_iter().map(|(s, p, o)| {
+            let (s, p, o) = match p {
+                0..=12 => (s, 0, o),
+                _ => (s % 6, p - 12, o % 6),
+            };
             Triple::from_strs(&format!("sn{s}"), &format!("sp{p}"), &format!("sn{o}"))
         }))
     })
 }
 
-/// A present constant, a maybe-absent constant, or one of three
-/// variables — repeats close cycles (triangles over `a`/`b`/`c`) and
-/// exercise repeated-variable constraints.
+const CASES: u32 = 64;
+
+/// Cases run so far, and those whose pairwise seed skipped its semi-join
+/// prune (on seed rows, or on no rows at all) or ran it.
+static CASES_RUN: AtomicU32 = AtomicU32::new(0);
+static SKIPPED_LIVE: AtomicU32 = AtomicU32::new(0);
+static SKIPPED_EMPTY: AtomicU32 = AtomicU32::new(0);
+static RAN: AtomicU32 = AtomicU32::new(0);
+
+/// Counts which side of the seed-prune rule a pairwise profile shows.
+fn count_seed_prune(root: &Span) {
+    let Some(execute) = root.children().iter().find(|s| s.name() == "execute") else {
+        return;
+    };
+    let Some(scan) = execute.children().first() else {
+        return;
+    };
+    let counter = match (scan.get("prune"), scan.get("rows")) {
+        (Some("skipped"), Some("0")) => &SKIPPED_EMPTY,
+        (Some("skipped"), _) => &SKIPPED_LIVE,
+        (Some(_), _) => &RAN,
+        (None, _) => return,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// A maybe-absent constant, an absent one, or one of three variables —
+/// repeats close cycles (triangles over `a`/`b`/`c`) and exercise
+/// repeated-variable constraints.
 fn join_term_of(choice: usize, prefix: &str) -> wdsparql_rdf::Term {
     use wdsparql_rdf::{iri, var};
     match choice {
         0..=5 => iri(&format!("{prefix}{choice}")),
         6 => iri("absent-term"),
-        7 => var("a"),
-        8 => var("b"),
-        _ => var("c"),
+        _ => [var("a"), var("b"), var("c")][choice % 3],
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// The streamed k-prefix equals the materialised result's first k
     /// rows exactly (so sizes are exact and the prefix is a subset),
     /// an unlimited budgeted query reproduces the materialised answer,
     /// and a dead budget — zero deadline or tripped cancellation
     /// token, fresh per query — fails typed. Across all three join
-    /// strategies, every shard layout, both store facades.
+    /// strategies, every shard layout, both store facades. The cases
+    /// reach both sides of the seed-prune rule: the last one checks that
+    /// some pairwise seed skipped the prune and some ran it.
     #[test]
     fn streaming_matches_materialized(
         g in arb_graph(),
-        raw in proptest::collection::vec((0..10usize, 0..10usize, 0..10usize), 1..5),
+        // Subjects and objects are variables more often than not;
+        // predicates are `sp0`–`sp3` (all present) when constant.
+        raw in proptest::collection::vec((0..16usize, 0..10usize, 0..16usize), 1..5),
         shards in 1..4usize,
         k in 0..12usize,
     ) {
         let pats: Vec<TriplePattern> = raw
             .into_iter()
             .map(|(s, p, o)| {
+                let p = if p <= 5 { p % 4 } else { p };
                 tp(join_term_of(s, "sn"), join_term_of(p, "sp"), join_term_of(o, "sn"))
             })
             .collect();
         let single = TripleStore::from_triples(g.iter().copied());
         let sharded = ShardedStore::from_triples(shards, g.iter().copied());
+        single.set_join_strategy(JoinStrategy::Pairwise);
+        let profiled = single.query_with_profile(&pats).profile.expect("profiled");
+        count_seed_prune(&profiled.root);
         for strategy in [JoinStrategy::Pairwise, JoinStrategy::Wco, JoinStrategy::Auto] {
             single.set_join_strategy(strategy);
             sharded.set_join_strategy(strategy);
@@ -132,6 +174,15 @@ proptest! {
                 sharded.query_limited(&pats, k, &QueryBudget::unlimited().and_cancel(token)),
                 Err(ExecError::Cancelled)
             );
+        }
+        if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == CASES {
+            let live = SKIPPED_LIVE.load(Ordering::Relaxed);
+            let empty = SKIPPED_EMPTY.load(Ordering::Relaxed);
+            let ran = RAN.load(Ordering::Relaxed);
+            eprintln!(
+                "seed prune over {CASES} cases: skipped in {live} (+{empty} on an empty seed), ran in {ran}"
+            );
+            prop_assert!(live + empty > 0 && ran > 0, "skipped {} + {} / ran {}", live, empty, ran);
         }
     }
 }
