@@ -89,7 +89,9 @@ fn plan_execute_shared_snapshot_is_clean() {
 // stampede). Two concurrent misses of the same key must run the
 // computation once: the first miss installs an `Arc<OnceLock>` slot in
 // a pending map, later misses wait on the slot. The buggy pre-fix
-// variant computed straight from "cache says miss".
+// variant computed straight from "cache says miss". The store no longer
+// has a result cache; the model stays as an explorer test, and as the
+// protocol any cache added back in front of the store must keep.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -131,7 +133,7 @@ fn cache_miss_stampede_is_caught() {
 fn cache_miss_pending_slot_dedups_cleanly() {
     let report = Explorer::new(2)
         .check(|| {
-            // `ResultCache::get_or_try_compute` in miniature: the pending
+            // The deleted result cache's lookup in miniature: the pending
             // map collapses to a single shared slot because the model
             // has one key.
             let pending: Arc<Mutex<Option<Arc<OnceLock<u64>>>>> = Arc::new(Mutex::new(None));
@@ -175,8 +177,9 @@ fn cache_miss_pending_slot_dedups_cleanly() {
 // (the PR 4 facade epoch-vector invalidation). A writer bumps the
 // epoch and purges the cache; a reader that computed on the old graph
 // must not publish AFTER the purge, or the stale entry survives
-// forever. The fix re-checks the epoch under the cache lock before
-// publishing (`still_valid` in `ResultCache::get_or_try_compute`).
+// forever. The fix re-checked the epoch under the cache lock before
+// publishing. The cache is gone from the store; like protocol 2, the
+// model stays as an explorer test of the rule.
 // ---------------------------------------------------------------------
 
 struct FacadeModel {

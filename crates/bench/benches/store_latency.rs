@@ -1,13 +1,12 @@
 //! store_latency — the first latency-distribution numbers in the repo:
 //! per-query-shape p50/p90/p99 under a concurrent mixed read/write
 //! workload, against the sharded triple store. A background writer
-//! keeps appending delta segments (bumping epochs, so the result cache
-//! cannot serve every probe) and a background reader keeps scatter-
-//! gather scans in flight while the foreground measures three query
-//! shapes: a routed point lookup, a subject star, and the cyclic
-//! triangle that `Auto` sends to the WCOJ — the triangle as two rows, a
-//! guaranteed cache miss under the churn and a guaranteed hit once it
-//! has stopped. Percentile entries merge into the workspace-root
+//! keeps appending delta segments (bumping epochs) and a background
+//! reader keeps scatter-gather scans in flight while the foreground
+//! measures three query shapes: a routed point lookup, a subject star,
+//! and the cyclic triangle that `Auto` sends to the WCOJ, each request
+//! evaluated on the snapshot it pins. Percentile entries merge into the
+//! workspace-root
 //! `BENCH_store.json` next to the medians of the other store targets
 //! (the vendored criterion emits `p50_ns`/`p90_ns`/`p99_ns` alongside
 //! `median_ns`).
@@ -24,14 +23,10 @@ const NODES: usize = 4_000;
 const DRAWS: usize = 30_000;
 const PREDICATES: usize = 8;
 /// Closed `p0`-triangles seeded on top of the stream, so the cyclic
-/// query has guaranteed answers — and twice as many as the facade's
-/// result cache holds queries ([`CACHE`]), so a probe rotating over their
-/// corners always finds its entry evicted.
+/// query has guaranteed answers and the routed probes have many
+/// subjects to rotate over.
 const TRIANGLES: usize = 256;
 const SHARDS: usize = 4;
-/// The facade's result cache, opted into so that the `_hit` row has a
-/// cache to hit.
-const CACHE: usize = 128;
 
 /// `cargo test` runs bench targets with `--test` (each body once); a
 /// token workload keeps that pass fast while still exercising every
@@ -68,7 +63,7 @@ fn workload() -> &'static Arc<ShardedStore> {
             env!("CARGO_MANIFEST_DIR"),
             "/../../BENCH_store.json"
         ));
-        let store = ShardedStore::with_cache_capacity(SHARDS, CACHE);
+        let store = ShardedStore::new(SHARDS);
         store.bulk_load(seed_triples());
         store.compact();
         Arc::new(store)
@@ -76,8 +71,8 @@ fn workload() -> &'static Arc<ShardedStore> {
 }
 
 /// Background churn: a writer appending small fresh batches (each one
-/// bumps a shard epoch and invalidates facade cache entries that read
-/// it) and a reader keeping fan-out scans in flight. Stops on the flag;
+/// bumps a shard epoch and stages a delta segment the reads merge) and
+/// a reader keeping fan-out scans in flight. Stops on the flag;
 /// the guard joins the threads.
 struct Churn {
     stop: Arc<AtomicBool>,
@@ -154,10 +149,8 @@ fn bench_latency_under_churn(c: &mut Criterion) {
     let churn = Churn::start(store);
     let mut group = c.benchmark_group("store_latency");
     group.sample_size(30);
-    // Rotating probe subjects, more of them than the result cache has
-    // entries: every probe is a miss wherever the churn writer happens
-    // to be, so the numbers are evaluation latency, not a mix of it with
-    // cache-lookup latency that differs from run to run.
+    // Rotating probe subjects: each probe reads a different subject's
+    // rows, wherever the churn writer happens to be.
     let probe = AtomicU64::new(0);
     let triangles = if test_mode() { 8 } else { TRIANGLES } as u64;
     group.bench_function("point_routed", |b| {
@@ -180,12 +173,10 @@ fn bench_latency_under_churn(c: &mut Criterion) {
             black_box(store.query(&pats).len())
         })
     });
-    // The triangle fans out to every shard and is the same query each
-    // time, so under churn alone it read as a cache hit or a miss
-    // depending on where the writer was. Two rows instead. The miss:
-    // each iteration first loads one fresh triple, which bumps the epoch
-    // of a shard the query reads (the load is microseconds against the
-    // join's milliseconds, and part of the row).
+    // The triangle fans out to every shard. Each iteration first loads
+    // one fresh triple, which bumps the epoch of a shard the query reads
+    // (the load is microseconds against the join's milliseconds, and
+    // part of the row).
     group.bench_function("triangle_wco_fanout_miss", |b| {
         b.iter(|| {
             // relaxed-ok: bench-local rotation counter
@@ -195,10 +186,6 @@ fn bench_latency_under_churn(c: &mut Criterion) {
         })
     });
     drop(churn);
-    // The hit: the same query repeated on the quiesced store.
-    group.bench_function("triangle_wco_fanout_hit", |b| {
-        b.iter(|| black_box(store.query(&triangle).len()))
-    });
     group.finish();
 }
 

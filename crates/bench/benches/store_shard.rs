@@ -183,7 +183,7 @@ fn bench_sharded_writes(c: &mut Criterion) {
 
     // Read-side scatter-gather overhead, on fully-built stores: routed
     // point reads (one shard) and a predicate fan-out (every shard),
-    // measured on snapshots so the facade cache stays out of the way.
+    // measured on snapshots, so no request planning is in the row.
     let single = TripleStore::new();
     for batch in batches() {
         single.bulk_load(batch.iter().copied());

@@ -13,7 +13,7 @@
 //!
 //! Before anything is timed, every query is asserted to produce the
 //! identical solution set across {pairwise, wco} × {TripleStore,
-//! ShardedStore} (snapshot evaluators and the cached facade paths), and
+//! ShardedStore} (snapshot evaluators and the facades' query paths), and
 //! `JoinStrategy::Auto` is asserted to resolve each cyclic core to the
 //! WCOJ. Medians merge into the workspace-root `BENCH_store.json`.
 
@@ -95,7 +95,7 @@ fn sorted(mut sols: Vec<Mapping>) -> Vec<Mapping> {
 
 /// Correctness gate, run once before timing: identical solution sets
 /// across both strategies and both backends — snapshot evaluators and
-/// the cached facade paths — and `Auto` resolving each core to the
+/// the facades' query paths — and `Auto` resolving each core to the
 /// WCOJ.
 fn assert_strategies_and_backends_agree() {
     let (single, sharded) = stores();
@@ -123,7 +123,7 @@ fn assert_strategies_and_backends_agree() {
             JoinStrategy::Wco,
             "{name}: Auto must route the cyclic core to the WCOJ"
         );
-        // The cached service paths agree under every knob setting.
+        // The facades' query paths agree under every knob setting.
         for strategy in [JoinStrategy::Pairwise, JoinStrategy::Wco] {
             single.set_join_strategy(strategy);
             sharded.set_join_strategy(strategy);

@@ -48,9 +48,7 @@ use wdsparql_contain::{decide_containment, SearchBudget, Verdict};
 use wdsparql_core::{count_by_domain, enumerate_with_stats, Engine, Query, Route, Strategy};
 use wdsparql_project::{enumerate_projected, ProjectedQuery};
 use wdsparql_rdf::{parse_statements, ExecError, Mapping, QueryBudget, Triple, TriplePattern};
-use wdsparql_store::{
-    CacheStats, JoinStrategy, PlannedQuery, ShardedStore, StoreError, TripleStore,
-};
+use wdsparql_store::{JoinStrategy, PlannedQuery, ShardedStore, StoreError, TripleStore};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -339,7 +337,6 @@ struct Service<'a> {
     query_with_profile: &'a dyn Fn(&[TriplePattern]) -> PlannedQuery,
     query_budgeted: &'a dyn Fn(&[TriplePattern], &QueryBudget) -> Budgeted<Rows>,
     query_limited: &'a dyn Fn(&[TriplePattern], usize, &QueryBudget) -> Budgeted<Vec<Mapping>>,
-    cache_stats: &'a dyn Fn() -> CacheStats,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -434,7 +431,6 @@ fn store_command(
             planned.strategy,
             planned.solutions.len(),
             &(store.provenance)(&planned.read),
-            (store.cache_stats)(),
         );
         print_profile(planned.profile.as_ref());
         Ok(())
@@ -490,7 +486,6 @@ fn store_command(
             query_with_profile: &|pats| store.query_with_profile(pats),
             query_budgeted: &|pats, budget| store.query_budgeted(pats, budget),
             query_limited: &|pats, k, budget| store.query_limited(pats, k, budget),
-            cache_stats: &|| store.cache_stats(),
         })
     } else {
         let store = Arc::new(match dir {
@@ -523,7 +518,6 @@ fn store_command(
             query_with_profile: &|pats| store.query_with_profile(pats),
             query_budgeted: &|pats, budget| store.query_budgeted(pats, budget),
             query_limited: &|pats, k, budget| store.query_limited(pats, k, budget),
-            cache_stats: &|| store.cache_stats(),
         })
     }
 }
@@ -574,7 +568,7 @@ fn report_ingest_lifecycle(staged_deltas: usize, staged_segments: usize, compact
 }
 
 /// The shared tail of both `store` flavours: the executed plan and the
-/// cached-service summary, with the epoch provenance rendered by the
+/// service summary, with the epoch provenance rendered by the
 /// caller (`epoch N` for the single store, the `(shard, epoch)` read
 /// vector for the sharded facade).
 fn report_bgp_service(
@@ -583,15 +577,11 @@ fn report_bgp_service(
     strategy: wdsparql_store::JoinStrategy,
     solutions: usize,
     provenance: &str,
-    cs: wdsparql_store::CacheStats,
 ) {
     let plan: Vec<String> = plan.iter().map(|&i| pats[i].to_string()).collect();
     println!("service plan (most selective first): {}", plan.join(" ⋈ "));
     println!("service join strategy: {strategy}");
-    println!(
-        "service BGP path: {solutions} solution(s) at {provenance}; cache {} hit(s) / {} miss(es)",
-        cs.hits, cs.misses
-    );
+    println!("service BGP path: {solutions} solution(s) at {provenance}");
 }
 
 /// Prints `count` solutions, given in ascending order: the first ten.
@@ -869,7 +859,7 @@ mod tests {
         let out_s = out.to_string_lossy().to_string();
         assert!(run(&s(&["store", "--metrics-json", &out_s, &p, triangle])).is_ok());
         let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"schema\": 3"), "{json}");
+        assert!(json.contains("\"schema\": 4"), "{json}");
         assert!(json.contains("\"store.queries_total\""), "{json}");
         assert!(json.contains("\"query.total_ns\""), "{json}");
         // Flag validation.

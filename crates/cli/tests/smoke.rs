@@ -316,7 +316,7 @@ fn store_reports_stats_and_serves_queries() {
     );
 
     // An AND-only query is evaluated once, by the service's planned
-    // path: one miss, no hit.
+    // path, which reports the epoch it read.
     let out = wdsparql(&[
         "store",
         data.to_str().unwrap(),
@@ -326,7 +326,7 @@ fn store_reports_stats_and_serves_queries() {
     let text = stdout(&out);
     assert!(text.contains("service plan"), "unexpected output: {text}");
     assert!(
-        text.contains("0 hit(s) / 1 miss(es)"),
+        text.contains("service BGP path: 1 solution(s) at epoch 1\n"),
         "unexpected output: {text}"
     );
 
@@ -452,7 +452,7 @@ fn store_profile_prints_a_span_tree() {
     );
     // The root span names the resolved join strategy...
     assert!(text.contains("strategy=wco"), "unexpected output: {text}");
-    assert!(text.contains("cache=miss"), "unexpected output: {text}");
+    assert!(text.contains("epoch=1"), "unexpected output: {text}");
     // ...and the execute span carries one `level ?v` child per WCOJ
     // variable level, rows and all.
     assert!(text.contains("execute"), "unexpected output: {text}");
@@ -534,7 +534,7 @@ fn store_metrics_json_dumps_the_registry() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let json = std::fs::read_to_string(&out_path).expect("metrics file written");
     for key in [
-        "\"schema\": 3",
+        "\"schema\": 4",
         "\"store.queries_total\"",
         "\"store.triples\"",
         "\"query.total_ns\"",

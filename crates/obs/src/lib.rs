@@ -13,7 +13,7 @@
 //!   selection over the buckets;
 //! * [`registry`] — a fixed-catalog process-wide [`Registry`] of the
 //!   store stack's counters, gauges and latency histograms, rendered to
-//!   a stable-schema JSON snapshot (`schema: 1`, validated in CI
+//!   a stable-schema JSON snapshot (`schema: 4`, validated in CI
 //!   against `crates/obs/metrics-schema.json`);
 //! * [`profile`] — the per-query execution profile: a [`Span`] tree
 //!   ([`QueryProfile`]) that the store threads through

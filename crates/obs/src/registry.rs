@@ -4,15 +4,17 @@
 //!
 //! The catalog is a plain struct — registration is the field list, so
 //! the hot path is exactly one atomic RMW per event with no name
-//! lookup, no lock, and no allocation. `schema: 3` pins the JSON
+//! lookup, no lock, and no allocation. `schema: 4` pins the JSON
 //! layout; CI validates a live snapshot against
-//! `crates/obs/metrics-schema.json` (key presence + types), and adding
-//! a metric is a schema *addition*, never a mutation. (Schema 2 added
-//! the streaming-execution metrics: `store.deadline_exceeded_total`,
+//! `crates/obs/metrics-schema.json` (key presence + types). Adding a
+//! metric is a schema *addition*; removing one bumps the schema, since
+//! the schema is a floor its consumers may rely on. (Schema 2 added the
+//! streaming-execution metrics: `store.deadline_exceeded_total`,
 //! `query.rows_streamed`, and the per-shard read-load sections
 //! `shard_read_rows` / `shard_read_ns`. Schema 3 added the durability
 //! metrics: `store.fsync_total`, `store.commit_retries_total`,
-//! `store.segments_quarantined_total` and `store.recovery_ns`.)
+//! `store.segments_quarantined_total` and `store.recovery_ns`. Schema 4
+//! removed the result cache's `cache.*` counters with the cache.)
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
@@ -38,15 +40,6 @@ pub struct Registry {
     pub compactions: Counter,
     /// Delta segments appended by bulk loads.
     pub segments_created: Counter,
-    /// Result-cache lookups answered from the cache.
-    pub cache_hits: Counter,
-    /// Result-cache lookups that had to compute.
-    pub cache_misses: Counter,
-    /// LRU evictions (capacity pressure).
-    pub cache_evictions: Counter,
-    /// Lookups that joined an in-flight computation instead of
-    /// recomputing (stampede suppression).
-    pub cache_stampede_waits: Counter,
     /// Sharded reads routed to a single shard by a bound subject.
     pub routed_reads: Counter,
     /// Sharded reads that had to fan out across every shard.
@@ -87,7 +80,7 @@ pub struct Registry {
     pub shard_read_ns: [Histogram; SHARD_SLOTS],
 
     // Latency histograms (nanoseconds).
-    /// End-to-end BGP query latency (plan + cache + execute).
+    /// End-to-end BGP query latency (plan + execute).
     pub query_ns: Histogram,
     /// Join-order planning + strategy resolution latency.
     pub plan_ns: Histogram,
@@ -121,10 +114,6 @@ impl Registry {
                 ("store.epoch_bumps", self.epoch_bumps.get()),
                 ("store.compactions", self.compactions.get()),
                 ("store.segments_created", self.segments_created.get()),
-                ("cache.hits", self.cache_hits.get()),
-                ("cache.misses", self.cache_misses.get()),
-                ("cache.evictions", self.cache_evictions.get()),
-                ("cache.stampede_waits", self.cache_stampede_waits.get()),
                 ("shard.routed_reads", self.routed_reads.get()),
                 ("shard.fanout_reads", self.fanout_reads.get()),
                 (
@@ -162,7 +151,7 @@ impl Registry {
         }
     }
 
-    /// The stable-schema JSON snapshot (`schema: 3`).
+    /// The stable-schema JSON snapshot (`schema: 4`).
     pub fn to_json(&self) -> String {
         self.capture().to_json()
     }
@@ -200,11 +189,11 @@ impl RegistrySnapshot {
             .map(|&(_, v)| v)
     }
 
-    /// Renders the snapshot as the `schema: 3` JSON document: fixed
+    /// Renders the snapshot as the `schema: 4` JSON document: fixed
     /// member order, exact u64 integers, each histogram summarized as
     /// `count`/`sum`/`max`/`p50`/`p90`/`p99`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": 3,\n  \"counters\": {\n");
+        let mut out = String::from("{\n  \"schema\": 4,\n  \"counters\": {\n");
         push_pairs(&mut out, &self.counters);
         out.push_str("  },\n  \"gauges\": {\n");
         push_pairs(&mut out, &self.gauges);
@@ -272,7 +261,7 @@ mod tests {
     fn snapshot_json_parses_and_carries_the_recorded_values() {
         let r = Registry::new();
         r.queries_total.add(3);
-        r.cache_hits.inc();
+        r.routed_reads.inc();
         r.triples.set(1234);
         r.shard_rows[2].add(50);
         r.shard_read_rows[3].add(7);
@@ -360,7 +349,7 @@ mod tests {
             .and_then(|h| h.get("store.recovery_ns"))
             .unwrap();
         assert_eq!(recovery.get("count").and_then(json::Value::as_u64), Some(1));
-        assert_eq!(r.capture().counter("cache.hits"), Some(1));
+        assert_eq!(r.capture().counter("shard.routed_reads"), Some(1));
     }
 
     #[test]

@@ -3,25 +3,24 @@
 //!
 //! A facade ([`crate::TripleStore`], [`crate::ShardedStore`]) pins a
 //! snapshot and hands it over as a [`Pinned`] read — the
-//! [`TripleIndex`] to evaluate on, the `(shard, epoch)` pairs that
-//! snapshot read (the single store reads `[(0, epoch)]`), its result
-//! cache and how to re-validate the provenance. [`serve`] then runs the
-//! rest of the sequence — entry checkpoint → key → cache (both skipped
-//! when the cache is off, the default) → plan once → resolve `Auto` →
-//! open the stream → collect → account — for every entry point; a
-//! [`Want`] says what the caller wants back. Everything
-//! here runs on `&dyn TripleIndex`, so the planner and both join
-//! pipelines are the same code on the encoded graph and on the
+//! [`TripleIndex`] to evaluate on and the `(shard, epoch)` pairs that
+//! snapshot read (the single store reads `[(0, epoch)]`). [`serve`] then
+//! runs the rest of the sequence — entry checkpoint → plan once →
+//! resolve `Auto` → open the stream → collect → account — for every
+//! entry point; a [`Want`] says what the caller wants back. Every request
+//! evaluates on its pinned snapshot: nothing is kept between requests.
+//! Everything here runs on `&dyn TripleIndex`, so the planner and both
+//! join pipelines are the same code on the encoded graph and on the
 //! scatter-gather [`crate::ShardedSnapshot`].
 
-use crate::cache::ResultCache;
 use crate::join::{PairwisePlan, PairwiseStream};
 use crate::wcoj::{resolve_with_order, JoinStrategy, WcoStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wdsparql_obs::{QueryProfile, Span};
 use wdsparql_rdf::{
-    ExecError, Mapping, QueryBudget, SolutionStream, Term, TripleIndex, TriplePattern, Variable,
+    ExecError, Mapping, QueryBudget, SolutionStream, TripleIndex, TriplePattern, Variable,
 };
 
 /// A BGP answered together with the plan that produced it and the read
@@ -36,7 +35,7 @@ pub struct PlannedQuery {
     /// The solution mappings.
     pub solutions: Arc<Vec<Mapping>>,
     /// The `(shard, epoch)` pairs the query read — exactly the shards
-    /// whose writes can invalidate this result. A [`crate::TripleStore`]
+    /// whose writes can change this result. A [`crate::TripleStore`]
     /// reads `[(0, epoch)]`; on a [`crate::ShardedStore`] a fully
     /// subject-routed query lists only its routed shards, a fan-out
     /// lists every shard.
@@ -48,38 +47,6 @@ pub struct PlannedQuery {
     /// (`None` elsewhere — nothing is collected unless profiling was
     /// requested).
     pub profile: Option<QueryProfile>,
-}
-
-/// Cache key: the query (see [`cache_key`]) plus the `(shard, epoch)`
-/// pairs it read. Routing is a pure function of the query text, so
-/// equal keys always name the same shard subset. Shared, because the
-/// cache clones its keys (in-flight slot, LRU entry, recency index).
-pub(crate) type CacheKey = Arc<(String, Vec<(usize, u64)>)>;
-
-/// Collision-free query half of the [`CacheKey`]: the *configured*
-/// [`JoinStrategy`] — so entries produced under different knob settings
-/// can never serve each other, even mid-flight across a concurrent
-/// `set_join_strategy` — then every term as its kind tag plus interned
-/// id (stable for the process lifetime of the cache). The `Display`
-/// form would not do — an IRI's spelling is arbitrary text, so two
-/// distinct pattern lists could print identically.
-fn cache_key(patterns: &[TriplePattern], strategy: JoinStrategy) -> String {
-    use std::fmt::Write;
-    let mut key = String::from(match strategy {
-        JoinStrategy::Pairwise => "p|",
-        JoinStrategy::Wco => "w|",
-        JoinStrategy::Auto => "a|",
-    });
-    for pat in patterns {
-        for term in pat.positions() {
-            let (kind, id) = match term {
-                Term::Var(v) => ('v', v.id()),
-                Term::Iri(i) => ('i', i.id()),
-            };
-            let _ = write!(key, "{kind}{id},"); // infallible: fmt::Write on String
-        }
-    }
-    key
 }
 
 /// One `candidate_count` per pattern: what [`plan_order`], the `Auto`
@@ -302,7 +269,7 @@ pub(crate) fn run(
 }
 
 /// Evaluates a BGP with the given strategy knob, unbudgeted and
-/// uncached: resolves `Auto` on this snapshot, then runs either the
+/// unaccounted: resolves `Auto` on this snapshot, then runs either the
 /// pairwise pipeline or the leapfrog join to completion — the
 /// materialising collector behind the `eval_bgp_*` free functions. Both
 /// strategies produce the same solution *set* (the order may differ).
@@ -343,12 +310,10 @@ pub(crate) struct Pinned<'a> {
     pub ix: &'a dyn TripleIndex,
     /// The `(shard, epoch)` pairs `ix` read, sorted by shard.
     pub read: &'a [(usize, u64)],
-    /// The owner's result cache.
-    pub cache: &'a ResultCache<CacheKey>,
-    /// Does `read` still name the owner's current epochs? Asked after a
-    /// computation: a result whose epochs were superseded meanwhile is
-    /// returned but not cached.
-    pub still_current: &'a dyn Fn() -> bool,
+    /// The owner's count of complete evaluations, when it keeps one:
+    /// bumped once by every request that passes its entry checkpoint
+    /// and wants every row.
+    pub evaluations: Option<&'a AtomicU64>,
     /// The owner's configured [`JoinStrategy`].
     pub configured: JoinStrategy,
     /// Adds the owner's rendering of `read` to a profile's root span.
@@ -358,16 +323,12 @@ pub(crate) struct Pinned<'a> {
 /// What the caller of [`serve`] wants back.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Want {
-    /// Every row, through the result cache when it has capacity (past
-    /// it otherwise, counted as a miss). Plans only on a miss and
-    /// reports no plan: the caller wants rows.
+    /// Every row. Reports no plan: the caller wants rows.
     Rows,
-    /// The first `k` rows, streamed. Uncached in both directions — a
-    /// k-prefix is a partial result and cached entries only ever hold
-    /// complete ones — so no cache key is built. Reports no plan.
+    /// The first `k` rows, streamed: a partial result, so not counted
+    /// as an evaluation. Reports no plan.
     Prefix(usize),
-    /// As `Rows`, plus the plan and the resolved strategy — planned up
-    /// front, because both are reported even on a cache hit.
+    /// As `Rows`, plus the plan and the resolved strategy.
     Plan,
     /// As `Plan`, plus the execution profile.
     Profile,
@@ -377,16 +338,14 @@ pub(crate) enum Want {
 /// fallible part, so a failed request is still accounted.
 #[derive(Default)]
 struct Trace {
-    /// The strategy the request resolved, once it planned (a plain
-    /// request served from the cache never does).
+    /// The strategy the request resolved, once it planned (a request
+    /// refused at its entry checkpoint never does).
     strategy: Option<JoinStrategy>,
-    /// The pairwise plan, when it is part of the answer.
-    plan: PairwisePlan,
-    /// Wall time of the up-front planning of [`Want::Plan`] and
-    /// [`Want::Profile`].
+    /// The pairwise order, when it is part of the answer.
+    order: Vec<usize>,
+    /// Wall time of the planning of [`Want::Plan`] and [`Want::Profile`].
     plan_elapsed: Option<Duration>,
-    /// The `execute` span, when this request ran the evaluation itself
-    /// (a cache miss) under profiling.
+    /// The `execute` span, under profiling.
     execute: Option<Span>,
 }
 
@@ -394,16 +353,13 @@ struct Trace {
 /// implementation behind every query entry point of both services.
 ///
 /// Budget failures are typed and stay with their caller: the entry
-/// checkpoint runs before the cache is consulted (so a dead budget's
-/// outcome does not depend on what happens to be cached), a failed
-/// computation is never cached, and a request that joined another's
-/// in-flight computation never inherits that caller's failure (see
-/// [`ResultCache::get_or_try_compute`]). Under
-/// [`QueryBudget::unlimited`] the result is always `Ok`.
+/// checkpoint runs before anything is planned, and the evaluators
+/// checkpoint the budget as they pull. Under [`QueryBudget::unlimited`]
+/// the result is always `Ok`.
 ///
 /// Every request is accounted in the metrics registry exactly once,
-/// here: two clock reads, plus two around up-front planning when the
-/// plan is part of the answer.
+/// here: two clock reads, plus two around planning when the plan is
+/// part of the answer.
 pub(crate) fn serve(
     pin: &Pinned<'_>,
     patterns: &[TriplePattern],
@@ -424,12 +380,10 @@ pub(crate) fn serve(
     let strategy = trace.strategy.unwrap_or(pin.configured);
     let profile = (want == Want::Profile).then(|| {
         let root = Span::new("query").timed(total).field("strategy", strategy);
-        let computed_here = trace.execute.is_some();
-        let order: Vec<String> = trace.plan.order.iter().map(usize::to_string).collect();
+        let order: Vec<String> = trace.order.iter().map(usize::to_string).collect();
         let mut root = (pin.provenance)(root)
             .field("patterns", patterns.len())
             .field("rows", solutions.len())
-            .field("cache", if computed_here { "miss" } else { "hit" })
             .with(
                 Span::new("plan")
                     .timed(trace.plan_elapsed.unwrap_or_default())
@@ -441,56 +395,45 @@ pub(crate) fn serve(
         QueryProfile::new(root)
     });
     Ok(PlannedQuery {
-        plan: trace.plan.order,
-        solutions,
+        plan: trace.order,
+        solutions: Arc::new(solutions),
         read: pin.read.to_vec(),
         strategy,
         profile,
     })
 }
 
-/// The fallible part of [`serve`]: entry checkpoint, up-front planning
-/// when the plan is part of the answer, then the rows — streamed for a
-/// prefix, evaluated outright when the cache is off, through the cache
-/// otherwise.
+/// The fallible part of [`serve`]: entry checkpoint, then plan once,
+/// then run — to completion, or to its `limit` for a prefix.
 fn answer(
     pin: &Pinned<'_>,
     patterns: &[TriplePattern],
     budget: &QueryBudget,
     want: Want,
     trace: &mut Trace,
-) -> Result<Arc<Vec<Mapping>>, ExecError> {
+) -> Result<Vec<Mapping>, ExecError> {
     budget.check()?;
-    if matches!(want, Want::Plan | Want::Profile) {
-        let plan_start = Instant::now();
-        let (plan, strategy) = plan_and_resolve(pin.ix, patterns, pin.configured, true);
-        (trace.plan, trace.strategy) = (plan, Some(strategy));
-        trace.plan_elapsed = Some(plan_start.elapsed());
-    }
-    let mut compute = |limit: Option<usize>| -> Result<Vec<Mapping>, ExecError> {
-        let planned = match trace.strategy {
-            // Planned up front: the plan stays behind for the answer.
-            Some(strategy) => (trace.plan.clone(), strategy),
-            None => plan_and_resolve(pin.ix, patterns, pin.configured, false),
-        };
-        trace.strategy = Some(planned.1);
-        let profiled = want == Want::Profile;
-        let (rows, span) = run(pin.ix, patterns, planned, budget, limit, profiled)?;
-        trace.execute = span;
-        Ok(rows)
-    };
-    match want {
-        Want::Prefix(k) => compute(Some(k)).map(Arc::new),
-        // Nothing to find and nowhere to keep it: no key, no lock, no
-        // in-flight slot. Still one miss per evaluation.
-        _ if pin.cache.is_off() => {
-            pin.cache.count_miss();
-            compute(None).map(Arc::new)
-        }
+    let limit = match want {
+        Want::Prefix(k) => Some(k),
         _ => {
-            let key = Arc::new((cache_key(patterns, pin.configured), pin.read.to_vec()));
-            pin.cache
-                .get_or_try_compute(key, budget, pin.still_current, || compute(None))
+            if let Some(evaluations) = pin.evaluations {
+                // relaxed-ok: a monotonic statistic; no other memory
+                // is published through it.
+                evaluations.fetch_add(1, Ordering::Relaxed);
+            }
+            None
         }
+    };
+    let report_plan = matches!(want, Want::Plan | Want::Profile);
+    let plan_start = report_plan.then(Instant::now);
+    let (plan, strategy) = plan_and_resolve(pin.ix, patterns, pin.configured, report_plan);
+    trace.plan_elapsed = plan_start.map(|t| t.elapsed());
+    trace.strategy = Some(strategy);
+    if report_plan {
+        trace.order = plan.order.clone();
     }
+    let profiled = want == Want::Profile;
+    let (rows, span) = run(pin.ix, patterns, (plan, strategy), budget, limit, profiled)?;
+    trace.execute = span;
+    Ok(rows)
 }

@@ -25,7 +25,7 @@ pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::new)
 }
 
-/// The `schema: 3` JSON snapshot of the registry — what the CLI's
+/// The `schema: 4` JSON snapshot of the registry — what the CLI's
 /// `--metrics-json PATH` writes and CI validates against
 /// `crates/obs/metrics-schema.json`.
 pub fn metrics_json() -> String {
@@ -38,9 +38,9 @@ fn ns(d: Duration) -> u64 {
 }
 
 /// One BGP request was served (or failed its budget): `strategy` is the
-/// join strategy it resolved — `None` when it resolved none, i.e. a
-/// plain request answered from the cache — and `plan` the wall time of
-/// its up-front planning, when it planned up front.
+/// join strategy it resolved — `None` when it resolved none, i.e. it was
+/// refused at its entry checkpoint — and `plan` the wall time of its
+/// planning, when the plan is part of its answer.
 pub(crate) fn on_query(strategy: Option<JoinStrategy>, total: Duration, plan: Option<Duration>) {
     let r = registry();
     r.queries_total.inc();
@@ -71,22 +71,6 @@ pub(crate) fn on_compaction(elapsed: Duration) {
 
 pub(crate) fn on_segment_append() {
     registry().segments_created.inc();
-}
-
-pub(crate) fn on_cache_hit() {
-    registry().cache_hits.inc();
-}
-
-pub(crate) fn on_cache_miss() {
-    registry().cache_misses.inc();
-}
-
-pub(crate) fn on_cache_eviction() {
-    registry().cache_evictions.inc();
-}
-
-pub(crate) fn on_cache_stampede_wait() {
-    registry().cache_stampede_waits.inc();
 }
 
 pub(crate) fn on_routed_read() {
@@ -171,8 +155,8 @@ mod tests {
     #[test]
     fn metrics_json_is_schema_valid_from_a_cold_start() {
         let text = super::metrics_json();
-        assert!(text.contains("\"schema\": 3"));
-        assert!(text.contains("\"cache.hits\""));
+        assert!(text.contains("\"schema\": 4"));
+        assert!(!text.contains("\"cache."));
         assert!(text.contains("\"query.total_ns\""));
         assert!(text.contains("\"store.deadline_exceeded_total\""));
         assert!(text.contains("\"query.rows_streamed\""));

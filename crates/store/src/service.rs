@@ -5,24 +5,19 @@
 //! lock: queries clone the `Arc` under a brief read lock and evaluate
 //! lock-free against that snapshot, while bulk loads mutate via
 //! copy-on-write under the write lock — so a slow query never blocks a
-//! load, and a load never blocks queries. The LRU result cache is
-//! opt-in ([`TripleStore::with_cache_capacity`]); by default a request
-//! evaluates its query and touches no cache state. When on, it is keyed
-//! by the query plus the `(shard, epoch)` pairs it read — `[(0, epoch)]`
-//! here; a bulk load bumps the epoch, so stale entries can never be
-//! served — with per-key in-flight deduplication so concurrent misses of
-//! the same query compute it once.
+//! load, and a load never blocks queries. Every request evaluates on the
+//! snapshot it pinned and reports the epoch it read; nothing is kept
+//! between requests.
 //!
-//! How a BGP request is served — cache, planning, join strategy,
-//! streaming, accounting — is not decided here: every query entry point
+//! How a BGP request is served — planning, join strategy, streaming,
+//! accounting — is not decided here: every query entry point
 //! pins one snapshot and delegates to `bgp::serve`, the same
 //! code the sharded facade ([`crate::ShardedStore`]) runs over its
 //! scatter-gather snapshot. One snapshot *and one plan* thread through
 //! planning and execution, so the plan [`TripleStore::query_with_plan`]
 //! displays is always the executed one, computed exactly once.
 
-use crate::bgp::{self, candidate_counts, plan_order, CacheKey, Pinned, PlannedQuery, Want};
-use crate::cache::ResultCache;
+use crate::bgp::{self, candidate_counts, plan_order, Pinned, PlannedQuery, Want};
 use crate::encoded::{CapacityError, EncodedGraph};
 use crate::persist::vfs::Vfs;
 use crate::persist::{PersistError, PersistOpts, StoreDir};
@@ -31,13 +26,26 @@ use crate::wcoj::JoinStrategy;
 use parking_lot::RwLock;
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use wdsparql_rdf::{
     ExecError, Iri, Mapping, QueryBudget, RdfGraph, Triple, TripleIndex, TriplePattern,
 };
 
-pub use crate::cache::CacheStats;
+/// What [`TripleStore::cache_stats`] reports. The store keeps no
+/// results, so nothing is ever hit or evicted: `hits` and `evictions`
+/// read 0, and `misses` counts the store's complete evaluations — every
+/// `query`, `solutions`, `query_with_plan`, `query_with_profile` and
+/// `query_budgeted` request that passed its entry checkpoint (a k-prefix
+/// is not one). It stays for the callers that read these three numbers,
+/// until they read the metrics registry instead (ROADMAP item 13(a)).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    pub hits: u64,
+    pub misses: u64,
+    pub evictions: u64,
+}
 
 /// Why a store mutation failed: the in-memory capacity guard refused
 /// the batch, or — on a durable store — the persistence layer could not
@@ -130,7 +138,7 @@ pub struct StoreStats {
     pub objects: usize,
     /// Per-predicate cardinalities, descending.
     pub predicate_cardinalities: Vec<(Iri, usize)>,
-    /// Bulk-load generation; queries are cached per epoch.
+    /// Bulk-load generation: what a query's read provenance names.
     pub epoch: u64,
     /// Rows in the compacted base arrays.
     pub base_rows: usize,
@@ -263,12 +271,12 @@ struct Inner {
 /// evaluate against a cheap `Arc` snapshot of the graph,
 /// [`TripleStore::bulk_load`] takes the write lock and bumps the epoch,
 /// [`TripleStore::compact`] folds the graph's delta segments without
-/// changing its contents (so the epoch — and every cached result —
-/// survives). For write scaling beyond one write lock, front N of these
+/// changing its contents (so the epoch survives). For write scaling beyond one write lock, front N of these
 /// with [`crate::ShardedStore`].
 pub struct TripleStore {
     inner: RwLock<Inner>,
-    cache: ResultCache<CacheKey>,
+    /// Complete evaluations served, for [`TripleStore::cache_stats`].
+    evaluations: AtomicU64,
     /// How BGPs are joined (see [`JoinStrategy`]); separate from `inner`
     /// so reading it never queues behind a bulk load.
     strategy: RwLock<JoinStrategy>,
@@ -281,21 +289,9 @@ impl Default for TripleStore {
 }
 
 impl TripleStore {
-    /// An empty store without a result cache: every query evaluates,
-    /// builds no cache key and keeps no result (its evaluations still
-    /// count as [`CacheStats::misses`]). Opt in with
-    /// [`TripleStore::with_cache_capacity`].
+    /// An empty store: every query evaluates on the snapshot it pins
+    /// and keeps nothing.
     pub fn new() -> TripleStore {
-        TripleStore::with_cache_capacity(0)
-    }
-
-    /// An empty store whose result cache keeps up to `capacity` complete
-    /// results, keyed by query, configured strategy and epoch, with
-    /// concurrent misses of one query computed once. It pays off only
-    /// when queries repeat between writes: a miss builds a key, takes
-    /// the LRU and in-flight locks, and the cache holds every kept
-    /// result alive. `0` is [`TripleStore::new`]'s cache-less store.
-    pub fn with_cache_capacity(capacity: usize) -> TripleStore {
         TripleStore {
             inner: RwLock::new(Inner {
                 graph: Arc::new(EncodedGraph::new()),
@@ -303,7 +299,7 @@ impl TripleStore {
                 capacity_limit: None,
                 persist: None,
             }),
-            cache: ResultCache::new(capacity),
+            evaluations: AtomicU64::new(0),
             strategy: RwLock::new(JoinStrategy::default()),
         }
     }
@@ -314,15 +310,10 @@ impl TripleStore {
         *self.strategy.read()
     }
 
-    /// Sets how BGPs are joined. Correctness does not depend on this
-    /// call's cache clear — entries are keyed by the configured strategy
-    /// that computed them, so strategies can never serve each other's
-    /// runs, in-flight computations included —
-    /// the clear just frees result sets the old setting will no longer
-    /// reach.
+    /// Sets how BGPs are joined; requests that pin after the call use
+    /// it.
     pub fn set_join_strategy(&self, strategy: JoinStrategy) {
         *self.strategy.write() = strategy;
-        self.cache.clear();
     }
 
     pub fn from_triples<I>(triples: I) -> TripleStore
@@ -347,8 +338,7 @@ impl TripleStore {
     /// (a torn tail is truncated, corrupt referenced segments are
     /// quarantined), and the graph is rebuilt at the last consistent
     /// epoch. Every subsequent [`TripleStore::bulk_load`] is committed
-    /// to disk before it is acknowledged. Like [`TripleStore::new`], the
-    /// reopened store has no result cache.
+    /// to disk before it is acknowledged.
     pub fn open(dir: impl AsRef<Path>) -> Result<TripleStore, StoreError> {
         TripleStore::open_with_opts(dir, PersistOpts::default())
     }
@@ -454,8 +444,7 @@ impl TripleStore {
     }
 
     /// Bulk-loads a batch of triples. Returns the number of new triples;
-    /// bumps the epoch (invalidating cached results) when anything
-    /// changed.
+    /// bumps the epoch when anything changed.
     ///
     /// The batch is normalised once, off-lock: sorted, deduplicated and
     /// checked against a lock-free snapshot, so a batch the store
@@ -539,17 +528,13 @@ impl TripleStore {
         let added = Arc::make_mut(&mut inner.graph).append_fresh(rows);
         inner.epoch += 1;
         crate::obs::on_epoch_bump();
-        // Every cached entry is keyed to an older epoch and is now
-        // unreachable — drop them so the result sets free their memory
-        // immediately instead of lingering until evicted.
-        self.cache.clear();
         crate::obs::on_bulk_load(start.elapsed());
         Ok(added)
     }
 
     /// Folds the graph's pending delta segments into its base arrays
     /// (rebuilding the PSO permutation). The triple set is unchanged, so
-    /// the epoch — and every cached result — stays valid. Returns `false`
+    /// the epoch stays. Returns `false`
     /// when there was nothing to fold.
     ///
     /// On a durable store a successful fold also writes a best-effort
@@ -667,8 +652,16 @@ impl TripleStore {
         stats
     }
 
+    /// The store's evaluation count, in the shape of a cache report:
+    /// see [`CacheStats`].
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        CacheStats {
+            hits: 0,
+            // relaxed-ok: a monotonic statistic read for reporting; no
+            // other memory depends on its order.
+            misses: self.evaluations.load(Ordering::Relaxed),
+            evictions: 0,
+        }
     }
 
     /// Evaluation order for a conjunctive (BGP) query: pattern indexes
@@ -681,7 +674,7 @@ impl TripleStore {
         plan_order(patterns, &candidate_counts(&*ix, patterns, 1), &[]).order
     }
 
-    /// Cached single-pattern solutions.
+    /// The solutions of one pattern.
     pub fn solutions(&self, pat: &TriplePattern) -> Arc<Vec<Mapping>> {
         self.query(std::slice::from_ref(pat))
     }
@@ -692,8 +685,8 @@ impl TripleStore {
     /// the seed on the first variable it shares with the second pattern
     /// when the plan's counts say it pays, bind joins for the rest), the
     /// worst-case-optimal leapfrog join over the sorted permutations, or
-    /// — under `Auto` — whichever the core's shape calls for. Results
-    /// are cached per epoch.
+    /// — under `Auto` — whichever the core's shape calls for, on the
+    /// snapshot the request pins.
     pub fn query(&self, patterns: &[TriplePattern]) -> Arc<Vec<Mapping>> {
         self.answer(patterns, Want::Rows).solutions
     }
@@ -710,10 +703,8 @@ impl TripleStore {
 
     /// As [`TripleStore::query_with_plan`], additionally building an
     /// execution profile: a span tree with plan timing, the resolved
-    /// strategy, the cache outcome, and — when the evaluation actually
-    /// ran (a cache miss) — per-level WCOJ counters or per-step pairwise
-    /// intermediate cardinalities. A cache hit reports `cache=hit` and
-    /// no `execute` span: nothing was executed.
+    /// strategy, the epoch read, and an `execute` span with per-level
+    /// WCOJ counters or per-step pairwise intermediate cardinalities.
     pub fn query_with_profile(&self, patterns: &[TriplePattern]) -> PlannedQuery {
         self.answer(patterns, Want::Profile)
     }
@@ -722,11 +713,8 @@ impl TripleStore {
     /// streaming evaluators checkpoint the deadline/cancellation token
     /// at every pull and inside their inner loops, so a failed budget
     /// surfaces as a typed [`ExecError`] within one seek/merge step
-    /// instead of running to completion. Complete results are cached
-    /// exactly like [`TripleStore::query`]'s (same key, so the two
-    /// paths serve each other); a budget failure is never cached and
-    /// never handed to another caller — everyone computes or waits
-    /// under their own budget.
+    /// instead of running to completion. A budget failure is the
+    /// caller's own: requests share nothing.
     pub fn query_budgeted(
         &self,
         patterns: &[TriplePattern],
@@ -740,8 +728,8 @@ impl TripleStore {
     /// arrives, so the evaluators do work proportional to the prefix,
     /// not the full result. The prefix equals the first `limit` rows of
     /// the corresponding full run (same plan, same snapshot, same
-    /// order). **Uncached** in both directions: a k-prefix is a partial
-    /// result and cached entries only ever hold complete ones.
+    /// order). A prefix is a partial result, so it is not counted in
+    /// [`TripleStore::cache_stats`].
     pub fn query_limited(
         &self,
         patterns: &[TriplePattern],
@@ -762,7 +750,7 @@ impl TripleStore {
     /// entry points.
     fn answer(&self, patterns: &[TriplePattern], want: Want) -> PlannedQuery {
         // analyzer-allow: no-unwrap-in-service an unlimited budget never
-        // fails a checkpoint, and no request inherits another's failure.
+        // fails a checkpoint.
         self.serve(patterns, &QueryBudget::unlimited(), want, || ())
             .expect("an unlimited budget never fails a checkpoint")
     }
@@ -784,8 +772,7 @@ impl TripleStore {
         let pin = Pinned {
             ix: &*graph,
             read: &[(0, epoch)],
-            cache: &self.cache,
-            still_current: &|| self.inner.read().epoch == epoch,
+            evaluations: Some(&self.evaluations),
             configured: self.join_strategy(),
             provenance: &|root| root.field("epoch", epoch),
         };
@@ -803,15 +790,6 @@ mod tests {
 
     fn store() -> TripleStore {
         TripleStore::from_triples(store_triples())
-    }
-
-    /// A compacted store over `triples` with a result cache, for the
-    /// tests that watch the cache.
-    fn cached(triples: impl IntoIterator<Item = Triple>) -> TripleStore {
-        let s = TripleStore::with_cache_capacity(128);
-        s.bulk_load(triples);
-        s.compact();
-        s
     }
 
     #[test]
@@ -840,20 +818,19 @@ mod tests {
 
     #[test]
     fn compact_folds_segments_and_keeps_the_cache() {
-        let s = cached(store_triples());
+        let s = store();
         s.bulk_load([Triple::from_strs("d", "p", "e")]);
         let pats = [tp(var("x"), iri("p"), var("y"))];
-        let before = s.query(&pats);
+        let before = s.query_with_plan(&pats);
         assert!(s.stats().delta_rows > 0, "bulk_load should stage a delta");
         assert!(s.compact());
         assert!(!s.compact(), "second compact is a no-op");
         let st = s.stats();
         assert_eq!((st.delta_rows, st.segments), (0, 0));
-        // Same epoch, same cached entry — and the same answers.
-        let hits_before = s.cache_stats().hits;
-        let after = s.query(&pats);
-        assert_eq!(before, after);
-        assert_eq!(s.cache_stats().hits, hits_before + 1);
+        // Same epoch — and the same answers.
+        let after = s.query_with_plan(&pats);
+        assert_eq!(before.solutions, after.solutions);
+        assert_eq!(before.read, after.read);
     }
 
     #[test]
@@ -1011,8 +988,8 @@ mod tests {
 
     /// The shared request path, driven directly on the counting index:
     /// a plain request probes the planner exactly as often as planning
-    /// plus strategy resolution do — execution adds nothing — and a
-    /// cache hit probes nothing at all.
+    /// plus strategy resolution do — execution adds nothing — on every
+    /// request, the repeat included.
     #[test]
     fn plain_requests_plan_once_on_a_miss_and_never_on_a_hit() {
         let g = EncodedGraph::from_triples(store_triples());
@@ -1030,29 +1007,24 @@ mod tests {
             let order = plan_order(&pats, &counts, &[]);
             crate::wcoj::resolve_with_order(&ix, &pats, configured, &order, &[]);
             let planning = ix.count_calls.get();
-            let cache = ResultCache::new(8);
+            let evaluations = AtomicU64::new(0);
             let pin = Pinned {
                 ix: &ix,
                 read: &[(0, 1)],
-                cache: &cache,
-                still_current: &|| true,
+                evaluations: Some(&evaluations),
                 configured,
                 provenance: &|root| root,
             };
             let budget = QueryBudget::unlimited();
             ix.count_calls.set(0);
-            let miss = bgp::serve(&pin, &pats, &budget, Want::Rows).expect("unlimited");
-            assert_eq!(ix.count_calls.get(), planning, "{configured}: miss");
-            assert_eq!(
-                miss.strategy,
-                JoinStrategy::Pairwise,
-                "resolved on the miss"
-            );
+            let first = bgp::serve(&pin, &pats, &budget, Want::Rows).expect("unlimited");
+            assert_eq!(ix.count_calls.get(), planning, "{configured}: first");
+            assert_eq!(first.strategy, JoinStrategy::Pairwise, "resolved");
             ix.count_calls.set(0);
-            let hit = bgp::serve(&pin, &pats, &budget, Want::Rows).expect("unlimited");
-            assert_eq!(ix.count_calls.get(), 0, "{configured}: a hit plans nothing");
-            assert_eq!(hit.solutions, miss.solutions);
-            assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+            let again = bgp::serve(&pin, &pats, &budget, Want::Rows).expect("unlimited");
+            assert_eq!(ix.count_calls.get(), planning, "{configured}: again");
+            assert_eq!(again.solutions, first.solutions);
+            assert_eq!(evaluations.into_inner(), 2, "one evaluation each");
         }
     }
 
@@ -1089,16 +1061,12 @@ mod tests {
 
     #[test]
     fn noop_bulk_load_revalidates_under_the_write_lock() {
-        let s = cached(store_triples());
+        let s = store();
         let epoch = s.epoch();
         // All-present batches are detected on the snapshot and return
-        // before the write lock — no epoch bump, no cache clear.
-        let pats = [tp(var("x"), iri("p"), var("y"))];
-        s.query(&pats);
-        let entries = s.cache_stats().entries;
+        // before the write lock — no epoch bump.
         assert_eq!(s.bulk_load(store_triples()), 0);
         assert_eq!(s.epoch(), epoch);
-        assert_eq!(s.cache_stats().entries, entries, "cache survived the no-op");
         // An empty batch takes no locks at all.
         assert_eq!(s.bulk_load(std::iter::empty::<Triple>()), 0);
     }
@@ -1152,7 +1120,7 @@ mod tests {
 
     #[test]
     fn join_strategy_knob_routes_and_agrees() {
-        let s = cached(
+        let s = TripleStore::from_triples(
             [
                 ("a", "p", "b"),
                 ("b", "p", "c"),
@@ -1180,10 +1148,8 @@ mod tests {
             s.query_with_plan(&chain).strategy,
             crate::JoinStrategy::Pairwise
         );
-        // Forcing pairwise agrees on the solution set, and flipping the
-        // knob clears the cache (no stale cross-strategy hits).
+        // Forcing pairwise agrees on the solution set.
         s.set_join_strategy(crate::JoinStrategy::Pairwise);
-        assert_eq!(s.cache_stats().entries, 0, "knob flip clears the cache");
         let pairwise = s.query_with_plan(&triangle);
         assert_eq!(pairwise.strategy, crate::JoinStrategy::Pairwise);
         let sorted = |sols: &Arc<Vec<Mapping>>| {
@@ -1206,7 +1172,7 @@ mod tests {
 
     #[test]
     fn query_with_profile_builds_a_span_tree() {
-        let s = cached(
+        let s = TripleStore::from_triples(
             [
                 ("a", "p", "b"),
                 ("b", "p", "c"),
@@ -1226,14 +1192,14 @@ mod tests {
         assert_eq!(out.solutions, s.query_with_plan(&triangle).solutions);
         let profile = out.profile.expect("profiling was requested");
         assert_eq!(profile.root.get("strategy"), Some("wco"));
-        assert_eq!(profile.root.get("cache"), Some("miss"));
+        assert_eq!(profile.root.get("epoch"), Some("1"));
         assert!(profile.root.duration().is_some());
         let exec = profile
             .root
             .children()
             .iter()
             .find(|c| c.name() == "execute")
-            .expect("a miss has an execute span");
+            .expect("every profile has an execute span");
         assert_eq!(exec.children().len(), 3, "one span per variable level");
         for level in exec.children() {
             assert!(level.name().starts_with("level ?"), "{}", level.name());
@@ -1243,11 +1209,6 @@ mod tests {
         }
         let text = profile.to_string();
         assert!(text.contains("├─ plan"), "rendered tree:\n{text}");
-        // The same query again is served from the cache: no execute span.
-        let again = s.query_with_profile(&triangle);
-        let cached = again.profile.expect("profiling was requested");
-        assert_eq!(cached.root.get("cache"), Some("hit"));
-        assert!(cached.root.children().iter().all(|c| c.name() != "execute"));
         // An acyclic chain resolves pairwise: scan + join steps with
         // intermediate cardinalities.
         let chain = [
@@ -1262,7 +1223,7 @@ mod tests {
             .children()
             .iter()
             .find(|c| c.name() == "execute")
-            .expect("a miss has an execute span");
+            .expect("every profile has an execute span");
         assert_eq!(exec.children().len(), 2);
         assert_eq!(exec.children()[0].name(), "scan");
         assert_eq!(exec.children()[1].name(), "join");
@@ -1275,7 +1236,7 @@ mod tests {
 
     #[test]
     fn query_joins_and_caches() {
-        let s = cached(store_triples());
+        let s = store();
         let pats = [
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("q"), var("z")),
@@ -1286,15 +1247,9 @@ mod tests {
         for mu in sols.iter() {
             assert_eq!(mu.get(Variable::new("z")), Some(Iri::new("x")));
         }
-        let before = s.cache_stats();
-        let again = s.query(&pats);
-        let after = s.cache_stats();
-        assert_eq!(sols, again);
-        assert_eq!(after.hits, before.hits + 1);
-        // A load invalidates: the stale entries are dropped outright and
-        // the next query recomputes.
+        assert_eq!(sols, s.query(&pats));
+        // The next query after a load sees it.
         s.bulk_load([Triple::from_strs("d", "q", "x")]);
-        assert_eq!(s.cache_stats().entries, 0);
         let fresh = s.query(&pats);
         assert_eq!(fresh.len(), 3);
     }
@@ -1322,24 +1277,20 @@ mod tests {
 
     #[test]
     fn query_budgeted_shares_the_cache_and_types_its_failures() {
-        let s = cached(store_triples());
+        let s = store();
         let pats = [
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("q"), var("z")),
         ];
-        // An unlimited budget agrees with the materialising path and
-        // lands in the same cache entry.
+        // An unlimited budget agrees with the materialising path.
         let budgeted = s
             .query_budgeted(&pats, &QueryBudget::unlimited())
             .expect("unlimited");
-        assert_eq!(budgeted, s.query(&pats), "one cache entry serves both");
-        assert_eq!(s.cache_stats().misses, 1, "query() hit the budgeted entry");
-        // A dead budget fails typed, and the failure is not cached: the
-        // key stays recomputable.
-        let s2 = cached(store_triples());
+        assert_eq!(budgeted, s.query(&pats));
+        // A dead budget fails typed, and the next budget is its own.
+        let s2 = store();
         let err = s2.query_budgeted(&pats, &QueryBudget::with_deadline(Duration::ZERO));
         assert_eq!(err, Err(ExecError::DeadlineExceeded));
-        assert_eq!(s2.cache_stats().entries, 0, "errors never land in the LRU");
         assert_eq!(
             s2.query_budgeted(&pats, &QueryBudget::unlimited())
                 .expect("fresh budget")
@@ -1356,23 +1307,70 @@ mod tests {
         );
     }
 
+    /// `cache_stats()` is an evaluation count: nothing is ever hit or
+    /// evicted, each request that evaluates in full counts one miss, and
+    /// a prefix or a request refused at its entry checkpoint counts none
+    /// — on a fresh, a compacted and a reopened durable store alike.
     #[test]
-    fn lru_evicts_the_stalest_entry() {
-        let s = TripleStore::with_cache_capacity(2);
-        s.bulk_load([Triple::from_strs("a", "p", "b")]);
-        let p1 = tp(var("x"), iri("p"), var("y"));
-        let p2 = tp(iri("a"), var("w"), var("y"));
-        let p3 = tp(var("x"), var("w"), iri("b"));
-        s.solutions(&p1);
-        s.solutions(&p2);
-        s.solutions(&p1); // refresh p1
-        s.solutions(&p3); // evicts p2
-        assert_eq!(s.cache_stats().entries, 2);
-        let before = s.cache_stats().hits;
-        s.solutions(&p1);
-        assert_eq!(s.cache_stats().hits, before + 1);
-        s.solutions(&p2); // miss: was evicted
-        assert_eq!(s.cache_stats().misses, 4);
+    fn cache_stats_counts_complete_evaluations_only() {
+        let dir = std::env::temp_dir().join(format!("wdsparql-evals-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = TripleStore::open(&dir).expect("format");
+        durable.bulk_load(store_triples());
+        drop(durable);
+        let fresh = TripleStore::new();
+        fresh.bulk_load(store_triples());
+        let pats = [
+            tp(var("x"), iri("p"), var("y")),
+            tp(var("y"), iri("q"), var("z")),
+        ];
+        let all = || QueryBudget::unlimited();
+        let dead = || QueryBudget::with_deadline(Duration::ZERO);
+        // What a request is called, the evaluations it counts, how to run it.
+        type Request<'a> = (&'a str, u64, &'a dyn Fn(&TripleStore));
+        let requests: [Request<'_>; 9] = [
+            ("query", 1, &|s| assert_eq!(s.query(&pats).len(), 2)),
+            ("solutions", 1, &|s| {
+                assert_eq!(s.solutions(&pats[0]).len(), 3)
+            }),
+            ("query_with_plan", 1, &|s| {
+                assert_eq!(s.query_with_plan(&pats).solutions.len(), 2);
+            }),
+            ("query_with_profile", 1, &|s| {
+                assert!(s.query_with_profile(&pats).profile.is_some());
+            }),
+            ("query_budgeted", 1, &|s| {
+                assert_eq!(s.query_budgeted(&pats, &all()).map(|r| r.len()), Ok(2));
+            }),
+            ("query_limited", 0, &|s| {
+                assert_eq!(s.query_limited(&pats, 1, &all()).map(|r| r.len()), Ok(1));
+            }),
+            ("solutions_limit", 0, &|s| {
+                assert_eq!(s.solutions_limit(&pats, 1).len(), 1);
+            }),
+            ("dead query_budgeted", 0, &|s| {
+                assert!(s.query_budgeted(&pats, &dead()).is_err());
+            }),
+            ("dead query_limited", 0, &|s| {
+                assert!(s.query_limited(&pats, 1, &dead()).is_err());
+            }),
+        ];
+        let reopened = TripleStore::open(&dir).expect("reopen");
+        for (name, s) in [
+            ("fresh", fresh),
+            ("compacted", store()),
+            ("reopened", reopened),
+        ] {
+            assert_eq!(s.cache_stats(), CacheStats::default(), "{name}: unused");
+            for (request, counted, run) in requests {
+                let before = s.cache_stats().misses;
+                run(&s);
+                let after = s.cache_stats();
+                assert_eq!((after.hits, after.evictions), (0, 0), "{name}: {request}");
+                assert_eq!(after.misses - before, counted, "{name}: {request}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -27,15 +27,12 @@
 //! PR 3 hid behind the same trait. Only `candidate_values` still merges:
 //! its trait contract demands one ascending list.
 //!
-//! ## Caching
+//! ## Read provenance
 //!
-//! The facade's result cache is opt-in
-//! ([`ShardedStore::with_cache_capacity`]; off by default). It is keyed
-//! by the query plus the **epoch vector of the shards the query read**:
-//! a routed query is keyed by one `(shard, epoch)` pair and survives
-//! bulk loads that only touch other shards; a fan-out query is keyed by
-//! every shard's epoch and invalidates on any write. A load purges
-//! exactly the entries whose epochs it bumped.
+//! Every facade request pins only the shards it can read and reports
+//! them as `(shard, epoch)` pairs: a fully subject-routed query pins
+//! and names its routed shards, a fan-out query every shard. Nothing is
+//! kept between requests.
 //!
 //! ## Consistency
 //!
@@ -46,8 +43,7 @@
 //! single-threaded, like the equivalence proptests — observe exactly
 //! the single-store semantics.
 
-use crate::bgp::{self, CacheKey, Pinned, PlannedQuery, Want};
-use crate::cache::{CacheStats, ResultCache};
+use crate::bgp::{self, Pinned, PlannedQuery, Want};
 use crate::encoded::EncodedGraph;
 use crate::persist::{PersistError, PersistOpts, StoreDir};
 use crate::segment::merge_many;
@@ -340,37 +336,21 @@ impl fmt::Display for ShardedStats {
 
 /// N hash-partitioned-by-subject [`TripleStore`] shards behind one
 /// facade: scattered parallel bulk loads under per-shard write locks,
-/// scatter-gather queries through the shared BGP planner, and a result
-/// cache keyed by the epoch vector of the shards each query read. See
-/// the module docs for the design.
+/// scatter-gather queries through the shared BGP planner, each pinning
+/// only the shards it can read. See the module docs for the design.
 pub struct ShardedStore {
     shards: Vec<TripleStore>,
-    cache: ResultCache<CacheKey>,
     /// How facade BGPs are joined (see [`JoinStrategy`]).
     strategy: RwLock<JoinStrategy>,
 }
 
 impl ShardedStore {
-    /// An empty store with `shards` partitions and no result cache:
-    /// every query evaluates, builds no cache key and keeps no result
-    /// (its evaluations still count as [`CacheStats::misses`]). Opt in
-    /// with [`ShardedStore::with_cache_capacity`].
+    /// An empty store with `shards` partitions: every query evaluates
+    /// on the shards it pins and keeps nothing.
     pub fn new(shards: usize) -> ShardedStore {
-        ShardedStore::with_cache_capacity(shards, 0)
-    }
-
-    /// As [`ShardedStore::new`] with a facade result cache of up to
-    /// `capacity` complete results (see
-    /// [`TripleStore::with_cache_capacity`] for what it costs). The
-    /// per-shard [`TripleStore`]s never cache — results are cached once,
-    /// at the facade, under the epoch-vector key.
-    pub fn with_cache_capacity(shards: usize, capacity: usize) -> ShardedStore {
         assert!(shards >= 1, "a sharded store needs at least one shard");
         ShardedStore {
-            shards: (0..shards)
-                .map(|_| TripleStore::with_cache_capacity(0))
-                .collect(),
-            cache: ResultCache::new(capacity),
+            shards: (0..shards).map(|_| TripleStore::new()).collect(),
             strategy: RwLock::new(JoinStrategy::default()),
         }
     }
@@ -381,11 +361,10 @@ impl ShardedStore {
         *self.strategy.read()
     }
 
-    /// Sets how facade BGPs are joined; clears the facade cache (see
+    /// Sets how facade BGPs are joined (see
     /// [`TripleStore::set_join_strategy`]).
     pub fn set_join_strategy(&self, strategy: JoinStrategy) {
         *self.strategy.write() = strategy;
-        self.cache.clear();
     }
 
     pub fn from_triples<I>(shards: usize, triples: I) -> ShardedStore
@@ -406,8 +385,7 @@ impl ShardedStore {
     /// subdirectory per shard, each an independent [`TripleStore`]
     /// store directory with its own manifest, log, and recovery. The
     /// shard count is discovered from the contiguous `shard-0 ..
-    /// shard-(n-1)` subdirectories present on disk. Like
-    /// [`ShardedStore::new`], the reopened store has no result cache.
+    /// shard-(n-1)` subdirectories present on disk.
     pub fn open(dir: impl AsRef<Path>) -> Result<ShardedStore, StoreError> {
         ShardedStore::open_with_opts(dir, PersistOpts::default())
     }
@@ -438,7 +416,6 @@ impl ShardedStore {
         }
         Ok(ShardedStore {
             shards,
-            cache: ResultCache::new(0),
             strategy: RwLock::new(JoinStrategy::default()),
         })
     }
@@ -481,9 +458,8 @@ impl ShardedStore {
 
     /// The underlying shards, for per-shard operations (targeted
     /// compaction, stats) and tests. Writing through a shard directly is
-    /// safe — its epoch bump makes any facade-cached result that read it
-    /// unreachable — but misroutes triples unless the caller partitions
-    /// by [`ShardedStore::shard_of`].
+    /// safe — the next facade request sees it — but misroutes triples
+    /// unless the caller partitions by [`ShardedStore::shard_of`].
     pub fn shards(&self) -> &[TripleStore] {
         &self.shards
     }
@@ -552,10 +528,6 @@ impl ShardedStore {
             })
             .collect();
         let results = run_jobs(jobs, parallel);
-        // Epochs moved: purge exactly the cache entries that read a
-        // bumped shard. (Entries keyed to stale epochs are already
-        // unreachable — this frees their memory.)
-        self.retain_current_cache();
         let mut added = 0;
         let mut first_err = None;
         for (i, r) in results {
@@ -575,14 +547,8 @@ impl ShardedStore {
         }
     }
 
-    fn retain_current_cache(&self) {
-        let epochs = self.epochs();
-        self.cache
-            .retain(|key| key.1.iter().all(|&(i, e)| epochs[i] == e));
-    }
-
-    /// Folds every shard's pending delta segments (epoch- and
-    /// cache-preserving, like [`TripleStore::compact`]). Returns `true`
+    /// Folds every shard's pending delta segments (epoch-preserving,
+    /// like [`TripleStore::compact`]). Returns `true`
     /// when any shard had something to fold.
     pub fn compact(&self) -> bool {
         let parallel = self.parallel_writes();
@@ -656,10 +622,6 @@ impl ShardedStore {
         stats
     }
 
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// The shards a BGP can read: the routed subset when every pattern's
     /// subject is bound, all shards otherwise. Sorted and deduplicated.
     fn read_set(&self, patterns: &[TriplePattern]) -> Vec<usize> {
@@ -708,9 +670,9 @@ impl ShardedStore {
         }
     }
 
-    /// Cached single-pattern solutions: routed to one shard when the
-    /// subject is bound (and then keyed by — and invalidated with —
-    /// that shard's epoch alone), gathered across shards otherwise.
+    /// The solutions of one pattern: routed to one shard when the
+    /// subject is bound (and then pinning that shard alone), gathered
+    /// across shards otherwise.
     pub fn solutions(&self, pat: &TriplePattern) -> Arc<Vec<Mapping>> {
         self.query(std::slice::from_ref(pat))
     }
@@ -719,8 +681,7 @@ impl ShardedStore {
     /// [`JoinStrategy`]: the shared planner and pairwise pipeline of
     /// [`TripleStore::query`], or the worst-case-optimal leapfrog join,
     /// running on a [`ShardedSnapshot`] — each pattern match (or trie)
-    /// routes or fans out on its own. Results are cached under the
-    /// epoch vector of the shards the query read.
+    /// routes or fans out on its own.
     pub fn query(&self, patterns: &[TriplePattern]) -> Arc<Vec<Mapping>> {
         self.answer(patterns, Want::Rows).solutions
     }
@@ -729,8 +690,7 @@ impl ShardedStore {
     /// streaming evaluators run over the scatter-gather snapshot and
     /// checkpoint the deadline/cancellation token at every pull and
     /// inside the WCOJ/merge inner loops, so a failed budget surfaces
-    /// as a typed [`ExecError`]. Complete results are cached under the
-    /// usual epoch-vector key; failures never are.
+    /// as a typed [`ExecError`].
     pub fn query_budgeted(
         &self,
         patterns: &[TriplePattern],
@@ -741,8 +701,7 @@ impl ShardedStore {
 
     /// Streams the first `limit` solutions over the sharded layout
     /// under `budget` — LIMIT pushdown across the scatter-gather path;
-    /// see [`TripleStore::query_limited`] for the contract. Uncached:
-    /// a k-prefix is a partial result.
+    /// see [`TripleStore::query_limited`] for the contract.
     pub fn query_limited(
         &self,
         patterns: &[TriplePattern],
@@ -771,9 +730,8 @@ impl ShardedStore {
     /// execution profile (see [`TripleStore::query_with_profile`]): the
     /// root span carries the read provenance — which shards the query
     /// pinned, at which epochs, and whether it was fully subject-routed
-    /// or a fan-out — on top of the plan timing, strategy, cache outcome
-    /// and (on a cache miss) per-level WCOJ or per-step pairwise
-    /// counters.
+    /// or a fan-out — on top of the plan timing, strategy and per-level
+    /// WCOJ or per-step pairwise counters.
     pub fn query_with_profile(&self, patterns: &[TriplePattern]) -> PlannedQuery {
         self.answer(patterns, Want::Profile)
     }
@@ -782,7 +740,7 @@ impl ShardedStore {
     /// entry points.
     fn answer(&self, patterns: &[TriplePattern], want: Want) -> PlannedQuery {
         // analyzer-allow: no-unwrap-in-service an unlimited budget never
-        // fails a checkpoint, and no request inherits another's failure.
+        // fails a checkpoint.
         self.serve(patterns, &QueryBudget::unlimited(), want)
             .expect("an unlimited budget never fails a checkpoint")
     }
@@ -805,8 +763,7 @@ impl ShardedStore {
         let pin = Pinned {
             ix: &snap,
             read: &read,
-            cache: &self.cache,
-            still_current: &|| read.iter().all(|&(i, e)| self.shards[i].epoch() == e),
+            evaluations: None,
             configured: self.join_strategy(),
             provenance: &|root| {
                 let routed = read.len() < self.shards.len();
@@ -842,15 +799,6 @@ mod tests {
 
     /// Two subject names guaranteed to live in different shards of a
     /// `shards`-way store (probed; plenty of names to choose from).
-    /// A compacted `shards`-way store over `triples` with a facade result
-    /// cache, for the tests that watch the cache.
-    fn cached(shards: usize, triples: Vec<Triple>) -> ShardedStore {
-        let s = ShardedStore::with_cache_capacity(shards, 128);
-        s.bulk_load(triples);
-        s.compact();
-        s
-    }
-
     fn split_subjects(store: &ShardedStore) -> (Iri, Iri) {
         let a = Iri::new("probe0");
         for i in 1..1000 {
@@ -941,7 +889,7 @@ mod tests {
     #[test]
     fn facade_query_agrees_with_single_store() {
         let single = TripleStore::from_triples(fixture());
-        let sharded = cached(3, fixture());
+        let sharded = ShardedStore::from_triples(3, fixture());
         let pats = [
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("q"), var("z")),
@@ -963,38 +911,6 @@ mod tests {
                 .map(|i| (i, epochs[i]))
                 .collect::<Vec<_>>()
         );
-        // Cached on repeat.
-        let before = sharded.cache_stats();
-        sharded.query(&pats);
-        assert_eq!(sharded.cache_stats().hits, before.hits + 1);
-    }
-
-    #[test]
-    fn routed_cache_survives_unrelated_writes() {
-        let store = ShardedStore::with_cache_capacity(2, 128);
-        let (a, b) = split_subjects(&store);
-        store.bulk_load([
-            Triple::new(a, Iri::new("p"), Iri::new("o1")),
-            Triple::new(b, Iri::new("p"), Iri::new("o2")),
-        ]);
-        let routed = [tp(a, iri("p"), var("y"))];
-        let fanout = [tp(var("x"), iri("p"), var("y"))];
-        assert_eq!(store.query(&routed).len(), 1);
-        assert_eq!(store.query(&fanout).len(), 2);
-        assert_eq!(store.cache_stats().entries, 2);
-        // A write to b's shard: the fan-out entry dies, the routed one
-        // survives and still hits.
-        store.bulk_load([Triple::new(b, Iri::new("p"), Iri::new("o3"))]);
-        assert_eq!(store.cache_stats().entries, 1);
-        let hits = store.cache_stats().hits;
-        assert_eq!(store.query(&routed).len(), 1);
-        assert_eq!(store.cache_stats().hits, hits + 1, "routed entry survived");
-        assert_eq!(store.query(&fanout).len(), 3, "fan-out recomputed fresh");
-        // A write to a's shard invalidates the routed entry too.
-        store.bulk_load([Triple::new(a, Iri::new("p"), Iri::new("o4"))]);
-        let misses = store.cache_stats().misses;
-        assert_eq!(store.query(&routed).len(), 2);
-        assert_eq!(store.cache_stats().misses, misses + 1);
     }
 
     #[test]
@@ -1096,13 +1012,13 @@ mod tests {
 
     #[test]
     fn empty_query_yields_the_empty_mapping_and_never_invalidates() {
-        let store = cached(2, fixture());
+        let store = ShardedStore::from_triples(2, fixture());
         assert_eq!(store.query(&[]).as_slice(), &[Mapping::new()]);
         store.bulk_load([Triple::from_strs("zz", "p", "zz")]);
-        // The empty BGP reads no shard, so its entry survives any write.
-        let hits = store.cache_stats().hits;
-        assert_eq!(store.query(&[]).as_slice(), &[Mapping::new()]);
-        assert_eq!(store.cache_stats().hits, hits + 1);
+        // The empty BGP reads no shard, so no write can change it.
+        let planned = store.query_with_plan(&[]);
+        assert_eq!(planned.solutions.as_slice(), &[Mapping::new()]);
+        assert!(planned.read.is_empty(), "{:?}", planned.read);
     }
 
     #[test]
@@ -1128,7 +1044,7 @@ mod tests {
     fn sharded_query_with_profile_builds_a_span_tree() {
         let mut triples = fixture();
         triples.push(Triple::from_strs("a", "p", "c")); // close a triangle
-        let sharded = cached(3, triples);
+        let sharded = ShardedStore::from_triples(3, triples);
         let triangle = [
             tp(var("x"), iri("p"), var("y")),
             tp(var("y"), iri("p"), var("z")),
@@ -1142,14 +1058,13 @@ mod tests {
         assert_eq!(root.name(), "query");
         assert_eq!(root.get("strategy"), Some("wco"));
         assert_eq!(root.get("routing"), Some("fan-out"));
-        assert_eq!(root.get("cache"), Some("miss"));
         let shards_read = root.get("shards_read").expect("read provenance");
         assert_eq!(shards_read.split(',').count(), 3, "{shards_read}");
         let execute = root
             .children()
             .iter()
             .find(|s| s.name() == "execute")
-            .expect("cache miss must carry an execute span");
+            .expect("every profile carries an execute span");
         let levels: Vec<_> = execute
             .children()
             .iter()
@@ -1157,12 +1072,6 @@ mod tests {
             .collect();
         assert_eq!(levels.len(), 3, "one span per WCOJ variable level");
         assert!(levels.iter().all(|s| s.get("rows").is_some()));
-        // Same query again: served from the facade cache, no execution.
-        let again = sharded.query_with_profile(&triangle);
-        let root = &again.profile.as_ref().unwrap().root;
-        assert_eq!(root.get("cache"), Some("hit"));
-        assert!(root.children().iter().all(|s| s.name() != "execute"));
-        assert_eq!(again.solutions, planned.solutions);
         // A fully subject-routed query reports routed provenance.
         let routed = sharded.query_with_profile(&[tp(iri("b"), iri("p"), var("y"))]);
         let root = &routed.profile.as_ref().unwrap().root;

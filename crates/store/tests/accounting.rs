@@ -19,10 +19,9 @@ fn every_request_is_counted_once_on_both_facades() {
     ]
     .map(|(s, p, o)| Triple::from_strs(s, p, o))
     .to_vec();
-    // With a result cache: the counts below assume `query_budgeted` hits.
-    let single = TripleStore::with_cache_capacity(128);
+    let single = TripleStore::new();
     single.bulk_load(triples.clone());
-    let sharded = ShardedStore::with_cache_capacity(3, 128);
+    let sharded = ShardedStore::new(3);
     sharded.bulk_load(triples);
     let triangle = [
         tp(var("x"), iri("p"), var("y")),
@@ -41,12 +40,9 @@ fn every_request_is_counted_once_on_both_facades() {
         r.deadline_exceeded.get(),
     );
 
-    // Per facade: 7 requests that succeed — the first `query` computes
-    // (resolving a strategy), `solutions` computes its own single-pattern
-    // entry, the planned/profiled pair resolves a strategy up front even
-    // though the rows are cached, `query_budgeted` is a plain cache hit
-    // (no strategy resolved), the two prefixes always evaluate — and 2
-    // that fail their budget at the entry checkpoint.
+    // Per facade: 7 requests that succeed, each resolving a strategy
+    // (only the planned/profiled pair times its planning) — and 2 that
+    // fail their budget at the entry checkpoint, resolving none.
     macro_rules! drive {
         ($store:expr) => {{
             assert_eq!($store.query(&triangle).len(), 1);
@@ -87,7 +83,7 @@ fn every_request_is_counted_once_on_both_facades() {
     );
     assert_eq!(
         after.1 - before.1,
-        12,
+        14,
         "strategy counters: only when resolved"
     );
     assert_eq!(
@@ -98,7 +94,7 @@ fn every_request_is_counted_once_on_both_facades() {
     assert_eq!(
         after.3 - before.3,
         4,
-        "query.plan_ns: up-front planning only"
+        "query.plan_ns: when the plan is part of the answer"
     );
     assert_eq!(after.4 - before.4, 14, "query.rows_streamed: per success");
     assert_eq!(after.5 - before.5, 4, "store.deadline_exceeded_total");

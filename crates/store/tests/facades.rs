@@ -5,9 +5,9 @@
 //! delegate every entry point to one shared request path, so every cell
 //! must agree — with an independent oracle (pairwise joins over the
 //! plain `RdfGraph`), with the other cells, and with itself across
-//! entry points. The table runs twice: on stores with a result cache,
-//! and on default-constructed ones (no cache), which must return the
-//! same rows while evaluating every request and keeping nothing.
+//! entry points. The table runs twice: on stores built in one load, and
+//! again with a reopened durable store among them, which must return
+//! the volatile store's rows.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,16 +15,13 @@ use wdsparql_rdf::term::{iri, var};
 use wdsparql_rdf::{
     tp, CancelToken, ExecError, Mapping, QueryBudget, RdfGraph, Triple, TriplePattern,
 };
-use wdsparql_store::{
-    eval_bgp_pairwise, CacheStats, JoinStrategy, PlannedQuery, ShardedStore, TripleStore,
-};
+use wdsparql_store::{eval_bgp_pairwise, JoinStrategy, PlannedQuery, ShardedStore, TripleStore};
 
 /// The entry points the two services share by name (they share no
 /// trait), so the table can iterate over both.
 trait Facade {
     fn set_join_strategy(&self, strategy: JoinStrategy);
     fn epochs(&self) -> Vec<u64>;
-    fn cache_stats(&self) -> CacheStats;
     fn query(&self, p: &[TriplePattern]) -> Arc<Vec<Mapping>>;
     fn solutions(&self, p: &TriplePattern) -> Arc<Vec<Mapping>>;
     fn query_with_plan(&self, p: &[TriplePattern]) -> PlannedQuery;
@@ -51,9 +48,6 @@ macro_rules! facade {
             }
             fn epochs(&self) -> Vec<u64> {
                 $epochs(self)
-            }
-            fn cache_stats(&self) -> CacheStats {
-                <$t>::cache_stats(self)
             }
             fn query(&self, p: &[TriplePattern]) -> Arc<Vec<Mapping>> {
                 <$t>::query(self, p)
@@ -134,29 +128,6 @@ fn queries() -> Vec<(&'static str, Vec<TriplePattern>)> {
     ]
 }
 
-/// The fixture in a single store with a result cache.
-fn cached_single() -> TripleStore {
-    let store = TripleStore::with_cache_capacity(128);
-    store.bulk_load(fixture());
-    store.compact();
-    store
-}
-
-/// The fixture in a `shards`-way store with a facade result cache.
-fn cached_sharded(shards: usize) -> ShardedStore {
-    let store = ShardedStore::with_cache_capacity(shards, 128);
-    store.bulk_load(fixture());
-    store.compact();
-    store
-}
-
-/// Whether the facade under test was built with a result cache.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Cache {
-    On,
-    Off,
-}
-
 fn sorted(rows: &[Mapping]) -> Vec<Mapping> {
     let mut v = rows.to_vec();
     v.sort();
@@ -165,8 +136,6 @@ fn sorted(rows: &[Mapping]) -> Vec<Mapping> {
 
 /// Every entry point of one facade under one strategy, on one query.
 /// Returns what `query_with_plan` reported, for cross-facade checks.
-/// With the cache off, every complete evaluation must count exactly one
-/// miss, and nothing may ever hit or be kept.
 fn check_cell(
     store: &dyn Facade,
     cell: &str,
@@ -174,34 +143,16 @@ fn check_cell(
     want: &[Mapping],
     plan: &[usize],
     configured: JoinStrategy,
-    cache: Cache,
 ) -> PlannedQuery {
-    let start = store.cache_stats();
-    let mut evaluations = 0;
-    let mut kept_nothing = |evaluated: u64| {
-        evaluations += evaluated;
-        if cache == Cache::Off {
-            let cs = store.cache_stats();
-            assert_eq!(
-                cs.misses - start.misses,
-                evaluations,
-                "{cell}: one miss each"
-            );
-            assert_eq!((cs.hits, cs.entries), (0, 0), "{cell}: nothing kept");
-        }
-    };
     let full = store.query(pats);
-    kept_nothing(1);
     assert_eq!(sorted(&full), want, "{cell}: query");
     if let [pat] = pats {
         assert_eq!(*store.solutions(pat), *full, "{cell}: solutions");
-        kept_nothing(1);
     }
 
-    // Planned and profiled: the same rows (the cached entry), the plan
-    // `plan()` computes, the strategy actually resolved.
+    // Planned and profiled: the same rows, the plan `plan()` computes,
+    // the strategy actually resolved.
     let planned = store.query_with_plan(pats);
-    kept_nothing(1);
     assert_eq!(planned.solutions, full, "{cell}: query_with_plan rows");
     assert_eq!(planned.plan, plan, "{cell}: plan");
     assert!(planned.profile.is_none(), "{cell}: no profile unless asked");
@@ -218,7 +169,6 @@ fn check_cell(
         forced => assert_eq!(planned.strategy, forced, "{cell}: forced strategy"),
     }
     let profiled = store.query_with_profile(pats);
-    kept_nothing(1);
     assert_eq!(profiled.solutions, full, "{cell}: query_with_profile rows");
     assert_eq!(
         (&profiled.plan, profiled.strategy, &profiled.read),
@@ -226,36 +176,22 @@ fn check_cell(
         "{cell}: profiled ≡ planned"
     );
     let root = &profiled.profile.as_ref().expect("profile requested").root;
-    match cache {
-        Cache::On => assert_eq!(
-            root.get("cache"),
-            Some("hit"),
-            "{cell}: third run is cached"
-        ),
-        Cache::Off => assert_eq!(root.get("cache"), Some("miss"), "{cell}: evaluated"),
-    }
+    assert!(
+        root.children().iter().any(|c| c.name() == "execute"),
+        "{cell}: evaluated"
+    );
     assert_eq!(
         root.get("rows").map(str::to_owned),
         Some(full.len().to_string()),
         "{cell}: profile row count"
     );
 
-    // Budgeted: the same cache entry under an unlimited budget.
-    let hits = store.cache_stats().hits;
+    // Budgeted: the same rows under an unlimited budget.
     let budgeted = store.query_budgeted(pats, &QueryBudget::unlimited());
     assert_eq!(budgeted.as_ref(), Ok(&full), "{cell}: query_budgeted");
-    match cache {
-        Cache::On => assert_eq!(
-            store.cache_stats().hits,
-            hits + 1,
-            "{cell}: budgeted shares the cache"
-        ),
-        Cache::Off => kept_nothing(1),
-    }
 
     // Limited: the exact k-prefix of this facade's full run, for every
-    // k, through neither side of the cache.
-    let before = store.cache_stats();
+    // k.
     for k in 0..=full.len() + 1 {
         let cap = k.min(full.len());
         let prefix = store.query_limited(pats, k, &QueryBudget::unlimited());
@@ -270,10 +206,8 @@ fn check_cell(
             "{cell}: solutions_limit({k})"
         );
     }
-    assert_eq!(store.cache_stats(), before, "{cell}: prefixes are uncached");
 
-    // A dead budget fails typed on every budgeted entry point, whatever
-    // the cache holds.
+    // A dead budget fails typed on every budgeted entry point.
     let dead = || QueryBudget::with_deadline(Duration::ZERO);
     assert_eq!(
         store.query_budgeted(pats, &dead()),
@@ -292,18 +226,15 @@ fn check_cell(
         Err(ExecError::Cancelled),
         "{cell}"
     );
-    // Prefixes and requests refused at the entry checkpoint evaluate
-    // nothing to completion: no miss.
-    kept_nothing(0);
     planned
 }
 
 #[test]
 fn every_entry_point_agrees_across_facades_and_strategies() {
     let graph = RdfGraph::from_triples(fixture());
-    let single = cached_single();
-    let one = cached_sharded(1);
-    let three = cached_sharded(3);
+    let single = TripleStore::from_triples(fixture());
+    let one = ShardedStore::from_triples(1, fixture());
+    let three = ShardedStore::from_triples(3, fixture());
     for strategy in [
         JoinStrategy::Pairwise,
         JoinStrategy::Wco,
@@ -321,7 +252,7 @@ fn every_entry_point_agrees_across_facades_and_strategies() {
             for (facade, store) in facades {
                 store.set_join_strategy(strategy);
                 let cell = format!("{facade}/{strategy}/{name}");
-                let planned = check_cell(store, &cell, &pats, &want, &plan, strategy, Cache::On);
+                let planned = check_cell(store, &cell, &pats, &want, &plan, strategy);
                 // Read provenance: every shard at its current epoch,
                 // except that a fully subject-routed BGP pins one.
                 let epochs = store.epochs();
@@ -350,11 +281,10 @@ fn every_entry_point_agrees_across_facades_and_strategies() {
     }
 }
 
-/// The table's queries × strategies on default-constructed stores (no
-/// result cache) and on a reopened durable one: the rows of the cached
-/// stores, in their order, from the same plan and strategy, with every
-/// request evaluated — one miss each, `cache=miss` on every profile —
-/// and nothing ever hit or kept.
+/// The table's queries × strategies on default-constructed stores and
+/// on a reopened durable one: every request evaluated (an `execute` span
+/// on every profile), and the reopened store answering with the rows of
+/// the volatile store, in their order, from the same plan and strategy.
 #[test]
 fn default_stores_evaluate_every_request_and_keep_nothing() {
     let dir = std::env::temp_dir().join(format!("wdsparql-facades-{}", std::process::id()));
@@ -364,7 +294,7 @@ fn default_stores_evaluate_every_request_and_keep_nothing() {
         .bulk_load(fixture());
     let reopened = TripleStore::open(&dir).expect("reopen");
     // The replayed batch folded into the base: rows in the order of the
-    // cached single store's layout.
+    // volatile single store's layout.
     reopened.compact();
     let graph = RdfGraph::from_triples(fixture());
     let (single, one, three) = (
@@ -372,13 +302,11 @@ fn default_stores_evaluate_every_request_and_keep_nothing() {
         ShardedStore::from_triples(1, fixture()),
         ShardedStore::from_triples(3, fixture()),
     );
-    let (cached, cached_one, cached_three) =
-        (cached_single(), cached_sharded(1), cached_sharded(3));
-    let pairs: [(&str, &dyn Facade, &dyn Facade); 4] = [
-        ("single", &single, &cached),
-        ("1-shard", &one, &cached_one),
-        ("3-shard", &three, &cached_three),
-        ("reopened", &reopened, &cached),
+    let cells: [(&str, &dyn Facade); 4] = [
+        ("single", &single),
+        ("1-shard", &one),
+        ("3-shard", &three),
+        ("reopened", &reopened),
     ];
     for strategy in [
         JoinStrategy::Pairwise,
@@ -387,46 +315,42 @@ fn default_stores_evaluate_every_request_and_keep_nothing() {
     ] {
         for (name, pats) in queries() {
             let want = sorted(&eval_bgp_pairwise(&graph, &pats));
-            let plan = cached.plan(&pats);
-            for (facade, store, with_cache) in pairs {
-                store.set_join_strategy(strategy);
-                with_cache.set_join_strategy(strategy);
-                let cell = format!("default {facade}/{strategy}/{name}");
-                let off = check_cell(store, &cell, &pats, &want, &plan, strategy, Cache::Off);
-                let on = with_cache.query_with_plan(&pats);
-                assert_eq!(
-                    (&off.solutions, &off.plan, off.strategy),
-                    (&on.solutions, &on.plan, on.strategy),
-                    "{cell}: the cached store's rows"
-                );
-            }
+            let plan = single.plan(&pats);
+            let planned: Vec<PlannedQuery> = cells
+                .iter()
+                .map(|&(facade, store)| {
+                    store.set_join_strategy(strategy);
+                    let cell = format!("default {facade}/{strategy}/{name}");
+                    check_cell(store, &cell, &pats, &want, &plan, strategy)
+                })
+                .collect();
+            let (volatile, durable) = (&planned[0], &planned[3]);
+            assert_eq!(
+                (&durable.solutions, &durable.plan, durable.strategy),
+                (&volatile.solutions, &volatile.plan, volatile.strategy),
+                "reopened/{strategy}/{name}: the volatile store's rows"
+            );
         }
     }
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A budgeted caller whose budget dies mid-computation, while it leads
-/// the in-flight slot, must never take a plain `query` of the same BGP
-/// down with it: the plain caller joined that slot at worst, and then
-/// recomputes under its own (unlimited) budget. (A zero deadline never
-/// gets that far — it dies at the entry checkpoint; the table above
-/// covers it.) Each round waits until the budgeted caller's computation
-/// is in flight — the miss counter ticks right before it starts — then
-/// trips its token and queries. With the cache disabled every round
-/// computes afresh.
+/// A budgeted request whose budget dies while it runs must never take a
+/// plain `query` of the same BGP down with it: requests share no state,
+/// so the plain caller always gets the full answer and the doomed one
+/// fails typed or completes. (A zero deadline dies at the entry
+/// checkpoint; the table above covers it.) Each round trips the token
+/// right after spawning the budgeted request — it dies at its entry
+/// checkpoint or mid-flight — and queries beside it.
 fn doomed_leaders_never_fail_plain_queries(store: &(dyn Facade + Sync), want: usize) {
     let pats = &queries()[3].1; // path3: enough work to die mid-flight
     let mut died = 0;
     for _ in 0..50 {
         let token = CancelToken::new();
         let budget = QueryBudget::with_cancel(token.clone());
-        let misses = store.cache_stats().misses;
         std::thread::scope(|s| {
             let doomed = s.spawn(|| store.query_budgeted(pats, &budget));
-            while store.cache_stats().misses == misses {
-                std::hint::spin_loop();
-            }
             token.cancel();
             assert_eq!(store.query(pats).len(), want, "plain query: full answer");
             match doomed
@@ -443,7 +367,7 @@ fn doomed_leaders_never_fail_plain_queries(store: &(dyn Facade + Sync), want: us
     }
     assert!(
         died > 0,
-        "no leader ever died in flight: the race never ran"
+        "no budgeted request ever died: the race never ran"
     );
 }
 
@@ -461,10 +385,10 @@ fn plain_queries_survive_doomed_in_flight_leaders_on_both_facades() {
         .collect();
     let want = eval_bgp_pairwise(&RdfGraph::from_triples(triples.clone()), &queries()[3].1).len();
     assert!(want > 0);
-    let single = TripleStore::with_cache_capacity(0);
+    let single = TripleStore::new();
     single.bulk_load(triples.clone());
     doomed_leaders_never_fail_plain_queries(&single, want);
-    let sharded = ShardedStore::with_cache_capacity(3, 0);
+    let sharded = ShardedStore::new(3);
     sharded.bulk_load(triples);
     doomed_leaders_never_fail_plain_queries(&sharded, want);
 }

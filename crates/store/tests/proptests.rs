@@ -327,7 +327,6 @@ proptest! {
         want.sort();
         want.dedup();
         prop_assert_eq!(got, want);
-        let _ = store.cache_stats();
     }
 
     /// Interleaved `insert_batch`/`compact` sequences agree with the
@@ -430,7 +429,7 @@ proptest! {
     /// with *per-shard* compactions (driven by `compact_mask`, so some
     /// shards answer from delta segments while others are freshly
     /// folded), the full `TripleIndex` surface through the scatter-gather
-    /// snapshot, and the facade's cached BGP path. Replays under
+    /// snapshot, and the facade's BGP path. Replays under
     /// `PROPTEST_SEED`.
     #[test]
     fn sharded_store_matches_single_store(
@@ -481,7 +480,7 @@ proptest! {
             TripleIndex::dom(sref.graph()).collect::<Vec<_>>()
         );
 
-        // The facade's cached, planned BGP path agrees with the single
+        // The facade's planned BGP path agrees with the single
         // service — for the fan-out join and for a routed point query.
         let join = [
             tp(wdsparql_rdf::var("x"), wdsparql_rdf::iri("sp0"), wdsparql_rdf::var("y")),

@@ -147,7 +147,7 @@ proptest! {
 
             // A dead budget always fails typed — fresh budget per query
             // (the first checkpoint is the one guaranteed clock check),
-            // cached or not, limited or not.
+            // limited or not.
             prop_assert_eq!(
                 single.query_budgeted(&pats, &QueryBudget::with_deadline(Duration::ZERO)),
                 Err(ExecError::DeadlineExceeded)

@@ -1,11 +1,10 @@
 //! The triple-store service end to end: stream a synthetic bulk load
 //! into a shared `TripleStore`, inspect its stats, and serve the same
-//! well-designed query from four threads concurrently — with the
-//! epoch-keyed LRU cache (opt-in) absorbing the repeats. A final act replays a
-//! *skewed* ingest into a hash-sharded `ShardedStore`: scattered loads
-//! under per-shard write locks, balanced shards despite the hot
-//! subjects, and routed queries whose cached results survive writes to
-//! the other shards.
+//! well-designed query from four threads concurrently, then answer a
+//! BGP with the epoch it read. A final act replays a *skewed* ingest
+//! into a hash-sharded `ShardedStore`: scattered loads under per-shard
+//! write locks, balanced shards despite the hot subjects, and routed
+//! queries that read — and report — only their own shard.
 //!
 //! Run with: `cargo run --example store_service`
 
@@ -18,10 +17,8 @@ fn main() {
     // 1. Bulk-load a generated workload in batches, as an ingest
     //    pipeline would: each batch appends one sorted delta segment
     //    (no base rewrite); the adaptive compaction policy folds the
-    //    segments back into the base as they accumulate. The result
-    //    cache is opt-in: this service repeats its queries, so it asks
-    //    for one.
-    let store = Arc::new(TripleStore::with_cache_capacity(128));
+    //    segments back into the base as they accumulate.
+    let store = Arc::new(TripleStore::new());
     let mut stream = triple_stream(2_000, 50_000, 6, 7);
     let mut batch_no = 0;
     loop {
@@ -40,8 +37,8 @@ fn main() {
         );
     }
     // Fold whatever is still pending (and build the PSO permutation for
-    // subject-sorted merge joins). Contents are unchanged, so cached
-    // results — keyed by epoch — survive.
+    // subject-sorted merge joins). Contents are unchanged, so the epoch
+    // stays.
     store.compact();
 
     // 2. The stats snapshot drives the planner: per-predicate
@@ -71,7 +68,7 @@ fn main() {
 
     // 4. The service's conjunctive (BGP) path: planned
     //    most-selective-first — plan and solutions from one snapshot,
-    //    so they can never diverge — answered from the cache on repeats.
+    //    so they can never diverge — each answer naming the epoch it read.
     let patterns = [
         tp(var("x"), iri("p0"), var("y")),
         tp(var("y"), iri("p1"), var("z")),
@@ -88,13 +85,11 @@ fn main() {
             .join(" ⋈ ")
     );
     for round in 1..=3 {
-        let sols = store.query(&patterns);
-        let cache = store.cache_stats();
+        let answer = store.query_with_plan(&patterns);
         println!(
-            "round {round}: {} join solutions | cache: {} hits, {} misses",
-            sols.len(),
-            cache.hits,
-            cache.misses
+            "round {round}: {} join solutions read at {:?}",
+            answer.solutions.len(),
+            answer.read
         );
     }
 
@@ -103,7 +98,7 @@ fn main() {
     //    head of subjects draws most writes), yet hashing the subject
     //    *names* keeps the shards balanced; every bulk load scatters
     //    its batch under independent per-shard write locks.
-    let sharded = Arc::new(ShardedStore::with_cache_capacity(4, 128));
+    let sharded = Arc::new(ShardedStore::new(4));
     let mut stream = skewed_triple_stream(2_000, 40_000, 6, 13);
     loop {
         let batch: Vec<_> = stream.by_ref().take(10_000).collect();
@@ -116,9 +111,9 @@ fn main() {
     let stats = sharded.stats();
     println!("\nsharded ingest of a skewed feed:\n{stats}");
 
-    // Routed vs fan-out queries: a subject-bound pattern touches one
-    // shard and is cached under that shard's epoch alone — a write to
-    // any *other* shard leaves it cached; a fan-out reads every shard.
+    // Routed vs fan-out queries: a subject-bound pattern pins and reads
+    // one shard — a write to any *other* shard leaves its read set
+    // unchanged; a fan-out reads every shard.
     let hot = Iri::new("n0"); // the hottest subject of the skewed feed
     let routed = [tp(hot, iri("p0"), var("y"))];
     let fanout = [
@@ -137,16 +132,9 @@ fn main() {
         .find(|s| sharded.shard_of(*s) == other_shard)
         .expect("some name hashes to the other shard");
     sharded.bulk_load([wdsparql::rdf::Triple::new(foreign, Iri::new("p0"), hot)]);
-    let before = sharded.cache_stats();
-    sharded.query(&routed);
-    let after = sharded.cache_stats();
     println!(
-        "after a write to shard {other_shard}: routed query {} (epochs {:?})",
-        if after.hits > before.hits {
-            "still served from cache"
-        } else {
-            "recomputed"
-        },
+        "after a write to shard {other_shard}: routed query read {:?} (epochs {:?})",
+        sharded.query_with_plan(&routed).read,
         sharded.epochs()
     );
 

@@ -9,8 +9,9 @@
 use wdsparql::algebra::{MAX_DEPTH, MAX_NESTING};
 use wdsparql::core::QueryError;
 use wdsparql::project::ProjectError;
-use wdsparql::rdf::RdfGraph;
-use wdsparql::{Engine, ProjectedQuery, Query};
+use wdsparql::rdf::{iri, tp, var, RdfGraph, Triple, TriplePattern};
+use wdsparql::store::JoinStrategy;
+use wdsparql::{Engine, ProjectedQuery, Query, TripleStore};
 
 const DEEP: usize = 100_000;
 
@@ -210,7 +211,9 @@ fn a_hundred_thousand_operand_chains_are_refused_at_the_crossing_operator() {
 /// Flat chains exactly `MAX_DEPTH` deep are accepted, one operator more is
 /// not, and at the bound the pipeline fits the 8 MiB stack of a main
 /// thread: parsed, translated, evaluated, printed and dropped. The `AND`
-/// chain is one BGP of 2 049 patterns, planned in quadratic time.
+/// chain is one BGP of 2 049 patterns, planned in quadratic time — by the
+/// pairwise planner, and by the leapfrog join's variable order on a store
+/// forced to the WCOJ.
 #[test]
 fn flat_chains_at_the_depth_bound_run_on_a_main_thread_stack() {
     for op in ["AND", "OPT", "UNION"] {
@@ -243,6 +246,17 @@ fn flat_chains_at_the_depth_bound_run_on_a_main_thread_stack() {
                 assert!(printed.len() > 12 * n, "{op}: every operand printed");
                 drop(q);
             }
+            let store = TripleStore::from_triples(
+                [("a0", "p", "a1"), ("a0", "q", "b"), ("b", "q", "a1")]
+                    .map(|(s, p, o)| Triple::from_strs(s, p, o)),
+            );
+            store.set_join_strategy(JoinStrategy::Wco);
+            let chain: Vec<TriplePattern> = (0..n)
+                .map(|i| tp(var(&format!("v{i}")), iri("p"), var(&format!("v{}", i + 1))))
+                .collect();
+            let planned = store.query_with_plan(&chain);
+            assert_eq!(planned.strategy, JoinStrategy::Wco);
+            assert!(planned.solutions.is_empty(), "AND on the WCOJ");
         })
         .expect("spawn")
         .join()
