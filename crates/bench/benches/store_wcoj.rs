@@ -9,7 +9,10 @@
 //! the leapfrog join intersects adjacency runs straight off the PSO/POS
 //! permutations and never materialises an intermediate. Three cyclic
 //! cores are timed: the triangle, the 4-clique and a triangle with a
-//! star arm on `p1`.
+//! star arm on `p1`. The triangle is timed once more on the same stream
+//! loaded in 4096-triple batches and left uncompacted
+//! (`triangle_staged`): the read an ingest's first solution pays, with
+//! delta segments pending beside the base.
 //!
 //! Before anything is timed, every query is asserted to produce the
 //! identical solution set across {pairwise, wco} × {TripleStore,
@@ -20,7 +23,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::OnceLock;
 use wdsparql_rdf::term::var;
-use wdsparql_rdf::{tp, Iri, Mapping, TriplePattern};
+use wdsparql_rdf::{tp, Iri, Mapping, Triple, TriplePattern};
 use wdsparql_store::{
     eval_bgp_pairwise, eval_bgp_wco, resolve_strategy, JoinStrategy, ShardedStore, TripleStore,
 };
@@ -30,12 +33,24 @@ const NODES: usize = 6_000;
 const DRAWS: usize = 110_000;
 const PREDICATES: usize = 2;
 const SHARDS: usize = 4;
+/// The ingest batch of `triangle_staged`.
+const BATCH: usize = 4096;
 
 /// `cargo test` runs bench targets with `--test` (each body once); a
 /// token workload keeps that pass fast while still exercising every
 /// bench path end to end.
 fn test_mode() -> bool {
     std::env::args().any(|a| a == "--test")
+}
+
+/// The workload's triples, in stream order.
+fn stream() -> impl Iterator<Item = Triple> {
+    let (nodes, draws) = if test_mode() {
+        (60, 600)
+    } else {
+        (NODES, DRAWS)
+    };
+    triple_stream(nodes, draws, PREDICATES, 42)
 }
 
 /// Both store layouts over the same stream, built once. Also pins the
@@ -47,20 +62,32 @@ fn stores() -> &'static (TripleStore, ShardedStore) {
             env!("CARGO_MANIFEST_DIR"),
             "/../../BENCH_store.json"
         ));
-        let (nodes, draws) = if test_mode() {
-            (60, 600)
-        } else {
-            (NODES, DRAWS)
-        };
-        let single = TripleStore::from_triples(triple_stream(nodes, draws, PREDICATES, 42));
+        let single = TripleStore::from_triples(stream());
         assert!(
             test_mode() || single.len() >= 100_000,
             "workload too small: {}",
             single.len()
         );
-        let sharded =
-            ShardedStore::from_triples(SHARDS, triple_stream(nodes, draws, PREDICATES, 42));
+        let sharded = ShardedStore::from_triples(SHARDS, stream());
         (single, sharded)
+    })
+}
+
+/// The stream loaded in order, batch by batch, and never compacted: the
+/// fold rule leaves the last batches pending as delta segments.
+fn staged() -> &'static TripleStore {
+    static STAGED: OnceLock<TripleStore> = OnceLock::new();
+    STAGED.get_or_init(|| {
+        let triples: Vec<Triple> = stream().collect();
+        let store = TripleStore::new();
+        for batch in triples.chunks(BATCH) {
+            store.bulk_load(batch.iter().copied());
+        }
+        assert!(
+            store.read_snapshot().graph().segment_count() > 0,
+            "triangle_staged must run with segments pending"
+        );
+        store
     })
 }
 
@@ -118,6 +145,13 @@ fn assert_strategies_and_backends_agree() {
             want,
             "{name}: wco on ShardedStore"
         );
+        if name == "triangle" {
+            assert_eq!(
+                sorted(eval_bgp_wco(staged().read_snapshot().graph(), &pats)),
+                want,
+                "{name}: wco on the staged TripleStore"
+            );
+        }
         assert_eq!(
             resolve_strategy(snap.graph(), &pats, JoinStrategy::Auto),
             JoinStrategy::Wco,
@@ -146,9 +180,15 @@ fn bench_wcoj(c: &mut Criterion) {
     let (single, sharded) = stores();
     let snap = single.read_snapshot();
     let ssnap = sharded.snapshot();
+    let staged = staged().read_snapshot();
     let mut group = c.benchmark_group("store_wcoj");
     group.sample_size(10);
     for (name, pats) in queries() {
+        if name == "triangle" {
+            group.bench_function("triangle_staged/wco", |b| {
+                b.iter(|| eval_bgp_wco(staged.graph(), black_box(&pats)).len())
+            });
+        }
         group.bench_function(format!("{name}/pairwise"), |b| {
             b.iter(|| eval_bgp_pairwise(snap.graph(), black_box(&pats)).len())
         });

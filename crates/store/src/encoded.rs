@@ -28,9 +28,10 @@
 //! bounded-prefix narrowing (segments are tiny, so their leading ranges
 //! come from binary search instead of offsets).
 //! [`EncodedGraph::compact`] folds the segments back into the base with
-//! one k-way merge of the SPO runs and re-derives OSP, POS and the
-//! base-only PSO by stable counting scatters (PSO shares POS's offset
-//! table: both count rows per predicate). PSO and
+//! one k-way merge of the SPO runs and re-derives OSP, POS and PSO by
+//! stable counting scatters (PSO shares POS's offset table: both count
+//! rows per predicate). A segment derives each of its other three runs
+//! on the first read that asks for it. The base's PSO and
 //! POS each get a **key level** — per predicate block, its distinct
 //! subject / object ids and the row each starts at — which the WCOJ trie
 //! walks instead of the rows; it is built by one walk over the
@@ -68,8 +69,8 @@ pub struct EncodedGraph {
     spo: Vec<Row>,
     pos: Vec<Row>,
     osp: Vec<Row>,
-    /// Base-only merge-join permutation, rebuilt by [`Self::compact`];
-    /// consulted by `scan` only when no delta segments are pending.
+    /// Subject-sorted merge-join permutation, rebuilt by
+    /// [`Self::compact`]; each pending segment carries its own PSO run.
     pso: Vec<Row>,
     /// The ids the offset tables cover: the graph's terms at the last
     /// compaction.
@@ -422,21 +423,16 @@ impl EncodedGraph {
     /// only re-derive this choice at three times the probe cost (the
     /// `sp?` / `s?o` / `enc_count` gap against `RdfGraph` in
     /// `BENCH_store.json` was exactly that overhead). `None` when no
-    /// position is bound. `(? p ?)` prefers the subject-sorted PSO block
-    /// (sort-free merge-join candidates), which exists only in the
-    /// compacted base — with segments pending it uses POS.
+    /// position is bound. `(? p ?)` takes the subject-sorted PSO block
+    /// (sort-free merge-join candidates).
     #[inline]
-    fn exact_perm(&self, spo_ids: [Option<Iri>; 3]) -> Option<Perm> {
+    fn exact_perm(spo_ids: [Option<Iri>; 3]) -> Option<Perm> {
         match spo_ids.map(|id| id.is_some()) {
             [false, false, false] => None,
             [true, true, _] | [true, false, false] => Some(Perm::Spo),
             [true, false, true] | [false, false, true] => Some(Perm::Osp),
             [false, true, true] => Some(Perm::Pos),
-            [false, true, false] => Some(if self.segments.is_empty() {
-                Perm::Pso
-            } else {
-                Perm::Pos
-            }),
+            [false, true, false] => Some(Perm::Pso),
         }
     }
 
@@ -484,11 +480,8 @@ impl EncodedGraph {
     /// leading components equal the bound ids of `spo_ids`. The bound
     /// positions must form a prefix of `perm`'s layout (what
     /// [`EncodedGraph::exact_perm`] and the WCOJ trie planner both
-    /// guarantee), and `perm` must not be the base-only PSO while
-    /// segments are pending. Allocation-free when no segments are
-    /// pending.
+    /// guarantee). Allocation-free when no segments are pending.
     pub(crate) fn pattern_runs(&self, perm: Perm, spo_ids: [Option<Iri>; 3]) -> PatternRuns<'_> {
-        debug_assert!(perm != Perm::Pso || self.segments.is_empty());
         let keys = Self::prefix_keys(perm, spo_ids);
         let (rows, off) = self.perm_base(perm);
         let base = match keys[0] {
@@ -525,7 +518,7 @@ impl EncodedGraph {
     #[inline]
     fn scan(&self, pat: &TriplePattern) -> Option<Scan<'_>> {
         let spo_ids = self.bound_terms(pat)?;
-        let Some(perm) = self.exact_perm(spo_ids) else {
+        let Some(perm) = Self::exact_perm(spo_ids) else {
             // No bound component: full scan over SPO, base + all deltas.
             return Some(Scan {
                 perm: Perm::Spo,
@@ -596,7 +589,7 @@ impl EncodedGraph {
         let Some(spo_ids) = self.bound_terms(pat) else {
             return 0;
         };
-        let Some(perm) = self.exact_perm(spo_ids) else {
+        let Some(perm) = Self::exact_perm(spo_ids) else {
             return self.len();
         };
         // Inlined run arithmetic (no `PatternRuns` value): this is the

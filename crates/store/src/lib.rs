@@ -11,9 +11,10 @@
 //! A term's id is its [`Iri`](wdsparql_rdf::Iri) interner id — the store
 //! has no dictionary of its own. Triples are stored as sorted arrays of
 //! `[Iri; 3]` rows — the SPO, POS and OSP component rotations, plus a
-//! base-only PSO rotation for subject-sorted merge-join inputs — each
-//! base array with an offset table indexed by leading id over the
-//! graph's id window (its smallest to its largest term), so every
+//! PSO rotation for subject-sorted merge-join inputs, in the base and in
+//! every delta segment — each base array with an offset table indexed
+//! by leading id over the graph's id window (its smallest to its largest
+//! term), so every
 //! bound-prefix lookup lands on one contiguous slice and the sorted
 //! blocks double as merge-join inputs
 //! ([`EncodedGraph::merge_join_ids`]); one bitset over the ids is the

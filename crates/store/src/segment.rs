@@ -3,11 +3,10 @@
 //! offset tables and the `u32` capacity guard.
 //!
 //! A [`Segment`] is the unit of the write path: one `insert_batch`
-//! becomes one segment holding the batch's rows sorted under the SPO,
-//! POS and OSP rotations (the PSO permutation exists only in the
-//! compacted base — see [`Perm::Pso`]). Segments are immutable once
-//! built; compaction folds them back into the base arrays with one
-//! k-way merge per permutation.
+//! becomes one segment holding the batch's rows sorted under all four
+//! rotations (SPO at once, the others on first use). Segments are
+//! immutable once built; compaction folds their SPO runs back into the
+//! base arrays with one k-way merge.
 //!
 //! [`EncodedGraph`]: crate::EncodedGraph
 
@@ -26,9 +25,6 @@ pub(crate) enum Perm {
     Pos,
     Osp,
     /// Predicate-led, subject-sorted — the merge-join permutation.
-    /// Unlike the other three it is *base-only*: delta segments carry no
-    /// PSO run, so the scan planner consults it only when the graph is
-    /// fully compacted.
     Pso,
 }
 
@@ -120,10 +116,10 @@ pub(crate) fn check_capacity(total_rows: usize, limit: usize) -> Result<(), Capa
 }
 
 /// One immutable delta segment: the new rows of a single `insert_batch`,
-/// sorted in SPO order. The POS and OSP rotations are derived lazily on
-/// the first scan that needs them — an ingest-only workload (batch after
-/// batch, compact, never read between) pays for exactly one sort per
-/// batch. Bounded-prefix scans over a segment run use binary search
+/// sorted in SPO order. The POS, OSP and PSO rotations are derived lazily
+/// on the first scan that needs them — an ingest-only workload (batch
+/// after batch, compact, never read between) pays for exactly one sort
+/// per batch. Bounded-prefix scans over a segment run use binary search
 /// directly — the runs are small, so they carry no offset tables — and
 /// compaction consumes only the SPO run (the merged base re-derives the
 /// other permutations by counting scatters, see [`scatter_by`]).
@@ -132,6 +128,7 @@ pub(crate) struct Segment {
     spo: Vec<Row>,
     pos: OnceLock<Vec<Row>>,
     osp: OnceLock<Vec<Row>>,
+    pso: OnceLock<Vec<Row>>,
 }
 
 impl Segment {
@@ -142,6 +139,7 @@ impl Segment {
             spo,
             pos: OnceLock::new(),
             osp: OnceLock::new(),
+            pso: OnceLock::new(),
         }
     }
 
@@ -151,18 +149,23 @@ impl Segment {
 
     fn rotated(&self, perm: Perm) -> Vec<Row> {
         let mut rows: Vec<Row> = self.spo.iter().map(|&r| perm.rotate(r)).collect();
-        rows.sort_unstable();
+        if perm == Perm::Pso {
+            // One predicate's SPO rows are already in (s, o) order, so a
+            // stable sort on the predicate alone finishes the run.
+            rows.sort_by_key(|r| r[0]);
+        } else {
+            rows.sort_unstable();
+        }
         rows
     }
 
-    /// The segment's sorted run under `perm`. Panics for [`Perm::Pso`]:
-    /// deltas carry no PSO run by design (the planner never asks).
+    /// The segment's sorted run under `perm`.
     pub(crate) fn rows(&self, perm: Perm) -> &[Row] {
         match perm {
             Perm::Spo => &self.spo,
             Perm::Pos => self.pos.get_or_init(|| self.rotated(Perm::Pos)),
             Perm::Osp => self.osp.get_or_init(|| self.rotated(Perm::Osp)),
-            Perm::Pso => unreachable!("delta segments carry no PSO run"),
+            Perm::Pso => self.pso.get_or_init(|| self.rotated(Perm::Pso)),
         }
     }
 
@@ -447,15 +450,29 @@ mod tests {
 
     #[test]
     fn segment_runs_are_sorted_rotations() {
+        // Predicates interleave across subjects, so the PSO run's stable
+        // predicate pass has subject and object order to keep.
         let t = terms("segment", 3);
-        let seg = Segment::from_sorted_spo(rows(&t, &[[0, 1, 2], [1, 0, 0], [1, 2, 0]]));
-        assert_eq!(seg.len(), 3);
-        for perm in [Perm::Spo, Perm::Pos, Perm::Osp] {
-            let rows = seg.rows(perm);
-            assert!(rows.is_sorted(), "{perm:?}");
-            let mut back: Vec<Row> = rows.iter().map(|&r| perm.spo_of(r)).collect();
-            back.sort_unstable();
-            assert_eq!(back, seg.rows(Perm::Spo));
+        let spo = rows(
+            &t,
+            &[
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 0],
+                [1, 1, 0],
+                [1, 2, 0],
+                [2, 1, 1],
+            ],
+        );
+        let seg = Segment::from_sorted_spo(spo.clone());
+        assert_eq!(seg.len(), 6);
+        let sorted_rotation = |perm: Perm| {
+            let mut rows: Vec<Row> = spo.iter().map(|&r| perm.rotate(r)).collect();
+            rows.sort_unstable();
+            rows
+        };
+        for perm in [Perm::Spo, Perm::Pos, Perm::Osp, Perm::Pso] {
+            assert_eq!(seg.rows(perm), sorted_rotation(perm), "{perm:?}");
         }
     }
 

@@ -817,7 +817,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_folds_segments_and_keeps_the_cache() {
+    fn compact_folds_segments_and_keeps_the_answers() {
         let s = store();
         s.bulk_load([Triple::from_strs("d", "p", "e")]);
         let pats = [tp(var("x"), iri("p"), var("y"))];
@@ -1235,7 +1235,7 @@ mod tests {
     }
 
     #[test]
-    fn query_joins_and_caches() {
+    fn query_joins_and_sees_later_loads() {
         let s = store();
         let pats = [
             tp(var("x"), iri("p"), var("y")),
@@ -1252,6 +1252,45 @@ mod tests {
         s.bulk_load([Triple::from_strs("d", "q", "x")]);
         let fresh = s.query(&pats);
         assert_eq!(fresh.len(), 3);
+    }
+
+    /// A triangle on a store whose rows all sit in pending segments: the
+    /// first row of the limited leapfrog is the full answer's first row,
+    /// and the pairwise pipeline starts its answer on the same row.
+    #[test]
+    fn first_triangle_with_segments_pending() {
+        // A ring with chords: `v_i → v_{i+1}`, `v_i → v_{i+2}`, so every
+        // `(v_i, v_{i+1}, v_{i+2})` is a triangle. Names interned in order.
+        let v: Vec<Iri> = (0..30)
+            .map(|i| Iri::new(&format!("first-triangle-v{i}")))
+            .collect();
+        let p = Iri::new("first-triangle-p");
+        let s = TripleStore::new();
+        for batch in 0..3 {
+            let edges = |i: usize| [1, 2].map(|d| Triple::new(v[i], p, v[(i + d) % 30]));
+            s.bulk_load((10 * batch..10 * batch + 10).flat_map(edges));
+        }
+        assert_eq!(s.stats().segments, 3, "left uncompacted");
+        let tri = [
+            tp(var("x"), iri("first-triangle-p"), var("y")),
+            tp(var("y"), iri("first-triangle-p"), var("z")),
+            tp(var("x"), iri("first-triangle-p"), var("z")),
+        ];
+        let first = s
+            .query_limited(&tri, 1, &QueryBudget::unlimited())
+            .expect("unlimited");
+        let full = s.query(&tri);
+        assert_eq!(full.len(), v.len());
+        assert_eq!(first[..], full[..1]);
+        s.set_join_strategy(JoinStrategy::Pairwise);
+        let pairwise = s.query(&tri);
+        assert_eq!(pairwise[0], first[0]);
+        let sorted = |rows: &[Mapping]| {
+            let mut rows = rows.to_vec();
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(&pairwise), sorted(&full));
     }
 
     #[test]
@@ -1276,7 +1315,7 @@ mod tests {
     }
 
     #[test]
-    fn query_budgeted_shares_the_cache_and_types_its_failures() {
+    fn query_budgeted_agrees_and_types_its_failures() {
         let s = store();
         let pats = [
             tp(var("x"), iri("p"), var("y")),

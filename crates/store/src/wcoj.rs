@@ -830,29 +830,46 @@ impl TrieCursor for SliceTrie<'_> {
 /// Builds the WCOJ trie of one pattern over an [`EncodedGraph`] — the
 /// backend override behind [`TripleIndex::trie_cursor`]. Zero-copy when
 /// some stored permutation's layout puts the bound positions in a prefix
-/// and the variables in exactly the requested order (PSO qualifies only
-/// on a fully compacted graph — delta segments carry no PSO run);
-/// otherwise the pattern's matches feed the shared [`MaterializedTrie`].
-/// Both key on [`Iri`]s.
+/// and the variables in exactly the requested order — with segments
+/// pending too, since every segment carries all four runs; otherwise the
+/// pattern's matches feed the shared [`MaterializedTrie`]. Both key on
+/// [`Iri`]s.
 pub(crate) fn encoded_trie<'a>(
     g: &'a EncodedGraph,
     pat: &TriplePattern,
     vars: &[Variable],
 ) -> Box<dyn TrieCursor + 'a> {
+    match slice_trie(g, pat, vars) {
+        Some(trie) => Box::new(trie),
+        // No permutation fits this (constants, variable order) layout —
+        // materialise the pattern's matches projected onto `vars`. Linear
+        // in the pattern's own match set, never in a join intermediate.
+        None => Box::new(MaterializedTrie::from_matches(
+            pat,
+            g.match_pattern(pat),
+            vars,
+        )),
+    }
+}
+
+/// The zero-copy half of [`encoded_trie`]: `None` when no stored
+/// permutation fits the pattern's layout.
+fn slice_trie<'a>(
+    g: &'a EncodedGraph,
+    pat: &TriplePattern,
+    vars: &[Variable],
+) -> Option<SliceTrie<'a>> {
     let depth = vars.len();
     let positions = pat.positions();
     let Some(spo_ids) = g.bound_terms(pat) else {
         // A bound term the graph has never seen: nothing matches.
-        return Box::new(SliceTrie::new(depth, 0, Vec::new()));
+        return Some(SliceTrie::new(depth, 0, Vec::new()));
     };
     let constants = spo_ids.iter().filter(|id| id.is_some()).count();
     // `depth + constants == 3` ⟺ no variable repeats: repeats constrain
     // rows beyond what any sorted run expresses, so they materialise.
     if depth + constants == 3 {
         'perm: for perm in [Perm::Spo, Perm::Osp, Perm::Pso, Perm::Pos] {
-            if perm == Perm::Pso && g.segment_count() > 0 {
-                continue;
-            }
             let layout = perm.layout();
             for (comp, id) in spo_ids.iter().enumerate() {
                 if id.is_some() && layout[comp] >= constants {
@@ -881,17 +898,10 @@ pub(crate) fn encoded_trie<'a>(
                     .collect(),
                 None => runs.iter().map(Run::Rows).collect(),
             };
-            return Box::new(SliceTrie::new(depth, constants, level0));
+            return Some(SliceTrie::new(depth, constants, level0));
         }
     }
-    // No permutation fits this (constants, variable order) layout —
-    // materialise the pattern's matches projected onto `vars`. Linear in
-    // the pattern's own match set, never in a join intermediate.
-    Box::new(MaterializedTrie::from_matches(
-        pat,
-        g.match_pattern(pat),
-        vars,
-    ))
+    None
 }
 
 #[cfg(test)]
@@ -1451,5 +1461,66 @@ mod tests {
         cur.open();
         assert_eq!(cur.value(), n("a"), "re-opening rewinds the level");
         assert_eq!(cur.op_stats().seeks, 2);
+    }
+
+    /// With delta segments pending, `(?x p ?y)` in order `[x, y]` is
+    /// still a view: the keyed base PSO block plus each segment's own PSO
+    /// run (the very slices `pattern_runs` hands out), and the walk
+    /// yields exactly their rows.
+    #[test]
+    fn encoded_trie_views_pending_segments_over_pso() {
+        let n = |i: usize| Iri::new(&format!("trie-staged-v{i}"));
+        let (p, q) = (Iri::new("trie-staged-p"), Iri::new("trie-staged-q"));
+        let edges = |range: std::ops::Range<usize>| {
+            range.flat_map(move |i| {
+                [
+                    Triple::new(n(i % 7), p, n((i * 3) % 11)),
+                    Triple::new(n((i * 5) % 9), q, n(i % 4)),
+                ]
+            })
+        };
+        let mut g = EncodedGraph::from_triples(edges(0..20));
+        g.insert_batch(edges(20..30)).unwrap();
+        g.insert_batch(edges(30..45)).unwrap();
+        assert_eq!(g.segment_count(), 2, "both batches stay pending");
+
+        let pat = tp(var("x"), Term::Iri(p), var("y"));
+        let vars = [Variable::new("x"), Variable::new("y")];
+        let trie = slice_trie(&g, &pat, &vars).expect("PSO fits with segments pending");
+        let runs = g.pattern_runs(Perm::Pso, [None, Some(p), None]);
+        assert_eq!(runs.deltas.len(), 2);
+        let [Run::Keys(base), deltas @ ..] = trie.level0.as_slice() else {
+            panic!("the base block is walked keyed");
+        };
+        let (mut base, mut base_rows) = (*base, Vec::new());
+        while !base.keys.is_empty() {
+            base_rows.extend_from_slice(base.first_rows());
+            base.skip(1);
+        }
+        assert_eq!(base_rows, runs.base);
+        assert_eq!(deltas.len(), runs.deltas.len());
+        for (run, &delta) in deltas.iter().zip(&runs.deltas) {
+            assert!(matches!(run, Run::Rows(rows) if std::ptr::eq(*rows, delta)));
+        }
+
+        let mut want: Vec<(Iri, Iri)> = runs.iter().flatten().map(|r| (r[1], r[2])).collect();
+        want.sort_unstable();
+        let mut cur = encoded_trie(&g, &pat, &vars);
+        let mut got = Vec::new();
+        cur.open();
+        while let Some(x) = cur.key() {
+            cur.open();
+            while let Some(y) = cur.key() {
+                got.push((x, y));
+                cur.advance();
+            }
+            cur.up();
+            cur.advance();
+        }
+        assert_eq!(got, want);
+        let mut matched: Vec<(Iri, Iri)> =
+            g.match_pattern(&pat).iter().map(|t| (t.s, t.o)).collect();
+        matched.sort_unstable();
+        assert_eq!(got, matched, "and those rows are the pattern's matches");
     }
 }
