@@ -11,8 +11,11 @@
 //! cores are timed: the triangle, the 4-clique and a triangle with a
 //! star arm on `p1`. The triangle is timed once more on the same stream
 //! loaded in 4096-triple batches and left uncompacted
-//! (`triangle_staged`): the read an ingest's first solution pays, with
-//! delta segments pending beside the base.
+//! (`triangle_staged/wco`): the full enumeration with the fold rule's
+//! last delta segment pending beside the base. `triangle_staged/first`
+//! times the read an ingest's first solution pays: the service's
+//! `query_limited` of the triangle for one solution, on a prefix of the
+//! stream loaded the same way and stopped with several segments pending.
 //!
 //! Before anything is timed, every query is asserted to produce the
 //! identical solution set across {pairwise, wco} × {TripleStore,
@@ -23,7 +26,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::OnceLock;
 use wdsparql_rdf::term::var;
-use wdsparql_rdf::{tp, Iri, Mapping, Triple, TriplePattern};
+use wdsparql_rdf::{tp, Iri, Mapping, QueryBudget, Triple, TriplePattern};
 use wdsparql_store::{
     eval_bgp_pairwise, eval_bgp_wco, resolve_strategy, JoinStrategy, ShardedStore, TripleStore,
 };
@@ -35,6 +38,8 @@ const PREDICATES: usize = 2;
 const SHARDS: usize = 4;
 /// The ingest batch of `triangle_staged`.
 const BATCH: usize = 4096;
+/// The delta segments pending under `triangle_staged/first`.
+const FIRST_PENDING: usize = 4;
 
 /// `cargo test` runs bench targets with `--test` (each body once); a
 /// token workload keeps that pass fast while still exercising every
@@ -78,17 +83,45 @@ fn stores() -> &'static (TripleStore, ShardedStore) {
 fn staged() -> &'static TripleStore {
     static STAGED: OnceLock<TripleStore> = OnceLock::new();
     STAGED.get_or_init(|| {
-        let triples: Vec<Triple> = stream().collect();
-        let store = TripleStore::new();
-        for batch in triples.chunks(BATCH) {
-            store.bulk_load(batch.iter().copied());
-        }
+        let store = load_in_batches(BATCH, usize::MAX);
         assert!(
             store.read_snapshot().graph().segment_count() > 0,
             "triangle_staged must run with segments pending"
         );
         store
     })
+}
+
+/// The stream loaded as [`staged`] loads it, stopped at the first batch
+/// that leaves `FIRST_PENDING` segments pending: an ingest's store
+/// mid-stream. The token workload loads 64-triple batches, since its
+/// whole stream is one 4096-triple batch.
+fn staged_first() -> &'static TripleStore {
+    static STAGED: OnceLock<TripleStore> = OnceLock::new();
+    STAGED.get_or_init(|| {
+        let batch = if test_mode() { BATCH / 64 } else { BATCH };
+        let store = load_in_batches(batch, FIRST_PENDING);
+        let segments = store.read_snapshot().graph().segment_count();
+        assert!(
+            segments > 1,
+            "triangle_staged/first must run with several segments pending, not {segments}"
+        );
+        store
+    })
+}
+
+/// The stream loaded in order, `batch` triples at a time, until
+/// `pending` segments are pending or the stream ends.
+fn load_in_batches(batch: usize, pending: usize) -> TripleStore {
+    let triples: Vec<Triple> = stream().collect();
+    let store = TripleStore::new();
+    for batch in triples.chunks(batch) {
+        store.bulk_load(batch.iter().copied());
+        if store.read_snapshot().graph().segment_count() >= pending {
+            break;
+        }
+    }
+    store
 }
 
 fn p0(s: &str, o: &str) -> TriplePattern {
@@ -151,6 +184,13 @@ fn assert_strategies_and_backends_agree() {
                 want,
                 "{name}: wco on the staged TripleStore"
             );
+            let store = staged_first();
+            let first = store.query_limited(&pats, 1, &QueryBudget::unlimited());
+            let all = eval_bgp_pairwise(store.read_snapshot().graph(), &pats);
+            assert!(
+                matches!(&first.expect("an unlimited budget")[..], [mu] if all.contains(mu)),
+                "{name}: the first solution on the mid-stream TripleStore"
+            );
         }
         assert_eq!(
             resolve_strategy(snap.graph(), &pats, JoinStrategy::Auto),
@@ -181,12 +221,19 @@ fn bench_wcoj(c: &mut Criterion) {
     let snap = single.read_snapshot();
     let ssnap = sharded.snapshot();
     let staged = staged().read_snapshot();
+    let (staged_first, budget) = (staged_first(), QueryBudget::unlimited());
     let mut group = c.benchmark_group("store_wcoj");
     group.sample_size(10);
     for (name, pats) in queries() {
         if name == "triangle" {
             group.bench_function("triangle_staged/wco", |b| {
                 b.iter(|| eval_bgp_wco(staged.graph(), black_box(&pats)).len())
+            });
+            group.bench_function("triangle_staged/first", |b| {
+                b.iter(|| {
+                    let first = staged_first.query_limited(black_box(&pats), 1, &budget);
+                    first.expect("an unlimited budget").len()
+                })
             });
         }
         group.bench_function(format!("{name}/pairwise"), |b| {

@@ -27,8 +27,9 @@
 //!                                           execution profile (span tree),
 //!                                           `--metrics-json` dumps the
 //!                                           process-wide metrics registry;
-//!                                           `--dir PATH` persists every
-//!                                           ingest batch durably to PATH,
+//!                                           `--dir PATH` commits the file
+//!                                           to PATH as one durable batch
+//!                                           (a refused file commits none),
 //!                                           `--open` reopens such a store
 //!                                           (then only `[query]` follows)
 //! wdsparql demo                             run a tiny built-in scenario
@@ -45,7 +46,9 @@ use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use wdsparql_contain::{decide_containment, SearchBudget, Verdict};
-use wdsparql_core::{count_by_domain, enumerate_with_stats, Engine, Query, Route, Strategy};
+use wdsparql_core::{
+    count_solutions_by_domain, enumerate_with_stats, Engine, Query, Route, Strategy,
+};
 use wdsparql_project::{enumerate_projected, ProjectedQuery};
 use wdsparql_rdf::{parse_statements, ExecError, Mapping, QueryBudget, Triple, TriplePattern};
 use wdsparql_store::{JoinStrategy, PlannedQuery, ShardedStore, StoreError, TripleStore};
@@ -110,6 +113,7 @@ const USAGE: &str = "usage:
                    [--limit K] [--deadline-ms T]
                    [--profile] [--metrics-json PATH]
                    [--dir PATH] [--open] <data.nt> [query]
+                   (the file loads, and commits under --dir, as one batch)
   wdsparql demo";
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -180,7 +184,7 @@ fn dispatch(args: &[String]) -> Result<(), Failure> {
             let (sols, stats) = enumerate_with_stats(query.forest(), &graph);
             print_lines(|out| {
                 writeln!(out, "{} solution(s)", sols.len())?;
-                for (domain, count) in count_by_domain(query.forest(), &graph) {
+                for (domain, count) in count_solutions_by_domain(&sols) {
                     let names: Vec<String> = domain.iter().map(|v| v.to_string()).collect();
                     writeln!(out, "  {{{}}}: {count}", names.join(", "))?;
                 }
@@ -247,9 +251,11 @@ fn dispatch(args: &[String]) -> Result<(), Failure> {
 /// the first K solutions (LIMIT pushdown — later solutions are never
 /// computed), and a missed deadline surfaces as a clean
 /// `query deadline exceeded` error rather than running to completion.
-/// `--dir PATH` makes the store durable: every ingest batch commits to
-/// disk (crash-safe tmp→fsync→rename protocol) before it is
-/// acknowledged. `--open` reopens a store previously persisted with
+/// The data file is loaded as one batch. `--dir PATH` makes the store
+/// durable: that batch commits to disk (crash-safe tmp→fsync→rename
+/// protocol) before it is acknowledged, and a file over the capacity
+/// commits nothing (on a sharded store, no shard over its cap commits
+/// its part). `--open` reopens a store previously persisted with
 /// `--dir` — no data file is read; the single positional argument is
 /// the optional query. Corruption on reopen is a clean error.
 fn run_store(args: &[String]) -> Result<(), Failure> {
@@ -325,7 +331,7 @@ type Budgeted<T> = Result<T, ExecError>;
 /// `compact_and_report`, `engine` and `provenance` legitimately differ.
 #[allow(clippy::type_complexity)] // plain signatures of the methods bound
 struct Service<'a> {
-    try_bulk_load: &'a dyn Fn(&[Triple]) -> Result<usize, StoreError>,
+    try_bulk_load: &'a dyn Fn(Vec<Triple>) -> Result<usize, StoreError>,
     /// Folds whatever the adaptive policy left pending, then prints the
     /// stats, the durable epoch(s) and the ingest lifecycle.
     compact_and_report: &'a dyn Fn(),
@@ -378,17 +384,11 @@ fn store_command(
     // The one ingest → stats → compact → report → query sequence, over
     // whichever service the layout below binds.
     let run = |store: &Service<'_>| -> Result<(), Failure> {
-        // Load the parsed statements in batches, as an ingest pipeline
-        // would: the store drops repeats and held triples, and each
-        // batch appends sorted delta segments (scattered across the
-        // shards when sharded); the explicit compact folds whatever the
-        // adaptive policy left pending. Capacity exhaustion is a clean
-        // error, not a panic.
-        statements.chunks(4096).try_for_each(|batch| {
-            (store.try_bulk_load)(batch)
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        })?;
+        // The whole file is one batch: the store drops repeats, sorts and
+        // commits the rest once (once per shard when sharded), and the
+        // compact folds them into the base. A store over its cap takes
+        // none of the batch: a clean error.
+        (store.try_bulk_load)(statements).map_err(|e| e.to_string())?;
         (store.compact_and_report)();
         if let Some(pats) = &streamed {
             let budget = budget_from(deadline_ms);
@@ -465,7 +465,7 @@ fn store_command(
         store.set_capacity_limit(max_triples);
         store.set_join_strategy(strategy);
         run(&Service {
-            try_bulk_load: &|batch| store.try_bulk_load(batch.iter().copied()),
+            try_bulk_load: &|batch| store.try_bulk_load(batch),
             compact_and_report: &|| {
                 let staged = store.stats();
                 store.compact();
@@ -501,7 +501,7 @@ fn store_command(
         store.set_capacity_limit(max_triples);
         store.set_join_strategy(strategy);
         run(&Service {
-            try_bulk_load: &|batch| store.try_bulk_load(batch.iter().copied()),
+            try_bulk_load: &|batch| store.try_bulk_load(batch),
             compact_and_report: &|| {
                 let staged = store.stats();
                 store.compact();
@@ -761,6 +761,29 @@ mod tests {
         ]))
         .is_ok());
         assert!(run(&s(&["contain", "(?x, p, ?y)"])).is_err());
+    }
+
+    /// `count` tallies the one enumeration it prints the work of: the
+    /// histogram must be the one `count_by_domain` enumerates again for.
+    #[test]
+    fn count_tallies_its_enumeration_as_count_by_domain_does() {
+        let graph = wdsparql_rdf::RdfGraph::from_strs([
+            ("a", "p", "b"),
+            ("b", "q", "c"),
+            ("d", "p", "e"),
+            ("f", "r", "g"),
+            ("f", "s", "h"),
+            ("i", "r", "j"),
+        ]);
+        let text = "((?x, p, ?y) OPT (?y, q, ?z)) UNION ((?x, r, ?y) OPT (?x, s, ?w))";
+        let query = Query::parse(text).unwrap();
+        let (sols, _) = enumerate_with_stats(query.forest(), &graph);
+        let counts = count_solutions_by_domain(&sols);
+        assert_eq!(counts.len(), 3, "{counts:?}");
+        assert_eq!(
+            counts,
+            wdsparql_core::count_by_domain(query.forest(), &graph)
+        );
     }
 
     #[test]

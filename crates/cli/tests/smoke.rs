@@ -755,14 +755,14 @@ fn store_restart_serves_identical_results() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A data file that repeats statements inside its first 4096-statement
-/// ingest batch and again across the boundary into the second: the
-/// volatile run, the durable run and the reopened store each count every
-/// distinct triple once and give the same answers.
+/// A data file that repeats statements close together (within its first
+/// 4 096 lines) and far apart (past them): the volatile run, the durable
+/// run and the reopened store each count every distinct triple once and
+/// give the same answers.
 #[test]
 fn store_counts_repeated_statements_once() {
-    // 4 000 distinct statements plus 96 repeats fill the first batch; the
-    // second repeats 500 of them and adds 500 more.
+    // 4 000 distinct statements plus 96 repeats fill the first 4 096
+    // lines; the next 1 000 repeat 500 of them and add 500 more.
     let line = |i: usize| format!("<s{i}> <p> <o{}> .\n", i % 10);
     let mut text: String = (0..4000).chain(0..96).map(line).collect();
     text.extend((0..500).chain(4000..4500).map(line));
@@ -795,6 +795,86 @@ fn store_counts_repeated_statements_once() {
         answers.push(rows.join("\n"));
     }
     assert!(answers.windows(2).all(|w| w[0] == w[1]), "answers differ");
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// 24 000 statements over 2 000 nodes and 4 predicates, in no order, the
+/// last 2 000 repeating earlier ones: a file several 4 096-statement
+/// streaming-ingest batches long.
+fn many_batch_nt(name: &str) -> std::path::PathBuf {
+    let mut state = 7u64;
+    let mut draw = |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    let lines: Vec<String> = (0..22_000)
+        .map(|_| format!("<n{}> <p{}> <n{}> .\n", draw(2_000), draw(4), draw(2_000)))
+        .collect();
+    let repeats = (0..2_000).map(|i| &lines[i * 7 % 22_000]);
+    let text: String = lines.iter().chain(repeats).map(String::as_str).collect();
+    raw_nt(name, text.as_bytes())
+}
+
+/// The count line and the first ten rows of a run's solutions: `eval`
+/// prints `N solution(s):`, `store` `N solution(s) via ...:`.
+fn head_of_answer(text: &str) -> (String, Vec<String>) {
+    let mut lines = text.lines().skip_while(|l| !l.contains(" solution(s)"));
+    let count = lines.next().unwrap_or_default();
+    let count = count.split(" solution(s)").next().unwrap().to_string();
+    let rows = lines.take_while(|l| l.starts_with("  {")).take(10);
+    (count, rows.map(str::to_string).collect())
+}
+
+/// Every `store` mode answers a file several ingest batches long as
+/// `eval` does: AND, OPT and UNION, single, sharded, durable and
+/// reopened. The file loads as one batch, so a durable load over its cap
+/// fails and leaves the store empty, though the file's first 8 192
+/// statements alone would have fit.
+#[test]
+fn store_modes_answer_a_many_batch_file_as_eval_does() {
+    let data = many_batch_nt("many_batch");
+    let dir =
+        std::env::temp_dir().join(format!("wdsparql_smoke_{}_many_batch", std::process::id()));
+    let (path, at) = (data.to_str().unwrap(), dir.to_str().unwrap());
+    for query in [
+        "(?x, p0, ?y) AND (?y, p1, ?z)",
+        "(?x, p0, ?y) OPT (?y, p1, ?z)",
+        "(?x, p2, ?y) UNION ((?x, p3, ?y) OPT (?y, p0, ?z))",
+    ] {
+        let eval = wdsparql(&["eval", path, query]);
+        assert!(eval.status.success(), "{query}: {}", stderr(&eval));
+        let want = head_of_answer(&stdout(&eval));
+        assert!(want.0.parse::<usize>().unwrap() > 10, "{query}: {want:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+        for args in [
+            &["store", path, query][..],
+            &["store", "--shards", "3", path, query],
+            &["store", "--dir", at, path, query],
+            &["store", "--dir", at, "--open", query],
+        ] {
+            let out = wdsparql(args);
+            assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+            assert_eq!(head_of_answer(&stdout(&out)), want, "{args:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let capped = wdsparql(&["store", "--dir", at, "--max-triples", "10000", path]);
+    assert_eq!(capped.status.code(), Some(1), "{}", stdout(&capped));
+    assert!(
+        stderr(&capped).contains("capacity exceeded"),
+        "{}",
+        stderr(&capped)
+    );
+    let reopened = wdsparql(&["store", "--dir", at, "--open"]);
+    assert!(reopened.status.success(), "{}", stderr(&reopened));
+    assert!(
+        stdout(&reopened).starts_with("0 triple(s)"),
+        "{}",
+        stdout(&reopened)
+    );
     let _ = std::fs::remove_file(&data);
     let _ = std::fs::remove_dir_all(&dir);
 }

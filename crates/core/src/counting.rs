@@ -30,8 +30,14 @@ pub fn count_forest(f: &Wdpf, g: &dyn TripleIndex) -> usize {
 /// the histogram is stable across runs (variable ids depend on interning
 /// order).
 pub fn count_by_domain(f: &Wdpf, g: &dyn TripleIndex) -> BTreeMap<Vec<Variable>, usize> {
+    count_solutions_by_domain(&enumerate_forest(f, g))
+}
+
+/// [`count_by_domain`]'s histogram over solutions already enumerated
+/// (say, by [`enumerate_with_stats`]), keyed the same way.
+pub fn count_solutions_by_domain(sols: &SolutionSet) -> BTreeMap<Vec<Variable>, usize> {
     let mut out: BTreeMap<Vec<Variable>, usize> = BTreeMap::new();
-    for mu in &enumerate_forest(f, g) {
+    for mu in sols {
         let mut key: Vec<Variable> = mu.domain().collect();
         key.sort_by_key(|v| v.name());
         *out.entry(key).or_insert(0) += 1;

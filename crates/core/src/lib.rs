@@ -34,7 +34,9 @@ pub mod explain;
 pub mod lemma1;
 pub mod pebble_eval;
 
-pub use counting::{count_by_domain, count_forest, enumerate_with_stats, EnumStats};
+pub use counting::{
+    count_by_domain, count_forest, count_solutions_by_domain, enumerate_with_stats, EnumStats,
+};
 pub use engine::{Engine, Query, QueryError, Strategy, WidthReport};
 pub use enumerate::{enumerate_forest, enumerate_forest_budgeted, enumerate_forest_with};
 pub use explain::{

@@ -21,7 +21,12 @@
 //! process-wide interner ([`Iri::new`]: a lock and a hash of the
 //! spelling) is touched once per *distinct* name per parse, not once per
 //! occurrence — and only for statements that validated: a rejected line
-//! leaves none of its names behind in the vocabulary. It returns the
+//! leaves none of its names behind in the vocabulary. The table's hash
+//! is paid once per occurrence, though, and files list a subject's
+//! statements together (a predicate's often), so the parse also keeps
+//! the last validated statement's subject and predicate with their ids:
+//! a line that spells the same name in the same place takes the id after
+//! one comparison of the spellings and skips the table. It returns the
 //! statements in file order, repeats included, for a consumer that makes
 //! its own set (the store's bulk load does). [`parse_ntriples`] collects
 //! them into an [`RdfGraph`], which has not built its positional indexes
@@ -71,10 +76,17 @@ pub fn parse_statements(input: &str) -> Result<Vec<Triple>, NtError> {
     // Statements only: filling a graph's membership set between lookups
     // would keep pushing the name table out of cache.
     let mut statements = Vec::new();
+    // The last validated statement's subject and predicate, as spelled:
+    // a run of lines sharing one reuses its id without hashing it again.
+    let mut last: [Option<(&str, Iri)>; 2] = [None; 2];
     for (lineno, line) in input.lines().enumerate() {
         if let Some(names) = scan_statement(line, lineno + 1)? {
-            let [s, p, o] = names.map(|name| *ids.entry(name).or_insert_with(|| Iri::new(name)));
-            statements.push(Triple::new(s, p, o));
+            let mut id = |name| *ids.entry(name).or_insert_with(|| Iri::new(name));
+            let [s, p] = [0, 1].map(|i| match last[i] {
+                Some((spelling, iri)) if spelling == names[i] => iri,
+                _ => last[i].insert((names[i], id(names[i]))).1,
+            });
+            statements.push(Triple::new(s, p, id(names[2])));
         }
     }
     Ok(statements)
@@ -352,6 +364,33 @@ mod tests {
                 assert!(name.is_empty() || !is_interned(name), "{tag}: {name:?}");
             }
         }
+    }
+
+    /// The memo of the last subject and predicate: interleaved subjects,
+    /// one name bare then bracketed, a predicate's name then as subject,
+    /// and a rejected line after a memo'd name.
+    #[test]
+    fn the_subject_and_predicate_memo_changes_no_statement() {
+        use crate::term::is_interned;
+        let text = "a p b .\nc p d .\na p e .\n<a> <p> b .\na p <b> .\np a q .\np <a> a .\n";
+        let want = [
+            ("a", "p", "b"),
+            ("c", "p", "d"),
+            ("a", "p", "e"),
+            ("a", "p", "b"),
+            ("a", "p", "b"),
+            ("p", "a", "q"),
+            ("p", "a", "a"),
+        ]
+        .map(|(s, p, o)| Triple::from_strs(s, p, o));
+        assert_eq!(parse_statements(text).unwrap(), want);
+        let text = "nt-memo-s nt-memo-p o .\nnt-memo-s nt-memo-p nt-memo-bad<o .\n";
+        let e = parse_statements(text).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (2, "malformed term \"nt-memo-bad<o\"")
+        );
+        assert!(!is_interned("nt-memo-bad<o") && !is_interned("nt-memo-bad"));
     }
 
     #[test]

@@ -80,9 +80,39 @@ fn arb_soup() -> impl Strategy<Value = String> {
         .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect())
 }
 
+/// A run of 1–6 sound lines sharing their subject or their predicate,
+/// each name bare or bracketed at random (`a` and `<a>` are one name),
+/// so the parser's memo of the last subject and predicate is hit, missed
+/// and refilled.
+fn arb_run() -> impl Strategy<Value = String> {
+    let name = "[a-c]{1,2}";
+    // Bit `i` of `brackets` brackets the line's `i`-th name.
+    let line = (name, name, 0..8usize);
+    (name, any::<bool>(), proptest::collection::vec(line, 1..7)).prop_map(
+        |(shared, shares_subject, lines)| {
+            let mut run = Vec::new();
+            for (own, object, brackets) in lines {
+                let names = match shares_subject {
+                    true => [&shared, &own, &object],
+                    false => [&own, &shared, &object],
+                };
+                let spelled: Vec<String> = (0..3)
+                    .map(|i| match brackets >> i & 1 {
+                        1 => format!("<{}>", names[i]),
+                        _ => names[i].clone(),
+                    })
+                    .collect();
+                run.push(format!("{} .", spelled.join(" ")));
+            }
+            run.join("\n")
+        },
+    )
+}
+
 fn arb_text() -> impl Strategy<Value = String> {
     let line = prop_oneof![
         arb_statement(false),
+        arb_run(),
         arb_statement(false),
         arb_statement(false),
         arb_statement(true),
