@@ -35,6 +35,11 @@
 //! wdsparql demo                             run a tiny built-in scenario
 //! ```
 //!
+//! Every data subcommand loads its file into one [`TripleStore`], as one
+//! batch, and evaluates through [`Engine::from_store`]. All output goes
+//! through one stdout writer; a reader that closes it (`| head`) ends the
+//! command quietly.
+//!
 //! `<query>` is a pattern in the paper's syntax, e.g.
 //! `"(?x, knows, ?y) OPT (?y, email, ?e)"`, or SPARQL-style curly syntax.
 //! `<select-q>` is `"SELECT ?x ?y WHERE { ... }"`. `<µ>` is a
@@ -55,12 +60,10 @@ use wdsparql_store::{JoinStrategy, PlannedQuery, ShardedStore, StoreError, Tripl
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    match run(&args, &mut BufWriter::new(io::stdout().lock())) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            let _ = writeln!(io::stderr(), "error: {msg}\n\n{USAGE}"); // exit 1 if stderr is gone
             ExitCode::FAILURE
         }
     }
@@ -70,7 +73,7 @@ fn main() -> ExitCode {
 enum Failure {
     /// Reported on stderr with the usage text, exit status 1.
     Message(String),
-    /// The reader of stdout closed it while rows were being written.
+    /// The reader of stdout closed it while output was being written.
     StdoutClosed,
 }
 
@@ -86,18 +89,15 @@ impl From<&str> for Failure {
     }
 }
 
-/// Runs `lines` against stdout locked and buffered once — one `write`
-/// per eight kilobytes of rows instead of one per row — and flushes.
-/// Every row-printing loop goes through here; a closed pipe ends the
-/// command quietly instead of panicking inside `println!`.
-fn print_lines(lines: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> Result<(), Failure> {
-    let mut out = BufWriter::new(io::stdout().lock());
-    lines(&mut out)
-        .and_then(|()| out.flush())
-        .map_err(|e| match e.kind() {
+/// A failed write to stdout: a closed pipe ends the command quietly, not
+/// with a panic.
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        match e.kind() {
             io::ErrorKind::BrokenPipe => Failure::StdoutClosed,
             _ => Failure::Message(format!("stdout: {e}")),
-        })
+        }
+    }
 }
 
 const USAGE: &str = "usage:
@@ -113,37 +113,34 @@ const USAGE: &str = "usage:
                    [--limit K] [--deadline-ms T]
                    [--profile] [--metrics-json PATH]
                    [--dir PATH] [--open] <data.nt> [query]
-                   (the file loads, and commits under --dir, as one batch)
-  wdsparql demo";
+  wdsparql demo
+(a <data.nt> loads into the triple store as one batch, one commit under --dir)";
 
-fn run(args: &[String]) -> Result<(), String> {
-    match dispatch(args) {
+/// Runs the command, every line of its output written to `out` (stdout,
+/// buffered once) and flushed at the end, after a failure too.
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
+    match dispatch(args, out).and(out.flush().map_err(Failure::from)) {
         // Whoever read stdout has what it wanted (`| head`): not an error.
         Ok(()) | Err(Failure::StdoutClosed) => Ok(()),
         Err(Failure::Message(msg)) => Err(msg),
     }
 }
 
-fn dispatch(args: &[String]) -> Result<(), Failure> {
+fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let cmd = args.first().ok_or("missing subcommand")?;
     match cmd.as_str() {
         "analyze" => {
             let query = parse_query(args.get(1))?;
-            // Width analysis needs no data; use an empty engine.
-            let engine = Engine::new(wdsparql_rdf::RdfGraph::new());
-            println!("query: {query}");
-            println!("{}", engine.analyze(&query));
-            Ok(())
+            writeln!(out, "query: {query}")?;
+            writeln!(out, "{}", query.width_report())?;
         }
         "forest" => {
             let query = parse_query(args.get(1))?;
-            print!("{}", query.forest());
-            Ok(())
+            write!(out, "{}", query.forest())?;
         }
         "eval" => {
-            let graph = load_graph(args.get(1))?;
+            let engine = store_engine(read_statements(args.get(1))?)?;
             let text = args.get(2).ok_or("missing query argument")?;
-            let engine = Engine::new(graph);
             // Curly-syntax queries may carry top-level FILTER clauses.
             let sols = if text.trim_start().starts_with('{') {
                 let (query, filter) = Query::parse_with_filter(text).map_err(|e| e.to_string())?;
@@ -151,60 +148,55 @@ fn dispatch(args: &[String]) -> Result<(), Failure> {
             } else {
                 engine.evaluate(&parse_query(args.get(2))?)
             };
-            print_lines(|out| {
-                writeln!(out, "{} solution(s):", sols.len())?;
-                sols.iter().try_for_each(|mu| writeln!(out, "  {mu}"))
-            })
+            writeln!(out, "{} solution(s):", sols.len())?;
+            sols.iter().try_for_each(|mu| writeln!(out, "  {mu}"))?;
         }
         "check" => {
-            let graph = load_graph(args.get(1))?;
+            let engine = store_engine(read_statements(args.get(1))?)?;
             let query = parse_query(args.get(2))?;
             let mu = parse_bindings(args.get(3))?;
-            let engine = Engine::new(graph);
-            println!("µ = {mu}");
+            writeln!(out, "µ = {mu}")?;
             let reference = engine.check(&query, &mu, Strategy::Naive);
-            println!("naive (Lemma 1, exact homomorphisms): {reference}");
+            writeln!(out, "naive (Lemma 1, exact homomorphisms): {reference}")?;
             let dw = query.domination_width();
             let pebble = engine.check(&query, &mu, Strategy::Pebble { k: dw });
-            println!("pebble (Theorem 1, k = dw = {dw}):      {pebble}");
+            writeln!(out, "pebble (Theorem 1, k = dw = {dw}):      {pebble}")?;
             let (auto, route) = engine.check_auto(&query, &mu);
             let via = match route {
                 Route::Exact => "exact".to_string(),
                 Route::Pebble { k } => format!("pebble k = {k}"),
             };
-            println!("auto (exact under a step budget, else pebble at dw): {auto} via {via}");
+            writeln!(
+                out,
+                "auto (exact under a step budget, else pebble at dw): {auto} via {via}"
+            )?;
             if reference != pebble || reference != auto {
                 return Err("internal disagreement between strategies (bug)".into());
             }
-            Ok(())
         }
         "count" => {
-            let graph = load_graph(args.get(1))?;
+            let engine = store_engine(read_statements(args.get(1))?)?;
             let query = parse_query(args.get(2))?;
-            let (sols, stats) = enumerate_with_stats(query.forest(), &graph);
-            print_lines(|out| {
-                writeln!(out, "{} solution(s)", sols.len())?;
-                for (domain, count) in count_solutions_by_domain(&sols) {
-                    let names: Vec<String> = domain.iter().map(|v| v.to_string()).collect();
-                    writeln!(out, "  {{{}}}: {count}", names.join(", "))?;
-                }
-                writeln!(
-                    out,
-                    "(work: {} hom calls, {} steps, max delay {} steps)",
-                    stats.hom_calls, stats.steps, stats.max_delay_steps
-                )
-            })
+            let (sols, stats) = engine.with_index(|g| enumerate_with_stats(query.forest(), g));
+            writeln!(out, "{} solution(s)", sols.len())?;
+            for (domain, count) in count_solutions_by_domain(&sols) {
+                let names: Vec<String> = domain.iter().map(|v| v.to_string()).collect();
+                writeln!(out, "  {{{}}}: {count}", names.join(", "))?;
+            }
+            writeln!(
+                out,
+                "(work: {} hom calls, {} steps, max delay {} steps)",
+                stats.hom_calls, stats.steps, stats.max_delay_steps
+            )?;
         }
         "select" => {
-            let graph = load_graph(args.get(1))?;
+            let engine = store_engine(read_statements(args.get(1))?)?;
             let text = args.get(2).ok_or("missing SELECT query argument")?;
             let query = ProjectedQuery::parse(text).map_err(|e| e.to_string())?;
-            let sols = enumerate_projected(&query, &graph);
-            print_lines(|out| {
-                writeln!(out, "query: {query}")?;
-                writeln!(out, "{} projected solution(s):", sols.len())?;
-                sols.iter().try_for_each(|mu| writeln!(out, "  {mu}"))
-            })
+            let sols = engine.with_index(|g| enumerate_projected(&query, g));
+            writeln!(out, "query: {query}")?;
+            writeln!(out, "{} projected solution(s):", sols.len())?;
+            sols.iter().try_for_each(|mu| writeln!(out, "  {mu}"))?;
         }
         "contain" => {
             let q1 = parse_query(args.get(1))?;
@@ -212,25 +204,22 @@ fn dispatch(args: &[String]) -> Result<(), Failure> {
             let budget = SearchBudget::default();
             for (label, a, b) in [("P1 ⊆ P2", &q1, &q2), ("P2 ⊆ P1", &q2, &q1)] {
                 match decide_containment(a.forest(), b.forest(), &budget) {
-                    Verdict::Contained => println!("{label}: contained (proved)"),
+                    Verdict::Contained => writeln!(out, "{label}: contained (proved)")?,
                     Verdict::NotContained(ce) => {
-                        println!("{label}: NOT contained; witness µ = {} on:", ce.mu);
+                        writeln!(out, "{label}: NOT contained; witness µ = {} on:", ce.mu)?;
                         for t in ce.graph.iter() {
-                            println!("    {t}");
+                            writeln!(out, "    {t}")?;
                         }
                     }
-                    Verdict::Unknown => println!("{label}: unknown (within budget)"),
+                    Verdict::Unknown => writeln!(out, "{label}: unknown (within budget)")?,
                 }
             }
-            Ok(())
         }
-        "store" => run_store(&args[1..]),
-        "demo" => {
-            demo();
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand {other:?}").into()),
+        "store" => run_store(&args[1..], out)?,
+        "demo" => demo(out)?,
+        other => return Err(format!("unknown subcommand {other:?}").into()),
     }
+    Ok(())
 }
 
 /// The `store` subcommand: bulk-load an N-Triples file into the triple
@@ -258,7 +247,7 @@ fn dispatch(args: &[String]) -> Result<(), Failure> {
 /// its part). `--open` reopens a store previously persisted with
 /// `--dir` — no data file is read; the single positional argument is
 /// the optional query. Corruption on reopen is a clean error.
-fn run_store(args: &[String]) -> Result<(), Failure> {
+fn run_store(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let mut shards = 1usize;
     let mut max_triples: Option<usize> = None;
     let mut strategy = JoinStrategy::default();
@@ -313,11 +302,12 @@ fn run_store(args: &[String]) -> Result<(), Failure> {
         dir.as_deref(),
         open,
         &positional,
+        out,
     )?;
     if let Some(path) = metrics_json {
         std::fs::write(&path, wdsparql_store::metrics_json())
             .map_err(|e| format!("{path}: {e}"))?;
-        println!("(metrics registry written to {path})");
+        writeln!(out, "(metrics registry written to {path})")?;
     }
     Ok(())
 }
@@ -332,9 +322,9 @@ type Budgeted<T> = Result<T, ExecError>;
 #[allow(clippy::type_complexity)] // plain signatures of the methods bound
 struct Service<'a> {
     try_bulk_load: &'a dyn Fn(Vec<Triple>) -> Result<usize, StoreError>,
-    /// Folds whatever the adaptive policy left pending, then prints the
-    /// stats, the durable epoch(s) and the ingest lifecycle.
-    compact_and_report: &'a dyn Fn(),
+    /// Folds what the adaptive policy left pending, prints the stats and the
+    /// durable epoch(s); returns (delta rows, segments) staged, compactions.
+    compact_and_report: &'a dyn Fn(&mut dyn Write) -> io::Result<(usize, usize, u64)>,
     engine: &'a dyn Fn() -> Engine,
     /// `epoch N` for the single store, the `(shard, epoch)` read vector
     /// for the sharded facade.
@@ -356,6 +346,7 @@ fn store_command(
     dir: Option<&str>,
     open: bool,
     positional: &[&String],
+    out: &mut dyn Write,
 ) -> Result<(), Failure> {
     // `--open` reads no data file: the store's contents come from disk
     // and the only positional is the optional query.
@@ -389,18 +380,23 @@ fn store_command(
         // compact folds them into the base. A store over its cap takes
         // none of the batch: a clean error.
         (store.try_bulk_load)(statements).map_err(|e| e.to_string())?;
-        (store.compact_and_report)();
+        let (deltas, segments, compactions) = (store.compact_and_report)(out)?;
+        writeln!(
+            out,
+            "(ingest staged {deltas} delta row(s) in {segments} segment(s); \
+             {compactions} compaction(s) total)"
+        )?;
         if let Some(pats) = &streamed {
             let budget = budget_from(deadline_ms);
             match limit {
                 Some(k) => {
                     let rows =
                         (store.query_limited)(pats, k, &budget).map_err(|e| e.to_string())?;
-                    print_streamed(&rows, Some(k))?;
+                    print_streamed(out, &rows, Some(k))?;
                 }
                 None => {
                     let rows = (store.query_budgeted)(pats, &budget).map_err(|e| e.to_string())?;
-                    print_streamed(&rows, None)?;
+                    print_streamed(out, &rows, None)?;
                 }
             }
             return Ok(());
@@ -415,7 +411,7 @@ fn store_command(
         let Some(pats) = bgp_patterns(query.pattern()) else {
             let engine = (store.engine)().with_join_strategy(strategy);
             let sols = engine.evaluate(query);
-            return print_solutions(query, sols.len(), &sols);
+            return print_solutions(out, query, sols.len(), &sols);
         };
         let planned = if profile {
             (store.query_with_profile)(&pats)
@@ -424,15 +420,18 @@ fn store_command(
         };
         let mut sols: Vec<&Mapping> = planned.solutions.iter().collect();
         sols.sort_unstable();
-        print_solutions(query, sols.len(), sols)?;
+        print_solutions(out, query, sols.len(), sols)?;
         report_bgp_service(
+            out,
             &pats,
             &planned.plan,
             planned.strategy,
             planned.solutions.len(),
             &(store.provenance)(&planned.read),
-        );
-        print_profile(planned.profile.as_ref());
+        )?;
+        if let Some(p) = &planned.profile {
+            write!(out, "execution profile:\n{p}")?;
+        }
         Ok(())
     };
     // On reopen the layout on disk decides single vs sharded: a
@@ -466,19 +465,20 @@ fn store_command(
         store.set_join_strategy(strategy);
         run(&Service {
             try_bulk_load: &|batch| store.try_bulk_load(batch),
-            compact_and_report: &|| {
+            compact_and_report: &|out| {
                 let staged = store.stats();
                 store.compact();
                 let stats = store.stats();
-                print!("{stats}");
+                write!(out, "{stats}")?;
                 if let Some(d) = dir {
-                    println!("(durable store at {d}: shard epochs {:?})", store.epochs());
+                    let epochs = store.epochs();
+                    writeln!(out, "(durable store at {d}: shard epochs {epochs:?})")?;
                 }
-                report_ingest_lifecycle(
+                Ok((
                     staged.shards.iter().map(|s| s.delta_rows).sum(),
                     staged.shards.iter().map(|s| s.segments).sum(),
                     stats.shards.iter().map(|s| s.compactions).sum(),
-                );
+                ))
             },
             engine: &|| Engine::from_sharded_store(Arc::clone(&store)),
             provenance: &|read| format!("epochs {read:?}"),
@@ -502,15 +502,15 @@ fn store_command(
         store.set_join_strategy(strategy);
         run(&Service {
             try_bulk_load: &|batch| store.try_bulk_load(batch),
-            compact_and_report: &|| {
+            compact_and_report: &|out| {
                 let staged = store.stats();
                 store.compact();
                 let stats = store.stats();
-                println!("{stats}");
+                writeln!(out, "{stats}")?;
                 if let Some(d) = dir {
-                    println!("(durable store at {d}: epoch {})", store.epoch());
+                    writeln!(out, "(durable store at {d}: epoch {})", store.epoch())?;
                 }
-                report_ingest_lifecycle(staged.delta_rows, staged.segments, stats.compactions);
+                Ok((staged.delta_rows, staged.segments, stats.compactions))
             },
             engine: &|| Engine::from_store(Arc::clone(&store)),
             provenance: &|read| format!("epoch {}", read[0].1),
@@ -533,8 +533,8 @@ fn budget_from(deadline_ms: Option<u64>) -> wdsparql_rdf::QueryBudget {
 /// Prints the solutions of the streaming (`--limit`/`--deadline-ms`)
 /// service path: every row under a limit (the user asked for exactly
 /// these), the first 10 otherwise.
-fn print_streamed(rows: &[Mapping], limit: Option<usize>) -> Result<(), Failure> {
-    print_lines(|out| match limit {
+fn print_streamed(out: &mut dyn Write, rows: &[Mapping], limit: Option<usize>) -> io::Result<()> {
+    match limit {
         Some(k) => {
             writeln!(out, "streamed {} solution(s) under limit {k}:", rows.len())?;
             rows.iter().try_for_each(|mu| writeln!(out, "  -> {mu}"))
@@ -549,22 +549,7 @@ fn print_streamed(rows: &[Mapping], limit: Option<usize>) -> Result<(), Failure>
             }
             Ok(())
         }
-    })
-}
-
-/// Prints the execution profile requested by `--profile`, if any.
-fn print_profile(profile: Option<&wdsparql_obs::QueryProfile>) {
-    if let Some(p) = profile {
-        println!("execution profile:");
-        print!("{p}");
     }
-}
-
-fn report_ingest_lifecycle(staged_deltas: usize, staged_segments: usize, compactions: u64) {
-    println!(
-        "(ingest staged {staged_deltas} delta row(s) in {staged_segments} segment(s); \
-         {compactions} compaction(s) total)"
-    );
 }
 
 /// The shared tail of both `store` flavours: the executed plan and the
@@ -572,35 +557,42 @@ fn report_ingest_lifecycle(staged_deltas: usize, staged_segments: usize, compact
 /// caller (`epoch N` for the single store, the `(shard, epoch)` read
 /// vector for the sharded facade).
 fn report_bgp_service(
+    out: &mut dyn Write,
     pats: &[wdsparql_rdf::TriplePattern],
     plan: &[usize],
     strategy: wdsparql_store::JoinStrategy,
     solutions: usize,
     provenance: &str,
-) {
+) -> io::Result<()> {
     let plan: Vec<String> = plan.iter().map(|&i| pats[i].to_string()).collect();
-    println!("service plan (most selective first): {}", plan.join(" ⋈ "));
-    println!("service join strategy: {strategy}");
-    println!("service BGP path: {solutions} solution(s) at {provenance}");
+    writeln!(
+        out,
+        "service plan (most selective first): {}",
+        plan.join(" ⋈ ")
+    )?;
+    writeln!(out, "service join strategy: {strategy}")?;
+    writeln!(
+        out,
+        "service BGP path: {solutions} solution(s) at {provenance}"
+    )
 }
 
 /// Prints `count` solutions, given in ascending order: the first ten.
 fn print_solutions<'a>(
+    out: &mut dyn Write,
     query: &Query,
     count: usize,
     sols: impl IntoIterator<Item = &'a Mapping>,
 ) -> Result<(), Failure> {
-    print_lines(|out| {
-        writeln!(out, "\nquery: {query}")?;
-        writeln!(out, "{count} solution(s) via the store-backed engine:")?;
-        for mu in sols.into_iter().take(10) {
-            writeln!(out, "  {mu}")?;
-        }
-        if count > 10 {
-            writeln!(out, "  ... ({} more)", count - 10)?;
-        }
-        Ok(())
-    })
+    writeln!(out, "\nquery: {query}")?;
+    writeln!(out, "{count} solution(s) via the store-backed engine:")?;
+    for mu in sols.into_iter().take(10) {
+        writeln!(out, "  {mu}")?;
+    }
+    if count > 10 {
+        writeln!(out, "  ... ({} more)", count - 10)?;
+    }
+    Ok(())
 }
 
 /// The triple patterns of an AND-only (BGP) pattern, `None` when the
@@ -623,8 +615,13 @@ fn parse_query(arg: Option<&String>) -> Result<Query, String> {
     Query::parse(text).map_err(|e| e.to_string())
 }
 
-fn load_graph(arg: Option<&String>) -> Result<wdsparql_rdf::RdfGraph, String> {
-    read_statements(arg).map(wdsparql_rdf::RdfGraph::from_triples)
+/// A store-backed engine over `triples`: one [`TripleStore`], loaded as
+/// one batch and compacted, as `wdsparql store` loads a file.
+fn store_engine(triples: impl IntoIterator<Item = Triple>) -> Result<Engine, String> {
+    let store = TripleStore::new();
+    store.try_bulk_load(triples).map_err(|e| e.to_string())?;
+    store.compact();
+    Ok(Engine::from_store(Arc::new(store)))
 }
 
 /// The statements of the data file, in file order, repeats included.
@@ -666,23 +663,28 @@ fn parse_bindings(arg: Option<&String>) -> Result<Mapping, String> {
     Ok(mu)
 }
 
-fn demo() {
-    let graph = wdsparql_workloads::social_network(30, 1);
-    let engine = Engine::new(graph);
+fn demo(out: &mut dyn Write) -> Result<(), Failure> {
+    let engine = store_engine(wdsparql_workloads::social_network(30, 1).iter().copied())?;
     let query = Query::parse("((?p, type, Person) OPT (?p, email, ?e)) OPT (?p, city, ?c)")
         .expect("demo query is well-designed");
-    println!("demo query: {query}\n");
-    println!("{}\n", engine.analyze(&query));
+    writeln!(out, "demo query: {query}\n")?;
+    writeln!(out, "{}\n", query.width_report())?;
     let sols = engine.evaluate(&query);
-    println!("{} solutions; first 5:", sols.len());
+    writeln!(out, "{} solutions; first 5:", sols.len())?;
     for mu in sols.iter().take(5) {
-        println!("  {mu}");
+        writeln!(out, "  {mu}")?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The command, its output discarded.
+    fn run(args: &[String]) -> Result<(), String> {
+        super::run(args, &mut io::sink())
+    }
 
     fn s(args: &[&str]) -> Vec<String> {
         args.iter().map(|a| a.to_string()).collect()

@@ -130,6 +130,19 @@ impl Query {
     pub fn is_union_free(&self) -> bool {
         self.forest.len() == 1
     }
+
+    /// The query's shape and widths, as `wdsparql analyze` prints them:
+    /// no data needed, `dw(P)` and `bw(P)` are properties of the query.
+    pub fn width_report(&self) -> WidthReport {
+        WidthReport {
+            union_free: self.is_union_free(),
+            trees: self.forest.len(),
+            nodes: self.forest.iter().map(|t| t.len()).sum(),
+            domination_width: self.domination_width(),
+            branch_treewidth: self.branch_treewidth(),
+            local_width: self.local_width(),
+        }
+    }
 }
 
 impl fmt::Display for Query {
@@ -188,6 +201,9 @@ pub struct Engine {
 }
 
 impl Engine {
+    /// An engine over an in-memory [`RdfGraph`] and its naive hash
+    /// indexes: the reference oracle the store-backed engines are tested
+    /// against. The CLI never builds one; it evaluates on the store.
     pub fn new(graph: RdfGraph) -> Engine {
         Engine {
             backend: Backend::Memory(Box::new(graph)),
@@ -331,22 +347,9 @@ impl Engine {
     pub fn explain(&self, q: &Query, mu: &Mapping) -> crate::explain::Explanation {
         self.with_index(|g| crate::explain::explain_forest(q.forest(), g, mu))
     }
-
-    /// A width/tractability report for the query (used by the CLI and the
-    /// examples).
-    pub fn analyze(&self, q: &Query) -> WidthReport {
-        WidthReport {
-            union_free: q.is_union_free(),
-            trees: q.forest().len(),
-            nodes: q.forest().iter().map(|t| t.len()).sum(),
-            domination_width: q.domination_width(),
-            branch_treewidth: q.branch_treewidth(),
-            local_width: q.local_width(),
-        }
-    }
 }
 
-/// Width measures of a query, as reported by [`Engine::analyze`].
+/// Width measures of a query, as reported by [`Query::width_report`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WidthReport {
     pub union_free: bool,
@@ -415,9 +418,8 @@ mod tests {
 
     #[test]
     fn analyze_reports_widths() {
-        let e = engine();
         let q = Query::parse("((?x, p, ?y) OPT (?y, r, ?u))").unwrap();
-        let r = e.analyze(&q);
+        let r = q.width_report();
         assert!(r.union_free);
         assert_eq!(r.trees, 1);
         assert_eq!(r.nodes, 2);

@@ -21,7 +21,7 @@ fn main() {
     let sols1 = engine.evaluate(&q1);
     println!("\nQ1 {q1}");
     println!("   {} PODS papers; widths: {}", sols1.len(), {
-        let r = engine.analyze(&q1);
+        let r = q1.width_report();
         format!(
             "dw={}, bw={}, local={}",
             r.domination_width, r.branch_treewidth, r.local_width
@@ -37,7 +37,7 @@ fn main() {
     let sols2 = engine.evaluate(&q2);
     println!("\nQ2 {q2}");
     println!("   {} solutions", sols2.len());
-    println!("{}", engine.analyze(&q2));
+    println!("{}", q2.width_report());
 
     // Q3: venue alternatives via UNION (a 2-tree wdPF), each branch
     //     optionally enriched with the year.

@@ -28,7 +28,7 @@ fn main() {
     // 3. Width analysis: this class is on the tractable side of the
     //    frontier (Theorem 3: bounded domination width ⟺ PTIME).
     let engine = Engine::new(graph);
-    let report = engine.analyze(&query);
+    let report = query.width_report();
     println!("{report}\n");
     assert_eq!(report.domination_width, 1);
 

@@ -26,7 +26,7 @@ fn main() {
         sols.len(),
         with_email
     );
-    let r1 = engine.analyze(&q1);
+    let r1 = q1.width_report();
     println!(
         "   dw = {}, bw = {} (tractable)",
         r1.domination_width, r1.branch_treewidth
@@ -39,7 +39,7 @@ fn main() {
     let sols2 = engine.evaluate(&q2);
     println!("\nQ2 {q2}");
     println!("   {} solutions", sols2.len());
-    println!("{}", engine.analyze(&q2));
+    println!("{}", q2.width_report());
 
     // Q3: a UNION of alternatives — contact via email or via city
     //     (union of two well-designed branches, a wdPF with 2 trees).
