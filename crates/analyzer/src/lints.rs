@@ -6,11 +6,8 @@
 //! | `no-unwrap-in-service`  | no `.unwrap()`/`.expect()` in non-test service-layer code |
 //! | `one-snapshot-per-path` | at most one snapshot acquisition per function body |
 //! | `relaxed-ok-comment`    | every `Ordering::Relaxed` carries a `// relaxed-ok:` justification |
-//! | `no-lock-reentry`       | an exclusive-lock scope must not re-enter the same lock |
 //! | `must-use-snapshot`     | snapshot / plan / guard types must be `#[must_use]` |
-//! | `wcoj-buffer-recycle`   | every trie level buffer popped off the open-level `stack` must return to the `spare` pool (and vice versa) on every exit path |
 //! | `budget-checkpoint`     | every `loop`/`while` in the streaming hot paths must checkpoint the query budget (`budget.check()`) so deadlines and cancellation can interrupt it |
-//! | `lock-order-cycle`      | the workspace-wide lock-acquisition-order graph must stay acyclic (cross-file: edges follow resolved method calls) |
 //! | `io-ordering`           | persistence code must not publish (`rename`/`publish`) without a dominating `fsync`/`sync_all`/`dir_sync` earlier in the function |
 //! | `unused-hatch`          | a `// analyzer-allow:` comment that silences nothing is stale and must go (warning; error under `--strict-hatches`) |
 //!
@@ -24,18 +21,12 @@
 //! tracked: one that no lint ever consulted is reported by
 //! `unused-hatch`, so fixes cannot leave silencers behind.
 //!
-//! Most lints are per-file token walks. The two lock lints are one
-//! cross-file analysis (`lint_locks`): [`scan_sources`] lexes the whole
-//! in-scope file set first and resolves calls across files (same-file
-//! definitions win; a cross-file edge needs the receiver field to name
-//! the defining file's stem, e.g. `self.cache.clear()` resolves into
-//! `cache.rs`), builds one lock-order graph, reports its self-edges
-//! under an exclusive guard as re-entries and rejects any cycle among
-//! the rest.
+//! Every lint is a token walk over one file; [`scan_source`] runs them
+//! in table order, the stale-hatch sweep last.
 
 use crate::lex::{self, Comment, Delim, Kind, Token};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -47,45 +38,36 @@ const RELAXED_MARKER: &str = "relaxed-ok:";
 pub const NO_UNWRAP: &str = "no-unwrap-in-service";
 pub const ONE_SNAPSHOT: &str = "one-snapshot-per-path";
 pub const RELAXED: &str = "relaxed-ok-comment";
-pub const LOCK_REENTRY: &str = "no-lock-reentry";
 pub const MUST_USE: &str = "must-use-snapshot";
-pub const WCOJ_RECYCLE: &str = "wcoj-buffer-recycle";
 pub const BUDGET_CHECKPOINT: &str = "budget-checkpoint";
-pub const LOCK_ORDER: &str = "lock-order-cycle";
 pub const IO_ORDERING: &str = "io-ordering";
 pub const UNUSED_HATCH: &str = "unused-hatch";
 
 /// A per-file lint pass.
 type Pass = fn(&FileCtx<'_>, &mut Vec<Finding>);
 
-/// Every lint: its name, its scope, and its per-file pass. A file is in
-/// a lint's scope when its path (relative to the scan root) contains one
-/// of the fragments — `""` matches every file — so one table covers the
+/// Every lint: its name, its scope, and its pass. A file is in a lint's
+/// scope when its path (relative to the scan root) contains one of the
+/// fragments — `""` matches every file — so one table covers the
 /// workspace layout (`crates/store/src/...`) and the seeded fixture tree
-/// (`store/src/...`) alike. The lints without a pass run over the whole
-/// file set in [`scan_sources`]: the two lock lints are one cross-file
-/// analysis, and the stale-hatch sweep must run after every other lint.
-const LINTS: [(&str, &[&str], Option<Pass>); 10] = [
+/// (`store/src/...`) alike. The passes run in table order, so the
+/// stale-hatch sweep stays last: any other lint can be what a hatch
+/// silences.
+const LINTS: [(&str, &[&str], Pass); 7] = [
     (
         NO_UNWRAP,
         &[
             "store/src/bgp.rs",
             "store/src/service.rs",
             "store/src/shard.rs",
-            "store/src/cache.rs",
             "store/src/join.rs",
             "store/src/persist/",
         ],
-        Some(lint_no_unwrap),
+        lint_no_unwrap,
     ),
-    (ONE_SNAPSHOT, &[""], Some(lint_one_snapshot)),
-    (RELAXED, &[""], Some(lint_relaxed)),
-    (MUST_USE, &[""], Some(lint_must_use)),
-    (
-        WCOJ_RECYCLE,
-        &["store/src/wcoj.rs"],
-        Some(lint_wcoj_recycle),
-    ),
+    (ONE_SNAPSHOT, &[""], lint_one_snapshot),
+    (RELAXED, &[""], lint_relaxed),
+    (MUST_USE, &[""], lint_must_use),
     (
         BUDGET_CHECKPOINT,
         &[
@@ -94,12 +76,10 @@ const LINTS: [(&str, &[&str], Option<Pass>); 10] = [
             "store/src/join.rs",
             "store/src/shard.rs",
         ],
-        Some(lint_budget_checkpoint),
+        lint_budget_checkpoint,
     ),
-    (IO_ORDERING, &["store/src/persist"], Some(lint_io_ordering)),
-    (LOCK_REENTRY, &["store/src/"], None),
-    (LOCK_ORDER, &["store/src/"], None),
-    (UNUSED_HATCH, &[""], None),
+    (IO_ORDERING, &["store/src/persist"], lint_io_ordering),
+    (UNUSED_HATCH, &[""], lint_unused_hatches),
 ];
 
 /// Whether the file at `rel` is in `lint`'s scope (see `LINTS`).
@@ -108,11 +88,6 @@ pub fn in_scope(lint: &str, rel: &str) -> bool {
         .iter()
         .any(|(name, frags, _)| *name == lint && frags.iter().any(|f| rel.contains(f)))
 }
-
-/// The field pairing [`WCOJ_RECYCLE`] enforces: trie level buffers
-/// shuttle between the open-level stack and the recycle pool.
-const RECYCLE_STACK: &str = "stack";
-const RECYCLE_POOL: &str = "spare";
 
 /// Method names whose call acquires a store snapshot.
 const SNAPSHOT_FNS: [&str; 4] = [
@@ -193,18 +168,14 @@ pub fn scan_root(root: &Path) -> std::io::Result<Vec<Finding>> {
     } else {
         collect_rs(root, &mut files)?;
     }
-    files.sort();
-    let mut sources = Vec::new();
+    let mut findings = Vec::new();
     for file in &files {
         let src = std::fs::read_to_string(file)?;
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .into_owned();
-        sources.push((rel, src));
+        let rel = file.strip_prefix(root).unwrap_or(file).to_string_lossy();
+        findings.extend(scan_source(&rel, &src));
     }
-    Ok(scan_sources(&sources))
+    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    Ok(findings)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -222,40 +193,20 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lints a whole file set as one unit: every per-file lint, then the
-/// cross-file lock analysis, then the stale-hatch sweep (which must run
-/// last — any lint, including the cross-file one, can be what a hatch
-/// silences). `files` pairs each reported, scope-matched path with its
-/// source text.
-pub fn scan_sources(files: &[(String, String)]) -> Vec<Finding> {
-    let lexed: Vec<_> = files.iter().map(|(_, src)| lex::lex(src)).collect();
-    let ctxs: Vec<FileCtx<'_>> = files
-        .iter()
-        .zip(&lexed)
-        .map(|((rel, _), lx)| FileCtx::new(rel, &lx.tokens, &lx.comments))
-        .collect();
+/// Lints one file's source text: every pass in `LINTS` order whose
+/// scope holds `rel`, the path reported in findings. Findings come out
+/// sorted by line.
+pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
+    let lexed = lex::lex(src);
+    let ctx = FileCtx::new(rel, &lexed.tokens, &lexed.comments);
     let mut findings = Vec::new();
-    for ctx in &ctxs {
-        for (lint, _, pass) in &LINTS {
-            if let Some(pass) = pass {
-                if in_scope(lint, ctx.rel) {
-                    pass(ctx, &mut findings);
-                }
-            }
+    for (lint, _, pass) in &LINTS {
+        if in_scope(lint, rel) {
+            pass(&ctx, &mut findings);
         }
     }
-    lint_locks(&ctxs, &mut findings);
-    for ctx in ctxs.iter().filter(|c| in_scope(UNUSED_HATCH, c.rel)) {
-        lint_unused_hatches(ctx, &mut findings);
-    }
-    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    findings.sort_by_key(|f| f.line);
     findings
-}
-
-/// Lints one file's source text. `rel` is the path reported in findings
-/// and matched against the lint scopes.
-pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
-    scan_sources(&[(rel.to_string(), src.to_string())])
 }
 
 // ---------------------------------------------------------------------
@@ -501,32 +452,6 @@ fn block_after(
     None
 }
 
-/// `self . FIELD . METHOD (` starting at token `i`; returns the pair.
-fn field_method_at(toks: &[Token], i: usize) -> Option<(&str, &str)> {
-    if toks.len() < i + 6 {
-        return None;
-    }
-    (toks[i].is_ident("self")
-        && toks[i + 1].is_punct(".")
-        && toks[i + 2].kind == Kind::Ident
-        && toks[i + 3].is_punct(".")
-        && toks[i + 4].kind == Kind::Ident
-        && toks[i + 5].kind == Kind::Open(Delim::Paren))
-    .then(|| (toks[i + 2].text.as_str(), toks[i + 4].text.as_str()))
-}
-
-/// `self . METHOD (` starting at token `i`; returns the method name.
-fn self_call_at(toks: &[Token], i: usize) -> Option<&str> {
-    if toks.len() < i + 4 {
-        return None;
-    }
-    (toks[i].is_ident("self")
-        && toks[i + 1].is_punct(".")
-        && toks[i + 2].kind == Kind::Ident
-        && toks[i + 3].kind == Kind::Open(Delim::Paren))
-    .then(|| toks[i + 2].text.as_str())
-}
-
 // ---------------------------------------------------------------------
 // Lint: no-unwrap-in-service
 // ---------------------------------------------------------------------
@@ -615,75 +540,6 @@ fn lint_relaxed(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
                     RELAXED_MARKER
                 ),
             ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint: wcoj-buffer-recycle
-// ---------------------------------------------------------------------
-
-/// Trie level buffers shuttle between the open-level `stack` and the
-/// `spare` recycle pool (the leapfrog's allocation-free descent). The
-/// lint enforces the conservation law per function: every
-/// `self.stack.pop(...)` must be matched by a later `self.spare.push(...)`
-/// in the same body, every `self.spare.pop(...)` by a later
-/// `self.stack.push(...)` — and no `return` may sit between a take and
-/// its give (an early exit there drops the buffer on the floor, and the
-/// pool never refills: a slow leak per binding step).
-fn lint_wcoj_recycle(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for f in &ctx.fns {
-        let (open, close) = f.body;
-        let sites: Vec<(usize, &str, &str)> = (open + 1..close)
-            .filter_map(|i| field_method_at(ctx.toks, i).map(|(field, m)| (i, field, m)))
-            .collect();
-        for (take_field, give_field) in
-            [(RECYCLE_STACK, RECYCLE_POOL), (RECYCLE_POOL, RECYCLE_STACK)]
-        {
-            let calls = |field: &str, method: &str| -> Vec<usize> {
-                sites
-                    .iter()
-                    .filter(|&&(_, f, m)| f == field && m == method)
-                    .map(|&(i, _, _)| i)
-                    .collect()
-            };
-            let mut gives = calls(give_field, "push");
-            for take in calls(take_field, "pop") {
-                if ctx.allowed(WCOJ_RECYCLE, take) {
-                    continue;
-                }
-                // Pair with the first give after the take.
-                let Some(pos) = gives.iter().position(|&g| g > take) else {
-                    findings.push(ctx.finding(
-                        WCOJ_RECYCLE,
-                        ctx.toks[take].line,
-                        format!(
-                            "fn `{}` pops a level buffer off `self.{take_field}` but never \
-                             pushes one back to `self.{give_field}`: the buffer leaks and the \
-                             recycle pool starves — return it, or justify with \
-                             `// {} {} <reason>`",
-                            f.name, ALLOW_MARKER, WCOJ_RECYCLE
-                        ),
-                    ));
-                    continue;
-                };
-                let give = gives.remove(pos);
-                // An exit between the take and its give drops the buffer.
-                for j in take + 6..give {
-                    if ctx.toks[j].is_ident("return") && !ctx.allowed(WCOJ_RECYCLE, j) {
-                        findings.push(ctx.finding(
-                            WCOJ_RECYCLE,
-                            ctx.toks[j].line,
-                            format!(
-                                "fn `{}` returns between `self.{take_field}.pop()` and \
-                                 `self.{give_field}.push()`: this exit path leaks the level \
-                                 buffer",
-                                f.name
-                            ),
-                        ));
-                    }
-                }
-            }
         }
     }
 }
@@ -879,8 +735,8 @@ fn lint_io_ordering(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 /// lint consulted during the scan — because the violation it excused
 /// was fixed, the lint name is misspelled, or the file fell out of the
 /// lint's scope — is reported as a warning so fixes cannot leave
-/// silencers behind. Must run after every other lint (including the
-/// cross-file pass), since any of them may be the consumer.
+/// silencers behind. Must run after every other lint, since any of them
+/// may be the consumer.
 fn lint_unused_hatches(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     let used = ctx.used_hatches.borrow();
     let mut lines: Vec<(&u32, &&str)> = ctx.comment_lines.iter().collect();
@@ -905,311 +761,6 @@ fn lint_unused_hatches(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
             ),
         ));
     }
-}
-
-// ---------------------------------------------------------------------
-// Lints: no-lock-reentry and lock-order-cycle (one cross-file analysis)
-// ---------------------------------------------------------------------
-
-/// Methods whose call on a `self.FIELD` acquires that field's lock.
-const ACQUIRE_METHODS: [&str; 3] = ["read", "write", "lock"];
-
-/// `self . FIELD . {read|write|lock} (` starting at token `i`; returns
-/// the field and the method.
-fn acquisition_at(toks: &[Token], i: usize) -> Option<(&str, &str)> {
-    field_method_at(toks, i).filter(|(_, method)| ACQUIRE_METHODS.contains(method))
-}
-
-/// `"store/src/cache.rs"` → `"cache"`.
-fn file_stem(rel: &str) -> &str {
-    let base = rel.rsplit('/').next().unwrap_or(rel);
-    base.strip_suffix(".rs").unwrap_or(base)
-}
-
-/// The one lock analysis, over every file in the [`LOCK_ORDER`] scope:
-///
-/// 1. build a symbol graph: each function's *lock set* — the lock
-///    fields (`self.FIELD.{read|write|lock}()`) it may acquire,
-///    directly or through resolved calls. Same-file calls resolve via
-///    `self.method()`; cross-file calls via `self.<field>.<method>()`
-///    where `<field>` names the defining file's stem (the workspace
-///    convention: `self.cache.clear()` lives in `cache.rs`). Anything
-///    else stays unresolved — under-approximating edges keeps the lints
-///    free of std-method false positives (`.len()`, `.get()`, ...);
-/// 2. add an edge `A → B` whenever `B` is acquired (directly or via a
-///    resolved call) inside the live scope of a guard for `A`. Locks
-///    are named `<file-stem>.<field>`. A self-edge under an exclusive
-///    guard (`write`/`lock`) is a [`LOCK_REENTRY`] finding at the
-///    re-acquiring site — a deadlock with the std-backed locks; a shared
-///    (`read`) guard may be re-read;
-/// 3. reject any cycle among the other edges. Each cycle is reported
-///    once, at the edge out of its lexicographically smallest lock, and
-///    is hatchable there.
-fn lint_locks(ctxs: &[FileCtx<'_>], findings: &mut Vec<Finding>) {
-    let scoped: Vec<&FileCtx<'_>> = ctxs
-        .iter()
-        .filter(|c| in_scope(LOCK_ORDER, c.rel))
-        .collect();
-    // Where is `fn name` defined? (file position in `scoped` → fn idx)
-    let mut defs: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
-    for (fi, ctx) in scoped.iter().enumerate() {
-        for (si, f) in ctx.fns.iter().enumerate() {
-            defs.entry(f.name.as_str()).or_default().push((fi, si));
-        }
-    }
-    // Resolve the call starting at token `i` of file `fi`, if any.
-    let resolve = |fi: usize, i: usize| -> Option<(usize, usize)> {
-        let toks = scoped[fi].toks;
-        let (target, name) = match field_method_at(toks, i) {
-            Some((_, method)) if ACQUIRE_METHODS.contains(&method) => return None,
-            Some((field, method)) => (
-                scoped.iter().position(|c| file_stem(c.rel) == field)?,
-                method,
-            ),
-            None => (fi, self_call_at(toks, i)?),
-        };
-        defs.get(name)?
-            .iter()
-            .find(|&&(dfi, _)| dfi == target)
-            .copied()
-    };
-    let lock_id = |fi: usize, field: &str| format!("{}.{field}", file_stem(scoped[fi].rel));
-    // Fixpoint: each function's transitive lock set, across files.
-    let mut lock_sets: HashMap<(usize, usize), BTreeSet<String>> = HashMap::new();
-    for (fi, ctx) in scoped.iter().enumerate() {
-        for (si, f) in ctx.fns.iter().enumerate() {
-            let set = (f.body.0 + 1..f.body.1)
-                .filter_map(|i| acquisition_at(ctx.toks, i))
-                .map(|(field, _)| lock_id(fi, field))
-                .collect();
-            lock_sets.insert((fi, si), set);
-        }
-    }
-    loop {
-        let mut changed = false;
-        for (fi, ctx) in scoped.iter().enumerate() {
-            for (si, f) in ctx.fns.iter().enumerate() {
-                let inherited: BTreeSet<String> = (f.body.0 + 1..f.body.1)
-                    .filter_map(|i| resolve(fi, i))
-                    .flat_map(|callee| lock_sets[&callee].iter().cloned())
-                    .collect();
-                let entry = lock_sets.entry((fi, si)).or_default();
-                for l in inherited {
-                    changed |= entry.insert(l);
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Edges: B acquired while A's guard is live. Site = (file, token).
-    let mut edges: BTreeMap<String, Vec<(String, usize, usize)>> = BTreeMap::new();
-    for (fi, ctx) in scoped.iter().enumerate() {
-        for f in &ctx.fns {
-            let (open, close) = f.body;
-            for i in open + 1..close {
-                let Some((field, method)) = acquisition_at(ctx.toks, i) else {
-                    continue;
-                };
-                let held = lock_id(fi, field);
-                let exclusive = method != "read";
-                for j in i + 6..scope_end(ctx, open, close, i) {
-                    let (acquired, callee) = match acquisition_at(ctx.toks, j) {
-                        Some((f2, _)) => (BTreeSet::from([lock_id(fi, f2)]), None),
-                        None => match resolve(fi, j) {
-                            Some(c) => (lock_sets[&c].clone(), Some(c)),
-                            None => continue,
-                        },
-                    };
-                    for next in acquired {
-                        if next != held {
-                            edges.entry(held.clone()).or_default().push((next, fi, j));
-                        } else if exclusive
-                            && in_scope(LOCK_REENTRY, ctx.rel)
-                            && !ctx.allowed(LOCK_REENTRY, j)
-                        {
-                            let how = match callee {
-                                None => format!("re-acquires `self.{field}`"),
-                                Some((cfi, csi)) => format!(
-                                    "calls `{}()` — which acquires `self.{field}` —",
-                                    scoped[cfi].fns[csi].name
-                                ),
-                            };
-                            findings.push(ctx.finding(
-                                LOCK_REENTRY,
-                                ctx.toks[j].line,
-                                format!(
-                                    "{how} while fn `{}` still holds its exclusive guard \
-                                     (deadlock with the vendored std-backed locks)",
-                                    f.name
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Cycle rejection: report each cycle once, at the edge out of its
-    // smallest lock.
-    let mut reported: BTreeSet<Vec<String>> = BTreeSet::new();
-    for (src, outs) in &edges {
-        for (dst, fi, tok) in outs {
-            let Some(path) = shortest_path(&edges, dst, src) else {
-                continue;
-            };
-            // `path` is `dst`-exclusive and `src`-inclusive; the cycle
-            // node list is src, dst, ..., last-before-src.
-            let mut cycle = vec![src.clone(), dst.clone()];
-            cycle.extend(path[..path.len() - 1].iter().cloned());
-            if cycle.iter().min() != Some(src) || reported.contains(&cycle) {
-                continue;
-            }
-            let ctx = scoped[*fi];
-            if ctx.allowed(LOCK_ORDER, *tok) {
-                reported.insert(cycle);
-                continue;
-            }
-            let rendered = cycle
-                .iter()
-                .chain(std::iter::once(src))
-                .cloned()
-                .collect::<Vec<_>>()
-                .join(" -> ");
-            findings.push(ctx.finding(
-                LOCK_ORDER,
-                ctx.toks[*tok].line,
-                format!(
-                    "lock-order cycle {rendered}: this edge acquires `{dst}` while holding \
-                     `{src}`, but another path acquires them in the opposite order — pick one \
-                     global order, or justify with `// {} {} <reason>`",
-                    ALLOW_MARKER, LOCK_ORDER
-                ),
-            ));
-            reported.insert(cycle);
-        }
-    }
-}
-
-/// Where the guard taken at token `acq` stops being live, approximated:
-/// a `let`-bound guard lives to the end of its enclosing block (or an
-/// explicit `drop(<name>)`); a temporary (no `let`, or an `if let` /
-/// `while let` scrutinee) lives to the end of the statement.
-fn scope_end(ctx: &FileCtx<'_>, body_open: usize, body_close: usize, acq: usize) -> usize {
-    // Walk back to the statement start, looking for `let` (and whether
-    // it is an `if let` / `while let`).
-    let mut is_let = false;
-    let mut binding: Option<&str> = None;
-    let mut j = acq;
-    while j > body_open + 1 {
-        j -= 1;
-        let t = &ctx.toks[j];
-        if t.is_punct(";") || matches!(t.kind, Kind::Open(Delim::Brace) | Kind::Close(Delim::Brace))
-        {
-            break;
-        }
-        if t.is_ident("let") {
-            let conditional = ctx.toks[j - 1].is_ident("if") || ctx.toks[j - 1].is_ident("while");
-            if !conditional {
-                is_let = true;
-                // `let [mut] NAME = ...`: a plain binding we can track
-                // through `drop(NAME)`. Destructuring bindings get block
-                // scope without drop tracking.
-                let mut k = j + 1;
-                if ctx.toks[k].is_ident("mut") {
-                    k += 1;
-                }
-                if ctx.toks[k].kind == Kind::Ident && ctx.toks[k + 1].is_punct("=") {
-                    binding = Some(ctx.toks[k].text.as_str());
-                }
-            }
-            break;
-        }
-    }
-    if is_let {
-        // Innermost block enclosing the acquisition.
-        let mut end = body_close;
-        let mut best_open = body_open;
-        for (&o, &c) in &ctx.delims {
-            if ctx.toks[o].kind == Kind::Open(Delim::Brace) && o < acq && acq < c && o > best_open {
-                best_open = o;
-                end = c;
-            }
-        }
-        // An explicit early drop truncates the scope.
-        if let Some(name) = binding {
-            let mut k = acq;
-            while k + 3 < end {
-                if ctx.toks[k].is_ident("drop")
-                    && ctx.toks[k + 1].kind == Kind::Open(Delim::Paren)
-                    && ctx.toks[k + 2].is_ident(name)
-                    && ctx.toks[k + 3].kind == Kind::Close(Delim::Paren)
-                {
-                    return k;
-                }
-                k += 1;
-            }
-        }
-        end
-    } else {
-        // Temporary guard: to the end of the statement — the next `;`
-        // at this depth, or the close of the first block the statement
-        // opens (`if let ... { ... }`), whichever comes first.
-        let mut depth = 0i32;
-        let mut k = acq;
-        while k < body_close {
-            match ctx.toks[k].kind {
-                Kind::Open(Delim::Brace) if depth == 0 && k > acq => {
-                    return ctx.delims.get(&k).copied().unwrap_or(body_close);
-                }
-                Kind::Open(_) => depth += 1,
-                Kind::Close(_) => {
-                    depth -= 1;
-                    if depth < 0 {
-                        return k;
-                    }
-                }
-                Kind::Punct if ctx.toks[k].text == ";" && depth == 0 => return k,
-                _ => {}
-            }
-            k += 1;
-        }
-        body_close
-    }
-}
-
-/// BFS shortest node path `from → … → to` over the edge map, inclusive
-/// of `to`, exclusive of `from`. `None` when unreachable.
-fn shortest_path(
-    edges: &BTreeMap<String, Vec<(String, usize, usize)>>,
-    from: &str,
-    to: &str,
-) -> Option<Vec<String>> {
-    let mut prev: BTreeMap<&str, &str> = BTreeMap::new();
-    let mut queue = std::collections::VecDeque::from([from]);
-    while let Some(node) = queue.pop_front() {
-        for (next, _, _) in edges.get(node).into_iter().flatten() {
-            if next != from && !prev.contains_key(next.as_str()) {
-                prev.insert(next, node);
-                if next == to {
-                    let mut path = vec![to.to_string()];
-                    let mut at = to;
-                    while let Some(&p) = prev.get(at) {
-                        if p == from {
-                            break;
-                        }
-                        path.push(p.to_string());
-                        at = p;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(next);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1307,129 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_reentry_direct_and_via_method() {
-        let src = r#"
-            impl S {
-                fn epoch(&self) -> u64 { self.inner.read().epoch }
-                fn bad_direct(&self) {
-                    let mut g = self.inner.write();
-                    let x = self.inner.read();
-                }
-                fn bad_via_method(&self) {
-                    let mut g = self.inner.write();
-                    let e = self.epoch();
-                }
-                fn fine_after_drop(&self) {
-                    let mut g = self.inner.write();
-                    drop(g);
-                    let e = self.epoch();
-                }
-                fn fine_statement_scope(&self) {
-                    *self.inner.write() = 1;
-                    let e = self.epoch();
-                }
-            }
-        "#;
-        let f = scan("store/src/service.rs", src);
-        let reentries: Vec<_> = f.iter().filter(|f| f.lint == LOCK_REENTRY).collect();
-        assert_eq!(reentries.len(), 2, "{reentries:?}");
-        assert_eq!(reentries[0].line, 6);
-        assert_eq!(reentries[1].line, 10);
-    }
-
-    #[test]
-    fn shared_guard_rereading_its_lock_is_not_a_reentry() {
-        let src = r#"
-            impl S {
-                fn epoch(&self) -> u64 { self.inner.read().epoch }
-                fn both(&self) -> u64 {
-                    let g = self.inner.read();
-                    let again = self.inner.read();
-                    g.epoch + again.epoch + self.epoch()
-                }
-            }
-        "#;
-        let f = scan("store/src/service.rs", src);
-        assert!(f.is_empty(), "{f:#?}");
-    }
-
-    #[test]
-    fn transitive_lock_sets_propagate() {
-        let src = r#"
-            impl S {
-                fn snapshot(&self) -> u64 { self.inner.read().epoch }
-                fn stats(&self) -> u64 { self.snapshot() }
-                fn bad(&self) {
-                    let mut g = self.inner.write();
-                    let s = self.stats();
-                }
-            }
-        "#;
-        let f = scan("store/src/service.rs", src);
-        assert_eq!(f.iter().filter(|f| f.lint == LOCK_REENTRY).count(), 1);
-    }
-
-    #[test]
-    fn wcoj_recycle_enforces_the_buffer_conservation_law() {
-        // The real open()/up() shape: every pop matched by the opposite
-        // push — clean.
-        let ok = r#"
-            fn open(&mut self) {
-                let sub = self.spare.pop().unwrap_or_default();
-                self.stack.push(std::mem::replace(&mut self.runs, sub));
-            }
-            fn up(&mut self) {
-                let parent = self.stack.pop().expect("up without open");
-                self.spare.push(std::mem::replace(&mut self.runs, parent));
-            }
-        "#;
-        assert!(scan("crates/store/src/wcoj.rs", ok).is_empty());
-        // A popped buffer that never returns to the pool leaks.
-        let leak = r#"
-            fn up(&mut self) {
-                let parent = self.stack.pop().expect("up without open");
-                self.runs = parent;
-            }
-        "#;
-        let f = scan("crates/store/src/wcoj.rs", leak);
-        assert_eq!(f.iter().filter(|f| f.lint == WCOJ_RECYCLE).count(), 1);
-        assert_eq!(f[0].line, 3);
-        // An early return between the take and the give leaks too.
-        let bail = r#"
-            fn open(&mut self, empty: bool) {
-                let sub = self.spare.pop().unwrap_or_default();
-                if empty {
-                    return;
-                }
-                self.stack.push(std::mem::replace(&mut self.runs, sub));
-            }
-        "#;
-        let f = scan("crates/store/src/wcoj.rs", bail);
-        assert_eq!(f.iter().filter(|f| f.lint == WCOJ_RECYCLE).count(), 1);
-        assert_eq!(f[0].line, 5, "reported at the leaking exit");
-        // The hatch silences it, with a reason.
-        let hatched = r#"
-            fn into_parent(&mut self) -> Vec<u32> {
-                // analyzer-allow: wcoj-buffer-recycle the caller owns the
-                // buffer and recycles it itself
-                self.stack.pop().expect("into_parent without open")
-            }
-        "#;
-        assert!(scan("crates/store/src/wcoj.rs", hatched).is_empty());
-        // Out-of-scope files are not checked.
-        assert!(scan("crates/store/src/service.rs", leak)
-            .iter()
-            .all(|f| f.lint != WCOJ_RECYCLE));
-        // Unmatched pushes (a fresh buffer entering the cycle) are fine.
-        let fresh = r#"
-            fn seed(&mut self, runs: Vec<u32>) {
-                self.stack.push(runs);
-            }
-        "#;
-        assert!(scan("crates/store/src/wcoj.rs", fresh).is_empty());
-    }
-
-    #[test]
     fn budget_checkpoint_required_in_streaming_hot_paths() {
         // A checkpointed pull loop and a `while let` whose body checks
         // through a receiver are both clean.
@@ -1487,95 +915,6 @@ mod tests {
         assert!(scan("crates/store/src/service.rs", bare)
             .iter()
             .all(|f| f.lint != BUDGET_CHECKPOINT));
-    }
-
-    fn scan_pair(a: (&str, &str), b: (&str, &str)) -> Vec<Finding> {
-        scan_sources(&[
-            (a.0.to_string(), a.1.to_string()),
-            (b.0.to_string(), b.1.to_string()),
-        ])
-    }
-
-    const SHARD_SIDE: &str = r#"
-        impl Shard {
-            fn routing_epoch(&self) -> u64 { self.routing.read().epoch }
-            fn rebalance(&self) {
-                let g = self.routing.write();
-                self.cache.purge_slots();
-            }
-        }
-    "#;
-
-    #[test]
-    fn lock_order_cycle_detected_across_files() {
-        // shard holds `routing` then enters cache (`slots`); cache
-        // holds `slots` then enters shard (`routing`): a cross-file
-        // ABBA no single-file analysis can see.
-        let cache_cyclic = r#"
-            impl Cache {
-                fn purge_slots(&self) { let g = self.slots.lock(); }
-                fn refill(&self) {
-                    let g = self.slots.lock();
-                    let e = self.shard.routing_epoch();
-                }
-            }
-        "#;
-        let f = scan_pair(
-            ("store/src/shard.rs", SHARD_SIDE),
-            ("store/src/cache.rs", cache_cyclic),
-        );
-        let cycles: Vec<_> = f.iter().filter(|f| f.lint == LOCK_ORDER).collect();
-        assert_eq!(cycles.len(), 1, "{f:#?}");
-        assert_eq!(
-            cycles[0].file, "store/src/cache.rs",
-            "reported at the smallest lock's edge"
-        );
-        assert!(
-            cycles[0].message.contains("cache.slots"),
-            "{}",
-            cycles[0].message
-        );
-        assert!(
-            cycles[0].message.contains("shard.routing"),
-            "{}",
-            cycles[0].message
-        );
-
-        // Dropping the back edge leaves a DAG: clean.
-        let cache_dag = r#"
-            impl Cache {
-                fn purge_slots(&self) { let g = self.slots.lock(); }
-            }
-        "#;
-        let f = scan_pair(
-            ("store/src/shard.rs", SHARD_SIDE),
-            ("store/src/cache.rs", cache_dag),
-        );
-        assert!(f.iter().all(|f| f.lint != LOCK_ORDER), "{f:#?}");
-    }
-
-    #[test]
-    fn lock_order_cycle_is_hatchable_at_the_reported_edge() {
-        let cache_hatched = r#"
-            impl Cache {
-                fn purge_slots(&self) { let g = self.slots.lock(); }
-                fn refill(&self) {
-                    let g = self.slots.lock();
-                    // analyzer-allow: lock-order-cycle the shard side
-                    // never runs concurrently with refill (startup only)
-                    let e = self.shard.routing_epoch();
-                }
-            }
-        "#;
-        let f = scan_pair(
-            ("store/src/shard.rs", SHARD_SIDE),
-            ("store/src/cache.rs", cache_hatched),
-        );
-        assert!(
-            f.iter()
-                .all(|f| f.lint != LOCK_ORDER && f.lint != UNUSED_HATCH),
-            "hatched and the hatch counts as used: {f:#?}"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Loom/shuttle-style model checking, vendored-stand-in style: model
 //! code uses the [`shim`] primitives (`Mutex`, `RwLock`, `AtomicU64`,
-//! `OnceLock`, `spawn`/`join`) instead of the real ones. Each primitive
+//! `spawn`/`join`) instead of the real ones. Each primitive
 //! op is a *yield point* where a cooperative scheduler decides which
 //! model thread runs next; [`Explorer::check`] re-runs the model under
 //! every schedule reachable within a preemption bound, depth-first,
@@ -23,7 +23,7 @@
 
 pub mod shim;
 
-pub use shim::{spawn, AtomicU64, JoinHandle, Mutex, OnceLock, Ordering, RwLock};
+pub use shim::{spawn, AtomicU64, JoinHandle, Mutex, Ordering, RwLock};
 
 use std::any::Any;
 use std::fmt;
@@ -558,20 +558,6 @@ mod tests {
                 assert_eq!(mine, 7);
             })
             .expect("two readers never conflict");
-        assert!(report.exhausted);
-    }
-
-    #[test]
-    fn once_lock_wait_sees_the_set_value() {
-        let report = Explorer::new(2)
-            .check(|| {
-                let o = Arc::new(OnceLock::new());
-                let o2 = Arc::clone(&o);
-                let h = spawn(move || *o2.wait());
-                let _ = o.set(42u64);
-                assert_eq!(h.join(), 42);
-            })
-            .expect("wait-after-set protocol is clean");
         assert!(report.exhausted);
     }
 }

@@ -1,7 +1,7 @@
 //! Scheduler-aware stand-ins for the sync primitives the store uses:
 //! `Mutex`/`RwLock` (vendored parking_lot API: no poisoning, guards
-//! from `lock()`/`read()`/`write()` directly), `AtomicU64`, `OnceLock`,
-//! and `spawn`/`JoinHandle`. Each visible operation calls back into the
+//! from `lock()`/`read()`/`write()` directly), `AtomicU64`, and
+//! `spawn`/`JoinHandle`. Each visible operation calls back into the
 //! run's `Controller` at a yield point, so the explorer owns every
 //! interleaving decision.
 //!
@@ -280,112 +280,6 @@ impl AtomicU64 {
         let (ctrl, tid) = ctx();
         ctrl.yield_point(tid);
         self.v.fetch_add(value, Ordering::SeqCst)
-    }
-
-    pub fn compare_exchange(
-        &self,
-        current: u64,
-        new: u64,
-        _success: Ordering,
-        _failure: Ordering,
-    ) -> Result<u64, u64> {
-        let (ctrl, tid) = ctx();
-        ctrl.yield_point(tid);
-        self.v
-            .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-    }
-}
-
-// ---------------------------------------------------------------------
-// OnceLock
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OnceState {
-    Empty,
-    Initializing,
-    Ready,
-}
-
-pub struct OnceLock<T> {
-    id: u64,
-    state: StdMutex<OnceState>,
-    cell: std::sync::OnceLock<T>,
-}
-
-impl<T> OnceLock<T> {
-    #[allow(clippy::new_without_default)] // mirror std's inherent-new API shape
-    pub fn new() -> OnceLock<T> {
-        let (ctrl, _) = ctx();
-        OnceLock {
-            id: ctrl.fresh_id(),
-            state: StdMutex::new(OnceState::Empty),
-            cell: std::sync::OnceLock::new(),
-        }
-    }
-
-    pub fn get(&self) -> Option<&T> {
-        let (ctrl, tid) = ctx();
-        ctrl.yield_point(tid);
-        (*self.state.lock_clean() == OnceState::Ready)
-            .then(|| self.cell.get().expect("Ready implies the cell is set"))
-    }
-
-    pub fn set(&self, value: T) -> Result<(), T> {
-        let (ctrl, tid) = ctx();
-        ctrl.yield_point(tid);
-        let mut st = self.state.lock_clean();
-        match *st {
-            OnceState::Ready | OnceState::Initializing => Err(value),
-            OnceState::Empty => {
-                *st = OnceState::Ready;
-                drop(st);
-                let _ = self.cell.set(value);
-                ctrl.unblock(self.id);
-                Ok(())
-            }
-        }
-    }
-
-    /// Blocks until some thread publishes a value (std's `wait`).
-    pub fn wait(&self) -> &T {
-        let (ctrl, tid) = ctx();
-        ctrl.yield_point(tid);
-        loop {
-            if *self.state.lock_clean() == OnceState::Ready {
-                return self.cell.get().expect("Ready implies the cell is set");
-            }
-            ctrl.block_on(tid, self.id);
-        }
-    }
-
-    /// One thread runs `f` (with no internal lock held, so `f` may use
-    /// other shims); latecomers block until the value is published.
-    pub fn get_or_init<F: FnOnce() -> T>(&self, f: F) -> &T {
-        let (ctrl, tid) = ctx();
-        ctrl.yield_point(tid);
-        let mut init = Some(f);
-        loop {
-            {
-                let mut st = self.state.lock_clean();
-                match *st {
-                    OnceState::Ready => {
-                        return self.cell.get().expect("Ready implies the cell is set");
-                    }
-                    OnceState::Empty => {
-                        *st = OnceState::Initializing;
-                        drop(st);
-                        let value = (init.take().expect("initializer runs once"))();
-                        *self.state.lock_clean() = OnceState::Ready;
-                        let _ = self.cell.set(value);
-                        ctrl.unblock(self.id);
-                        return self.cell.get().expect("just set");
-                    }
-                    OnceState::Initializing => {}
-                }
-            }
-            ctrl.block_on(tid, self.id);
-        }
     }
 }
 

@@ -30,13 +30,10 @@ pub struct HatchedPlannedQuery {
 pub struct Service {
     inner: RwLock<Inner>,
     stats: AtomicU64,
+    generation: u64,
 }
 
 impl Service {
-    pub fn epoch(&self) -> u64 {
-        self.inner.read().epoch
-    }
-
     pub fn hot_path(&self, x: Option<u64>) -> u64 {
         x.unwrap() // VIOLATION(no-unwrap-in-service)
     }
@@ -66,17 +63,11 @@ impl Service {
         snap + snap
     }
 
-    pub fn reentrant_write(&self) -> u64 {
-        let mut guard = self.inner.write();
-        guard.epoch += 1;
-        self.epoch() // VIOLATION(no-lock-reentry)
-    }
-
-    pub fn disciplined_write(&self) -> u64 {
-        let mut guard = self.inner.write();
-        guard.epoch += 1;
-        drop(guard);
-        self.epoch()
+    /// The unwrap this hatch once excused became `unwrap_or`; the
+    /// silencer left behind must be flagged as stale.
+    pub fn generation_or(&self, g: Option<u64>) -> u64 {
+        // analyzer-allow: no-unwrap-in-service VIOLATION(unused-hatch)
+        g.unwrap_or(self.generation)
     }
 
     fn read_snapshot(&self) -> u64 {

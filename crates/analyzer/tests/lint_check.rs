@@ -29,10 +29,7 @@ fn fixture_findings_match_the_seeded_markers() {
     let mut expected: BTreeMap<(String, String, u32), ()> = BTreeMap::new();
     for rel in [
         "store/src/service.rs",
-        "store/src/wcoj.rs",
         "store/src/join.rs",
-        "store/src/shard.rs",
-        "store/src/cache.rs",
         "store/src/persist.rs",
     ] {
         let src = std::fs::read_to_string(root.join(rel)).expect("fixture exists");
@@ -52,9 +49,8 @@ fn fixture_findings_match_the_seeded_markers() {
     }
     assert_eq!(
         expected.len(),
-        12,
-        "one marker per lint, plus the two wcoj-buffer-recycle shapes \
-         and the two budget-checkpoint loop shapes"
+        8,
+        "one marker per lint, plus the two budget-checkpoint loop shapes"
     );
 
     let findings = lints::scan_root(&root).expect("scan succeeds");
@@ -84,17 +80,10 @@ fn binary_fails_on_the_fixture_with_file_line_diagnostics() {
     assert!(stdout.contains("[no-unwrap-in-service]"), "{stdout}");
     assert!(stdout.contains("[one-snapshot-per-path]"), "{stdout}");
     assert!(stdout.contains("[relaxed-ok-comment]"), "{stdout}");
-    assert!(stdout.contains("[no-lock-reentry]"), "{stdout}");
     assert!(stdout.contains("[must-use-snapshot]"), "{stdout}");
-    assert!(stdout.contains("[wcoj-buffer-recycle]"), "{stdout}");
     assert!(stdout.contains("[budget-checkpoint]"), "{stdout}");
-    assert!(stdout.contains("[lock-order-cycle]"), "{stdout}");
     assert!(stdout.contains("[io-ordering]"), "{stdout}");
     assert!(stdout.contains("[unused-hatch] warning:"), "{stdout}");
-    assert!(
-        stdout.contains("store/src/wcoj.rs:"),
-        "recycle findings carry file:line, got:\n{stdout}"
-    );
     assert!(
         stdout.contains("store/src/join.rs:"),
         "budget findings carry file:line, got:\n{stdout}"
@@ -159,10 +148,10 @@ fn io_ordering_scope_covers_the_real_persist_module() {
 
 /// The shared BGP request path (`store/src/bgp.rs`: every query entry
 /// point of both services runs through it) must sit inside the
-/// service-layer scopes, or `no-unwrap-in-service`, `budget-checkpoint`
-/// and the lock-order graph go blind on exactly the code they were
-/// written for: a seeded `unwrap()` and an unjustified loop at that
-/// path must both be flagged.
+/// service-layer scopes, or `no-unwrap-in-service` and
+/// `budget-checkpoint` go blind on exactly the code they were written
+/// for: a seeded `unwrap()` and an unjustified loop at that path must
+/// both be flagged.
 #[test]
 fn service_scopes_cover_the_shared_bgp_request_path() {
     let rel = "crates/store/src/bgp.rs";
@@ -170,7 +159,6 @@ fn service_scopes_cover_the_shared_bgp_request_path() {
         workspace_root().join(rel).is_file(),
         "the shared request path moved: re-point the scopes and this test"
     );
-    assert!(lints::in_scope(lints::LOCK_ORDER, rel));
     let seeded = "pub(crate) fn serve(rows: Option<u64>) -> u64 {\n\
                   \x20   loop {\n\
                   \x20       if done() { break; }\n\
@@ -205,7 +193,7 @@ fn json_report_is_written_and_shaped() {
     assert!(json.trim_start().starts_with('{'), "{json}");
     assert!(json.contains("\"schema\": 1"), "{json}");
     assert!(json.contains("\"summary\": "), "{json}");
-    assert!(json.contains("\"errors\": 11"), "{json}");
+    assert!(json.contains("\"errors\": 7"), "{json}");
     assert!(json.contains("\"warnings\": 1"), "{json}");
     assert!(
         json.contains("\"lint\": \"no-unwrap-in-service\""),

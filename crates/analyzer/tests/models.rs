@@ -1,4 +1,4 @@
-//! Schedule-exploration models of the store's five core concurrency
+//! Schedule-exploration models of the store's three core concurrency
 //! protocols, each in two variants:
 //!
 //! * the **buggy pre-fix variant** — the exact bug class a past PR
@@ -9,12 +9,12 @@
 //!   guarantee: reintroducing the bug flips the second test).
 //!
 //! The models use the `wdsparql_analyzer::sched` shims, so every
-//! lock/atomic/once op is a scheduling decision the DFS explorer
-//! controls. All five protocols fit in 2–3 model threads and are
-//! caught with a preemption bound of 2.
+//! lock op is a scheduling decision the DFS explorer controls. All
+//! three protocols fit in 2–3 model threads and are caught with a
+//! preemption bound of 2.
 
 use std::sync::Arc;
-use wdsparql_analyzer::sched::{spawn, AtomicU64, Explorer, Mutex, OnceLock, Ordering, RwLock};
+use wdsparql_analyzer::sched::{spawn, Explorer, JoinHandle, Mutex, RwLock};
 
 // ---------------------------------------------------------------------
 // Protocol 1 — snapshot-pinned plan+execute (the PR 3 epoch race).
@@ -85,188 +85,7 @@ fn plan_execute_shared_snapshot_is_clean() {
 }
 
 // ---------------------------------------------------------------------
-// Protocol 2 — pending-slot stampede dedup (the PR 3 cache-miss
-// stampede). Two concurrent misses of the same key must run the
-// computation once: the first miss installs an `Arc<OnceLock>` slot in
-// a pending map, later misses wait on the slot. The buggy pre-fix
-// variant computed straight from "cache says miss". The store no longer
-// has a result cache; the model stays as an explorer test, and as the
-// protocol any cache added back in front of the store must keep.
-// ---------------------------------------------------------------------
-
-#[test]
-fn cache_miss_stampede_is_caught() {
-    let violation = Explorer::new(2)
-        .check(|| {
-            let cache: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
-            let computations = Arc::new(AtomicU64::new(0));
-            let readers: Vec<_> = (0..2)
-                .map(|_| {
-                    let cache = Arc::clone(&cache);
-                    let computations = Arc::clone(&computations);
-                    spawn(move || {
-                        // BUGGY: check-then-compute with no in-flight
-                        // dedup — both readers can pass the miss check
-                        // before either publishes.
-                        let miss = cache.lock().is_none();
-                        if miss {
-                            computations.fetch_add(1, Ordering::SeqCst);
-                            *cache.lock() = Some(42);
-                        }
-                    })
-                })
-                .collect();
-            for r in readers {
-                r.join();
-            }
-            assert_eq!(
-                computations.load(Ordering::SeqCst),
-                1,
-                "stampede: the computation ran more than once"
-            );
-        })
-        .expect_err("the unsynchronized double-compute must be caught");
-    assert!(violation.message.contains("stampede"), "{violation}");
-}
-
-#[test]
-fn cache_miss_pending_slot_dedups_cleanly() {
-    let report = Explorer::new(2)
-        .check(|| {
-            // The deleted result cache's lookup in miniature: the pending
-            // map collapses to a single shared slot because the model
-            // has one key.
-            let pending: Arc<Mutex<Option<Arc<OnceLock<u64>>>>> = Arc::new(Mutex::new(None));
-            let computations = Arc::new(AtomicU64::new(0));
-            let readers: Vec<_> = (0..2)
-                .map(|_| {
-                    let pending = Arc::clone(&pending);
-                    let computations = Arc::clone(&computations);
-                    spawn(move || {
-                        let (slot, leader) = {
-                            let mut p = pending.lock();
-                            match &*p {
-                                Some(slot) => (Arc::clone(slot), false),
-                                None => {
-                                    let slot = Arc::new(OnceLock::new());
-                                    *p = Some(Arc::clone(&slot));
-                                    (slot, true)
-                                }
-                            }
-                        };
-                        if leader {
-                            computations.fetch_add(1, Ordering::SeqCst);
-                            let _ = slot.set(42);
-                        } else {
-                            assert_eq!(*slot.wait(), 42);
-                        }
-                    })
-                })
-                .collect();
-            for r in readers {
-                r.join();
-            }
-            assert_eq!(computations.load(Ordering::SeqCst), 1);
-        })
-        .expect("the pending-slot protocol dedups on every schedule");
-    assert!(report.exhausted, "{report:?}");
-}
-
-// ---------------------------------------------------------------------
-// Protocol 3 — epoch-bump-then-cache-purge with publish re-validation
-// (the PR 4 facade epoch-vector invalidation). A writer bumps the
-// epoch and purges the cache; a reader that computed on the old graph
-// must not publish AFTER the purge, or the stale entry survives
-// forever. The fix re-checked the epoch under the cache lock before
-// publishing. The cache is gone from the store; like protocol 2, the
-// model stays as an explorer test of the rule.
-// ---------------------------------------------------------------------
-
-struct FacadeModel {
-    /// Current store epoch (the facade's epoch vector, collapsed to one
-    /// shard for the model).
-    epoch: AtomicU64,
-    /// Graph contents the cached value is derived from.
-    data: AtomicU64,
-    /// The result cache: a value valid for the *current* epoch.
-    cache: Mutex<Option<u64>>,
-}
-
-fn facade_writer(m: &FacadeModel) {
-    m.data.store(2, Ordering::SeqCst);
-    m.epoch.fetch_add(1, Ordering::SeqCst);
-    // Purge after the bump: readers that re-validate cannot slip a
-    // pre-bump value in after this line.
-    *m.cache.lock() = None;
-}
-
-fn assert_cache_fresh(m: &FacadeModel) {
-    if let Some(cached) = *m.cache.lock() {
-        assert_eq!(
-            cached,
-            m.data.load(Ordering::SeqCst),
-            "stale cache entry survived the epoch purge"
-        );
-    }
-}
-
-#[test]
-fn unconditional_publish_after_purge_is_caught() {
-    let violation = Explorer::new(2)
-        .check(|| {
-            let m = Arc::new(FacadeModel {
-                epoch: AtomicU64::new(0),
-                data: AtomicU64::new(1),
-                cache: Mutex::new(None),
-            });
-            let m2 = Arc::clone(&m);
-            let writer = spawn(move || facade_writer(&m2));
-            // BUGGY: compute on the current graph, publish whenever —
-            // even after the writer's purge already ran.
-            let value = m.data.load(Ordering::SeqCst);
-            *m.cache.lock() = Some(value);
-            writer.join();
-            assert_cache_fresh(&m);
-        })
-        .expect_err("the stale-publish race must be caught");
-    assert!(
-        violation.message.contains("stale cache entry"),
-        "{violation}"
-    );
-}
-
-#[test]
-fn epoch_revalidated_publish_is_clean() {
-    let report = Explorer::new(2)
-        .check(|| {
-            let m = Arc::new(FacadeModel {
-                epoch: AtomicU64::new(0),
-                data: AtomicU64::new(1),
-                cache: Mutex::new(None),
-            });
-            let m2 = Arc::clone(&m);
-            let writer = spawn(move || facade_writer(&m2));
-            // FIXED: pin the epoch before computing; publish only if it
-            // still matches, deciding under the cache lock so the
-            // writer's bump+purge cannot interleave the check and the
-            // insert.
-            let pinned = m.epoch.load(Ordering::SeqCst);
-            let value = m.data.load(Ordering::SeqCst);
-            {
-                let mut cache = m.cache.lock();
-                if m.epoch.load(Ordering::SeqCst) == pinned {
-                    *cache = Some(value);
-                }
-            }
-            writer.join();
-            assert_cache_fresh(&m);
-        })
-        .expect("the still_valid re-check holds on every schedule");
-    assert!(report.exhausted, "{report:?}");
-}
-
-// ---------------------------------------------------------------------
-// Protocol 4 — parallel scatter bulk_load (the PR 4 sharded ingest).
+// Protocol 2 — parallel scatter bulk_load (the PR 4 sharded ingest).
 // `ShardedStore::bulk_load` partitions the input, scatters each
 // partition to its shard on a worker, and only *publishes* the new
 // epoch/counts after joining every worker. The buggy pre-fix shape
@@ -302,7 +121,7 @@ fn scatter_model() -> Arc<ScatterModel> {
     })
 }
 
-fn spawn_scatter_workers(m: &Arc<ScatterModel>) -> Vec<wdsparql_analyzer::sched::JoinHandle<()>> {
+fn spawn_scatter_workers(m: &Arc<ScatterModel>) -> Vec<JoinHandle<()>> {
     (0..2)
         .map(|i| {
             let m = Arc::clone(m);
@@ -357,7 +176,7 @@ fn scatter_join_then_publish_is_clean() {
 }
 
 // ---------------------------------------------------------------------
-// Protocol 5 — normalise off-lock, append under the write lock (the
+// Protocol 3 — normalise off-lock, append under the write lock (the
 // store's one write path). `TripleStore::try_bulk_load` sorts, dedups
 // and probes its batch against a lock-free snapshot, then appends the
 // fresh rows under the write lock. A load that lands in between may add

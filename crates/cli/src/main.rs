@@ -138,23 +138,29 @@ fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
             let query = parse_query(args.get(1))?;
             write!(out, "{}", query.forest())?;
         }
+        // The query commands parse their query before they read the
+        // data: a malformed query fails without loading the file.
         "eval" => {
-            let engine = store_engine(read_statements(args.get(1))?)?;
             let text = args.get(2).ok_or("missing query argument")?;
             // Curly-syntax queries may carry top-level FILTER clauses.
-            let sols = if text.trim_start().starts_with('{') {
+            let (query, filter) = if text.trim_start().starts_with('{') {
                 let (query, filter) = Query::parse_with_filter(text).map_err(|e| e.to_string())?;
-                engine.evaluate_filtered(&query, &filter)
+                (query, Some(filter))
             } else {
-                engine.evaluate(&parse_query(args.get(2))?)
+                (parse_query(args.get(2))?, None)
+            };
+            let engine = store_engine(read_statements(args.get(1))?)?;
+            let sols = match &filter {
+                Some(filter) => engine.evaluate_filtered(&query, filter),
+                None => engine.evaluate(&query),
             };
             writeln!(out, "{} solution(s):", sols.len())?;
             sols.iter().try_for_each(|mu| writeln!(out, "  {mu}"))?;
         }
         "check" => {
-            let engine = store_engine(read_statements(args.get(1))?)?;
             let query = parse_query(args.get(2))?;
             let mu = parse_bindings(args.get(3))?;
+            let engine = store_engine(read_statements(args.get(1))?)?;
             writeln!(out, "µ = {mu}")?;
             let reference = engine.check(&query, &mu, Strategy::Naive);
             writeln!(out, "naive (Lemma 1, exact homomorphisms): {reference}")?;
@@ -175,8 +181,8 @@ fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
             }
         }
         "count" => {
-            let engine = store_engine(read_statements(args.get(1))?)?;
             let query = parse_query(args.get(2))?;
+            let engine = store_engine(read_statements(args.get(1))?)?;
             let (sols, stats) = engine.with_index(|g| enumerate_with_stats(query.forest(), g));
             writeln!(out, "{} solution(s)", sols.len())?;
             for (domain, count) in count_solutions_by_domain(&sols) {
@@ -190,9 +196,9 @@ fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
             )?;
         }
         "select" => {
-            let engine = store_engine(read_statements(args.get(1))?)?;
             let text = args.get(2).ok_or("missing SELECT query argument")?;
             let query = ProjectedQuery::parse(text).map_err(|e| e.to_string())?;
+            let engine = store_engine(read_statements(args.get(1))?)?;
             let sols = engine.with_index(|g| enumerate_projected(&query, g));
             writeln!(out, "query: {query}")?;
             writeln!(out, "{} projected solution(s):", sols.len())?;
@@ -739,6 +745,29 @@ mod tests {
             "{ ?x p ?y OPTIONAL { ?y q ?z } FILTER(BOUND(?z)) }",
         ]))
         .is_ok());
+    }
+
+    /// Each query command parses its query (and `check` its bindings)
+    /// before it reads the data: with both inputs bad, the parse error
+    /// is the one reported.
+    #[test]
+    fn a_malformed_query_is_reported_before_the_data_is_read() {
+        let bad = "(?x, p";
+        let query_err = Query::parse(bad).err().expect("malformed").to_string();
+        let select_err = ProjectedQuery::parse(bad)
+            .expect_err("malformed")
+            .to_string();
+        for (args, want) in [
+            (vec!["eval", "/nonexistent.nt", bad], &query_err),
+            (vec!["check", "/nonexistent.nt", bad, "x=a"], &query_err),
+            (vec!["count", "/nonexistent.nt", bad], &query_err),
+            (vec!["select", "/nonexistent.nt", bad], &select_err),
+        ] {
+            assert_eq!(run(&s(&args)).as_ref(), Err(want), "{args:?}");
+        }
+        let bindings_err = parse_bindings(Some(&"x".to_string())).unwrap_err();
+        let args = s(&["check", "/nonexistent.nt", "(?x, p, ?y)", "x"]);
+        assert_eq!(run(&args), Err(bindings_err));
     }
 
     #[test]

@@ -60,7 +60,9 @@ pub struct EnumStats {
     /// (including the lead-in to the first batch and the tail after the
     /// last) — the empirical *delay* of the enumeration. Solutions are
     /// emitted once their root homomorphism's subtree has been fully
-    /// explored, so the delay measures the work per root-level candidate.
+    /// explored, and a root's own step is a gap of its own, so the delay
+    /// measures the work per root-level candidate, whichever order the
+    /// backend yields the candidates in.
     pub max_delay_steps: usize,
 }
 
@@ -78,10 +80,15 @@ impl<'a> Walker<'a> {
 
     fn emit(&mut self, mu: Mapping) {
         self.stats.emitted += 1;
+        self.end_gap();
+        self.out.insert(mu);
+    }
+
+    /// Closes the gap since the last emission (or the last closed gap).
+    fn end_gap(&mut self) {
         let delay = self.stats.steps - self.last_emit_steps;
         self.stats.max_delay_steps = self.stats.max_delay_steps.max(delay);
         self.last_emit_steps = self.stats.steps;
-        self.out.insert(mu);
     }
 
     /// The tuple-at-a-time reference: all maximal solutions of the
@@ -145,6 +152,8 @@ pub fn enumerate_with_stats(f: &Wdpf, g: &dyn TripleIndex) -> (SolutionSet, Enum
         // measure rather than the whole run.
         w.tick();
         w.stats.hom_calls += 1;
+        // The root's step is not charged to its first candidate.
+        w.end_gap();
         for nu in all_homs_into_graph(t.pat(t.root()), g, &Mapping::new()) {
             for mu in w.with_children(t, t.root(), &nu) {
                 w.emit(mu);
@@ -237,6 +246,34 @@ mod tests {
         assert!(sols.is_empty());
         assert_eq!(stats.emitted, 0);
         assert_eq!(stats.max_delay_steps, stats.steps);
+    }
+
+    /// Each root candidate is charged for the steps under it only, so
+    /// the delay does not depend on which candidate the backend yields
+    /// first: here the `(e, p, f)` candidate takes one step below the
+    /// root and the other two take two.
+    #[test]
+    fn delay_does_not_depend_on_the_order_of_the_root_matches() {
+        let f = forest("((?x, p, ?y) OPT ((?y, r, ?u) OPT (?u, r, ?w)))");
+        let triples = [
+            ("a", "p", "b"),
+            ("a", "p", "c"),
+            ("b", "r", "c"),
+            ("c", "r", "d"),
+            ("e", "p", "f"),
+        ]
+        .map(|(s, p, o)| wdsparql_rdf::Triple::from_strs(s, p, o));
+        let mut forward = RdfGraph::new();
+        let mut backward = RdfGraph::new();
+        for (t, u) in triples.iter().zip(triples.iter().rev()) {
+            forward.insert(*t);
+            backward.insert(*u);
+        }
+        let (sols, stats) = enumerate_with_stats(&f, &forward);
+        let (back_sols, back_stats) = enumerate_with_stats(&f, &backward);
+        assert_eq!(sols, back_sols);
+        assert_eq!(stats.max_delay_steps, 2);
+        assert_eq!(back_stats.max_delay_steps, stats.max_delay_steps);
     }
 
     #[test]

@@ -253,20 +253,12 @@ impl Engine {
     }
 
     /// The in-memory graph of a [`Engine::new`]-built engine, or `None`
-    /// for a store-backed one — use [`Engine::with_index`],
-    /// [`Engine::store`] or [`Engine::sharded_store`] there.
+    /// for a store-backed one — use [`Engine::with_index`] or
+    /// [`Engine::sharded_store`] there.
     pub fn graph(&self) -> Option<&RdfGraph> {
         match &self.backend {
             Backend::Memory(g) => Some(g),
             Backend::Store(_) | Backend::Sharded(_) => None,
-        }
-    }
-
-    /// The shared store of a [`Engine::from_store`]-built engine.
-    pub fn store(&self) -> Option<&Arc<TripleStore>> {
-        match &self.backend {
-            Backend::Memory(_) | Backend::Sharded(_) => None,
-            Backend::Store(s) => Some(s),
         }
     }
 
@@ -489,7 +481,8 @@ mod tests {
         let store = Arc::new(TripleStore::from_rdf(&graph));
         let mem = Engine::new(graph);
         let via_store = Engine::from_store(Arc::clone(&store));
-        assert!(via_store.store().is_some());
+        assert!(via_store.graph().is_none());
+        assert!(via_store.sharded_store().is_none());
         let q =
             Query::parse("(((?x, p, ?y) OPT (?z, q, ?x)) OPT ((?y, r, ?o1) AND (?o1, r, ?o2)))")
                 .unwrap();
@@ -520,7 +513,6 @@ mod tests {
         let mem = Engine::new(graph);
         let via_sharded = Engine::from_sharded_store(Arc::clone(&store));
         assert!(via_sharded.sharded_store().is_some());
-        assert!(via_sharded.store().is_none());
         assert!(via_sharded.graph().is_none());
         let q =
             Query::parse("(((?x, p, ?y) OPT (?z, q, ?x)) OPT ((?y, r, ?o1) AND (?o1, r, ?o2)))")

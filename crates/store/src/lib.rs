@@ -47,8 +47,8 @@
 //! * the BGP request path (private `bgp` module) — **how one BGP request
 //!   is served, written once**: every query entry point of both
 //!   services (`query`, `solutions`, `query_with_plan`,
-//!   `query_with_profile`, `query_budgeted`, `query_limited`,
-//!   `solutions_limit`) pins one snapshot and delegates to it. It runs
+//!   `query_with_profile`, `query_budgeted`, `query_limited`) pins one
+//!   snapshot and delegates to it. It runs
 //!   on `&dyn TripleIndex` plus the pin's read provenance: entry budget
 //!   checkpoint → plan once → resolve `Auto` → open the pairwise or
 //!   leapfrog stream → collect → account. Nothing is kept between

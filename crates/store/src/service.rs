@@ -740,12 +740,6 @@ impl TripleStore {
         Ok(Arc::unwrap_or_clone(prefix.solutions))
     }
 
-    /// The infallible facade over [`TripleStore::query_limited`]: the
-    /// first `limit` solutions under an unlimited budget.
-    pub fn solutions_limit(&self, patterns: &[TriplePattern], limit: usize) -> Vec<Mapping> {
-        Arc::unwrap_or_clone(self.answer(patterns, Want::Prefix(limit)).solutions)
-    }
-
     /// Serves one request under an unlimited budget — the infallible
     /// entry points.
     fn answer(&self, patterns: &[TriplePattern], want: Want) -> PlannedQuery {
@@ -1367,7 +1361,7 @@ mod tests {
         let dead = || QueryBudget::with_deadline(Duration::ZERO);
         // What a request is called, the evaluations it counts, how to run it.
         type Request<'a> = (&'a str, u64, &'a dyn Fn(&TripleStore));
-        let requests: [Request<'_>; 9] = [
+        let requests: [Request<'_>; 8] = [
             ("query", 1, &|s| assert_eq!(s.query(&pats).len(), 2)),
             ("solutions", 1, &|s| {
                 assert_eq!(s.solutions(&pats[0]).len(), 3)
@@ -1383,9 +1377,6 @@ mod tests {
             }),
             ("query_limited", 0, &|s| {
                 assert_eq!(s.query_limited(&pats, 1, &all()).map(|r| r.len()), Ok(1));
-            }),
-            ("solutions_limit", 0, &|s| {
-                assert_eq!(s.solutions_limit(&pats, 1).len(), 1);
             }),
             ("dead query_budgeted", 0, &|s| {
                 assert!(s.query_budgeted(&pats, &dead()).is_err());

@@ -712,12 +712,6 @@ impl ShardedStore {
         Ok(Arc::unwrap_or_clone(prefix.solutions))
     }
 
-    /// The infallible facade over [`ShardedStore::query_limited`]: the
-    /// first `limit` solutions under an unlimited budget.
-    pub fn solutions_limit(&self, patterns: &[TriplePattern], limit: usize) -> Vec<Mapping> {
-        Arc::unwrap_or_clone(self.answer(patterns, Want::Prefix(limit)).solutions)
-    }
-
     /// As [`ShardedStore::query`], but also returns the evaluation
     /// order, the resolved strategy and the query's read provenance —
     /// plan and solutions from one snapshot, the plan computed exactly

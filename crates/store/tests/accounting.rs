@@ -60,7 +60,13 @@ fn every_request_is_counted_once_on_both_facades() {
                     .len(),
                 1
             );
-            assert_eq!($store.solutions_limit(&triangle, 1).len(), 1);
+            assert_eq!(
+                $store
+                    .query_limited(&triangle, 1, &unlimited)
+                    .unwrap()
+                    .len(),
+                1
+            );
             assert!($store.query_budgeted(&triangle, &dead()).is_err());
             assert!($store.query_limited(&triangle, 1, &dead()).is_err());
         }};

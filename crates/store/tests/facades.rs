@@ -37,7 +37,6 @@ trait Facade {
         k: usize,
         b: &QueryBudget,
     ) -> Result<Vec<Mapping>, ExecError>;
-    fn solutions_limit(&self, p: &[TriplePattern], k: usize) -> Vec<Mapping>;
 }
 
 macro_rules! facade {
@@ -75,9 +74,6 @@ macro_rules! facade {
                 b: &QueryBudget,
             ) -> Result<Vec<Mapping>, ExecError> {
                 <$t>::query_limited(self, p, k, b)
-            }
-            fn solutions_limit(&self, p: &[TriplePattern], k: usize) -> Vec<Mapping> {
-                <$t>::solutions_limit(self, p, k)
             }
         }
     };
@@ -199,11 +195,6 @@ fn check_cell(
             prefix.as_deref(),
             Ok(&full[..cap]),
             "{cell}: query_limited({k})"
-        );
-        assert_eq!(
-            store.solutions_limit(pats, k),
-            full[..cap],
-            "{cell}: solutions_limit({k})"
         );
     }
 

@@ -247,7 +247,8 @@ proptest! {
             }
             let full = sharded.query(&pats);
             for k in 0..=full.len() + 1 {
-                prop_assert_eq!(&sharded.solutions_limit(&pats, k)[..], &full[..k.min(full.len())]);
+                let prefix = sharded.query_limited(&pats, k, &budget).expect("unlimited");
+                prop_assert_eq!(&prefix[..], &full[..k.min(full.len())]);
             }
             // The keyed join, under every strategy: each key's rows are
             // the solutions of the BGP with that key substituted.

@@ -179,8 +179,9 @@ fn the_seed_prune_runs_only_where_it_pays() {
     }
 }
 
-/// The services stream the same prefixes: `solutions_limit(k)` is the
-/// first `k` rows of the full pairwise answer, on both facades.
+/// The services stream the same prefixes: `query_limited(k)` under an
+/// unlimited budget is the first `k` rows of the full pairwise answer,
+/// on both facades.
 #[test]
 fn solutions_limit_prefixes_the_pairwise_answer() {
     let ts = triples();
@@ -188,19 +189,20 @@ fn solutions_limit_prefixes_the_pairwise_answer() {
     let sharded = ShardedStore::from_triples(3, ts.iter().copied());
     single.set_join_strategy(JoinStrategy::Pairwise);
     sharded.set_join_strategy(JoinStrategy::Pairwise);
+    let budget = QueryBudget::unlimited();
     for pats in [anchored(), open()] {
         let full = single.query(&pats);
         let sharded_full = sharded.query(&pats);
         assert_eq!(sorted(full.to_vec()), sorted(sharded_full.to_vec()));
         for k in 0..=full.len() + 1 {
             assert_eq!(
-                single.solutions_limit(&pats, k),
-                full[..k.min(full.len())],
+                single.query_limited(&pats, k, &budget).as_deref(),
+                Ok(&full[..k.min(full.len())]),
                 "single prefix {k}"
             );
             assert_eq!(
-                sharded.solutions_limit(&pats, k),
-                sharded_full[..k.min(sharded_full.len())],
+                sharded.query_limited(&pats, k, &budget).as_deref(),
+                Ok(&sharded_full[..k.min(sharded_full.len())]),
                 "sharded prefix {k}"
             );
         }

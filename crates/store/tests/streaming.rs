@@ -1,5 +1,5 @@
 //! Property tests for the streaming execution core: the pull-based
-//! solution streams behind `solutions_limit`/`query_budgeted` must be
+//! solution streams behind `query_limited`/`query_budgeted` must be
 //! indistinguishable from the materialised path — on random BGPs
 //! (cyclic cores, repeated variables, ground and absent-constant
 //! patterns), random LIMIT prefixes, every `JoinStrategy` and both
@@ -111,7 +111,9 @@ proptest! {
 
             // Exact prefix: first-k streamed rows are the materialised
             // result's first k rows, in order.
-            let prefix = single.solutions_limit(&pats, k);
+            let prefix = single
+                .query_limited(&pats, k, &QueryBudget::unlimited())
+                .expect("unlimited");
             prop_assert_eq!(prefix.len(), k.min(full.len()), "{} single prefix size", strategy);
             prop_assert_eq!(
                 &prefix[..],
@@ -120,7 +122,9 @@ proptest! {
                 strategy,
                 &pats
             );
-            let sprefix = sharded.solutions_limit(&pats, k);
+            let sprefix = sharded
+                .query_limited(&pats, k, &QueryBudget::unlimited())
+                .expect("unlimited");
             prop_assert_eq!(
                 sprefix.len(),
                 k.min(sharded_full.len()),
