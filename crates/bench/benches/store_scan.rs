@@ -1,9 +1,9 @@
 //! store_scan — the hot-path comparison behind `wdsparql-store`:
 //! [`RdfGraph`]'s hash-indexed pattern matching vs [`EncodedGraph`]'s
 //! dictionary-encoded sorted-permutation ranges, on a ≥100k-triple
-//! workload graph, plus join throughput (hash bind join vs sorted-merge
-//! intersection, and the open- and anchored-path BGPs from query to
-//! printed rows). The workload mixes a uniform stream with type-like
+//! workload graph, plus join throughput (the bind join on both
+//! backends, and the open- and anchored-path BGPs from query to printed
+//! rows). The workload mixes a uniform stream with type-like
 //! hub objects (every node carries a `type` triple into one of a few
 //! classes), so the pair-bound `(? p o)` sweep exercises both tiny
 //! object blocks and the hub fan-in where index choice actually
@@ -16,7 +16,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use std::fmt::Write;
 use std::sync::OnceLock;
 use wdsparql_rdf::term::var;
-use wdsparql_rdf::{tp, Iri, Mapping, RdfGraph, Term, Triple, TriplePattern, Variable};
+use wdsparql_rdf::{tp, Iri, Mapping, RdfGraph, Term, Triple, TriplePattern};
 use wdsparql_store::{eval_bgp_pairwise, eval_bgp_with_strategy, EncodedGraph, JoinStrategy};
 use wdsparql_workloads::triple_stream;
 
@@ -192,39 +192,9 @@ fn bench_pair_bound(c: &mut Criterion) {
 
 fn bench_join_throughput(c: &mut Criterion) {
     let (rdf, enc) = workload();
-    let vx = Variable::new("x");
     let p1 = tp(var("x"), Term::Iri(Iri::new("p0")), var("y"));
-    let p2 = tp(var("x"), Term::Iri(Iri::new("p1")), var("z"));
-    // Both intersection strategies must compute the same quantity — the
-    // number of distinct subjects matching p0 and p1 — or the comparison
-    // is meaningless.
-    let hash_intersect = || {
-        let left: std::collections::HashSet<Iri> =
-            rdf.match_pattern(&p1).into_iter().map(|t| t.s).collect();
-        let shared: std::collections::HashSet<Iri> = rdf
-            .match_pattern(&p2)
-            .into_iter()
-            .map(|t| t.s)
-            .filter(|s| left.contains(s))
-            .collect();
-        shared.len()
-    };
-    assert_eq!(
-        hash_intersect(),
-        enc.merge_join_ids(&p1, &p2, vx).unwrap().len(),
-        "hash and merge intersections disagree"
-    );
     let mut group = c.benchmark_group("store_join");
     group.sample_size(10);
-    // Subject-subject join candidates: hash-set intersection over the
-    // hash indexes vs the store's sorted-merge intersection (whose
-    // candidate lists come subject-sorted off the PSO permutation).
-    group.bench_function("rdf_hash_intersect", |b| {
-        b.iter(|| black_box(hash_intersect()))
-    });
-    group.bench_function("enc_merge_intersect", |b| {
-        b.iter(|| black_box(enc.merge_join_ids(&p1, &p2, vx).unwrap().len()))
-    });
     // Full bind join (index-nested-loop): seed on p1, probe p2 with the
     // subject bound — the matcher's bound-prefix path under join load.
     group.bench_function("rdf_bind_join", |b| {

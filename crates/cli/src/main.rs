@@ -249,8 +249,8 @@ fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
 /// The data file is loaded as one batch. `--dir PATH` makes the store
 /// durable: that batch commits to disk (crash-safe tmp→fsync→rename
 /// protocol) before it is acknowledged, and a file over the capacity
-/// commits nothing (on a sharded store, no shard over its cap commits
-/// its part). `--open` reopens a store previously persisted with
+/// commits nothing (on a sharded store, one shard over its cap and no
+/// shard commits its part). `--open` reopens a store previously persisted with
 /// `--dir` — no data file is read; the single positional argument is
 /// the optional query. Corruption on reopen is a clean error.
 fn run_store(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {

@@ -926,21 +926,37 @@ fn store_modes_and_eval_answer_a_many_batch_file_as_the_memory_engine_does() {
             assert_eq!(head_of_answer(&stdout(&out)), want, "{args:?}");
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
-    let capped = wdsparql(&["store", "--dir", at, "--max-triples", "10000", path]);
-    assert_eq!(capped.status.code(), Some(1), "{}", stdout(&capped));
-    assert!(
-        stderr(&capped).contains("capacity exceeded"),
-        "{}",
-        stderr(&capped)
-    );
-    let reopened = wdsparql(&["store", "--dir", at, "--open"]);
-    assert!(reopened.status.success(), "{}", stderr(&reopened));
-    assert!(
-        stdout(&reopened).starts_with("0 triple(s)"),
-        "{}",
-        stdout(&reopened)
-    );
+    // Sharded, one shard's part (7 296 triples) fits the cap and the
+    // other two do not: no shard commits.
+    for capped in [
+        &["store", "--dir", at, "--max-triples", "10000", path][..],
+        &[
+            "store",
+            "--shards",
+            "3",
+            "--dir",
+            at,
+            "--max-triples",
+            "7310",
+            path,
+        ],
+    ] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = wdsparql(capped);
+        assert_eq!(out.status.code(), Some(1), "{capped:?}: {}", stdout(&out));
+        assert!(
+            stderr(&out).contains("capacity exceeded"),
+            "{capped:?}: {}",
+            stderr(&out)
+        );
+        let reopened = wdsparql(&["store", "--dir", at, "--open"]);
+        assert!(reopened.status.success(), "{}", stderr(&reopened));
+        assert!(
+            stdout(&reopened).starts_with("0 triple(s)"),
+            "{capped:?}: {}",
+            stdout(&reopened)
+        );
+    }
     let _ = std::fs::remove_file(&data);
     let _ = std::fs::remove_dir_all(&dir);
 }

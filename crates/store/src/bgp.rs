@@ -9,12 +9,12 @@
 //! resolve `Auto` → open the stream → collect → account — for every
 //! entry point; a [`Want`] says what the caller wants back. Every request
 //! evaluates on its pinned snapshot: nothing is kept between requests.
-//! Everything here runs on `&dyn TripleIndex`, so the planner and both
-//! join pipelines are the same code on the encoded graph and on the
+//! Everything here runs on `&dyn TripleIndex`, so the planner and the
+//! join stream are the same code on the encoded graph and on the
 //! scatter-gather [`crate::ShardedSnapshot`].
 
-use crate::join::{PairwisePlan, PairwiseStream};
-use crate::wcoj::{resolve_with_order, JoinStrategy, WcoStream};
+use crate::join::{Binds, JoinStream, LevelStats, PairwisePlan};
+use crate::wcoj::{resolve_with_order, JoinStrategy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -167,101 +167,64 @@ pub(crate) fn plan_and_resolve(
     (plan, strategy)
 }
 
-/// The two evaluators behind one cursor — and the one place either is
-/// constructed.
-enum BgpStream<'a> {
-    Pairwise(PairwiseStream<'a>),
-    Wco(WcoStream<'a>),
+/// Opens the plan a *resolved* `strategy` calls for — the variable
+/// plan for [`JoinStrategy::Wco`], the pattern plan in `plan`'s order
+/// otherwise — and the one place a BGP stream is constructed. Never
+/// re-plans.
+fn open<'a>(
+    ix: &'a dyn TripleIndex,
+    patterns: &[TriplePattern],
+    (plan, strategy): (PairwisePlan, JoinStrategy),
+    budget: &'a QueryBudget,
+    profiled: bool,
+) -> JoinStream<'a> {
+    match strategy {
+        JoinStrategy::Wco => JoinStream::wco(ix, patterns, budget, profiled),
+        _ => JoinStream::pairwise(ix, patterns, plan, budget, profiled),
+    }
 }
 
-impl<'a> BgpStream<'a> {
-    /// Opens the evaluator a *resolved* `strategy` calls for; `plan` is
-    /// the pairwise plan (unused by the WCOJ). Never re-plans.
-    fn open(
-        ix: &'a dyn TripleIndex,
-        patterns: &'a [TriplePattern],
-        plan: PairwisePlan,
-        strategy: JoinStrategy,
-        budget: &'a QueryBudget,
-        profiled: bool,
-    ) -> BgpStream<'a> {
-        match strategy {
-            JoinStrategy::Wco => BgpStream::Wco(WcoStream::new(ix, patterns, budget, profiled)),
-            _ => BgpStream::Pairwise(PairwiseStream::new(ix, patterns, plan, budget, profiled)),
-        }
-    }
-
-    /// The children of a profile's `execute` span: one `level ?v` span
-    /// per WCOJ variable level with the leapfrog's counters, or one
-    /// `scan`/`join` span per pairwise plan step with its pattern,
-    /// probe count and intermediate cardinality.
-    fn detail(&self, patterns: &[TriplePattern]) -> Vec<Span> {
-        match self {
-            BgpStream::Wco(s) => s
-                .level_stats()
-                .iter()
-                .map(|(v, s)| {
-                    Span::new(format!("level {v}"))
-                        .field("rows", s.rows)
-                        .field("seeks", s.seeks)
-                        .field("gallop_steps", s.gallop_steps)
-                })
-                .collect(),
-            BgpStream::Pairwise(s) => s
-                .step_stats()
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let span = Span::new(if i == 0 { "scan" } else { "join" })
-                        .field("pattern", patterns[s.pattern])
-                        .field("scans", s.scans)
-                        .field("rows", s.rows);
-                    match s.prune {
-                        Some(prune) => span.field("prune", prune),
-                        None => span,
-                    }
-                })
-                .collect(),
+/// The profile span of one plan level: `level ?v` with the leapfrog's
+/// counters for a variable level; `scan` (the seed) or `join` with the
+/// pattern, its probe count, its rows and the seed's prune for a
+/// pattern level.
+fn level_span(at: usize, &(binds, s): &(Binds, LevelStats), patterns: &[TriplePattern]) -> Span {
+    match binds {
+        Binds::Var(v) => Span::new(format!("level {v}"))
+            .field("rows", s.rows)
+            .field("seeks", s.seeks)
+            .field("gallop_steps", s.gallop_steps),
+        Binds::Pattern(i) => {
+            let span = Span::new(if at == 0 { "scan" } else { "join" })
+                .field("pattern", patterns[i])
+                .field("scans", s.scans)
+                .field("rows", s.rows);
+            match s.prune {
+                Some(prune) => span.field("prune", prune),
+                None => span,
+            }
         }
     }
 }
 
-impl SolutionStream for BgpStream<'_> {
-    fn next(&mut self) -> Result<Option<Mapping>, ExecError> {
-        match self {
-            BgpStream::Pairwise(s) => s.next(),
-            BgpStream::Wco(s) => s.next(),
-        }
-    }
-
-    /// One dispatch per collection, not per row: each evaluator's own
-    /// pull loop stays monomorphic.
-    fn collect_limit(&mut self, limit: Option<usize>) -> Result<Vec<Mapping>, ExecError> {
-        match self {
-            BgpStream::Pairwise(s) => s.collect_limit(limit),
-            BgpStream::Wco(s) => s.collect_limit(limit),
-        }
-    }
-}
-
-/// Opens the planned evaluator and runs it to a `Vec` — the first
-/// `limit` rows, or all of them. With `profiled`, also returns the
-/// `execute` span (wall time plus per-level / per-step children).
+/// Opens the planned stream and runs it to a `Vec` — the first `limit`
+/// rows, or all of them. With `profiled`, also returns the `execute`
+/// span (wall time plus one child per plan level).
 pub(crate) fn run(
     ix: &dyn TripleIndex,
     patterns: &[TriplePattern],
-    (plan, strategy): (PairwisePlan, JoinStrategy),
+    planned: (PairwisePlan, JoinStrategy),
     budget: &QueryBudget,
     limit: Option<usize>,
     profiled: bool,
 ) -> Result<(Vec<Mapping>, Option<Span>), ExecError> {
     let start = profiled.then(Instant::now);
-    let mut stream = BgpStream::open(ix, patterns, plan, strategy, budget, profiled);
+    let mut stream = open(ix, patterns, planned, budget, profiled);
     let rows = stream.collect_limit(limit)?;
     let span = start.map(|t| {
         let mut span = Span::new("execute").timed(t.elapsed());
-        for child in stream.detail(patterns) {
-            span.push(child);
+        for (at, level) in stream.level_stats().iter().enumerate() {
+            span.push(level_span(at, level, patterns));
         }
         span
     });
@@ -269,10 +232,10 @@ pub(crate) fn run(
 }
 
 /// Evaluates a BGP with the given strategy knob, unbudgeted and
-/// unaccounted: resolves `Auto` on this snapshot, then runs either the
-/// pairwise pipeline or the leapfrog join to completion — the
-/// materialising collector behind the `eval_bgp_*` free functions. Both
-/// strategies produce the same solution *set* (the order may differ).
+/// unaccounted: resolves `Auto` on this snapshot, then runs the pattern
+/// plan or the variable plan to completion — the materialising
+/// collector behind the `eval_bgp_*` free functions. Both plans produce
+/// the same solution *set* (the order may differ).
 /// The pairwise order is planned exactly once: resolution and execution
 /// share it.
 pub fn eval_bgp_with_strategy(
@@ -291,16 +254,16 @@ pub fn eval_bgp_with_strategy(
 
 /// Opens the streaming evaluation of a BGP under `strategy` and
 /// `budget`: plans once, resolves [`JoinStrategy::Auto`] on this
-/// snapshot, then returns the matching stream — [`WcoStream`] or
-/// [`PairwiseStream`] — for the caller to pull.
+/// snapshot, then returns the [`JoinStream`] of the plan it resolved to
+/// for the caller to pull.
 pub fn open_bgp_stream<'a>(
     ix: &'a dyn TripleIndex,
     patterns: &'a [TriplePattern],
     strategy: JoinStrategy,
     budget: &'a QueryBudget,
 ) -> Box<dyn SolutionStream + 'a> {
-    let (plan, strategy) = plan_and_resolve(ix, patterns, strategy, false);
-    Box::new(BgpStream::open(ix, patterns, plan, strategy, budget, false))
+    let planned = plan_and_resolve(ix, patterns, strategy, false);
+    Box::new(open(ix, patterns, planned, budget, false))
 }
 
 /// What a facade hands [`serve`]: one pinned snapshot and everything
@@ -353,8 +316,8 @@ struct Trace {
 /// implementation behind every query entry point of both services.
 ///
 /// Budget failures are typed and stay with their caller: the entry
-/// checkpoint runs before anything is planned, and the evaluators
-/// checkpoint the budget as they pull. Under [`QueryBudget::unlimited`]
+/// checkpoint runs before anything is planned, and the stream
+/// checkpoints the budget as it pulls. Under [`QueryBudget::unlimited`]
 /// the result is always `Ok`.
 ///
 /// Every request is accounted in the metrics registry exactly once,

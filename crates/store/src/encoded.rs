@@ -658,20 +658,6 @@ impl EncodedGraph {
         self.candidate_ids(pat, v)
     }
 
-    /// Sorted-merge intersection of the candidate id lists of a variable
-    /// shared by two patterns — the classic merge join on one join
-    /// variable. `None` when `v` is missing from either pattern.
-    pub fn merge_join_ids(
-        &self,
-        a: &TriplePattern,
-        b: &TriplePattern,
-        v: wdsparql_rdf::Variable,
-    ) -> Option<Vec<Iri>> {
-        let xs = self.candidate_ids(a, v)?;
-        let ys = self.candidate_ids(b, v)?;
-        Some(intersect_sorted(&xs, &ys))
-    }
-
     /// Distinct predicates with their cardinalities, descending — the
     /// selectivity statistics behind the service's query planner. Base
     /// counts read off the POS offsets; pending segments are folded in.
@@ -795,24 +781,6 @@ impl PartialEq for EncodedGraph {
 }
 
 impl Eq for EncodedGraph {}
-
-/// Two-pointer intersection of sorted term lists.
-fn intersect_sorted(a: &[Iri], b: &[Iri]) -> Vec<Iri> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
 
 #[cfg(test)]
 mod tests {
@@ -1366,28 +1334,6 @@ mod tests {
             got.sort();
             assert_eq!(got, want, "pattern {pat}");
         }
-    }
-
-    #[test]
-    fn merge_join_intersects_shared_variable() {
-        let g = EncodedGraph::from_triples(
-            [
-                ("a", "p", "x"),
-                ("b", "p", "x"),
-                ("c", "p", "x"),
-                ("b", "q", "y"),
-                ("c", "q", "y"),
-                ("d", "q", "y"),
-            ]
-            .map(|(s, p, o)| Triple::from_strs(s, p, o)),
-        );
-        let p1 = tp(var("s"), iri("p"), var("o1"));
-        let p2 = tp(var("s"), iri("q"), var("o2"));
-        let shared = g.merge_join_ids(&p1, &p2, Variable::new("s")).unwrap();
-        let mut names: Vec<&str> = shared.iter().map(|i| i.as_str()).collect();
-        names.sort_unstable();
-        assert_eq!(names, vec!["b", "c"]);
-        assert!(g.merge_join_ids(&p1, &p2, Variable::new("nope")).is_none());
     }
 
     #[test]

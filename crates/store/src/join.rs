@@ -1,44 +1,53 @@
-//! The node join: a BGP joined one triple pattern at a time, in the
-//! greedy order of `bgp::plan_order`, every step's pattern resolved once
-//! to `Const`/`Bind`/`Read` slots (which positions are constants, which
-//! read a column an earlier step — or the key — bound, which fill one).
-//! Two drivers run it over the same steps, one probe builder, one
-//! "write a match into a row" helper and one scan-or-probe rule
-//! (`scan_pays`), decided on the counts the plan was made from:
+//! The BGP join: one resumable, depth-first executor, [`JoinStream`],
+//! behind the BGP service, and the set-at-a-time keyed join,
+//! [`join_keyed`], behind the wdPT enumerator
+//! (`wdsparql_core::enumerate`).
 //!
-//! * [`PairwiseStream`] behind the BGP service: depth-first, one row at
-//!   a time, so it streams and stops after `LIMIT k` pulls;
-//! * [`join_keyed`] behind the wdPT enumerator
-//!   (`wdsparql_core::enumerate`): set at a time, every step extending a
-//!   whole table of rows that start as the keys a parent node binds.
+//! ## One executor, two plan shapes
 //!
-//! Both take `JoinStrategy::Auto` through the one rule of
-//! [`crate::wcoj`]: the leapfrog triejoin when the BGP is cyclic or a
-//! blow-up of the pairwise plan is predicted, the pairwise join
-//! otherwise. For a keyed join the variables the key binds count as
-//! constants: a triangle with one corner bound is a path.
+//! A [`JoinStream`] runs a plan of levels over one row that holds the
+//! BGP's variables in ascending order. Each level binds some cells of
+//! the row, one value at a time, under the cells the levels above it
+//! bound. The walk is depth first: when the last level binds, the row is
+//! a solution; when a level is spent, the walk resumes the level above.
+//! A level is one of two kinds:
 //!
-//! ## The depth-first driver
+//! * a **pattern level** binds the new variables of one triple pattern
+//!   from its matches under the row so far: one index probe each time
+//!   the level opens, its pattern resolved once to `Const`/`Bind`/`Read`
+//!   slots (which positions are constants, which read a cell a level
+//!   above wrote, which write one);
+//! * a **variable level** binds one variable to each key on which the
+//!   seekable tries ([`TripleIndex::trie_cursor`]) that hold it agree,
+//!   found by the leapfrog search (`wcoj::leapfrog_align`).
 //!
-//! A seed scan plus index-nested-loop (bind) joins, run depth-first, one
-//! root-to-leaf path at a time. Before the walk the seed is semi-join
-//! pruned against the second pattern's candidate values, but only when
-//! the scan-or-probe rule says reading them pays: the second pattern's
-//! planned count is at most `SCAN_PER_ROW` per seed row. An anchored
-//! seed of a few rows against a whole predicate block skips the prune,
-//! and the bind join's probe under each seed row drops the dead ones —
-//! a dead row yields no match, so the rows, their order and every
-//! `LIMIT` prefix are those of the pruned run. It enumerates the
-//! tuples `(seed index, step-1 match index, …)` in lexicographic order,
-//! the order a breadth-first run materialises them in, so every
-//! k-prefix of the stream is the first k rows of a full run — what lets
-//! `LIMIT k` stop after `k` pulls (pinned by the
+//! Every plan is of one kind, chosen by the resolved `JoinStrategy`:
+//!
+//! * [`JoinStream::pairwise`] (`Pairwise`): one pattern level per
+//!   pattern, in the greedy order of `bgp::plan_order` — a seed scan and
+//!   index-nested-loop (bind) joins. The seed is semi-join pruned against
+//!   the second pattern's candidate values, but only when the
+//!   scan-or-probe rule (`scan_pays`) says reading them pays: the
+//!   second pattern's planned count is at most `SCAN_PER_ROW` per seed
+//!   row. An anchored seed of a few rows against a whole predicate block
+//!   skips the prune, and the bind join's probe under each seed row drops
+//!   the dead ones; a dead row yields no match, so the rows and their
+//!   order are those of the pruned run.
+//! * [`JoinStream::wco`] (`Wco`): one variable level per variable, in
+//!   [`crate::wcoj::wco_variable_order`] — Veldhuizen's leapfrog
+//!   triejoin. Its ground patterns join nothing: they are containment
+//!   gates, one `contains` probe each, when the stream opens.
+//!
+//! The walk yields the rows in lexicographic order of the values each
+//! level bound, so every k-prefix of the stream is the first k rows of
+//! a full run — what lets `LIMIT k` stop after `k` pulls (pinned by the
 //! `streaming_matches_materialized` proptest). The pull loop checks the
-//! [`QueryBudget`] once per bind-join probe or emitted row.
+//! [`QueryBudget`] once per level step, and the leapfrog search once per
+//! cursor it visits.
 //!
-//! ## The set-at-a-time driver
+//! ## The set-at-a-time keyed join
 //!
-//! A node's rows start as its keys and are extended by one step at a
+//! A node's rows start as its keys and are extended by one pattern at a
 //! time: the plan order puts a pattern sharing a variable with what is
 //! bound (the key's variables to begin with) before one that does not,
 //! fewer candidates (by the pattern's constants) before more. One step
@@ -51,30 +60,34 @@
 //!   bound; the rows of a key are regrouped afterwards.
 //!
 //! A step scans when the pattern joins on nothing (probing would repeat
-//! one scan per row), or when `candidate_count` of the free pattern is at
-//! most `SCAN_PER_ROW` times the number of rows: a probe costs about as
-//! much as reading that many matches of a scan. Both numbers are in hand
-//! (the count ordered the patterns, and the plan carries it), and the
-//! count is what bounds the scan — a scan is always of *one* pattern,
-//! whose size the index promises, never a join whose size nothing
-//! estimates.
+//! one scan per row), or when `scan_pays` for the free pattern's
+//! `candidate_count` against the number of rows. Both numbers are in
+//! hand (the count ordered the patterns, and the plan carries it), and
+//! the count is what bounds the scan — a scan is always of *one*
+//! pattern, whose size the index promises, never a join whose size
+//! nothing estimates.
 //!
-//! Where `JoinStrategy` says leapfrog, every key runs one [`WcoStream`]
-//! over the patterns with the key substituted.
+//! Both take `JoinStrategy::Auto` through the one rule of
+//! [`crate::wcoj`]: the leapfrog triejoin when the BGP is cyclic or a
+//! blow-up of the pairwise plan is predicted, the pairwise join
+//! otherwise. For a keyed join the variables the key binds count as
+//! constants: a triangle with one corner bound is a path. Where the
+//! rule says leapfrog, every key runs one variable plan over the
+//! patterns with the key substituted.
 
 use crate::bgp::{candidate_counts, plan_order};
-use crate::wcoj::{resolve_with_order, JoinStrategy, WcoStream};
+use crate::wcoj::{leapfrog_align, resolve_with_order, wco_variable_order, JoinStrategy};
 use std::fmt;
 use wdsparql_rdf::{
-    Cell, CellMap, ExecError, Iri, Mapping, QueryBudget, RowTable, SolutionStream, Term, Triple,
-    TripleIndex, TriplePattern, Variable,
+    Cell, CellMap, ExecError, Iri, Mapping, QueryBudget, RowTable, SolutionStream, Term,
+    TrieCursor, Triple, TripleIndex, TriplePattern, Variable,
 };
 
 /// A scan of one pattern replaces a probe per row when the pattern has
 /// at most this many candidates per row (see the module docs).
 const SCAN_PER_ROW: usize = 8;
 
-/// The one scan-or-probe rule of both drivers: reading the `count`
+/// The one scan-or-probe rule of both joins: reading the `count`
 /// candidates of a pattern pays against probing the index once for each
 /// of `rows` rows when it reads at most [`SCAN_PER_ROW`] of them per row.
 fn scan_pays(count: usize, rows: usize) -> bool {
@@ -95,9 +108,9 @@ pub struct PairwisePlan {
     pub counts: Vec<usize>,
 }
 
-/// What the seed step's semi-join prune did.
+/// What the seed level's semi-join prune did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SeedPrune {
+pub(crate) enum SeedPrune {
     /// It read this many candidate values of the second pattern.
     Read(u64),
     /// It did not run: the second pattern's planned count is more than
@@ -115,42 +128,56 @@ impl fmt::Display for SeedPrune {
     }
 }
 
-/// Per-step counters of one pairwise run, reported by a profiled
-/// [`PairwiseStream`]: one entry per plan position, in execution order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PairwiseStepStats {
-    /// Index of the pattern joined at this step (into the caller's
-    /// pattern list, i.e. a plan entry).
-    pub pattern: usize,
-    /// Index probes issued: 1 for the seed enumeration, one bound
-    /// `match_pattern` per left-hand row for a bind join.
-    pub scans: u64,
-    /// Intermediate result cardinality *after* this step (for the seed:
-    /// after the semi-join prune if it ran, the seed's matches if it was
-    /// skipped).
-    pub rows: u64,
-    /// The seed step's prune decision; `None` on a bind-join step, and on
-    /// a seed with no second pattern sharing a variable with it or an
-    /// index that keeps no candidate lists.
-    pub prune: Option<SeedPrune>,
+/// What one level of a [`JoinStream`] binds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Binds {
+    /// The new variables of this pattern (an index into the caller's
+    /// pattern list): a pattern level.
+    Pattern(usize),
+    /// This variable: a variable level.
+    Var(Variable),
 }
 
-/// One position of a plan step's pattern, resolved against the row
+/// The counters of one level of a profiled [`JoinStream`], reported by
+/// [`JoinStream::level_stats`]. Totals are the full run's once the
+/// stream is exhausted, partial on an early stop.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct LevelStats {
+    /// Values bound at this level: the matches a pattern level bound (for
+    /// the seed, those left after the prune if it ran), the keys a
+    /// variable level aligned on.
+    pub(crate) rows: u64,
+    /// Index probes of a pattern level: one per opening.
+    pub(crate) scans: u64,
+    /// `seek` calls the leapfrog search of a variable level issued to
+    /// drag lagging cursors to the running maximum.
+    pub(crate) seeks: u64,
+    /// Galloping work those seeks reported through
+    /// [`TrieCursor::op_stats`] (best-effort: backends that do not count
+    /// contribute zero).
+    pub(crate) gallop_steps: u64,
+    /// The seed level's prune decision; `None` on every other level, and
+    /// on a seed with no second pattern sharing a variable with it or an
+    /// index that keeps no candidate lists.
+    pub(crate) prune: Option<SeedPrune>,
+}
+
+/// One position of a pattern level's pattern, resolved against the row
 /// schema once per query.
 #[derive(Clone, Copy)]
 enum Slot {
     Const(Iri),
-    /// A variable this step binds: free in the probe, and each match
+    /// A variable this level binds: free in the probe, and each match
     /// writes it into this column (a repeated variable twice, with the
     /// one value the match gives both positions).
     Bind(usize, Variable),
-    /// A variable the key or an earlier step bound: the probe reads this
+    /// A variable the key or a level above bound: the probe reads this
     /// column.
     Read(usize, Variable),
 }
 
-/// The pattern a step asks the index under `row`: its constants, and the
-/// cells it reads (a cell still unbound stays a variable).
+/// The pattern a level asks the index under `row`: its constants, and
+/// the cells it reads (a cell still unbound stays a variable).
 fn probe(slots: &[Slot; 3], row: &[Cell]) -> TriplePattern {
     let [s, p, o] = slots.map(|slot| match slot {
         Slot::Const(i) => Term::Iri(i),
@@ -160,8 +187,8 @@ fn probe(slots: &[Slot; 3], row: &[Cell]) -> TriplePattern {
     TriplePattern::new(s, p, o)
 }
 
-/// Writes a match of a step into `row`: each position the step binds
-/// gets `value(position, variable)`.
+/// Writes a match of a pattern into `row`: each position the pattern
+/// binds gets `value(position, variable)`.
 fn fill(row: &mut [Cell], slots: &[Slot; 3], value: impl Fn(usize, Variable) -> Cell) {
     for (at, slot) in slots.iter().enumerate() {
         if let Slot::Bind(col, v) = *slot {
@@ -170,200 +197,312 @@ fn fill(row: &mut [Cell], slots: &[Slot; 3], value: impl Fn(usize, Variable) -> 
     }
 }
 
-/// One suspended level of a depth-first pairwise walk: the matches of
-/// its step's pattern bound under the row above, and the cursor into
-/// them.
-struct LevelState {
-    matches: Vec<Triple>,
+/// The seed's semi-join: the plan's second pattern, and the variable it
+/// shares with the seed at the seed's position `pos`.
+struct SemiJoin {
+    with: TriplePattern,
+    var: Variable,
     pos: usize,
+    /// The second pattern's planned candidate count.
+    count: usize,
 }
 
-/// The pairwise pipeline (seed scan, a semi-join prune where the plan's
-/// counts say it pays, bind joins) as a resumable depth-first cursor
-/// over the plan's join tree. Each [`SolutionStream::next`] pull
-/// advances to the next full row and suspends; the seed scan itself is
-/// deferred to the first pull, so a zero deadline fails before any index
-/// work happens.
-///
-/// The walk fills one row over the BGP's variables in ascending order: a
-/// match writes only the cells its step binds, a step's pattern is bound
-/// from the cells of the steps before it, and a full row is decoded to
-/// a [`Mapping`] by [`RowTable::mapping`].
-pub struct PairwiseStream<'a> {
+/// One level of a [`JoinStream`]'s plan, and where the walk is
+/// suspended in it.
+enum Level {
+    Pattern {
+        slots: [Slot; 3],
+        /// The seed's semi-join, on level 0 where one applies.
+        prune: Option<SemiJoin>,
+        /// The pattern's matches under the row above still to bind.
+        matches: std::vec::IntoIter<Triple>,
+    },
+    Var {
+        /// The cursors (into [`JoinStream::cursors`]) whose tries hold
+        /// the variable.
+        active: Vec<usize>,
+        /// The variable's column in the row.
+        col: usize,
+    },
+}
+
+/// The BGP join as a resumable, depth-first cursor over a plan of
+/// levels (see the module docs): each [`SolutionStream::next`] pull
+/// advances to the next full row and suspends. No level opens before
+/// the first pull, so a zero deadline fails before any join work
+/// happens. Budget errors are sticky: a failed stream stays failed
+/// instead of resuming mid-walk.
+pub struct JoinStream<'a> {
     ix: &'a dyn TripleIndex,
-    patterns: &'a [TriplePattern],
-    plan: PairwisePlan,
-    /// `steps[s]` is plan step `s`'s pattern, resolved.
-    steps: Vec<[Slot; 3]>,
+    budget: &'a QueryBudget,
+    levels: Vec<Level>,
+    /// One trie per non-ground pattern of a variable plan.
+    cursors: Vec<Box<dyn TrieCursor + 'a>>,
     /// The one row the walk fills.
     row: RowTable,
-    /// `levels[s]` is the suspended state of plan step `s`, the pruned
-    /// seed at 0; empty until the first pull scans the seed.
-    levels: Vec<LevelState>,
-    /// The plan step the walk is currently at.
-    step: usize,
+    /// The level the walk is at.
+    at: usize,
+    /// Level `at` is still to open: the walk has just descended to it.
+    opening: bool,
     done: bool,
-    /// The single empty-mapping solution of an empty BGP.
-    pending_empty: bool,
-    stats: Option<Vec<PairwiseStepStats>>,
-    budget: &'a QueryBudget,
+    stats: Option<Vec<(Binds, LevelStats)>>,
 }
 
-impl<'a> PairwiseStream<'a> {
-    /// Opens the pipeline over `ix` with the `plan` already made
-    /// (callers that must not re-plan pass it in; see `bgp::plan_order`):
-    /// execution follows its order and reads its counts, and asks the
-    /// index for no count of its own. With `profiled`, per-step counters
-    /// accumulate for [`PairwiseStream::step_stats`].
-    pub fn new(
+impl<'a> JoinStream<'a> {
+    /// The pairwise plan over `ix`: one pattern level per pattern, in the
+    /// order of the `plan` already made (callers that must not re-plan
+    /// pass it in; see `bgp::plan_order`). Execution reads the plan's
+    /// counts and asks the index for no count of its own. With
+    /// `profiled`, per-level counters accumulate for
+    /// the profile (`level_stats`).
+    pub fn pairwise(
         ix: &'a dyn TripleIndex,
-        patterns: &'a [TriplePattern],
+        patterns: &[TriplePattern],
         plan: PairwisePlan,
         budget: &'a QueryBudget,
         profiled: bool,
-    ) -> PairwiseStream<'a> {
+    ) -> JoinStream<'a> {
         debug_assert_eq!(plan.order.len(), patterns.len());
         debug_assert_eq!(plan.counts.len(), patterns.len());
-        let stats = profiled.then(|| {
-            (plan.order.iter())
-                .map(|&i| PairwiseStepStats {
-                    pattern: i,
-                    ..PairwiseStepStats::default()
-                })
-                .collect()
-        });
-        let (mut row, steps) = resolve_steps(patterns, &plan.order, &[]);
+        let (row, steps) = resolve_steps(patterns, &plan.order, &[]);
+        // The seed is pruned on its first variable shared with the
+        // second pattern.
+        let mut prune = None;
+        if let &[first, second, ..] = &plan.order[..] {
+            let (with, count) = (patterns[second], plan.counts[second]);
+            prune = (patterns[first].positions().into_iter().enumerate())
+                .filter_map(|(pos, t)| Some((t.as_var()?, pos)))
+                .filter(|&(v, _)| with.var_occurrences().any(|u| u == v))
+                .min()
+                .map(|(var, pos)| SemiJoin {
+                    with,
+                    var,
+                    pos,
+                    count,
+                });
+        }
+        // Only the first level, the seed, takes the semi-join.
+        let levels = (steps.into_iter())
+            .map(|slots| Level::Pattern {
+                slots,
+                prune: prune.take(),
+                matches: Vec::new().into_iter(),
+            })
+            .collect();
+        let binds = plan.order.iter().map(|&i| Binds::Pattern(i));
+        let stats = profiled.then(|| binds.map(|b| (b, LevelStats::default())).collect());
+        JoinStream::over(ix, budget, row, levels, Vec::new(), stats)
+    }
+
+    /// The leapfrog plan over `ix`: one variable level per variable of
+    /// `patterns`, in [`wco_variable_order`], each pattern opening one
+    /// trie with a level per variable in that order. A ground pattern is
+    /// a containment gate, probed here; when one fails the stream yields
+    /// nothing. With `profiled`, per-level counters accumulate for
+    /// the profile (`level_stats`).
+    pub fn wco(
+        ix: &'a dyn TripleIndex,
+        patterns: &[TriplePattern],
+        budget: &'a QueryBudget,
+        profiled: bool,
+    ) -> JoinStream<'a> {
+        let gates_pass =
+            (patterns.iter()).all(|pat| pat.as_triple().is_none_or(|t| ix.contains(&t)));
+        if !gates_pass || patterns.iter().all(|pat| pat.as_triple().is_some()) {
+            let empty = RowTable::new(Vec::new());
+            let mut stream = JoinStream::over(ix, budget, empty, Vec::new(), Vec::new(), None);
+            stream.done = !gates_pass;
+            return stream;
+        }
+        let order = wco_variable_order(ix, patterns);
+        let mut schema = order.clone();
+        schema.sort();
+        let mut by_var: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
+        let mut cursors: Vec<Box<dyn TrieCursor + 'a>> = Vec::with_capacity(patterns.len());
+        for pat in patterns.iter().filter(|pat| pat.as_triple().is_none()) {
+            // The pattern's trie has one level per variable it holds, in
+            // the global order.
+            let held = pat.vars();
+            let mut vs = Vec::with_capacity(held.len());
+            for (l, &v) in order.iter().enumerate() {
+                if held.contains(&v) {
+                    by_var[l].push(cursors.len());
+                    vs.push(v);
+                }
+            }
+            cursors.push(ix.trie_cursor(pat, &vs));
+        }
+        let levels = (order.iter().zip(by_var))
+            .map(|(&v, active)| Level::Var {
+                active,
+                col: schema.partition_point(|&u| u < v),
+            })
+            .collect();
+        let binds = order.iter().map(|&v| Binds::Var(v));
+        let stats = profiled.then(|| binds.map(|b| (b, LevelStats::default())).collect());
+        JoinStream::over(ix, budget, RowTable::new(schema), levels, cursors, stats)
+    }
+
+    /// The stream of a plan, not yet started; no levels is the empty
+    /// plan, whose one solution is the empty row.
+    fn over(
+        ix: &'a dyn TripleIndex,
+        budget: &'a QueryBudget,
+        mut row: RowTable,
+        levels: Vec<Level>,
+        cursors: Vec<Box<dyn TrieCursor + 'a>>,
+        stats: Option<Vec<(Binds, LevelStats)>>,
+    ) -> JoinStream<'a> {
         // The one row the stream fills, all unbound.
         row.push_spread(&[], &[]);
-        PairwiseStream {
+        JoinStream {
             ix,
-            patterns,
-            plan,
-            steps,
-            row,
-            levels: Vec::new(),
-            step: 0,
-            done: false,
-            pending_empty: patterns.is_empty(),
-            stats,
             budget,
+            levels,
+            cursors,
+            row,
+            at: 0,
+            opening: true,
+            done: false,
+            stats,
         }
     }
 
-    /// Per-step execution counters, one entry per plan position in
-    /// execution order (empty unless built `profiled`). Totals match
-    /// the materialised pipeline's once the stream is exhausted;
-    /// partial on an early stop.
-    pub fn step_stats(&self) -> Vec<PairwiseStepStats> {
+    /// Per-level execution counters, one entry per level in plan order
+    /// (empty unless built `profiled`, and for a plan of no levels).
+    pub(crate) fn level_stats(&self) -> Vec<(Binds, LevelStats)> {
         self.stats.clone().unwrap_or_default()
     }
 
-    /// Scans the seed: the most selective pattern's matches, semi-join
-    /// pruned against the second pattern's candidate values on their
-    /// first shared variable (the first pattern's side is already in
-    /// hand, so only the second's sorted values are scanned) — when
-    /// [`scan_pays`] for the second's planned count against the seed's
-    /// rows. Otherwise the bind join's probe under each seed row drops
-    /// the dead ones for less than reading the list would cost; they
-    /// yield nothing, so the rows and their order are the same.
-    fn seed(&mut self) -> Vec<Triple> {
-        let first = &self.patterns[self.plan.order[0]];
-        let mut matches = self.ix.match_pattern(first);
-        let mut prune = None;
-        if let Some(&second) = self.plan.order.get(1) {
-            let pat = &self.patterns[second];
-            let shared = (first.positions().into_iter().enumerate())
-                .filter_map(|(pos, t)| Some((t.as_var()?, pos)))
-                .filter(|&(v, _)| pat.var_occurrences().any(|u| u == v))
-                .min();
-            if let Some((v, pos)) = shared {
-                prune = if scan_pays(self.plan.counts[second], matches.len()) {
-                    self.ix.candidate_values(pat, v).map(|vals| {
-                        matches.retain(|t| vals.binary_search(&t.terms()[pos]).is_ok());
-                        SeedPrune::Read(vals.len() as u64)
-                    })
-                } else {
-                    Some(SeedPrune::Skipped)
+    /// Opens level `l` under the row the levels above it bound: a
+    /// pattern level scans its matches (one index probe; the seed also
+    /// runs its semi-join where [`scan_pays`]), a variable level opens
+    /// its cursors one level down.
+    fn open(&mut self, l: usize) {
+        let stats = self.stats.as_deref_mut().map(|s| &mut s[l].1);
+        match &mut self.levels[l] {
+            Level::Pattern {
+                slots,
+                prune,
+                matches,
+            } => {
+                // A level above on this path always wrote the cells it
+                // reads.
+                let mut list = self.ix.match_pattern(&probe(slots, self.row.row(0)));
+                // Reading the second pattern's sorted values pays only
+                // against enough seed rows; otherwise the bind join's
+                // probe under each seed row drops the dead ones for less.
+                let pruned = prune.as_ref().and_then(|sj| {
+                    if !scan_pays(sj.count, list.len()) {
+                        return Some(SeedPrune::Skipped);
+                    }
+                    let vals = self.ix.candidate_values(&sj.with, sj.var)?;
+                    list.retain(|t| vals.binary_search(&t.terms()[sj.pos]).is_ok());
+                    Some(SeedPrune::Read(vals.len() as u64))
+                });
+                *matches = list.into_iter();
+                if let Some(s) = stats {
+                    s.scans += 1;
+                    s.prune = pruned;
+                }
+            }
+            Level::Var { active, .. } => active.iter().for_each(|&c| self.cursors[c].open()),
+        }
+    }
+
+    /// Binds level `l`'s next value into the row — its first one if the
+    /// level has just opened (`fresh`); `false` once the level is spent
+    /// (a variable level then restores its cursors to their parent
+    /// state).
+    fn bind(&mut self, l: usize, fresh: bool) -> Result<bool, ExecError> {
+        let mut stats = self.stats.as_deref_mut().map(|s| &mut s[l].1);
+        match &mut self.levels[l] {
+            Level::Pattern { slots, matches, .. } => match matches.next() {
+                Some(t) => fill(self.row.row_mut(0), slots, |at, _| Some(t.terms()[at])),
+                None => return Ok(false),
+            },
+            Level::Var { active, col } => {
+                if !fresh {
+                    // Move past the key just consumed; the alignment
+                    // drags the other cursors along.
+                    self.cursors[active[0]].advance();
+                }
+                // Gallop work is attributed to the level whose alignment
+                // drove it: the delta of the cursors' cumulative counters
+                // around the search.
+                let gallops = |cursors: &[Box<dyn TrieCursor + 'a>]| -> u64 {
+                    (active.iter())
+                        .map(|&c| cursors[c].op_stats().gallop_steps)
+                        .sum()
                 };
+                let before = stats.is_some().then(|| gallops(&self.cursors));
+                let (key, seeks) = leapfrog_align(&mut self.cursors, active, self.budget)?;
+                if let (Some(s), Some(before)) = (stats.as_deref_mut(), before) {
+                    s.seeks += seeks;
+                    s.gallop_steps += gallops(&self.cursors).saturating_sub(before);
+                }
+                let Some(key) = key else {
+                    active.iter().for_each(|&c| self.cursors[c].up());
+                    return Ok(false);
+                };
+                self.row.row_mut(0)[*col] = Some(key);
             }
         }
-        if let Some(s) = self.stats.as_deref_mut() {
-            s[0].scans = 1;
-            s[0].rows = matches.len() as u64;
-            s[0].prune = prune;
+        if let Some(s) = stats {
+            s.rows += 1;
         }
-        matches
+        Ok(true)
     }
 
-    /// Suspends plan step `s` under the current row: binds the step's
-    /// pattern from the row's cells and scans its matches (one index
-    /// probe).
-    fn open(&mut self, s: usize) {
-        // An earlier step on this path always wrote the cells it reads.
-        let matches = self
-            .ix
-            .match_pattern(&probe(&self.steps[s], self.row.row(0)));
-        if let Some(stats) = self.stats.as_deref_mut() {
-            stats[s].scans += 1;
-        }
-        let state = LevelState { matches, pos: 0 };
-        if let Some(slot) = self.levels.get_mut(s) {
-            *slot = state;
-        } else {
-            debug_assert_eq!(self.levels.len(), s);
-            self.levels.push(state);
-        }
-        self.step = s;
-    }
-
-    /// Resumes the depth-first walk until the next full row, the end of
-    /// the seed, or a failed checkpoint.
-    fn pull(&mut self) -> Result<Option<Mapping>, ExecError> {
-        if self.pending_empty {
+    /// Resumes the depth-first walk until the row holds the next
+    /// solution (`true`), the plan is spent (`false`), or a checkpoint
+    /// fails.
+    fn pull(&mut self) -> Result<bool, ExecError> {
+        if self.levels.is_empty() {
             self.budget.check()?;
-            self.pending_empty = false;
             self.done = true;
-            return Ok(Some(Mapping::new()));
+            return Ok(true);
         }
         loop {
             self.budget.check()?;
-            if self.levels.is_empty() {
-                let matches = self.seed();
-                self.levels.push(LevelState { matches, pos: 0 });
+            let fresh = std::mem::take(&mut self.opening);
+            if fresh {
+                self.open(self.at);
             }
-            let level = &mut self.levels[self.step];
-            let Some(&t) = level.matches.get(level.pos) else {
-                // This level's matches are spent: resume the parent step,
-                // or finish once the seed is.
-                if self.step == 0 {
-                    self.done = true;
-                    return Ok(None);
+            if self.bind(self.at, fresh)? {
+                if self.at + 1 == self.levels.len() {
+                    return Ok(true);
                 }
-                self.step -= 1;
-                continue;
-            };
-            level.pos += 1;
-            let values = t.terms();
-            fill(self.row.row_mut(0), &self.steps[self.step], |at, _| {
-                Some(values[at])
-            });
-            if self.step > 0 {
-                if let Some(stats) = self.stats.as_deref_mut() {
-                    stats[self.step].rows += 1;
-                }
+                self.at += 1;
+                self.opening = true;
+            } else if self.at == 0 {
+                return Ok(false);
+            } else {
+                self.at -= 1;
             }
-            if self.step + 1 == self.steps.len() {
-                return Ok(Some(self.row.mapping(0)));
-            }
-            self.open(self.step + 1);
         }
+    }
+}
+
+impl SolutionStream for JoinStream<'_> {
+    // Inlined into the collecting loop of whichever module drains the
+    // stream (the shared request path lives in `bgp.rs`).
+    #[inline]
+    fn next(&mut self) -> Result<Option<Mapping>, ExecError> {
+        if self.done {
+            return Ok(None);
+        }
+        let found = self.pull();
+        self.done |= !matches!(found, Ok(true));
+        Ok(found?.then(|| self.row.mapping(0)))
     }
 }
 
 /// The row schema of a join — the variables of `bound` (the key's) and
-/// of the patterns, ascending — as an empty table, and each plan step's
+/// of the patterns, ascending — as an empty table, and each planned
 /// pattern resolved against it: a variable is read from its column if
-/// the key or an earlier step binds it, and bound by this step otherwise.
+/// the key or an earlier pattern binds it, and bound by this one
+/// otherwise.
 fn resolve_steps(
     patterns: &[TriplePattern],
     order: &[usize],
@@ -394,26 +533,6 @@ fn resolve_steps(
     (RowTable::new(schema), steps)
 }
 
-impl SolutionStream for PairwiseStream<'_> {
-    // Inlined into the collecting loop of whichever module drains the
-    // stream (the shared request path lives in `bgp.rs`).
-    #[inline]
-    fn next(&mut self) -> Result<Option<Mapping>, ExecError> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.pull() {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                // Budget errors are sticky: a failed stream stays
-                // failed instead of resuming mid-walk.
-                self.done = true;
-                Err(e)
-            }
-        }
-    }
-}
-
 /// Rows of a keyed join, each tagged with the index of the key it
 /// extends.
 type Tagged = (RowTable, Vec<u32>);
@@ -438,11 +557,30 @@ pub fn join_keyed(
     for key in keys.rows() {
         rows.push_spread(key, &spread);
     }
-    let mut tagged = (rows, (0..keys.len() as u32).collect());
-    let strategy = resolve_with_order(ix, patterns, strategy, &plan, keys.vars());
-    if strategy == JoinStrategy::Wco {
-        return leapfrog(ix, &steps, tagged, budget);
+    let tags: Vec<u32> = (0..keys.len() as u32).collect();
+    if resolve_with_order(ix, patterns, strategy, &plan, keys.vars()) == JoinStrategy::Wco {
+        // One leapfrog plan per key, over the patterns with the key
+        // substituted.
+        let mut out = RowTable::new(rows.vars().to_vec());
+        let mut out_tags = Vec::new();
+        let mut core = Vec::with_capacity(steps.len());
+        for (key, &tag) in rows.rows().zip(&tags) {
+            core.clear();
+            core.extend(steps.iter().map(|slots| probe(slots, key)));
+            let mut stream = JoinStream::wco(ix, &core, budget, false);
+            // analyzer-allow: budget-checkpoint every pull of the stream
+            // checks the budget.
+            while let Some(mu) = stream.next()? {
+                let new = out.push(key);
+                for slots in &steps {
+                    fill(new, slots, |_, v| mu.get(v));
+                }
+                out_tags.push(tag);
+            }
+        }
+        return Ok((out, out_tags));
     }
+    let mut tagged = (rows, tags);
     for (slots, &i) in steps.iter().zip(&plan.order) {
         if tagged.0.is_empty() {
             break;
@@ -515,34 +653,6 @@ fn extend(
     Ok((out, out_tags))
 }
 
-/// The keyed join through the leapfrog triejoin: one [`WcoStream`] per
-/// key, over the steps' probes under that key.
-fn leapfrog(
-    ix: &dyn TripleIndex,
-    steps: &[[Slot; 3]],
-    (rows, tags): Tagged,
-    budget: &QueryBudget,
-) -> Result<Tagged, ExecError> {
-    let mut out = RowTable::new(rows.vars().to_vec());
-    let mut out_tags = Vec::new();
-    let mut core = Vec::with_capacity(steps.len());
-    for (key, &tag) in rows.rows().zip(&tags) {
-        core.clear();
-        core.extend(steps.iter().map(|slots| probe(slots, key)));
-        let mut stream = WcoStream::new(ix, &core, budget, false);
-        // analyzer-allow: budget-checkpoint every pull of the leapfrog
-        // checks the budget inside its seek loops.
-        while let Some(mu) = stream.next()? {
-            let new = out.push(key);
-            for slots in steps {
-                fill(new, slots, |_, v| mu.get(v));
-            }
-            out_tags.push(tag);
-        }
-    }
-    Ok((out, out_tags))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,7 +692,7 @@ mod tests {
         let want = eval_bgp_with_strategy(&g, &pats, JoinStrategy::Pairwise);
         assert!(!want.is_empty());
         let budget = QueryBudget::unlimited();
-        let mut stream = PairwiseStream::new(&g, &pats, order.clone(), &budget, false);
+        let mut stream = JoinStream::pairwise(&g, &pats, order.clone(), &budget, false);
         let mut got = Vec::new();
         while let Some(mu) = stream.next().expect("unlimited") {
             got.push(mu);
@@ -590,7 +700,7 @@ mod tests {
         assert_eq!(got, want, "stream order must equal materialised order");
         // And every k-prefix of the stream is the k-prefix of the run.
         for k in 0..=want.len() {
-            let mut s = PairwiseStream::new(&g, &pats, order.clone(), &budget, false);
+            let mut s = JoinStream::pairwise(&g, &pats, order.clone(), &budget, false);
             assert_eq!(s.collect_limit(Some(k)).expect("unlimited"), want[..k]);
         }
     }
@@ -601,13 +711,13 @@ mod tests {
         let pats = chain();
         let order = plan_order(&pats, &candidate_counts(&g, &pats, 1), &[]);
         let budget = QueryBudget::unlimited();
-        let mut full = PairwiseStream::new(&g, &pats, order.clone(), &budget, true);
+        let mut full = JoinStream::pairwise(&g, &pats, order.clone(), &budget, true);
         let all = full.collect_limit(None).expect("unlimited");
-        let full_scans: u64 = full.step_stats().iter().map(|s| s.scans).sum();
-        let mut limited = PairwiseStream::new(&g, &pats, order, &budget, true);
+        let full_scans: u64 = full.level_stats().iter().map(|(_, s)| s.scans).sum();
+        let mut limited = JoinStream::pairwise(&g, &pats, order, &budget, true);
         let one = limited.collect_limit(Some(1)).expect("unlimited");
         assert_eq!(one.as_slice(), &all[..1]);
-        let limited_scans: u64 = limited.step_stats().iter().map(|s| s.scans).sum();
+        let limited_scans: u64 = limited.level_stats().iter().map(|(_, s)| s.scans).sum();
         assert!(
             limited_scans < full_scans,
             "LIMIT 1 must probe less: {limited_scans} vs {full_scans}"
@@ -620,14 +730,14 @@ mod tests {
         let pats = chain();
         let order = plan_order(&pats, &candidate_counts(&g, &pats, 1), &[]);
         let budget = QueryBudget::with_deadline(Duration::ZERO);
-        let mut stream = PairwiseStream::new(&g, &pats, order, &budget, false);
+        let mut stream = JoinStream::pairwise(&g, &pats, order, &budget, false);
         assert_eq!(stream.next(), Err(ExecError::DeadlineExceeded));
         // Sticky: a failed stream stays failed.
         assert_eq!(stream.next(), Ok(None));
         // The empty BGP also checkpoints before its one row (fresh
         // budget: op 0 is the one call guaranteed to consult the clock).
         let fresh = QueryBudget::with_deadline(Duration::ZERO);
-        let mut empty = PairwiseStream::new(&g, &[], PairwisePlan::default(), &fresh, false);
+        let mut empty = JoinStream::pairwise(&g, &[], PairwisePlan::default(), &fresh, false);
         assert_eq!(empty.next(), Err(ExecError::DeadlineExceeded));
     }
 

@@ -11,14 +11,12 @@
 //! A term's id is its [`Iri`](wdsparql_rdf::Iri) interner id — the store
 //! has no dictionary of its own. Triples are stored as sorted arrays of
 //! `[Iri; 3]` rows — the SPO, POS and OSP component rotations, plus a
-//! PSO rotation for subject-sorted merge-join inputs, in the base and in
-//! every delta segment — each base array with an offset table indexed
-//! by leading id over the graph's id window (its smallest to its largest
-//! term), so every
-//! bound-prefix lookup lands on one contiguous slice and the sorted
-//! blocks double as merge-join inputs
-//! ([`EncodedGraph::merge_join_ids`]); one bitset over the ids is the
-//! graph's term table. Writes append small sorted delta
+//! PSO rotation whose predicate blocks list their subjects in order, in
+//! the base and in every delta segment — each base array with an offset
+//! table indexed by leading id over the graph's id window (its smallest
+//! to its largest term), so every bound-prefix lookup lands on one
+//! contiguous slice, and the sorted blocks double as the leapfrog
+//! join's tries; one bitset over the ids is the graph's term table. Writes append small sorted delta
 //! segments instead of rewriting the base; reads merge base + deltas
 //! behind the same bounded-prefix narrowing, and the deltas fold back
 //! into the base at 48 pending segments, once four times the delta rows
@@ -50,8 +48,9 @@
 //!   `query_with_profile`, `query_budgeted`, `query_limited`) pins one
 //!   snapshot and delegates to it. It runs
 //!   on `&dyn TripleIndex` plus the pin's read provenance: entry budget
-//!   checkpoint → plan once → resolve `Auto` → open the pairwise or
-//!   leapfrog stream → collect → account. Nothing is kept between
+//!   checkpoint → plan once → resolve `Auto` → open the join stream on
+//!   the pairwise or the leapfrog plan → collect → account. Nothing is
+//!   kept between
 //!   requests. The free functions ([`eval_bgp_pairwise`],
 //!   [`eval_bgp_wco`], [`eval_bgp_with_strategy`], [`open_bgp_stream`])
 //!   are the same planner and stream constructor without the pin;
@@ -65,13 +64,20 @@
 //!   the shards it reads. [`ShardedSnapshot`]
 //!   implements [`wdsparql_rdf::TripleIndex`], so every evaluator runs
 //!   unchanged on the sharded layout;
-//! * [`wcoj`] — worst-case-optimal multiway joins: a leapfrog triejoin
-//!   over seekable tries ([`wdsparql_rdf::TrieCursor`]) served zero-copy
-//!   from the sorted permutations, behind the
+//! * [`join`] — the BGP join, one executor: [`JoinStream`] walks a plan
+//!   of levels depth first over one row, resumably, one solution per
+//!   pull. The pairwise plan has one pattern level per pattern (the
+//!   seed scan, then bind joins); the leapfrog plan has one variable
+//!   level per variable (Veldhuizen's leapfrog triejoin). [`join_keyed`]
+//!   extends a table of keys set at a time, or runs the leapfrog plan
+//!   once per key, for the wdPT enumerator;
+//! * [`wcoj`] — the leapfrog plan's parts: the variable order, the
+//!   leapfrog search and seekable tries ([`wdsparql_rdf::TrieCursor`])
+//!   served zero-copy from the sorted permutations; and the
 //!   [`JoinStrategy`]`::{Pairwise, Wco, Auto}` knob on both services and
 //!   the engine — under `Auto`, cyclic query cores (triangles,
-//!   k-cliques) route to the WCOJ instead of blowing up the pairwise
-//!   pipeline's intermediates;
+//!   k-cliques) take the leapfrog plan instead of blowing up the
+//!   pairwise plan's intermediates;
 //! * [`persist`] — durable storage behind a fault-injectable [`Vfs`]:
 //!   checksummed paged segments, a length-prefixed manifest and a
 //!   commit log, with crash-safe tmp→fsync→rename→dir-sync publishes
@@ -96,7 +102,7 @@ pub mod wcoj;
 
 pub use bgp::{open_bgp_stream, PlannedQuery};
 pub use encoded::EncodedGraph;
-pub use join::{join_keyed, PairwisePlan, PairwiseStepStats, PairwiseStream, SeedPrune};
+pub use join::{join_keyed, JoinStream, PairwisePlan};
 pub use obs::metrics_json;
 pub use persist::vfs::{Fault, FaultFs, FaultKind, RealFs, Vfs, VfsError};
 pub use persist::{PersistError, PersistOpts, Recovered, StoreDir};
@@ -107,5 +113,5 @@ pub use service::{
 pub use shard::{ShardedSnapshot, ShardedStats, ShardedStore};
 pub use wcoj::{
     bgp_is_cyclic, eval_bgp_wco, eval_bgp_with_strategy, resolve_strategy, wco_variable_order,
-    JoinStrategy, WcoLevelStats, WcoStream,
+    JoinStrategy,
 };

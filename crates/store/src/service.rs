@@ -265,6 +265,27 @@ struct Inner {
     persist: Option<StoreDir>,
 }
 
+impl Inner {
+    /// Does the graph stay within the store's cap with `rows` more rows?
+    fn fits(&self, rows: usize) -> Result<(), CapacityError> {
+        let limit = self.capacity_limit.unwrap_or(crate::MAX_TRIPLES);
+        crate::segment::check_capacity(self.graph.len() + rows, limit)
+    }
+}
+
+/// A batch normalised against one snapshot by [`TripleStore::prepare`],
+/// for [`TripleStore::commit`].
+pub(crate) struct Prepared {
+    /// The batch as given: a durable commit logs its fresh triples in
+    /// this order.
+    batch: Vec<Triple>,
+    /// The batch's rows the snapshot lacks, sorted and deduplicated.
+    rows: Vec<Row>,
+    /// The snapshot's epoch.
+    epoch: u64,
+    start: Instant,
+}
+
 /// The concurrent triple-store service.
 ///
 /// Shareable across threads behind an [`Arc`]; reads (queries, stats)
@@ -481,32 +502,71 @@ impl TripleStore {
         self.load(triples, || ())
     }
 
-    /// The one write path, volatile and durable alike. `between` runs
-    /// after the off-lock normalisation and before the write lock: the
+    /// The one write path, volatile and durable alike: [`Self::prepare`]
+    /// off-lock, then [`Self::commit`] under the write lock. `between`
+    /// runs in between, when the batch has rows to commit: the
     /// regression hook for a load that lands in between (tests land an
     /// overlapping `bulk_load` there).
     fn load<I>(&self, triples: I, between: impl FnOnce()) -> Result<usize, StoreError>
     where
         I: IntoIterator<Item = Triple>,
     {
-        let batch: Vec<Triple> = triples.into_iter().collect();
-        if batch.is_empty() {
+        let prepared = self.prepare(triples);
+        if prepared.rows.is_empty() {
             return Ok(0);
         }
+        between();
+        self.commit(prepared)
+    }
+
+    /// The off-lock half of a load: the batch sorted, deduplicated and
+    /// checked against a lock-free snapshot.
+    pub(crate) fn prepare<I>(&self, triples: I) -> Prepared
+    where
+        I: IntoIterator<Item = Triple>,
+    {
+        let batch: Vec<Triple> = triples.into_iter().collect();
         let start = Instant::now();
         // The snapshot `Arc` must drop before the write lock, or
-        // `Arc::make_mut` below would see it and deep-clone the whole
-        // graph on every load.
-        let (mut rows, epoch) = {
-            let (snapshot, epoch) = self.snapshot();
-            (snapshot.fresh_rows(batch.iter().copied()), epoch)
-        };
+        // `Arc::make_mut` in `commit` would see it and deep-clone the
+        // whole graph on every load.
+        let (snapshot, epoch) = self.snapshot();
+        let rows = snapshot.fresh_rows(batch.iter().copied());
+        Prepared {
+            batch,
+            rows,
+            epoch,
+            start,
+        }
+    }
+
+    /// Would committing `prepared` keep the store within its cap, as the
+    /// graph stands? A store that took another load since `prepared`'s
+    /// snapshot passes here: [`Self::commit`] re-filters the rows and
+    /// decides then.
+    pub(crate) fn fits(&self, prepared: &Prepared) -> Result<(), CapacityError> {
+        let inner = self.inner.read();
+        if prepared.rows.is_empty() || inner.epoch != prepared.epoch {
+            return Ok(());
+        }
+        inner.fits(prepared.rows.len())
+    }
+
+    /// The locked half of a load: re-checks the fresh rows against the
+    /// current graph (only when another load landed since the
+    /// snapshot), checks the capacity, commits durably and appends.
+    pub(crate) fn commit(&self, prepared: Prepared) -> Result<usize, StoreError> {
+        let Prepared {
+            batch,
+            mut rows,
+            epoch,
+            start,
+        } = prepared;
         // The store never deletes a triple: what the snapshot holds, the
         // current graph holds too.
         if rows.is_empty() {
             return Ok(0);
         }
-        between();
         let mut inner = self.inner.write();
         let inner = &mut *inner;
         if inner.epoch != epoch {
@@ -518,8 +578,7 @@ impl TripleStore {
         // The capacity verdict precedes the durable commit: a batch acked
         // to disk and then refused in memory would leave the two states
         // disagreeing forever.
-        let limit = inner.capacity_limit.unwrap_or(crate::MAX_TRIPLES);
-        crate::segment::check_capacity(inner.graph.len() + rows.len(), limit)?;
+        inner.fits(rows.len())?;
         if let Some(dir) = inner.persist.as_mut() {
             // The fresh set hits disk before it becomes visible, so an
             // acked load is durable and a failed one is invisible.

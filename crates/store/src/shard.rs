@@ -85,8 +85,10 @@ const PARALLEL_FANOUT_ROWS: usize = 4096;
 
 /// Runs the per-shard jobs, on scoped threads when `parallel` (callers
 /// gate on shard count and [`std::thread::available_parallelism`]), in
-/// order otherwise. Results come back in job order either way.
-fn run_jobs<T, F>(jobs: Vec<F>, parallel: bool) -> Vec<T>
+/// order otherwise. Results come back in job order either way. The
+/// calling thread runs the first job itself: one spawn fewer per call,
+/// which a sharded load, making two calls, pays on every batch.
+fn run_jobs<T, F>(mut jobs: Vec<F>, parallel: bool) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
@@ -95,17 +97,18 @@ where
         return jobs.into_iter().map(|f| f()).collect();
     }
     std::thread::scope(|s| {
-        let handles: Vec<_> = jobs.into_iter().map(|f| s.spawn(f)).collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // Re-raise the worker's own panic on the caller: the
-                // original message and location survive, instead of a
-                // generic join-failure panic swallowing them.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        let handles: Vec<_> = (jobs.split_off(1).into_iter())
+            .map(|f| s.spawn(f))
+            .collect();
+        let mut out: Vec<T> = jobs.into_iter().map(|f| f()).collect();
+        out.extend(handles.into_iter().map(|h| match h.join() {
+            Ok(v) => v,
+            // Re-raise the worker's own panic on the caller: the
+            // original message and location survive, instead of a
+            // generic join-failure panic swallowing them.
+            Err(payload) => std::panic::resume_unwind(payload),
+        }));
+        out
     })
 }
 
@@ -497,12 +500,17 @@ impl ShardedStore {
     }
 
     /// As [`ShardedStore::bulk_load`], but surfaces capacity exhaustion
-    /// (and, on a durable store, persistence failures) as an error. Each
-    /// shard's insert is atomic (a refused shard is unchanged), but
-    /// shards that fit have already committed when the error returns —
-    /// the idempotent retry semantics of [`TripleStore::try_bulk_load`]
-    /// make re-submitting the same batch after resolving the failure
-    /// safe.
+    /// (and, on a durable store, persistence failures) as an error.
+    /// Every shard's part is normalised and checked against that shard's
+    /// cap before any shard commits, so a load that one shard's cap
+    /// refuses commits nothing. A part whose shard took another load
+    /// since its part was normalised is checked again only at its own
+    /// commit, and a persistence failure leaves the shards that
+    /// committed first committed: under concurrent writers a failed load
+    /// may have landed in some shards (the cross-shard relaxation of the
+    /// module docs). The idempotent retry semantics of
+    /// [`TripleStore::try_bulk_load`] make re-submitting the same batch
+    /// after resolving the failure safe.
     pub fn try_bulk_load<I>(&self, triples: I) -> Result<usize, StoreError>
     where
         I: IntoIterator<Item = Triple>,
@@ -524,7 +532,20 @@ impl ShardedStore {
             .filter(|(_, batch)| !batch.is_empty())
             .map(|(i, batch)| {
                 let shard = &self.shards[i];
-                move || (i, shard.try_bulk_load(batch))
+                move || {
+                    let prepared = shard.prepare(batch);
+                    shard.fits(&prepared).map(|()| (i, prepared))
+                }
+            })
+            .collect();
+        let prepared = run_jobs(jobs, parallel)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        let jobs: Vec<_> = prepared
+            .into_iter()
+            .map(|(i, prepared)| {
+                let shard = &self.shards[i];
+                move || (i, shard.commit(prepared))
             })
             .collect();
         let results = run_jobs(jobs, parallel);
@@ -962,6 +983,28 @@ mod tests {
         };
         assert_eq!(err.limit, 1);
         assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn a_load_one_shard_refuses_commits_nothing() {
+        for parallel in [false, true] {
+            let store = ShardedStore::new(2);
+            store.set_capacity_limit(Some(1));
+            let (a, b) = split_subjects(&store);
+            // b's part fits its shard, a's two triples do not fit a's.
+            let batch = vec![
+                Triple::new(a, Iri::new("p"), Iri::new("o")),
+                Triple::new(a, Iri::new("q"), Iri::new("o")),
+                Triple::new(b, Iri::new("p"), Iri::new("o")),
+            ];
+            let err = store.try_bulk_load_impl(batch, parallel).unwrap_err();
+            let StoreError::Capacity(err) = err else {
+                panic!("expected a capacity error, got {err}");
+            };
+            assert_eq!((err.attempted, err.limit), (2, 1));
+            assert_eq!(store.len(), 0, "parallel = {parallel}");
+            assert_eq!(store.epochs(), [0, 0], "parallel = {parallel}");
+        }
     }
 
     #[test]

@@ -1,51 +1,48 @@
-//! Worst-case-optimal multiway joins (leapfrog triejoin) over the
-//! sorted permutations.
+//! The leapfrog triejoin's parts, and the rule that picks it.
 //!
-//! The pairwise pipeline ([`crate::TripleStore::query`]'s bind joins,
-//! after a semi-join of the seed where it pays) materialises an
-//! intermediate result per join step; on cyclic cores — triangles,
-//! k-cliques — those intermediates blow up exactly as the AGM bound
-//! predicts, even though the store already pays for four sorted
-//! permutations that could answer the query without them. This module
-//! closes that gap with a variable-at-a-time leapfrog join (Veldhuizen's
-//! LFTJ):
+//! A pairwise plan materialises an intermediate result per join step;
+//! on cyclic cores — triangles, k-cliques — those intermediates blow up
+//! exactly as the AGM bound predicts, even though the store already pays
+//! for four sorted permutations that could answer the query without
+//! them. The variable plan of [`crate::join::JoinStream`] closes that gap
+//! with Veldhuizen's leapfrog triejoin (LFTJ), one variable per level;
+//! this module holds what that plan is made of:
 //!
-//! * a global **variable order** is chosen from the same selectivity /
+//! * a global **variable order**, chosen from the same selectivity /
 //!   connectivity statistics the pairwise planner uses
 //!   ([`wco_variable_order`]);
-//! * every pattern opens one **seekable trie**
-//!   ([`wdsparql_rdf::TrieCursor`]) over its matches, with one level per
-//!   variable in that order. On [`EncodedGraph`] the trie is a
-//!   **zero-copy view** over the permutation whose prefix matches the
-//!   pattern's bound positions and variable order — the base range
-//!   resolved through the offset table plus one narrowed run per delta
-//!   segment, keyed by the [`Iri`]s themselves (`encoded_trie`). A run
-//!   is walked one of two ways inside the same trie: a compacted PSO/POS
-//!   base block under a bound predicate enters its first variable
-//!   **keyed** — over the block's distinct second-column ids, kept
-//!   beside the permutation from the first such trie after a compaction
-//!   on (`segment::KeyLevel`), so a seek gallops over dense 4-byte keys
-//!   instead of 12-byte rows and their duplicates, and opening a key is
-//!   two array loads — while delta runs, SPO/OSP runs and every deeper
-//!   level are **row-walked**. When no
-//!   permutation fits (two of the six rotations are not stored, and
-//!   repeated variables constrain rows), the pattern falls back to the
-//!   [`MaterializedTrie`] of its matches — still linear in *that
+//! * one **seekable trie** ([`wdsparql_rdf::TrieCursor`]) per pattern
+//!   over its matches, with one level per variable in that order. On
+//!   [`EncodedGraph`] the trie is a **zero-copy view** over the
+//!   permutation whose prefix matches the pattern's bound positions and
+//!   variable order — the base range resolved through the offset table
+//!   plus one narrowed run per delta segment, keyed by the [`Iri`]s
+//!   themselves (`encoded_trie`). A run is walked one of two ways inside
+//!   the same trie: a compacted PSO/POS base block under a bound
+//!   predicate enters its first variable **keyed** — over the block's
+//!   distinct second-column ids, kept beside the permutation from the
+//!   first such trie after a compaction on (`segment::KeyLevel`), so a
+//!   seek gallops over dense 4-byte keys instead of 12-byte rows and
+//!   their duplicates, and opening a key is two array loads — while
+//!   delta runs, SPO/OSP runs and every deeper level are **row-walked**.
+//!   When no permutation fits (two of the six rotations are not stored,
+//!   and repeated variables constrain rows), the pattern falls back to
+//!   the [`MaterializedTrie`] of its matches — still linear in *that
 //!   pattern's* matches, never in a join intermediate. Other backends
 //!   (the scatter-gather [`crate::ShardedSnapshot`],
 //!   [`wdsparql_rdf::RdfGraph`]) serve the same materialised trie as
 //!   their default: every trie keys on the same ids;
-//! * at each variable the participating tries are intersected by
-//!   **leapfrog search**, Veldhuizen's round robin: visit the cursors in
-//!   turn, gallop (`seek`) each one that lags the largest key seen so far,
-//!   until all agree; then bind, `open`, recurse ([`eval_bgp_wco`]).
+//! * the **leapfrog search** that binds one variable level: visit the
+//!   tries holding the variable in turn, gallop (`seek`) each one that
+//!   lags the largest key seen so far, until all agree
+//!   (`leapfrog_align`).
 //!
 //! [`resolve_strategy`] is the planner hook: under
 //! [`JoinStrategy::Auto`] a query core routes to the WCOJ when its
 //! hypergraph is cyclic (GYO reduction, [`bgp_is_cyclic`]) or when the
 //! uniform-containment estimate of the pairwise plan's largest
 //! intermediate exceeds the join's input size by a wide margin; acyclic
-//! chains keep the pairwise pipeline, whose semi-joins are hard to beat
+//! chains keep the pairwise plan, whose semi-joins are hard to beat
 //! there.
 
 pub use crate::bgp::eval_bgp_with_strategy;
@@ -55,26 +52,9 @@ use crate::join::PairwisePlan;
 use crate::segment::{KeyedBlock, Perm, Row};
 use std::fmt;
 use wdsparql_rdf::{
-    gallop, ExecError, Iri, Mapping, MaterializedTrie, QueryBudget, RowTable, SolutionStream, Term,
-    TrieCursor, TrieOpStats, TripleIndex, TriplePattern, Variable,
+    gallop, ExecError, Iri, Mapping, MaterializedTrie, QueryBudget, Term, TrieCursor, TrieOpStats,
+    TripleIndex, TriplePattern, Variable,
 };
-
-/// Execution counters of one leapfrog level (one variable of the global
-/// order), reported by [`WcoStream::level_stats`]:
-///
-/// * `rows` — successful alignments, i.e. keys bound at this level (the
-///   level's output cardinality across the whole run);
-/// * `seeks` — `seek` calls the leapfrog search issued here to drag
-///   laggard cursors to the running maximum;
-/// * `gallop_steps` — galloping work those seeks reported through
-///   [`TrieCursor::op_stats`] (best-effort: backends that do not count
-///   contribute zero).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WcoLevelStats {
-    pub rows: u64,
-    pub seeks: u64,
-    pub gallop_steps: u64,
-}
 
 /// How a service evaluates multi-pattern (BGP) queries. The knob on
 /// [`crate::TripleStore`], [`crate::ShardedStore`] and the engine.
@@ -356,253 +336,6 @@ pub fn eval_bgp_wco(ix: &dyn TripleIndex, patterns: &[TriplePattern]) -> Vec<Map
     eval_bgp_with_strategy(ix, patterns, JoinStrategy::Wco)
 }
 
-/// Where a [`WcoStream`] resumes inside one level of the leapfrog
-/// intersection.
-enum WcoMode {
-    /// Entering the level: open every participating cursor (descending
-    /// from its aligned parent key, or from its virtual root if this is
-    /// its first variable — which is what rewinds it each time an outer
-    /// variable advances).
-    Open,
-    /// Run the leapfrog search at the current level.
-    Align,
-    /// A key at this level was consumed (emitted, or its subtree
-    /// exhausted): move one cursor past it — the next alignment drags
-    /// the rest along.
-    Advance,
-}
-
-/// The leapfrog triejoin as a resumable explicit-stack cursor: the
-/// recursion of the classic LFTJ flattened into (`level`, `WcoMode`)
-/// so each [`SolutionStream::next`] pull runs the intersection exactly
-/// until the next full binding is found, then suspends. The classic
-/// bracketing survives: entering a level opens its cursors, leaving
-/// restores them to their parent state (`WcoMode::Open` / the
-/// exhausted-alignment arm).
-///
-/// Checkpoints: the per-level loop and the leapfrog search both call
-/// [`QueryBudget::check`] every iteration, so a deadline or
-/// cancellation is noticed within one seek/gallop step.
-///
-/// Bindings live in one row over the variables in ascending order, not
-/// in join order: level `l` writes column `column_of[l]`, and a full
-/// binding is decoded by [`RowTable::mapping`].
-pub struct WcoStream<'a> {
-    cursors: Vec<Box<dyn TrieCursor + 'a>>,
-    by_var: Vec<Vec<usize>>,
-    order: Vec<Variable>,
-    column_of: Vec<usize>,
-    row: RowTable,
-    level: usize,
-    mode: WcoMode,
-    done: bool,
-    /// The single empty-mapping solution of an all-ground BGP whose
-    /// gates all passed (no cursors to run in that case).
-    pending: Option<Mapping>,
-    stats: Option<Vec<WcoLevelStats>>,
-    budget: &'a QueryBudget,
-}
-
-impl<'a> WcoStream<'a> {
-    /// Opens the leapfrog join of `patterns` over `ix` under `budget`.
-    /// With `profiled`, per-level counters accumulate for
-    /// [`WcoStream::level_stats`].
-    pub fn new(
-        ix: &'a dyn TripleIndex,
-        patterns: &[TriplePattern],
-        budget: &'a QueryBudget,
-        profiled: bool,
-    ) -> WcoStream<'a> {
-        // Ground patterns join nothing; they are containment gates, one
-        // `contains` probe each.
-        for pat in patterns {
-            if pat.as_triple().is_some_and(|t| !ix.contains(&t)) {
-                return WcoStream::closed(budget, None);
-            }
-        }
-        let var_pats: Vec<&TriplePattern> = patterns
-            .iter()
-            .filter(|p| p.as_triple().is_none())
-            .collect();
-        if var_pats.is_empty() {
-            return WcoStream::closed(budget, Some(Mapping::new()));
-        }
-        let order = wco_variable_order(ix, patterns);
-        let index_of = |v: Variable| -> usize {
-            order
-                .iter()
-                .position(|&u| u == v)
-                .expect("the variable order covers every pattern variable")
-        };
-        let mut cursors: Vec<Box<dyn TrieCursor + 'a>> = Vec::with_capacity(var_pats.len());
-        let mut by_var: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-        for (c, pat) in var_pats.iter().enumerate() {
-            let mut vs: Vec<Variable> = pat.vars().into_iter().collect();
-            vs.sort_by_key(|&v| index_of(v));
-            for &v in &vs {
-                by_var[index_of(v)].push(c);
-            }
-            cursors.push(ix.trie_cursor(pat, &vs));
-        }
-        let mut schema = order.clone();
-        schema.sort();
-        let column_of = order
-            .iter()
-            .map(|&v| schema.partition_point(|&u| u < v))
-            .collect();
-        let mut row = RowTable::new(schema);
-        // The one row the stream fills, all unbound.
-        row.push_spread(&[], &[]);
-        let stats = profiled.then(|| vec![WcoLevelStats::default(); order.len()]);
-        WcoStream {
-            cursors,
-            by_var,
-            order,
-            column_of,
-            row,
-            level: 0,
-            mode: WcoMode::Open,
-            done: false,
-            pending: None,
-            stats,
-            budget,
-        }
-    }
-
-    /// A stream that yields `pending` (if any) and then exhausts — the
-    /// short-circuit shapes that never run the leapfrog.
-    fn closed(budget: &'a QueryBudget, pending: Option<Mapping>) -> WcoStream<'a> {
-        WcoStream {
-            cursors: Vec::new(),
-            by_var: Vec::new(),
-            order: Vec::new(),
-            column_of: Vec::new(),
-            row: RowTable::new(Vec::new()),
-            level: 0,
-            mode: WcoMode::Open,
-            done: pending.is_none(),
-            pending,
-            stats: None,
-            budget,
-        }
-    }
-
-    /// Per-level execution counters, one `(variable, stats)` pair per
-    /// variable of the global order (empty unless built `profiled`, or
-    /// when the query short-circuited before the leapfrog ran).
-    pub fn level_stats(&self) -> Vec<(Variable, WcoLevelStats)> {
-        match &self.stats {
-            Some(s) => self.order.iter().copied().zip(s.iter().copied()).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Resumes the flattened recursion until the next solution, the end
-    /// of the intersection, or a failed checkpoint.
-    fn pull(&mut self) -> Result<Option<Mapping>, ExecError> {
-        if self.cursors.is_empty() {
-            self.done = true;
-            return Ok(self.pending.take());
-        }
-        loop {
-            self.budget.check()?;
-            match self.mode {
-                WcoMode::Open => {
-                    let active = &self.by_var[self.level];
-                    debug_assert!(!active.is_empty(), "every ordered variable has a pattern");
-                    for &c in active {
-                        self.cursors[c].open();
-                    }
-                    self.mode = WcoMode::Align;
-                }
-                WcoMode::Align => {
-                    let active = &self.by_var[self.level];
-                    // Gallop work is attributed to the level whose
-                    // alignment drove it: delta of the active cursors'
-                    // cumulative counters around the search (a cursor
-                    // participating in several levels reports one
-                    // total; the deltas split it correctly).
-                    let before = self
-                        .stats
-                        .as_ref()
-                        .map(|_| gallop_total(&self.cursors, active))
-                        .unwrap_or_default();
-                    let (key, seeks) = leapfrog_align(&mut self.cursors, active, self.budget)?;
-                    let active = &self.by_var[self.level];
-                    if let Some(s) = self.stats.as_deref_mut() {
-                        s[self.level].seeks += seeks;
-                        s[self.level].gallop_steps +=
-                            gallop_total(&self.cursors, active).saturating_sub(before);
-                        if key.is_some() {
-                            s[self.level].rows += 1;
-                        }
-                    }
-                    match key {
-                        None => {
-                            // This level is exhausted: restore its
-                            // cursors to their parent state and resume
-                            // one level up (or finish at the root).
-                            for &c in &self.by_var[self.level] {
-                                self.cursors[c].up();
-                            }
-                            if self.level == 0 {
-                                self.done = true;
-                                return Ok(None);
-                            }
-                            self.level -= 1;
-                            self.mode = WcoMode::Advance;
-                        }
-                        Some(key) => {
-                            self.row.row_mut(0)[self.column_of[self.level]] = Some(key);
-                            if self.level + 1 == self.order.len() {
-                                // A full binding: emit it and resume by
-                                // advancing past this deepest key.
-                                self.mode = WcoMode::Advance;
-                                return Ok(Some(self.row.mapping(0)));
-                            }
-                            self.level += 1;
-                            self.mode = WcoMode::Open;
-                        }
-                    }
-                }
-                WcoMode::Advance => {
-                    let probe = self.by_var[self.level][0];
-                    self.cursors[probe].advance();
-                    self.mode = WcoMode::Align;
-                }
-            }
-        }
-    }
-}
-
-impl SolutionStream for WcoStream<'_> {
-    // Inlined into the collecting loop of whichever module drains the
-    // stream (the shared request path lives in `bgp.rs`).
-    #[inline]
-    fn next(&mut self) -> Result<Option<Mapping>, ExecError> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.pull() {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                // Budget errors are sticky: a failed stream stays
-                // failed instead of resuming mid-intersection.
-                self.done = true;
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Sum of the active cursors' reported galloping steps (profiling only).
-fn gallop_total(cursors: &[Box<dyn TrieCursor + '_>], active: &[usize]) -> u64 {
-    active
-        .iter()
-        .map(|&c| cursors[c].op_stats().gallop_steps)
-        .sum()
-}
-
 /// The leapfrog search, Veldhuizen's round robin: from the first active
 /// cursor's key, visit the cursors in turn and `seek` each one that lags
 /// the largest key seen so far — one key read and at most one `seek` per
@@ -610,7 +343,7 @@ fn gallop_total(cursors: &[Box<dyn TrieCursor + '_>], active: &[usize]) -> u64 {
 /// one exhausts (`None`). Also returns the number of `seek` calls
 /// issued. Every step checkpoints `budget`, so a deadline interrupts
 /// even a pathological intersection within one seek.
-fn leapfrog_align(
+pub(crate) fn leapfrog_align(
     cursors: &mut [Box<dyn TrieCursor + '_>],
     active: &[usize],
     budget: &QueryBudget,
@@ -907,7 +640,9 @@ fn slice_trie<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::{Binds, JoinStream};
     use wdsparql_rdf::term::{iri, var};
+    use wdsparql_rdf::SolutionStream;
     use wdsparql_rdf::{tp, Triple};
 
     fn sorted(mut sols: Vec<Mapping>) -> Vec<Mapping> {
@@ -1349,7 +1084,7 @@ mod tests {
         let pats = triangle_bgp();
         let profiled = |pats: &[TriplePattern]| {
             let budget = QueryBudget::unlimited();
-            let mut stream = WcoStream::new(&g, pats, &budget, true);
+            let mut stream = JoinStream::wco(&g, pats, &budget, true);
             let sols = stream.collect_limit(None).expect("unlimited budget");
             (sols, stream.level_stats())
         };
@@ -1357,8 +1092,8 @@ mod tests {
         assert_eq!(sorted(sols.clone()), sorted(eval_bgp_wco(&g, &pats)));
         let order = wco_variable_order(&g, &pats);
         assert_eq!(
-            levels.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
-            order,
+            levels.iter().map(|&(b, _)| b).collect::<Vec<_>>(),
+            order.into_iter().map(Binds::Var).collect::<Vec<_>>(),
             "one stats entry per ordered variable"
         );
         assert!(

@@ -8,11 +8,11 @@
 use proptest::prelude::*;
 use wdsparql_rdf::{
     tp, Iri, Mapping, QueryBudget, RdfGraph, RowTable, SolutionStream, Term, Triple, TripleIndex,
-    TriplePattern, Variable,
+    TriplePattern,
 };
 use wdsparql_store::{
     eval_bgp_pairwise, eval_bgp_wco, eval_bgp_with_strategy, join_keyed, open_bgp_stream,
-    EncodedGraph, JoinStrategy, PairwisePlan, PairwiseStream, ShardedStore, TripleStore, WcoStream,
+    EncodedGraph, JoinStrategy, JoinStream, PairwisePlan, ShardedStore, TripleStore,
 };
 
 fn arb_graph() -> impl Strategy<Value = RdfGraph> {
@@ -227,7 +227,7 @@ proptest! {
                 let counts: Vec<usize> = pats.iter().map(|p| ix.candidate_count(p)).collect();
                 for order in plan_orders(pats.len()) {
                     let plan = PairwisePlan { order: order.clone(), counts: counts.clone() };
-                    let run = |k| PairwiseStream::new(ix, &pats, plan.clone(), &budget, false)
+                    let run = |k| JoinStream::pairwise(ix, &pats, plan.clone(), &budget, false)
                         .collect_limit(k)
                         .expect("unlimited");
                     let full = run(None);
@@ -569,7 +569,7 @@ proptest! {
                 let bgp: Vec<TriplePattern> = bgp.iter().map(|p| ids.pattern(p)).collect();
                 let want = reference_bgp(&g, &bgp);
                 for (label, ix) in [("compacted", snap.graph()), ("staged", &staged), ("mixed", &mixed)] {
-                    let run = |k| WcoStream::new(ix, &bgp, &budget, false)
+                    let run = |k| JoinStream::wco(ix, &bgp, &budget, false)
                         .collect_limit(k)
                         .expect("unlimited");
                     let full = run(None);
@@ -595,24 +595,6 @@ proptest! {
             got.sort();
             prop_assert_eq!(&got, &want, "facade {} on {:?}", strategy, &pats);
         }
-    }
-
-    /// merge_join_ids equals the set intersection of the per-pattern
-    /// candidate bindings.
-    #[test]
-    fn merge_join_is_set_intersection(g in arb_graph(), p1 in 0..3usize, p2 in 0..3usize) {
-        let enc = EncodedGraph::from_rdf(&g);
-        let v = Variable::new("j");
-        let a = tp(wdsparql_rdf::var("j"), wdsparql_rdf::iri(&format!("sp{p1}")), wdsparql_rdf::var("o1"));
-        let b = tp(wdsparql_rdf::var("j"), wdsparql_rdf::iri(&format!("sp{p2}")), wdsparql_rdf::var("o2"));
-        let joined: std::collections::BTreeSet<Iri> =
-            enc.merge_join_ids(&a, &b, v).unwrap().into_iter().collect();
-        let sa: std::collections::BTreeSet<Iri> =
-            g.solutions(&a).into_iter().filter_map(|m| m.get(v)).collect();
-        let sb: std::collections::BTreeSet<Iri> =
-            g.solutions(&b).into_iter().filter_map(|m| m.get(v)).collect();
-        let want: std::collections::BTreeSet<Iri> = sa.intersection(&sb).copied().collect();
-        prop_assert_eq!(joined, want);
     }
 }
 

@@ -28,7 +28,7 @@ use wdsparql_rdf::{
     Variable,
 };
 use wdsparql_store::{
-    join_keyed, open_bgp_stream, EncodedGraph, JoinStrategy, PairwisePlan, PairwiseStream,
+    join_keyed, open_bgp_stream, EncodedGraph, JoinStrategy, JoinStream, PairwisePlan,
 };
 
 /// A subject or object: `?x`, `?y`, `?z` (0–2) or the constant `a` (3).
@@ -177,7 +177,7 @@ fn pairwise<'a>(
     plan: &PairwisePlan,
     budget: &'a QueryBudget,
 ) -> impl SolutionStream + 'a {
-    PairwiseStream::new(ix, pats, plan.clone(), budget, false)
+    JoinStream::pairwise(ix, pats, plan.clone(), budget, false)
 }
 
 /// Runs `open` to the end and to every `LIMIT` prefix: the full run is
